@@ -12,7 +12,7 @@ import math
 import re
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -136,9 +136,8 @@ class ParamSpec:
         """The k-th grid value in canonical form."""
         if self.kind == KIND_CAT:
             return self.values[k]
-        if self.kind == KIND_INT:
-            return self.lower + k * self.step
-        return self.lower + k * self.step
+        # a float lattice's top value can land an ulp above upper (0.05 + 18*0.05)
+        return min(self.lower + k * self.step, self.upper)
 
     def snap(self, v: float) -> Value:
         """Snap a numeric value onto the step lattice, staying inside bounds."""
@@ -309,16 +308,20 @@ class ParamSpace:
             n *= s.lattice_count()
         return n
 
+    def iter_grid(self) -> Iterator[TrialPoint]:
+        """Every grid point, last spec varying fastest, built one at a time."""
+        names = self.names()
+        return (
+            TrialPoint(dict(zip(names, combo)))
+            for combo in itertools.product(*(s.grid_values() for s in self.specs))
+        )
+
     def enumerate_grid(self, cap: int = DEFAULT_GRID_CAP) -> list[TrialPoint]:
-        """All grid points, last spec varying fastest; errors before materializing."""
+        """All grid points in iter_grid order; errors before materializing."""
         size = self.grid_size()
         if size > cap:
             raise GridTooLargeError(f"grid has {size} points, cap is {cap}")
-        names = self.names()
-        out = []
-        for combo in itertools.product(*(s.grid_values() for s in self.specs)):
-            out.append(TrialPoint(dict(zip(names, combo))))
-        return out
+        return list(self.iter_grid())
 
     # -- rendering -----------------------------------------------------------
 

@@ -1,15 +1,30 @@
-"""Propose/update state-machine contract shared by all searchers.
+"""The propose/update contract shared by all searchers, and its one adapter.
 
 A searcher owns no execution: the session loop calls propose(), runs the
-trial, then feeds the aggregate objective back through update(). propose()
-is a pure peek (calling it twice without an update returns the same point),
-which is what makes replay-from-history deterministic.
+trial, then feeds the aggregate objective back through update().
+
+Each strategy writes its whole search as one generator, ``_search()``, in
+reverse-communication style: it yields the next TrialPoint and gets that
+point's objective back, ``f = yield point``; returning ends the search.
+Searcher runs that generator and is the only propose/update code:
+
+* propose() is a pure peek at the last yielded point, or None once the
+  generator has returned. Calling it twice without an update returns the
+  same point, so replaying a recorded history through a fresh searcher
+  proposes the recorded points again by construction.
+* update(point, f) raises StateCorruptError when no point is pending or
+  when point is not the pending one; otherwise it sends f to the generator.
+* done is true once no point is pending.
+
+state() is a snapshot for observers (tests, traces). It always carries
+``pending_u``, the unsnapped unit-cube vector behind the pending point
+(None for grid, and once done); each strategy adds its own fields.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import ClassVar
+from typing import ClassVar, Generator
 
 import numpy as np
 
@@ -22,32 +37,57 @@ class Searcher(ABC):
 
     strategy_id: ClassVar[str]
 
+    def __init_subclass__(cls, **kwargs):
+        # every strategy class holds propose/update in its own __dict__, so
+        # per-strategy wrappers (profilers, tracers) can be set on each class
+        super().__init_subclass__(**kwargs)
+        cls.propose, cls.update = Searcher.propose, Searcher.update
+
     def __init__(self, space: ParamSpace):
         self._space = space
+        self._u: np.ndarray | None = None
+        self._search_steps = self._search()
+        self._point: TrialPoint | None = next(self._search_steps, None)
 
     @property
     def space(self) -> ParamSpace:
         return self._space
 
     @abstractmethod
+    def _search(self) -> Generator[TrialPoint, float, None]:
+        """The strategy: yield each point to evaluate, receive its objective."""
+
+    def _ask(self, u: np.ndarray, point: TrialPoint | None = None) -> TrialPoint:
+        """The point to yield for unit vector u (decoded unless given)."""
+        self._u = u
+        return self._space.decode_vector(u) if point is None else point
+
     def propose(self) -> TrialPoint | None:
         """Next point to evaluate, or None once the searcher is done."""
+        return self._point
 
-    @abstractmethod
     def update(self, point: TrialPoint, objective: float) -> None:
         """Feed back the aggregate objective of the last proposed point."""
-
-    @property
-    @abstractmethod
-    def done(self) -> bool: ...
-
-    def _check_pending(self, point: TrialPoint, pending: TrialPoint | None) -> None:
+        pending = self._point
         if pending is None:
             raise StateCorruptError(f"{self.strategy_id}: update without a pending proposal")
         if self._space.point_key(point) != self._space.point_key(pending):
             raise StateCorruptError(
                 f"{self.strategy_id}: update for {point} but pending proposal is {pending}"
             )
+        try:
+            self._point = self._search_steps.send(objective)
+        except StopIteration:
+            self._point = None
+
+    @property
+    def done(self) -> bool:
+        return self._point is None
+
+    def state(self) -> dict[str, object]:
+        """Snapshot of the search as of the pending proposal (copies only)."""
+        pending = None if self._point is None or self._u is None else self._u.copy()
+        return {"pending_u": pending}
 
 
 def clamp01(u: np.ndarray) -> np.ndarray:

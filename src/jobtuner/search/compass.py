@@ -34,19 +34,11 @@ class CompassSearcher(Searcher):
     strategy_id: ClassVar[str] = "compass"
 
     def __init__(self, space: ParamSpace, options: CompassOptions | None = None):
-        super().__init__(space)
         self._opts = options or CompassOptions()
         self._step = self._opts.initial_step
         self._incumbent_u = space.encode_point(space.default_point())
         self._incumbent_f: float | None = None
-        self._polls: list[tuple[np.ndarray, TrialPoint]] = []
-        self._poll_values: list[float] = []
-        self._idx = 0
-        self._done = False
-        # the incumbent itself is evaluated first; polling starts afterwards
-        self._seeding = True
-
-    # -- poll construction ---------------------------------------------------
+        super().__init__(space)
 
     def _build_polls(self) -> list[tuple[np.ndarray, TrialPoint]]:
         incumbent_key = self._space.point_key(self._space.decode_vector(self._incumbent_u))
@@ -65,59 +57,29 @@ class CompassSearcher(Searcher):
                 polls.append((u, point))
         return polls
 
-    def _begin_iteration(self) -> None:
-        """Build a poll set at the current step; empty sets count as failures."""
+    def _search(self):
+        # the incumbent itself is evaluated first; polling starts afterwards
+        self._incumbent_f = yield self._ask(self._incumbent_u)
         while self._step >= self._opts.min_step:
             polls = self._build_polls()
-            if polls:
-                self._polls = polls
-                self._poll_values = []
-                self._idx = 0
-                return
-            self._step /= 2.0
-        self._done = True
+            if not polls:  # an empty poll set counts as a failed iteration
+                self._step /= 2.0
+                continue
+            values = []
+            for u, point in polls:
+                values.append((yield self._ask(u, point)))
+            best = int(np.argmin(values))
+            if values[best] < self._incumbent_f:  # strict; ties keep the incumbent
+                self._incumbent_u, self._incumbent_f = polls[best][0], values[best]
+                if self._opts.expand_on_success:
+                    self._step = min(self._step * 2.0, 1.0)
+            else:
+                self._step /= 2.0
 
-    def _finish_iteration(self) -> None:
-        best_idx = int(np.argmin(self._poll_values))
-        best_f = self._poll_values[best_idx]
-        if best_f < self._incumbent_f:  # strict improvement; ties keep the incumbent
-            self._incumbent_u = self._polls[best_idx][0]
-            self._incumbent_f = best_f
-            if self._opts.expand_on_success:
-                self._step = min(self._step * 2.0, 1.0)
-        else:
-            self._step /= 2.0
-        self._begin_iteration()
-
-    # -- searcher contract ------------------------------------------------------
-
-    def propose(self) -> TrialPoint | None:
-        if self._done:
-            return None
-        if self._seeding:
-            return self._space.decode_vector(self._incumbent_u)
-        return self._polls[self._idx][1]
-
-    def update(self, point: TrialPoint, objective: float) -> None:
-        self._check_pending(point, self.propose())
-        if self._seeding:
-            self._incumbent_f = objective
-            self._seeding = False
-            self._begin_iteration()
-            return
-        self._poll_values.append(objective)
-        self._idx += 1
-        if self._idx == len(self._polls):
-            self._finish_iteration()
-
-    @property
-    def done(self) -> bool:
-        return self._done
-
-    @property
-    def step(self) -> float:
-        return self._step
-
-    @property
-    def incumbent(self) -> tuple[np.ndarray, float | None]:
-        return self._incumbent_u.copy(), self._incumbent_f
+    def state(self) -> dict[str, object]:
+        return {
+            **super().state(),
+            "step": self._step,
+            "incumbent_u": self._incumbent_u.copy(),
+            "incumbent_f": self._incumbent_f,
+        }

@@ -4,32 +4,21 @@ from __future__ import annotations
 
 from typing import ClassVar
 
-from ..errors import StateCorruptError
-from ..paramspace import ParamSpace, TrialPoint
+from ..paramspace import ParamSpace
 from .base import Searcher
 
 
 class GridSearcher(Searcher):
-    """Walks enumerate_grid order (last spec varying fastest), then stops."""
+    """Walks iter_grid order (last spec varying fastest), then stops.
+
+    The grid is never materialized, so its size is bounded only by the
+    session budget (enumerate_grid alone keeps the point cap).
+    """
 
     strategy_id: ClassVar[str] = "grid"
 
     def __init__(self, space: ParamSpace, options=None):
         super().__init__(space)
-        self._grid = space.enumerate_grid()
-        self._cursor = 0
 
-    def propose(self) -> TrialPoint | None:
-        if self._cursor > len(self._grid):
-            raise StateCorruptError("grid cursor past the end of the grid")
-        if self._cursor == len(self._grid):
-            return None
-        return self._grid[self._cursor]
-
-    def update(self, point: TrialPoint, objective: float) -> None:
-        self._check_pending(point, self.propose())
-        self._cursor += 1
-
-    @property
-    def done(self) -> bool:
-        return self._cursor >= len(self._grid)
+    def _search(self):
+        yield from self._space.iter_grid()

@@ -1,7 +1,7 @@
 """Nelder-Mead simplex search, bound-constrained by clamping to the unit cube.
 
-Runs the classic reflect/expand/contract/shrink cycle as a sequential
-propose/update machine. Every candidate is clamped to [0, 1]^d before it is
+Runs the classic reflect/expand/contract/shrink cycle as straight-line
+generator code. Every candidate is clamped to [0, 1]^d before it is
 decoded; decoded duplicates of existing vertices are evaluated anyway, since
 objectives may be noisy.
 """
@@ -13,8 +13,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from ..errors import StateCorruptError
-from ..paramspace import ParamSpace, TrialPoint
+from ..paramspace import ParamSpace
 from .base import Searcher, clamp01
 
 
@@ -58,123 +57,49 @@ def initial_simplex(space: ParamSpace, offset: float) -> list[np.ndarray]:
     return vertices
 
 
+def _max_spread(vertices: list[tuple[np.ndarray, float]]) -> float:
+    pts = [u for u, _ in vertices]
+    return max(float(np.linalg.norm(a - b)) for i, a in enumerate(pts) for b in pts[i + 1:])
+
+
 class NelderMeadSearcher(Searcher):
     strategy_id: ClassVar[str] = "nelder-mead"
 
     def __init__(self, space: ParamSpace, options: NelderMeadOptions | None = None):
-        super().__init__(space)
         self._opts = options or NelderMeadOptions()
-        self._seeds = initial_simplex(space, self._opts.init_offset)
         self._vertices: list[tuple[np.ndarray, float]] = []
-        self._phase = "seed"
-        self._pending_u: np.ndarray | None = None
-        self._done = False
-        # iteration scratch
-        self._centroid: np.ndarray | None = None
-        self._worst: tuple[np.ndarray, float] | None = None
-        self._reflected: tuple[np.ndarray, float] | None = None
-        self._shrink_queue: list[int] = []
-        self._shrink_new: list[tuple[int, np.ndarray, float]] = []
+        super().__init__(space)
 
-    # -- iteration control ------------------------------------------------------
-
-    def _max_spread(self) -> float:
-        pts = [u for u, _ in self._vertices]
-        return max(
-            float(np.linalg.norm(a - b)) for i, a in enumerate(pts) for b in pts[i + 1:]
-        )
-
-    def _start_iteration(self) -> None:
-        if self._max_spread() < self._opts.spread_tol:
-            self._done = True
-            self._phase = "done"
-            return
-        self._vertices.sort(key=lambda vf: vf[1])
-        pts = [u for u, _ in self._vertices]
-        self._worst = self._vertices[-1]
-        self._centroid = np.mean(pts[:-1], axis=0)
-        self._pending_u = clamp01(
-            self._centroid + self._opts.alpha * (self._centroid - self._worst[0])
-        )
-        self._phase = "reflect"
-
-    def _replace_worst(self, u: np.ndarray, f: float) -> None:
-        self._vertices[-1] = (u, f)
-        self._start_iteration()
-
-    # -- searcher contract ---------------------------------------------------------
-
-    def propose(self) -> TrialPoint | None:
-        if self._done:
-            return None
-        if self._phase == "seed":
-            return self._space.decode_vector(self._seeds[len(self._vertices)])
-        return self._space.decode_vector(self._pending_u)
-
-    def update(self, point: TrialPoint, objective: float) -> None:
-        self._check_pending(point, self.propose())
-        if self._phase == "seed":
-            self._vertices.append((self._seeds[len(self._vertices)], objective))
-            if len(self._vertices) == len(self._seeds):
-                self._start_iteration()
-            return
-
-        u, f = self._pending_u, objective
-        if self._phase == "reflect":
-            f_best = self._vertices[0][1]
-            f_second_worst = self._vertices[-2][1]
-            if f < f_best:
-                self._reflected = (u, f)
-                self._pending_u = clamp01(self._centroid + self._opts.gamma * (u - self._centroid))
-                self._phase = "expand"
-            elif f < f_second_worst:
-                self._replace_worst(u, f)
+    def _search(self):
+        opts, vertices = self._opts, self._vertices
+        for u in initial_simplex(self._space, opts.init_offset):
+            vertices.append((u, (yield self._ask(u))))
+        while _max_spread(vertices) >= opts.spread_tol:
+            vertices.sort(key=lambda vf: vf[1])
+            worst_u, worst_f = vertices[-1]
+            centroid = np.mean([u for u, _ in vertices[:-1]], axis=0)
+            ur = clamp01(centroid + opts.alpha * (centroid - worst_u))
+            fr = yield self._ask(ur)
+            if fr < vertices[0][1]:
+                ue = clamp01(centroid + opts.gamma * (ur - centroid))
+                fe = yield self._ask(ue)
+                vertices[-1] = (ue, fe) if fe < fr else (ur, fr)
+            elif fr < vertices[-2][1]:
+                vertices[-1] = (ur, fr)
             else:
-                self._reflected = (u, f)
-                self._pending_u = clamp01(
-                    self._centroid + self._opts.beta * (self._worst[0] - self._centroid)
-                )
-                self._phase = "contract"
-        elif self._phase == "expand":
-            if f < self._reflected[1]:
-                self._replace_worst(u, f)
-            else:
-                self._replace_worst(*self._reflected)
-        elif self._phase == "contract":
-            # accept only if the contraction beats both the worst vertex and
-            # the rejected reflection; otherwise shrink toward the best
-            if f < min(self._reflected[1], self._worst[1]):
-                self._replace_worst(u, f)
-            else:
-                self._begin_shrink()
-        elif self._phase == "shrink":
-            idx = self._shrink_queue[len(self._shrink_new)]
-            self._shrink_new.append((idx, u, f))
-            if len(self._shrink_new) == len(self._shrink_queue):
-                for idx, su, sf in self._shrink_new:
-                    self._vertices[idx] = (su, sf)
-                self._start_iteration()
-            else:
-                self._queue_next_shrink()
-        else:
-            raise StateCorruptError(f"nelder-mead: update in phase {self._phase!r}")
+                uc = clamp01(centroid + opts.beta * (worst_u - centroid))
+                fc = yield self._ask(uc)
+                # accept only if the contraction beats both the worst vertex and
+                # the rejected reflection; otherwise shrink toward the best
+                if fc < min(fr, worst_f):
+                    vertices[-1] = (uc, fc)
+                else:
+                    best_u = vertices[0][0]
+                    shrunk = []
+                    for u, _ in vertices[1:]:
+                        us = clamp01(best_u + opts.sigma * (u - best_u))
+                        shrunk.append((us, (yield self._ask(us))))
+                    vertices[1:] = shrunk
 
-    def _begin_shrink(self) -> None:
-        self._shrink_queue = list(range(1, len(self._vertices)))
-        self._shrink_new = []
-        self._phase = "shrink"
-        self._queue_next_shrink()
-
-    def _queue_next_shrink(self) -> None:
-        best_u = self._vertices[0][0]
-        idx = self._shrink_queue[len(self._shrink_new)]
-        target = self._vertices[idx][0]
-        self._pending_u = clamp01(best_u + self._opts.sigma * (target - best_u))
-
-    @property
-    def done(self) -> bool:
-        return self._done
-
-    @property
-    def vertices(self) -> list[tuple[np.ndarray, float]]:
-        return [(u.copy(), f) for u, f in self._vertices]
+    def state(self) -> dict[str, object]:
+        return {**super().state(), "vertices": [(u.copy(), f) for u, f in self._vertices]}

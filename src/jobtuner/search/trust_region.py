@@ -11,13 +11,13 @@ minimum-norm Hessian updates.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, Iterator
 
 import numpy as np
 
-from ..errors import StateCorruptError
-from ..paramspace import ParamSpace, TrialPoint
+from ..paramspace import ParamSpace
 from .base import Searcher, clamp01
 
 MAX_RADIUS = 0.5
@@ -96,42 +96,38 @@ def minimize_quadratic_in_box(
     return center + t
 
 
+def initial_seeds(space: ParamSpace, radius: float) -> list[np.ndarray]:
+    """Defaults vertex plus ± radius along each axis, clamped to the cube.
+
+    Clamping collisions are perturbed inward by half the radius so all 2d+1
+    seeds stay distinct.
+    """
+    u0 = clamp01(space.encode_point(space.default_point()))
+    seeds = [u0]
+    for i in range(space.dimension):
+        for sign in (+1.0, -1.0):
+            v = u0.copy()
+            v[i] += sign * radius
+            v = clamp01(v)
+            if any(np.array_equal(v, s) for s in seeds):
+                v = u0.copy()
+                v[i] -= sign * radius / 2.0
+                v = clamp01(v)
+            seeds.append(v)
+    return seeds
+
+
 class TrustRegionSearcher(Searcher):
     strategy_id: ClassVar[str] = "bobyqa-lite"
 
     def __init__(self, space: ParamSpace, options: TrustRegionOptions | None = None):
-        super().__init__(space)
         self._opts = options or TrustRegionOptions()
         self._radius = self._opts.initial_radius
-        self._seeds = self._build_seeds()
         self._points: list[np.ndarray] = []
         self._values: list[float] = []
         self._center_idx = 0
-        self._phase = "seed"
-        self._pending_u: np.ndarray | None = None
-        self._pending_pred: float | None = None  # q(u0) - q(u+), > 0 for real steps
-        self._pending_on_boundary = False
-        self._axis_cycle = 0
-        self._done = False
-
-    # -- initialization ----------------------------------------------------------
-
-    def _build_seeds(self) -> list[np.ndarray]:
-        """Center plus ± radius along each axis; clamping collisions are
-        perturbed inward by half the radius so all 2d+1 seeds stay distinct."""
-        u0 = clamp01(self._space.encode_point(self._space.default_point()))
-        seeds = [u0]
-        for i in range(self._space.dimension):
-            for sign in (+1.0, -1.0):
-                v = u0.copy()
-                v[i] += sign * self._radius
-                v = clamp01(v)
-                if any(np.array_equal(v, s) for s in seeds):
-                    v = u0.copy()
-                    v[i] -= sign * self._radius / 2.0
-                    v = clamp01(v)
-                seeds.append(v)
-        return seeds
+        self._predicted: float | None = None  # q(center) - q(u+) while a model step is out
+        super().__init__(space)
 
     # -- interpolation-set bookkeeping ---------------------------------------------
 
@@ -152,153 +148,102 @@ class TrustRegionSearcher(Searcher):
         vals[~np.isfinite(vals)] = cap
         return vals
 
-    def _insert_replacing_farthest(
-        self, u: np.ndarray, value: float, reference: np.ndarray, protect_center: bool
-    ) -> None:
+    def _replace(self, victim: int, u: np.ndarray, value: float) -> None:
         center_val = self._center_value()
+        self._points[victim] = u
+        self._values[victim] = value
+        if value < center_val:
+            self._center_idx = victim
+
+    def _farthest(self, reference: np.ndarray, protect_center: bool) -> int:
         distances = [float(np.linalg.norm(p - reference)) for p in self._points]
         if protect_center:
             distances[self._center_idx] = -1.0
-        victim = int(np.argmax(distances))
-        self._points[victim] = u
-        self._values[victim] = value
-        if value < center_val:
-            self._center_idx = victim
+        return int(np.argmax(distances))
 
-    def _insert_replacing_worst(self, u: np.ndarray, value: float) -> None:
-        center_val = self._center_value()
+    def _worst(self) -> int:
         scores = list(self._values)
         scores[self._center_idx] = -np.inf  # the center is the best; never evict it
-        victim = int(np.argmax(scores))
-        self._points[victim] = u
-        self._values[victim] = value
-        if value < center_val:
-            self._center_idx = victim
+        return int(np.argmax(scores))
 
-    def _axis_sample(self) -> np.ndarray:
+    def _axis_sample(self, cycle: Iterator[int]) -> np.ndarray:
         """Fresh geometry point at center ± radius along a cycling axis."""
         d = self._space.dimension
+        center = self._center()
         for _ in range(2 * d):
-            j = self._axis_cycle % d
-            sign = +1.0 if (self._axis_cycle // d) % 2 == 0 else -1.0
-            self._axis_cycle += 1
-            v = self._center().copy()
-            v[j] += sign * self._radius
-            v = clamp01(v)
-            if not np.array_equal(v, self._center()):
-                return v
-            v = self._center().copy()
-            v[j] -= sign * self._radius
-            v = clamp01(v)
-            if not np.array_equal(v, self._center()):
-                return v
-        return clamp01(self._center() + self._radius / 2.0)
+            k = next(cycle)
+            j = k % d
+            sign = +1.0 if (k // d) % 2 == 0 else -1.0
+            for offset in (sign, -sign):
+                v = center.copy()
+                v[j] += offset * self._radius
+                v = clamp01(v)
+                if not np.array_equal(v, center):
+                    return v
+        return clamp01(center + self._radius / 2.0)
 
-    def _shrink(self) -> bool:
-        """Halve the radius; returns False once the searcher is finished.
+    # -- the search ------------------------------------------------------------------
 
-        Finishes instead of storing a radius below rho_min, so the radius
-        stays within [rho_min, MAX_RADIUS] at all times after initialization.
+    def _search(self):
+        """Fit, minimize in the box, evaluate; fall back to geometry points.
+
+        The radius only halves while it stays >= rho_min, so it is within
+        [rho_min, MAX_RADIUS] for the whole search; the search returns
+        instead of going below rho_min.
         """
-        if self._radius / 2.0 < self._opts.rho_min:
-            self._done = True
-            self._phase = "done"
-            return False
-        self._radius /= 2.0
-        return True
-
-    def _advance(self) -> None:
-        """Compute the next proposal: fit, minimize, or fall back to geometry."""
+        opts = self._opts
+        for u in initial_seeds(self._space, self._radius):
+            f = yield self._ask(u)
+            self._points.append(u)
+            self._values.append(f)
+        self._center_idx = int(np.argmin(self._values))
+        cycle = itertools.count()
         while True:
-            fit = fit_diagonal_quadratic(
-                np.array(self._points), self._capped_values(), self._center()
-            )
+            center = self._center()
+            fit = fit_diagonal_quadratic(np.array(self._points), self._capped_values(), center)
             if fit is None:
-                self._pending_u = self._axis_sample()
-                self._phase = "geometry"
-                return
-            c, g, h = fit
-            u_plus = minimize_quadratic_in_box(c, g, h, self._center(), self._radius)
-            step = u_plus - self._center()
-            if float(np.max(np.abs(step))) < _NULL_STEP:
-                # model sees no improvement inside the box: trust it less
-                if not self._shrink():
-                    return
+                u = self._axis_sample(cycle)
+                f = yield self._ask(u)
+                self._replace(self._worst(), u, f)
                 continue
-            self._pending_u = u_plus
-            self._pending_pred = c - quadratic_value(c, g, h, self._center(), u_plus)
-            self._pending_on_boundary = (
-                float(np.max(np.abs(step))) >= self._radius * (1.0 - 1e-9)
-            )
-            self._phase = "step"
-            return
+            c, g, h = fit
+            u_plus = minimize_quadratic_in_box(c, g, h, center, self._radius)
+            step = float(np.max(np.abs(u_plus - center)))
+            if step < _NULL_STEP:
+                # model sees no improvement inside the box: trust it less
+                if self._radius / 2.0 < opts.rho_min:
+                    return
+                self._radius /= 2.0
+                continue
+            predicted = c - quadratic_value(c, g, h, center, u_plus)
+            self._predicted = predicted
+            f = yield self._ask(u_plus)
+            self._predicted = None
 
-    # -- searcher contract ---------------------------------------------------------
+            if predicted <= 0.0 or not np.isfinite(f):
+                rho = -1.0
+            else:
+                rho = (self._center_value() - f) / predicted
+            if rho > 0.0:
+                # accepted: u+ is the new center; evict the point farthest from it
+                self._replace(self._farthest(u_plus, protect_center=False), u_plus, f)
+            else:
+                self._replace(self._farthest(center, protect_center=True), u_plus, f)
 
-    def propose(self) -> TrialPoint | None:
-        if self._done:
-            return None
-        if self._phase == "seed":
-            return self._space.decode_vector(self._seeds[len(self._points)])
-        if self._pending_u is None:
-            raise StateCorruptError("trust-region: no pending proposal")
-        return self._space.decode_vector(self._pending_u)
+            if rho < 0.25:
+                if self._radius / 2.0 < opts.rho_min:
+                    return
+                self._radius /= 2.0
+            elif rho > 0.75 and step >= self._radius * (1.0 - 1e-9):  # on the box edge
+                self._radius = min(2.0 * self._radius, MAX_RADIUS)
 
-    def update(self, point: TrialPoint, objective: float) -> None:
-        self._check_pending(point, self.propose())
-        if self._phase == "seed":
-            self._points.append(self._seeds[len(self._points)])
-            self._values.append(objective)
-            if len(self._points) == len(self._seeds):
-                self._center_idx = int(np.argmin(self._values))
-                self._advance()
-            return
-
-        if self._phase == "geometry":
-            u = self._pending_u
-            self._pending_u = None
-            self._insert_replacing_worst(u, objective)
-            self._advance()
-            return
-
-        if self._phase != "step":
-            raise StateCorruptError(f"trust-region: update in phase {self._phase!r}")
-
-        u_plus = self._pending_u
-        predicted = self._pending_pred
-        on_boundary = self._pending_on_boundary
-        self._pending_u = None
-        self._pending_pred = None
-
-        f0 = self._center_value()
-        if predicted is None or predicted <= 0.0 or not np.isfinite(objective):
-            rho = -1.0
-        else:
-            rho = (f0 - objective) / predicted
-
-        if rho > 0.0:
-            # accepted: u+ is the new center; evict the point farthest from it
-            self._insert_replacing_farthest(u_plus, objective, u_plus, protect_center=False)
-        else:
-            self._insert_replacing_farthest(
-                u_plus, objective, self._center(), protect_center=True
-            )
-
-        if rho < 0.25:
-            if not self._shrink():
-                return
-        elif rho > 0.75 and on_boundary:
-            self._radius = min(2.0 * self._radius, MAX_RADIUS)
-        self._advance()
-
-    @property
-    def done(self) -> bool:
-        return self._done
-
-    @property
-    def radius(self) -> float:
-        return self._radius
-
-    @property
-    def center(self) -> tuple[np.ndarray, float]:
-        return self._center().copy(), self._center_value()
+    def state(self) -> dict[str, object]:
+        seeded = bool(self._points)
+        return {
+            **super().state(),
+            "radius": self._radius,
+            "center_u": self._center().copy() if seeded else None,
+            "center_f": self._center_value() if seeded else None,
+            "predicted": self._predicted,
+            "values": list(self._values),
+        }

@@ -12,10 +12,10 @@ import hashlib
 import logging
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+
 from .errors import (
-    ConnectError,
     HistoryCorruptError,
     InvalidBudgetError,
     NoSuccessfulTrialError,
@@ -25,7 +25,7 @@ from .errors import (
 from .executors.base import Executor, TrialResult, STATUS_SUCCESS
 from .executors.local import LocalExecutor
 from .executors.remote import RemoteExecutor
-from .executors.synthetic import SurfaceSpec, SyntheticExecutor
+from .executors.synthetic import SyntheticExecutor
 from .history import (
     HistoryWriter,
     SessionLock,
@@ -96,35 +96,11 @@ def make_executor(project: Project, seed: int | None = None) -> Executor:
     if project.executor_kind == "synthetic":
         surface = project.surface
         if seed is not None:
-            surface = SurfaceSpec(
-                family=surface.family,
-                base_s=surface.base_s,
-                weights=surface.weights,
-                optimum=surface.optimum,
-                noise_sd_s=surface.noise_sd_s,
-                seed=seed,
-                table=surface.table,
-            )
+            surface = replace(surface, seed=seed)
         return SyntheticExecutor(project.space, surface)
     if project.executor_kind == "local":
         return LocalExecutor(project.space, workdir=project.root)
     return RemoteExecutor(project.space, project.env, project.root)
-
-
-def _manifest_entries(project: Project, strategy_id: str, budget: int,
-                      seed: int | None, options, status: str,
-                      memoize: bool) -> dict[str, object]:
-    entries: dict[str, object] = {
-        "strategy": strategy_id,
-        "seed": "" if seed is None else seed,
-        "budget": budget,
-        "space_hash": space_hash(project.space),
-        "status": status,
-        "memoize": memoize,
-    }
-    for name, value in options_to_dict(strategy_id, options).items():
-        entries[f"opt_{name}"] = value
-    return entries
 
 
 class _TuningLoop:
@@ -143,6 +119,20 @@ class _TuningLoop:
         self.searcher: Searcher = make_searcher(strategy_id, project.space, options)
         self.records: list[TrialRecord] = []
         self._memo: dict[tuple, TrialResult] = {}
+
+    def set_status(self, status: str) -> None:
+        """Write the session manifest with the given status."""
+        entries: dict[str, object] = {
+            "strategy": self.strategy_id,
+            "seed": "" if self.seed is None else self.seed,
+            "budget": self.budget,
+            "space_hash": space_hash(self.project.space),
+            "status": status,
+            "memoize": self.memoize,
+        }
+        for name, value in options_to_dict(self.strategy_id, self.options).items():
+            entries[f"opt_{name}"] = value
+        write_manifest(self.project.root, entries)
 
     def replay(self, records: list[TrialRecord]) -> None:
         """Drive the searcher through recorded history, verifying each step."""
@@ -205,8 +195,9 @@ def run_tuning(
     """Run a fresh tuning session to completion (searcher done or budget).
 
     Raises InvalidBudgetError, UnknownStrategyError, SessionExistsError when
-    the directory already holds a session, and ConnectError (session marked
-    interrupted, history preserved) when the executor loses its cluster.
+    the directory already holds a session, and ConnectError when the executor
+    loses its cluster. Any error raised once the session has started marks it
+    interrupted, with its history preserved for resume_session.
     """
     if budget < 1:
         raise InvalidBudgetError(f"budget must be >= 1, got {budget}")
@@ -217,13 +208,7 @@ def run_tuning(
     loop = _TuningLoop(project, strategy_id, budget, seed, options, executor, memoize)
     started = time.perf_counter()
     with SessionLock(project.root):
-        write_manifest(
-            project.root,
-            _manifest_entries(project, strategy_id, budget, seed, options,
-                              STATUS_RUNNING, memoize),
-        )
-        writer = HistoryWriter(project.root, project.space)
-        return _drive(loop, writer, started)
+        return _drive(loop, started)
 
 
 def resume_session(
@@ -257,31 +242,18 @@ def resume_session(
     with SessionLock(project.root):
         prior = read_trials(project.root, project.space)
         loop.replay(prior)
-        write_manifest(
-            project.root,
-            _manifest_entries(project, strategy_id, budget, seed, options,
-                              STATUS_RUNNING, memoize),
-        )
-        writer = HistoryWriter(project.root, project.space)
-        return _drive(loop, writer, started)
+        return _drive(loop, started)
 
 
-def _drive(loop: _TuningLoop, writer: HistoryWriter, started: float) -> SessionSummary:
-    project = loop.project
+def _drive(loop: _TuningLoop, started: float) -> SessionSummary:
+    loop.set_status(STATUS_RUNNING)
     try:
-        status = loop.run(writer)
-    except (ConnectError, KeyboardInterrupt):
-        write_manifest(
-            project.root,
-            _manifest_entries(project, loop.strategy_id, loop.budget, loop.seed,
-                              loop.options, STATUS_INTERRUPTED, loop.memoize),
-        )
+        status = loop.run(HistoryWriter(loop.project.root, loop.project.space))
+    except BaseException:
+        # whatever stopped the loop, every observed trial is already durable
+        loop.set_status(STATUS_INTERRUPTED)
         raise
-    write_manifest(
-        project.root,
-        _manifest_entries(project, loop.strategy_id, loop.budget, loop.seed,
-                          loop.options, status, loop.memoize),
-    )
+    loop.set_status(status)
     try:
         best = best_of(loop.records)
     except NoSuccessfulTrialError:

@@ -86,17 +86,19 @@ class ScriptedTransport:
 
 
 class InterruptingExecutor(Executor):
-    """Delegates to an inner executor, losing the cluster after k trials."""
+    """Delegates to an inner executor, raising `error` (by default losing the
+    cluster) after k trials."""
 
-    def __init__(self, inner: Executor, allow: int):
+    def __init__(self, inner: Executor, allow: int, error: type[Exception] = ConnectError):
         self.inner = inner
         self.allow = allow
+        self.error = error
         self.calls = 0
 
     def execute_trial(self, job: JobSpec, point: TrialPoint, trial_id: int) -> TrialResult:
         self.calls += 1
         if self.calls > self.allow:
-            raise ConnectError("scripted interruption")
+            raise self.error("scripted interruption")
         return self.inner.execute_trial(job, point, trial_id)
 
 

@@ -166,9 +166,9 @@ def test_criterion_4_trust_region_4d_bowl(tmp_path):
     for r in records:
         if searcher.done:
             break
-        radii_ok = radii_ok and (opts.rho_min <= searcher.radius <= 0.5)
+        radii_ok = radii_ok and (opts.rho_min <= searcher.state()["radius"] <= 0.5)
         searcher.update(searcher.propose(), r.search_objective)
-    radii_ok = radii_ok and (searcher.done or opts.rho_min <= searcher.radius <= 0.5)
+    radii_ok = radii_ok and (searcher.done or opts.rho_min <= searcher.state()["radius"] <= 0.5)
 
     write_convergence(project.root, records)
     bests = [row[2] for row in convergence_series(records) if row[2] is not None]

@@ -8,6 +8,7 @@ import pytest
 
 from jobtuner.executors.synthetic import SurfaceSpec, synthetic_eval
 from jobtuner.paramspace import parse_param_file
+from jobtuner.search import nelder_mead
 from jobtuner.search.nelder_mead import (
     NelderMeadOptions,
     NelderMeadSearcher,
@@ -54,47 +55,51 @@ def test_initial_simplex_axes_and_clamping():
     assert np.allclose(vertices[1], [0.9, 0.5])
 
 
-def set_simplex(searcher: NelderMeadSearcher, vertices):
-    searcher._vertices = [(np.array(u, dtype=float), f) for u, f in vertices]
-    searcher._phase = "iterate"
-    searcher._start_iteration()
+def simplex_searcher(monkeypatch, vertices) -> NelderMeadSearcher:
+    """A searcher started from the given simplex, its vertex values fed back."""
+    monkeypatch.setattr(nelder_mead, "initial_simplex",
+                        lambda space, offset: [np.array(u, dtype=float) for u, _ in vertices])
+    searcher = NelderMeadSearcher(UNIT_SQUARE)
+    for _, f in vertices:
+        searcher.update(searcher.propose(), f)
+    return searcher
 
 
-def test_reflection_hand_example():
+def test_reflection_hand_example(monkeypatch):
     # vertices (0.2,0.2) f=1, (0.4,0.2) f=2, (0.3,0.4) f=5:
     # centroid of the two best is (0.3, 0.2); x_r = 2*centroid - worst = (0.3, 0.0)
-    searcher = NelderMeadSearcher(UNIT_SQUARE)
-    set_simplex(searcher, [((0.2, 0.2), 1.0), ((0.4, 0.2), 2.0), ((0.3, 0.4), 5.0)])
-    assert np.allclose(searcher._pending_u, [0.3, 0.0], atol=1e-12)
+    searcher = simplex_searcher(
+        monkeypatch, [((0.2, 0.2), 1.0), ((0.4, 0.2), 2.0), ((0.3, 0.4), 5.0)])
+    assert np.allclose(searcher.state()["pending_u"], [0.3, 0.0], atol=1e-12)
     point = searcher.propose()
     assert tuple(UNIT_SQUARE.encode_point(point)) == pytest.approx((0.3, 0.0), abs=1e-9)
 
 
-def test_expansion_clamps_to_cube():
-    searcher = NelderMeadSearcher(UNIT_SQUARE)
-    set_simplex(searcher, [((0.2, 0.2), 1.0), ((0.4, 0.2), 2.0), ((0.3, 0.4), 5.0)])
+def test_expansion_clamps_to_cube(monkeypatch):
+    searcher = simplex_searcher(
+        monkeypatch, [((0.2, 0.2), 1.0), ((0.4, 0.2), 2.0), ((0.3, 0.4), 5.0)])
     reflection = searcher.propose()
     searcher.update(reflection, 0.5)  # better than the best vertex: expand
     # expansion = centroid + 2*(x_r - centroid) = (0.3, -0.2), clamped to (0.3, 0.0)
-    assert np.allclose(searcher._pending_u, [0.3, 0.0], atol=1e-12)
+    assert np.allclose(searcher.state()["pending_u"], [0.3, 0.0], atol=1e-12)
 
 
-def test_accepted_reflection_replaces_worst():
-    searcher = NelderMeadSearcher(UNIT_SQUARE)
-    set_simplex(searcher, [((0.2, 0.2), 1.0), ((0.4, 0.2), 2.0), ((0.3, 0.4), 5.0)])
+def test_accepted_reflection_replaces_worst(monkeypatch):
+    searcher = simplex_searcher(
+        monkeypatch, [((0.2, 0.2), 1.0), ((0.4, 0.2), 2.0), ((0.3, 0.4), 5.0)])
     reflection = searcher.propose()
     searcher.update(reflection, 1.5)  # between best and second-worst
-    values = sorted(f for _, f in searcher.vertices)
+    values = sorted(f for _, f in searcher.state()["vertices"])
     assert values == [1.0, 1.5, 2.0]
 
 
-def test_contraction_and_shrink_cycle():
-    searcher = NelderMeadSearcher(UNIT_SQUARE)
-    set_simplex(searcher, [((0.2, 0.2), 1.0), ((0.4, 0.2), 2.0), ((0.3, 0.4), 5.0)])
+def test_contraction_and_shrink_cycle(monkeypatch):
+    searcher = simplex_searcher(
+        monkeypatch, [((0.2, 0.2), 1.0), ((0.4, 0.2), 2.0), ((0.3, 0.4), 5.0)])
     reflection = searcher.propose()
     searcher.update(reflection, 9.0)  # worse than second-worst: contract
     # contraction = centroid + 0.5*(worst - centroid) = (0.3, 0.3)
-    assert np.allclose(searcher._pending_u, [0.3, 0.3], atol=1e-12)
+    assert np.allclose(searcher.state()["pending_u"], [0.3, 0.3], atol=1e-12)
     contraction = searcher.propose()
     searcher.update(contraction, 9.5)  # still bad: shrink everything toward best
     shrink_targets = []
@@ -108,10 +113,9 @@ def test_contraction_and_shrink_cycle():
     ]
 
 
-def test_done_when_simplex_spread_below_tolerance():
-    searcher = NelderMeadSearcher(UNIT_SQUARE)
-    set_simplex(
-        searcher,
+def test_done_when_simplex_spread_below_tolerance(monkeypatch):
+    searcher = simplex_searcher(
+        monkeypatch,
         [((0.5, 0.5), 1.0), ((0.50005, 0.5), 2.0), ((0.5, 0.50008), 3.0)],
     )
     assert searcher.done
@@ -139,7 +143,8 @@ def test_nelder_mead_proposals_always_inside_cube():
         if point is None:
             break
         assert UNIT_SQUARE.validate_point(point) == []
-        assert np.all(searcher._pending_u >= 0.0) if searcher._pending_u is not None else True
+        pending_u = searcher.state()["pending_u"]
+        assert np.all(pending_u >= 0.0) if pending_u is not None else True
         searcher.update(point, rng.uniform(0, 100))
 
 
@@ -266,8 +271,14 @@ def test_seed_set_size_and_collision_perturbation():
         "a float min=0 max=1 step=1e-6 default=1.0\nb float min=0 max=1 step=1e-6 default=0.5"
     )
     searcher = TrustRegionSearcher(boundary, TrustRegionOptions(initial_radius=0.25))
-    seeds = searcher._seeds
-    assert len(seeds) == 5  # 2d + 1
+    proposed = []
+    for _ in range(7):  # the 2d + 1 seeds, then two more proposals
+        proposed.append(searcher.state()["pending_u"])
+        point = searcher.propose()
+        searcher.update(point, float(np.sum((boundary.encode_point(point) - 0.3) ** 2)))
+    # the interpolation set stops growing once the seeds are in
+    assert len(searcher.state()["values"]) == 5  # 2d + 1
+    seeds = proposed[:5]
     assert np.allclose(seeds[0], [1.0, 0.5])
     # +radius on axis a clamps onto the center: perturbed inward by radius/2
     assert np.allclose(seeds[1], [0.875, 0.5])
@@ -284,7 +295,7 @@ def run_tr_setup(values_by_u=None):
     def f(point):
         return float(point["x"]) ** 2
 
-    while searcher._phase == "seed":
+    for _ in range(3):  # the 2d + 1 seeds
         point = searcher.propose()
         searcher.update(point, f(point))
     return space, searcher
@@ -298,20 +309,20 @@ def test_rho_small_halves_radius():
     point = searcher.propose()
     assert space.encode_point(point)[0] == pytest.approx(0.1, abs=1e-6)
     f0 = 0.09
-    predicted = searcher._pending_pred
+    predicted = searcher.state()["predicted"]
     assert predicted == pytest.approx(0.08, abs=1e-9)
     target_f = f0 - 0.1 * predicted  # rho = 0.1
     searcher.update(point, target_f)
-    assert searcher.radius == pytest.approx(0.1)
+    assert searcher.state()["radius"] == pytest.approx(0.1)
 
 
 def test_rho_large_with_boundary_step_doubles_radius():
     space, searcher = run_tr_setup()
     point = searcher.propose()
-    predicted = searcher._pending_pred
+    predicted = searcher.state()["predicted"]
     target_f = 0.09 - 0.9 * predicted  # rho = 0.9, step hit the box edge
     searcher.update(point, target_f)
-    assert searcher.radius == pytest.approx(0.4)
+    assert searcher.state()["radius"] == pytest.approx(0.4)
 
 
 def test_radius_never_exceeds_cap():
@@ -322,10 +333,10 @@ def test_radius_never_exceeds_cap():
         point = searcher.propose()
         if point is None:
             break
-        predicted = searcher._pending_pred
-        f0 = searcher.center[1]
+        predicted = searcher.state()["predicted"]
+        f0 = searcher.state()["center_f"]
         searcher.update(point, f0 - 0.9 * (predicted or 0.0))
-        assert searcher.radius <= 0.5 + 1e-12
+        assert searcher.state()["radius"] <= 0.5 + 1e-12
 
 
 def test_trust_region_descent_on_deterministic_bowl():
@@ -342,7 +353,7 @@ def test_trust_region_descent_on_deterministic_bowl():
         if point is None:
             break
         searcher.update(point, objective(point))
-        center_values.append(searcher.center[1])
+        center_values.append(searcher.state()["center_f"])
     accepted = [v for i, v in enumerate(center_values)
                 if i == 0 or v != center_values[i - 1]]
     assert all(b < a for a, b in zip(accepted, accepted[1:]))
@@ -354,17 +365,20 @@ def test_radius_stays_within_bounds_for_noisy_runs():
     opts = TrustRegionOptions(initial_radius=0.25, rho_min=1e-3)
     searcher = TrustRegionSearcher(UNIT_SQUARE, opts)
     seen_best = math.inf
+    trials = 0
     while not searcher.done:
         point = searcher.propose()
         if point is None:
             break
-        assert opts.rho_min <= searcher.radius <= 0.5
+        assert opts.rho_min <= searcher.state()["radius"] <= 0.5
         value = rng.uniform(0, 100)
         searcher.update(point, value)
         # the interpolation set keeps the best point seen so far at its center
         seen_best = min(seen_best, value)
-        if searcher._phase != "seed":
-            assert searcher.center[1] == min(searcher._values) == seen_best
+        trials += 1
+        if trials >= 5:  # past the 2d + 1 seeds
+            state = searcher.state()
+            assert state["center_f"] == min(state["values"]) == seen_best
     assert searcher.done
 
 
@@ -405,4 +419,4 @@ def test_trust_region_survives_failed_trials():
     best = min(v for _, v in evals)
     assert math.isfinite(best)
     assert best - 80.0 < 1e-3
-    assert math.isfinite(searcher.center[1])
+    assert math.isfinite(searcher.state()["center_f"])

@@ -113,7 +113,7 @@ def test_compass_step_halves_without_improvement():
     searcher.update(searcher.propose(), 10.0)
     for _ in range(4):
         searcher.update(searcher.propose(), 99.0)
-    assert searcher.step == pytest.approx(0.125)
+    assert searcher.state()["step"] == pytest.approx(0.125)
 
 
 def test_compass_tie_keeps_incumbent():
@@ -121,8 +121,8 @@ def test_compass_tie_keeps_incumbent():
     searcher.update(searcher.propose(), 10.0)
     for _ in range(4):
         searcher.update(searcher.propose(), 10.0)  # exact tie, not strict improvement
-    assert searcher.step == pytest.approx(0.125)
-    assert tuple(searcher.incumbent[0]) == pytest.approx((0.5, 0.5))
+    assert searcher.state()["step"] == pytest.approx(0.125)
+    assert tuple(searcher.state()["incumbent_u"]) == pytest.approx((0.5, 0.5))
 
 
 def test_compass_boundary_incumbent_skips_clamped_duplicate():
@@ -142,7 +142,7 @@ def test_compass_boundary_incumbent_skips_clamped_duplicate():
         pytest.approx((1.0, 0.75)),
         pytest.approx((1.0, 0.25)),
     ]
-    assert searcher.step == pytest.approx(0.125)
+    assert searcher.state()["step"] == pytest.approx(0.125)
 
 
 def test_compass_moves_incumbent_on_strict_improvement():
@@ -151,10 +151,11 @@ def test_compass_moves_incumbent_on_strict_improvement():
     values = iter([9.0, 99.0, 99.0, 99.0])
     for v in values:
         searcher.update(searcher.propose(), v)
-    u, f = searcher.incumbent
+    state = searcher.state()
+    u, f = state["incumbent_u"], state["incumbent_f"]
     assert tuple(u) == pytest.approx((0.75, 0.5))
     assert f == 9.0
-    assert searcher.step == pytest.approx(0.25)  # no expansion by default
+    assert searcher.state()["step"] == pytest.approx(0.25)  # no expansion by default
 
 
 def test_compass_expand_on_success():
@@ -164,7 +165,7 @@ def test_compass_expand_on_success():
     searcher.update(searcher.propose(), 10.0)
     for v in [9.0, 99.0, 99.0, 99.0]:
         searcher.update(searcher.propose(), v)
-    assert searcher.step == pytest.approx(0.5)
+    assert searcher.state()["step"] == pytest.approx(0.5)
 
 
 def test_compass_monotone_incumbent_on_deterministic_objective():
@@ -180,7 +181,7 @@ def test_compass_monotone_incumbent_on_deterministic_objective():
         if point is None:
             break
         searcher.update(point, objective(point))
-        f = searcher.incumbent[1]
+        f = searcher.state()["incumbent_f"]
         incumbents.append(f)
     assert all(b <= a + 1e-15 for a, b in zip(incumbents, incumbents[1:]))
     assert searcher.done

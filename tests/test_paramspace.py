@@ -238,6 +238,14 @@ def test_grid_float_step_count_is_fp_safe():
     assert values[0] == 0.0 and values[-1] == pytest.approx(1.0)
 
 
+def test_float_lattice_top_value_is_the_upper_bound():
+    # 0.05 + 18 * 0.05 evaluates to 0.9500000000000001 in binary floating point
+    space = parse_param_file("x float min=0.05 max=0.95 step=0.05")
+    for point in (space.decode_vector([1.0]), space.enumerate_grid()[-1]):
+        assert space.validate_point(point) == []
+        assert point["x"] == 0.95
+
+
 def test_grid_too_large():
     space = parse_param_file("x int min=1 max=2000 step=1\ny int min=1 max=2000 step=1")
     with pytest.raises(GridTooLargeError):

@@ -1,0 +1,78 @@
+"""Pinned proposal sequences, and a grid walk beyond the enumeration cap.
+
+Each strategy's first 80 proposals on one fixed problem are pinned by a
+sha256 digest of their point keys, so any change to what a searcher proposes
+shows up here. The float lattice (step 1/256) is exact in binary, so the
+digests do not depend on how lattice values are rounded at the top.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import itertools
+import math
+
+import pytest
+
+from helpers import bowl_job_conf, write_synthetic_project
+from jobtuner.errors import GridTooLargeError
+from jobtuner.history import read_trials
+from jobtuner.paramspace import parse_param_file
+from jobtuner.search import CompassOptions, TrustRegionOptions, make_searcher
+from jobtuner.session import run_tuning
+
+SPACE = parse_param_file(
+    "n int min=1 max=512 step=1 default=128\n"
+    "mode cat values=fifo,fair,capacity default=fair\n"
+    "x float min=0 max=1 step=0.00390625 default=0.5\n"
+)
+
+# options chosen so that every strategy is still proposing at trial 80
+OPTIONS = {
+    "grid": None,
+    "compass": CompassOptions(expand_on_success=True),
+    "nelder-mead": None,
+    "bobyqa-lite": TrustRegionOptions(initial_radius=0.5, rho_min=1e-5),
+}
+
+DIGESTS = {
+    "grid": "da7ed7ba4aa447b9160cf723f944e60e185922074163b564f264836053b8c446",
+    "compass": "5081eae8ce9082746816cbf27222568932fd22188ac8008dc4f8dd3143ead606",
+    "nelder-mead": "862cb22598484c22ec293cba3b4dd942d3cc1106ec6e7952f6bc2654fc583b31",
+    "bobyqa-lite": "d9ca143014ef9a67d6550d2169ceea33857507bce72f15b1fc8f81d56d5e4731",
+}
+
+
+def objective(point) -> float:
+    """A bowl with a band of failed trials (+inf) across the first axis."""
+    u = SPACE.encode_point(point)
+    if 0.45 <= u[0] <= 0.55:
+        return math.inf
+    return 10.0 + 40.0 * (u[0] - 0.7) ** 2 + 5.0 * (u[1] - 1.0) ** 2 + 20.0 * (u[2] - 0.25) ** 2
+
+
+@pytest.mark.parametrize("strategy_id", sorted(DIGESTS))
+def test_first_80_proposals_are_pinned(strategy_id):
+    searcher = make_searcher(strategy_id, SPACE, OPTIONS[strategy_id])
+    keys = []
+    while len(keys) < 80 and (point := searcher.propose()) is not None:
+        keys.append(SPACE.point_key(point))
+        searcher.update(point, objective(point))
+    assert len(keys) == 80
+    assert hashlib.sha256(repr(keys).encode()).hexdigest() == DIGESTS[strategy_id]
+
+
+def test_grid_session_walks_a_grid_over_the_enumeration_cap(tmp_path):
+    params = "".join(f"p{i} int min=0 max=100 step=1\n" for i in range(4))
+    project = write_synthetic_project(
+        tmp_path / "big", params,
+        bowl_job_conf(weights="10,20,30,40", optimum="0.5,0.5,0.5,0.5"),
+    )
+    space = project.space
+    assert space.grid_size() == 101 ** 4
+    with pytest.raises(GridTooLargeError):
+        space.enumerate_grid()
+    summary = run_tuning(project, "grid", budget=5)
+    assert summary.trial_count == 5
+    recorded = [space.point_key(r.point) for r in read_trials(project.root, space)]
+    assert recorded == [space.point_key(p) for p in itertools.islice(space.iter_grid(), 5)]

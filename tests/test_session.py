@@ -15,6 +15,7 @@ from jobtuner.errors import (
     NoSuccessfulTrialError,
     SessionExistsError,
     SpaceMismatchError,
+    SpawnFailureError,
     UnknownStrategyError,
 )
 from jobtuner.executors.base import Executor, TrialResult
@@ -167,6 +168,19 @@ def test_connect_failure_interrupts_and_preserves_history(tmp_path):
     assert read_manifest(project.root)["status"] == "interrupted"
     records = read_trials(project.root, project.space)
     assert len(records) == 3  # every observed trial is on disk
+
+
+def test_any_executor_error_interrupts_and_resume_completes(tmp_path):
+    project = small_project(tmp_path)
+    executor = InterruptingExecutor(make_executor(project), allow=2, error=SpawnFailureError)
+    with pytest.raises(SpawnFailureError):
+        run_tuning(project, "grid", budget=6, executor=executor)
+    assert read_manifest(project.root)["status"] == "interrupted"
+    assert len(read_trials(project.root, project.space)) == 2
+    summary = resume_session(project)
+    assert summary.trial_count == 6
+    assert read_manifest(project.root)["status"] == "finished"
+    assert [r.trial_id for r in read_trials(project.root, project.space)] == list(range(1, 7))
 
 
 def _coarse_nm_setup(tmp_path):
