@@ -6,7 +6,7 @@ Subcommands mirror the three runner roles plus housekeeping:
     project    run every job in the project's jobs list once
     tune       run a tuning session (grid | compass | nelder-mead | bobyqa-lite)
     resume     continue an interrupted tuning session
-    aggregate  rebuild history CSVs from raw per-trial records
+    aggregate  rebuild history CSVs from the trial journal
     report     write convergence / surface CSVs into history/
     scaffold   write a task, project, or tuning template directory
 
@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="reuse results for repeated points (deterministic executors)")
 
     with_dir(sub.add_parser("resume", help="continue an interrupted session"))
-    with_dir(sub.add_parser("aggregate", help="rebuild history CSVs from raw records"))
+    with_dir(sub.add_parser("aggregate", help="rebuild history CSVs from the trial journal"))
 
     report = with_dir(sub.add_parser("report", help="write report CSVs"))
     report.add_argument("--convergence", action="store_true",

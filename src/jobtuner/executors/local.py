@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import re
 import shlex
+import signal
 import subprocess
 import time
 from pathlib import Path
@@ -59,22 +61,45 @@ def run_local_command(
     times: list[float] = []
     for _ in range(job.repetitions):
         start = time.perf_counter()
-        try:
-            proc = subprocess.run(
-                argv,
-                cwd=str(workdir) if workdir else None,
-                timeout=job.timeout_s,
-                capture_output=True,
-            )
-        except subprocess.TimeoutExpired:
+        returncode = _run_once(argv, workdir, job.timeout_s)
+        if returncode is None:
             return TrialResult(status=STATUS_TIMEOUT, rep_times_s=tuple(times))
-        except (FileNotFoundError, PermissionError, NotADirectoryError) as exc:
-            raise SpawnFailureError(f"cannot start {argv[0]!r}: {exc}") from exc
         elapsed = time.perf_counter() - start
-        if proc.returncode != 0:
+        if returncode != 0:
             return TrialResult(status=STATUS_FAILED, rep_times_s=tuple(times))
         times.append(elapsed)
     return TrialResult(status=STATUS_SUCCESS, rep_times_s=tuple(times))
+
+
+def _run_once(argv: list[str], workdir: str | Path | None,
+              timeout_s: float | None) -> int | None:
+    """Run argv in a new process group; its exit code, or None on timeout.
+
+    On timeout, or anything else that stops the wait, the whole group is
+    killed, so no process the job started outlives its trial and contends
+    with the next one. Waiting on the output pipes, not polling the exit
+    status, is what keeps the measured time exact.
+    """
+    try:
+        proc = subprocess.Popen(
+            argv,
+            cwd=str(workdir) if workdir else None,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            start_new_session=True,
+        )
+    except (FileNotFoundError, PermissionError, NotADirectoryError) as exc:
+        raise SpawnFailureError(f"cannot start {argv[0]!r}: {exc}") from exc
+    with proc:
+        try:
+            proc.communicate(timeout=timeout_s)
+            return proc.returncode
+        except subprocess.TimeoutExpired:
+            return None
+        finally:
+            if proc.returncode is None:  # unreaped, so its group id is still its own
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
 
 
 class LocalExecutor(Executor):

@@ -1,11 +1,17 @@
-"""Durable trial history: trials.csv, raw per-trial records, session manifest.
+"""Durable trial history: the trial journal, its trials.csv export, the manifest.
 
 Layout under a project root:
 
-    history/trials.csv        append-only CSV, one row per trial
+    history/journal.jsonl     append-only journal, one JSON record per trial;
+                              the only durable trial record
+    history/trials.csv        export of the journal, one row per trial;
+                              rebuilt from the journal whenever it falls behind
     history/session.conf      key=value session manifest
-    history/raw/trial_N.json  full-fidelity per-trial record (rebuild source)
-    history/.lock             exclusive-session lock file
+    history/.lock             flock'd while a session runs; never removed
+
+A trial is durable once its journal line is fsynced; its CSV row follows.
+Opening a HistoryWriter repairs what a crash leaves: a torn journal tail
+(a trial that never happened), or a CSV that is torn or behind.
 
 trials.csv columns: trial_id, strategy, timestamp_utc, one column per
 parameter in space order, status, rep_times_s (';'-joined), aggregate_s
@@ -15,6 +21,7 @@ parameter in space order, status, rep_times_s (';'-joined), aggregate_s
 from __future__ import annotations
 
 import csv
+import fcntl
 import io
 import json
 import math
@@ -35,7 +42,7 @@ from .paramspace import KIND_FLOAT, KIND_INT, ParamSpace, TrialPoint, Value
 HISTORY_DIR = "history"
 TRIALS_CSV = "trials.csv"
 MANIFEST_FILE = "session.conf"
-RAW_DIR = "raw"
+JOURNAL_FILE = "journal.jsonl"
 LOCK_FILE = ".lock"
 
 FAILED_LITERAL = "FAILED"
@@ -139,33 +146,44 @@ def _row_text(row: list[str]) -> str:
 
 
 class HistoryWriter:
-    """Appends records to trials.csv, flushing to stable storage per row."""
+    """Opens a history and appends trials to it: journal first, then CSV.
+
+    Opening truncates a torn journal tail, reads the journal once into
+    `records`, and rebuilds trials.csv when it is torn or out of step.
+    """
 
     def __init__(self, project_root: str | Path, space: ParamSpace):
         self._space = space
-        self._dir = history_dir(project_root)
-        self._dir.mkdir(parents=True, exist_ok=True)
-        self._path = self._dir / TRIALS_CSV
-        existing = read_trials(project_root, space) if self._path.exists() else []
-        self._last_id = existing[-1].trial_id if existing else 0
-        if not self._path.exists() or self._path.stat().st_size == 0:
-            self._path.write_text(_row_text(csv_header(space)), encoding="utf-8")
+        hist = history_dir(project_root)
+        hist.mkdir(parents=True, exist_ok=True)
+        self._journal = hist / JOURNAL_FILE
+        self._csv = hist / TRIALS_CSV
+        data = _read_bytes(self._journal)
+        self.records: list[TrialRecord] = _parse_journal(data)
+        durable = data.rfind(b"\n") + 1
+        if durable < len(data):
+            os.truncate(self._journal, durable)  # the torn line never reached a searcher
+        table = _read_bytes(self._csv)
+        if not table.endswith(b"\n") or table.count(b"\n") - 1 != len(self.records):
+            rewrite_trials_csv(project_root, space, self.records)
 
     @property
     def last_id(self) -> int:
-        return self._last_id
+        return len(self.records)
 
     def append(self, record: TrialRecord) -> None:
-        if record.trial_id != self._last_id + 1:
+        if record.trial_id != self.last_id + 1:
             raise IdGapError(
-                f"trial_id {record.trial_id} after {self._last_id}; ids must be contiguous"
+                f"trial_id {record.trial_id} after {self.last_id}; ids must be contiguous"
             )
-        write_raw_record(self._dir, record, self._space)
-        with open(self._path, "a", encoding="utf-8", newline="") as fh:
-            fh.write(_row_text(record_to_row(record, self._space)))
+        with open(self._journal, "a", encoding="utf-8") as fh:
+            fh.write(_journal_line(record))
             fh.flush()
             os.fsync(fh.fileno())
-        self._last_id = record.trial_id
+        # the CSV can always be rebuilt from the journal, so it is not fsynced
+        with open(self._csv, "a", encoding="utf-8", newline="") as fh:
+            fh.write(_row_text(record_to_row(record, self._space)))
+        self.records.append(record)
 
 
 def read_trials(project_root: str | Path, space: ParamSpace) -> list[TrialRecord]:
@@ -174,34 +192,24 @@ def read_trials(project_root: str | Path, space: ParamSpace) -> list[TrialRecord
     Raises HistoryCorruptError, naming the last valid trial_id, when the file
     is truncated mid-row or any row fails to parse.
     """
-    path = history_dir(project_root) / TRIALS_CSV
-    if not path.exists():
-        return []
-    text = path.read_text(encoding="utf-8")
+    text = _read_bytes(history_dir(project_root) / TRIALS_CSV).decode("utf-8")
     if not text:
         return []
     truncated_tail = not text.endswith("\n")
     records: list[TrialRecord] = []
     last_valid = 0
     reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        return []
-    if header != csv_header(space):
+    if next(reader) != csv_header(space):  # non-empty text always has a first row
         raise HistoryCorruptError("trials.csv header does not match the space", 0)
     rows = list(reader)
     for i, row in enumerate(rows):
-        is_last = i == len(rows) - 1
+        if i == len(rows) - 1 and truncated_tail:
+            # the line never terminated: cannot trust the tail row, even if it parses
+            raise HistoryCorruptError("trials.csv truncated mid-row", last_valid)
         try:
             record = row_to_record(row, space)
         except (ValueError, KeyError) as exc:
-            if is_last and truncated_tail:
-                raise HistoryCorruptError("trials.csv truncated mid-row", last_valid) from exc
             raise HistoryCorruptError(f"trials.csv row {i + 2} unreadable: {exc}", last_valid) from exc
-        if is_last and truncated_tail:
-            # parsed, but the line never terminated: cannot trust the tail row
-            raise HistoryCorruptError("trials.csv truncated mid-row", last_valid)
         if record.trial_id != last_valid + 1:
             raise HistoryCorruptError(
                 f"trial ids not contiguous at row {i + 2}", last_valid
@@ -211,11 +219,16 @@ def read_trials(project_root: str | Path, space: ParamSpace) -> list[TrialRecord
     return records
 
 
-# --- raw per-trial records ---------------------------------------------------
+# --- trial journal ------------------------------------------------------------------
 
-def write_raw_record(hist_dir: Path, record: TrialRecord, space: ParamSpace) -> None:
-    raw_dir = hist_dir / RAW_DIR
-    raw_dir.mkdir(parents=True, exist_ok=True)
+def _read_bytes(path: Path) -> bytes:
+    try:
+        return path.read_bytes()
+    except FileNotFoundError:
+        return b""
+
+
+def _journal_line(record: TrialRecord) -> str:
     payload = {
         "trial_id": record.trial_id,
         "strategy": record.strategy_id,
@@ -228,61 +241,73 @@ def write_raw_record(hist_dir: Path, record: TrialRecord, space: ParamSpace) -> 
         "result_dir": record.result.result_dir,
         "log_ref": record.result.log_ref,
     }
-    path = raw_dir / f"trial_{record.trial_id:05d}.json"
-    tmp = path.with_suffix(".json.tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
+    return json.dumps(payload, sort_keys=True) + "\n"
+
+
+def _parse_journal(data: bytes) -> list[TrialRecord]:
+    """Parse the terminated lines of a journal; an unterminated tail is skipped.
+
+    Raises HistoryCorruptError, naming the last valid trial_id, when a
+    terminated line does not parse or the ids are not 1, 2, 3, ...
+    """
+    records: list[TrialRecord] = []
+    for n, line in enumerate(data[: data.rfind(b"\n") + 1].splitlines(), start=1):
+        try:
+            d = json.loads(line)
+            result = TrialResult(status=d["status"], rep_times_s=d["rep_times_s"],
+                                 phase_times_s=d["phase_times_s"],
+                                 result_dir=d["result_dir"], log_ref=d["log_ref"])
+            record = TrialRecord(trial_id=d["trial_id"], point=TrialPoint(d["point"]),
+                                 result=result, aggregate_s=d["aggregate_s"],
+                                 strategy_id=d["strategy"],
+                                 timestamp=datetime.fromisoformat(d["timestamp_utc"]))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise HistoryCorruptError(f"journal line {n} unreadable: {exc}", len(records)) from exc
+        if record.trial_id != len(records) + 1:
+            raise HistoryCorruptError(f"journal line {n} holds trial {record.trial_id}", len(records))
+        records.append(record)
+    return records
+
+
+def read_raw_records(project_root: str | Path, space: ParamSpace) -> list[TrialRecord]:
+    """Every durable trial in the journal, in trial order; see _parse_journal."""
+    return _parse_journal(_read_bytes(history_dir(project_root) / JOURNAL_FILE))
+
+
+def rewrite_trials_csv(project_root: str | Path, space: ParamSpace,
+                       records: list[TrialRecord]) -> None:
+    """Rebuild trials.csv from records, deterministically and atomically.
+
+    Never drops rows: raises HistoryCorruptError, leaving the file untouched,
+    when it holds more complete rows than records (a history without journal).
+    """
+    path = history_dir(project_root) / TRIALS_CSV
+    held = _read_bytes(path).count(b"\n") - 1
+    if held > len(records):
+        raise HistoryCorruptError(
+            f"trials.csv holds {held} trials but the journal {len(records)}; "
+            "refusing to drop rows", len(records))
+    out = [_row_text(csv_header(space))]
+    out.extend(_row_text(record_to_row(r, space)) for r in records)
+    _replace_file(path, "".join(out))
+
+
+def _replace_file(path: Path, text: str) -> None:
+    """Write text to path atomically: a temporary file, fsynced, then renamed."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
 
 
-def read_raw_records(project_root: str | Path, space: ParamSpace) -> list[TrialRecord]:
-    raw_dir = history_dir(project_root) / RAW_DIR
-    if not raw_dir.is_dir():
-        return []
-    records = []
-    for path in sorted(raw_dir.glob("trial_*.json")):
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        result = TrialResult(
-            status=data["status"],
-            rep_times_s=tuple(data["rep_times_s"]),
-            phase_times_s=data.get("phase_times_s"),
-            result_dir=data.get("result_dir"),
-            log_ref=data.get("log_ref"),
-        )
-        records.append(
-            TrialRecord(
-                trial_id=data["trial_id"],
-                point=TrialPoint(data["point"]),
-                result=result,
-                aggregate_s=data["aggregate_s"],
-                strategy_id=data["strategy"],
-                timestamp=datetime.fromisoformat(data["timestamp_utc"]),
-            )
-        )
-    records.sort(key=lambda r: r.trial_id)
-    return records
-
-
-def rewrite_trials_csv(project_root: str | Path, space: ParamSpace,
-                       records: list[TrialRecord]) -> None:
-    """Rebuild trials.csv from records, deterministically."""
-    hist = history_dir(project_root)
-    hist.mkdir(parents=True, exist_ok=True)
-    out = [_row_text(csv_header(space))]
-    out.extend(_row_text(record_to_row(r, space)) for r in records)
-    (hist / TRIALS_CSV).write_text("".join(out), encoding="utf-8")
-
-
 # --- session manifest -------------------------------------------------------------
 
 def write_manifest(project_root: str | Path, entries: dict[str, object]) -> None:
-    hist = history_dir(project_root)
-    hist.mkdir(parents=True, exist_ok=True)
     lines = [f"{key}={_manifest_value(value)}\n" for key, value in entries.items()]
-    (hist / MANIFEST_FILE).write_text("".join(lines), encoding="utf-8")
+    _replace_file(history_dir(project_root) / MANIFEST_FILE, "".join(lines))
 
 
 def _manifest_value(value: object) -> str:
@@ -314,29 +339,24 @@ def manifest_exists(project_root: str | Path) -> bool:
 # --- session lock -----------------------------------------------------------------
 
 class SessionLock:
-    """Exclusive per-project lock; refuses to run two sessions in one dir."""
+    """Exclusive per-project lock; refuses to run two sessions in one dir.
+
+    An flock on history/.lock, which the kernel drops however its holder exits.
+    """
 
     def __init__(self, project_root: str | Path):
         self._path = history_dir(project_root) / LOCK_FILE
-        self._held = False
 
     def __enter__(self) -> "SessionLock":
         self._path.parent.mkdir(parents=True, exist_ok=True)
+        fh = open(self._path, "a")
         try:
-            fd = os.open(self._path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise LockHeldError(
-                f"another session holds {self._path}; remove it if that session is dead"
-            ) from None
-        with os.fdopen(fd, "w") as fh:
-            fh.write(str(os.getpid()))
-        self._held = True
+            fcntl.flock(fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            fh.close()
+            raise LockHeldError(f"another session holds {self._path}") from None
+        self._fh = fh
         return self
 
     def __exit__(self, *exc_info) -> None:
-        if self._held:
-            try:
-                self._path.unlink()
-            except FileNotFoundError:
-                pass
-            self._held = False
+        self._fh.close()  # closing the file releases the lock

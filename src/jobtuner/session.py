@@ -33,7 +33,6 @@ from .history import (
     manifest_exists,
     read_manifest,
     read_raw_records,
-    read_trials,
     rewrite_trials_csv,
     write_manifest,
 )
@@ -135,7 +134,10 @@ class _TuningLoop:
         write_manifest(self.project.root, entries)
 
     def replay(self, records: list[TrialRecord]) -> None:
-        """Drive the searcher through recorded history, verifying each step."""
+        """Drive the searcher through recorded history, verifying each step.
+
+        Keeps `records`, the writer's list, as the session's record list.
+        """
         space = self.project.space
         for r in records:
             proposal = self.searcher.propose()
@@ -148,7 +150,7 @@ class _TuningLoop:
             self.searcher.update(r.point, r.search_objective)
             if self.memoize:
                 self._memo[space.point_key(r.point)] = r.result
-        self.records = list(records)
+        self.records = records
 
     def run(self, writer: HistoryWriter) -> str:
         space = self.project.space
@@ -173,8 +175,7 @@ class _TuningLoop:
                 strategy_id=self.strategy_id,
                 timestamp=datetime.now(timezone.utc),
             )
-            writer.append(record)  # durable before the searcher observes it
-            self.records.append(record)
+            writer.append(record)  # durable, and in self.records, before the searcher observes it
             self.searcher.update(point, record.search_objective)
             log.info(
                 "trial %d %s aggregate=%s", trial_id, record.result.status,
@@ -240,15 +241,15 @@ def resume_session(
     loop = _TuningLoop(project, strategy_id, budget, seed, options, executor, memoize)
     started = time.perf_counter()
     with SessionLock(project.root):
-        prior = read_trials(project.root, project.space)
-        loop.replay(prior)
         return _drive(loop, started)
 
 
 def _drive(loop: _TuningLoop, started: float) -> SessionSummary:
     loop.set_status(STATUS_RUNNING)
     try:
-        status = loop.run(HistoryWriter(loop.project.root, loop.project.space))
+        writer = HistoryWriter(loop.project.root, loop.project.space)
+        loop.replay(writer.records)
+        status = loop.run(writer)
     except BaseException:
         # whatever stopped the loop, every observed trial is already durable
         loop.set_status(STATUS_INTERRUPTED)
@@ -267,9 +268,11 @@ def _drive(loop: _TuningLoop, started: float) -> SessionSummary:
 
 
 def aggregate_history(project: Project) -> int:
-    """Rebuild trials.csv and convergence.csv from the raw per-trial records.
+    """Rebuild trials.csv and convergence.csv from the trial journal.
 
     Deterministic and idempotent: a second invocation changes no bytes.
+    Raises HistoryCorruptError, changing nothing, when the journal is
+    unreadable or trials.csv holds rows the journal lacks.
     Returns the number of records aggregated.
     """
     records = read_raw_records(project.root, project.space)

@@ -18,6 +18,7 @@ from jobtuner.history import (
     SessionLock,
     TrialRecord,
     read_manifest,
+    read_raw_records,
     read_trials,
     write_manifest,
 )
@@ -169,6 +170,22 @@ def test_header_mismatch_detected(tmp_path):
     writer.append(random_record(random.Random(5), 1))
     with pytest.raises(HistoryCorruptError):
         read_trials(tmp_path, other_space)
+
+
+@pytest.mark.parametrize("damage", [
+    lambda lines: lines[:2] + ["{not json\n"] + lines[3:],
+    lambda lines: lines[:2] + lines[3:],  # trial 3 missing
+])
+def test_journal_damage_names_last_valid_trial(tmp_path, damage):
+    rng = random.Random(6)
+    writer = HistoryWriter(tmp_path, SPACE)
+    for i in range(1, 6):
+        writer.append(random_record(rng, i))
+    path = tmp_path / "history" / "journal.jsonl"
+    path.write_text("".join(damage(path.read_text().splitlines(keepends=True))))
+    with pytest.raises(HistoryCorruptError) as exc:
+        read_raw_records(tmp_path, SPACE)
+    assert exc.value.last_valid_id == 2
 
 
 # --- manifest and lock -------------------------------------------------------------

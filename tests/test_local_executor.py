@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import stat
+import time
 from pathlib import Path
 
 import pytest
@@ -77,6 +78,15 @@ def test_timeout_kills_process(tmp_path):
     result = run_local_command(str(script), POINT, JobSpec(timeout_s=0.2), SPACE)
     assert result.status == "timeout"
     assert result.rep_times_s == ()
+
+
+def test_timeout_kills_the_whole_process_group(tmp_path):
+    # the backgrounded subshell would touch `late` after the timeout
+    result = run_local_command("sh -c '(sleep 1; touch late) & sleep 30'", POINT,
+                               JobSpec(timeout_s=0.3), SPACE, workdir=tmp_path)
+    assert result.status == "timeout"
+    time.sleep(1.5)
+    assert not (tmp_path / "late").exists()
 
 
 def test_spawn_failure(tmp_path):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import pytest
@@ -20,7 +21,7 @@ from jobtuner.errors import (
 )
 from jobtuner.executors.base import Executor, TrialResult
 from jobtuner.executors.synthetic import synthetic_eval
-from jobtuner.history import TrialRecord, read_manifest, read_trials
+from jobtuner.history import TrialRecord, read_manifest, read_raw_records, read_trials
 from jobtuner.paramspace import TrialPoint
 from jobtuner.session import (
     aggregate_history,
@@ -288,12 +289,36 @@ def test_resume_detects_unreplayable_history(tmp_path):
     project = small_project(tmp_path)
     run_tuning(project, "grid", budget=3)
     # swap a recorded point for one the grid would not have proposed there
-    path = project.root / "history" / "trials.csv"
+    path = project.root / "history" / "journal.jsonl"
     lines = path.read_text().splitlines(keepends=True)
-    lines[2] = lines[2].replace(",1,2,", ",4,2,")
+    lines[1] = lines[1].replace('"point": {"a": 1, "b": 2}', '"point": {"a": 4, "b": 2}')
     path.write_text("".join(lines))
     with pytest.raises(HistoryCorruptError):
         resume_session(project)
+
+
+class ResultDirExecutor(Executor):
+    """Delegates to an inner executor, naming an output dir and log per trial."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def execute_trial(self, job, point, trial_id):
+        result = self.inner.execute_trial(job, point, trial_id)
+        return replace(result, result_dir=f"out/trial_{trial_id}", log_ref=f"log/{trial_id}")
+
+
+def test_memoized_resume_keeps_result_dir_and_log_ref(tmp_path):
+    project, options = _coarse_nm_setup(tmp_path)
+    executor = InterruptingExecutor(ResultDirExecutor(make_executor(project)), allow=2)
+    with pytest.raises(ConnectError):
+        run_tuning(project, "nelder-mead", budget=12, options=options,
+                   executor=executor, memoize=True)
+    resume_session(project, executor=ResultDirExecutor(make_executor(project)))
+    records = read_raw_records(project.root, project.space)
+    assert len(records) == 12
+    missing = [r.trial_id for r in records if r.result.result_dir is None or r.result.log_ref is None]
+    assert missing == []
 
 
 # --- aggregate_history ---------------------------------------------------------------
