@@ -21,7 +21,7 @@ import logging
 import sys
 
 from .errors import EmptyHistoryError, TunerError
-from .history import read_trials
+from .history import read_raw_records
 from .project import load_project, scaffold
 from .reports import write_convergence, write_surface
 from .search import strategy_ids
@@ -163,7 +163,7 @@ def _cmd_aggregate(args) -> int:
 
 def _cmd_report(args) -> int:
     project = load_project(args.dir)
-    records = read_trials(project.root, project.space)
+    records = read_raw_records(project.root, project.space)
     if not records:
         raise EmptyHistoryError("no trials recorded; run tune first")
     wrote = []

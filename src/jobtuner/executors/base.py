@@ -36,7 +36,7 @@ class JobSpec:
         object.__setattr__(self, "static_args", tuple(self.static_args))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialResult:
     """Measured outcome of one trial (all repetitions of one point)."""
 

@@ -161,6 +161,7 @@ class RemoteExecutor(Executor):
         self._root = Path(project_root)
         self._transport = transport if transport is not None else SshTransport(env)
         self._staged_hash: str | None = None
+        self._jar_digest: tuple[tuple, str] | None = None  # ((path, size, mtime_ns), sha256)
 
     # -- staging -------------------------------------------------------------
 
@@ -172,7 +173,7 @@ class RemoteExecutor(Executor):
         local = self._artifact_path(job)
         if not local.is_file():
             raise StagingError(f"job artifact not found: {local}")
-        digest = hashlib.sha256(local.read_bytes()).hexdigest()
+        digest = self._artifact_digest(local)
         if digest == self._staged_hash:
             return
         remote_path = f"{self._env.remote_workdir}/{local.name}"
@@ -190,6 +191,18 @@ class RemoteExecutor(Executor):
         except Exception as exc:
             raise StagingError(f"upload of {local.name} failed: {exc}") from exc
         self._staged_hash = digest
+
+    def _artifact_digest(self, local: Path) -> str:
+        """sha256 of the artifact, rehashed only when its path, size or mtime changes."""
+        st = local.stat()
+        stamp = (local, st.st_size, st.st_mtime_ns)
+        if self._jar_digest is None or self._jar_digest[0] != stamp:
+            sha = hashlib.sha256()
+            with open(local, "rb") as fh:
+                for chunk in iter(lambda: fh.read(1 << 20), b""):
+                    sha.update(chunk)
+            self._jar_digest = (stamp, sha.hexdigest())
+        return self._jar_digest[1]
 
     # -- trial sequence ----------------------------------------------------------
 

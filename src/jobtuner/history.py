@@ -13,6 +13,10 @@ A trial is durable once its journal line is fsynced; its CSV row follows.
 Opening a HistoryWriter repairs what a crash leaves: a torn journal tail
 (a trial that never happened), or a CSV that is torn or behind.
 
+Reads stream: the journal and trials.csv are parsed a line at a time from
+the open file, and rebuilds write rows straight into the replacement file,
+so a read or rewrite holds only the records, never a copy of the file.
+
 trials.csv columns: trial_id, strategy, timestamp_utc, one column per
 parameter in space order, status, rep_times_s (';'-joined), aggregate_s
 (decimal or the literal FAILED), map_s, shuffle_s, reduce_s.
@@ -22,13 +26,15 @@ from __future__ import annotations
 
 import csv
 import fcntl
-import io
 import json
 import math
 import os
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
+from typing import BinaryIO, Iterator, TextIO
 
 from .errors import (
     HistoryCorruptError,
@@ -47,9 +53,10 @@ LOCK_FILE = ".lock"
 
 FAILED_LITERAL = "FAILED"
 _PHASES = ("map", "shuffle", "reduce")
+_CHUNK = 1 << 14  # bytes per read when counting lines: a count holds no more than this
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialRecord:
     """One executed trial: the point, its measurements, and the aggregate."""
 
@@ -139,12 +146,6 @@ def row_to_record(row: list[str], space: ParamSpace) -> TrialRecord:
     )
 
 
-def _row_text(row: list[str]) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(row)
-    return buf.getvalue()
-
-
 class HistoryWriter:
     """Opens a history and appends trials to it: journal first, then CSV.
 
@@ -158,13 +159,16 @@ class HistoryWriter:
         hist.mkdir(parents=True, exist_ok=True)
         self._journal = hist / JOURNAL_FILE
         self._csv = hist / TRIALS_CSV
-        data = _read_bytes(self._journal)
-        self.records: list[TrialRecord] = _parse_journal(data)
-        durable = data.rfind(b"\n") + 1
-        if durable < len(data):
-            os.truncate(self._journal, durable)  # the torn line never reached a searcher
-        table = _read_bytes(self._csv)
-        if not table.endswith(b"\n") or table.count(b"\n") - 1 != len(self.records):
+        self.records: list[TrialRecord] = []
+        try:
+            with open(self._journal, "r+b") as fh:
+                self.records, durable = _parse_journal(fh)
+                if fh.tell() > durable:
+                    fh.truncate(durable)  # the torn line never reached a searcher
+        except FileNotFoundError:
+            pass
+        lines, terminated = _count_lines(self._csv)
+        if not terminated or lines - 1 != len(self.records):
             rewrite_trials_csv(project_root, space, self.records)
 
     @property
@@ -182,7 +186,7 @@ class HistoryWriter:
             os.fsync(fh.fileno())
         # the CSV can always be rebuilt from the journal, so it is not fsynced
         with open(self._csv, "a", encoding="utf-8", newline="") as fh:
-            fh.write(_row_text(record_to_row(record, self._space)))
+            csv.writer(fh, lineterminator="\n").writerow(record_to_row(record, self._space))
         self.records.append(record)
 
 
@@ -192,41 +196,55 @@ def read_trials(project_root: str | Path, space: ParamSpace) -> list[TrialRecord
     Raises HistoryCorruptError, naming the last valid trial_id, when the file
     is truncated mid-row or any row fails to parse.
     """
-    text = _read_bytes(history_dir(project_root) / TRIALS_CSV).decode("utf-8")
-    if not text:
+    path = history_dir(project_root) / TRIALS_CSV
+    try:
+        fh = open(path, encoding="utf-8", newline="")
+    except FileNotFoundError:
         return []
-    truncated_tail = not text.endswith("\n")
-    records: list[TrialRecord] = []
-    last_valid = 0
-    reader = csv.reader(io.StringIO(text))
-    if next(reader) != csv_header(space):  # non-empty text always has a first row
-        raise HistoryCorruptError("trials.csv header does not match the space", 0)
-    rows = list(reader)
-    for i, row in enumerate(rows):
-        if i == len(rows) - 1 and truncated_tail:
-            # the line never terminated: cannot trust the tail row, even if it parses
-            raise HistoryCorruptError("trials.csv truncated mid-row", last_valid)
-        try:
-            record = row_to_record(row, space)
-        except (ValueError, KeyError) as exc:
-            raise HistoryCorruptError(f"trials.csv row {i + 2} unreadable: {exc}", last_valid) from exc
-        if record.trial_id != last_valid + 1:
-            raise HistoryCorruptError(
-                f"trial ids not contiguous at row {i + 2}", last_valid
-            )
-        records.append(record)
-        last_valid = record.trial_id
+    with fh:
+        # an unterminated last row cannot be trusted, even if it parses
+        torn = not _count_lines(path)[1]
+        reader = csv.reader(fh)
+        row = next(reader, None)
+        if row is None:
+            return []
+        if row != csv_header(space):
+            raise HistoryCorruptError("trials.csv header does not match the space", 0)
+        records: list[TrialRecord] = []
+        row = next(reader, None)
+        while row is not None:
+            following = next(reader, None)
+            n = len(records) + 2
+            if following is None and torn:
+                raise HistoryCorruptError("trials.csv truncated mid-row", len(records))
+            try:
+                record = row_to_record(row, space)
+            except (ValueError, KeyError) as exc:
+                raise HistoryCorruptError(f"trials.csv row {n} unreadable: {exc}", len(records)) from exc
+            if record.trial_id != len(records) + 1:
+                raise HistoryCorruptError(f"trial ids not contiguous at row {n}", len(records))
+            records.append(record)
+            row = following
     return records
 
 
-# --- trial journal ------------------------------------------------------------------
+def _count_lines(path: Path) -> tuple[int, bool]:
+    """Newlines in path, read in chunks, and whether it ends with one.
 
-def _read_bytes(path: Path) -> bytes:
+    A missing or empty file has 0 newlines and does not end with one.
+    """
+    count, last = 0, b""
     try:
-        return path.read_bytes()
+        with open(path, "rb") as fh:
+            for chunk in iter(lambda: fh.read(_CHUNK), b""):
+                count += chunk.count(b"\n")
+                last = chunk[-1:]
     except FileNotFoundError:
-        return b""
+        pass
+    return count, last == b"\n"
 
+
+# --- trial journal ------------------------------------------------------------------
 
 def _journal_line(record: TrialRecord) -> str:
     payload = {
@@ -244,34 +262,46 @@ def _journal_line(record: TrialRecord) -> str:
     return json.dumps(payload, sort_keys=True) + "\n"
 
 
-def _parse_journal(data: bytes) -> list[TrialRecord]:
-    """Parse the terminated lines of a journal; an unterminated tail is skipped.
+def _parse_journal(fh: BinaryIO) -> tuple[list[TrialRecord], int]:
+    """Parse a journal's terminated lines from fh; an unterminated tail is skipped.
 
+    Returns the records and the byte length of the lines that held them.
     Raises HistoryCorruptError, naming the last valid trial_id, when a
     terminated line does not parse or the ids are not 1, 2, 3, ...
     """
     records: list[TrialRecord] = []
-    for n, line in enumerate(data[: data.rfind(b"\n") + 1].splitlines(), start=1):
+    durable = 0
+    for n, line in enumerate(fh, start=1):
+        if not line.endswith(b"\n"):
+            break
         try:
             d = json.loads(line)
-            result = TrialResult(status=d["status"], rep_times_s=d["rep_times_s"],
+            result = TrialResult(status=sys.intern(d["status"]), rep_times_s=d["rep_times_s"],
                                  phase_times_s=d["phase_times_s"],
                                  result_dir=d["result_dir"], log_ref=d["log_ref"])
-            record = TrialRecord(trial_id=d["trial_id"], point=TrialPoint(d["point"]),
+            # one key string per parameter name, shared by every point
+            point = TrialPoint({sys.intern(k): v for k, v in d["point"].items()})
+            record = TrialRecord(trial_id=d["trial_id"], point=point,
                                  result=result, aggregate_s=d["aggregate_s"],
-                                 strategy_id=d["strategy"],
+                                 strategy_id=sys.intern(d["strategy"]),
                                  timestamp=datetime.fromisoformat(d["timestamp_utc"]))
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise HistoryCorruptError(f"journal line {n} unreadable: {exc}", len(records)) from exc
         if record.trial_id != len(records) + 1:
             raise HistoryCorruptError(f"journal line {n} holds trial {record.trial_id}", len(records))
         records.append(record)
-    return records
+        durable += len(line)
+    return records, durable
 
 
 def read_raw_records(project_root: str | Path, space: ParamSpace) -> list[TrialRecord]:
     """Every durable trial in the journal, in trial order; see _parse_journal."""
-    return _parse_journal(_read_bytes(history_dir(project_root) / JOURNAL_FILE))
+    try:
+        fh = open(history_dir(project_root) / JOURNAL_FILE, "rb")
+    except FileNotFoundError:
+        return []
+    with fh:
+        return _parse_journal(fh)[0]
 
 
 def rewrite_trials_csv(project_root: str | Path, space: ParamSpace,
@@ -282,22 +312,24 @@ def rewrite_trials_csv(project_root: str | Path, space: ParamSpace,
     when it holds more complete rows than records (a history without journal).
     """
     path = history_dir(project_root) / TRIALS_CSV
-    held = _read_bytes(path).count(b"\n") - 1
+    held = _count_lines(path)[0] - 1
     if held > len(records):
         raise HistoryCorruptError(
             f"trials.csv holds {held} trials but the journal {len(records)}; "
             "refusing to drop rows", len(records))
-    out = [_row_text(csv_header(space))]
-    out.extend(_row_text(record_to_row(r, space)) for r in records)
-    _replace_file(path, "".join(out))
+    with _replace_file(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(csv_header(space))
+        writer.writerows(record_to_row(r, space) for r in records)
 
 
-def _replace_file(path: Path, text: str) -> None:
-    """Write text to path atomically: a temporary file, fsynced, then renamed."""
+@contextmanager
+def _replace_file(path: Path) -> Iterator[TextIO]:
+    """Replace path atomically: write a temporary file, fsync it, then rename it."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        yield fh
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
@@ -306,8 +338,8 @@ def _replace_file(path: Path, text: str) -> None:
 # --- session manifest -------------------------------------------------------------
 
 def write_manifest(project_root: str | Path, entries: dict[str, object]) -> None:
-    lines = [f"{key}={_manifest_value(value)}\n" for key, value in entries.items()]
-    _replace_file(history_dir(project_root) / MANIFEST_FILE, "".join(lines))
+    with _replace_file(history_dir(project_root) / MANIFEST_FILE) as fh:
+        fh.writelines(f"{key}={_manifest_value(value)}\n" for key, value in entries.items())
 
 
 def _manifest_value(value: object) -> str:

@@ -199,7 +199,7 @@ class ParamSpec:
         return str(v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialPoint:
     """One parameter assignment; immutable after construction."""
 
@@ -234,6 +234,7 @@ class ParamSpace:
             if s.name in seen:
                 raise DuplicateParamError(s.name)
             seen.add(s.name)
+        object.__setattr__(self, "_names", tuple(s.name for s in self.specs))
 
     @property
     def dimension(self) -> int:
@@ -253,7 +254,7 @@ class ParamSpace:
 
     def point_key(self, point: TrialPoint) -> tuple[Value, ...]:
         """Hashable identity of a point (values in spec order)."""
-        return tuple(point[s.name] for s in self.specs)
+        return tuple(map(point.assignment.__getitem__, self._names))
 
     # -- validation ------------------------------------------------------
 

@@ -14,6 +14,7 @@ Searcher runs that generator and is the only propose/update code:
   proposes the recorded points again by construction.
 * update(point, f) raises StateCorruptError when no point is pending or
   when point is not the pending one; otherwise it sends f to the generator.
+  Handing back the proposed object itself skips the key comparison.
 * done is true once no point is pending.
 
 state() is a snapshot for observers (tests, traces). It always carries
@@ -71,7 +72,7 @@ class Searcher(ABC):
         pending = self._point
         if pending is None:
             raise StateCorruptError(f"{self.strategy_id}: update without a pending proposal")
-        if self._space.point_key(point) != self._space.point_key(pending):
+        if point is not pending and self._space.point_key(point) != self._space.point_key(pending):
             raise StateCorruptError(
                 f"{self.strategy_id}: update for {point} but pending proposal is {pending}"
             )

@@ -141,15 +141,16 @@ class _TuningLoop:
         space = self.project.space
         for r in records:
             proposal = self.searcher.propose()
-            if proposal is None or space.point_key(proposal) != space.point_key(r.point):
+            key = space.point_key(r.point)
+            if proposal is None or space.point_key(proposal) != key:
                 raise HistoryCorruptError(
                     f"recorded trial {r.trial_id} does not replay from the manifest's "
                     f"strategy/options (expected {proposal}, recorded {r.point})",
                     r.trial_id - 1,
                 )
-            self.searcher.update(r.point, r.search_objective)
+            self.searcher.update(proposal, r.search_objective)
             if self.memoize:
-                self._memo[space.point_key(r.point)] = r.result
+                self._memo[key] = r.result
         self.records = records
 
     def run(self, writer: HistoryWriter) -> str:

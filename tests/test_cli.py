@@ -116,6 +116,16 @@ def test_report_defaults_to_convergence(tmp_path):
     assert (project.root / "history" / "convergence.csv").exists()
 
 
+def test_report_reads_the_journal_past_a_torn_csv(tmp_path):
+    project = make_project(tmp_path)
+    main(["tune", "--dir", str(project.root), "--strategy", "grid", "--budget", "5"])
+    table = project.root / "history" / "trials.csv"
+    table.write_bytes(table.read_bytes()[:-5])  # a crash tore the last row
+    assert main(["report", "--dir", str(project.root)]) == 0
+    lines = (project.root / "history" / "convergence.csv").read_text().splitlines()
+    assert len(lines) == 6  # header + 5 trials
+
+
 def test_report_on_empty_history_is_runtime_error(tmp_path):
     project = make_project(tmp_path)
     assert main(["report", "--dir", str(project.root)]) == 2

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import csv
+import io
 import math
+import os
 import random
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -20,6 +24,7 @@ from jobtuner.history import (
     read_manifest,
     read_raw_records,
     read_trials,
+    rewrite_trials_csv,
     write_manifest,
 )
 from jobtuner.paramspace import ParamSpace, ParamSpec, TrialPoint
@@ -144,10 +149,12 @@ def test_truncated_mid_row_detected(tmp_path):
         writer.append(random_record(rng, i))
     path = tmp_path / "history" / "trials.csv"
     text = path.read_text()
-    path.write_text(text[: len(text) - 17])  # chop inside the final row
-    with pytest.raises(HistoryCorruptError) as exc:
-        read_trials(tmp_path, SPACE)
-    assert exc.value.last_valid_id == 4
+    last_row = len(text.splitlines(keepends=True)[-1])
+    for cut in range(1, last_row):  # chop inside the final row, down to its first byte
+        path.write_text(text[: len(text) - cut])
+        with pytest.raises(HistoryCorruptError, match="trials.csv truncated mid-row") as exc:
+            read_trials(tmp_path, SPACE)
+        assert exc.value.last_valid_id == 4
 
 
 def test_corrupt_middle_row_detected(tmp_path):
@@ -173,8 +180,10 @@ def test_header_mismatch_detected(tmp_path):
 
 
 @pytest.mark.parametrize("damage", [
-    lambda lines: lines[:2] + ["{not json\n"] + lines[3:],
+    lambda lines: lines[:2] + [b"{not json\n"] + lines[3:],
     lambda lines: lines[:2] + lines[3:],  # trial 3 missing
+    lambda lines: lines[:2] + [lines[2].replace(b'"grid"', b'"gr\xffid"')] + lines[3:],  # not UTF-8
+    lambda lines: lines[:2] + [lines[2][:-1] + b' {"trial_id": 3}\n'] + lines[3:],  # data after it
 ])
 def test_journal_damage_names_last_valid_trial(tmp_path, damage):
     rng = random.Random(6)
@@ -182,10 +191,66 @@ def test_journal_damage_names_last_valid_trial(tmp_path, damage):
     for i in range(1, 6):
         writer.append(random_record(rng, i))
     path = tmp_path / "history" / "journal.jsonl"
-    path.write_text("".join(damage(path.read_text().splitlines(keepends=True))))
-    with pytest.raises(HistoryCorruptError) as exc:
+    path.write_bytes(b"".join(damage(path.read_bytes().splitlines(keepends=True))))
+    message = r"^journal line 3 (unreadable|holds trial 4)"
+    with pytest.raises(HistoryCorruptError, match=message) as exc:
         read_raw_records(tmp_path, SPACE)
     assert exc.value.last_valid_id == 2
+    with pytest.raises(HistoryCorruptError, match=message):
+        HistoryWriter(tmp_path, SPACE)
+
+
+def test_journal_cut_anywhere_in_its_last_line(tmp_path):
+    rng = random.Random(8)
+    records = [random_record(rng, i) for i in range(1, 6)]
+    writer = HistoryWriter(tmp_path, SPACE)
+    for r in records[:4]:
+        writer.append(r)
+    table = tmp_path / "history" / "trials.csv"
+    csv_before = table.read_bytes()  # a crash inside trial 5's journal write leaves this
+    writer.append(records[4])
+    path = tmp_path / "history" / "journal.jsonl"
+    data = path.read_bytes()
+    durable = data.rindex(b"\n", 0, len(data) - 1) + 1  # where the last line starts
+    for end in range(durable + 1, len(data)):
+        path.write_bytes(data[:end])
+        table.write_bytes(csv_before)
+        assert read_raw_records(tmp_path, SPACE) == records[:4]  # the tail is skipped
+        assert path.read_bytes() == data[:end]  # reading repairs nothing
+        assert HistoryWriter(tmp_path, SPACE).records == records[:4]
+        assert path.read_bytes() == data[:durable]  # a writer truncates the tail
+        assert read_trials(tmp_path, SPACE) == records[:4]
+
+
+def test_reads_and_rewrites_hold_no_copy_of_the_file(tmp_path, monkeypatch):
+    rng = random.Random(9)
+    with monkeypatch.context() as m:
+        m.setattr(os, "fsync", lambda fd: None)  # durability is not under test here
+        writer = HistoryWriter(tmp_path, SPACE)
+        for i in range(1, 2001):
+            writer.append(random_record(rng, i))
+    records = writer.records
+    del writer
+    hist = tmp_path / "history"
+    # csv.writer keeps one fixed record buffer, whatever the size of the file
+    tracemalloc.start()
+    try:
+        csv.writer(io.StringIO()).writerow(["x"])
+        writer_buffer = tracemalloc.get_traced_memory()[1]
+        for call, name, allowance in [
+            (lambda: read_raw_records(tmp_path, SPACE), "journal.jsonl", 0),
+            (lambda: read_trials(tmp_path, SPACE), "trials.csv", 0),
+            (lambda: rewrite_trials_csv(tmp_path, SPACE, records), "trials.csv", writer_buffer),
+        ]:
+            tracemalloc.reset_peak()
+            result = call()
+            held, peak = tracemalloc.get_traced_memory()
+            size = (hist / name).stat().st_size
+            assert peak - held < size / 4 + allowance, (name, peak - held, size)
+            del result
+    finally:
+        tracemalloc.stop()
+    assert read_trials(tmp_path, SPACE) == records
 
 
 # --- manifest and lock -------------------------------------------------------------

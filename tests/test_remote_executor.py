@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import hashlib
+import os
 import stat
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from doubles import ScriptedTransport
 from jobtuner.errors import ConnectError, StagingError
+from jobtuner.executors import remote
 from jobtuner.executors.base import JobSpec
 from jobtuner.executors.remote import (
     ClusterEnv,
@@ -118,6 +122,30 @@ def test_staging_reuploads_changed_artifact(tmp_path):
     (tmp_path / "app.jar").write_bytes(b"rebuilt jar bytes")
     executor.execute_trial(JOB, POINT, 2)
     assert len(transport.uploads) == 2
+
+
+def test_staging_hashes_the_jar_once_until_it_changes(tmp_path, monkeypatch):
+    hashed = []
+
+    def sha256():
+        hashed.append(1)
+        return hashlib.sha256()
+
+    monkeypatch.setattr(remote, "hashlib", SimpleNamespace(sha256=sha256))
+    transport = ScriptedTransport(hadoop_stdout=HADOOP_STDOUT)
+    executor = RemoteExecutor(SPACE, ENV, make_project(tmp_path), transport)
+    for trial_id in (1, 2, 3):
+        executor.execute_trial(JOB, POINT, trial_id)
+    assert len(hashed) == 1
+    assert len(transport.uploads) == 1
+    jar = tmp_path / "app.jar"
+    stamp = jar.stat().st_mtime_ns
+    jar.write_bytes(b"FAKE JAR BYTES")  # same size; a later mtime
+    os.utime(jar, ns=(stamp + 10**9, stamp + 10**9))
+    executor.execute_trial(JOB, POINT, 4)
+    assert len(hashed) == 2
+    assert len(transport.uploads) == 2
+    assert transport.staged["/tmp/staging/app.jar"] == b"FAKE JAR BYTES"
 
 
 def test_missing_artifact_is_staging_error(tmp_path):
