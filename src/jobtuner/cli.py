@@ -120,14 +120,10 @@ def _cmd_tune(args, parser) -> int:
     strategy = args.strategy or defaults.get("strategy")
     if not strategy:
         parser.error("--strategy is required (or set strategy= in job.conf)")
-    budget = args.budget if args.budget is not None else (
-        int(defaults["budget"]) if "budget" in defaults else None
-    )
+    budget = args.budget if args.budget is not None else defaults.get("budget")
     if budget is None:
         parser.error("--budget is required (or set budget= in job.conf)")
-    seed = args.seed if args.seed is not None else (
-        int(defaults["seed"]) if "seed" in defaults else None
-    )
+    seed = args.seed if args.seed is not None else defaults.get("seed")
     summary = run_tuning(project, strategy, budget, seed=seed, memoize=args.memoize)
     _log_summary(project, summary)
     return 0

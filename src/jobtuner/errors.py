@@ -154,9 +154,10 @@ class MissingKeyError(TunerError):
 class BadValueError(TunerError):
     """A key=value entry has an unparseable value."""
 
-    def __init__(self, key: str, detail: str = ""):
+    def __init__(self, key: str, detail: str = "", filename: str = ""):
+        where = f" in {filename}" if filename else ""
         suffix = f": {detail}" if detail else ""
-        super().__init__(f"bad value for key {key!r}{suffix}")
+        super().__init__(f"bad value for key {key!r}{where}{suffix}")
         self.key = key
 
 

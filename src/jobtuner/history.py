@@ -6,7 +6,8 @@ Layout under a project root:
                               the only durable trial record
     history/trials.csv        export of the journal, one row per trial;
                               rebuilt from the journal whenever it falls behind
-    history/session.conf      key=value session manifest
+    history/session.conf      key=value session manifest, read with the parser
+                              of the project files (project.parse_kv_file)
     history/.lock             flock'd while a session runs; never removed
 
 A trial is durable once its journal line is fsynced; its CSV row follows.
@@ -44,6 +45,7 @@ from .errors import (
 )
 from .executors.base import TrialResult
 from .paramspace import KIND_FLOAT, KIND_INT, ParamSpace, TrialPoint, Value
+from .project import parse_kv_file
 
 HISTORY_DIR = "history"
 TRIALS_CSV = "trials.csv"
@@ -77,7 +79,7 @@ def history_dir(project_root: str | Path) -> Path:
     return Path(project_root) / HISTORY_DIR
 
 
-def _fmt(x: float) -> str:
+def fmt_float(x: float) -> str:
     return repr(float(x))
 
 
@@ -96,10 +98,10 @@ def record_to_row(record: TrialRecord, space: ParamSpace) -> list[str]:
         + [space.render_value(s.name, record.point[s.name]) for s in space.specs]
         + [
             record.result.status,
-            ";".join(_fmt(t) for t in record.result.rep_times_s),
-            FAILED_LITERAL if record.aggregate_s is None else _fmt(record.aggregate_s),
+            ";".join(fmt_float(t) for t in record.result.rep_times_s),
+            FAILED_LITERAL if record.aggregate_s is None else fmt_float(record.aggregate_s),
         ]
-        + [(_fmt(phases[p]) if p in phases else "") for p in _PHASES]
+        + [(fmt_float(phases[p]) if p in phases else "") for p in _PHASES]
     )
 
 
@@ -317,14 +319,14 @@ def rewrite_trials_csv(project_root: str | Path, space: ParamSpace,
         raise HistoryCorruptError(
             f"trials.csv holds {held} trials but the journal {len(records)}; "
             "refusing to drop rows", len(records))
-    with _replace_file(path) as fh:
+    with replace_file(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(csv_header(space))
         writer.writerows(record_to_row(r, space) for r in records)
 
 
 @contextmanager
-def _replace_file(path: Path) -> Iterator[TextIO]:
+def replace_file(path: Path) -> Iterator[TextIO]:
     """Replace path atomically: write a temporary file, fsync it, then rename it."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
@@ -338,30 +340,20 @@ def _replace_file(path: Path) -> Iterator[TextIO]:
 # --- session manifest -------------------------------------------------------------
 
 def write_manifest(project_root: str | Path, entries: dict[str, object]) -> None:
-    with _replace_file(history_dir(project_root) / MANIFEST_FILE) as fh:
-        fh.writelines(f"{key}={_manifest_value(value)}\n" for key, value in entries.items())
-
-
-def _manifest_value(value: object) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    """Write session.conf atomically; bools as true/false, other values as str()."""
+    with replace_file(history_dir(project_root) / MANIFEST_FILE) as fh:
+        fh.writelines(f"{key}={str(value).lower() if isinstance(value, bool) else value}\n"
+                      for key, value in entries.items())
 
 
 def read_manifest(project_root: str | Path) -> dict[str, str]:
+    """session.conf as parsed by the project files' parser; raises ManifestMissingError."""
     path = history_dir(project_root) / MANIFEST_FILE
-    if not path.exists():
-        raise ManifestMissingError(f"no session manifest at {path}")
-    entries: dict[str, str] = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        entries[key.strip()] = value.strip()
-    return entries
+    try:
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ManifestMissingError(f"no session manifest at {path}") from None
+    return parse_kv_file(text, MANIFEST_FILE)
 
 
 def manifest_exists(project_root: str | Path) -> bool:

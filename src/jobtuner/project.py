@@ -51,11 +51,15 @@ class Project:
     env: ClusterEnv | None = None
     surface: SurfaceSpec | None = None
     jobs: tuple[JobSpec, ...] = ()
-    tune_defaults: dict[str, str] | None = None
+    tune_defaults: dict[str, str | int] | None = None
 
 
-def parse_kv_file(text: str) -> dict[str, str]:
-    """key=value lines; blank lines and '#' comments ignored; later keys win."""
+def parse_kv_file(text: str, filename: str = JOB_FILE) -> dict[str, str]:
+    """key=value lines; blank lines and '#' comments ignored; later keys win.
+
+    The one reader of job.conf, HadoopEnv.txt and history/session.conf; the
+    parse_* functions below type its values, naming filename in their errors.
+    """
     entries: dict[str, str] = {}
     for line in text.splitlines():
         line = line.strip()
@@ -63,9 +67,47 @@ def parse_kv_file(text: str) -> dict[str, str]:
             continue
         key, sep, value = line.partition("=")
         if not sep:
-            raise BadValueError(line, "expected key=value")
+            raise BadValueError(line, "expected key=value", filename)
         entries[key.strip()] = value.strip()
     return entries
+
+
+def _typed(kv: dict[str, str], key: str, default, filename: str, convert, kind: str):
+    if key not in kv:
+        if default is None:
+            raise MissingKeyError(key, filename)
+        return default
+    try:
+        return convert(kv[key])
+    except ValueError:
+        raise BadValueError(key, f"{kv[key]!r} is not {kind}", filename) from None
+
+
+def _to_bool(raw: str) -> bool:
+    lowered = raw.lower()
+    if lowered in ("true", "1", "yes"):
+        return True
+    if lowered in ("false", "0", "no"):
+        return False
+    raise ValueError(raw)
+
+
+def parse_bool(kv: dict[str, str], key: str, default: bool | None = None, *,
+               filename: str = JOB_FILE) -> bool:
+    """kv[key] as true/1/yes or false/0/no; default when absent, required if None."""
+    return _typed(kv, key, default, filename, _to_bool, "a boolean")
+
+
+def parse_float(kv: dict[str, str], key: str, default: float | None = None, *,
+                filename: str = JOB_FILE) -> float:
+    """kv[key] as a float; default when absent, required if None."""
+    return _typed(kv, key, default, filename, float, "a number")
+
+
+def parse_int(kv: dict[str, str], key: str, default: int | None = None, *,
+              filename: str = JOB_FILE) -> int:
+    """kv[key] as an int; default when absent, required if None."""
+    return _typed(kv, key, default, filename, int, "an integer")
 
 
 def parse_env_file(text: str) -> ClusterEnv:
@@ -74,18 +116,14 @@ def parse_env_file(text: str) -> ClusterEnv:
     Raises MissingKeyError for absent required keys and BadValueError when
     port is not an integer.
     """
-    kv = parse_kv_file(text)
+    kv = parse_kv_file(text, ENV_FILE)
     for key in _ENV_KEYS:
         if key not in kv or not kv[key]:
             raise MissingKeyError(key, ENV_FILE)
     try:
-        port = int(kv["port"])
-    except ValueError:
-        raise BadValueError("port", f"{kv['port']!r} is not an integer") from None
-    try:
         return ClusterEnv(
             master_host=kv["master"],
-            port=port,
+            port=parse_int(kv, "port", filename=ENV_FILE),
             user=kv["user"],
             auth_key_path=kv["key_path"],
             remote_workdir=kv["remote_workdir"],
@@ -93,45 +131,10 @@ def parse_env_file(text: str) -> ClusterEnv:
             history_log_dir=kv["history_log_dir"],
         )
     except ValueError as exc:
-        raise BadValueError("port", str(exc)) from None
-
-
-def _parse_bool(kv: dict[str, str], key: str, default: bool) -> bool:
-    if key not in kv:
-        return default
-    raw = kv[key].lower()
-    if raw in ("true", "1", "yes"):
-        return True
-    if raw in ("false", "0", "no"):
-        return False
-    raise BadValueError(key, f"{kv[key]!r} is not a boolean")
-
-
-def _parse_float(kv: dict[str, str], key: str, default: float | None = None) -> float:
-    if key not in kv:
-        if default is None:
-            raise MissingKeyError(key, JOB_FILE)
-        return default
-    try:
-        return float(kv[key])
-    except ValueError:
-        raise BadValueError(key, f"{kv[key]!r} is not a number") from None
-
-
-def _parse_int(kv: dict[str, str], key: str, default: int | None = None) -> int:
-    if key not in kv:
-        if default is None:
-            raise MissingKeyError(key, JOB_FILE)
-        return default
-    try:
-        return int(kv[key])
-    except ValueError:
-        raise BadValueError(key, f"{kv[key]!r} is not an integer") from None
+        raise BadValueError("port", str(exc), ENV_FILE) from None
 
 
 def _parse_float_list(kv: dict[str, str], key: str) -> tuple[float, ...]:
-    if key not in kv:
-        raise MissingKeyError(key, JOB_FILE)
     try:
         return tuple(float(x) for x in kv[key].split(",") if x.strip() != "")
     except ValueError:
@@ -154,8 +157,11 @@ def _parse_table(raw: str) -> tuple[tuple[tuple[float, ...], float], ...]:
     return tuple(cells)
 
 
-def parse_job_file(text: str) -> tuple[JobSpec, str, SurfaceSpec | None, dict[str, str]]:
-    """Parse job.conf: returns (job, executor_kind, surface, tune defaults)."""
+def parse_job_file(text: str) -> tuple[JobSpec, str, SurfaceSpec | None, dict[str, str | int]]:
+    """Parse job.conf: returns (job, executor_kind, surface, tune defaults).
+
+    The tune defaults hold the strategy as written and budget and seed as ints.
+    """
     kv = parse_kv_file(text)
     kind = kv.get("executor", "")
     if kind not in EXECUTOR_KINDS:
@@ -177,9 +183,9 @@ def parse_job_file(text: str) -> tuple[JobSpec, str, SurfaceSpec | None, dict[st
             artifact=artifact,
             main_entry=kv.get("main_entry") or None,
             static_args=tuple(shlex.split(kv.get("args", ""))),
-            timeout_s=_parse_float(kv, "timeout_s", 3600.0),
-            repetitions=_parse_int(kv, "repetitions", 1),
-            cleanup_output=_parse_bool(kv, "cleanup_output", False),
+            timeout_s=parse_float(kv, "timeout_s", 3600.0),
+            repetitions=parse_int(kv, "repetitions", 1),
+            cleanup_output=parse_bool(kv, "cleanup_output", False),
         )
     except ValueError as exc:
         raise BadValueError("job", str(exc)) from None
@@ -192,17 +198,19 @@ def parse_job_file(text: str) -> tuple[JobSpec, str, SurfaceSpec | None, dict[st
         try:
             surface = SurfaceSpec(
                 family=family,
-                base_s=_parse_float(kv, "base_s"),
+                base_s=parse_float(kv, "base_s"),
                 weights=_parse_float_list(kv, "weights") if "weights" in kv else (),
                 optimum=_parse_float_list(kv, "optimum") if "optimum" in kv else (),
-                noise_sd_s=_parse_float(kv, "noise_sd_s", 0.0),
-                seed=_parse_int(kv, "surface_seed", 0),
+                noise_sd_s=parse_float(kv, "noise_sd_s", 0.0),
+                seed=parse_int(kv, "surface_seed", 0),
                 table=_parse_table(kv["table"]) if "table" in kv else (),
             )
         except ValueError as exc:
             raise BadValueError("surface", str(exc)) from None
 
-    defaults = {k: kv[k] for k in ("strategy", "budget", "seed") if k in kv}
+    defaults: dict[str, str | int] = {k: parse_int(kv, k) for k in ("budget", "seed") if k in kv}
+    if "strategy" in kv:
+        defaults["strategy"] = kv["strategy"]
     return job, kind, surface, defaults
 
 

@@ -1,26 +1,22 @@
 """CSV reports over trial history: convergence curves and 2-parameter surfaces.
 
 Reports are pure functions of the recorded history; regenerating them from
-the same trials.csv is byte-identical. Plotting is left to external tools.
+the same trials is byte-identical. Each is written atomically, so a crash
+leaves the old report or the new one. Plotting is left to external tools.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import statistics
 from pathlib import Path
 
 from .errors import EmptyHistoryError, IdenticalAxesError, UnknownParamError
-from .history import TrialRecord, history_dir
+from .history import TrialRecord, fmt_float, history_dir, replace_file
 from .paramspace import ParamSpace
 
 CONVERGENCE_CSV = "convergence.csv"
 CONVERGENCE_HEADER = ["iteration", "aggregate_s", "best_so_far_s"]
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def convergence_series(records: list[TrialRecord]) -> list[tuple[int, float | None, float | None]]:
@@ -42,19 +38,15 @@ def convergence_series(records: list[TrialRecord]) -> list[tuple[int, float | No
 
 def write_convergence(project_root: str | Path, records: list[TrialRecord]) -> Path:
     """Write history/convergence.csv; empty history yields a header-only file."""
+    rows = convergence_series(records) if records else []
     path = history_dir(project_root) / CONVERGENCE_CSV
-    path.parent.mkdir(parents=True, exist_ok=True)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CONVERGENCE_HEADER)
-    if records:
-        for iteration, agg, best in convergence_series(records):
-            writer.writerow([
-                str(iteration),
-                "" if agg is None else _fmt(agg),
-                "" if best is None else _fmt(best),
-            ])
-    path.write_text(buf.getvalue(), encoding="utf-8")
+    with replace_file(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CONVERGENCE_HEADER)
+        writer.writerows(
+            (str(iteration), "" if agg is None else fmt_float(agg), "" if best is None else fmt_float(best))
+            for iteration, agg, best in rows
+        )
     return path
 
 
@@ -102,16 +94,11 @@ def write_surface(
     """Write history/surface_<px>_<py>.csv for the observed (px, py) cells."""
     rows = surface_table(records, px, py, space)
     path = history_dir(project_root) / surface_csv_name(px, py)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([px, py, "median_s", "n"])
-    for vx, vy, median_s, n in rows:
-        writer.writerow([
-            space.render_value(px, vx),
-            space.render_value(py, vy),
-            _fmt(median_s),
-            str(n),
-        ])
-    path.write_text(buf.getvalue(), encoding="utf-8")
+    with replace_file(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([px, py, "median_s", "n"])
+        writer.writerows(
+            (space.render_value(px, vx), space.render_value(py, vy), fmt_float(median_s), str(n))
+            for vx, vy, median_s, n in rows
+        )
     return path

@@ -9,6 +9,7 @@ from dataclasses import fields
 
 from ..errors import UnknownStrategyError
 from ..paramspace import ParamSpace
+from ..project import parse_bool, parse_float
 from .base import Searcher
 from .compass import CompassOptions, CompassSearcher
 from .grid import GridSearcher
@@ -28,6 +29,8 @@ OPTION_TYPES = {
     TrustRegionSearcher.strategy_id: TrustRegionOptions,
 }
 
+_OPT_PREFIX = "opt_"
+
 
 def strategy_ids() -> list[str]:
     return list(STRATEGIES)
@@ -42,29 +45,29 @@ def make_searcher(strategy_id: str, space: ParamSpace, options=None) -> Searcher
 
 
 def options_to_dict(strategy_id: str, options) -> dict[str, object]:
-    """Flatten a strategy's options for the session manifest."""
+    """Flatten a strategy's options into opt_<field> session manifest entries."""
     if options is None:
         opt_type = OPTION_TYPES.get(strategy_id)
         if opt_type is None:
             return {}
         options = opt_type()
-    return {f.name: getattr(options, f.name) for f in fields(options)}
+    return {_OPT_PREFIX + f.name: getattr(options, f.name) for f in fields(options)}
 
 
-def options_from_dict(strategy_id: str, data: dict[str, str]):
-    """Rebuild a strategy's options from manifest strings."""
+def options_from_dict(strategy_id: str, manifest: dict[str, str], filename: str):
+    """Rebuild a strategy's options from the opt_<field> entries of a manifest.
+
+    Raises BadValueError, naming the entry and filename, for a malformed value.
+    """
     opt_type = OPTION_TYPES.get(strategy_id)
     if opt_type is None:
         return None
     kwargs = {}
     for f in fields(opt_type):
-        if f.name not in data:
-            continue
-        raw = data[f.name]
-        if f.type in ("bool", bool):
-            kwargs[f.name] = raw.lower() in ("1", "true", "yes")
-        else:
-            kwargs[f.name] = float(raw)
+        key = _OPT_PREFIX + f.name
+        if key in manifest:
+            parse = parse_bool if f.type in ("bool", bool) else parse_float
+            kwargs[f.name] = parse(manifest, key, filename=filename)
     return opt_type(**kwargs)
 
 

@@ -50,10 +50,6 @@ class Searcher(ABC):
         self._search_steps = self._search()
         self._point: TrialPoint | None = next(self._search_steps, None)
 
-    @property
-    def space(self) -> ParamSpace:
-        return self._space
-
     @abstractmethod
     def _search(self) -> Generator[TrialPoint, float, None]:
         """The strategy: yield each point to evaluate, receive its objective."""

@@ -22,8 +22,6 @@ from .base import Searcher, clamp01
 
 MAX_RADIUS = 0.5
 _NULL_STEP = 1e-12
-_SWEEP_TOL = 1e-9
-_MAX_SWEEPS = 100
 
 
 @dataclass(frozen=True)
@@ -79,20 +77,13 @@ def minimize_quadratic_in_box(
 ) -> np.ndarray:
     """Minimize the diagonal model over [center-radius, center+radius] ∩ [0,1]^d.
 
-    Cyclic exact coordinate minimization; for a diagonal model one sweep is
-    already optimal, the loop just confirms convergence.
+    A diagonal model is separable, so each coordinate's exact minimizer,
+    computed once, is the box minimizer.
     """
     lo = np.maximum(center - radius, 0.0) - center
     hi = np.minimum(center + radius, 1.0) - center
-    t = np.zeros_like(center)
-    for _ in range(_MAX_SWEEPS):
-        biggest_move = 0.0
-        for i in range(center.size):
-            new_ti = _coordinate_min(float(g[i]), float(h[i]), float(lo[i]), float(hi[i]))
-            biggest_move = max(biggest_move, abs(new_ti - t[i]))
-            t[i] = new_ti
-        if biggest_move < _SWEEP_TOL:
-            break
+    t = np.array([_coordinate_min(float(g[i]), float(h[i]), float(lo[i]), float(hi[i]))
+                  for i in range(center.size)])
     return center + t
 
 

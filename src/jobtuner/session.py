@@ -27,6 +27,7 @@ from .executors.local import LocalExecutor
 from .executors.remote import RemoteExecutor
 from .executors.synthetic import SyntheticExecutor
 from .history import (
+    MANIFEST_FILE,
     HistoryWriter,
     SessionLock,
     TrialRecord,
@@ -37,7 +38,7 @@ from .history import (
     write_manifest,
 )
 from .paramspace import ParamSpace
-from .project import Project
+from .project import Project, parse_bool, parse_int
 from .reports import write_convergence
 from .search import Searcher, make_searcher, options_from_dict, options_to_dict
 
@@ -128,9 +129,8 @@ class _TuningLoop:
             "space_hash": space_hash(self.project.space),
             "status": status,
             "memoize": self.memoize,
+            **options_to_dict(self.strategy_id, self.options),
         }
-        for name, value in options_to_dict(self.strategy_id, self.options).items():
-            entries[f"opt_{name}"] = value
         write_manifest(self.project.root, entries)
 
     def replay(self, records: list[TrialRecord]) -> None:
@@ -213,17 +213,13 @@ def run_tuning(
         return _drive(loop, started)
 
 
-def resume_session(
-    project: Project,
-    executor: Executor | None = None,
-    memoize: bool | None = None,
-) -> SessionSummary:
+def resume_session(project: Project, executor: Executor | None = None) -> SessionSummary:
     """Continue an interrupted session from its durable history.
 
     Replays the recorded trials through a fresh searcher built from the
-    manifest's strategy, options and seed, then keeps tuning; on
-    deterministic executors the combined run is trial-for-trial identical
-    to an uninterrupted one.
+    manifest's strategy, options, seed and memoize flag, then keeps tuning;
+    on deterministic executors the combined run is trial-for-trial identical
+    to an uninterrupted one. Raises BadValueError for a malformed manifest value.
     """
     manifest = read_manifest(project.root)
     if manifest.get("space_hash") != space_hash(project.space):
@@ -231,13 +227,11 @@ def resume_session(
             "params.conf changed since this session started; refusing to resume"
         )
     strategy_id = manifest["strategy"]
-    budget = int(manifest["budget"])
-    seed_raw = manifest.get("seed", "")
-    seed = int(seed_raw) if seed_raw not in ("", "None") else None
-    opt_data = {k[4:]: v for k, v in manifest.items() if k.startswith("opt_")}
-    options = options_from_dict(strategy_id, opt_data)
-    if memoize is None:
-        memoize = manifest.get("memoize", "false") == "true"
+    budget = parse_int(manifest, "budget", filename=MANIFEST_FILE)
+    # an empty seed is a session run without one
+    seed = parse_int(manifest, "seed", filename=MANIFEST_FILE) if manifest.get("seed") else None
+    options = options_from_dict(strategy_id, manifest, MANIFEST_FILE)
+    memoize = parse_bool(manifest, "memoize", False, filename=MANIFEST_FILE)
 
     loop = _TuningLoop(project, strategy_id, budget, seed, options, executor, memoize)
     started = time.perf_counter()
@@ -273,10 +267,12 @@ def aggregate_history(project: Project) -> int:
 
     Deterministic and idempotent: a second invocation changes no bytes.
     Raises HistoryCorruptError, changing nothing, when the journal is
-    unreadable or trials.csv holds rows the journal lacks.
+    unreadable or trials.csv holds rows the journal lacks, and LockHeldError
+    while a session runs, because that session appends to trials.csv.
     Returns the number of records aggregated.
     """
-    records = read_raw_records(project.root, project.space)
-    rewrite_trials_csv(project.root, project.space, records)
-    write_convergence(project.root, records)
+    with SessionLock(project.root):
+        records = read_raw_records(project.root, project.space)
+        rewrite_trials_csv(project.root, project.space, records)
+        write_convergence(project.root, records)
     return len(records)

@@ -31,6 +31,15 @@ def test_tune_defaults_from_job_conf(tmp_path):
     assert len(lines) == 4
 
 
+def test_tune_bad_budget_in_job_conf_is_runtime_error(tmp_path, caplog):
+    root = tmp_path / "proj"
+    make_project(tmp_path)
+    (root / "job.conf").write_text(bowl_job_conf() + "strategy=grid\nbudget=ten\n")
+    assert main(["tune", "--dir", str(root)]) == 2
+    assert "'budget' in job.conf" in caplog.text
+    assert not (root / "history").exists()
+
+
 def test_tune_unknown_strategy_is_usage_error(tmp_path, capsys):
     project = make_project(tmp_path)
     code = main(["tune", "--dir", str(project.root), "--strategy", "warp",
@@ -107,6 +116,21 @@ def test_aggregate_and_report(tmp_path):
     hist = project.root / "history"
     assert (hist / "convergence.csv").exists()
     assert (hist / "surface_a_b.csv").exists()
+
+
+def test_aggregate_refuses_while_a_session_runs_but_report_does_not(tmp_path, caplog):
+    from jobtuner.history import SessionLock
+
+    project = make_project(tmp_path)
+    assert main(["tune", "--dir", str(project.root), "--strategy", "grid", "--budget", "4"]) == 0
+    trials = (project.root / "history" / "trials.csv").read_bytes()
+    with SessionLock(project.root):
+        assert main(["aggregate", "--dir", str(project.root)]) == 2
+        assert "another session holds" in caplog.text
+        assert not (project.root / "history" / "convergence.csv").exists()
+        assert main(["report", "--dir", str(project.root), "--convergence"]) == 0
+    assert (project.root / "history" / "trials.csv").read_bytes() == trials
+    assert (project.root / "history" / "convergence.csv").exists()
 
 
 def test_report_defaults_to_convergence(tmp_path):

@@ -11,6 +11,7 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 from jobtuner.errors import (
+    BadValueError,
     HistoryCorruptError,
     IdGapError,
     LockHeldError,
@@ -263,6 +264,14 @@ def test_manifest_roundtrip(tmp_path):
     assert data["strategy"] == "compass"
     assert data["seed"] == "7"
     assert data["opt_initial_step"] == "0.25"
+
+
+def test_manifest_line_without_equals_is_a_bad_value(tmp_path):
+    write_manifest(tmp_path, {"strategy": "grid", "budget": 5})
+    path = tmp_path / "history" / "session.conf"
+    path.write_text(path.read_text() + "status\n")
+    with pytest.raises(BadValueError, match="in session.conf: expected key=value"):
+        read_manifest(tmp_path)
 
 
 def test_manifest_missing(tmp_path):

@@ -60,6 +60,15 @@ def test_parse_env_out_of_range_port():
         parse_env_file(ENV_TEXT.replace("port=22", "port=99999"))
 
 
+def test_env_and_job_errors_name_their_file():
+    with pytest.raises(BadValueError, match="'port' in HadoopEnv.txt"):
+        parse_env_file(ENV_TEXT.replace("port=22", "port=ssh"))
+    with pytest.raises(BadValueError, match="'seed' in job.conf: '3.5' is not an integer"):
+        parse_job_file(bowl_job_conf() + "seed=3.5\n")
+    with pytest.raises(BadValueError, match="'cleanup_output' in job.conf"):
+        parse_job_file(bowl_job_conf() + "cleanup_output=maybe\n")
+
+
 # --- job file -------------------------------------------------------------------
 
 def test_parse_job_remote():
@@ -97,7 +106,7 @@ def test_parse_job_tune_defaults():
     _, _, _, defaults = parse_job_file(
         bowl_job_conf() + "strategy=compass\nbudget=40\nseed=3\n"
     )
-    assert defaults == {"strategy": "compass", "budget": "40", "seed": "3"}
+    assert defaults == {"strategy": "compass", "budget": 40, "seed": 3}
 
 
 # --- load_project ------------------------------------------------------------------

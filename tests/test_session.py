@@ -9,10 +9,13 @@ import pytest
 from doubles import CountingExecutor, InterruptingExecutor
 from helpers import bowl_job_conf, write_synthetic_project
 from jobtuner.errors import (
+    BadValueError,
     ConnectError,
     HistoryCorruptError,
     InvalidBudgetError,
+    LockHeldError,
     ManifestMissingError,
+    MissingKeyError,
     NoSuccessfulTrialError,
     SessionExistsError,
     SpaceMismatchError,
@@ -21,7 +24,7 @@ from jobtuner.errors import (
 )
 from jobtuner.executors.base import Executor, TrialResult
 from jobtuner.executors.synthetic import synthetic_eval
-from jobtuner.history import TrialRecord, read_manifest, read_raw_records, read_trials
+from jobtuner.history import SessionLock, TrialRecord, read_manifest, read_raw_records, read_trials
 from jobtuner.paramspace import TrialPoint
 from jobtuner.session import (
     aggregate_history,
@@ -285,6 +288,46 @@ def test_resume_restores_memoize_and_options_from_manifest(tmp_path):
            [(r.trial_id, part.space.point_key(r.point), r.aggregate_s) for r in b]
 
 
+# the session.conf of _compass_session: bools as true/false, floats as repr()
+COMPASS_MANIFEST = (
+    b"strategy=compass\nseed=7\nbudget=6\n"
+    b"space_hash=0f7f9359967a69056e404a54b4ef93e4ec06fe478f4407168d3a03f5f47aa52a\n"
+    b"status=finished\nmemoize=true\n"
+    b"opt_initial_step=0.5\nopt_min_step=0.01\nopt_expand_on_success=true\n"
+)
+
+
+def _compass_session(tmp_path):
+    from jobtuner.search import CompassOptions
+
+    project = small_project(tmp_path)
+    run_tuning(project, "compass", budget=6, seed=7, memoize=True,
+               options=CompassOptions(initial_step=0.5, min_step=0.01, expand_on_success=True))
+    return project
+
+
+def test_manifest_bytes_of_a_compass_session(tmp_path):
+    project = _compass_session(tmp_path)
+    assert (project.root / "history" / "session.conf").read_bytes() == COMPASS_MANIFEST
+
+
+@pytest.mark.parametrize("old, new, error, key", [
+    ("budget=6", "budget=abc", BadValueError, "budget"),
+    ("memoize=true", "memoize=maybe", BadValueError, "memoize"),
+    ("opt_initial_step=0.5", "opt_initial_step=abc", BadValueError, "opt_initial_step"),
+    ("seed=7", "seed=seven", BadValueError, "seed"),
+    ("budget=6", "", MissingKeyError, "budget"),
+], ids=["budget", "memoize", "opt_initial_step", "seed", "budget_missing"])
+def test_resume_rejects_a_malformed_manifest_value(tmp_path, old, new, error, key):
+    project = _compass_session(tmp_path)
+    path = project.root / "history" / "session.conf"
+    path.write_text(path.read_text().replace(old, new))
+    with pytest.raises(error) as exc:
+        resume_session(project)
+    assert exc.value.key == key
+    assert f"{key!r} in session.conf" in str(exc.value)
+
+
 def test_resume_detects_unreplayable_history(tmp_path):
     project = small_project(tmp_path)
     run_tuning(project, "grid", budget=3)
@@ -349,3 +392,15 @@ def test_aggregate_empty_project_writes_header_only(tmp_path):
     aggregate_history(project)
     lines = (project.root / "history" / "trials.csv").read_text().splitlines()
     assert len(lines) == 1 and lines[0].startswith("trial_id,")
+
+
+def test_aggregate_refuses_while_a_session_holds_the_lock(tmp_path):
+    project = small_project(tmp_path)
+    run_tuning(project, "grid", budget=5)
+    aggregate_history(project)
+    hist = project.root / "history"
+    before = {name: (hist / name).read_bytes() for name in ("trials.csv", "convergence.csv")}
+    with SessionLock(project.root):
+        with pytest.raises(LockHeldError):
+            aggregate_history(project)
+    assert {name: (hist / name).read_bytes() for name in before} == before
