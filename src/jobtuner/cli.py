@@ -61,8 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="search strategy (default from job.conf)")
     tune.add_argument("--budget", type=int, help="max trials (default from job.conf)")
     tune.add_argument("--seed", type=int, help="noise seed for synthetic executors")
-    tune.add_argument("--memoize", action="store_true",
-                      help="reuse results for repeated points (deterministic executors)")
 
     with_dir(sub.add_parser("resume", help="continue an interrupted session"))
     with_dir(sub.add_parser("aggregate", help="rebuild history CSVs from the trial journal"))
@@ -124,7 +122,7 @@ def _cmd_tune(args, parser) -> int:
     if budget is None:
         parser.error("--budget is required (or set budget= in job.conf)")
     seed = args.seed if args.seed is not None else defaults.get("seed")
-    summary = run_tuning(project, strategy, budget, seed=seed, memoize=args.memoize)
+    summary = run_tuning(project, strategy, budget, seed=seed)
     _log_summary(project, summary)
     return 0
 

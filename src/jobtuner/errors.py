@@ -49,10 +49,6 @@ class DimensionMismatchError(TunerError):
     """An encoded vector has the wrong length for the space."""
 
 
-class GridTooLargeError(TunerError):
-    """The exhaustive grid exceeds the configured cap."""
-
-
 # --- executors --------------------------------------------------------------
 
 class UnknownPlaceholderError(TunerError):
@@ -106,9 +102,9 @@ class ManifestMissingError(TunerError):
 
 
 class HistoryCorruptError(TunerError):
-    """trials.csv is damaged beyond a row boundary.
+    """The trial journal or trials.csv is damaged, or they disagree.
 
-    last_valid_id is the id of the last intact row (0 when none parsed).
+    last_valid_id is the id of the last intact trial (0 when none parsed).
     """
 
     def __init__(self, message: str, last_valid_id: int):

@@ -21,7 +21,6 @@ from .errors import (
     DomainError,
     DuplicateParamError,
     EmptySpaceError,
-    GridTooLargeError,
     InvalidPointError,
     ParamSyntaxError,
 )
@@ -31,8 +30,6 @@ Value = int | float | str
 KIND_INT = "int"
 KIND_FLOAT = "float"
 KIND_CAT = "cat"
-
-DEFAULT_GRID_CAP = 1_000_000
 
 # Slack for counting lattice steps across float ranges; (upper-lower)/step
 # lands just under a whole number when step has no exact binary form.
@@ -303,12 +300,6 @@ class ParamSpace:
 
     # -- exhaustive grid ------------------------------------------------------
 
-    def grid_size(self) -> int:
-        n = 1
-        for s in self.specs:
-            n *= s.lattice_count()
-        return n
-
     def iter_grid(self) -> Iterator[TrialPoint]:
         """Every grid point, last spec varying fastest, built one at a time."""
         names = self.names()
@@ -316,13 +307,6 @@ class ParamSpace:
             TrialPoint(dict(zip(names, combo)))
             for combo in itertools.product(*(s.grid_values() for s in self.specs))
         )
-
-    def enumerate_grid(self, cap: int = DEFAULT_GRID_CAP) -> list[TrialPoint]:
-        """All grid points in iter_grid order; errors before materializing."""
-        size = self.grid_size()
-        if size > cap:
-            raise GridTooLargeError(f"grid has {size} points, cap is {cap}")
-        return list(self.iter_grid())
 
     # -- rendering -----------------------------------------------------------
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import fields
 
-from ..errors import UnknownStrategyError
+from ..errors import BadValueError, UnknownStrategyError
 from ..paramspace import ParamSpace
 from ..project import parse_bool, parse_float
 from .base import Searcher
@@ -57,7 +57,8 @@ def options_to_dict(strategy_id: str, options) -> dict[str, object]:
 def options_from_dict(strategy_id: str, manifest: dict[str, str], filename: str):
     """Rebuild a strategy's options from the opt_<field> entries of a manifest.
 
-    Raises BadValueError, naming the entry and filename, for a malformed value.
+    Raises BadValueError, naming the entry and filename, for a malformed or
+    out-of-range value.
     """
     opt_type = OPTION_TYPES.get(strategy_id)
     if opt_type is None:
@@ -68,7 +69,12 @@ def options_from_dict(strategy_id: str, manifest: dict[str, str], filename: str)
         if key in manifest:
             parse = parse_bool if f.type in ("bool", bool) else parse_float
             kwargs[f.name] = parse(manifest, key, filename=filename)
-    return opt_type(**kwargs)
+    try:
+        return opt_type(**kwargs)
+    except ValueError as exc:
+        # every options class opens its ValueError with the field at fault
+        field = str(exc).split()[0]
+        raise BadValueError(_OPT_PREFIX + field, str(exc), filename) from None
 
 
 __all__ = [

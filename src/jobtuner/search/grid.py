@@ -12,7 +12,7 @@ class GridSearcher(Searcher):
     """Walks iter_grid order (last spec varying fastest), then stops.
 
     The grid is never materialized, so its size is bounded only by the
-    session budget (enumerate_grid alone keeps the point cap).
+    session budget.
     """
 
     strategy_id: ClassVar[str] = "grid"

@@ -2,8 +2,8 @@
 
 Runs the classic reflect/expand/contract/shrink cycle as straight-line
 generator code. Every candidate is clamped to [0, 1]^d before it is
-decoded; decoded duplicates of existing vertices are evaluated anyway, since
-objectives may be noisy.
+decoded; a candidate that decodes to a point the session has already
+measured is answered from that measurement, not run again.
 """
 
 from __future__ import annotations

@@ -4,6 +4,9 @@ Every trial is flushed to stable storage before its searcher observes the
 result, so an interrupted session can always be resumed trial-for-trial.
 Repetition noise is absorbed by aggregating with the median; failed trials
 are fed to searchers as +inf so search routes around crashing corners.
+Each point is measured at most once per session: a proposal of a point
+already measured is recorded as a new trial carrying the first
+measurement, failures included, and spends a budget slot but no job run.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from datetime import datetime, timezone
 from .errors import (
     HistoryCorruptError,
     InvalidBudgetError,
+    MissingKeyError,
     NoSuccessfulTrialError,
     SessionExistsError,
     SpaceMismatchError,
@@ -38,7 +42,7 @@ from .history import (
     write_manifest,
 )
 from .paramspace import ParamSpace
-from .project import Project, parse_bool, parse_int
+from .project import Project, parse_int
 from .reports import write_convergence
 from .search import Searcher, make_searcher, options_from_dict, options_to_dict
 
@@ -107,18 +111,17 @@ class _TuningLoop:
     """Shared driver for fresh runs and resumes."""
 
     def __init__(self, project: Project, strategy_id: str, budget: int,
-                 seed: int | None, options, executor: Executor | None,
-                 memoize: bool):
+                 seed: int | None, options, executor: Executor | None):
         self.project = project
         self.strategy_id = strategy_id
         self.budget = budget
         self.seed = seed
         self.options = options
         self.executor = executor if executor is not None else make_executor(project, seed)
-        self.memoize = memoize
         self.searcher: Searcher = make_searcher(strategy_id, project.space, options)
         self.records: list[TrialRecord] = []
-        self._memo: dict[tuple, TrialResult] = {}
+        # each point key's first recorded result, which answers every repeat
+        self._measured: dict[tuple, TrialResult] = {}
 
     def set_status(self, status: str) -> None:
         """Write the session manifest with the given status."""
@@ -128,7 +131,6 @@ class _TuningLoop:
             "budget": self.budget,
             "space_hash": space_hash(self.project.space),
             "status": status,
-            "memoize": self.memoize,
             **options_to_dict(self.strategy_id, self.options),
         }
         write_manifest(self.project.root, entries)
@@ -149,8 +151,7 @@ class _TuningLoop:
                     r.trial_id - 1,
                 )
             self.searcher.update(proposal, r.search_objective)
-            if self.memoize:
-                self._memo[key] = r.result
+            self._measured.setdefault(key, r.result)
         self.records = records
 
     def run(self, writer: HistoryWriter) -> str:
@@ -162,12 +163,10 @@ class _TuningLoop:
                 return STATUS_FINISHED
             trial_id = len(self.records) + 1
             key = space.point_key(point)
-            if self.memoize and key in self._memo:
-                result = self._memo[key]
-            else:
+            result = self._measured.get(key)
+            if result is None:
                 result = self.executor.execute_trial(job, point, trial_id)
-                if self.memoize:
-                    self._memo[key] = result
+                self._measured[key] = result
             record = TrialRecord(
                 trial_id=trial_id,
                 point=point,
@@ -192,7 +191,6 @@ def run_tuning(
     seed: int | None = None,
     options=None,
     executor: Executor | None = None,
-    memoize: bool = False,
 ) -> SessionSummary:
     """Run a fresh tuning session to completion (searcher done or budget).
 
@@ -207,7 +205,7 @@ def run_tuning(
         raise SessionExistsError(
             f"{project.root} already contains a session; use resume or aggregate"
         )
-    loop = _TuningLoop(project, strategy_id, budget, seed, options, executor, memoize)
+    loop = _TuningLoop(project, strategy_id, budget, seed, options, executor)
     started = time.perf_counter()
     with SessionLock(project.root):
         return _drive(loop, started)
@@ -217,23 +215,26 @@ def resume_session(project: Project, executor: Executor | None = None) -> Sessio
     """Continue an interrupted session from its durable history.
 
     Replays the recorded trials through a fresh searcher built from the
-    manifest's strategy, options, seed and memoize flag, then keeps tuning;
-    on deterministic executors the combined run is trial-for-trial identical
-    to an uninterrupted one. Raises BadValueError for a malformed manifest value.
+    manifest's strategy, options and seed, then keeps tuning; on
+    deterministic executors the combined run is trial-for-trial identical
+    to an uninterrupted one. Raises MissingKeyError or BadValueError, naming
+    the key, for a manifest entry that is absent or malformed; entries it
+    does not read, such as a flag older versions wrote, are ignored.
     """
     manifest = read_manifest(project.root)
     if manifest.get("space_hash") != space_hash(project.space):
         raise SpaceMismatchError(
             "params.conf changed since this session started; refusing to resume"
         )
+    if "strategy" not in manifest:
+        raise MissingKeyError("strategy", MANIFEST_FILE)
     strategy_id = manifest["strategy"]
     budget = parse_int(manifest, "budget", filename=MANIFEST_FILE)
     # an empty seed is a session run without one
     seed = parse_int(manifest, "seed", filename=MANIFEST_FILE) if manifest.get("seed") else None
     options = options_from_dict(strategy_id, manifest, MANIFEST_FILE)
-    memoize = parse_bool(manifest, "memoize", False, filename=MANIFEST_FILE)
 
-    loop = _TuningLoop(project, strategy_id, budget, seed, options, executor, memoize)
+    loop = _TuningLoop(project, strategy_id, budget, seed, options, executor)
     started = time.perf_counter()
     with SessionLock(project.root):
         return _drive(loop, started)

@@ -58,7 +58,7 @@ def test_criterion_1_grid_oracle_equivalence(tmp_path):
     def oracle_value(p):
         return synthetic_eval(surface, space.encode_point(p), 1, 1)
 
-    oracle_best = min(space.enumerate_grid(), key=oracle_value)
+    oracle_best = min(space.iter_grid(), key=oracle_value)
     elapsed = time.perf_counter() - started
     ok = (
         summary.trial_count == 100

@@ -55,6 +55,14 @@ def test_tune_without_budget_is_usage_error(tmp_path):
     assert main(["tune", "--dir", str(project.root), "--strategy", "grid"]) == 1
 
 
+def test_tune_memoize_flag_is_gone(tmp_path, capsys):
+    project = make_project(tmp_path)
+    assert main(["tune", "--dir", str(project.root), "--strategy", "grid",
+                 "--budget", "5", "--memoize"]) == 1
+    assert "--memoize" in capsys.readouterr().err
+    assert not (project.root / "history").exists()
+
+
 def test_unknown_subcommand_is_usage_error():
     assert main(["transmogrify"]) == 1
 

@@ -48,7 +48,7 @@ def test_grid_fourth_proposal_after_three_updates():
     searcher = GridSearcher(GRID_SPACE)
     for _ in range(3):
         searcher.update(searcher.propose(), 1.0)
-    expected = GRID_SPACE.enumerate_grid()[3]
+    expected = list(GRID_SPACE.iter_grid())[3]
     assert GRID_SPACE.point_key(searcher.propose()) == GRID_SPACE.point_key(expected)
 
 
@@ -68,7 +68,7 @@ def test_grid_single_point_space():
 def test_grid_proposals_cover_grid_exactly_once():
     searcher = GridSearcher(GRID_SPACE)
     proposals = [GRID_SPACE.point_key(p) for p, _ in drain(searcher, lambda p: 1.0)]
-    grid = [GRID_SPACE.point_key(p) for p in GRID_SPACE.enumerate_grid()]
+    grid = [GRID_SPACE.point_key(p) for p in GRID_SPACE.iter_grid()]
     assert proposals == grid
     assert len(set(proposals)) == len(grid)
 

@@ -11,7 +11,6 @@ from jobtuner.errors import (
     DomainError,
     DuplicateParamError,
     EmptySpaceError,
-    GridTooLargeError,
     InvalidPointError,
     ParamSyntaxError,
 )
@@ -200,14 +199,14 @@ def test_decode_dimension_mismatch(two_param_space):
         two_param_space.decode_vector([0.5])
 
 
-# --- enumerate_grid ----------------------------------------------------------
+# --- iter_grid ----------------------------------------------------------------
 
 GRID_SPACE_TEXT = "tasks int min=1 max=4 step=1\ncompress cat values=true,false"
 
 
 def test_grid_count_is_product():
     space = parse_param_file(GRID_SPACE_TEXT)
-    assert len(space.enumerate_grid()) == 8
+    assert len(list(space.iter_grid())) == 8
 
 
 def test_grid_order_last_spec_fastest():
@@ -217,7 +216,7 @@ def test_grid_order_last_spec_fastest():
         {"tasks": t, "compress": c}
         for t, c in itertools.product([1, 2, 3, 4], ["true", "false"])
     ]
-    got = [p.as_dict() for p in space.enumerate_grid()]
+    got = [p.as_dict() for p in space.iter_grid()]
     assert got == expected
     assert got[:3] == [
         {"tasks": 1, "compress": "true"},
@@ -228,12 +227,12 @@ def test_grid_order_last_spec_fastest():
 
 def test_grid_degenerate_single_point():
     space = parse_param_file("x int min=3 max=3 step=1")
-    assert len(space.enumerate_grid()) == 1
+    assert len(list(space.iter_grid())) == 1
 
 
 def test_grid_float_step_count_is_fp_safe():
     space = parse_param_file("x float min=0 max=1 step=0.1")
-    values = [p["x"] for p in space.enumerate_grid()]
+    values = [p["x"] for p in space.iter_grid()]
     assert len(values) == 11
     assert values[0] == 0.0 and values[-1] == pytest.approx(1.0)
 
@@ -241,15 +240,9 @@ def test_grid_float_step_count_is_fp_safe():
 def test_float_lattice_top_value_is_the_upper_bound():
     # 0.05 + 18 * 0.05 evaluates to 0.9500000000000001 in binary floating point
     space = parse_param_file("x float min=0.05 max=0.95 step=0.05")
-    for point in (space.decode_vector([1.0]), space.enumerate_grid()[-1]):
+    for point in (space.decode_vector([1.0]), list(space.iter_grid())[-1]):
         assert space.validate_point(point) == []
         assert point["x"] == 0.95
-
-
-def test_grid_too_large():
-    space = parse_param_file("x int min=1 max=2000 step=1\ny int min=1 max=2000 step=1")
-    with pytest.raises(GridTooLargeError):
-        space.enumerate_grid(cap=1_000_000)
 
 
 # --- render_config_args ---------------------------------------------------------
@@ -362,7 +355,7 @@ def test_property_grid_cardinality_and_validity(space):
         expected *= s.lattice_count()
     if expected > 5000:
         return
-    grid = space.enumerate_grid()
+    grid = list(space.iter_grid())
     assert len(grid) == expected
     keys = {space.point_key(p) for p in grid}
     assert len(keys) == len(grid)

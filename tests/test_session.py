@@ -26,6 +26,7 @@ from jobtuner.executors.base import Executor, TrialResult
 from jobtuner.executors.synthetic import synthetic_eval
 from jobtuner.history import SessionLock, TrialRecord, read_manifest, read_raw_records, read_trials
 from jobtuner.paramspace import TrialPoint
+from jobtuner.search import CompassOptions, NelderMeadOptions, TrustRegionOptions
 from jobtuner.session import (
     aggregate_history,
     best_of,
@@ -104,7 +105,7 @@ def test_grid_best_matches_brute_force(tmp_path):
     surface = project.surface
     space = project.space
     oracle = min(
-        space.enumerate_grid(),
+        space.iter_grid(),
         key=lambda p: synthetic_eval(surface, space.encode_point(p), 1, 1),
     )
     assert space.point_key(summary.best.point) == space.point_key(oracle)
@@ -190,8 +191,6 @@ def test_any_executor_error_interrupts_and_resume_completes(tmp_path):
 def _coarse_nm_setup(tmp_path):
     # a 2-value space makes the simplex searcher revisit decoded points,
     # provided the initial offset is wide enough to cross the snap threshold
-    from jobtuner.search import NelderMeadOptions
-
     project = write_synthetic_project(
         tmp_path / "tiny", "a int min=1 max=2 step=1\nb int min=1 max=2 step=1\n",
         bowl_job_conf(weights="50,80", optimum="1,1"),
@@ -203,18 +202,30 @@ def test_memoize_executes_each_point_once(tmp_path):
     project, options = _coarse_nm_setup(tmp_path)
     executor = CountingExecutor(make_executor(project))
     summary = run_tuning(project, "nelder-mead", budget=12, options=options,
-                         executor=executor, memoize=True)
+                         executor=executor)
     assert len(executor.calls) == len(set(executor.calls))
     assert len(executor.calls) < summary.trial_count
 
 
-def test_without_memoize_duplicates_reexecute(tmp_path):
-    project, options = _coarse_nm_setup(tmp_path)
+# steps that cross the snap threshold of the 2x2 lattice, so every strategy
+# re-proposes measured points before its budget of 10 runs out
+COARSE_OPTIONS = {
+    "compass": CompassOptions(initial_step=0.6),
+    "nelder-mead": NelderMeadOptions(init_offset=0.6),
+    "bobyqa-lite": TrustRegionOptions(initial_radius=0.5),
+}
+
+
+@pytest.mark.parametrize("strategy", list(COARSE_OPTIONS))
+def test_each_point_is_executed_once_per_session(tmp_path, strategy):
+    project, _ = _coarse_nm_setup(tmp_path)
     executor = CountingExecutor(make_executor(project))
-    summary = run_tuning(project, "nelder-mead", budget=12, options=options,
+    summary = run_tuning(project, strategy, budget=10, options=COARSE_OPTIONS[strategy],
                          executor=executor)
-    assert len(executor.calls) == summary.trial_count
-    assert len(set(executor.calls)) < len(executor.calls)
+    assert summary.trial_count == 10
+    records = read_raw_records(project.root, project.space)
+    distinct = {project.space.point_key(r.point) for r in records}
+    assert len(executor.calls) == len(set(executor.calls)) == len(distinct) < len(records)
 
 
 # --- resume ----------------------------------------------------------------------
@@ -263,25 +274,23 @@ def test_resume_rejects_changed_space(tmp_path):
 
 
 def test_resume_restores_memoize_and_options_from_manifest(tmp_path):
-    from jobtuner.search import NelderMeadOptions
-
     params = "a int min=1 max=2 step=1\nb int min=1 max=2 step=1\n"
     job = bowl_job_conf(weights="50,80", optimum="1,1", noise_sd_s=3.0, repetitions=2)
     # an offset wide enough to cross the snap threshold on the 2-value lattice
     options = NelderMeadOptions(init_offset=0.6)
     full = write_synthetic_project(tmp_path / "full", params, job)
-    run_tuning(full, "nelder-mead", budget=12, seed=5, options=options, memoize=True)
+    run_tuning(full, "nelder-mead", budget=12, seed=5, options=options)
 
     part = write_synthetic_project(tmp_path / "part", params, job)
     # only 4 unique points exist; interrupt while they are still being executed
     executor = InterruptingExecutor(make_executor(part, 5), allow=3)
     with pytest.raises(ConnectError):
         run_tuning(part, "nelder-mead", budget=12, seed=5, options=options,
-                   memoize=True, executor=executor)
+                   executor=executor)
     manifest = read_manifest(part.root)
-    assert manifest["memoize"] == "true"
+    assert "memoize" not in manifest
     assert manifest["opt_init_offset"] == "0.6"
-    resume_session(part)  # memoize and options come back from the manifest
+    resume_session(part)  # options come back from the manifest, measurements from the journal
     a = read_trials(full.root, full.space)
     b = read_trials(part.root, part.space)
     assert [(r.trial_id, full.space.point_key(r.point), r.aggregate_s) for r in a] == \
@@ -292,16 +301,14 @@ def test_resume_restores_memoize_and_options_from_manifest(tmp_path):
 COMPASS_MANIFEST = (
     b"strategy=compass\nseed=7\nbudget=6\n"
     b"space_hash=0f7f9359967a69056e404a54b4ef93e4ec06fe478f4407168d3a03f5f47aa52a\n"
-    b"status=finished\nmemoize=true\n"
+    b"status=finished\n"
     b"opt_initial_step=0.5\nopt_min_step=0.01\nopt_expand_on_success=true\n"
 )
 
 
 def _compass_session(tmp_path):
-    from jobtuner.search import CompassOptions
-
     project = small_project(tmp_path)
-    run_tuning(project, "compass", budget=6, seed=7, memoize=True,
+    run_tuning(project, "compass", budget=6, seed=7,
                options=CompassOptions(initial_step=0.5, min_step=0.01, expand_on_success=True))
     return project
 
@@ -313,11 +320,13 @@ def test_manifest_bytes_of_a_compass_session(tmp_path):
 
 @pytest.mark.parametrize("old, new, error, key", [
     ("budget=6", "budget=abc", BadValueError, "budget"),
-    ("memoize=true", "memoize=maybe", BadValueError, "memoize"),
     ("opt_initial_step=0.5", "opt_initial_step=abc", BadValueError, "opt_initial_step"),
+    ("opt_initial_step=0.5", "opt_initial_step=5", BadValueError, "opt_initial_step"),
     ("seed=7", "seed=seven", BadValueError, "seed"),
     ("budget=6", "", MissingKeyError, "budget"),
-], ids=["budget", "memoize", "opt_initial_step", "seed", "budget_missing"])
+    ("strategy=compass", "", MissingKeyError, "strategy"),
+], ids=["budget", "opt_initial_step", "opt_initial_step_out_of_range", "seed",
+        "budget_missing", "strategy_missing"])
 def test_resume_rejects_a_malformed_manifest_value(tmp_path, old, new, error, key):
     project = _compass_session(tmp_path)
     path = project.root / "history" / "session.conf"
@@ -356,12 +365,33 @@ def test_memoized_resume_keeps_result_dir_and_log_ref(tmp_path):
     executor = InterruptingExecutor(ResultDirExecutor(make_executor(project)), allow=2)
     with pytest.raises(ConnectError):
         run_tuning(project, "nelder-mead", budget=12, options=options,
-                   executor=executor, memoize=True)
+                   executor=executor)
     resume_session(project, executor=ResultDirExecutor(make_executor(project)))
     records = read_raw_records(project.root, project.space)
     assert len(records) == 12
     missing = [r.trial_id for r in records if r.result.result_dir is None or r.result.log_ref is None]
     assert missing == []
+
+
+@pytest.mark.parametrize("old_line", ["", "memoize=false\n", "memoize=maybe\n"],
+                         ids=["no_flag", "memoize_false", "memoize_maybe"])
+def test_resume_after_a_repeat_executes_no_measured_point(tmp_path, old_line):
+    project, _ = _coarse_nm_setup(tmp_path)
+    options = COARSE_OPTIONS["bobyqa-lite"]
+    executor = InterruptingExecutor(make_executor(project), allow=2)
+    with pytest.raises(ConnectError):
+        run_tuning(project, "bobyqa-lite", budget=10, options=options, executor=executor)
+    measured = [tuple(sorted(r.point.as_dict().items()))
+                for r in read_raw_records(project.root, project.space)]
+    assert len(set(measured)) == 2 < len(measured)  # cut off after a repeat
+    # manifests written before every repeat was answered carry a memoize flag
+    path = project.root / "history" / "session.conf"
+    path.write_text(path.read_text() + old_line)
+    counting = CountingExecutor(make_executor(project))
+    summary = resume_session(project, executor=counting)
+    assert (summary.trial_count, summary.status) == (10, "finished")
+    assert counting.calls and not set(counting.calls) & set(measured)
+    assert len(counting.calls) == len(set(counting.calls))
 
 
 # --- aggregate_history ---------------------------------------------------------------
