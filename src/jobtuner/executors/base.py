@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -50,8 +51,9 @@ class TrialResult:
         object.__setattr__(self, "rep_times_s", tuple(self.rep_times_s))
         if self.status not in (STATUS_SUCCESS, STATUS_FAILED, STATUS_TIMEOUT):
             raise ValueError(f"unknown status {self.status!r}")
-        if self.status == STATUS_SUCCESS and any(t <= 0 for t in self.rep_times_s):
-            raise ValueError("successful trials must have positive repetition times")
+        # NaN and inf fail the chained comparison too, so no median is NaN or inf
+        if self.status == STATUS_SUCCESS and not all(0.0 < t < math.inf for t in self.rep_times_s):
+            raise ValueError("successful trials must have finite positive repetition times")
 
     @property
     def ok(self) -> bool:

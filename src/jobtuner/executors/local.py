@@ -30,7 +30,7 @@ def substitute_template(template: str, point: TrialPoint, space: ParamSpace) -> 
     Raises UnknownPlaceholderError before anything runs when the template
     names a parameter the space does not declare.
     """
-    unknown = [m for m in PLACEHOLDER_RE.findall(template) if m not in point.assignment]
+    unknown = [m for m in PLACEHOLDER_RE.findall(template) if m not in point.names]
     if unknown:
         raise UnknownPlaceholderError(
             f"template references undeclared parameter(s): {', '.join(sorted(set(unknown)))}"

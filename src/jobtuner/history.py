@@ -14,6 +14,9 @@ A trial is durable once its journal line is fsynced; its CSV row follows.
 Opening a HistoryWriter repairs what a crash leaves: a torn journal tail
 (a trial that never happened), or a CSV that is torn or behind.
 
+Journal points decode in space order onto the space's names tuple, and a
+point that names other parameters than the space is refused as corrupt.
+
 Reads stream: the journal and trials.csv are parsed a line at a time from
 the open file, and rebuilds write rows straight into the replacement file,
 so a read or rewrite holds only the records, never a copy of the file.
@@ -44,7 +47,7 @@ from .errors import (
     ManifestMissingError,
 )
 from .executors.base import TrialResult
-from .paramspace import KIND_FLOAT, KIND_INT, ParamSpace, TrialPoint, Value
+from .paramspace import KIND_CAT, KIND_FLOAT, KIND_INT, ParamSpace
 from .project import parse_kv_file
 
 HISTORY_DIR = "history"
@@ -54,6 +57,7 @@ JOURNAL_FILE = "journal.jsonl"
 LOCK_FILE = ".lock"
 
 FAILED_LITERAL = "FAILED"
+_PARSE_CELL = {KIND_INT: int, KIND_FLOAT: float, KIND_CAT: str}
 _PHASES = ("map", "shuffle", "reduce")
 _CHUNK = 1 << 14  # bytes per read when counting lines: a count holds no more than this
 
@@ -95,7 +99,7 @@ def record_to_row(record: TrialRecord, space: ParamSpace) -> list[str]:
     phases = record.result.phase_times_s or {}
     return (
         [str(record.trial_id), record.strategy_id, record.timestamp.isoformat()]
-        + [space.render_value(s.name, record.point[s.name]) for s in space.specs]
+        + [s.render(v) for s, v in zip(space.specs, space.point_key(record.point))]
         + [
             record.result.status,
             ";".join(fmt_float(t) for t in record.result.rep_times_s),
@@ -113,19 +117,12 @@ def row_to_record(row: list[str], space: ParamSpace) -> TrialRecord:
     trial_id = int(row[0])
     strategy = row[1]
     timestamp = datetime.fromisoformat(row[2])
-    assignment: dict[str, Value] = {}
-    for i, spec in enumerate(space.specs):
-        raw = row[3 + i]
-        if spec.kind == KIND_INT:
-            assignment[spec.name] = int(raw)
-        elif spec.kind == KIND_FLOAT:
-            assignment[spec.name] = float(raw)
-        else:
-            assignment[spec.name] = raw
     base = 3 + space.dimension
+    point = space.make_point(tuple([_PARSE_CELL[spec.kind](raw)
+                                    for spec, raw in zip(space.specs, row[3:base])]))
     status = row[base]
     reps_raw = row[base + 1]
-    rep_times = tuple(float(t) for t in reps_raw.split(";")) if reps_raw else ()
+    rep_times = tuple([float(t) for t in reps_raw.split(";")]) if reps_raw else ()
     agg_raw = row[base + 2]
     aggregate = None if agg_raw == FAILED_LITERAL else float(agg_raw)
     phases = {}
@@ -140,7 +137,7 @@ def row_to_record(row: list[str], space: ParamSpace) -> TrialRecord:
     )
     return TrialRecord(
         trial_id=trial_id,
-        point=TrialPoint(assignment),
+        point=point,
         result=result,
         aggregate_s=aggregate,
         strategy_id=strategy,
@@ -164,7 +161,7 @@ class HistoryWriter:
         self.records: list[TrialRecord] = []
         try:
             with open(self._journal, "r+b") as fh:
-                self.records, durable = _parse_journal(fh)
+                self.records, durable = _parse_journal(fh, space)
                 if fh.tell() > durable:
                     fh.truncate(durable)  # the torn line never reached a searcher
         except FileNotFoundError:
@@ -266,13 +263,17 @@ def _journal_line(record: TrialRecord) -> str:
     return json.dumps(payload, sort_keys=True) + "\n"
 
 
-def _parse_journal(fh: BinaryIO) -> tuple[list[TrialRecord], int]:
+def _parse_journal(fh: BinaryIO, space: ParamSpace) -> tuple[list[TrialRecord], int]:
     """Parse a journal's terminated lines from fh; an unterminated tail is skipped.
 
+    Each point is decoded in space order onto the space's names tuple.
     Returns the records and the byte length of the lines that held them.
     Raises HistoryCorruptError, naming the last valid trial_id, when a
-    terminated line does not parse or the ids are not 1, 2, 3, ...
+    terminated line does not parse, its point names other parameters than
+    the space, or the ids are not 1, 2, 3, ...
     """
+    names = space.names()
+    declared = set(names)
     records: list[TrialRecord] = []
     durable = 0
     for n, line in enumerate(fh, start=1):
@@ -283,8 +284,10 @@ def _parse_journal(fh: BinaryIO) -> tuple[list[TrialRecord], int]:
             result = TrialResult(status=sys.intern(d["status"]), rep_times_s=d["rep_times_s"],
                                  phase_times_s=d["phase_times_s"],
                                  result_dir=d["result_dir"], log_ref=d["log_ref"])
-            # one key string per parameter name, shared by every point
-            point = TrialPoint({sys.intern(k): v for k, v in d["point"].items()})
+            values = d["point"]
+            if values.keys() != declared:
+                raise ValueError(f"point parameters {sorted(values)} are not the space's {names}")
+            point = space.make_point(tuple([values[name] for name in names]))
             record = TrialRecord(trial_id=d["trial_id"], point=point,
                                  result=result, aggregate_s=d["aggregate_s"],
                                  strategy_id=sys.intern(d["strategy"]),
@@ -305,7 +308,7 @@ def read_raw_records(project_root: str | Path, space: ParamSpace) -> list[TrialR
     except FileNotFoundError:
         return []
     with fh:
-        return _parse_journal(fh)[0]
+        return _parse_journal(fh, space)[0]
 
 
 def rewrite_trials_csv(project_root: str | Path, space: ParamSpace,

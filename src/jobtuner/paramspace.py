@@ -3,6 +3,10 @@
 Defines typed parameter specs, trial points, the line-oriented parameter
 file format, exhaustive grid enumeration, and the codec between native
 parameter values and the normalized unit cube the optimizers search.
+
+A trial point is two tuples, its names and its values in that order.
+Every point a space builds (grid, decode, default, history) shares the
+space's one names tuple, so its values tuple is its point key as is.
 """
 
 from __future__ import annotations
@@ -10,8 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
-from types import MappingProxyType
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -196,23 +199,53 @@ class ParamSpec:
         return str(v)
 
 
-@dataclass(frozen=True, slots=True)
 class TrialPoint:
-    """One parameter assignment; immutable after construction."""
+    """One parameter assignment; immutable and unhashable.
 
-    assignment: Mapping[str, Value]
+    Stored as two tuples: `names`, and `values` in the same order. Points a
+    ParamSpace builds share the space's own names tuple, so their `values`
+    are already the space's point key. Equality ignores name order, as for
+    the mapping the point was built from.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "assignment", MappingProxyType(dict(self.assignment)))
+    __slots__ = ("names", "values")
+    __hash__ = None  # equal points may list their names in different orders
+
+    def __init__(self, assignment: Mapping[str, Value]):
+        object.__setattr__(self, "names", tuple(assignment))
+        object.__setattr__(self, "values", tuple(assignment.values()))
+
+    @classmethod
+    def _of(cls, names: tuple[str, ...], values: tuple[Value, ...]) -> TrialPoint:
+        point = object.__new__(cls)
+        object.__setattr__(point, "names", names)
+        object.__setattr__(point, "values", values)
+        return point
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __getitem__(self, name: str) -> Value:
-        return self.assignment[name]
+        try:
+            return self.values[self.names.index(name)]
+        except ValueError:
+            raise KeyError(name) from None
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TrialPoint):
+            return NotImplemented
+        if self.names == other.names:
+            return self.values == other.values
+        return self.as_dict() == other.as_dict()
 
     def as_dict(self) -> dict[str, Value]:
-        return dict(self.assignment)
+        return dict(zip(self.names, self.values))
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v!r}" for k, v in self.assignment.items())
+        inner = ", ".join(f"{k}={v!r}" for k, v in zip(self.names, self.values))
         return f"TrialPoint({inner})"
 
 
@@ -246,29 +279,45 @@ class ParamSpace:
                 return s
         raise KeyError(name)
 
+    def make_point(self, values: tuple[Value, ...]) -> TrialPoint:
+        """The point with these values in spec order, on the space's names tuple.
+
+        Callers build values with tuple() of a list, which allocates the exact
+        size. tuple() of a generator or map resizes a larger tuple instead, so
+        the points it makes are never drawn from CPython's per-size tuple free
+        list, which then fills with freed points and holds their memory.
+        """
+        return TrialPoint._of(self._names, values)
+
     def default_point(self) -> TrialPoint:
-        return TrialPoint({s.name: s.default for s in self.specs})
+        return self.make_point(tuple([s.default for s in self.specs]))
 
     def point_key(self, point: TrialPoint) -> tuple[Value, ...]:
-        """Hashable identity of a point (values in spec order)."""
-        return tuple(map(point.assignment.__getitem__, self._names))
+        """Hashable identity of a point (values in spec order).
+
+        The point's own values tuple when its names are in spec order;
+        raises KeyError for a point that lacks a parameter.
+        """
+        if point.names == self._names:
+            return point.values
+        return tuple([point[name] for name in self._names])
 
     # -- validation ------------------------------------------------------
 
     def validate_point(self, point: TrialPoint) -> list[str]:
         """All invariant violations for point against this space; [] means ok."""
-        violations = []
-        declared = set(self.names())
-        present = set(point.assignment.keys())
-        for name in sorted(declared - present):
-            violations.append(f"missing parameter {name!r}")
-        for name in sorted(present - declared):
-            violations.append(f"unknown parameter {name!r}")
-        for s in self.specs:
-            if s.name in present:
-                msg = s.check_value(point[s.name])
-                if msg:
-                    violations.append(msg)
+        if point.names == self._names:
+            checked = zip(self.specs, point.values)
+            violations = []
+        else:
+            declared, present = set(self._names), set(point.names)
+            violations = [f"missing parameter {name!r}" for name in sorted(declared - present)]
+            violations += [f"unknown parameter {name!r}" for name in sorted(present - declared)]
+            checked = ((s, point[s.name]) for s in self.specs if s.name in present)
+        for s, v in checked:
+            msg = s.check_value(v)
+            if msg:
+                violations.append(msg)
         return violations
 
     def require_valid(self, point: TrialPoint) -> None:
@@ -281,7 +330,8 @@ class ParamSpace:
     def encode_point(self, point: TrialPoint) -> np.ndarray:
         """Encode a valid point into the unit cube, coordinates in spec order."""
         self.require_valid(point)
-        return np.array([s.encode_value(point[s.name]) for s in self.specs], dtype=float)
+        return np.array([s.encode_value(v) for s, v in zip(self.specs, self.point_key(point))],
+                        dtype=float)
 
     def decode_vector(self, u: Iterable[float]) -> TrialPoint:
         """Decode any real vector of length d into a valid snapped point.
@@ -294,26 +344,21 @@ class ParamSpace:
             raise DimensionMismatchError(
                 f"expected vector of length {self.dimension}, got shape {vec.shape}"
             )
-        return TrialPoint(
-            {s.name: s.decode_unit(float(vec[i])) for i, s in enumerate(self.specs)}
-        )
+        return self.make_point(tuple([s.decode_unit(float(u)) for s, u in zip(self.specs, vec)]))
 
     # -- exhaustive grid ------------------------------------------------------
 
     def iter_grid(self) -> Iterator[TrialPoint]:
         """Every grid point, last spec varying fastest, built one at a time."""
-        names = self.names()
-        return (
-            TrialPoint(dict(zip(names, combo)))
-            for combo in itertools.product(*(s.grid_values() for s in self.specs))
-        )
+        return (self.make_point(combo)
+                for combo in itertools.product(*(s.grid_values() for s in self.specs)))
 
     # -- rendering -----------------------------------------------------------
 
     def render_config_args(self, point: TrialPoint) -> list[str]:
         """One -D<name>=<value> per parameter, in spec order."""
         self.require_valid(point)
-        return [f"-D{s.name}={s.render(point[s.name])}" for s in self.specs]
+        return [f"-D{s.name}={s.render(v)}" for s, v in zip(self.specs, self.point_key(point))]
 
     def render_value(self, name: str, v: Value) -> str:
         return self.spec(name).render(v)

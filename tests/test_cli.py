@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import json
 import stat
+
+import pytest
 
 from helpers import bowl_job_conf, write_synthetic_project
 from jobtuner.cli import main
@@ -113,6 +116,24 @@ def test_resume_after_tune_is_noop(tmp_path):
 def test_resume_without_session_is_runtime_error(tmp_path):
     project = make_project(tmp_path)
     assert main(["resume", "--dir", str(project.root)]) == 2
+
+
+@pytest.mark.parametrize("command", ["resume", "aggregate"])
+def test_journal_point_without_a_parameter_exits_2(tmp_path, caplog, command):
+    project = make_project(tmp_path)
+    assert main(["tune", "--dir", str(project.root), "--strategy", "grid",
+                 "--budget", "3", "--seed", "7"]) == 0
+    path = project.root / "history" / "journal.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    entry = json.loads(lines[1])
+    del entry["point"]["b"]
+    lines[1] = json.dumps(entry, sort_keys=True) + "\n"
+    path.write_text("".join(lines))
+    csv_before = (project.root / "history" / "trials.csv").read_bytes()
+    assert main([command, "--dir", str(project.root)]) == 2
+    assert "journal line 2 unreadable" in caplog.text
+    assert "(last valid trial_id: 1)" in caplog.text
+    assert (project.root / "history" / "trials.csv").read_bytes() == csv_before
 
 
 def test_aggregate_and_report(tmp_path):

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
+import json
 import math
 import os
 import random
@@ -180,11 +182,20 @@ def test_header_mismatch_detected(tmp_path):
         read_trials(tmp_path, other_space)
 
 
+def edit_point(line: bytes, edit) -> bytes:
+    """line with edit applied to its point, written as the journal writes it."""
+    entry = json.loads(line)
+    edit(entry["point"])
+    return (json.dumps(entry, sort_keys=True) + "\n").encode()
+
+
 @pytest.mark.parametrize("damage", [
     lambda lines: lines[:2] + [b"{not json\n"] + lines[3:],
     lambda lines: lines[:2] + lines[3:],  # trial 3 missing
     lambda lines: lines[:2] + [lines[2].replace(b'"grid"', b'"gr\xffid"')] + lines[3:],  # not UTF-8
     lambda lines: lines[:2] + [lines[2][:-1] + b' {"trial_id": 3}\n'] + lines[3:],  # data after it
+    lambda lines: lines[:2] + [edit_point(lines[2], lambda p: p.pop("frac"))] + lines[3:],
+    lambda lines: lines[:2] + [edit_point(lines[2], lambda p: p.update(bogus=1))] + lines[3:],
 ])
 def test_journal_damage_names_last_valid_trial(tmp_path, damage):
     rng = random.Random(6)
@@ -199,6 +210,24 @@ def test_journal_damage_names_last_valid_trial(tmp_path, damage):
     assert exc.value.last_valid_id == 2
     with pytest.raises(HistoryCorruptError, match=message):
         HistoryWriter(tmp_path, SPACE)
+
+
+@pytest.mark.parametrize("times", [[math.nan], [1.0, math.nan], [math.inf, 2.0, 3.0]],
+                         ids=["nan", "nan_after_finite", "inf"])
+def test_journal_success_with_non_finite_time_is_corrupt(tmp_path, times):
+    rng = random.Random(7)
+    writer = HistoryWriter(tmp_path, SPACE)
+    for i in range(1, 4):
+        writer.append(random_record(rng, i))
+    path = tmp_path / "history" / "journal.jsonl"
+    lines = path.read_bytes().splitlines(keepends=True)
+    entry = json.loads(lines[1])
+    entry.update(status="success", rep_times_s=times, aggregate_s=2.0)
+    lines[1] = (json.dumps(entry, sort_keys=True) + "\n").encode()  # NaN and Infinity literals
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(HistoryCorruptError, match="^journal line 2 unreadable") as exc:
+        read_raw_records(tmp_path, SPACE)
+    assert exc.value.last_valid_id == 1
 
 
 def test_journal_cut_anywhere_in_its_last_line(tmp_path):
@@ -252,6 +281,37 @@ def test_reads_and_rewrites_hold_no_copy_of_the_file(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert read_trials(tmp_path, SPACE) == records
+
+
+def test_decoded_records_hold_their_points_as_space_keys(tmp_path, monkeypatch):
+    space = ParamSpace((
+        ParamSpec(name="mapreduce.job.reduces", kind="int", lower=1, upper=64, step=1),
+        ParamSpec(name="mapreduce.task.io.sort.mb", kind="int", lower=64, upper=1024, step=64),
+        ParamSpec(name="mapreduce.task.io.sort.factor", kind="int", lower=10, upper=100, step=10),
+        ParamSpec(name="mapreduce.map.memory.mb", kind="int", lower=512, upper=4096, step=512),
+    ))
+    rng = random.Random(10)
+    with monkeypatch.context() as m:
+        m.setattr(os, "fsync", lambda fd: None)  # durability is not under test here
+        writer = HistoryWriter(tmp_path, space)
+        for i, point in enumerate(itertools.islice(space.iter_grid(), 2000), start=1):
+            result = TrialResult(status="success",
+                                 rep_times_s=tuple(rng.uniform(1, 9) for _ in range(3)))
+            writer.append(TrialRecord(trial_id=i, point=point, result=result,
+                                      aggregate_s=aggregate_reps(result), strategy_id="grid",
+                                      timestamp=datetime.now(timezone.utc)))
+    del writer
+    tracemalloc.start()
+    try:
+        records = read_raw_records(tmp_path, space)
+        per_record = tracemalloc.get_traced_memory()[0] / len(records)
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 2000
+    # a point is a names tuple shared by the space and one values tuple
+    assert per_record <= 560, per_record
+    points = [r.point for r in records] + [next(space.iter_grid()), space.decode_vector([0.3] * 4)]
+    assert all(space.point_key(p) is p.values for p in points)
 
 
 # --- manifest and lock -------------------------------------------------------------

@@ -169,6 +169,64 @@ def test_encode_categorical_ordinal():
     assert space.encode_point(TrialPoint({"codec": "b"}))[0] == pytest.approx(0.5)
 
 
+# --- TrialPoint ------------------------------------------------------------------
+
+def _eq_ignores_name_order(space):
+    built = space.default_point()
+    assert TrialPoint({"mapreduce.task.io.sort.mb": 64, "mapreduce.reduce.tasks": 1}) == built
+    assert TrialPoint({"mapreduce.reduce.tasks": 1, "mapreduce.task.io.sort.mb": 64}) == built
+    assert TrialPoint({"mapreduce.reduce.tasks": 1, "mapreduce.task.io.sort.mb": 128}) != built
+    assert TrialPoint({"mapreduce.reduce.tasks": 1}) != built
+    assert built != {"mapreduce.reduce.tasks": 1, "mapreduce.task.io.sort.mb": 64}
+
+
+def _repr_lists_names_in_order(space):
+    point = TrialPoint({"mapreduce.task.io.sort.mb": 256, "codec": "lz4"})
+    assert repr(point) == "TrialPoint(mapreduce.task.io.sort.mb=256, codec='lz4')"
+
+
+def _as_dict_keeps_order(space):
+    assert list(TrialPoint({"b": 1, "a": 2}).as_dict().items()) == [("b", 1), ("a", 2)]
+    assert list(space.decode_vector([0.0, 1.0]).as_dict()) == space.names()
+
+
+def _getitem_by_name(space):
+    point = TrialPoint({"mapreduce.task.io.sort.mb": 256, "mapreduce.reduce.tasks": 8})
+    assert point["mapreduce.reduce.tasks"] == 8
+    assert space.default_point()["mapreduce.task.io.sort.mb"] == 64
+    with pytest.raises(KeyError):
+        point["bogus"]
+
+
+def _immutable(space):
+    point = space.default_point()
+    for name in ("values", "names", "assignment"):
+        with pytest.raises(AttributeError):
+            setattr(point, name, ())
+    assert space.point_key(point) == (1, 64)
+
+
+def _unhashable(space):
+    for point in (space.default_point(), TrialPoint({"x": 1})):
+        with pytest.raises(TypeError):
+            hash(point)
+
+
+def _render_uses_spec_order(space):
+    point = TrialPoint({"mapreduce.task.io.sort.mb": 256, "mapreduce.reduce.tasks": 8})
+    assert space.render_config_args(point) == ["-Dmapreduce.reduce.tasks=8",
+                                               "-Dmapreduce.task.io.sort.mb=256"]
+    assert space.point_key(point) == (8, 256)
+
+
+@pytest.mark.parametrize("check", [
+    _eq_ignores_name_order, _repr_lists_names_in_order, _as_dict_keeps_order,
+    _getitem_by_name, _immutable, _unhashable, _render_uses_spec_order,
+], ids=lambda check: check.__name__.lstrip("_"))
+def test_trial_point_contract(two_param_space, check):
+    check(two_param_space)
+
+
 # --- decode -------------------------------------------------------------------
 
 def test_decode_roundtrip_named_point(two_param_space):

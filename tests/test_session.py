@@ -165,6 +165,24 @@ def test_all_failed_summary_has_no_best(tmp_path):
     assert summary.trial_count == 4
 
 
+@pytest.mark.parametrize("times", [(math.nan,), (1.0, math.nan), (math.inf, 2.0, 3.0)],
+                         ids=["nan", "nan_after_finite", "inf"])
+def test_success_with_non_finite_time_interrupts_and_records_nothing(tmp_path, times):
+    project = small_project(tmp_path)
+
+    class NonFiniteOnThird(Executor):
+        def execute_trial(self, job, point, trial_id):
+            reps = times if trial_id == 3 else (100.0 + trial_id,)
+            return TrialResult(status="success", rep_times_s=reps)
+
+    with pytest.raises(ValueError, match="finite positive"):
+        run_tuning(project, "grid", budget=5, executor=NonFiniteOnThird())
+    assert read_manifest(project.root)["status"] == "interrupted"
+    records = read_raw_records(project.root, project.space)
+    assert [r.aggregate_s for r in records] == [101.0, 102.0]
+    assert best_of(records).trial_id == 1
+
+
 def test_connect_failure_interrupts_and_preserves_history(tmp_path):
     project = small_project(tmp_path)
     executor = InterruptingExecutor(make_executor(project), allow=3)
