@@ -51,9 +51,10 @@ class TrialResult:
         object.__setattr__(self, "rep_times_s", tuple(self.rep_times_s))
         if self.status not in (STATUS_SUCCESS, STATUS_FAILED, STATUS_TIMEOUT):
             raise ValueError(f"unknown status {self.status!r}")
-        # NaN and inf fail the chained comparison too, so no median is NaN or inf
-        if self.status == STATUS_SUCCESS and not all(0.0 < t < math.inf for t in self.rep_times_s):
-            raise ValueError("successful trials must have finite positive repetition times")
+        # NaN, inf and () fail this too, so every success has a finite median
+        if self.status == STATUS_SUCCESS and not (
+                self.rep_times_s and all(0.0 < t < math.inf for t in self.rep_times_s)):
+            raise ValueError("successful trials need at least one finite positive repetition time")
 
     @property
     def ok(self) -> bool:

@@ -2,20 +2,21 @@
 
 Runtime noise is drawn from a counter-based generator keyed on
 (seed, trial_id, rep), so any (trial, repetition) measurement replays
-bit-identically regardless of evaluation order.
+bit-identically regardless of evaluation order. numpy loads on first use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ..errors import DimensionMismatchError
 from ..paramspace import ParamSpace, TrialPoint
 from .base import Executor, JobSpec, TrialResult, STATUS_SUCCESS
 
+if TYPE_CHECKING:
+    import numpy as np
 FAMILY_BOWL = "bowl"
 FAMILY_PLANE = "monotone_plane_basin"
 FAMILY_ROSENBROCK = "rosenbrock"
@@ -78,6 +79,7 @@ class SurfaceSpec:
 def _noise(surface: SurfaceSpec, trial_id: int, rep: int) -> float:
     if surface.noise_sd_s == 0.0:
         return 0.0
+    import numpy as np
     # Philox is counter-based: keying on (seed) and counting by (trial, rep)
     # makes the draw a pure function of those three integers.
     bits = np.random.Philox(
@@ -88,6 +90,7 @@ def _noise(surface: SurfaceSpec, trial_id: int, rep: int) -> float:
 
 
 def _clean_value(surface: SurfaceSpec, u: np.ndarray) -> float:
+    import numpy as np
     if surface.family == FAMILY_BOWL:
         diffs = u - np.asarray(surface.optimum)
         return surface.base_s + float(np.dot(surface.weights, diffs * diffs))
@@ -111,6 +114,7 @@ def synthetic_eval(surface: SurfaceSpec, u, trial_id: int, rep: int) -> float:
     Deterministic: the same (surface.seed, trial_id, rep) always yields the
     identical value. Results are clamped to at least MIN_RUNTIME_S.
     """
+    import numpy as np
     vec = np.asarray(u, dtype=float)
     if vec.shape != (surface.dimension,):
         raise DimensionMismatchError(
@@ -133,8 +137,8 @@ class SyntheticExecutor(Executor):
 
     def execute_trial(self, job: JobSpec, point: TrialPoint, trial_id: int) -> TrialResult:
         u = self._space.encode_point(point)
-        times = tuple(
+        times = tuple([
             synthetic_eval(self._surface, u, trial_id, rep)
             for rep in range(1, job.repetitions + 1)
-        )
+        ])
         return TrialResult(status=STATUS_SUCCESS, rep_times_s=times)

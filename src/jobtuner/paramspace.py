@@ -2,7 +2,8 @@
 
 Defines typed parameter specs, trial points, the line-oriented parameter
 file format, exhaustive grid enumeration, and the codec between native
-parameter values and the normalized unit cube the optimizers search.
+parameter values and the normalized unit cube the optimizers search. Only
+the codec uses numpy, imported on first call, so grid search never loads it.
 
 A trial point is two tuples, its names and its values in that order.
 Every point a space builds (grid, decode, default, history) shares the
@@ -15,9 +16,7 @@ import itertools
 import math
 import re
 from dataclasses import FrozenInstanceError, dataclass
-from typing import Iterable, Iterator, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .errors import (
     DimensionMismatchError,
@@ -28,6 +27,8 @@ from .errors import (
     ParamSyntaxError,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
 Value = int | float | str
 
 KIND_INT = "int"
@@ -329,6 +330,7 @@ class ParamSpace:
 
     def encode_point(self, point: TrialPoint) -> np.ndarray:
         """Encode a valid point into the unit cube, coordinates in spec order."""
+        import numpy as np
         self.require_valid(point)
         return np.array([s.encode_value(v) for s, v in zip(self.specs, self.point_key(point))],
                         dtype=float)
@@ -339,6 +341,7 @@ class ParamSpace:
         Coordinates are clamped to [0, 1] first; numeric values snap onto
         the step lattice with half-away-from-zero rounding.
         """
+        import numpy as np
         vec = np.asarray(list(u), dtype=float)
         if vec.shape != (self.dimension,):
             raise DimensionMismatchError(

@@ -1,56 +1,64 @@
 """Search strategies and their registry.
 
 Strategy ids (the CLI names): grid, compass, nelder-mead, bobyqa-lite.
+
+_REGISTRY maps each id to its searcher's module and class. A module is
+imported when its strategy is first asked for, so grid search never loads
+numpy, which only the DFO strategies use. STRATEGIES (id -> class) and the
+searcher and options classes load the same way when read from this package.
 """
 
 from __future__ import annotations
 
 from dataclasses import fields
+from importlib import import_module
 
 from ..errors import BadValueError, UnknownStrategyError
 from ..paramspace import ParamSpace
 from ..project import parse_bool, parse_float
 from .base import Searcher
-from .compass import CompassOptions, CompassSearcher
-from .grid import GridSearcher
-from .nelder_mead import NelderMeadOptions, NelderMeadSearcher
-from .trust_region import TrustRegionOptions, TrustRegionSearcher
 
-STRATEGIES: dict[str, type[Searcher]] = {
-    GridSearcher.strategy_id: GridSearcher,
-    CompassSearcher.strategy_id: CompassSearcher,
-    NelderMeadSearcher.strategy_id: NelderMeadSearcher,
-    TrustRegionSearcher.strategy_id: TrustRegionSearcher,
+_REGISTRY = {
+    "grid": ("grid", "GridSearcher"),
+    "compass": ("compass", "CompassSearcher"),
+    "nelder-mead": ("nelder_mead", "NelderMeadSearcher"),
+    "bobyqa-lite": ("trust_region", "TrustRegionSearcher"),
 }
-
-OPTION_TYPES = {
-    CompassSearcher.strategy_id: CompassOptions,
-    NelderMeadSearcher.strategy_id: NelderMeadOptions,
-    TrustRegionSearcher.strategy_id: TrustRegionOptions,
-}
-
+# each class loaded on first access -> the module that defines it
+_MODULES = {cls: module for module, cls in _REGISTRY.values()} | {
+    "CompassOptions": "compass", "NelderMeadOptions": "nelder_mead",
+    "TrustRegionOptions": "trust_region"}
 _OPT_PREFIX = "opt_"
 
 
+def __getattr__(name: str):
+    if name == "STRATEGIES":
+        return {sid: _searcher_class(sid) for sid in _REGISTRY}
+    if name not in _MODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_MODULES[name]}", __name__), name)
+
+
 def strategy_ids() -> list[str]:
-    return list(STRATEGIES)
+    return list(_REGISTRY)
+
+
+def _searcher_class(strategy_id: str) -> type[Searcher]:
+    if strategy_id not in _REGISTRY:
+        raise UnknownStrategyError(strategy_id, strategy_ids())
+    return __getattr__(_REGISTRY[strategy_id][1])
 
 
 def make_searcher(strategy_id: str, space: ParamSpace, options=None) -> Searcher:
-    try:
-        cls = STRATEGIES[strategy_id]
-    except KeyError:
-        raise UnknownStrategyError(strategy_id, strategy_ids()) from None
-    return cls(space, options)
+    return _searcher_class(strategy_id)(space, options)
 
 
 def options_to_dict(strategy_id: str, options) -> dict[str, object]:
     """Flatten a strategy's options into opt_<field> session manifest entries."""
-    if options is None:
-        opt_type = OPTION_TYPES.get(strategy_id)
-        if opt_type is None:
-            return {}
-        options = opt_type()
+    opt_type = _searcher_class(strategy_id).options_type
+    if opt_type is None:
+        return {}
+    options = options or opt_type()
     return {_OPT_PREFIX + f.name: getattr(options, f.name) for f in fields(options)}
 
 
@@ -60,7 +68,7 @@ def options_from_dict(strategy_id: str, manifest: dict[str, str], filename: str)
     Raises BadValueError, naming the entry and filename, for a malformed or
     out-of-range value.
     """
-    opt_type = OPTION_TYPES.get(strategy_id)
+    opt_type = _searcher_class(strategy_id).options_type
     if opt_type is None:
         return None
     kwargs = {}

@@ -25,18 +25,20 @@ state() is a snapshot for observers (tests, traces). It always carries
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import ClassVar, Generator
-
-import numpy as np
+from typing import TYPE_CHECKING, ClassVar, Generator
 
 from ..errors import StateCorruptError
 from ..paramspace import ParamSpace, TrialPoint
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class Searcher(ABC):
     """Sequential proposer of trial points over one parameter space."""
 
     strategy_id: ClassVar[str]
+    options_type: ClassVar[type | None] = None  # the strategy's options dataclass
 
     def __init_subclass__(cls, **kwargs):
         # every strategy class holds propose/update in its own __dict__, so
@@ -85,7 +87,3 @@ class Searcher(ABC):
         """Snapshot of the search as of the pending proposal (copies only)."""
         pending = None if self._point is None or self._u is None else self._u.copy()
         return {"pending_u": pending}
-
-
-def clamp01(u: np.ndarray) -> np.ndarray:
-    return np.clip(u, 0.0, 1.0)

@@ -14,7 +14,7 @@ from typing import ClassVar
 import numpy as np
 
 from ..paramspace import ParamSpace, TrialPoint
-from .base import Searcher, clamp01
+from .base import Searcher
 
 
 @dataclass(frozen=True)
@@ -32,6 +32,7 @@ class CompassOptions:
 
 class CompassSearcher(Searcher):
     strategy_id: ClassVar[str] = "compass"
+    options_type = CompassOptions
 
     def __init__(self, space: ParamSpace, options: CompassOptions | None = None):
         self._opts = options or CompassOptions()
@@ -48,7 +49,7 @@ class CompassSearcher(Searcher):
             for sign in (+1.0, -1.0):
                 u = self._incumbent_u.copy()
                 u[i] += sign * self._step
-                u = clamp01(u)
+                u = np.clip(u, 0.0, 1.0)
                 point = self._space.decode_vector(u)
                 key = self._space.point_key(point)
                 if key in seen:

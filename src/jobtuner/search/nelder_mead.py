@@ -14,7 +14,7 @@ from typing import ClassVar
 import numpy as np
 
 from ..paramspace import ParamSpace
-from .base import Searcher, clamp01
+from .base import Searcher
 
 
 @dataclass(frozen=True)
@@ -48,11 +48,11 @@ def initial_simplex(space: ParamSpace, offset: float) -> list[np.ndarray]:
     for i in range(space.dimension):
         v = u0.copy()
         v[i] += offset
-        v = clamp01(v)
+        v = np.clip(v, 0.0, 1.0)
         if np.allclose(v, u0):
             v = u0.copy()
             v[i] -= offset
-            v = clamp01(v)
+            v = np.clip(v, 0.0, 1.0)
         vertices.append(v)
     return vertices
 
@@ -64,6 +64,7 @@ def _max_spread(vertices: list[tuple[np.ndarray, float]]) -> float:
 
 class NelderMeadSearcher(Searcher):
     strategy_id: ClassVar[str] = "nelder-mead"
+    options_type = NelderMeadOptions
 
     def __init__(self, space: ParamSpace, options: NelderMeadOptions | None = None):
         self._opts = options or NelderMeadOptions()
@@ -78,16 +79,16 @@ class NelderMeadSearcher(Searcher):
             vertices.sort(key=lambda vf: vf[1])
             worst_u, worst_f = vertices[-1]
             centroid = np.mean([u for u, _ in vertices[:-1]], axis=0)
-            ur = clamp01(centroid + opts.alpha * (centroid - worst_u))
+            ur = np.clip(centroid + opts.alpha * (centroid - worst_u), 0.0, 1.0)
             fr = yield self._ask(ur)
             if fr < vertices[0][1]:
-                ue = clamp01(centroid + opts.gamma * (ur - centroid))
+                ue = np.clip(centroid + opts.gamma * (ur - centroid), 0.0, 1.0)
                 fe = yield self._ask(ue)
                 vertices[-1] = (ue, fe) if fe < fr else (ur, fr)
             elif fr < vertices[-2][1]:
                 vertices[-1] = (ur, fr)
             else:
-                uc = clamp01(centroid + opts.beta * (worst_u - centroid))
+                uc = np.clip(centroid + opts.beta * (worst_u - centroid), 0.0, 1.0)
                 fc = yield self._ask(uc)
                 # accept only if the contraction beats both the worst vertex and
                 # the rejected reflection; otherwise shrink toward the best
@@ -97,7 +98,7 @@ class NelderMeadSearcher(Searcher):
                     best_u = vertices[0][0]
                     shrunk = []
                     for u, _ in vertices[1:]:
-                        us = clamp01(best_u + opts.sigma * (u - best_u))
+                        us = np.clip(best_u + opts.sigma * (u - best_u), 0.0, 1.0)
                         shrunk.append((us, (yield self._ask(us))))
                     vertices[1:] = shrunk
 

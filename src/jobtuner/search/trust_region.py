@@ -18,7 +18,7 @@ from typing import ClassVar, Iterator
 import numpy as np
 
 from ..paramspace import ParamSpace
-from .base import Searcher, clamp01
+from .base import Searcher
 
 MAX_RADIUS = 0.5
 _NULL_STEP = 1e-12
@@ -93,23 +93,24 @@ def initial_seeds(space: ParamSpace, radius: float) -> list[np.ndarray]:
     Clamping collisions are perturbed inward by half the radius so all 2d+1
     seeds stay distinct.
     """
-    u0 = clamp01(space.encode_point(space.default_point()))
+    u0 = np.clip(space.encode_point(space.default_point()), 0.0, 1.0)
     seeds = [u0]
     for i in range(space.dimension):
         for sign in (+1.0, -1.0):
             v = u0.copy()
             v[i] += sign * radius
-            v = clamp01(v)
+            v = np.clip(v, 0.0, 1.0)
             if any(np.array_equal(v, s) for s in seeds):
                 v = u0.copy()
                 v[i] -= sign * radius / 2.0
-                v = clamp01(v)
+                v = np.clip(v, 0.0, 1.0)
             seeds.append(v)
     return seeds
 
 
 class TrustRegionSearcher(Searcher):
     strategy_id: ClassVar[str] = "bobyqa-lite"
+    options_type = TrustRegionOptions
 
     def __init__(self, space: ParamSpace, options: TrustRegionOptions | None = None):
         self._opts = options or TrustRegionOptions()
@@ -168,10 +169,10 @@ class TrustRegionSearcher(Searcher):
             for offset in (sign, -sign):
                 v = center.copy()
                 v[j] += offset * self._radius
-                v = clamp01(v)
+                v = np.clip(v, 0.0, 1.0)
                 if not np.array_equal(v, center):
                     return v
-        return clamp01(center + self._radius / 2.0)
+        return np.clip(center + self._radius / 2.0, 0.0, 1.0)
 
     # -- the search ------------------------------------------------------------------
 

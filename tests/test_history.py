@@ -212,8 +212,8 @@ def test_journal_damage_names_last_valid_trial(tmp_path, damage):
         HistoryWriter(tmp_path, SPACE)
 
 
-@pytest.mark.parametrize("times", [[math.nan], [1.0, math.nan], [math.inf, 2.0, 3.0]],
-                         ids=["nan", "nan_after_finite", "inf"])
+@pytest.mark.parametrize("times", [[math.nan], [1.0, math.nan], [math.inf, 2.0, 3.0], []],
+                         ids=["nan", "nan_after_finite", "inf", "empty"])
 def test_journal_success_with_non_finite_time_is_corrupt(tmp_path, times):
     rng = random.Random(7)
     writer = HistoryWriter(tmp_path, SPACE)

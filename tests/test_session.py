@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
 
+import jobtuner
 from doubles import CountingExecutor, InterruptingExecutor
 from helpers import bowl_job_conf, write_synthetic_project
 from jobtuner.errors import (
@@ -26,7 +31,14 @@ from jobtuner.executors.base import Executor, TrialResult
 from jobtuner.executors.synthetic import synthetic_eval
 from jobtuner.history import SessionLock, TrialRecord, read_manifest, read_raw_records, read_trials
 from jobtuner.paramspace import TrialPoint
-from jobtuner.search import CompassOptions, NelderMeadOptions, TrustRegionOptions
+from jobtuner.search import (
+    STRATEGIES,
+    CompassOptions,
+    NelderMeadOptions,
+    TrustRegionOptions,
+    options_from_dict,
+    strategy_ids,
+)
 from jobtuner.session import (
     aggregate_history,
     best_of,
@@ -88,6 +100,23 @@ def test_unknown_strategy_rejected(tmp_path):
     project = small_project(tmp_path)
     with pytest.raises(UnknownStrategyError):
         run_tuning(project, "warp", budget=5)
+    with pytest.raises(UnknownStrategyError):
+        options_from_dict("warp", {}, "session.conf")
+
+
+def test_strategies_maps_each_id_to_its_searcher_class():
+    from jobtuner.search import compass, grid, nelder_mead, trust_region
+
+    assert STRATEGIES == {
+        "grid": grid.GridSearcher,
+        "compass": compass.CompassSearcher,
+        "nelder-mead": nelder_mead.NelderMeadSearcher,
+        "bobyqa-lite": trust_region.TrustRegionSearcher,
+    }
+    assert list(STRATEGIES) == strategy_ids()
+    assert STRATEGIES["grid"].options_type is None
+    assert STRATEGIES["compass"].options_type is CompassOptions
+    assert STRATEGIES["bobyqa-lite"].options_type is TrustRegionOptions
 
 
 def test_budget_caps_grid(tmp_path):
@@ -165,8 +194,9 @@ def test_all_failed_summary_has_no_best(tmp_path):
     assert summary.trial_count == 4
 
 
-@pytest.mark.parametrize("times", [(math.nan,), (1.0, math.nan), (math.inf, 2.0, 3.0)],
-                         ids=["nan", "nan_after_finite", "inf"])
+@pytest.mark.parametrize("times",
+                         [(math.nan,), (1.0, math.nan), (math.inf, 2.0, 3.0), ()],
+                         ids=["nan", "nan_after_finite", "inf", "empty"])
 def test_success_with_non_finite_time_interrupts_and_records_nothing(tmp_path, times):
     project = small_project(tmp_path)
 
@@ -336,6 +366,27 @@ def test_manifest_bytes_of_a_compass_session(tmp_path):
     assert (project.root / "history" / "session.conf").read_bytes() == COMPASS_MANIFEST
 
 
+def test_resume_restores_compass_options_from_manifest(tmp_path):
+    options = CompassOptions(initial_step=0.5, min_step=0.01, expand_on_success=True)
+
+    def sequence(project):
+        return [(r.trial_id, project.space.point_key(r.point), r.aggregate_s)
+                for r in read_trials(project.root, project.space)]
+
+    full = small_project(tmp_path, noise=1.0, name="full")
+    run_tuning(full, "compass", budget=8, seed=7, options=options)
+    default = small_project(tmp_path, noise=1.0, name="default")
+    run_tuning(default, "compass", budget=8, seed=7)
+    assert sequence(default) != sequence(full)  # the options change the search
+
+    part = small_project(tmp_path, noise=1.0, name="part")
+    with pytest.raises(ConnectError):
+        run_tuning(part, "compass", budget=8, seed=7, options=options,
+                   executor=InterruptingExecutor(make_executor(part, 7), allow=2))
+    resume_session(part)
+    assert sequence(part) == sequence(full)
+
+
 @pytest.mark.parametrize("old, new, error, key", [
     ("budget=6", "budget=abc", BadValueError, "budget"),
     ("opt_initial_step=0.5", "opt_initial_step=abc", BadValueError, "opt_initial_step"),
@@ -452,3 +503,52 @@ def test_aggregate_refuses_while_a_session_holds_the_lock(tmp_path):
         with pytest.raises(LockHeldError):
             aggregate_history(project)
     assert {name: (hist / name).read_bytes() for name in before} == before
+
+
+# --- numpy loads only for the unit-cube codec ----------------------------------
+
+NUMPY_FREE_CHILD = r"""
+import sys
+
+import jobtuner
+from doubles import ScriptedTransport
+from jobtuner.executors.remote import RemoteExecutor
+from jobtuner.history import read_raw_records
+from jobtuner.reports import write_convergence, write_surface
+from jobtuner.session import aggregate_history, resume_session, run_tuning
+
+project = jobtuner.load_project(sys.argv[1])
+executor = RemoteExecutor(project.space, project.env, project.root,
+                          transport=ScriptedTransport(hadoop_stdout="job done\n"))
+summary = run_tuning(project, "grid", budget=4, executor=executor)
+assert summary.trial_count == 4 and summary.best is not None
+assert resume_session(project, executor).trial_count == 4
+assert aggregate_history(project) == 4
+records = read_raw_records(project.root, project.space)
+write_surface(project.root, records, "a", "b", project.space)
+write_convergence(project.root, records)
+assert "numpy" not in sys.modules, "a remote grid session loaded numpy"
+
+from jobtuner.search import make_searcher
+make_searcher("compass", project.space)
+assert "numpy" in sys.modules, "compass searched without numpy"
+"""
+
+
+def test_remote_grid_session_never_loads_numpy(tmp_path):
+    root = tmp_path / "proj"
+    root.mkdir()
+    (root / "params.conf").write_text(SMALL_GRID_PARAMS)
+    (root / "job.conf").write_text("executor=remote\njar=app.jar\nmain_entry=WordCount\n")
+    (root / "HadoopEnv.txt").write_text(
+        "master=192.168.1.10\nport=22\nuser=hadoop\nkey_path=/keys/id_ed25519\n"
+        "remote_workdir=/tmp/staging\nhadoop_home=/usr/local/hadoop\n"
+        "history_log_dir=/var/log/hadoop-yarn/aggregated\n"
+    )
+    (root / "app.jar").write_bytes(b"fake jar bytes")
+    env = dict(os.environ)
+    paths = [str(Path(jobtuner.__file__).parents[1]), str(Path(__file__).parent)]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [*paths, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", NUMPY_FREE_CHILD, str(root)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
