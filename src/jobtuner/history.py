@@ -33,6 +33,7 @@ import fcntl
 import json
 import math
 import os
+import statistics
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -46,7 +47,7 @@ from .errors import (
     LockHeldError,
     ManifestMissingError,
 )
-from .executors.base import TrialResult
+from .executors.base import STATUS_SUCCESS, TrialResult
 from .paramspace import KIND_CAT, KIND_FLOAT, KIND_INT, ParamSpace
 from .project import parse_kv_file
 
@@ -77,6 +78,13 @@ class TrialRecord:
     def search_objective(self) -> float:
         """What searchers see: the aggregate, or +inf for failed trials."""
         return self.aggregate_s if self.aggregate_s is not None else math.inf
+
+
+def aggregate_reps(result: TrialResult) -> float | None:
+    """Median of the repetition times for successes, None (FAILED) otherwise."""
+    if result.status != STATUS_SUCCESS:
+        return None
+    return float(statistics.median(result.rep_times_s))
 
 
 def history_dir(project_root: str | Path) -> Path:
@@ -270,7 +278,8 @@ def _parse_journal(fh: BinaryIO, space: ParamSpace) -> tuple[list[TrialRecord], 
     Returns the records and the byte length of the lines that held them.
     Raises HistoryCorruptError, naming the last valid trial_id, when a
     terminated line does not parse, its point names other parameters than
-    the space, or the ids are not 1, 2, 3, ...
+    the space, its aggregate is not what aggregate_reps makes of its result,
+    its phase times are not finite numbers, or the ids are not 1, 2, 3, ...
     """
     names = space.names()
     declared = set(names)
@@ -281,15 +290,24 @@ def _parse_journal(fh: BinaryIO, space: ParamSpace) -> tuple[list[TrialRecord], 
             break
         try:
             d = json.loads(line)
+            phases = d["phase_times_s"]
+            if phases is not None and not all(
+                    type(t) in (int, float) and math.isfinite(t) for t in phases.values()):
+                raise ValueError(f"phase times {phases} are not finite numbers")
             result = TrialResult(status=sys.intern(d["status"]), rep_times_s=d["rep_times_s"],
-                                 phase_times_s=d["phase_times_s"],
+                                 phase_times_s=phases,
                                  result_dir=d["result_dir"], log_ref=d["log_ref"])
+            # JSON round-trips floats exactly, so the recorded median compares equal
+            aggregate = aggregate_reps(result)
+            if d["aggregate_s"] != aggregate:
+                raise ValueError(f"aggregate_s {d['aggregate_s']!r} is not the "
+                                 f"trial's aggregate {aggregate!r}")
             values = d["point"]
             if values.keys() != declared:
                 raise ValueError(f"point parameters {sorted(values)} are not the space's {names}")
             point = space.make_point(tuple([values[name] for name in names]))
             record = TrialRecord(trial_id=d["trial_id"], point=point,
-                                 result=result, aggregate_s=d["aggregate_s"],
+                                 result=result, aggregate_s=aggregate,
                                  strategy_id=sys.intern(d["strategy"]),
                                  timestamp=datetime.fromisoformat(d["timestamp_utc"]))
         except (ValueError, KeyError, TypeError, AttributeError) as exc:

@@ -38,7 +38,6 @@ class Searcher(ABC):
     """Sequential proposer of trial points over one parameter space."""
 
     strategy_id: ClassVar[str]
-    options_type: ClassVar[type | None] = None  # the strategy's options dataclass
 
     def __init_subclass__(cls, **kwargs):
         # every strategy class holds propose/update in its own __dict__, so

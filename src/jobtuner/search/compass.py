@@ -2,13 +2,12 @@
 
 Polls the 2d axis neighbours of the incumbent at the current step size;
 moves on strict improvement, halves the step otherwise, and stops once the
-step drops below min_step. The incumbent's encoded coordinate is kept
+step drops below MIN_STEP. The incumbent's encoded coordinate is kept
 continuous; snapping happens only when a poll is decoded for execution.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -17,26 +16,15 @@ from ..paramspace import ParamSpace, TrialPoint
 from .base import Searcher
 
 
-@dataclass(frozen=True)
-class CompassOptions:
-    initial_step: float = 0.25
-    min_step: float = 1.0 / 256.0
-    expand_on_success: bool = False
-
-    def __post_init__(self):
-        if not 0.0 < self.initial_step <= 1.0:
-            raise ValueError("initial_step must be in (0, 1]")
-        if self.min_step <= 0 or self.min_step > self.initial_step:
-            raise ValueError("min_step must satisfy 0 < min_step <= initial_step")
+INITIAL_STEP = 0.25
+MIN_STEP = 1.0 / 256.0
 
 
 class CompassSearcher(Searcher):
     strategy_id: ClassVar[str] = "compass"
-    options_type = CompassOptions
 
-    def __init__(self, space: ParamSpace, options: CompassOptions | None = None):
-        self._opts = options or CompassOptions()
-        self._step = self._opts.initial_step
+    def __init__(self, space: ParamSpace):
+        self._step = INITIAL_STEP
         self._incumbent_u = space.encode_point(space.default_point())
         self._incumbent_f: float | None = None
         super().__init__(space)
@@ -61,7 +49,7 @@ class CompassSearcher(Searcher):
     def _search(self):
         # the incumbent itself is evaluated first; polling starts afterwards
         self._incumbent_f = yield self._ask(self._incumbent_u)
-        while self._step >= self._opts.min_step:
+        while self._step >= MIN_STEP:
             polls = self._build_polls()
             if not polls:  # an empty poll set counts as a failed iteration
                 self._step /= 2.0
@@ -72,8 +60,6 @@ class CompassSearcher(Searcher):
             best = int(np.argmin(values))
             if values[best] < self._incumbent_f:  # strict; ties keep the incumbent
                 self._incumbent_u, self._incumbent_f = polls[best][0], values[best]
-                if self._opts.expand_on_success:
-                    self._step = min(self._step * 2.0, 1.0)
             else:
                 self._step /= 2.0
 

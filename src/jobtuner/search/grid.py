@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import ClassVar
 
-from ..paramspace import ParamSpace
 from .base import Searcher
 
 
@@ -16,9 +15,6 @@ class GridSearcher(Searcher):
     """
 
     strategy_id: ClassVar[str] = "grid"
-
-    def __init__(self, space: ParamSpace, options=None):
-        super().__init__(space)
 
     def _search(self):
         yield from self._space.iter_grid()

@@ -8,7 +8,6 @@ measured is answered from that measurement, not run again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -17,24 +16,12 @@ from ..paramspace import ParamSpace
 from .base import Searcher
 
 
-@dataclass(frozen=True)
-class NelderMeadOptions:
-    alpha: float = 1.0   # reflection
-    gamma: float = 2.0   # expansion
-    beta: float = 0.5    # contraction
-    sigma: float = 0.5   # shrink
-    init_offset: float = 0.1
-    spread_tol: float = 1e-3
-
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be > 0")
-        if self.gamma <= 1:
-            raise ValueError("gamma must be > 1")
-        if not 0 < self.beta < 1:
-            raise ValueError("beta must be in (0, 1)")
-        if not 0 < self.sigma < 1:
-            raise ValueError("sigma must be in (0, 1)")
+ALPHA = 1.0   # reflection
+GAMMA = 2.0   # expansion
+BETA = 0.5    # contraction
+SIGMA = 0.5   # shrink
+INIT_OFFSET = 0.1
+SPREAD_TOL = 1e-3
 
 
 def initial_simplex(space: ParamSpace, offset: float) -> list[np.ndarray]:
@@ -64,31 +51,29 @@ def _max_spread(vertices: list[tuple[np.ndarray, float]]) -> float:
 
 class NelderMeadSearcher(Searcher):
     strategy_id: ClassVar[str] = "nelder-mead"
-    options_type = NelderMeadOptions
 
-    def __init__(self, space: ParamSpace, options: NelderMeadOptions | None = None):
-        self._opts = options or NelderMeadOptions()
+    def __init__(self, space: ParamSpace):
         self._vertices: list[tuple[np.ndarray, float]] = []
         super().__init__(space)
 
     def _search(self):
-        opts, vertices = self._opts, self._vertices
-        for u in initial_simplex(self._space, opts.init_offset):
+        vertices = self._vertices
+        for u in initial_simplex(self._space, INIT_OFFSET):
             vertices.append((u, (yield self._ask(u))))
-        while _max_spread(vertices) >= opts.spread_tol:
+        while _max_spread(vertices) >= SPREAD_TOL:
             vertices.sort(key=lambda vf: vf[1])
             worst_u, worst_f = vertices[-1]
             centroid = np.mean([u for u, _ in vertices[:-1]], axis=0)
-            ur = np.clip(centroid + opts.alpha * (centroid - worst_u), 0.0, 1.0)
+            ur = np.clip(centroid + ALPHA * (centroid - worst_u), 0.0, 1.0)
             fr = yield self._ask(ur)
             if fr < vertices[0][1]:
-                ue = np.clip(centroid + opts.gamma * (ur - centroid), 0.0, 1.0)
+                ue = np.clip(centroid + GAMMA * (ur - centroid), 0.0, 1.0)
                 fe = yield self._ask(ue)
                 vertices[-1] = (ue, fe) if fe < fr else (ur, fr)
             elif fr < vertices[-2][1]:
                 vertices[-1] = (ur, fr)
             else:
-                uc = np.clip(centroid + opts.beta * (worst_u - centroid), 0.0, 1.0)
+                uc = np.clip(centroid + BETA * (worst_u - centroid), 0.0, 1.0)
                 fc = yield self._ask(uc)
                 # accept only if the contraction beats both the worst vertex and
                 # the rejected reflection; otherwise shrink toward the best
@@ -98,7 +83,7 @@ class NelderMeadSearcher(Searcher):
                     best_u = vertices[0][0]
                     shrunk = []
                     for u, _ in vertices[1:]:
-                        us = np.clip(best_u + opts.sigma * (u - best_u), 0.0, 1.0)
+                        us = np.clip(best_u + SIGMA * (u - best_u), 0.0, 1.0)
                         shrunk.append((us, (yield self._ask(us))))
                     vertices[1:] = shrunk
 

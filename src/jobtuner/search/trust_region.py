@@ -12,7 +12,6 @@ minimum-norm Hessian updates.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import ClassVar, Iterator
 
 import numpy as np
@@ -20,20 +19,10 @@ import numpy as np
 from ..paramspace import ParamSpace
 from .base import Searcher
 
+INITIAL_RADIUS = 0.25
+RHO_MIN = 1e-3
 MAX_RADIUS = 0.5
 _NULL_STEP = 1e-12
-
-
-@dataclass(frozen=True)
-class TrustRegionOptions:
-    initial_radius: float = 0.25
-    rho_min: float = 1e-3
-
-    def __post_init__(self):
-        if not 0 < self.initial_radius <= MAX_RADIUS:
-            raise ValueError(f"initial_radius must be in (0, {MAX_RADIUS}]")
-        if not 0 < self.rho_min <= self.initial_radius:
-            raise ValueError("rho_min must satisfy 0 < rho_min <= initial_radius")
 
 
 def fit_diagonal_quadratic(
@@ -43,9 +32,9 @@ def fit_diagonal_quadratic(
     t = points - center
     m, d = t.shape
     design = np.hstack([np.ones((m, 1)), t, 0.5 * t * t])
-    if np.linalg.matrix_rank(design) < 2 * d + 1:
+    coef, _, rank, _ = np.linalg.lstsq(design, values, rcond=None)
+    if rank < 2 * d + 1:
         return None
-    coef, *_ = np.linalg.lstsq(design, values, rcond=None)
     return float(coef[0]), coef[1 : d + 1].copy(), coef[d + 1 :].copy()
 
 
@@ -110,11 +99,9 @@ def initial_seeds(space: ParamSpace, radius: float) -> list[np.ndarray]:
 
 class TrustRegionSearcher(Searcher):
     strategy_id: ClassVar[str] = "bobyqa-lite"
-    options_type = TrustRegionOptions
 
-    def __init__(self, space: ParamSpace, options: TrustRegionOptions | None = None):
-        self._opts = options or TrustRegionOptions()
-        self._radius = self._opts.initial_radius
+    def __init__(self, space: ParamSpace):
+        self._radius = INITIAL_RADIUS
         self._points: list[np.ndarray] = []
         self._values: list[float] = []
         self._center_idx = 0
@@ -179,11 +166,10 @@ class TrustRegionSearcher(Searcher):
     def _search(self):
         """Fit, minimize in the box, evaluate; fall back to geometry points.
 
-        The radius only halves while it stays >= rho_min, so it is within
-        [rho_min, MAX_RADIUS] for the whole search; the search returns
-        instead of going below rho_min.
+        The radius only halves while it stays >= RHO_MIN, so it is within
+        [RHO_MIN, MAX_RADIUS] for the whole search; the search returns
+        instead of going below RHO_MIN.
         """
-        opts = self._opts
         for u in initial_seeds(self._space, self._radius):
             f = yield self._ask(u)
             self._points.append(u)
@@ -203,7 +189,7 @@ class TrustRegionSearcher(Searcher):
             step = float(np.max(np.abs(u_plus - center)))
             if step < _NULL_STEP:
                 # model sees no improvement inside the box: trust it less
-                if self._radius / 2.0 < opts.rho_min:
+                if self._radius / 2.0 < RHO_MIN:
                     return
                 self._radius /= 2.0
                 continue
@@ -223,7 +209,7 @@ class TrustRegionSearcher(Searcher):
                 self._replace(self._farthest(center, protect_center=True), u_plus, f)
 
             if rho < 0.25:
-                if self._radius / 2.0 < opts.rho_min:
+                if self._radius / 2.0 < RHO_MIN:
                     return
                 self._radius /= 2.0
             elif rho > 0.75 and step >= self._radius * (1.0 - 1e-9):  # on the box edge

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import statistics
 import time
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
@@ -26,7 +25,7 @@ from .errors import (
     SessionExistsError,
     SpaceMismatchError,
 )
-from .executors.base import Executor, TrialResult, STATUS_SUCCESS
+from .executors.base import Executor, TrialResult
 from .executors.local import LocalExecutor
 from .executors.remote import RemoteExecutor
 from .executors.synthetic import SyntheticExecutor
@@ -35,6 +34,7 @@ from .history import (
     HistoryWriter,
     SessionLock,
     TrialRecord,
+    aggregate_reps,
     manifest_exists,
     read_manifest,
     read_raw_records,
@@ -44,7 +44,7 @@ from .history import (
 from .paramspace import ParamSpace
 from .project import Project, parse_int
 from .reports import write_convergence
-from .search import Searcher, make_searcher, options_from_dict, options_to_dict
+from .search import Searcher, make_searcher
 
 log = logging.getLogger(__name__)
 
@@ -59,13 +59,6 @@ class SessionSummary:
     best: TrialRecord | None
     wall_time_s: float
     status: str
-
-
-def aggregate_reps(result: TrialResult) -> float | None:
-    """Median of the repetition times for successes, None (FAILED) otherwise."""
-    if result.status != STATUS_SUCCESS:
-        return None
-    return float(statistics.median(result.rep_times_s))
 
 
 def best_of(records: list[TrialRecord]) -> TrialRecord:
@@ -111,14 +104,13 @@ class _TuningLoop:
     """Shared driver for fresh runs and resumes."""
 
     def __init__(self, project: Project, strategy_id: str, budget: int,
-                 seed: int | None, options, executor: Executor | None):
+                 seed: int | None, executor: Executor | None):
         self.project = project
         self.strategy_id = strategy_id
         self.budget = budget
         self.seed = seed
-        self.options = options
         self.executor = executor if executor is not None else make_executor(project, seed)
-        self.searcher: Searcher = make_searcher(strategy_id, project.space, options)
+        self.searcher: Searcher = make_searcher(strategy_id, project.space)
         self.records: list[TrialRecord] = []
         # each point key's first recorded result, which answers every repeat
         self._measured: dict[tuple, TrialResult] = {}
@@ -131,7 +123,6 @@ class _TuningLoop:
             "budget": self.budget,
             "space_hash": space_hash(self.project.space),
             "status": status,
-            **options_to_dict(self.strategy_id, self.options),
         }
         write_manifest(self.project.root, entries)
 
@@ -147,7 +138,7 @@ class _TuningLoop:
             if proposal is None or space.point_key(proposal) != key:
                 raise HistoryCorruptError(
                     f"recorded trial {r.trial_id} does not replay from the manifest's "
-                    f"strategy/options (expected {proposal}, recorded {r.point})",
+                    f"strategy (expected {proposal}, recorded {r.point})",
                     r.trial_id - 1,
                 )
             self.searcher.update(proposal, r.search_objective)
@@ -189,7 +180,6 @@ def run_tuning(
     strategy_id: str,
     budget: int,
     seed: int | None = None,
-    options=None,
     executor: Executor | None = None,
 ) -> SessionSummary:
     """Run a fresh tuning session to completion (searcher done or budget).
@@ -201,13 +191,15 @@ def run_tuning(
     """
     if budget < 1:
         raise InvalidBudgetError(f"budget must be >= 1, got {budget}")
-    if manifest_exists(project.root):
-        raise SessionExistsError(
-            f"{project.root} already contains a session; use resume or aggregate"
-        )
-    loop = _TuningLoop(project, strategy_id, budget, seed, options, executor)
+    loop = _TuningLoop(project, strategy_id, budget, seed, executor)
     started = time.perf_counter()
     with SessionLock(project.root):
+        # under the lock, so no other session can start between this check
+        # and the manifest write that claims the directory
+        if manifest_exists(project.root):
+            raise SessionExistsError(
+                f"{project.root} already contains a session; use resume or aggregate"
+            )
         return _drive(loop, started)
 
 
@@ -215,11 +207,12 @@ def resume_session(project: Project, executor: Executor | None = None) -> Sessio
     """Continue an interrupted session from its durable history.
 
     Replays the recorded trials through a fresh searcher built from the
-    manifest's strategy, options and seed, then keeps tuning; on
+    manifest's strategy and seed, then keeps tuning; on
     deterministic executors the combined run is trial-for-trial identical
     to an uninterrupted one. Raises MissingKeyError or BadValueError, naming
     the key, for a manifest entry that is absent or malformed; entries it
-    does not read, such as a flag older versions wrote, are ignored.
+    does not read, such as the memoize flag and opt_* settings older
+    versions wrote, are ignored.
     """
     manifest = read_manifest(project.root)
     if manifest.get("space_hash") != space_hash(project.space):
@@ -232,9 +225,8 @@ def resume_session(project: Project, executor: Executor | None = None) -> Sessio
     budget = parse_int(manifest, "budget", filename=MANIFEST_FILE)
     # an empty seed is a session run without one
     seed = parse_int(manifest, "seed", filename=MANIFEST_FILE) if manifest.get("seed") else None
-    options = options_from_dict(strategy_id, manifest, MANIFEST_FILE)
 
-    loop = _TuningLoop(project, strategy_id, budget, seed, options, executor)
+    loop = _TuningLoop(project, strategy_id, budget, seed, executor)
     started = time.perf_counter()
     with SessionLock(project.root):
         return _drive(loop, started)

@@ -24,7 +24,7 @@ from jobtuner.history import HistoryWriter, read_trials
 from jobtuner.paramspace import TrialPoint, parse_param_file
 from jobtuner.project import load_project
 from jobtuner.reports import convergence_series, surface_table, write_convergence
-from jobtuner.search.trust_region import TrustRegionOptions, TrustRegionSearcher
+from jobtuner.search.trust_region import RHO_MIN, TrustRegionSearcher
 from jobtuner.session import (
     aggregate_history,
     best_of,
@@ -160,15 +160,14 @@ def test_criterion_4_trust_region_4d_bowl(tmp_path):
     tolerance = 1e-4 * objective_range
 
     # replay the recorded run to observe the radius at every iteration
-    opts = TrustRegionOptions()
-    searcher = TrustRegionSearcher(project.space, opts)
+    searcher = TrustRegionSearcher(project.space)
     radii_ok = True
     for r in records:
         if searcher.done:
             break
-        radii_ok = radii_ok and (opts.rho_min <= searcher.state()["radius"] <= 0.5)
+        radii_ok = radii_ok and (RHO_MIN <= searcher.state()["radius"] <= 0.5)
         searcher.update(searcher.propose(), r.search_objective)
-    radii_ok = radii_ok and (searcher.done or opts.rho_min <= searcher.state()["radius"] <= 0.5)
+    radii_ok = radii_ok and (searcher.done or RHO_MIN <= searcher.state()["radius"] <= 0.5)
 
     write_convergence(project.root, records)
     bests = [row[2] for row in convergence_series(records) if row[2] is not None]

@@ -9,13 +9,10 @@ import pytest
 from jobtuner.executors.synthetic import SurfaceSpec, synthetic_eval
 from jobtuner.paramspace import parse_param_file
 from jobtuner.search import nelder_mead
-from jobtuner.search.nelder_mead import (
-    NelderMeadOptions,
-    NelderMeadSearcher,
-    initial_simplex,
-)
+from jobtuner.search.nelder_mead import NelderMeadSearcher, initial_simplex
 from jobtuner.search.trust_region import (
-    TrustRegionOptions,
+    MAX_RADIUS,
+    RHO_MIN,
     TrustRegionSearcher,
     fit_diagonal_quadratic,
     minimize_quadratic_in_box,
@@ -167,17 +164,6 @@ def test_nelder_mead_replay_determinism():
         assert UNIT_SQUARE.point_key(a) == UNIT_SQUARE.point_key(b)
 
 
-def test_nelder_mead_option_validation():
-    with pytest.raises(ValueError):
-        NelderMeadOptions(alpha=0)
-    with pytest.raises(ValueError):
-        NelderMeadOptions(gamma=1.0)
-    with pytest.raises(ValueError):
-        NelderMeadOptions(beta=1.0)
-    with pytest.raises(ValueError):
-        NelderMeadOptions(sigma=0.0)
-
-
 # --- trust region: model fit and box subproblem ----------------------------------
 
 def test_fit_matches_linear_solve_oracle_1d():
@@ -270,7 +256,7 @@ def test_seed_set_size_and_collision_perturbation():
     boundary = parse_param_file(
         "a float min=0 max=1 step=1e-6 default=1.0\nb float min=0 max=1 step=1e-6 default=0.5"
     )
-    searcher = TrustRegionSearcher(boundary, TrustRegionOptions(initial_radius=0.25))
+    searcher = TrustRegionSearcher(boundary)
     proposed = []
     for _ in range(7):  # the 2d + 1 seeds, then two more proposals
         proposed.append(searcher.state()["pending_u"])
@@ -290,7 +276,7 @@ def test_seed_set_size_and_collision_perturbation():
 def run_tr_setup(values_by_u=None):
     """Seed a 1D trust-region searcher with f(u) = u^2 so the fit is exact."""
     space = parse_param_file("x float min=0 max=1 step=1e-9 default=0.5")
-    searcher = TrustRegionSearcher(space, TrustRegionOptions(initial_radius=0.2))
+    searcher = TrustRegionSearcher(space)
 
     def f(point):
         return float(point["x"]) ** 2
@@ -303,26 +289,26 @@ def run_tr_setup(values_by_u=None):
 
 def test_rho_small_halves_radius():
     space, searcher = run_tr_setup()
-    # seeds are 0.5, 0.7, 0.3 with f = u^2, so the center moves to the best
-    # seed 0.3; the exact model's box minimizer is the lower edge 0.1 and the
-    # predicted decrease is q(0.3) - q(0.1) = 0.09 - 0.01 = 0.08
+    # seeds are 0.5, 0.75, 0.25 with f = u^2, so the center moves to the best
+    # seed 0.25; the exact model's box minimizer is the lower edge 0 and the
+    # predicted decrease is q(0.25) - q(0) = 0.0625
     point = searcher.propose()
-    assert space.encode_point(point)[0] == pytest.approx(0.1, abs=1e-6)
-    f0 = 0.09
+    assert space.encode_point(point)[0] == pytest.approx(0.0, abs=1e-6)
+    f0 = 0.0625
     predicted = searcher.state()["predicted"]
-    assert predicted == pytest.approx(0.08, abs=1e-9)
+    assert predicted == pytest.approx(0.0625, abs=1e-9)
     target_f = f0 - 0.1 * predicted  # rho = 0.1
     searcher.update(point, target_f)
-    assert searcher.state()["radius"] == pytest.approx(0.1)
+    assert searcher.state()["radius"] == pytest.approx(0.125)
 
 
 def test_rho_large_with_boundary_step_doubles_radius():
     space, searcher = run_tr_setup()
     point = searcher.propose()
     predicted = searcher.state()["predicted"]
-    target_f = 0.09 - 0.9 * predicted  # rho = 0.9, step hit the box edge
+    target_f = 0.0625 - 0.9 * predicted  # rho = 0.9, step hit the box edge
     searcher.update(point, target_f)
-    assert searcher.state()["radius"] == pytest.approx(0.4)
+    assert searcher.state()["radius"] == pytest.approx(0.5)
 
 
 def test_radius_never_exceeds_cap():
@@ -336,7 +322,7 @@ def test_radius_never_exceeds_cap():
         predicted = searcher.state()["predicted"]
         f0 = searcher.state()["center_f"]
         searcher.update(point, f0 - 0.9 * (predicted or 0.0))
-        assert searcher.state()["radius"] <= 0.5 + 1e-12
+        assert searcher.state()["radius"] <= MAX_RADIUS + 1e-12
 
 
 def test_trust_region_descent_on_deterministic_bowl():
@@ -362,15 +348,14 @@ def test_trust_region_descent_on_deterministic_bowl():
 
 def test_radius_stays_within_bounds_for_noisy_runs():
     rng = random.Random(17)
-    opts = TrustRegionOptions(initial_radius=0.25, rho_min=1e-3)
-    searcher = TrustRegionSearcher(UNIT_SQUARE, opts)
+    searcher = TrustRegionSearcher(UNIT_SQUARE)
     seen_best = math.inf
     trials = 0
     while not searcher.done:
         point = searcher.propose()
         if point is None:
             break
-        assert opts.rho_min <= searcher.state()["radius"] <= 0.5
+        assert RHO_MIN <= searcher.state()["radius"] <= MAX_RADIUS
         value = rng.uniform(0, 100)
         searcher.update(point, value)
         # the interpolation set keeps the best point seen so far at its center

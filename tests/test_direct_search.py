@@ -8,7 +8,7 @@ import pytest
 
 from jobtuner.errors import StateCorruptError
 from jobtuner.paramspace import TrialPoint, parse_param_file
-from jobtuner.search.compass import CompassOptions, CompassSearcher
+from jobtuner.search.compass import INITIAL_STEP, MIN_STEP, CompassSearcher
 from jobtuner.search.grid import GridSearcher
 
 GRID_SPACE = parse_param_file("tasks int min=1 max=4 step=1\ncompress cat values=true,false")
@@ -93,7 +93,7 @@ def test_compass_first_proposal_is_default_incumbent():
 
 
 def test_compass_poll_set_axis_offsets():
-    searcher = CompassSearcher(UNIT_SQUARE, CompassOptions(initial_step=0.25))
+    searcher = CompassSearcher(UNIT_SQUARE)
     searcher.update(searcher.propose(), 10.0)  # incumbent value
     polls = []
     for _ in range(4):
@@ -109,7 +109,7 @@ def test_compass_poll_set_axis_offsets():
 
 
 def test_compass_step_halves_without_improvement():
-    searcher = CompassSearcher(UNIT_SQUARE, CompassOptions(initial_step=0.25))
+    searcher = CompassSearcher(UNIT_SQUARE)
     searcher.update(searcher.propose(), 10.0)
     for _ in range(4):
         searcher.update(searcher.propose(), 99.0)
@@ -117,7 +117,7 @@ def test_compass_step_halves_without_improvement():
 
 
 def test_compass_tie_keeps_incumbent():
-    searcher = CompassSearcher(UNIT_SQUARE, CompassOptions(initial_step=0.25))
+    searcher = CompassSearcher(UNIT_SQUARE)
     searcher.update(searcher.propose(), 10.0)
     for _ in range(4):
         searcher.update(searcher.propose(), 10.0)  # exact tie, not strict improvement
@@ -129,7 +129,7 @@ def test_compass_boundary_incumbent_skips_clamped_duplicate():
     space = parse_param_file(
         "a float min=0 max=1 step=1e-6 default=1.0\nb float min=0 max=1 step=1e-6 default=0.5"
     )
-    searcher = CompassSearcher(space, CompassOptions(initial_step=0.25))
+    searcher = CompassSearcher(space)
     searcher.update(searcher.propose(), 10.0)
     polls = []
     for _ in range(3):
@@ -146,7 +146,7 @@ def test_compass_boundary_incumbent_skips_clamped_duplicate():
 
 
 def test_compass_moves_incumbent_on_strict_improvement():
-    searcher = CompassSearcher(UNIT_SQUARE, CompassOptions(initial_step=0.25))
+    searcher = CompassSearcher(UNIT_SQUARE)
     searcher.update(searcher.propose(), 10.0)
     values = iter([9.0, 99.0, 99.0, 99.0])
     for v in values:
@@ -155,17 +155,7 @@ def test_compass_moves_incumbent_on_strict_improvement():
     u, f = state["incumbent_u"], state["incumbent_f"]
     assert tuple(u) == pytest.approx((0.75, 0.5))
     assert f == 9.0
-    assert searcher.state()["step"] == pytest.approx(0.25)  # no expansion by default
-
-
-def test_compass_expand_on_success():
-    searcher = CompassSearcher(
-        UNIT_SQUARE, CompassOptions(initial_step=0.25, expand_on_success=True)
-    )
-    searcher.update(searcher.propose(), 10.0)
-    for v in [9.0, 99.0, 99.0, 99.0]:
-        searcher.update(searcher.propose(), v)
-    assert searcher.state()["step"] == pytest.approx(0.5)
+    assert searcher.state()["step"] == pytest.approx(0.25)  # a success keeps the step
 
 
 def test_compass_monotone_incumbent_on_deterministic_objective():
@@ -188,8 +178,7 @@ def test_compass_monotone_incumbent_on_deterministic_objective():
 
 
 def test_compass_termination_bound_on_hostile_objective():
-    opts = CompassOptions(initial_step=0.25, min_step=1 / 256)
-    searcher = CompassSearcher(UNIT_SQUARE, opts)
+    searcher = CompassSearcher(UNIT_SQUARE)
     searcher.update(searcher.propose(), 1.0)
     # everything is worse than the incumbent: only halving can happen
     failing_iters = 0
@@ -204,7 +193,7 @@ def test_compass_termination_bound_on_hostile_objective():
         failing_iters += 1
     # halvings until the step drops below min_step: 0.25 / 2^k < 1/256 -> k = 7
     assert failing_iters == 7
-    assert failing_iters <= math.ceil(math.log2(opts.initial_step / opts.min_step)) + 1
+    assert failing_iters <= math.ceil(math.log2(INITIAL_STEP / MIN_STEP)) + 1
 
 
 def test_compass_replay_determinism():

@@ -24,6 +24,7 @@ from jobtuner.history import (
     HistoryWriter,
     SessionLock,
     TrialRecord,
+    aggregate_reps,
     read_manifest,
     read_raw_records,
     read_trials,
@@ -31,7 +32,6 @@ from jobtuner.history import (
     write_manifest,
 )
 from jobtuner.paramspace import ParamSpace, ParamSpec, TrialPoint
-from jobtuner.session import aggregate_reps
 
 # categorical values deliberately include CSV-hostile characters
 SPACE = ParamSpace((
@@ -212,9 +212,19 @@ def test_journal_damage_names_last_valid_trial(tmp_path, damage):
         HistoryWriter(tmp_path, SPACE)
 
 
-@pytest.mark.parametrize("times", [[math.nan], [1.0, math.nan], [math.inf, 2.0, 3.0], []],
-                         ids=["nan", "nan_after_finite", "inf", "empty"])
-def test_journal_success_with_non_finite_time_is_corrupt(tmp_path, times):
+@pytest.mark.parametrize("fields", [
+    {"rep_times_s": [math.nan]},
+    {"rep_times_s": [1.0, math.nan]},
+    {"rep_times_s": [math.inf, 2.0, 3.0]},
+    {"rep_times_s": []},
+    {"aggregate_s": "abc"},
+    {"rep_times_s": [1.0, 2.0, 4.0], "aggregate_s": 3.0},  # the median is 2.0
+    {"status": "failed"},  # a failure has no aggregate
+    {"phase_times_s": {"map": "abc"}},
+    {"phase_times_s": {"map": 1.0, "reduce": math.nan}},
+], ids=["nan", "nan_after_finite", "inf", "empty", "aggregate_not_a_number",
+        "aggregate_not_the_median", "aggregate_of_a_failure", "phase_not_a_number", "phase_nan"])
+def test_journal_success_with_non_finite_time_is_corrupt(tmp_path, fields):
     rng = random.Random(7)
     writer = HistoryWriter(tmp_path, SPACE)
     for i in range(1, 4):
@@ -222,7 +232,8 @@ def test_journal_success_with_non_finite_time_is_corrupt(tmp_path, times):
     path = tmp_path / "history" / "journal.jsonl"
     lines = path.read_bytes().splitlines(keepends=True)
     entry = json.loads(lines[1])
-    entry.update(status="success", rep_times_s=times, aggregate_s=2.0)
+    entry.update(status="success", rep_times_s=[2.0], aggregate_s=2.0, phase_times_s=None)
+    entry.update(fields)
     lines[1] = (json.dumps(entry, sort_keys=True) + "\n").encode()  # NaN and Infinity literals
     path.write_bytes(b"".join(lines))
     with pytest.raises(HistoryCorruptError, match="^journal line 2 unreadable") as exc:

@@ -1,8 +1,8 @@
 """Pinned proposal sequences, and a lazy grid walk over a 10^8-point lattice.
 
-Each strategy's first 80 proposals on one fixed problem are pinned by a
-sha256 digest of their point keys, so any change to what a searcher proposes
-shows up here. The float lattice (step 1/256) is exact in binary, so the
+Each strategy's proposals on one fixed problem, up to 80 of them, are
+pinned by a sha256 digest of their point keys and by their count, so any
+change to what a searcher proposes shows up here. The float lattice (step 1/256) is exact in binary, so the
 digests do not depend on how lattice values are rounded at the top.
 """
 
@@ -17,7 +17,7 @@ import pytest
 from helpers import bowl_job_conf, write_synthetic_project
 from jobtuner.history import read_trials
 from jobtuner.paramspace import parse_param_file
-from jobtuner.search import CompassOptions, TrustRegionOptions, make_searcher
+from jobtuner.search import make_searcher
 from jobtuner.session import run_tuning
 
 SPACE = parse_param_file(
@@ -26,19 +26,13 @@ SPACE = parse_param_file(
     "x float min=0 max=1 step=0.00390625 default=0.5\n"
 )
 
-# options chosen so that every strategy is still proposing at trial 80
-OPTIONS = {
-    "grid": None,
-    "compass": CompassOptions(expand_on_success=True),
-    "nelder-mead": None,
-    "bobyqa-lite": TrustRegionOptions(initial_radius=0.5, rho_min=1e-5),
-}
-
+# strategy -> (proposals made, capped at 80; sha256 of their point keys);
+# compass and bobyqa-lite converge and stop before trial 80
 DIGESTS = {
-    "grid": "da7ed7ba4aa447b9160cf723f944e60e185922074163b564f264836053b8c446",
-    "compass": "5081eae8ce9082746816cbf27222568932fd22188ac8008dc4f8dd3143ead606",
-    "nelder-mead": "862cb22598484c22ec293cba3b4dd942d3cc1106ec6e7952f6bc2654fc583b31",
-    "bobyqa-lite": "d9ca143014ef9a67d6550d2169ceea33857507bce72f15b1fc8f81d56d5e4731",
+    "grid": (80, "da7ed7ba4aa447b9160cf723f944e60e185922074163b564f264836053b8c446"),
+    "compass": (66, "135cc1c54c81f963a7752177991925c7bec391bceee8cb665ad1f0a27e11bc5c"),
+    "nelder-mead": (80, "862cb22598484c22ec293cba3b4dd942d3cc1106ec6e7952f6bc2654fc583b31"),
+    "bobyqa-lite": (26, "f8b0d300717c84c48aa9a3f574510e8b09ca4d6c8cc7a84692827fc14faf1c3c"),
 }
 
 
@@ -52,13 +46,12 @@ def objective(point) -> float:
 
 @pytest.mark.parametrize("strategy_id", sorted(DIGESTS))
 def test_first_80_proposals_are_pinned(strategy_id):
-    searcher = make_searcher(strategy_id, SPACE, OPTIONS[strategy_id])
+    searcher = make_searcher(strategy_id, SPACE)
     keys = []
     while len(keys) < 80 and (point := searcher.propose()) is not None:
         keys.append(SPACE.point_key(point))
         searcher.update(point, objective(point))
-    assert len(keys) == 80
-    assert hashlib.sha256(repr(keys).encode()).hexdigest() == DIGESTS[strategy_id]
+    assert (len(keys), hashlib.sha256(repr(keys).encode()).hexdigest()) == DIGESTS[strategy_id]
 
 
 def test_grid_session_walks_a_grid_over_the_enumeration_cap(tmp_path):

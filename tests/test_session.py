@@ -31,14 +31,7 @@ from jobtuner.executors.base import Executor, TrialResult
 from jobtuner.executors.synthetic import synthetic_eval
 from jobtuner.history import SessionLock, TrialRecord, read_manifest, read_raw_records, read_trials
 from jobtuner.paramspace import TrialPoint
-from jobtuner.search import (
-    STRATEGIES,
-    CompassOptions,
-    NelderMeadOptions,
-    TrustRegionOptions,
-    options_from_dict,
-    strategy_ids,
-)
+from jobtuner.search import STRATEGIES, strategy_ids
 from jobtuner.session import (
     aggregate_history,
     best_of,
@@ -100,8 +93,6 @@ def test_unknown_strategy_rejected(tmp_path):
     project = small_project(tmp_path)
     with pytest.raises(UnknownStrategyError):
         run_tuning(project, "warp", budget=5)
-    with pytest.raises(UnknownStrategyError):
-        options_from_dict("warp", {}, "session.conf")
 
 
 def test_strategies_maps_each_id_to_its_searcher_class():
@@ -114,9 +105,6 @@ def test_strategies_maps_each_id_to_its_searcher_class():
         "bobyqa-lite": trust_region.TrustRegionSearcher,
     }
     assert list(STRATEGIES) == strategy_ids()
-    assert STRATEGIES["grid"].options_type is None
-    assert STRATEGIES["compass"].options_type is CompassOptions
-    assert STRATEGIES["bobyqa-lite"].options_type is TrustRegionOptions
 
 
 def test_budget_caps_grid(tmp_path):
@@ -147,6 +135,28 @@ def test_second_fresh_session_rejected(tmp_path):
         run_tuning(project, "grid", budget=3)
 
 
+def test_fresh_session_that_loses_the_race_for_the_lock_is_refused(tmp_path, monkeypatch):
+    project = small_project(tmp_path)
+    manifest = project.root / "history" / "session.conf"
+
+    class LostRaceLock(SessionLock):
+        """Runs a whole compass session just before the first lock is taken."""
+        first_manifest = None
+
+        def __enter__(self):
+            if LostRaceLock.first_manifest is None:
+                LostRaceLock.first_manifest = b""
+                run_tuning(project, "compass", budget=2)
+                LostRaceLock.first_manifest = manifest.read_bytes()
+            return super().__enter__()
+
+    monkeypatch.setattr("jobtuner.session.SessionLock", LostRaceLock)
+    with pytest.raises(SessionExistsError):
+        run_tuning(project, "grid", budget=3)
+    assert b"strategy=compass" in LostRaceLock.first_manifest
+    assert manifest.read_bytes() == LostRaceLock.first_manifest
+
+
 def test_manifest_records_session(tmp_path):
     project = small_project(tmp_path)
     run_tuning(project, "compass", budget=4, seed=9)
@@ -155,7 +165,7 @@ def test_manifest_records_session(tmp_path):
     assert manifest["seed"] == "9"
     assert manifest["budget"] == "4"
     assert manifest["status"] == "finished"
-    assert manifest["opt_initial_step"] == "0.25"
+    assert not [key for key in manifest if key.startswith("opt_")]
 
 
 class FailingRegionExecutor(Executor):
@@ -236,40 +246,29 @@ def test_any_executor_error_interrupts_and_resume_completes(tmp_path):
     assert [r.trial_id for r in read_trials(project.root, project.space)] == list(range(1, 7))
 
 
-def _coarse_nm_setup(tmp_path):
-    # a 2-value space makes the simplex searcher revisit decoded points,
-    # provided the initial offset is wide enough to cross the snap threshold
-    project = write_synthetic_project(
-        tmp_path / "tiny", "a int min=1 max=2 step=1\nb int min=1 max=2 step=1\n",
-        bowl_job_conf(weights="50,80", optimum="1,1"),
-    )
-    return project, NelderMeadOptions(init_offset=0.6)
+# an 11x3 lattice, coarse next to the searchers' steps, on which every DFO
+# strategy re-proposes measured points before a budget of 10 runs out
+COARSE_PARAMS = "a int min=1 max=11 step=1\nb int min=1 max=3 step=1\n"
+
+
+def coarse_project(tmp_path, name="coarse", **job):
+    return write_synthetic_project(
+        tmp_path / name, COARSE_PARAMS, bowl_job_conf(weights="50,80", optimum="1,1", **job))
 
 
 def test_memoize_executes_each_point_once(tmp_path):
-    project, options = _coarse_nm_setup(tmp_path)
+    project = coarse_project(tmp_path)
     executor = CountingExecutor(make_executor(project))
-    summary = run_tuning(project, "nelder-mead", budget=12, options=options,
-                         executor=executor)
+    summary = run_tuning(project, "nelder-mead", budget=12, executor=executor)
     assert len(executor.calls) == len(set(executor.calls))
     assert len(executor.calls) < summary.trial_count
 
 
-# steps that cross the snap threshold of the 2x2 lattice, so every strategy
-# re-proposes measured points before its budget of 10 runs out
-COARSE_OPTIONS = {
-    "compass": CompassOptions(initial_step=0.6),
-    "nelder-mead": NelderMeadOptions(init_offset=0.6),
-    "bobyqa-lite": TrustRegionOptions(initial_radius=0.5),
-}
-
-
-@pytest.mark.parametrize("strategy", list(COARSE_OPTIONS))
+@pytest.mark.parametrize("strategy", ["compass", "nelder-mead", "bobyqa-lite"])
 def test_each_point_is_executed_once_per_session(tmp_path, strategy):
-    project, _ = _coarse_nm_setup(tmp_path)
+    project = coarse_project(tmp_path)
     executor = CountingExecutor(make_executor(project))
-    summary = run_tuning(project, strategy, budget=10, options=COARSE_OPTIONS[strategy],
-                         executor=executor)
+    summary = run_tuning(project, strategy, budget=10, executor=executor)
     assert summary.trial_count == 10
     records = read_raw_records(project.root, project.space)
     distinct = {project.space.point_key(r.point) for r in records}
@@ -321,43 +320,35 @@ def test_resume_rejects_changed_space(tmp_path):
         resume_session(reloaded)
 
 
-def test_resume_restores_memoize_and_options_from_manifest(tmp_path):
-    params = "a int min=1 max=2 step=1\nb int min=1 max=2 step=1\n"
-    job = bowl_job_conf(weights="50,80", optimum="1,1", noise_sd_s=3.0, repetitions=2)
-    # an offset wide enough to cross the snap threshold on the 2-value lattice
-    options = NelderMeadOptions(init_offset=0.6)
-    full = write_synthetic_project(tmp_path / "full", params, job)
-    run_tuning(full, "nelder-mead", budget=12, seed=5, options=options)
+def test_resume_of_a_memoized_session_equals_an_uninterrupted_one(tmp_path):
+    job = {"noise_sd_s": 3.0, "repetitions": 2}
+    full = coarse_project(tmp_path, "full", **job)
+    run_tuning(full, "nelder-mead", budget=12, seed=5)
 
-    part = write_synthetic_project(tmp_path / "part", params, job)
-    # only 4 unique points exist; interrupt while they are still being executed
+    part = coarse_project(tmp_path, "part", **job)
+    # interrupt while points are still being executed for the first time
     executor = InterruptingExecutor(make_executor(part, 5), allow=3)
     with pytest.raises(ConnectError):
-        run_tuning(part, "nelder-mead", budget=12, seed=5, options=options,
-                   executor=executor)
-    manifest = read_manifest(part.root)
-    assert "memoize" not in manifest
-    assert manifest["opt_init_offset"] == "0.6"
-    resume_session(part)  # options come back from the manifest, measurements from the journal
+        run_tuning(part, "nelder-mead", budget=12, seed=5, executor=executor)
+    assert "memoize" not in read_manifest(part.root)
+    resume_session(part)  # measurements come back from the journal
     a = read_trials(full.root, full.space)
     b = read_trials(part.root, part.space)
     assert [(r.trial_id, full.space.point_key(r.point), r.aggregate_s) for r in a] == \
            [(r.trial_id, part.space.point_key(r.point), r.aggregate_s) for r in b]
 
 
-# the session.conf of _compass_session: bools as true/false, floats as repr()
+# the session.conf of _compass_session
 COMPASS_MANIFEST = (
     b"strategy=compass\nseed=7\nbudget=6\n"
     b"space_hash=0f7f9359967a69056e404a54b4ef93e4ec06fe478f4407168d3a03f5f47aa52a\n"
     b"status=finished\n"
-    b"opt_initial_step=0.5\nopt_min_step=0.01\nopt_expand_on_success=true\n"
 )
 
 
 def _compass_session(tmp_path):
     project = small_project(tmp_path)
-    run_tuning(project, "compass", budget=6, seed=7,
-               options=CompassOptions(initial_step=0.5, min_step=0.01, expand_on_success=True))
+    run_tuning(project, "compass", budget=6, seed=7)
     return project
 
 
@@ -366,36 +357,25 @@ def test_manifest_bytes_of_a_compass_session(tmp_path):
     assert (project.root / "history" / "session.conf").read_bytes() == COMPASS_MANIFEST
 
 
-def test_resume_restores_compass_options_from_manifest(tmp_path):
-    options = CompassOptions(initial_step=0.5, min_step=0.01, expand_on_success=True)
-
-    def sequence(project):
-        return [(r.trial_id, project.space.point_key(r.point), r.aggregate_s)
-                for r in read_trials(project.root, project.space)]
-
-    full = small_project(tmp_path, noise=1.0, name="full")
-    run_tuning(full, "compass", budget=8, seed=7, options=options)
-    default = small_project(tmp_path, noise=1.0, name="default")
-    run_tuning(default, "compass", budget=8, seed=7)
-    assert sequence(default) != sequence(full)  # the options change the search
-
-    part = small_project(tmp_path, noise=1.0, name="part")
+def test_resume_ignores_the_searcher_settings_older_manifests_carry(tmp_path):
+    project = small_project(tmp_path)
     with pytest.raises(ConnectError):
-        run_tuning(part, "compass", budget=8, seed=7, options=options,
-                   executor=InterruptingExecutor(make_executor(part, 7), allow=2))
-    resume_session(part)
-    assert sequence(part) == sequence(full)
+        run_tuning(project, "compass", budget=6, seed=7,
+                   executor=InterruptingExecutor(make_executor(project, 7), allow=2))
+    path = project.root / "history" / "session.conf"
+    path.write_text(path.read_text() + "opt_initial_step=abc\nopt_min_step=0.01\n"
+                    "opt_expand_on_success=true\n")
+    summary = resume_session(project)
+    assert (summary.trial_count, summary.status) == (6, "finished")
+    assert path.read_bytes() == COMPASS_MANIFEST  # no opt_ line is written back
 
 
 @pytest.mark.parametrize("old, new, error, key", [
     ("budget=6", "budget=abc", BadValueError, "budget"),
-    ("opt_initial_step=0.5", "opt_initial_step=abc", BadValueError, "opt_initial_step"),
-    ("opt_initial_step=0.5", "opt_initial_step=5", BadValueError, "opt_initial_step"),
     ("seed=7", "seed=seven", BadValueError, "seed"),
     ("budget=6", "", MissingKeyError, "budget"),
     ("strategy=compass", "", MissingKeyError, "strategy"),
-], ids=["budget", "opt_initial_step", "opt_initial_step_out_of_range", "seed",
-        "budget_missing", "strategy_missing"])
+], ids=["budget", "seed", "budget_missing", "strategy_missing"])
 def test_resume_rejects_a_malformed_manifest_value(tmp_path, old, new, error, key):
     project = _compass_session(tmp_path)
     path = project.root / "history" / "session.conf"
@@ -430,11 +410,10 @@ class ResultDirExecutor(Executor):
 
 
 def test_memoized_resume_keeps_result_dir_and_log_ref(tmp_path):
-    project, options = _coarse_nm_setup(tmp_path)
+    project = coarse_project(tmp_path)
     executor = InterruptingExecutor(ResultDirExecutor(make_executor(project)), allow=2)
     with pytest.raises(ConnectError):
-        run_tuning(project, "nelder-mead", budget=12, options=options,
-                   executor=executor)
+        run_tuning(project, "nelder-mead", budget=12, executor=executor)
     resume_session(project, executor=ResultDirExecutor(make_executor(project)))
     records = read_raw_records(project.root, project.space)
     assert len(records) == 12
@@ -445,11 +424,10 @@ def test_memoized_resume_keeps_result_dir_and_log_ref(tmp_path):
 @pytest.mark.parametrize("old_line", ["", "memoize=false\n", "memoize=maybe\n"],
                          ids=["no_flag", "memoize_false", "memoize_maybe"])
 def test_resume_after_a_repeat_executes_no_measured_point(tmp_path, old_line):
-    project, _ = _coarse_nm_setup(tmp_path)
-    options = COARSE_OPTIONS["bobyqa-lite"]
+    project = coarse_project(tmp_path)
     executor = InterruptingExecutor(make_executor(project), allow=2)
     with pytest.raises(ConnectError):
-        run_tuning(project, "bobyqa-lite", budget=10, options=options, executor=executor)
+        run_tuning(project, "nelder-mead", budget=10, executor=executor)
     measured = [tuple(sorted(r.point.as_dict().items()))
                 for r in read_raw_records(project.root, project.space)]
     assert len(set(measured)) == 2 < len(measured)  # cut off after a repeat
