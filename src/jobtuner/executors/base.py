@@ -48,13 +48,21 @@ class TrialResult:
     log_ref: str | None = None
 
     def __post_init__(self):
+        # the one check of a result's values, for executors and history readers alike
         object.__setattr__(self, "rep_times_s", tuple(self.rep_times_s))
         if self.status not in (STATUS_SUCCESS, STATUS_FAILED, STATUS_TIMEOUT):
             raise ValueError(f"unknown status {self.status!r}")
-        # NaN, inf and () fail this too, so every success has a finite median
-        if self.status == STATUS_SUCCESS and not (
-                self.rep_times_s and all(0.0 < t < math.inf for t in self.rep_times_s)):
+        try:  # NaN and inf fail this too, so every success has a finite median
+            finite = all(0.0 < t < math.inf for t in self.rep_times_s)
+        except TypeError:  # a time that is no number
+            finite = False
+        if not finite:
+            raise ValueError(f"repetition times {list(self.rep_times_s)} must be finite positive numbers")
+        if self.status == STATUS_SUCCESS and not self.rep_times_s:
             raise ValueError("successful trials need at least one finite positive repetition time")
+        if self.phase_times_s is not None and not all(
+                type(t) in (int, float) and math.isfinite(t) for t in self.phase_times_s.values()):
+            raise ValueError(f"phase times {self.phase_times_s} are not finite numbers")
 
     @property
     def ok(self) -> bool:

@@ -14,8 +14,8 @@ A trial is durable once its journal line is fsynced; its CSV row follows.
 Opening a HistoryWriter repairs what a crash leaves: a torn journal tail
 (a trial that never happened), or a CSV that is torn or behind.
 
-Journal points decode in space order onto the space's names tuple, and a
-point that names other parameters than the space is refused as corrupt.
+Both files decode through one record decoder, a trials.csv row as the
+journal line it was written from, so both are read under the same rules.
 
 Reads stream: the journal and trials.csv are parsed a line at a time from
 the open file, and rebuilds write rows straight into the replacement file,
@@ -36,10 +36,10 @@ import os
 import statistics
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
-from typing import BinaryIO, Iterator, TextIO
+from typing import BinaryIO, Callable, Iterator, TextIO
 
 from .errors import (
     HistoryCorruptError,
@@ -47,7 +47,7 @@ from .errors import (
     LockHeldError,
     ManifestMissingError,
 )
-from .executors.base import STATUS_SUCCESS, TrialResult
+from .executors.base import TrialResult
 from .paramspace import KIND_CAT, KIND_FLOAT, KIND_INT, ParamSpace
 from .project import parse_kv_file
 
@@ -70,21 +70,18 @@ class TrialRecord:
     trial_id: int
     point: TrialPoint
     result: TrialResult
-    aggregate_s: float | None  # None encodes FAILED
     strategy_id: str
     timestamp: datetime
+    aggregate_s: float | None = field(init=False)  # a success's median; None encodes FAILED
+
+    def __post_init__(self):
+        object.__setattr__(self, "aggregate_s", float(statistics.median(self.result.rep_times_s))
+                           if self.result.ok else None)
 
     @property
     def search_objective(self) -> float:
         """What searchers see: the aggregate, or +inf for failed trials."""
         return self.aggregate_s if self.aggregate_s is not None else math.inf
-
-
-def aggregate_reps(result: TrialResult) -> float | None:
-    """Median of the repetition times for successes, None (FAILED) otherwise."""
-    if result.status != STATUS_SUCCESS:
-        return None
-    return float(statistics.median(result.rep_times_s))
 
 
 def history_dir(project_root: str | Path) -> Path:
@@ -117,40 +114,21 @@ def record_to_row(record: TrialRecord, space: ParamSpace) -> list[str]:
     )
 
 
-def row_to_record(row: list[str], space: ParamSpace) -> TrialRecord:
-    """Parse one CSV row; raises ValueError on any malformed field."""
-    expected = 3 + space.dimension + 6
-    if len(row) != expected:
-        raise ValueError(f"expected {expected} fields, got {len(row)}")
-    trial_id = int(row[0])
-    strategy = row[1]
-    timestamp = datetime.fromisoformat(row[2])
+def _row_fields(row: list[str], space: ParamSpace) -> dict:
+    """A trials.csv row as the fields of the journal line it was written from."""
     base = 3 + space.dimension
-    point = space.make_point(tuple([_PARSE_CELL[spec.kind](raw)
-                                    for spec, raw in zip(space.specs, row[3:base])]))
-    status = row[base]
-    reps_raw = row[base + 1]
-    rep_times = tuple([float(t) for t in reps_raw.split(";")]) if reps_raw else ()
-    agg_raw = row[base + 2]
-    aggregate = None if agg_raw == FAILED_LITERAL else float(agg_raw)
-    phases = {}
-    for j, phase in enumerate(_PHASES):
-        cell = row[base + 3 + j]
-        if cell:
-            phases[phase] = float(cell)
-    result = TrialResult(
-        status=status,
-        rep_times_s=rep_times,
-        phase_times_s=phases or None,
-    )
-    return TrialRecord(
-        trial_id=trial_id,
-        point=point,
-        result=result,
-        aggregate_s=aggregate,
-        strategy_id=strategy,
-        timestamp=timestamp,
-    )
+    if len(row) != base + 6:
+        raise ValueError(f"expected {base + 6} fields, got {len(row)}")
+    reps, aggregate = row[base + 1], row[base + 2]
+    return {
+        "trial_id": int(row[0]), "strategy": row[1], "timestamp_utc": row[2],
+        "point": {s.name: _PARSE_CELL[s.kind](cell) for s, cell in zip(space.specs, row[3:base])},
+        "status": row[base],
+        "rep_times_s": [float(t) for t in reps.split(";")] if reps else [],
+        "aggregate_s": None if aggregate == FAILED_LITERAL else float(aggregate),
+        "phase_times_s": {p: float(cell) for p, cell in zip(_PHASES, row[base + 3:]) if cell} or None,
+        "result_dir": None, "log_ref": None,
+    }
 
 
 class HistoryWriter:
@@ -200,10 +178,10 @@ class HistoryWriter:
 
 
 def read_trials(project_root: str | Path, space: ParamSpace) -> list[TrialRecord]:
-    """Parse trials.csv; tolerates a missing file (empty history).
+    """Parse trials.csv, each row decoded as a journal line; tolerates a missing file.
 
     Raises HistoryCorruptError, naming the last valid trial_id, when the file
-    is truncated mid-row or any row fails to parse.
+    is truncated mid-row or any row is one the journal reader would refuse.
     """
     path = history_dir(project_root) / TRIALS_CSV
     try:
@@ -214,11 +192,9 @@ def read_trials(project_root: str | Path, space: ParamSpace) -> list[TrialRecord
         # an unterminated last row cannot be trusted, even if it parses
         torn = not _count_lines(path)[1]
         reader = csv.reader(fh)
-        row = next(reader, None)
-        if row is None:
-            return []
-        if row != csv_header(space):
+        if next(reader, None) not in (None, csv_header(space)):
             raise HistoryCorruptError("trials.csv header does not match the space", 0)
+        decode = _decoder(space)
         records: list[TrialRecord] = []
         row = next(reader, None)
         while row is not None:
@@ -227,8 +203,8 @@ def read_trials(project_root: str | Path, space: ParamSpace) -> list[TrialRecord
             if following is None and torn:
                 raise HistoryCorruptError("trials.csv truncated mid-row", len(records))
             try:
-                record = row_to_record(row, space)
-            except (ValueError, KeyError) as exc:
+                record = decode(_row_fields(row, space))
+            except _UNREADABLE as exc:
                 raise HistoryCorruptError(f"trials.csv row {n} unreadable: {exc}", len(records)) from exc
             if record.trial_id != len(records) + 1:
                 raise HistoryCorruptError(f"trial ids not contiguous at row {n}", len(records))
@@ -271,46 +247,56 @@ def _journal_line(record: TrialRecord) -> str:
     return json.dumps(payload, sort_keys=True) + "\n"
 
 
-def _parse_journal(fh: BinaryIO, space: ParamSpace) -> tuple[list[TrialRecord], int]:
-    """Parse a journal's terminated lines from fh; an unterminated tail is skipped.
+# what a decoder raises for fields that do not make a valid record
+_UNREADABLE = (ValueError, KeyError, TypeError, AttributeError)
 
-    Each point is decoded in space order onto the space's names tuple.
-    Returns the records and the byte length of the lines that held them.
-    Raises HistoryCorruptError, naming the last valid trial_id, when a
-    terminated line does not parse, its point names other parameters than
-    the space, its aggregate is not what aggregate_reps makes of its result,
-    its phase times are not finite numbers, or the ids are not 1, 2, 3, ...
+
+def _decoder(space: ParamSpace) -> Callable[[dict], TrialRecord]:
+    """The record decoder of both files: the record a journal line's fields hold.
+
+    Raises one of _UNREADABLE, also when the point names other parameters than
+    the space or aggregate_s is not the record's own.
     """
     names = space.names()
     declared = set(names)
+
+    def decode(d: dict) -> TrialRecord:
+        values = d["point"]
+        if values.keys() != declared:
+            raise ValueError(f"point parameters {sorted(values)} are not the space's {names}")
+        result = TrialResult(status=sys.intern(d["status"]), rep_times_s=d["rep_times_s"],
+                             phase_times_s=d["phase_times_s"],
+                             result_dir=d["result_dir"], log_ref=d["log_ref"])
+        record = TrialRecord(trial_id=d["trial_id"], result=result,
+                             point=space.make_point(tuple([values[name] for name in names])),
+                             strategy_id=sys.intern(d["strategy"]),
+                             timestamp=datetime.fromisoformat(d["timestamp_utc"]))
+        # floats round-trip exactly through both files, so the recorded median compares equal
+        if d["aggregate_s"] != record.aggregate_s:
+            raise ValueError(f"aggregate_s {d['aggregate_s']!r} is not the "
+                             f"trial's aggregate {record.aggregate_s!r}")
+        return record
+
+    return decode
+
+
+def _parse_journal(fh: BinaryIO, space: ParamSpace) -> tuple[list[TrialRecord], int]:
+    """Parse a journal's terminated lines from fh; an unterminated tail is skipped.
+
+    Returns the records and the byte length of the lines that held them.
+    Raises HistoryCorruptError, naming the last valid trial_id, when a
+    terminated line does not parse, _decoder refuses its fields, or the ids
+    are not 1, 2, 3, ...
+    """
+    decode = _decoder(space)
     records: list[TrialRecord] = []
     durable = 0
     for n, line in enumerate(fh, start=1):
         if not line.endswith(b"\n"):
             break
         try:
-            d = json.loads(line)
-            phases = d["phase_times_s"]
-            if phases is not None and not all(
-                    type(t) in (int, float) and math.isfinite(t) for t in phases.values()):
-                raise ValueError(f"phase times {phases} are not finite numbers")
-            result = TrialResult(status=sys.intern(d["status"]), rep_times_s=d["rep_times_s"],
-                                 phase_times_s=phases,
-                                 result_dir=d["result_dir"], log_ref=d["log_ref"])
-            # JSON round-trips floats exactly, so the recorded median compares equal
-            aggregate = aggregate_reps(result)
-            if d["aggregate_s"] != aggregate:
-                raise ValueError(f"aggregate_s {d['aggregate_s']!r} is not the "
-                                 f"trial's aggregate {aggregate!r}")
-            values = d["point"]
-            if values.keys() != declared:
-                raise ValueError(f"point parameters {sorted(values)} are not the space's {names}")
-            point = space.make_point(tuple([values[name] for name in names]))
-            record = TrialRecord(trial_id=d["trial_id"], point=point,
-                                 result=result, aggregate_s=aggregate,
-                                 strategy_id=sys.intern(d["strategy"]),
-                                 timestamp=datetime.fromisoformat(d["timestamp_utc"]))
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            record = decode(json.loads(line))
+        except _UNREADABLE as exc:
             raise HistoryCorruptError(f"journal line {n} unreadable: {exc}", len(records)) from exc
         if record.trial_id != len(records) + 1:
             raise HistoryCorruptError(f"journal line {n} holds trial {record.trial_id}", len(records))
@@ -326,7 +312,15 @@ def read_raw_records(project_root: str | Path, space: ParamSpace) -> list[TrialR
     except FileNotFoundError:
         return []
     with fh:
-        return _parse_journal(fh, space)[0]
+        records = _parse_journal(fh, space)[0]
+    # resume checks each point against the space by replaying it; aggregate
+    # and report replay nothing, so they check here (trial n is on line n)
+    for r in records:
+        violations = space.validate_point(r.point)
+        if violations:
+            raise HistoryCorruptError(f"journal line {r.trial_id} unreadable: "
+                                      f"{'; '.join(violations)}", r.trial_id - 1)
+    return records
 
 
 def rewrite_trials_csv(project_root: str | Path, space: ParamSpace,
@@ -363,10 +357,9 @@ def replace_file(path: Path) -> Iterator[TextIO]:
 # --- session manifest -------------------------------------------------------------
 
 def write_manifest(project_root: str | Path, entries: dict[str, object]) -> None:
-    """Write session.conf atomically; bools as true/false, other values as str()."""
+    """Write session.conf atomically, each value as str() writes it."""
     with replace_file(history_dir(project_root) / MANIFEST_FILE) as fh:
-        fh.writelines(f"{key}={str(value).lower() if isinstance(value, bool) else value}\n"
-                      for key, value in entries.items())
+        fh.writelines(f"{key}={value}\n" for key, value in entries.items())
 
 
 def read_manifest(project_root: str | Path) -> dict[str, str]:

@@ -241,13 +241,10 @@ def load_project(root: str | Path) -> Project:
             raise MissingFileError(ENV_FILE)
         env = parse_env_file(env_path.read_text(encoding="utf-8"))
 
-    if kind == "synthetic":
-        if surface is None:
-            raise CrossValidationError("synthetic project lacks a surface definition")
-        if surface.dimension != space.dimension:
-            raise CrossValidationError(
-                f"surface dimension {surface.dimension} != parameter count {space.dimension}"
-            )
+    if kind == "synthetic" and surface.dimension != space.dimension:
+        raise CrossValidationError(
+            f"surface dimension {surface.dimension} != parameter count {space.dimension}"
+        )
 
     if kind == "local":
         declared = set(space.names())

@@ -34,7 +34,6 @@ from .history import (
     HistoryWriter,
     SessionLock,
     TrialRecord,
-    aggregate_reps,
     manifest_exists,
     read_manifest,
     read_raw_records,
@@ -65,12 +64,9 @@ def best_of(records: list[TrialRecord]) -> TrialRecord:
     """Successful record with minimum aggregate; earliest trial wins ties."""
     if not records:
         raise NoSuccessfulTrialError("history is empty")
-    best = None
-    for r in records:
-        if r.aggregate_s is None:
-            continue
-        if best is None or r.aggregate_s < best.aggregate_s:
-            best = r
+    # min keeps the first of equal aggregates
+    best = min((r for r in records if r.aggregate_s is not None),
+               key=lambda r: r.aggregate_s, default=None)
     if best is None:
         raise NoSuccessfulTrialError("every trial failed")
     return best
@@ -158,14 +154,8 @@ class _TuningLoop:
             if result is None:
                 result = self.executor.execute_trial(job, point, trial_id)
                 self._measured[key] = result
-            record = TrialRecord(
-                trial_id=trial_id,
-                point=point,
-                result=result,
-                aggregate_s=aggregate_reps(result),
-                strategy_id=self.strategy_id,
-                timestamp=datetime.now(timezone.utc),
-            )
+            record = TrialRecord(trial_id=trial_id, point=point, result=result,
+                                 strategy_id=self.strategy_id, timestamp=datetime.now(timezone.utc))
             writer.append(record)  # durable, and in self.records, before the searcher observes it
             self.searcher.update(point, record.search_objective)
             log.info(

@@ -118,22 +118,47 @@ def test_resume_without_session_is_runtime_error(tmp_path):
     assert main(["resume", "--dir", str(project.root)]) == 2
 
 
-@pytest.mark.parametrize("command", ["resume", "aggregate"])
-def test_journal_point_without_a_parameter_exits_2(tmp_path, caplog, command):
+def tune_and_edit_journal_line_2(tmp_path, edit):
+    """A 3-trial grid session whose second journal line has edit applied."""
     project = make_project(tmp_path)
     assert main(["tune", "--dir", str(project.root), "--strategy", "grid",
                  "--budget", "3", "--seed", "7"]) == 0
     path = project.root / "history" / "journal.jsonl"
     lines = path.read_text().splitlines(keepends=True)
     entry = json.loads(lines[1])
-    del entry["point"]["b"]
+    edit(entry)
     lines[1] = json.dumps(entry, sort_keys=True) + "\n"
     path.write_text("".join(lines))
+    return project
+
+
+def assert_refused_naming_line_2(project, caplog, *command):
     csv_before = (project.root / "history" / "trials.csv").read_bytes()
-    assert main([command, "--dir", str(project.root)]) == 2
+    assert main([*command, "--dir", str(project.root)]) == 2
     assert "journal line 2 unreadable" in caplog.text
     assert "(last valid trial_id: 1)" in caplog.text
     assert (project.root / "history" / "trials.csv").read_bytes() == csv_before
+
+
+@pytest.mark.parametrize("command", ["resume", "aggregate"])
+def test_journal_point_without_a_parameter_exits_2(tmp_path, caplog, command):
+    project = tune_and_edit_journal_line_2(tmp_path, lambda entry: entry["point"].pop("b"))
+    assert_refused_naming_line_2(project, caplog, command)
+
+
+def test_journal_failed_trial_with_a_time_that_is_no_number_exits_2(tmp_path, caplog):
+    project = tune_and_edit_journal_line_2(tmp_path, lambda entry: entry.update(
+        status="failed", rep_times_s=["abc"], aggregate_s=None))
+    assert_refused_naming_line_2(project, caplog, "aggregate")
+
+
+@pytest.mark.parametrize("command", [["aggregate"], ["report", "--surface", "a", "b"]],
+                         ids=["aggregate", "report"])
+@pytest.mark.parametrize("value", ["zzz", 99])
+def test_journal_point_value_outside_the_space_exits_2(tmp_path, caplog, command, value):
+    project = tune_and_edit_journal_line_2(tmp_path, lambda entry: entry["point"].update(a=value))
+    assert_refused_naming_line_2(project, caplog, *command)
+    assert not (project.root / "history" / "surface_a_b.csv").exists()
 
 
 def test_aggregate_and_report(tmp_path):

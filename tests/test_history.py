@@ -24,7 +24,6 @@ from jobtuner.history import (
     HistoryWriter,
     SessionLock,
     TrialRecord,
-    aggregate_reps,
     read_manifest,
     read_raw_records,
     read_trials,
@@ -68,7 +67,6 @@ def random_record(rng: random.Random, trial_id: int) -> TrialRecord:
         trial_id=trial_id,
         point=point,
         result=result,
-        aggregate_s=aggregate_reps(result),
         strategy_id="grid",
         timestamp=timestamp,
     )
@@ -76,29 +74,29 @@ def random_record(rng: random.Random, trial_id: int) -> TrialRecord:
 
 # --- aggregation -----------------------------------------------------------
 
+def record_of(result: TrialResult) -> TrialRecord:
+    return TrialRecord(trial_id=1, point=TrialPoint({"tasks": 1, "frac": 0.5, "codec": "plain"}),
+                       result=result, strategy_id="grid",
+                       timestamp=datetime(2026, 1, 1, tzinfo=timezone.utc))
+
+
 def test_median_odd_count():
     result = TrialResult(status="success", rep_times_s=(3.0, 1.0, 2.0))
-    assert aggregate_reps(result) == 2.0
+    assert record_of(result).aggregate_s == 2.0
 
 
 def test_median_even_count_averages_middles():
     result = TrialResult(status="success", rep_times_s=(4.0, 1.0, 2.0, 100.0))
-    assert aggregate_reps(result) == 3.0
+    assert record_of(result).aggregate_s == 3.0
 
 
 def test_failed_has_no_aggregate():
     result = TrialResult(status="failed", rep_times_s=(1.0,))
-    assert aggregate_reps(result) is None
+    assert record_of(result).aggregate_s is None
 
 
 def test_search_objective_maps_failed_to_inf():
-    record = random_record(random.Random(1), 1)
-    failed = TrialRecord(
-        trial_id=1, point=record.point,
-        result=TrialResult(status="failed"), aggregate_s=None,
-        strategy_id="grid", timestamp=record.timestamp,
-    )
-    assert failed.search_objective == math.inf
+    assert record_of(TrialResult(status="failed")).search_objective == math.inf
 
 
 # --- writer / reader ------------------------------------------------------------
@@ -222,8 +220,11 @@ def test_journal_damage_names_last_valid_trial(tmp_path, damage):
     {"status": "failed"},  # a failure has no aggregate
     {"phase_times_s": {"map": "abc"}},
     {"phase_times_s": {"map": 1.0, "reduce": math.nan}},
+    {"status": "failed", "rep_times_s": ["abc"], "aggregate_s": None},
+    {"status": "timeout", "rep_times_s": [-1.0], "aggregate_s": None},
 ], ids=["nan", "nan_after_finite", "inf", "empty", "aggregate_not_a_number",
-        "aggregate_not_the_median", "aggregate_of_a_failure", "phase_not_a_number", "phase_nan"])
+        "aggregate_not_the_median", "aggregate_of_a_failure", "phase_not_a_number", "phase_nan",
+        "failure_time_not_a_number", "timeout_time_negative"])
 def test_journal_success_with_non_finite_time_is_corrupt(tmp_path, fields):
     rng = random.Random(7)
     writer = HistoryWriter(tmp_path, SPACE)
@@ -239,6 +240,38 @@ def test_journal_success_with_non_finite_time_is_corrupt(tmp_path, fields):
     with pytest.raises(HistoryCorruptError, match="^journal line 2 unreadable") as exc:
         read_raw_records(tmp_path, SPACE)
     assert exc.value.last_valid_id == 1
+
+
+@pytest.mark.parametrize("cells", [
+    {"status": "success", "rep_times_s": "163.7;163.7;163.7", "aggregate_s": "1.5"},
+    {"shuffle_s": "nan"},
+], ids=["aggregate_not_the_median", "phase_nan"])
+def test_csv_row_is_read_under_the_journal_rules(tmp_path, cells):
+    rng = random.Random(11)
+    writer = HistoryWriter(tmp_path, SPACE)
+    for i in range(1, 4):
+        writer.append(random_record(rng, i))
+    path = tmp_path / "history" / "trials.csv"
+    rows = list(csv.reader(io.StringIO(path.read_text())))
+    for name, cell in cells.items():
+        rows[2][rows[0].index(name)] = cell
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    path.write_text(text.getvalue())
+    with pytest.raises(HistoryCorruptError, match="^trials.csv row 3 unreadable") as exc:
+        read_trials(tmp_path, SPACE)
+    assert exc.value.last_valid_id == 1
+
+
+def test_csv_records_share_their_strategy_and_status_strings(tmp_path):
+    rng = random.Random(12)
+    writer = HistoryWriter(tmp_path, SPACE)
+    for i in range(1, 31):
+        writer.append(random_record(rng, i))
+    records = read_trials(tmp_path, SPACE)
+    assert records == writer.records
+    for field in (lambda r: r.strategy_id, lambda r: r.result.status):
+        assert len({id(field(r)) for r in records}) == len({field(r) for r in records})
 
 
 def test_journal_cut_anywhere_in_its_last_line(tmp_path):
@@ -308,8 +341,7 @@ def test_decoded_records_hold_their_points_as_space_keys(tmp_path, monkeypatch):
         for i, point in enumerate(itertools.islice(space.iter_grid(), 2000), start=1):
             result = TrialResult(status="success",
                                  rep_times_s=tuple(rng.uniform(1, 9) for _ in range(3)))
-            writer.append(TrialRecord(trial_id=i, point=point, result=result,
-                                      aggregate_s=aggregate_reps(result), strategy_id="grid",
+            writer.append(TrialRecord(trial_id=i, point=point, result=result, strategy_id="grid",
                                       timestamp=datetime.now(timezone.utc)))
     del writer
     tracemalloc.start()

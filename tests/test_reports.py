@@ -29,7 +29,6 @@ def rec(trial_id, aggregate, a=1, b=1, c="x"):
         trial_id=trial_id,
         point=TrialPoint({"a": a, "b": b, "c": c}),
         result=TrialResult(status=status, rep_times_s=times),
-        aggregate_s=aggregate,
         strategy_id="grid",
         timestamp=datetime(2026, 1, 1, tzinfo=timezone.utc),
     )

@@ -60,7 +60,6 @@ def rec(trial_id, aggregate):
         trial_id=trial_id,
         point=TrialPoint({"a": 1, "b": 1}),
         result=TrialResult(status=status, rep_times_s=times),
-        aggregate_s=aggregate,
         strategy_id="grid",
         timestamp=datetime(2026, 1, 1, tzinfo=timezone.utc),
     )
@@ -254,14 +253,6 @@ COARSE_PARAMS = "a int min=1 max=11 step=1\nb int min=1 max=3 step=1\n"
 def coarse_project(tmp_path, name="coarse", **job):
     return write_synthetic_project(
         tmp_path / name, COARSE_PARAMS, bowl_job_conf(weights="50,80", optimum="1,1", **job))
-
-
-def test_memoize_executes_each_point_once(tmp_path):
-    project = coarse_project(tmp_path)
-    executor = CountingExecutor(make_executor(project))
-    summary = run_tuning(project, "nelder-mead", budget=12, executor=executor)
-    assert len(executor.calls) == len(set(executor.calls))
-    assert len(executor.calls) < summary.trial_count
 
 
 @pytest.mark.parametrize("strategy", ["compass", "nelder-mead", "bobyqa-lite"])
