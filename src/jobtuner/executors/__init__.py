@@ -1,10 +1,32 @@
-"""Trial executors: synthetic response surfaces, local commands, remote Hadoop jobs."""
+"""Trial executors: synthetic response surfaces, local commands, remote Hadoop jobs.
+
+The local and remote executors are imported on first use of one of their
+names, so a session that runs neither, such as a synthetic one, never loads
+them, or the subprocess and signal modules they need.
+"""
+
+from importlib import import_module
 
 from .base import Executor, JobSpec, TrialResult
 from .hadoop_logs import parse_phase_times
-from .local import LocalExecutor
-from .remote import ClusterEnv, RemoteExecutor, ShellResult, SshTransport, assemble_hadoop_command
 from .synthetic import SurfaceSpec, SyntheticExecutor, synthetic_eval
+
+# name -> the module, of this package, that defines it
+_ON_FIRST_USE = {
+    "LocalExecutor": "local",
+    "ClusterEnv": "remote",
+    "RemoteExecutor": "remote",
+    "ShellResult": "remote",
+    "SshTransport": "remote",
+    "assemble_hadoop_command": "remote",
+}
+
+
+def __getattr__(name: str):
+    if name in _ON_FIRST_USE:
+        return getattr(import_module(f".{_ON_FIRST_USE[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ClusterEnv",

@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import math
+import re
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 from ..paramspace import TrialPoint
 
 STATUS_SUCCESS = "success"
 STATUS_FAILED = "failed"
 STATUS_TIMEOUT = "timeout"
+
+# a {parameter} placeholder in a local command template
+PLACEHOLDER_RE = re.compile(r"\{([^{}]+)\}")
 
 
 @dataclass(frozen=True)
@@ -37,32 +42,47 @@ class JobSpec:
         object.__setattr__(self, "static_args", tuple(self.static_args))
 
 
-@dataclass(frozen=True, slots=True)
-class TrialResult:
-    """Measured outcome of one trial (all repetitions of one point)."""
-
+class _ResultFields(NamedTuple):
     status: str
-    rep_times_s: tuple[float, ...] = ()
-    phase_times_s: dict[str, float] | None = None
-    result_dir: str | None = None
-    log_ref: str | None = None
+    rep_times_s: tuple[float, ...]
+    phase_times_s: dict[str, float] | None
+    result_dir: str | None
+    log_ref: str | None
 
-    def __post_init__(self):
+
+class TrialResult(_ResultFields):
+    """Measured outcome of one trial (all repetitions of one point); immutable.
+
+    A tuple, so that a history of many trials builds and holds its results
+    at a tuple's cost.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, status: str, rep_times_s: Iterable[float] = (),
+                phase_times_s: dict[str, float] | None = None,
+                result_dir: str | None = None, log_ref: str | None = None) -> TrialResult:
         # the one check of a result's values, for executors and history readers alike
-        object.__setattr__(self, "rep_times_s", tuple(self.rep_times_s))
-        if self.status not in (STATUS_SUCCESS, STATUS_FAILED, STATUS_TIMEOUT):
-            raise ValueError(f"unknown status {self.status!r}")
+        rep_times_s = tuple(rep_times_s)
+        if status not in (STATUS_SUCCESS, STATUS_FAILED, STATUS_TIMEOUT):
+            raise ValueError(f"unknown status {status!r}")
         try:  # NaN and inf fail this too, so every success has a finite median
-            finite = all(0.0 < t < math.inf for t in self.rep_times_s)
+            finite = all(0.0 < t < math.inf for t in rep_times_s)
         except TypeError:  # a time that is no number
             finite = False
         if not finite:
-            raise ValueError(f"repetition times {list(self.rep_times_s)} must be finite positive numbers")
-        if self.status == STATUS_SUCCESS and not self.rep_times_s:
+            raise ValueError(f"repetition times {list(rep_times_s)} must be finite positive numbers")
+        if status == STATUS_SUCCESS and not rep_times_s:
             raise ValueError("successful trials need at least one finite positive repetition time")
-        if self.phase_times_s is not None and not all(
-                type(t) in (int, float) and math.isfinite(t) for t in self.phase_times_s.values()):
-            raise ValueError(f"phase times {self.phase_times_s} are not finite numbers")
+        if phase_times_s is not None and not all(
+                type(t) in (int, float) and math.isfinite(t) for t in phase_times_s.values()):
+            raise ValueError(f"phase times {phase_times_s} are not finite numbers")
+        return tuple.__new__(cls, (status, rep_times_s, phase_times_s, result_dir, log_ref))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> TrialResult:
+        """The result of these fields in order, checked as a new one is; _replace uses it."""
+        return cls(*fields)
 
     @property
     def ok(self) -> bool:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-import re
 import shlex
 import signal
 import subprocess
@@ -13,6 +12,7 @@ from pathlib import Path
 from ..errors import SpawnFailureError, UnknownPlaceholderError
 from ..paramspace import ParamSpace, TrialPoint
 from .base import (
+    PLACEHOLDER_RE,
     Executor,
     JobSpec,
     TrialResult,
@@ -20,8 +20,6 @@ from .base import (
     STATUS_SUCCESS,
     STATUS_TIMEOUT,
 )
-
-PLACEHOLDER_RE = re.compile(r"\{([^{}]+)\}")
 
 
 def substitute_template(template: str, point: TrialPoint, space: ParamSpace) -> str:

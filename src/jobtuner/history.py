@@ -16,6 +16,10 @@ Opening a HistoryWriter repairs what a crash leaves: a torn journal tail
 
 Both files decode through one record decoder, a trials.csv row as the
 journal line it was written from, so both are read under the same rules.
+A journal line as the journal writes it is parsed in one JSON decoder call;
+any other line reads, or is refused, exactly as json.loads has it. Records
+and their results are immutable tuples (NamedTuple subclasses), so a long
+history is quick to open.
 
 Reads stream: the journal and trials.csv are parsed a line at a time from
 the open file, and rebuilds write rows straight into the replacement file,
@@ -33,13 +37,11 @@ import fcntl
 import json
 import math
 import os
-import statistics
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator, TextIO
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, TextIO
 
 from .errors import (
     HistoryCorruptError,
@@ -48,7 +50,7 @@ from .errors import (
     ManifestMissingError,
 )
 from .executors.base import TrialResult
-from .paramspace import KIND_CAT, KIND_FLOAT, KIND_INT, ParamSpace
+from .paramspace import KIND_CAT, KIND_FLOAT, KIND_INT, ParamSpace, TrialPoint
 from .project import parse_kv_file
 
 HISTORY_DIR = "history"
@@ -63,20 +65,44 @@ _PHASES = ("map", "shuffle", "reduce")
 _CHUNK = 1 << 14  # bytes per read when counting lines: a count holds no more than this
 
 
-@dataclass(frozen=True, slots=True)
-class TrialRecord:
-    """One executed trial: the point, its measurements, and the aggregate."""
+def median(values: Iterable[float]) -> float:
+    """The middle of the sorted values, or the mean of the middle two, as statistics.median
+    gives it; values must not be empty."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    return float(ordered[mid]) if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
 
+
+class _RecordFields(NamedTuple):
     trial_id: int
     point: TrialPoint
     result: TrialResult
     strategy_id: str
     timestamp: datetime
-    aggregate_s: float | None = field(init=False)  # a success's median; None encodes FAILED
+    aggregate_s: float | None  # a success's median; None encodes FAILED
 
-    def __post_init__(self):
-        object.__setattr__(self, "aggregate_s", float(statistics.median(self.result.rep_times_s))
-                           if self.result.ok else None)
+
+class TrialRecord(_RecordFields):
+    """One executed trial: the point, its measurements, and the aggregate; immutable.
+
+    A tuple, so that a history of many trials builds and holds its records
+    at a tuple's cost. aggregate_s is derived from the result, never given.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, trial_id: int, point: TrialPoint, result: TrialResult, strategy_id: str,
+                timestamp: datetime) -> TrialRecord:
+        aggregate_s = median(result.rep_times_s) if result.ok else None
+        return tuple.__new__(cls, (trial_id, point, result, strategy_id, timestamp, aggregate_s))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> TrialRecord:
+        """The record of a trial's five given fields; aggregate_s, derived, is refused."""
+        return cls(*fields)
+
+    def __getnewargs__(self) -> tuple:  # copy and pickle rebuild a record from its given fields
+        return self[:5]
 
     @property
     def search_objective(self) -> float:
@@ -181,7 +207,8 @@ def read_trials(project_root: str | Path, space: ParamSpace) -> list[TrialRecord
     """Parse trials.csv, each row decoded as a journal line; tolerates a missing file.
 
     Raises HistoryCorruptError, naming the last valid trial_id, when the file
-    is truncated mid-row or any row is one the journal reader would refuse.
+    is truncated mid-row or any row is one the journal reader would refuse,
+    a point value outside the space included.
     """
     path = history_dir(project_root) / TRIALS_CSV
     try:
@@ -210,6 +237,7 @@ def read_trials(project_root: str | Path, space: ParamSpace) -> list[TrialRecord
                 raise HistoryCorruptError(f"trial ids not contiguous at row {n}", len(records))
             records.append(record)
             row = following
+    _require_points_in_space(records, space, "trials.csv row", 2)
     return records
 
 
@@ -259,18 +287,16 @@ def _decoder(space: ParamSpace) -> Callable[[dict], TrialRecord]:
     """
     names = space.names()
     declared = set(names)
+    make_point, intern, parse_time = space.make_point, sys.intern, datetime.fromisoformat
 
     def decode(d: dict) -> TrialRecord:
         values = d["point"]
         if values.keys() != declared:
             raise ValueError(f"point parameters {sorted(values)} are not the space's {names}")
-        result = TrialResult(status=sys.intern(d["status"]), rep_times_s=d["rep_times_s"],
-                             phase_times_s=d["phase_times_s"],
-                             result_dir=d["result_dir"], log_ref=d["log_ref"])
-        record = TrialRecord(trial_id=d["trial_id"], result=result,
-                             point=space.make_point(tuple([values[name] for name in names])),
-                             strategy_id=sys.intern(d["strategy"]),
-                             timestamp=datetime.fromisoformat(d["timestamp_utc"]))
+        result = TrialResult(intern(d["status"]), d["rep_times_s"], d["phase_times_s"],
+                             d["result_dir"], d["log_ref"])
+        record = TrialRecord(d["trial_id"], make_point(tuple([values[name] for name in names])),
+                             result, intern(d["strategy"]), parse_time(d["timestamp_utc"]))
         # floats round-trip exactly through both files, so the recorded median compares equal
         if d["aggregate_s"] != record.aggregate_s:
             raise ValueError(f"aggregate_s {d['aggregate_s']!r} is not the "
@@ -278,6 +304,26 @@ def _decoder(space: ParamSpace) -> Callable[[dict], TrialRecord]:
         return record
 
     return decode
+
+
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _load_line(line: bytes):
+    """json.loads(line) for a terminated journal line, in one decoder call for the
+    `{...}` + newline lines that _journal_line writes.
+
+    Any other line (surrounding whitespace, a CRLF ending, another encoding, or
+    no JSON at all) is read, or refused with the same error, by json.loads itself.
+    """
+    try:
+        text = line.decode("utf-8", "surrogatepass")  # the codec json.loads detects here
+        fields, end = _raw_decode(text)
+        if end == len(text) - 1:  # nothing but the newline follows the object
+            return fields
+    except ValueError:
+        pass
+    return json.loads(line)
 
 
 def _parse_journal(fh: BinaryIO, space: ParamSpace) -> tuple[list[TrialRecord], int]:
@@ -295,7 +341,7 @@ def _parse_journal(fh: BinaryIO, space: ParamSpace) -> tuple[list[TrialRecord], 
         if not line.endswith(b"\n"):
             break
         try:
-            record = decode(json.loads(line))
+            record = decode(_load_line(line))
         except _UNREADABLE as exc:
             raise HistoryCorruptError(f"journal line {n} unreadable: {exc}", len(records)) from exc
         if record.trial_id != len(records) + 1:
@@ -305,21 +351,33 @@ def _parse_journal(fh: BinaryIO, space: ParamSpace) -> tuple[list[TrialRecord], 
     return records, durable
 
 
+def _require_points_in_space(records: list[TrialRecord], space: ParamSpace,
+                             where: str, first: int) -> None:
+    """Refuse the first record whose point values lie outside the space.
+
+    The error names the record's line as `where` plus its number, counting
+    trial 1 as line `first`.
+    """
+    for r in records:
+        violations = space.validate_point(r.point)
+        if violations:
+            raise HistoryCorruptError(f"{where} {r.trial_id - 1 + first} unreadable: "
+                                      f"{'; '.join(violations)}", r.trial_id - 1)
+
+
 def read_raw_records(project_root: str | Path, space: ParamSpace) -> list[TrialRecord]:
-    """Every durable trial in the journal, in trial order; see _parse_journal."""
+    """Every durable trial in the journal, in trial order; see _parse_journal.
+
+    Also refuses a point value outside the space, which resume instead finds
+    by replaying each point; aggregate and report replay nothing.
+    """
     try:
         fh = open(history_dir(project_root) / JOURNAL_FILE, "rb")
     except FileNotFoundError:
         return []
     with fh:
         records = _parse_journal(fh, space)[0]
-    # resume checks each point against the space by replaying it; aggregate
-    # and report replay nothing, so they check here (trial n is on line n)
-    for r in records:
-        violations = space.validate_point(r.point)
-        if violations:
-            raise HistoryCorruptError(f"journal line {r.trial_id} unreadable: "
-                                      f"{'; '.join(violations)}", r.trial_id - 1)
+    _require_points_in_space(records, space, "journal line", 1)
     return records
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import shlex
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import (
     BadValueError,
@@ -23,11 +24,12 @@ from .errors import (
     MissingFileError,
     MissingKeyError,
 )
-from .executors.base import JobSpec
-from .executors.local import PLACEHOLDER_RE
-from .executors.remote import ClusterEnv
+from .executors.base import PLACEHOLDER_RE, JobSpec
 from .executors.synthetic import FAMILIES, SurfaceSpec
 from .paramspace import ParamSpace, parse_param_file
+
+if TYPE_CHECKING:
+    from .executors.remote import ClusterEnv
 
 PARAMS_FILE = "params.conf"
 JOB_FILE = "job.conf"
@@ -116,6 +118,8 @@ def parse_env_file(text: str) -> ClusterEnv:
     Raises MissingKeyError for absent required keys and BadValueError when
     port is not an integer.
     """
+    from .executors.remote import ClusterEnv  # only remote projects load the remote executor
+
     kv = parse_kv_file(text, ENV_FILE)
     for key in _ENV_KEYS:
         if key not in kv or not kv[key]:

@@ -8,11 +8,10 @@ leaves the old report or the new one. Plotting is left to external tools.
 from __future__ import annotations
 
 import csv
-import statistics
 from pathlib import Path
 
 from .errors import EmptyHistoryError, IdenticalAxesError, UnknownParamError
-from .history import TrialRecord, fmt_float, history_dir, replace_file
+from .history import TrialRecord, fmt_float, history_dir, median, replace_file
 from .paramspace import ParamSpace
 
 CONVERGENCE_CSV = "convergence.csv"
@@ -76,7 +75,7 @@ def surface_table(
             continue
         cells.setdefault((r.point[px], r.point[py]), []).append(r.aggregate_s)
     rows = [
-        (vx, vy, float(statistics.median(aggs)), len(aggs))
+        (vx, vy, median(aggs), len(aggs))
         for (vx, vy), aggs in cells.items()
     ]
     rows.sort(key=lambda row: (_sort_key(row[0]), _sort_key(row[1])))

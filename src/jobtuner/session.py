@@ -26,8 +26,6 @@ from .errors import (
     SpaceMismatchError,
 )
 from .executors.base import Executor, TrialResult
-from .executors.local import LocalExecutor
-from .executors.remote import RemoteExecutor
 from .executors.synthetic import SyntheticExecutor
 from .history import (
     MANIFEST_FILE,
@@ -91,8 +89,11 @@ def make_executor(project: Project, seed: int | None = None) -> Executor:
         if seed is not None:
             surface = replace(surface, seed=seed)
         return SyntheticExecutor(project.space, surface)
+    # the local and remote executors load here, so a synthetic session never imports them
     if project.executor_kind == "local":
+        from .executors.local import LocalExecutor
         return LocalExecutor(project.space, workdir=project.root)
+    from .executors.remote import RemoteExecutor
     return RemoteExecutor(project.space, project.env, project.root)
 
 
@@ -202,7 +203,8 @@ def resume_session(project: Project, executor: Executor | None = None) -> Sessio
     to an uninterrupted one. Raises MissingKeyError or BadValueError, naming
     the key, for a manifest entry that is absent or malformed; entries it
     does not read, such as the memoize flag and opt_* settings older
-    versions wrote, are ignored.
+    versions wrote, are ignored. Raises HistoryCorruptError, leaving the
+    manifest unchanged, when the history does not read or replay.
     """
     manifest = read_manifest(project.root)
     if manifest.get("space_hash") != space_hash(project.space):
@@ -223,10 +225,11 @@ def resume_session(project: Project, executor: Executor | None = None) -> Sessio
 
 
 def _drive(loop: _TuningLoop, started: float) -> SessionSummary:
+    # a history that does not open or replay is refused before the manifest changes
+    writer = HistoryWriter(loop.project.root, loop.project.space)
+    loop.replay(writer.records)
     loop.set_status(STATUS_RUNNING)
     try:
-        writer = HistoryWriter(loop.project.root, loop.project.space)
-        loop.replay(writer.records)
         status = loop.run(writer)
     except BaseException:
         # whatever stopped the loop, every observed trial is already durable

@@ -161,6 +161,19 @@ def test_journal_point_value_outside_the_space_exits_2(tmp_path, caplog, command
     assert not (project.root / "history" / "surface_a_b.csv").exists()
 
 
+@pytest.mark.parametrize("edit", [
+    lambda entry: entry["point"].pop("b"),  # the reader refuses the line
+    lambda entry: entry["point"].update(a=4),  # it reads, but the grid proposed a=1 there
+], ids=["corrupt", "does_not_replay"])
+def test_refused_resume_leaves_the_manifest_unchanged(tmp_path, edit):
+    project = tune_and_edit_journal_line_2(tmp_path, edit)
+    manifest = project.root / "history" / "session.conf"
+    before = manifest.read_bytes()
+    assert b"status=finished\n" in before
+    assert main(["resume", "--dir", str(project.root)]) == 2
+    assert manifest.read_bytes() == before
+
+
 def test_aggregate_and_report(tmp_path):
     project = make_project(tmp_path)
     main(["tune", "--dir", str(project.root), "--strategy", "grid", "--budget", "8"])

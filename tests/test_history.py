@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import itertools
@@ -97,6 +98,21 @@ def test_failed_has_no_aggregate():
 
 def test_search_objective_maps_failed_to_inf():
     assert record_of(TrialResult(status="failed")).search_objective == math.inf
+
+
+def test_results_and_records_are_immutable_and_copies_are_checked():
+    result = TrialResult(status="success", rep_times_s=(3.0, 1.0, 2.0))
+    record = record_of(result)
+    for obj, name in ((result, "status"), (result, "rep_times_s"),
+                      (record, "trial_id"), (record, "aggregate_s")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+    assert copy.copy(record) == record
+    assert result._replace(log_ref="log/1").log_ref == "log/1"
+    with pytest.raises(ValueError, match="unknown status"):
+        result._replace(status="bogus")
+    with pytest.raises(ValueError, match="finite positive"):
+        result._replace(rep_times_s=(math.nan,))
 
 
 # --- writer / reader ------------------------------------------------------------
@@ -245,7 +261,8 @@ def test_journal_success_with_non_finite_time_is_corrupt(tmp_path, fields):
 @pytest.mark.parametrize("cells", [
     {"status": "success", "rep_times_s": "163.7;163.7;163.7", "aggregate_s": "1.5"},
     {"shuffle_s": "nan"},
-], ids=["aggregate_not_the_median", "phase_nan"])
+    {"tasks": "99"},  # tasks int min=1 max=16
+], ids=["aggregate_not_the_median", "phase_nan", "point_outside_the_space"])
 def test_csv_row_is_read_under_the_journal_rules(tmp_path, cells):
     rng = random.Random(11)
     writer = HistoryWriter(tmp_path, SPACE)
@@ -294,6 +311,31 @@ def test_journal_cut_anywhere_in_its_last_line(tmp_path):
         assert HistoryWriter(tmp_path, SPACE).records == records[:4]
         assert path.read_bytes() == data[:durable]  # a writer truncates the tail
         assert read_trials(tmp_path, SPACE) == records[:4]
+
+
+@pytest.mark.parametrize("restyle", [
+    lambda line: line[:-1] + b"\r\n",
+    lambda line: b" \t" + line[:-1] + b"  \n",
+    lambda line: b"\xef\xbb\xbf" + line,  # a UTF-8 byte order mark
+    lambda line: line.decode().encode("utf-16-be"),
+], ids=["crlf", "surrounding_whitespace", "utf8_bom", "utf16"])
+def test_journal_lines_read_as_json_loads_reads_them(tmp_path, restyle):
+    rng = random.Random(13)
+    records = [random_record(rng, i) for i in range(1, 6)]
+    writer = HistoryWriter(tmp_path, SPACE)
+    for r in records[:4]:
+        writer.append(r)
+    table = tmp_path / "history" / "trials.csv"
+    csv_before = table.read_bytes()  # a crash inside trial 5's journal write leaves this
+    writer.append(records[4])
+    table.write_bytes(csv_before)
+    path = tmp_path / "history" / "journal.jsonl"
+    lines = [restyle(line) for line in path.read_bytes().splitlines(keepends=True)]
+    durable = b"".join(lines[:4])
+    path.write_bytes(durable + lines[4][:-3])  # trial 5 torn mid-line
+    assert read_raw_records(tmp_path, SPACE) == records[:4]
+    assert HistoryWriter(tmp_path, SPACE).records == records[:4]
+    assert path.read_bytes() == durable  # truncated where trial 5's line starts
 
 
 def test_reads_and_rewrites_hold_no_copy_of_the_file(tmp_path, monkeypatch):

@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -397,7 +396,7 @@ class ResultDirExecutor(Executor):
 
     def execute_trial(self, job, point, trial_id):
         result = self.inner.execute_trial(job, point, trial_id)
-        return replace(result, result_dir=f"out/trial_{trial_id}", log_ref=f"log/{trial_id}")
+        return result._replace(result_dir=f"out/trial_{trial_id}", log_ref=f"log/{trial_id}")
 
 
 def test_memoized_resume_keeps_result_dir_and_log_ref(tmp_path):
@@ -515,9 +514,46 @@ def test_remote_grid_session_never_loads_numpy(tmp_path):
         "history_log_dir=/var/log/hadoop-yarn/aggregated\n"
     )
     (root / "app.jar").write_bytes(b"fake jar bytes")
+    proc = run_child(NUMPY_FREE_CHILD, root)
+    assert proc.returncode == 0, proc.stderr
+
+
+def run_child(code: str, *args) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports jobtuner and the test helpers."""
     env = dict(os.environ)
     paths = [str(Path(jobtuner.__file__).parents[1]), str(Path(__file__).parent)]
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [*paths, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", NUMPY_FREE_CHILD, str(root)],
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)],
                           env=env, capture_output=True, text=True, timeout=60)
+
+
+# --- the local and remote executors load only when used -----------------------
+
+LEAN_IMPORT_CHILD = r"""
+import sys
+
+import jobtuner
+from jobtuner.session import resume_session, run_tuning
+
+def loaded():
+    return [m for m in ("statistics", "jobtuner.executors.local", "jobtuner.executors.remote")
+            if m in sys.modules]
+
+assert not loaded(), f"import jobtuner loaded {loaded()}"
+project = jobtuner.load_project(sys.argv[1])
+run_tuning(project, "grid", budget=3)
+resume_session(project)
+assert not loaded(), f"a synthetic session loaded {loaded()}"
+
+from jobtuner import ClusterEnv, LocalExecutor, RemoteExecutor
+from jobtuner.executors import local, remote
+assert (ClusterEnv, RemoteExecutor) == (remote.ClusterEnv, remote.RemoteExecutor)
+assert LocalExecutor is local.LocalExecutor
+assert jobtuner.executors.SshTransport is remote.SshTransport
+"""
+
+
+def test_import_and_a_synthetic_session_load_no_local_or_remote_executor(tmp_path):
+    project = small_project(tmp_path)
+    proc = run_child(LEAN_IMPORT_CHILD, project.root)
     assert proc.returncode == 0, proc.stderr
