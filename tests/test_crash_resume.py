@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import jobtuner
-from doubles import InterruptingExecutor
+from doubles import CountingExecutor, InterruptingExecutor
 from helpers import bowl_job_conf, write_synthetic_project
 from jobtuner.errors import ConnectError, HistoryCorruptError
 from jobtuner.history import read_trials
@@ -32,7 +32,7 @@ SEED = 13
 
 # argv: project root, strategy, kill point, k. Kill points:
 #   execute  inside the executor, as trial k starts
-#   fsync    right after trial k's journal fsync, before its CSV row
+#   fsync    right after trial k's journal fsync, before its searcher sees the result
 #   torn     at trial k's journal fsync, after cutting its line short
 CHILD = r"""
 import os, signal, sys
@@ -137,8 +137,10 @@ def test_history_without_journal_is_refused_and_left_alone(tmp_path):
     (hist / "journal.jsonl").unlink()
     before = (hist / "trials.csv").read_bytes()
 
+    executor = CountingExecutor(make_executor(project, SEED))
     with pytest.raises(HistoryCorruptError):
-        resume_session(load_project(project.root))
+        resume_session(load_project(project.root), executor=executor)
+    assert executor.calls == []  # refused before any job runs, not when the session ends
     assert (hist / "trials.csv").read_bytes() == before
     with pytest.raises(HistoryCorruptError):
         aggregate_history(project)

@@ -117,9 +117,13 @@ def test_results_and_records_are_immutable_and_copies_are_checked():
 
 # --- writer / reader ------------------------------------------------------------
 
-def test_first_append_creates_header_and_row(tmp_path):
+def test_first_append_writes_one_journal_line_and_no_csv(tmp_path):
     writer = HistoryWriter(tmp_path, SPACE)
-    writer.append(random_record(random.Random(0), 1))
+    record = random_record(random.Random(0), 1)
+    writer.append(record)
+    assert sorted(p.name for p in (tmp_path / "history").iterdir()) == ["journal.jsonl"]
+    assert read_raw_records(tmp_path, SPACE) == [record]
+    rewrite_trials_csv(tmp_path, SPACE, writer.records)
     lines = (tmp_path / "history" / "trials.csv").read_text().splitlines()
     assert len(lines) == 2
     assert lines[0].startswith("trial_id,strategy,timestamp_utc,tasks,frac,codec,")
@@ -140,6 +144,7 @@ def test_roundtrip_randomized_records(tmp_path):
     writer = HistoryWriter(tmp_path, SPACE)
     for r in records:
         writer.append(r)
+    rewrite_trials_csv(tmp_path, SPACE, writer.records)
     loaded = read_trials(tmp_path, SPACE)
     assert loaded == records
 
@@ -152,6 +157,7 @@ def test_writer_resumes_numbering_from_existing_file(tmp_path):
     again = HistoryWriter(tmp_path, SPACE)
     assert again.last_id == 3
     again.append(random_record(rng, 4))
+    rewrite_trials_csv(tmp_path, SPACE, again.records)
     assert len(read_trials(tmp_path, SPACE)) == 4
 
 
@@ -164,6 +170,7 @@ def test_truncated_mid_row_detected(tmp_path):
     writer = HistoryWriter(tmp_path, SPACE)
     for i in range(1, 6):
         writer.append(random_record(rng, i))
+    rewrite_trials_csv(tmp_path, SPACE, writer.records)
     path = tmp_path / "history" / "trials.csv"
     text = path.read_text()
     last_row = len(text.splitlines(keepends=True)[-1])
@@ -179,6 +186,7 @@ def test_corrupt_middle_row_detected(tmp_path):
     writer = HistoryWriter(tmp_path, SPACE)
     for i in range(1, 4):
         writer.append(random_record(rng, i))
+    rewrite_trials_csv(tmp_path, SPACE, writer.records)
     path = tmp_path / "history" / "trials.csv"
     lines = path.read_text().splitlines(keepends=True)
     lines[2] = "2,grid,not-a-timestamp,1,0.5,plain,success,1.0,1.0,,,\n"
@@ -192,6 +200,7 @@ def test_header_mismatch_detected(tmp_path):
     other_space = ParamSpace((ParamSpec(name="x", kind="int", lower=0, upper=1, step=1),))
     writer = HistoryWriter(tmp_path, SPACE)
     writer.append(random_record(random.Random(5), 1))
+    rewrite_trials_csv(tmp_path, SPACE, writer.records)
     with pytest.raises(HistoryCorruptError):
         read_trials(tmp_path, other_space)
 
@@ -268,6 +277,7 @@ def test_csv_row_is_read_under_the_journal_rules(tmp_path, cells):
     writer = HistoryWriter(tmp_path, SPACE)
     for i in range(1, 4):
         writer.append(random_record(rng, i))
+    rewrite_trials_csv(tmp_path, SPACE, writer.records)
     path = tmp_path / "history" / "trials.csv"
     rows = list(csv.reader(io.StringIO(path.read_text())))
     for name, cell in cells.items():
@@ -285,6 +295,7 @@ def test_csv_records_share_their_strategy_and_status_strings(tmp_path):
     writer = HistoryWriter(tmp_path, SPACE)
     for i in range(1, 31):
         writer.append(random_record(rng, i))
+    rewrite_trials_csv(tmp_path, SPACE, writer.records)
     records = read_trials(tmp_path, SPACE)
     assert records == writer.records
     for field in (lambda r: r.strategy_id, lambda r: r.result.status):
@@ -297,20 +308,21 @@ def test_journal_cut_anywhere_in_its_last_line(tmp_path):
     writer = HistoryWriter(tmp_path, SPACE)
     for r in records[:4]:
         writer.append(r)
+    # the export of an earlier session, which trails the journal until this one ends
+    rewrite_trials_csv(tmp_path, SPACE, records[:2])
     table = tmp_path / "history" / "trials.csv"
-    csv_before = table.read_bytes()  # a crash inside trial 5's journal write leaves this
+    csv_before = table.read_bytes()
     writer.append(records[4])
     path = tmp_path / "history" / "journal.jsonl"
     data = path.read_bytes()
     durable = data.rindex(b"\n", 0, len(data) - 1) + 1  # where the last line starts
     for end in range(durable + 1, len(data)):
         path.write_bytes(data[:end])
-        table.write_bytes(csv_before)
         assert read_raw_records(tmp_path, SPACE) == records[:4]  # the tail is skipped
         assert path.read_bytes() == data[:end]  # reading repairs nothing
         assert HistoryWriter(tmp_path, SPACE).records == records[:4]
         assert path.read_bytes() == data[:durable]  # a writer truncates the tail
-        assert read_trials(tmp_path, SPACE) == records[:4]
+        assert table.read_bytes() == csv_before  # and leaves the export as it is
 
 
 @pytest.mark.parametrize("restyle", [
@@ -323,12 +335,8 @@ def test_journal_lines_read_as_json_loads_reads_them(tmp_path, restyle):
     rng = random.Random(13)
     records = [random_record(rng, i) for i in range(1, 6)]
     writer = HistoryWriter(tmp_path, SPACE)
-    for r in records[:4]:
+    for r in records:
         writer.append(r)
-    table = tmp_path / "history" / "trials.csv"
-    csv_before = table.read_bytes()  # a crash inside trial 5's journal write leaves this
-    writer.append(records[4])
-    table.write_bytes(csv_before)
     path = tmp_path / "history" / "journal.jsonl"
     lines = [restyle(line) for line in path.read_bytes().splitlines(keepends=True)]
     durable = b"".join(lines[:4])
@@ -347,6 +355,7 @@ def test_reads_and_rewrites_hold_no_copy_of_the_file(tmp_path, monkeypatch):
             writer.append(random_record(rng, i))
     records = writer.records
     del writer
+    rewrite_trials_csv(tmp_path, SPACE, records)
     hist = tmp_path / "history"
     # csv.writer keeps one fixed record buffer, whatever the size of the file
     tracemalloc.start()

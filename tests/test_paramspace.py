@@ -79,6 +79,7 @@ def test_parse_unknown_kind():
         "x int min=1 max=5 step=0",       # step 0
         "x float min=0 max=1 step=-0.5",  # negative step
         "x int min=1 max=5 step=1 default=9",  # default outside
+        "x int min=64 max=512 step=64 default=100",  # default off the lattice
     ],
 )
 def test_parse_domain_errors(line):

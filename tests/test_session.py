@@ -244,6 +244,54 @@ def test_any_executor_error_interrupts_and_resume_completes(tmp_path):
     assert [r.trial_id for r in read_trials(project.root, project.space)] == list(range(1, 7))
 
 
+class ExportWatcher(Executor):
+    """Delegates to an inner executor, noting at each trial whether trials.csv exists."""
+
+    def __init__(self, inner, root):
+        self.inner = inner
+        self.table = root / "history" / "trials.csv"
+        self.seen: list[bool] = []
+
+    def execute_trial(self, job, point, trial_id):
+        self.seen.append(self.table.exists())
+        return self.inner.execute_trial(job, point, trial_id)
+
+
+@pytest.mark.parametrize("error, status", [
+    (None, "finished"), (ConnectError, "interrupted"), (KeyboardInterrupt, "interrupted"),
+], ids=["finished", "connect_error", "keyboard_interrupt"])
+def test_trials_csv_is_exported_once_when_the_session_ends(tmp_path, error, status):
+    project = small_project(tmp_path)
+    watcher = ExportWatcher(make_executor(project), project.root)
+    if error is None:
+        run_tuning(project, "grid", budget=6, executor=watcher)
+    else:
+        with pytest.raises(error):
+            run_tuning(project, "grid", budget=6,
+                       executor=InterruptingExecutor(watcher, allow=3, error=error))
+    assert watcher.seen == [False] * (6 if error is None else 3)  # no trial saw a trials.csv
+    assert read_manifest(project.root)["status"] == status
+    table = project.root / "history" / "trials.csv"
+    live = table.read_bytes()
+    aggregate_history(project)
+    assert table.read_bytes() == live
+    assert len(live.splitlines()) == len(watcher.seen) + 1
+
+
+def test_a_failing_export_leaves_the_session_finished(tmp_path, monkeypatch):
+    project = small_project(tmp_path)
+
+    def fail(*args):
+        raise OSError("scripted export failure")
+
+    monkeypatch.setattr("jobtuner.session.rewrite_trials_csv", fail)
+    with pytest.raises(OSError, match="scripted export failure"):
+        run_tuning(project, "grid", budget=6)
+    assert read_manifest(project.root)["status"] == "finished"
+    assert len(read_raw_records(project.root, project.space)) == 6
+    assert not (project.root / "history" / "trials.csv").exists()
+
+
 # an 11x3 lattice, coarse next to the searchers' steps, on which every DFO
 # strategy re-proposes measured points before a budget of 10 runs out
 COARSE_PARAMS = "a int min=1 max=11 step=1\nb int min=1 max=3 step=1\n"
