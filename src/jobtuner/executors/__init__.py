@@ -1,14 +1,14 @@
 """Trial executors: synthetic response surfaces, local commands, remote Hadoop jobs.
 
-The local and remote executors are imported on first use of one of their
-names, so a session that runs neither, such as a synthetic one, never loads
-them, or the subprocess and signal modules they need.
+The local and remote executors and the Hadoop log parser are imported on
+first use of one of their names, so a session that runs neither executor,
+such as a synthetic one, never loads them, or the subprocess and signal
+modules they need.
 """
 
 from importlib import import_module
 
 from .base import Executor, JobSpec, TrialResult
-from .hadoop_logs import parse_phase_times
 from .synthetic import SurfaceSpec, SyntheticExecutor, synthetic_eval
 
 # name -> the module, of this package, that defines it
@@ -19,6 +19,7 @@ _ON_FIRST_USE = {
     "ShellResult": "remote",
     "SshTransport": "remote",
     "assemble_hadoop_command": "remote",
+    "parse_phase_times": "hadoop_logs",
 }
 
 

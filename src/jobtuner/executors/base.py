@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 import re
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from ..paramspace import TrialPoint
@@ -18,28 +17,39 @@ STATUS_TIMEOUT = "timeout"
 PLACEHOLDER_RE = re.compile(r"\{([^{}]+)\}")
 
 
-@dataclass(frozen=True)
-class JobSpec:
-    """What to run for one trial and how often to measure it.
+class _JobFields(NamedTuple):
+    artifact: str
+    main_entry: str | None
+    static_args: tuple[str, ...]
+    timeout_s: float
+    repetitions: int
+    cleanup_output: bool
+
+
+class JobSpec(_JobFields):
+    """What to run for one trial and how often to measure it; immutable.
 
     artifact is either a path to an executable job archive (remote) or a
     command template string with {parameter} placeholders (local); the
     synthetic executor ignores it.
     """
 
-    artifact: str = ""
-    main_entry: str | None = None
-    static_args: tuple[str, ...] = ()
-    timeout_s: float = 3600.0
-    repetitions: int = 1
-    cleanup_output: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.timeout_s <= 0:
-            raise ValueError(f"timeout_s must be > 0, got {self.timeout_s}")
-        if self.repetitions < 1:
-            raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
-        object.__setattr__(self, "static_args", tuple(self.static_args))
+    def __new__(cls, artifact: str = "", main_entry: str | None = None,
+                static_args: Iterable[str] = (), timeout_s: float = 3600.0,
+                repetitions: int = 1, cleanup_output: bool = False) -> JobSpec:
+        if timeout_s <= 0:
+            raise ValueError(f"timeout_s must be > 0, got {timeout_s}")
+        if repetitions < 1:
+            raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+        return tuple.__new__(cls, (artifact, main_entry, tuple(static_args), timeout_s,
+                                   repetitions, cleanup_output))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> JobSpec:
+        """The spec of these fields in order, checked as a new one is; _replace uses it."""
+        return cls(*fields)
 
 
 class _ResultFields(NamedTuple):

@@ -12,9 +12,8 @@ import logging
 import shlex
 import subprocess
 import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol
+from typing import Iterable, NamedTuple, Protocol
 
 from ..errors import ConnectError, StagingError, TransportTimeout
 from ..paramspace import ParamSpace, TrialPoint
@@ -33,10 +32,7 @@ log = logging.getLogger(__name__)
 DOWNLOADED_RESULTS_DIR = "downloaded_results"
 
 
-@dataclass(frozen=True)
-class ClusterEnv:
-    """Where the cluster lives and which remote paths the harness may use."""
-
+class _EnvFields(NamedTuple):
     master_host: str
     port: int
     user: str
@@ -45,17 +41,31 @@ class ClusterEnv:
     hadoop_home: str
     history_log_dir: str
 
-    def __post_init__(self):
-        if not 1 <= self.port <= 65535:
-            raise ValueError(f"port must be in [1, 65535], got {self.port}")
+
+class ClusterEnv(_EnvFields):
+    """Where the cluster lives and which remote paths the harness may use; immutable."""
+
+    __slots__ = ()
+
+    def __new__(cls, master_host: str, port: int, user: str, auth_key_path: str,
+                remote_workdir: str, hadoop_home: str, history_log_dir: str) -> ClusterEnv:
+        if not 1 <= port <= 65535:
+            raise ValueError(f"port must be in [1, 65535], got {port}")
+        env = tuple.__new__(cls, (master_host, port, user, auth_key_path, remote_workdir,
+                                  hadoop_home, history_log_dir))
         for name in ("master_host", "user", "auth_key_path", "remote_workdir",
                      "hadoop_home", "history_log_dir"):
-            if not getattr(self, name):
+            if not getattr(env, name):
                 raise ValueError(f"{name} must be nonempty")
+        return env
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> ClusterEnv:
+        """The env of these fields in order, checked as a new one is; _replace uses it."""
+        return cls(*fields)
 
 
-@dataclass(frozen=True)
-class ShellResult:
+class ShellResult(NamedTuple):
     exit_code: int
     stdout: str
     stderr: str

@@ -8,8 +8,7 @@ bit-identically regardless of evaluation order. numpy loads on first use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from ..errors import DimensionMismatchError
 from ..paramspace import ParamSpace, TrialPoint
@@ -28,44 +27,51 @@ FAMILIES = (FAMILY_BOWL, FAMILY_PLANE, FAMILY_ROSENBROCK, FAMILY_LOOKUP)
 MIN_RUNTIME_S = 0.001
 
 
-@dataclass(frozen=True)
-class SurfaceSpec:
-    """Shape of a synthetic running-time surface over the unit cube."""
-
+class _SurfaceFields(NamedTuple):
     family: str
     base_s: float
-    weights: tuple[float, ...] = ()
-    optimum: tuple[float, ...] = ()
-    noise_sd_s: float = 0.0
-    seed: int = 0
-    table: tuple[tuple[tuple[float, ...], float], ...] = ()
+    weights: tuple[float, ...]
+    optimum: tuple[float, ...]
+    noise_sd_s: float
+    seed: int
+    table: tuple[tuple[tuple[float, ...], float], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        object.__setattr__(self, "optimum", tuple(float(o) for o in self.optimum))
-        object.__setattr__(
-            self,
-            "table",
-            tuple((tuple(float(c) for c in cell), float(t)) for cell, t in self.table),
-        )
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown surface family {self.family!r}")
-        if self.base_s <= 0:
+
+class SurfaceSpec(_SurfaceFields):
+    """Shape of a synthetic running-time surface over the unit cube; immutable."""
+
+    __slots__ = ()
+
+    def __new__(cls, family: str, base_s: float, weights: Iterable[float] = (),
+                optimum: Iterable[float] = (), noise_sd_s: float = 0.0, seed: int = 0,
+                table: Iterable[tuple[Iterable[float], float]] = ()) -> SurfaceSpec:
+        weights = tuple(float(w) for w in weights)
+        optimum = tuple(float(o) for o in optimum)
+        table = tuple((tuple(float(c) for c in cell), float(t)) for cell, t in table)
+        if family not in FAMILIES:
+            raise ValueError(f"unknown surface family {family!r}")
+        if base_s <= 0:
             raise ValueError("base_s must be > 0")
-        if self.noise_sd_s < 0:
+        if noise_sd_s < 0:
             raise ValueError("noise_sd_s must be >= 0")
-        if any(w <= 0 for w in self.weights):
+        if any(w <= 0 for w in weights):
             raise ValueError("weights must be positive")
-        if any(not 0.0 <= o <= 1.0 for o in self.optimum):
+        if any(not 0.0 <= o <= 1.0 for o in optimum):
             raise ValueError("optimum coordinates must lie in [0, 1]")
-        if self.family == FAMILY_BOWL and len(self.weights) != len(self.optimum):
+        if family == FAMILY_BOWL and len(weights) != len(optimum):
             raise ValueError("bowl surface needs matching weights and optimum lengths")
-        if self.family == FAMILY_ROSENBROCK:
-            for label, seq in (("weights", self.weights), ("optimum", self.optimum)):
+        if family == FAMILY_ROSENBROCK:
+            for label, seq in (("weights", weights), ("optimum", optimum)):
                 if seq and len(seq) != 2:
                     raise ValueError(f"rosenbrock surface is 2-dimensional; {label} has {len(seq)}")
-        if self.family == FAMILY_LOOKUP and not self.table:
+        if family == FAMILY_LOOKUP and not table:
             raise ValueError("lookup_table surface needs a nonempty table")
+        return tuple.__new__(cls, (family, base_s, weights, optimum, noise_sd_s, seed, table))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> SurfaceSpec:
+        """The surface of these fields in order, checked as a new one is; _replace uses it."""
+        return cls(*fields)
 
     @property
     def dimension(self) -> int:

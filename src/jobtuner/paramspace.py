@@ -15,8 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import FrozenInstanceError, dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import (
     DimensionMismatchError,
@@ -54,70 +53,78 @@ def _wholenum(raw: str) -> int:
     return int(v)
 
 
-@dataclass(frozen=True)
-class ParamSpec:
-    """One tunable configuration key, e.g. a Hadoop property.
+class _SpecFields(NamedTuple):
+    name: str
+    kind: str
+    lower: int | float | None
+    upper: int | float | None
+    step: int | float | None
+    values: tuple[str, ...]
+    default: Value | None
+    unit: str | None
+
+
+class ParamSpec(_SpecFields):
+    """One tunable configuration key, e.g. a Hadoop property; immutable.
 
     Numeric kinds carry inclusive bounds and a positive step that defines
     both the exhaustive-grid stride and the snap lattice. Categorical kinds
     carry an ordered list of distinct string values.
     """
 
-    name: str
-    kind: str
-    lower: int | float | None = None
-    upper: int | float | None = None
-    step: int | float | None = None
-    values: tuple[str, ...] = ()
-    default: Value | None = None
-    unit: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.name or re.search(r"\s", self.name):
-            raise DomainError(f"parameter name {self.name!r} is empty or has whitespace")
-        if self.kind not in (KIND_INT, KIND_FLOAT, KIND_CAT):
-            raise DomainError(f"{self.name}: unknown kind {self.kind!r}")
+    def __new__(cls, name: str, kind: str, lower: int | float | None = None,
+                upper: int | float | None = None, step: int | float | None = None,
+                values: tuple[str, ...] = (), default: Value | None = None,
+                unit: str | None = None) -> ParamSpec:
+        if not name or re.search(r"\s", name):
+            raise DomainError(f"parameter name {name!r} is empty or has whitespace")
+        if kind not in (KIND_INT, KIND_FLOAT, KIND_CAT):
+            raise DomainError(f"{name}: unknown kind {kind!r}")
 
-        if self.kind == KIND_CAT:
-            if not self.values:
-                raise DomainError(f"{self.name}: categorical needs at least one value")
-            if len(set(self.values)) != len(self.values):
-                raise DomainError(f"{self.name}: categorical values must be distinct")
-            if self.default is None:
-                object.__setattr__(self, "default", self.values[0])
-            elif self.default not in self.values:
-                raise DomainError(f"{self.name}: default {self.default!r} not among values")
-            return
+        if kind == KIND_CAT:
+            if not values:
+                raise DomainError(f"{name}: categorical needs at least one value")
+            if len(set(values)) != len(values):
+                raise DomainError(f"{name}: categorical values must be distinct")
+            if default is None:
+                default = values[0]
+            elif default not in values:
+                raise DomainError(f"{name}: default {default!r} not among values")
+            return tuple.__new__(cls, (name, kind, lower, upper, step, values, default, unit))
 
-        if self.lower is None or self.upper is None or self.step is None:
-            raise DomainError(f"{self.name}: numeric kind needs lower, upper and step")
-        if self.lower > self.upper:
-            raise DomainError(f"{self.name}: lower {self.lower} > upper {self.upper}")
-        if self.step <= 0:
-            raise DomainError(f"{self.name}: step must be > 0, got {self.step}")
+        if lower is None or upper is None or step is None:
+            raise DomainError(f"{name}: numeric kind needs lower, upper and step")
+        if lower > upper:
+            raise DomainError(f"{name}: lower {lower} > upper {upper}")
+        if step <= 0:
+            raise DomainError(f"{name}: step must be > 0, got {step}")
 
-        if self.kind == KIND_INT:
-            for label, v in (("lower", self.lower), ("upper", self.upper), ("step", self.step)):
+        if kind == KIND_INT:
+            for label, v in (("lower", lower), ("upper", upper), ("step", step)):
                 if float(v) != int(v):
-                    raise DomainError(f"{self.name}: integer {label} must be whole, got {v}")
-            object.__setattr__(self, "lower", int(self.lower))
-            object.__setattr__(self, "upper", int(self.upper))
-            object.__setattr__(self, "step", int(self.step))
-            if self.default is not None and float(self.default) != int(self.default):
-                raise DomainError(f"{self.name}: integer default must be whole, got {self.default}")
+                    raise DomainError(f"{name}: integer {label} must be whole, got {v}")
+            lower, upper, step = int(lower), int(upper), int(step)
+            if default is not None and float(default) != int(default):
+                raise DomainError(f"{name}: integer default must be whole, got {default}")
         else:
-            object.__setattr__(self, "lower", float(self.lower))
-            object.__setattr__(self, "upper", float(self.upper))
-            object.__setattr__(self, "step", float(self.step))
+            lower, upper, step = float(lower), float(upper), float(step)
 
-        if self.default is None:
-            object.__setattr__(self, "default", self.lower)
+        if default is None:
+            default = lower
         else:
-            d = int(self.default) if self.kind == KIND_INT else float(self.default)
-            object.__setattr__(self, "default", d)
-            violation = self.check_value(d)  # outside the bounds, or an int off the lattice
-            if violation:
-                raise DomainError(f"{violation} (the default)")
+            default = int(default) if kind == KIND_INT else float(default)
+        spec = tuple.__new__(cls, (name, kind, lower, upper, step, values, default, unit))
+        violation = spec.check_value(default)  # outside the bounds, or an int off the lattice
+        if violation:
+            raise DomainError(f"{violation} (the default)")
+        return spec
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> ParamSpec:
+        """The spec of these fields in order, checked as a new one is; _replace uses it."""
+        return cls(*fields)
 
     # -- lattice helpers ------------------------------------------------
 
@@ -223,10 +230,13 @@ class TrialPoint:
         return point
 
     def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild a point without assigning to it
+        return self._of, (self.names, self.values)
 
     def __getitem__(self, name: str) -> Value:
         try:
@@ -249,22 +259,43 @@ class TrialPoint:
         return f"TrialPoint({inner})"
 
 
-@dataclass(frozen=True)
 class ParamSpace:
-    """Ordered collection of ParamSpecs; the unit of every tuning session."""
+    """Ordered collection of ParamSpecs; the unit of every tuning session; immutable.
 
-    specs: tuple[ParamSpec, ...]
+    Equal and hashed by its specs. Keeps the tuple of their names, which
+    every point it builds shares.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "specs", tuple(self.specs))
-        if not self.specs:
+    __slots__ = ("specs", "_names")
+
+    def __init__(self, specs: Iterable[ParamSpec]):
+        specs = tuple(specs)
+        if not specs:
             raise EmptySpaceError("a parameter space needs at least one parameter")
         seen = set()
-        for s in self.specs:
+        for s in specs:
             if s.name in seen:
                 raise DuplicateParamError(s.name)
             seen.add(s.name)
-        object.__setattr__(self, "_names", tuple(s.name for s in self.specs))
+        object.__setattr__(self, "specs", specs)
+        object.__setattr__(self, "_names", tuple(s.name for s in specs))
+
+    __setattr__ = TrialPoint.__setattr__
+    __delattr__ = TrialPoint.__delattr__
+
+    def __reduce__(self):  # copy and pickle rebuild a space without assigning to it
+        return self.__class__, (self.specs,)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.specs == other.specs
+
+    def __hash__(self) -> int:
+        return hash(self.specs)
+
+    def __repr__(self) -> str:
+        return f"ParamSpace(specs={self.specs!r})"
 
     @property
     def dimension(self) -> int:

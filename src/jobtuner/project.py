@@ -13,9 +13,8 @@ A project root contains:
 from __future__ import annotations
 
 import shlex
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
     BadValueError,
@@ -42,9 +41,8 @@ _ENV_KEYS = ("master", "port", "user", "key_path", "remote_workdir",
              "hadoop_home", "history_log_dir")
 
 
-@dataclass(frozen=True)
-class Project:
-    """A loaded, cross-validated project directory."""
+class Project(NamedTuple):
+    """A loaded, cross-validated project directory; immutable."""
 
     root: Path
     space: ParamSpace

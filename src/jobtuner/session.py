@@ -14,8 +14,8 @@ from __future__ import annotations
 import hashlib
 import logging
 import time
-from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from typing import NamedTuple
 
 from .errors import (
     HistoryCorruptError,
@@ -40,7 +40,6 @@ from .history import (
 )
 from .paramspace import ParamSpace
 from .project import Project, parse_int
-from .reports import write_convergence
 from .search import Searcher, make_searcher
 
 log = logging.getLogger(__name__)
@@ -50,8 +49,7 @@ STATUS_INTERRUPTED = "interrupted"
 STATUS_FINISHED = "finished"
 
 
-@dataclass(frozen=True)
-class SessionSummary:
+class SessionSummary(NamedTuple):
     trial_count: int
     best: TrialRecord | None
     wall_time_s: float
@@ -87,7 +85,7 @@ def make_executor(project: Project, seed: int | None = None) -> Executor:
     if project.executor_kind == "synthetic":
         surface = project.surface
         if seed is not None:
-            surface = replace(surface, seed=seed)
+            surface = surface._replace(seed=seed)
         return SyntheticExecutor(project.space, surface)
     # the local and remote executors load here, so a synthetic session never imports them
     if project.executor_kind == "local":
@@ -261,6 +259,8 @@ def aggregate_history(project: Project) -> int:
     while a session runs, because that session exports trials.csv when it ends.
     Returns the number of records aggregated.
     """
+    from .reports import write_convergence  # sessions never report, so only aggregate loads it
+
     with SessionLock(project.root):
         records = read_raw_records(project.root, project.space)
         rewrite_trials_csv(project.root, project.space, records)

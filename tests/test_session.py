@@ -544,6 +544,8 @@ records = read_raw_records(project.root, project.space)
 write_surface(project.root, records, "a", "b", project.space)
 write_convergence(project.root, records)
 assert "numpy" not in sys.modules, "a remote grid session loaded numpy"
+loaded = [m for m in ("dataclasses", "inspect") if m in sys.modules]
+assert not loaded, f"a remote grid session loaded {loaded}"
 
 from jobtuner.search import make_searcher
 make_searcher("compass", project.space)
@@ -583,11 +585,12 @@ import sys
 import jobtuner
 from jobtuner.session import resume_session, run_tuning
 
-def loaded():
-    return [m for m in ("statistics", "jobtuner.executors.local", "jobtuner.executors.remote")
-            if m in sys.modules]
+def loaded(names=("statistics", "jobtuner.executors.local", "jobtuner.executors.remote")):
+    return [m for m in names if m in sys.modules]
 
 assert not loaded(), f"import jobtuner loaded {loaded()}"
+UNUSED = ("dataclasses", "inspect", "jobtuner.reports", "jobtuner.executors.hadoop_logs")
+assert not loaded(UNUSED), f"import jobtuner loaded {loaded(UNUSED)}"
 project = jobtuner.load_project(sys.argv[1])
 run_tuning(project, "grid", budget=3)
 resume_session(project)
@@ -598,6 +601,8 @@ from jobtuner.executors import local, remote
 assert (ClusterEnv, RemoteExecutor) == (remote.ClusterEnv, remote.RemoteExecutor)
 assert LocalExecutor is local.LocalExecutor
 assert jobtuner.executors.SshTransport is remote.SshTransport
+from jobtuner.executors import hadoop_logs
+assert jobtuner.executors.parse_phase_times is hadoop_logs.parse_phase_times
 """
 
 
