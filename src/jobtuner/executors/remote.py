@@ -1,5 +1,6 @@
 """Remote Hadoop executor: stages the job artifact over SSH, submits it once
-per repetition, then pulls aggregated logs and job output back to the project.
+per repetition, then pulls the aggregated logs of the applications it
+submitted, and the job output, back to the project.
 
 The shell transport is injectable so tests can run the full trial sequence
 against a scripted double instead of a live cluster.
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import re
 import shlex
 import subprocess
 import time
@@ -30,6 +32,9 @@ from .hadoop_logs import parse_phase_times
 log = logging.getLogger(__name__)
 
 DOWNLOADED_RESULTS_DIR = "downloaded_results"
+
+# The job client's line naming the YARN application that a submission started.
+_SUBMITTED = re.compile(r"Submitted application (application_\d+_\d+)")
 
 
 class _EnvFields(NamedTuple):
@@ -136,6 +141,10 @@ class SshTransport:
 
     def fetch_dir(self, remote: str, local: Path) -> None:
         e = self._env
+        # scp exits 1 for a missing path and a lost connection alike; run
+        # raises ConnectError for the latter, so a missing path stays an OSError
+        if self.run(f"test -d {shlex.quote(remote)}").exit_code != 0:
+            raise FileNotFoundError(f"no remote directory {remote}")
         local.mkdir(parents=True, exist_ok=True)
         self._scp(["-r", f"{e.user}@{e.master_host}:{remote}", str(local)])
 
@@ -217,18 +226,23 @@ class RemoteExecutor(Executor):
     # -- trial sequence ----------------------------------------------------------
 
     def execute_trial(self, job: JobSpec, point: TrialPoint, trial_id: int) -> TrialResult:
-        self._space.require_valid(point)
-        self._stage_artifact(job)
         command = assemble_hadoop_command(self._env, job, point, self._space)
+        self._stage_artifact(job)
 
         trial_dir = self._root / DOWNLOADED_RESULTS_DIR / f"trial_{trial_id}"
         trial_dir.mkdir(parents=True, exist_ok=True)
         output_path = job.static_args[-1] if job.static_args else None
+        # MapReduce refuses to write an output path that exists
+        remove_output = (f"{self._env.hadoop_home}/bin/hadoop fs -rm -r -f "
+                         f"{shlex.quote(output_path)}"
+                         if job.cleanup_output and output_path else None)
 
         times: list[float] = []
-        outputs: list[str] = []
+        outputs: list[str] = []  # each repetition's client output
         status = STATUS_SUCCESS
-        for rep in range(1, job.repetitions + 1):
+        for _ in range(job.repetitions):
+            if remove_output:
+                self._transport.run(remove_output)
             start = time.perf_counter()
             try:
                 res = self._transport.run(
@@ -238,63 +252,47 @@ class RemoteExecutor(Executor):
                 status = STATUS_TIMEOUT
                 break
             elapsed = time.perf_counter() - start
-            outputs.append(res.stdout)
-            outputs.append(res.stderr)
+            outputs.append(f"{res.stdout}\n{res.stderr}")
             if res.exit_code != 0:
                 status = STATUS_FAILED
                 break
             times.append(elapsed)
-            if job.cleanup_output and output_path and rep < job.repetitions:
-                self._transport.run(
-                    f"{self._env.hadoop_home}/bin/hadoop fs -rm -r -f "
-                    f"{shlex.quote(output_path)}"
-                )
 
-        log_dir = self._fetch_logs(trial_dir)
-        result_dir = self._download_output(trial_dir, output_path)
-        phases = self._collect_phases(outputs, log_dir)
+        # Phase times come from one text: each repetition's client output, then
+        # the logs of the applications it submitted; the last counter wins.
+        log_dir = trial_dir / "logs"
+        texts: list[str] = []
+        fetched = False
+        for out in outputs:
+            texts.append(out)
+            for app in _SUBMITTED.findall(out):
+                if not self._fetch(f"{self._env.history_log_dir}/{app}", log_dir):
+                    continue
+                fetched = True
+                for path in sorted((log_dir / app).rglob("*")):
+                    try:
+                        texts.append(path.read_text(errors="replace"))
+                    except OSError:  # a directory, or a file the fetch left unreadable
+                        pass
+        if output_path is not None:
+            self._fetch(output_path, trial_dir / "output")
+        phases = parse_phase_times("\n".join(texts))
 
         return TrialResult(
             status=status,
             rep_times_s=tuple(times),
             phase_times_s=phases or None,
-            result_dir=result_dir,
-            log_ref=str(log_dir) if log_dir else None,
+            result_dir=str(trial_dir) if any(trial_dir.iterdir()) else None,
+            log_ref=str(log_dir) if fetched else None,
         )
 
-    def _fetch_logs(self, trial_dir: Path) -> Path | None:
-        log_dir = trial_dir / "logs"
+    def _fetch(self, remote: str, local: Path) -> bool:
+        """Copy a remote directory into local; any failure but a lost cluster is logged."""
         try:
-            self._transport.fetch_dir(self._env.history_log_dir, log_dir)
+            self._transport.fetch_dir(remote, local)
         except ConnectError:
             raise
         except Exception as exc:
-            log.warning("log fetch failed, keeping wall times only: %s", exc)
-            return None
-        return log_dir if log_dir.is_dir() else None
-
-    def _download_output(self, trial_dir: Path, output_path: str | None) -> str | None:
-        if output_path is None:
-            return str(trial_dir) if any(trial_dir.iterdir()) else None
-        out_dir = trial_dir / "output"
-        try:
-            self._transport.fetch_dir(output_path, out_dir)
-        except ConnectError:
-            raise
-        except Exception as exc:
-            log.warning("output download failed: %s", exc)
-        return str(trial_dir) if any(trial_dir.iterdir()) else None
-
-    @staticmethod
-    def _collect_phases(outputs: list[str], log_dir: Path | None) -> dict[str, float]:
-        phases = parse_phase_times("\n".join(outputs))
-        if log_dir is not None:
-            for path in sorted(log_dir.rglob("*")):
-                if path.is_file():
-                    try:
-                        text = path.read_text(errors="replace")
-                    except OSError:
-                        continue
-                    for name, value in parse_phase_times(text).items():
-                        phases.setdefault(name, value)
-        return phases
+            log.warning("fetch of %s failed: %s", remote, exc)
+            return False
+        return True

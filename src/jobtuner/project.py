@@ -298,6 +298,7 @@ user=<ssh-user>
 key_path=<path-to-private-key>
 remote_workdir=/tmp/tuner_staging
 hadoop_home=<remote-hadoop-home>
+# aggregated YARN logs, one subdirectory per application: <remote-app-log-dir>/<user>/logs
 history_log_dir=<remote-aggregated-log-dir>
 """
 
@@ -310,7 +311,7 @@ main_entry=<MainClass>
 args=<hdfs-input> <hdfs-output>
 timeout_s=3600
 repetitions=1
-# delete the job output between repetitions (MapReduce refuses to overwrite)
+# delete the job output (the last arg) before each run (MapReduce refuses to overwrite)
 cleanup_output=true
 """
 

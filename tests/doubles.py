@@ -16,8 +16,12 @@ class ScriptedTransport:
 
     Records every command, upload and fetch; answers sha256sum queries from
     the files it has "staged" so the executor's hash-skip logic is exercised
-    for real.
+    for real. `log_files` maps `<application_id>/<file>` under `log_root`
+    (the cluster's history_log_dir) to its text; a log fetch serves only
+    the files under the path it asks for.
     """
+
+    log_root = "/var/log/hadoop-yarn/aggregated"
 
     def __init__(
         self,
@@ -69,17 +73,26 @@ class ScriptedTransport:
     def fetch_dir(self, remote: str, local: Path) -> None:
         self._check_reachable()
         self.fetches.append((remote, str(local)))
-        if self.fail_log_fetch and self._is_log_fetch(remote):
-            raise OSError("scripted log fetch failure")
-        files = self.log_files if self._is_log_fetch(remote) else self.output_files
         local.mkdir(parents=True, exist_ok=True)
+        if not self._is_log_fetch(remote):
+            files = self.output_files
+        elif self.fail_log_fetch:
+            raise OSError("scripted log fetch failure")
+        else:
+            # like `scp -r host:remote local`: the files under remote, into
+            # local/<basename of remote>
+            under = remote[len(self.log_root):].strip("/")
+            local = local / Path(remote).name
+            files = {name[len(under):].lstrip("/"): content
+                     for name, content in self.log_files.items()
+                     if not under or name.startswith(under + "/")}
         for name, content in files.items():
             path = local / name
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(content)
 
     def _is_log_fetch(self, remote: str) -> bool:
-        return "log" in remote
+        return remote == self.log_root or remote.startswith(self.log_root + "/")
 
     def hadoop_commands(self) -> list[tuple[str, str | None]]:
         return [(c, cwd) for c, cwd in self.commands if "/bin/hadoop jar " in c]

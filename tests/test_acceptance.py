@@ -343,6 +343,8 @@ def test_criterion_8_local_executor_end_to_end(tmp_path):
 LOG_FIXTURE = "\t\tTotal time spent by all map tasks (ms)=44550\n"
 
 HADOOP_STDOUT = (
+    "2026-02-11 10:13:58 INFO impl.YarnClientImpl: "
+    "Submitted application application_1770000000000_0007\n"
     "2026-02-11 10:14:03 INFO mapreduce.Job: "
     "Job job_1770000000000_0007 completed successfully\n"
 )
@@ -361,7 +363,7 @@ def test_criterion_9_remote_double(tmp_path):
     (tmp_path / "app.jar").write_bytes(b"jar bytes")
     transport = ScriptedTransport(
         hadoop_stdout=HADOOP_STDOUT,
-        log_files={"container_01.log": LOG_FIXTURE},
+        log_files={"application_1770000000000_0007/container_01.log": LOG_FIXTURE},
         output_files={"part-r-00000": "word 7\n"},
     )
     executor = RemoteExecutor(space, env, tmp_path, transport)

@@ -41,7 +41,10 @@ JOB = JobSpec(
     repetitions=1,
 )
 
-HADOOP_STDOUT = """\
+APP_ID = "application_1770000000000_0007"
+
+HADOOP_STDOUT = f"""\
+2026-02-11 10:13:58 INFO impl.YarnClientImpl: Submitted application {APP_ID}
 2026-02-11 10:14:03 INFO mapreduce.Job: Job job_1770000000000_0007 completed successfully
 \t\tTotal time spent by all map tasks (ms)=44550
 \t\tTotal time spent by all reduce tasks (ms)=23200
@@ -78,7 +81,7 @@ def test_trial_downloads_results(tmp_path):
     transport = ScriptedTransport(
         hadoop_stdout=HADOOP_STDOUT,
         output_files={"part-r-00000": "word 7\n"},
-        log_files={"container_01.log": "Total time spent by all map tasks (ms)=44550\n"},
+        log_files={f"{APP_ID}/container_01.log": "Total time spent by all map tasks (ms)=44550\n"},
     )
     executor = RemoteExecutor(SPACE, ENV, make_project(tmp_path), transport)
     result = executor.execute_trial(JOB, POINT, 1)
@@ -94,6 +97,52 @@ def test_phase_times_parsed_from_scripted_logs(tmp_path):
     result = executor.execute_trial(JOB, POINT, 1)
     assert result.phase_times_s["map"] == 44.55
     assert result.phase_times_s["reduce"] == 23.2
+
+
+def test_phase_times_come_from_the_trials_own_application(tmp_path):
+    foreign = "application_1770000000000_0006"
+    transport = ScriptedTransport(
+        hadoop_stdout=HADOOP_STDOUT,
+        log_files={
+            f"{foreign}/worker-2_45454": "Shuffle time (ms)=9999\n",
+            f"{APP_ID}/worker-1_45454": "Shuffle time (ms)=1500\n",
+        },
+    )
+    executor = RemoteExecutor(SPACE, ENV, make_project(tmp_path), transport)
+    result = executor.execute_trial(JOB, POINT, 1)
+    assert result.phase_times_s == {"map": 44.55, "reduce": 23.2, "shuffle": 1.5}
+    log_fetches = [r for r, _ in transport.fetches if r.startswith(ENV.history_log_dir)]
+    assert log_fetches == [f"{ENV.history_log_dir}/{APP_ID}"]
+    log_dir = tmp_path / "downloaded_results" / "trial_1" / "logs"
+    assert result.log_ref == str(log_dir)
+    assert [p.name for p in log_dir.iterdir()] == [APP_ID]
+
+
+@pytest.mark.parametrize("log_files, phases", [
+    ({"application_1770000000000_0001/w": "Shuffle time (ms)=1100\n",
+      "application_1770000000000_0002/w": "Shuffle time (ms)=2200\n"},
+     {"map": 2.0, "shuffle": 2.2}),
+    # only the first application's log has counters: the second repetition's
+    # client counter still wins, and a phase only the first log has is kept
+    ({"application_1770000000000_0001/w": "Shuffle time (ms)=1100\n"
+                                          "Total time spent by all map tasks (ms)=9000\n"},
+     {"map": 2.0, "shuffle": 1.1}),
+])
+def test_phase_times_are_the_last_repetitions(tmp_path, log_files, phases):
+    class TwoApplications(ScriptedTransport):
+        def run(self, command, timeout_s=None, cwd=None):
+            if "/bin/hadoop jar " in command:
+                seq = len(self.hadoop_commands()) + 1
+                self.hadoop_stdout = (f"Submitted application application_1770000000000_000{seq}\n"
+                                      f"Total time spent by all map tasks (ms)={seq}000\n")
+            return super().run(command, timeout_s, cwd)
+
+    transport = TwoApplications(log_files=log_files)
+    executor = RemoteExecutor(SPACE, ENV, make_project(tmp_path), transport)
+    result = executor.execute_trial(JOB._replace(repetitions=2), POINT, 1)
+    assert result.phase_times_s == phases
+    assert [r.rsplit("/", 1)[1] for r, _ in transport.fetches if "application_" in r] == [
+        "application_1770000000000_0001", "application_1770000000000_0002"]
 
 
 def test_staging_uploads_once_per_content(tmp_path):
@@ -171,13 +220,18 @@ def test_unreachable_host_raises_connect_error(tmp_path):
 
 
 def test_log_fetch_failure_degrades_to_wall_time(tmp_path):
-    transport = ScriptedTransport(hadoop_stdout="job ok, no counters here",
-                                  fail_log_fetch=True)
+    transport = ScriptedTransport(
+        hadoop_stdout=f"INFO impl.YarnClientImpl: Submitted application {APP_ID}\n"
+                      "job ok, no counters here",
+        log_files={f"{APP_ID}/worker-1_45454": "Shuffle time (ms)=1500\n"},
+        fail_log_fetch=True)
     executor = RemoteExecutor(SPACE, ENV, make_project(tmp_path), transport)
     result = executor.execute_trial(JOB, POINT, 1)
+    assert [r for r, _ in transport.fetches] == [f"{ENV.history_log_dir}/{APP_ID}", "/data/out"]
     assert result.status == "success"
     assert len(result.rep_times_s) == 1
     assert result.phase_times_s is None
+    assert result.log_ref is None
 
 
 def test_cleanup_runs_between_repetitions(tmp_path):
@@ -189,7 +243,43 @@ def test_cleanup_runs_between_repetitions(tmp_path):
     result = executor.execute_trial(job, POINT, 1)
     assert result.status == "success" and len(result.rep_times_s) == 3
     removals = [c for c, _ in transport.commands if "fs -rm -r -f /data/out" in c]
-    assert len(removals) == 2  # between repetitions only
+    assert len(removals) == 3  # before every repetition
+
+
+class RefusesExistingOutput(ScriptedTransport):
+    """A cluster where `hadoop jar` fails while its output path exists, as
+    MapReduce's FileOutputFormat does."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.output_exists = False
+
+    def run(self, command, timeout_s=None, cwd=None):
+        if "fs -rm -r -f /data/out" in command:
+            self.output_exists = False
+        elif "/bin/hadoop jar " in command and self.output_exists:
+            self.commands.append((command, cwd))
+            return remote.ShellResult(1, "", "Output directory /data/out already exists\n")
+        elif "/bin/hadoop jar " in command:
+            self.output_exists = True
+        return super().run(command, timeout_s, cwd)
+
+
+def test_cleanup_lets_every_trial_write_its_output(tmp_path):
+    transport = RefusesExistingOutput(hadoop_stdout=HADOOP_STDOUT)
+    job = JOB._replace(cleanup_output=True)
+    executor = RemoteExecutor(SPACE, ENV, make_project(tmp_path), transport)
+    statuses = [executor.execute_trial(job, POINT, t).status for t in (1, 2, 3)]
+    assert statuses == ["success"] * 3
+    commands = [c.split()[1:3] for c, _ in transport.commands if "/bin/hadoop " in c]
+    assert commands == [["fs", "-rm"], ["jar", "app.jar"]] * 3
+
+
+def test_no_cleanup_leaves_the_output_alone(tmp_path):
+    transport = ScriptedTransport(hadoop_stdout=HADOOP_STDOUT)
+    executor = RemoteExecutor(SPACE, ENV, make_project(tmp_path), transport)
+    executor.execute_trial(JOB._replace(repetitions=2), POINT, 1)
+    assert not [c for c, _ in transport.commands if " fs " in c]
 
 
 # --- the real ssh transport against fake binaries ------------------------------------
@@ -224,3 +314,41 @@ def test_ssh_transport_passes_exit_codes(tmp_path):
     fake_ssh = write_fake(tmp_path / "ssh", "exit 3\n")
     transport = SshTransport(ENV, ssh_bin=fake_ssh)
     assert transport.run("whatever").exit_code == 3
+
+
+def test_ssh_transport_fetch_of_a_missing_path_is_not_a_lost_cluster(tmp_path):
+    fake_ssh = write_fake(tmp_path / "ssh", "exit 1\n")
+    transport = SshTransport(ENV, ssh_bin=fake_ssh)
+    with pytest.raises(FileNotFoundError):
+        transport.fetch_dir("/var/log/hadoop-yarn/aggregated/missing", tmp_path / "logs")
+    fake_ssh = write_fake(tmp_path / "ssh", "exit 255\n")
+    with pytest.raises(ConnectError):
+        transport.fetch_dir("/var/log/hadoop-yarn/aggregated/missing", tmp_path / "logs")
+
+
+def test_missing_application_logs_degrade_to_wall_time_over_ssh(tmp_path):
+    """Fake ssh runs the remote command locally; fake scp fails as scp does on
+    a path that does not exist. The trial keeps its wall time."""
+    cluster = tmp_path / "cluster"
+    workdir = cluster / "staging"
+    workdir.mkdir(parents=True)
+    (workdir / "app.jar").write_bytes(b"fake jar bytes")  # already staged
+    (cluster / "logs").mkdir()  # no subdirectory for the application
+    (cluster / "hadoop" / "bin").mkdir(parents=True)
+    write_fake(cluster / "hadoop" / "bin" / "hadoop",
+               f'[ "$1" = jar ] && echo "INFO impl.YarnClientImpl: Submitted application {APP_ID}"\n'
+               "exit 0\n")
+    fake_ssh = write_fake(tmp_path / "ssh", 'for last; do :; done\nexec sh -c "$last"\n')
+    fake_scp = write_fake(tmp_path / "scp", "echo \"scp: $8: No such file or directory\" >&2\nexit 1\n")
+    env = ENV._replace(remote_workdir=str(workdir), hadoop_home=str(cluster / "hadoop"),
+                       history_log_dir=str(cluster / "logs"))
+    (tmp_path / "project").mkdir()
+    project = make_project(tmp_path / "project")
+    transport = SshTransport(env, ssh_bin=fake_ssh, scp_bin=fake_scp)
+    executor = RemoteExecutor(SPACE, env, project, transport)
+    job = JOB._replace(static_args=("/data/in", str(cluster / "out")), cleanup_output=True)
+    result = executor.execute_trial(job, POINT, 1)
+    assert result.status == "success"
+    assert len(result.rep_times_s) == 1
+    assert result.phase_times_s is None
+    assert result.log_ref is None
