@@ -49,57 +49,57 @@ def build_parser() -> argparse.ArgumentParser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def with_dir(p):
+    def command(name, run, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         p.add_argument("--dir", required=True, help="project directory")
         return p
 
-    with_dir(sub.add_parser("task", help="run the job once at defaults"))
-    with_dir(sub.add_parser("project", help="run every job in the jobs list"))
+    command("task", _cmd_task, "run the job once at defaults")
+    command("project", _cmd_project, "run every job in the jobs list")
 
-    tune = with_dir(sub.add_parser("tune", help="run a tuning session"))
+    tune = command("tune", lambda args: _cmd_tune(args, parser), "run a tuning session")
     tune.add_argument("--strategy", choices=strategy_ids(),
                       help="search strategy (default from job.conf)")
     tune.add_argument("--budget", type=int, help="max trials (default from job.conf)")
     tune.add_argument("--seed", type=int, help="noise seed for synthetic executors")
 
-    with_dir(sub.add_parser("resume", help="continue an interrupted session"))
-    with_dir(sub.add_parser("aggregate", help="rebuild history CSVs from the trial journal"))
+    command("resume", _cmd_resume, "continue an interrupted session")
+    command("aggregate", _cmd_aggregate, "rebuild history CSVs from the trial journal")
 
-    report = with_dir(sub.add_parser("report", help="write report CSVs"))
+    report = command("report", _cmd_report, "write report CSVs")
     report.add_argument("--convergence", action="store_true",
                         help="write history/convergence.csv (default action)")
     report.add_argument("--surface", nargs=2, metavar=("PX", "PY"),
                         help="write history/surface_<PX>_<PY>.csv")
 
-    scaf = sub.add_parser("scaffold", help="write a template directory")
+    scaf = command("scaffold", _cmd_scaffold, "write a template directory")
     scaf.add_argument("--kind", required=True, choices=("task", "project", "tuning"))
-    scaf.add_argument("--dir", required=True)
 
     return parser
 
 
 def _cmd_task(args) -> int:
     project = load_project(args.dir)
-    executor = make_executor(project)
-    result = executor.execute_trial(project.job, project.space.default_point(), 1)
-    _log_run(1, result)
-    if not result.ok:
-        log.error("job %s", result.status)
-        return 2
-    return 0
+    return _run_jobs(project, [project.job])
 
 
 def _cmd_project(args) -> int:
     project = load_project(args.dir)
+    return _run_jobs(project, project.jobs)
+
+
+def _run_jobs(project, jobs) -> int:
+    """Run each job once at the default point; 2 if any did not succeed."""
     executor = make_executor(project)
     failures = 0
-    for i, job in enumerate(project.jobs, start=1):
+    for i, job in enumerate(jobs, start=1):
         result = executor.execute_trial(job, project.space.default_point(), i)
         _log_run(i, result)
         if not result.ok:
             failures += 1
     if failures:
-        log.error("%d of %d jobs did not succeed", failures, len(project.jobs))
+        log.error("%d of %d jobs did not succeed", failures, len(jobs))
         return 2
     return 0
 
@@ -185,29 +185,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        if args.command == "task":
-            return _cmd_task(args)
-        if args.command == "project":
-            return _cmd_project(args)
-        if args.command == "tune":
-            return _cmd_tune(args, parser)
-        if args.command == "resume":
-            return _cmd_resume(args)
-        if args.command == "aggregate":
-            return _cmd_aggregate(args)
-        if args.command == "report":
-            return _cmd_report(args)
-        if args.command == "scaffold":
-            return _cmd_scaffold(args)
+        return args.run(args)
     except SystemExit as exc:  # parser.error inside a command
         return exc.code if isinstance(exc.code, int) else 1
-    except TunerError as exc:
+    except (TunerError, OSError) as exc:
         log.error("%s", exc)
         return 2
-    except OSError as exc:
-        log.error("%s", exc)
-        return 2
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":

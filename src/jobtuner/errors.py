@@ -68,7 +68,11 @@ class StagingError(TunerError):
 
 
 class TransportTimeout(TunerError):
-    """A remote command exceeded its time limit."""
+    """A remote command exceeded its time limit; `output` is what it printed by then."""
+
+    def __init__(self, message: str, output: str = ""):
+        super().__init__(message)
+        self.output = output
 
 
 # --- searchers ---------------------------------------------------------------

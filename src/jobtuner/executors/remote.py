@@ -1,6 +1,7 @@
 """Remote Hadoop executor: stages the job artifact over SSH, submits it once
 per repetition, then pulls the aggregated logs of the applications it
-submitted, and the job output, back to the project.
+submitted, and the job output, back to the project. A repetition that times
+out has its applications killed, since a YARN application outlives its client.
 
 The shell transport is injectable so tests can run the full trial sequence
 against a scripted double instead of a live cluster.
@@ -116,7 +117,10 @@ class SshTransport:
                 timeout=timeout_s,
             )
         except subprocess.TimeoutExpired as exc:
-            raise TransportTimeout(f"remote command exceeded {timeout_s}s") from exc
+            # what the command printed by then, as bytes even in text mode
+            output = (exc.stdout or b"") + b"\n" + (exc.stderr or b"")
+            raise TransportTimeout(f"remote command exceeded {timeout_s}s",
+                                   output.decode("utf-8", "replace")) from exc
         except FileNotFoundError as exc:
             raise ConnectError(f"ssh binary not found: {exc}") from exc
         if proc.returncode == 255:
@@ -248,8 +252,14 @@ class RemoteExecutor(Executor):
                 res = self._transport.run(
                     command, timeout_s=job.timeout_s, cwd=self._env.remote_workdir
                 )
-            except TransportTimeout:
+            except TransportTimeout as exc:
                 status = STATUS_TIMEOUT
+                # a YARN application outlives its client: kill it, or it runs on into the next trial
+                for app in _SUBMITTED.findall(exc.output):
+                    kill = self._transport.run(
+                        f"{self._env.hadoop_home}/bin/yarn application -kill {app}")
+                    if kill.exit_code != 0:
+                        log.warning("kill of %s failed: %s", app, kill.stderr.strip())
                 break
             elapsed = time.perf_counter() - start
             outputs.append(f"{res.stdout}\n{res.stderr}")

@@ -14,16 +14,14 @@ A trial is durable once its journal line is fsynced; trials.csv is replaced
 whole, never appended to or repaired in place. Opening a HistoryWriter repairs
 what a crash leaves: a torn journal tail (a trial that never happened).
 
-Both files decode through one record decoder, a trials.csv row as the
-journal line it was written from, so both are read under the same rules.
-A journal line as the journal writes it is parsed in one JSON decoder call;
-any other line reads, or is refused, exactly as json.loads has it. Records
-and their results are immutable tuples (NamedTuple subclasses), so a long
-history is quick to open.
-
-Reads stream: the journal and trials.csv are parsed a line at a time from
-the open file, and rebuilds write rows straight into the replacement file,
-so a read or rewrite holds only the records, never a copy of the file.
+Both files are read once, a line at a time, by one record loop and one record
+decoder, a trials.csv row (one line; the export writes no cell with a newline)
+as the journal line it was written from: the same rules, and the first faulty
+line is the one reported. A journal line as the journal writes it is parsed in
+one JSON decoder call; any other line reads, or is refused, exactly as
+json.loads has it. Records are immutable tuples, so a long history is quick to
+open, and rebuilds write rows straight into the replacement file, so a read or
+rewrite holds only the records, never a copy of the file.
 
 trials.csv columns: trial_id, strategy, timestamp_utc, one column per
 parameter in space order, status, rep_times_s (';'-joined), aggregate_s
@@ -171,7 +169,8 @@ class HistoryWriter:
         self.records: list[TrialRecord] = []
         try:
             with open(self._journal, "r+b") as fh:
-                self.records, durable = _parse_journal(fh, space)
+                self.records, durable = _parse_lines(fh, _decoder(space, False), _load_line,
+                                                     "journal line", 1)
                 if fh.tell() > durable:
                     fh.truncate(durable)  # the torn line never reached a searcher
         except FileNotFoundError:
@@ -198,54 +197,37 @@ def read_trials(project_root: str | Path, space: ParamSpace) -> list[TrialRecord
     """Parse trials.csv, each row decoded as a journal line; tolerates a missing file.
 
     Raises HistoryCorruptError, naming the last valid trial_id, when the file
-    is truncated mid-row or any row is one the journal reader would refuse,
-    a point value outside the space included.
+    is truncated mid-row or a row is one the journal reader would refuse,
+    a point value outside the space included; see _parse_lines.
     """
-    path = history_dir(project_root) / TRIALS_CSV
     try:
-        fh = open(path, encoding="utf-8", newline="")
+        fh = open(history_dir(project_root) / TRIALS_CSV, "rb")
     except FileNotFoundError:
         return []
     with fh:
-        # an unterminated last row cannot be trusted, even if it parses
-        torn = not _count_lines(path)[1]
-        reader = csv.reader(fh)
-        if next(reader, None) not in (None, csv_header(space)):
+        header = fh.readline()
+        if header and next(csv.reader([header.decode("utf-8")])) != csv_header(space):
             raise HistoryCorruptError("trials.csv header does not match the space", 0)
-        decode = _decoder(space)
-        records: list[TrialRecord] = []
-        row = next(reader, None)
-        while row is not None:
-            following = next(reader, None)
-            n = len(records) + 2
-            if following is None and torn:
-                raise HistoryCorruptError("trials.csv truncated mid-row", len(records))
-            try:
-                record = decode(_row_fields(row, space))
-            except _UNREADABLE as exc:
-                raise HistoryCorruptError(f"trials.csv row {n} unreadable: {exc}", len(records)) from exc
-            if record.trial_id != len(records) + 1:
-                raise HistoryCorruptError(f"trial ids not contiguous at row {n}", len(records))
-            records.append(record)
-            row = following
-    _require_points_in_space(records, space, "trials.csv row", 2)
+        records, durable = _parse_lines(
+            fh, _decoder(space, True),
+            lambda line: _row_fields(next(csv.reader([line.decode("utf-8")])), space),
+            "trials.csv row", 2)
+        # an unterminated last row cannot be trusted, even if it parses
+        if fh.tell() > len(header) + durable:
+            raise HistoryCorruptError("trials.csv truncated mid-row", len(records))
     return records
 
 
-def _count_lines(path: Path) -> tuple[int, bool]:
-    """Newlines in path, read in chunks, and whether it ends with one.
-
-    A missing or empty file has 0 newlines and does not end with one.
-    """
-    count, last = 0, b""
+def _count_lines(path: Path) -> int:
+    """Newlines in path, read in chunks; a missing file has none."""
+    count = 0
     try:
         with open(path, "rb") as fh:
             for chunk in iter(lambda: fh.read(_CHUNK), b""):
                 count += chunk.count(b"\n")
-                last = chunk[-1:]
     except FileNotFoundError:
         pass
-    return count, last == b"\n"
+    return count
 
 
 # --- trial journal ------------------------------------------------------------------
@@ -270,11 +252,12 @@ def _journal_line(record: TrialRecord) -> str:
 _UNREADABLE = (ValueError, KeyError, TypeError, AttributeError)
 
 
-def _decoder(space: ParamSpace) -> Callable[[dict], TrialRecord]:
+def _decoder(space: ParamSpace, in_space: bool) -> Callable[[dict], TrialRecord]:
     """The record decoder of both files: the record a journal line's fields hold.
 
     Raises one of _UNREADABLE, also when the point names other parameters than
-    the space or aggregate_s is not the record's own.
+    the space, aggregate_s is not the record's own or, if in_space, a point
+    value lies outside the space.
     """
     names = space.names()
     declared = set(names)
@@ -292,6 +275,10 @@ def _decoder(space: ParamSpace) -> Callable[[dict], TrialRecord]:
         if d["aggregate_s"] != record.aggregate_s:
             raise ValueError(f"aggregate_s {d['aggregate_s']!r} is not the "
                              f"trial's aggregate {record.aggregate_s!r}")
+        if in_space:
+            violations = space.validate_point(record.point)
+            if violations:
+                raise ValueError("; ".join(violations))
         return record
 
     return decode
@@ -317,47 +304,35 @@ def _load_line(line: bytes):
     return json.loads(line)
 
 
-def _parse_journal(fh: BinaryIO, space: ParamSpace) -> tuple[list[TrialRecord], int]:
-    """Parse a journal's terminated lines from fh; an unterminated tail is skipped.
+def _parse_lines(fh: BinaryIO, decode: Callable[[dict], TrialRecord],
+                 fields_of: Callable[[bytes], dict], where: str,
+                 first: int) -> tuple[list[TrialRecord], int]:
+    """The record loop of both files: decode each terminated line from fh, numbered
+    from `first`, until an unterminated tail, which is skipped.
 
     Returns the records and the byte length of the lines that held them.
-    Raises HistoryCorruptError, naming the last valid trial_id, when a
-    terminated line does not parse, _decoder refuses its fields, or the ids
-    are not 1, 2, 3, ...
+    Raises HistoryCorruptError at the first faulty line, naming it as `where`
+    plus its number and the last valid trial_id, when its fields do not decode
+    or the ids are not 1, 2, 3, ...
     """
-    decode = _decoder(space)
     records: list[TrialRecord] = []
     durable = 0
-    for n, line in enumerate(fh, start=1):
+    for n, line in enumerate(fh, start=first):
         if not line.endswith(b"\n"):
             break
         try:
-            record = decode(_load_line(line))
+            record = decode(fields_of(line))
         except _UNREADABLE as exc:
-            raise HistoryCorruptError(f"journal line {n} unreadable: {exc}", len(records)) from exc
+            raise HistoryCorruptError(f"{where} {n} unreadable: {exc}", len(records)) from exc
         if record.trial_id != len(records) + 1:
-            raise HistoryCorruptError(f"journal line {n} holds trial {record.trial_id}", len(records))
+            raise HistoryCorruptError(f"{where} {n} holds trial {record.trial_id}", len(records))
         records.append(record)
         durable += len(line)
     return records, durable
 
 
-def _require_points_in_space(records: list[TrialRecord], space: ParamSpace,
-                             where: str, first: int) -> None:
-    """Refuse the first record whose point values lie outside the space.
-
-    The error names the record's line as `where` plus its number, counting
-    trial 1 as line `first`.
-    """
-    for r in records:
-        violations = space.validate_point(r.point)
-        if violations:
-            raise HistoryCorruptError(f"{where} {r.trial_id - 1 + first} unreadable: "
-                                      f"{'; '.join(violations)}", r.trial_id - 1)
-
-
 def read_raw_records(project_root: str | Path, space: ParamSpace) -> list[TrialRecord]:
-    """Every durable trial in the journal, in trial order; see _parse_journal.
+    """Every durable trial in the journal, in trial order; see _parse_lines.
 
     Also refuses a point value outside the space, which resume instead finds
     by replaying each point; aggregate and report replay nothing.
@@ -367,9 +342,7 @@ def read_raw_records(project_root: str | Path, space: ParamSpace) -> list[TrialR
     except FileNotFoundError:
         return []
     with fh:
-        records = _parse_journal(fh, space)[0]
-    _require_points_in_space(records, space, "journal line", 1)
-    return records
+        return _parse_lines(fh, _decoder(space, True), _load_line, "journal line", 1)[0]
 
 
 def rewrite_trials_csv(project_root: str | Path, space: ParamSpace,
@@ -388,7 +361,7 @@ def rewrite_trials_csv(project_root: str | Path, space: ParamSpace,
 def _refuse_to_shrink(path: Path, journaled: int) -> None:
     """Never drop rows: raise HistoryCorruptError when trials.csv holds more complete
     rows than the journal's `journaled` trials (a history without journal)."""
-    held = _count_lines(path)[0] - 1
+    held = _count_lines(path) - 1
     if held > journaled:
         raise HistoryCorruptError(
             f"trials.csv holds {held} trials but the journal {journaled}; "

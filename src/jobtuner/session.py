@@ -106,7 +106,6 @@ class _TuningLoop:
         self.seed = seed
         self.executor = executor if executor is not None else make_executor(project, seed)
         self.searcher: Searcher = make_searcher(strategy_id, project.space)
-        self.records: list[TrialRecord] = []
         # each point key's first recorded result, which answers every repeat
         self._measured: dict[tuple, TrialResult] = {}
 
@@ -122,10 +121,7 @@ class _TuningLoop:
         write_manifest(self.project.root, entries)
 
     def replay(self, records: list[TrialRecord]) -> None:
-        """Drive the searcher through recorded history, verifying each step.
-
-        Keeps `records`, the writer's list, as the session's record list.
-        """
+        """Drive the searcher through recorded history, verifying each step."""
         space = self.project.space
         for r in records:
             proposal = self.searcher.propose()
@@ -138,16 +134,15 @@ class _TuningLoop:
                 )
             self.searcher.update(proposal, r.search_objective)
             self._measured.setdefault(key, r.result)
-        self.records = records
 
     def run(self, writer: HistoryWriter) -> str:
         space = self.project.space
         job = self.project.job
-        while len(self.records) < self.budget:
+        while writer.last_id < self.budget:
             point = self.searcher.propose()
             if point is None:
                 return STATUS_FINISHED
-            trial_id = len(self.records) + 1
+            trial_id = writer.last_id + 1
             key = space.point_key(point)
             result = self._measured.get(key)
             if result is None:
@@ -155,7 +150,7 @@ class _TuningLoop:
                 self._measured[key] = result
             record = TrialRecord(trial_id=trial_id, point=point, result=result,
                                  strategy_id=self.strategy_id, timestamp=datetime.now(timezone.utc))
-            writer.append(record)  # durable, and in self.records, before the searcher observes it
+            writer.append(record)  # durable, and in writer.records, before the searcher observes it
             self.searcher.update(point, record.search_objective)
             log.info(
                 "trial %d %s aggregate=%s", trial_id, record.result.status,
@@ -237,13 +232,13 @@ def _drive(loop: _TuningLoop, started: float) -> SessionSummary:
         loop.set_status(status)
     finally:
         # trials.csv is exported once, whole, after the manifest has left `running`
-        rewrite_trials_csv(loop.project.root, loop.project.space, loop.records)
+        rewrite_trials_csv(loop.project.root, loop.project.space, writer.records)
     try:
-        best = best_of(loop.records)
+        best = best_of(writer.records)
     except NoSuccessfulTrialError:
         best = None
     return SessionSummary(
-        trial_count=len(loop.records),
+        trial_count=writer.last_id,
         best=best,
         wall_time_s=time.perf_counter() - started,
         status=status,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
-from jobtuner.errors import ConnectError
+from jobtuner.errors import ConnectError, TransportTimeout
 from jobtuner.executors.base import Executor, JobSpec, TrialResult
 from jobtuner.executors.remote import ShellResult
 from jobtuner.paramspace import TrialPoint
@@ -16,7 +16,8 @@ class ScriptedTransport:
 
     Records every command, upload and fetch; answers sha256sum queries from
     the files it has "staged" so the executor's hash-skip logic is exercised
-    for real. `log_files` maps `<application_id>/<file>` under `log_root`
+    for real. With hadoop_timeout, `hadoop jar` times out having printed its
+    usual output. `log_files` maps `<application_id>/<file>` under `log_root`
     (the cluster's history_log_dir) to its text; a log fetch serves only
     the files under the path it asks for.
     """
@@ -32,6 +33,7 @@ class ScriptedTransport:
         output_files: dict[str, str] | None = None,
         fail_log_fetch: bool = False,
         reachable: bool = True,
+        hadoop_timeout: bool = False,
     ):
         self.hadoop_stdout = hadoop_stdout
         self.hadoop_stderr = hadoop_stderr
@@ -40,6 +42,7 @@ class ScriptedTransport:
         self.output_files = output_files or {}
         self.fail_log_fetch = fail_log_fetch
         self.reachable = reachable
+        self.hadoop_timeout = hadoop_timeout
         self.commands: list[tuple[str, str | None]] = []
         self.uploads: list[tuple[str, str]] = []
         self.fetches: list[tuple[str, str]] = []
@@ -61,6 +64,9 @@ class ScriptedTransport:
             return ShellResult(1, "", "No such file or directory\n")
         if command.startswith("mkdir "):
             return ShellResult(0, "", "")
+        if "/bin/hadoop jar " in command and self.hadoop_timeout:
+            raise TransportTimeout("scripted timeout",
+                                   f"{self.hadoop_stdout}\n{self.hadoop_stderr}")
         if "/bin/hadoop jar " in command:
             return ShellResult(self.hadoop_exit, self.hadoop_stdout, self.hadoop_stderr)
         return ShellResult(0, "", "")

@@ -147,6 +147,9 @@ def test_roundtrip_randomized_records(tmp_path):
     rewrite_trials_csv(tmp_path, SPACE, writer.records)
     loaded = read_trials(tmp_path, SPACE)
     assert loaded == records
+    path = tmp_path / "history" / "trials.csv"
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))  # CRLF line endings
+    assert read_trials(tmp_path, SPACE) == records
 
 
 def test_writer_resumes_numbering_from_existing_file(tmp_path):
@@ -247,16 +250,18 @@ def test_journal_damage_names_last_valid_trial(tmp_path, damage):
     {"phase_times_s": {"map": 1.0, "reduce": math.nan}},
     {"status": "failed", "rep_times_s": ["abc"], "aggregate_s": None},
     {"status": "timeout", "rep_times_s": [-1.0], "aggregate_s": None},
+    {"point": {"tasks": 99, "frac": 0.5, "codec": "plain"}},  # tasks int min=1 max=16
 ], ids=["nan", "nan_after_finite", "inf", "empty", "aggregate_not_a_number",
         "aggregate_not_the_median", "aggregate_of_a_failure", "phase_not_a_number", "phase_nan",
-        "failure_time_not_a_number", "timeout_time_negative"])
+        "failure_time_not_a_number", "timeout_time_negative", "point_outside_the_space"])
 def test_journal_success_with_non_finite_time_is_corrupt(tmp_path, fields):
     rng = random.Random(7)
     writer = HistoryWriter(tmp_path, SPACE)
-    for i in range(1, 4):
+    for i in range(1, 5):
         writer.append(random_record(rng, i))
     path = tmp_path / "history" / "journal.jsonl"
     lines = path.read_bytes().splitlines(keepends=True)
+    lines[3] = b"{not json\n"  # a later fault: the first faulty line is the one reported
     entry = json.loads(lines[1])
     entry.update(status="success", rep_times_s=[2.0], aggregate_s=2.0, phase_times_s=None)
     entry.update(fields)
@@ -271,15 +276,17 @@ def test_journal_success_with_non_finite_time_is_corrupt(tmp_path, fields):
     {"status": "success", "rep_times_s": "163.7;163.7;163.7", "aggregate_s": "1.5"},
     {"shuffle_s": "nan"},
     {"tasks": "99"},  # tasks int min=1 max=16
-], ids=["aggregate_not_the_median", "phase_nan", "point_outside_the_space"])
+    {"strategy": "grid\nsearch"},  # a row is one line
+], ids=["aggregate_not_the_median", "phase_nan", "point_outside_the_space", "cell_with_newline"])
 def test_csv_row_is_read_under_the_journal_rules(tmp_path, cells):
     rng = random.Random(11)
     writer = HistoryWriter(tmp_path, SPACE)
-    for i in range(1, 4):
+    for i in range(1, 5):
         writer.append(random_record(rng, i))
     rewrite_trials_csv(tmp_path, SPACE, writer.records)
     path = tmp_path / "history" / "trials.csv"
     rows = list(csv.reader(io.StringIO(path.read_text())))
+    rows[4][0] = "four"  # a later fault: the first faulty row is the one reported
     for name, cell in cells.items():
         rows[2][rows[0].index(name)] = cell
     text = io.StringIO()

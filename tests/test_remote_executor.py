@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from doubles import ScriptedTransport
-from jobtuner.errors import ConnectError, StagingError
+from jobtuner.errors import ConnectError, StagingError, TransportTimeout
 from jobtuner.executors import remote
 from jobtuner.executors.base import JobSpec
 from jobtuner.executors.remote import (
@@ -219,6 +219,20 @@ def test_unreachable_host_raises_connect_error(tmp_path):
         executor.execute_trial(JOB, POINT, 1)
 
 
+def test_timed_out_repetition_kills_its_applications(tmp_path):
+    second = "application_1770000000000_0008"
+    transport = ScriptedTransport(
+        hadoop_stdout=f"{HADOOP_STDOUT}INFO impl.YarnClientImpl: Submitted application {second}\n",
+        hadoop_timeout=True)
+    executor = RemoteExecutor(SPACE, ENV, make_project(tmp_path), transport)
+    result = executor.execute_trial(JOB._replace(repetitions=3), POINT, 1)
+    assert result.status == "timeout"
+    assert result.rep_times_s == ()
+    assert len(transport.hadoop_commands()) == 1  # no further repetitions
+    kills = [c for c, _ in transport.commands if " application -kill " in c]
+    assert kills == [f"/opt/hadoop/bin/yarn application -kill {app}" for app in (APP_ID, second)]
+
+
 def test_log_fetch_failure_degrades_to_wall_time(tmp_path):
     transport = ScriptedTransport(
         hadoop_stdout=f"INFO impl.YarnClientImpl: Submitted application {APP_ID}\n"
@@ -314,6 +328,17 @@ def test_ssh_transport_passes_exit_codes(tmp_path):
     fake_ssh = write_fake(tmp_path / "ssh", "exit 3\n")
     transport = SshTransport(ENV, ssh_bin=fake_ssh)
     assert transport.run("whatever").exit_code == 3
+
+
+def test_ssh_transport_timeout_keeps_the_output_so_far(tmp_path):
+    # exec: the process the timeout kills is the last one the script runs
+    fake_ssh = write_fake(tmp_path / "ssh",
+                          f'echo "INFO impl.YarnClientImpl: Submitted application {APP_ID}" >&2\n'
+                          "exec sleep 30\n")
+    transport = SshTransport(ENV, ssh_bin=fake_ssh)
+    with pytest.raises(TransportTimeout) as exc:
+        transport.run("hadoop jar app.jar", timeout_s=0.5)
+    assert f"Submitted application {APP_ID}" in exc.value.output
 
 
 def test_ssh_transport_fetch_of_a_missing_path_is_not_a_lost_cluster(tmp_path):
