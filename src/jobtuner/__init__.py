@@ -8,7 +8,7 @@ history and deterministic resume.
 
 from .errors import TunerError
 from . import executors
-from .executors import JobSpec, SurfaceSpec, SyntheticExecutor, TrialResult
+from .executors import ClusterEnv, JobSpec, SurfaceSpec, SyntheticExecutor, TrialResult
 from .history import TrialRecord
 from .paramspace import ParamSpace, ParamSpec, TrialPoint, parse_param_file
 from .project import Project, load_project, scaffold
@@ -25,7 +25,7 @@ __version__ = "0.1.0"
 
 def __getattr__(name: str):
     # the local and remote executors' names load their modules on first use
-    if name in ("ClusterEnv", "LocalExecutor", "RemoteExecutor"):
+    if name in ("LocalExecutor", "RemoteExecutor"):
         return getattr(executors, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 

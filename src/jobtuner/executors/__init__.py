@@ -8,13 +8,12 @@ modules they need.
 
 from importlib import import_module
 
-from .base import Executor, JobSpec, TrialResult
+from .base import ClusterEnv, Executor, JobSpec, TrialResult
 from .synthetic import SurfaceSpec, SyntheticExecutor, synthetic_eval
 
 # name -> the module, of this package, that defines it
 _ON_FIRST_USE = {
     "LocalExecutor": "local",
-    "ClusterEnv": "remote",
     "RemoteExecutor": "remote",
     "ShellResult": "remote",
     "SshTransport": "remote",

@@ -1,4 +1,5 @@
-"""Executor contract shared by the synthetic, local and remote backends."""
+"""Executor contract shared by the synthetic, local and remote backends, and the
+value types that project files parse into."""
 
 from __future__ import annotations
 
@@ -49,6 +50,39 @@ class JobSpec(_JobFields):
     @classmethod
     def _make(cls, fields: Iterable) -> JobSpec:
         """The spec of these fields in order, checked as a new one is; _replace uses it."""
+        return cls(*fields)
+
+
+class _EnvFields(NamedTuple):
+    master_host: str
+    port: int
+    user: str
+    auth_key_path: str
+    remote_workdir: str
+    hadoop_home: str
+    history_log_dir: str
+
+
+class ClusterEnv(_EnvFields):
+    """Where the cluster lives and which remote paths the harness may use; immutable."""
+
+    __slots__ = ()
+
+    def __new__(cls, master_host: str, port: int, user: str, auth_key_path: str,
+                remote_workdir: str, hadoop_home: str, history_log_dir: str) -> ClusterEnv:
+        if not 1 <= port <= 65535:
+            raise ValueError(f"port must be in [1, 65535], got {port}")
+        env = tuple.__new__(cls, (master_host, port, user, auth_key_path, remote_workdir,
+                                  hadoop_home, history_log_dir))
+        for name in ("master_host", "user", "auth_key_path", "remote_workdir",
+                     "hadoop_home", "history_log_dir"):
+            if not getattr(env, name):
+                raise ValueError(f"{name} must be nonempty")
+        return env
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> ClusterEnv:
+        """The env of these fields in order, checked as a new one is; _replace uses it."""
         return cls(*fields)
 
 

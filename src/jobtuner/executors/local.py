@@ -58,11 +58,10 @@ def run_local_command(
 
     times: list[float] = []
     for _ in range(job.repetitions):
-        start = time.perf_counter()
-        returncode = _run_once(argv, workdir, job.timeout_s)
-        if returncode is None:
+        run = _run_once(argv, workdir, job.timeout_s)
+        if run is None:
             return TrialResult(status=STATUS_TIMEOUT, rep_times_s=tuple(times))
-        elapsed = time.perf_counter() - start
+        returncode, elapsed = run
         if returncode != 0:
             return TrialResult(status=STATUS_FAILED, rep_times_s=tuple(times))
         times.append(elapsed)
@@ -70,14 +69,15 @@ def run_local_command(
 
 
 def _run_once(argv: list[str], workdir: str | Path | None,
-              timeout_s: float | None) -> int | None:
-    """Run argv in a new process group; its exit code, or None on timeout.
+              timeout_s: float | None) -> tuple[int, float] | None:
+    """Run argv in a new process group; its exit code and seconds, or None on timeout.
 
-    On timeout, or anything else that stops the wait, the whole group is
-    killed, so no process the job started outlives its trial and contends
-    with the next one. Waiting on the output pipes, not polling the exit
-    status, is what keeps the measured time exact.
+    However the run ends, the whole group is then killed, after the clock
+    stops, so no process the job started, even one in the background,
+    outlives its repetition and contends with the next one. Waiting on the
+    output pipes, not polling the exit status, keeps the measured time exact.
     """
+    start = time.perf_counter()
     try:
         proc = subprocess.Popen(
             argv,
@@ -91,12 +91,17 @@ def _run_once(argv: list[str], workdir: str | Path | None,
     with proc:
         try:
             proc.communicate(timeout=timeout_s)
-            return proc.returncode
+            return proc.returncode, time.perf_counter() - start
         except subprocess.TimeoutExpired:
             return None
         finally:
-            if proc.returncode is None:  # unreaped, so its group id is still its own
+            # A group id is not reissued while any member lives, so once the
+            # leader is reaped this still reaches only the job's own processes.
+            try:
                 os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:  # the group has no member left
+                pass
+            if proc.returncode is None:
                 proc.wait()
 
 

@@ -16,11 +16,12 @@ import shlex
 import subprocess
 import time
 from pathlib import Path
-from typing import Iterable, NamedTuple, Protocol
+from typing import NamedTuple, Protocol
 
 from ..errors import ConnectError, StagingError, TransportTimeout
 from ..paramspace import ParamSpace, TrialPoint
 from .base import (
+    ClusterEnv,
     Executor,
     JobSpec,
     TrialResult,
@@ -36,39 +37,6 @@ DOWNLOADED_RESULTS_DIR = "downloaded_results"
 
 # The job client's line naming the YARN application that a submission started.
 _SUBMITTED = re.compile(r"Submitted application (application_\d+_\d+)")
-
-
-class _EnvFields(NamedTuple):
-    master_host: str
-    port: int
-    user: str
-    auth_key_path: str
-    remote_workdir: str
-    hadoop_home: str
-    history_log_dir: str
-
-
-class ClusterEnv(_EnvFields):
-    """Where the cluster lives and which remote paths the harness may use; immutable."""
-
-    __slots__ = ()
-
-    def __new__(cls, master_host: str, port: int, user: str, auth_key_path: str,
-                remote_workdir: str, hadoop_home: str, history_log_dir: str) -> ClusterEnv:
-        if not 1 <= port <= 65535:
-            raise ValueError(f"port must be in [1, 65535], got {port}")
-        env = tuple.__new__(cls, (master_host, port, user, auth_key_path, remote_workdir,
-                                  hadoop_home, history_log_dir))
-        for name in ("master_host", "user", "auth_key_path", "remote_workdir",
-                     "hadoop_home", "history_log_dir"):
-            if not getattr(env, name):
-                raise ValueError(f"{name} must be nonempty")
-        return env
-
-    @classmethod
-    def _make(cls, fields: Iterable) -> ClusterEnv:
-        """The env of these fields in order, checked as a new one is; _replace uses it."""
-        return cls(*fields)
 
 
 class ShellResult(NamedTuple):
@@ -165,6 +133,15 @@ def assemble_hadoop_command(
     return " ".join(parts)
 
 
+def _sha256(path: Path) -> str:
+    # a function, so that its last 1 MiB chunk is freed before an upload reads the jar
+    sha = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            sha.update(chunk)
+    return sha.hexdigest()
+
+
 class RemoteExecutor(Executor):
     """Runs trials against a cluster through a RemoteTransport.
 
@@ -183,49 +160,34 @@ class RemoteExecutor(Executor):
         self._env = env
         self._root = Path(project_root)
         self._transport = transport if transport is not None else SshTransport(env)
-        self._staged_hash: str | None = None
-        self._jar_digest: tuple[tuple, str] | None = None  # ((path, size, mtime_ns), sha256)
+        # remote path -> (local jar, size, mtime_ns) of the jar staged there
+        self._staged: dict[str, tuple[Path, int, int]] = {}
 
     # -- staging -------------------------------------------------------------
 
-    def _artifact_path(self, job: JobSpec) -> Path:
-        p = Path(job.artifact)
-        return p if p.is_absolute() else self._root / p
-
     def _stage_artifact(self, job: JobSpec) -> None:
-        local = self._artifact_path(job)
+        """Upload the jar unless the cluster holds its bytes under its name."""
+        local = self._root / job.artifact  # an absolute artifact path stays as it is
         if not local.is_file():
             raise StagingError(f"job artifact not found: {local}")
-        digest = self._artifact_digest(local)
-        if digest == self._staged_hash:
-            return
-        remote_path = f"{self._env.remote_workdir}/{local.name}"
-        check = self._transport.run(f"sha256sum {shlex.quote(remote_path)} 2>/dev/null")
-        if check.exit_code == 0 and check.stdout.split()[:1] == [digest]:
-            self._staged_hash = digest
-            return
-        mkdir = self._transport.run(f"mkdir -p {shlex.quote(self._env.remote_workdir)}")
-        if mkdir.exit_code != 0:
-            raise StagingError(f"cannot create remote workdir: {mkdir.stderr.strip()}")
-        try:
-            self._transport.put_file(local, remote_path)
-        except ConnectError:
-            raise
-        except Exception as exc:
-            raise StagingError(f"upload of {local.name} failed: {exc}") from exc
-        self._staged_hash = digest
-
-    def _artifact_digest(self, local: Path) -> str:
-        """sha256 of the artifact, rehashed only when its path, size or mtime changes."""
         st = local.stat()
         stamp = (local, st.st_size, st.st_mtime_ns)
-        if self._jar_digest is None or self._jar_digest[0] != stamp:
-            sha = hashlib.sha256()
-            with open(local, "rb") as fh:
-                for chunk in iter(lambda: fh.read(1 << 20), b""):
-                    sha.update(chunk)
-            self._jar_digest = (stamp, sha.hexdigest())
-        return self._jar_digest[1]
+        remote_path = f"{self._env.remote_workdir}/{local.name}"
+        if self._staged.get(remote_path) == stamp:
+            return
+        digest = _sha256(local)
+        check = self._transport.run(f"sha256sum {shlex.quote(remote_path)} 2>/dev/null")
+        if check.exit_code != 0 or check.stdout.split()[:1] != [digest]:
+            mkdir = self._transport.run(f"mkdir -p {shlex.quote(self._env.remote_workdir)}")
+            if mkdir.exit_code != 0:
+                raise StagingError(f"cannot create remote workdir: {mkdir.stderr.strip()}")
+            try:
+                self._transport.put_file(local, remote_path)
+            except ConnectError:
+                raise
+            except Exception as exc:
+                raise StagingError(f"upload of {local.name} failed: {exc}") from exc
+        self._staged[remote_path] = stamp
 
     # -- trial sequence ----------------------------------------------------------
 

@@ -416,12 +416,11 @@ def parse_param_file(text: str) -> ParamSpace:
 
     Raises:
         ParamSyntaxError: malformed line (with its 1-based line number).
-        DuplicateParamError: two lines declare the same name.
-        EmptySpaceError: no parameter lines remain.
+        DuplicateParamError: two lines declare the same name (raised by ParamSpace).
+        EmptySpaceError: no parameter lines remain (raised by ParamSpace).
         DomainError: bounds or defaults violate spec invariants.
     """
     specs: list[ParamSpec] = []
-    seen: set[str] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -442,10 +441,6 @@ def parse_param_file(text: str) -> ParamSpace:
                 raise ParamSyntaxError(line_no, f"duplicate key {key!r}")
             kv[key] = value
 
-        if name in seen:
-            raise DuplicateParamError(name)
-        seen.add(name)
-
         try:
             spec = _spec_from_tokens(name, kind, kv, line_no)
         except ValueError as exc:
@@ -453,10 +448,7 @@ def parse_param_file(text: str) -> ParamSpace:
         except DomainError as exc:
             raise DomainError(f"line {line_no}: {exc}") from exc
         specs.append(spec)
-
-    if not specs:
-        raise EmptySpaceError("parameter file declares no parameters")
-    return ParamSpace(tuple(specs))
+    return ParamSpace(specs)
 
 
 def _spec_from_tokens(name: str, kind: str, kv: dict[str, str], line_no: int) -> ParamSpec:

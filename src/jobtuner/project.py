@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import shlex
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .errors import (
     BadValueError,
@@ -23,12 +23,9 @@ from .errors import (
     MissingFileError,
     MissingKeyError,
 )
-from .executors.base import PLACEHOLDER_RE, JobSpec
+from .executors.base import PLACEHOLDER_RE, ClusterEnv, JobSpec
 from .executors.synthetic import FAMILIES, SurfaceSpec
 from .paramspace import ParamSpace, parse_param_file
-
-if TYPE_CHECKING:
-    from .executors.remote import ClusterEnv
 
 PARAMS_FILE = "params.conf"
 JOB_FILE = "job.conf"
@@ -36,6 +33,9 @@ ENV_FILE = "HadoopEnv.txt"
 JOBS_LIST_FILE = "jobs.conf"
 
 EXECUTOR_KINDS = ("synthetic", "local", "remote")
+
+# the job-file key that names what a trial runs, by executor kind
+_ARTIFACT_KEYS = {"local": "command", "remote": "jar"}
 
 _ENV_KEYS = ("master", "port", "user", "key_path", "remote_workdir",
              "hadoop_home", "history_log_dir")
@@ -116,8 +116,6 @@ def parse_env_file(text: str) -> ClusterEnv:
     Raises MissingKeyError for absent required keys and BadValueError when
     port is not an integer.
     """
-    from .executors.remote import ClusterEnv  # only remote projects load the remote executor
-
     kv = parse_kv_file(text, ENV_FILE)
     for key in _ENV_KEYS:
         if key not in kv or not kv[key]:
@@ -136,14 +134,15 @@ def parse_env_file(text: str) -> ClusterEnv:
         raise BadValueError("port", str(exc), ENV_FILE) from None
 
 
-def _parse_float_list(kv: dict[str, str], key: str) -> tuple[float, ...]:
+def _parse_float_list(kv: dict[str, str], key: str, filename: str) -> tuple[float, ...]:
     try:
         return tuple(float(x) for x in kv[key].split(",") if x.strip() != "")
     except ValueError:
-        raise BadValueError(key, f"{kv[key]!r} is not a comma-separated number list") from None
+        raise BadValueError(key, f"{kv[key]!r} is not a comma-separated number list",
+                            filename) from None
 
 
-def _parse_table(raw: str) -> tuple[tuple[tuple[float, ...], float], ...]:
+def _parse_table(raw: str, filename: str) -> tuple[tuple[tuple[float, ...], float], ...]:
     # cells separated by ';', each '<u1>,<u2>,...=<seconds>'
     cells = []
     for chunk in raw.split(";"):
@@ -152,67 +151,85 @@ def _parse_table(raw: str) -> tuple[tuple[tuple[float, ...], float], ...]:
             continue
         coords, sep, seconds = chunk.partition("=")
         if not sep:
-            raise BadValueError("table", f"cell {chunk!r} lacks '='")
+            raise BadValueError("table", f"cell {chunk!r} lacks '='", filename)
         cells.append(
             (tuple(float(c) for c in coords.split(",")), float(seconds))
         )
     return tuple(cells)
 
 
-def parse_job_file(text: str) -> tuple[JobSpec, str, SurfaceSpec | None, dict[str, str | int]]:
-    """Parse job.conf: returns (job, executor_kind, surface, tune defaults).
+def parse_job_file(text: str, filename: str = JOB_FILE
+                   ) -> tuple[JobSpec, str, SurfaceSpec | None, dict[str, str | int]]:
+    """Parse a job file: returns (job, executor_kind, surface, tune defaults).
 
     The tune defaults hold the strategy as written and budget and seed as ints.
+    Errors name filename.
     """
-    kv = parse_kv_file(text)
+    kv = parse_kv_file(text, filename)
     kind = kv.get("executor", "")
     if kind not in EXECUTOR_KINDS:
-        raise BadValueError("executor", f"must be one of {', '.join(EXECUTOR_KINDS)}")
+        raise BadValueError("executor", f"must be one of {', '.join(EXECUTOR_KINDS)}", filename)
 
-    if kind == "local":
-        artifact = kv.get("command", "")
+    artifact = ""
+    if kind in _ARTIFACT_KEYS:
+        artifact = kv.get(_ARTIFACT_KEYS[kind], "")
         if not artifact:
-            raise MissingKeyError("command", JOB_FILE)
-    elif kind == "remote":
-        artifact = kv.get("jar", "")
-        if not artifact:
-            raise MissingKeyError("jar", JOB_FILE)
-    else:
-        artifact = ""
+            raise MissingKeyError(_ARTIFACT_KEYS[kind], filename)
 
     try:
         job = JobSpec(
             artifact=artifact,
             main_entry=kv.get("main_entry") or None,
             static_args=tuple(shlex.split(kv.get("args", ""))),
-            timeout_s=parse_float(kv, "timeout_s", 3600.0),
-            repetitions=parse_int(kv, "repetitions", 1),
-            cleanup_output=parse_bool(kv, "cleanup_output", False),
+            timeout_s=parse_float(kv, "timeout_s", 3600.0, filename=filename),
+            repetitions=parse_int(kv, "repetitions", 1, filename=filename),
+            cleanup_output=parse_bool(kv, "cleanup_output", False, filename=filename),
         )
     except ValueError as exc:
-        raise BadValueError("job", str(exc)) from None
+        raise BadValueError("job", str(exc), filename) from None
 
     surface = None
     if kind == "synthetic":
         family = kv.get("family", "")
         if family not in FAMILIES:
-            raise BadValueError("family", f"must be one of {', '.join(FAMILIES)}")
+            raise BadValueError("family", f"must be one of {', '.join(FAMILIES)}", filename)
         try:
             surface = SurfaceSpec(
                 family=family,
-                base_s=parse_float(kv, "base_s"),
-                weights=_parse_float_list(kv, "weights") if "weights" in kv else (),
-                optimum=_parse_float_list(kv, "optimum") if "optimum" in kv else (),
-                noise_sd_s=parse_float(kv, "noise_sd_s", 0.0),
-                seed=parse_int(kv, "surface_seed", 0),
-                table=_parse_table(kv["table"]) if "table" in kv else (),
+                base_s=parse_float(kv, "base_s", filename=filename),
+                weights=_parse_float_list(kv, "weights", filename) if "weights" in kv else (),
+                optimum=_parse_float_list(kv, "optimum", filename) if "optimum" in kv else (),
+                noise_sd_s=parse_float(kv, "noise_sd_s", 0.0, filename=filename),
+                seed=parse_int(kv, "surface_seed", 0, filename=filename),
+                table=_parse_table(kv["table"], filename) if "table" in kv else (),
             )
         except ValueError as exc:
-            raise BadValueError("surface", str(exc)) from None
+            raise BadValueError("surface", str(exc), filename) from None
 
-    defaults: dict[str, str | int] = {k: parse_int(kv, k) for k in ("budget", "seed") if k in kv}
+    defaults: dict[str, str | int] = {k: parse_int(kv, k, filename=filename)
+                                      for k in ("budget", "seed") if k in kv}
     if "strategy" in kv:
         defaults["strategy"] = kv["strategy"]
+    return job, kind, surface, defaults
+
+
+def _read(root: Path, name: str) -> str:
+    try:
+        return (root / name).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise MissingFileError(name) from None
+
+
+def _load_job(root: Path, name: str, space: ParamSpace
+              ) -> tuple[JobSpec, str, SurfaceSpec | None, dict[str, str | int]]:
+    """The job file root/name, parsed, with a local command's {parameters} checked."""
+    job, kind, surface, defaults = parse_job_file(_read(root, name), name)
+    if kind == "local":
+        unknown = sorted(set(PLACEHOLDER_RE.findall(job.artifact)) - set(space.names()))
+        if unknown:
+            raise CrossValidationError(
+                f"{name} command references undeclared parameter(s): {', '.join(unknown)}"
+            )
     return job, kind, surface, defaults
 
 
@@ -226,48 +243,23 @@ def load_project(root: str | Path) -> Project:
     if not root.is_dir():
         raise MissingFileError(str(root))
 
-    params_path = root / PARAMS_FILE
-    if not params_path.exists():
-        raise MissingFileError(PARAMS_FILE)
-    space = parse_param_file(params_path.read_text(encoding="utf-8"))
-
-    job_path = root / JOB_FILE
-    if not job_path.exists():
-        raise MissingFileError(JOB_FILE)
-    job, kind, surface, defaults = parse_job_file(job_path.read_text(encoding="utf-8"))
-
-    env = None
-    if kind == "remote":
-        env_path = root / ENV_FILE
-        if not env_path.exists():
-            raise MissingFileError(ENV_FILE)
-        env = parse_env_file(env_path.read_text(encoding="utf-8"))
+    space = parse_param_file(_read(root, PARAMS_FILE))
+    job, kind, surface, defaults = _load_job(root, JOB_FILE, space)
+    env = parse_env_file(_read(root, ENV_FILE)) if kind == "remote" else None
 
     if kind == "synthetic" and surface.dimension != space.dimension:
         raise CrossValidationError(
             f"surface dimension {surface.dimension} != parameter count {space.dimension}"
         )
 
-    if kind == "local":
-        declared = set(space.names())
-        unknown = sorted(set(PLACEHOLDER_RE.findall(job.artifact)) - declared)
-        if unknown:
-            raise CrossValidationError(
-                f"{JOB_FILE} command references undeclared parameter(s): {', '.join(unknown)}"
-            )
-
     jobs: list[JobSpec] = [job]
-    jobs_list_path = root / JOBS_LIST_FILE
-    if jobs_list_path.exists():
+    if (root / JOBS_LIST_FILE).exists():
         jobs = []
-        for line in jobs_list_path.read_text(encoding="utf-8").splitlines():
+        for line in _read(root, JOBS_LIST_FILE).splitlines():
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            entry_path = root / line
-            if not entry_path.exists():
-                raise MissingFileError(line)
-            entry_job, entry_kind, _, _ = parse_job_file(entry_path.read_text(encoding="utf-8"))
+            entry_job, entry_kind, _, _ = _load_job(root, line, space)
             if entry_kind != kind:
                 raise CrossValidationError(
                     f"{line}: executor {entry_kind!r} differs from project executor {kind!r}"

@@ -89,6 +89,17 @@ def test_timeout_kills_the_whole_process_group(tmp_path):
     assert not (tmp_path / "late").exists()
 
 
+def test_background_processes_end_with_their_repetition(tmp_path):
+    # the subshell lets go of the output pipes, so the job exits at once and
+    # would leave it to touch `late` during whatever runs next
+    executor = LocalExecutor(SPACE, workdir=tmp_path)
+    job = JobSpec(artifact="sh -c '(sleep 1.5; touch late) >/dev/null 2>&1 &'")
+    result = executor.execute_trial(job, POINT, 1)
+    assert result.status == "success"
+    time.sleep(2)
+    assert not (tmp_path / "late").exists()
+
+
 def test_spawn_failure(tmp_path):
     with pytest.raises(SpawnFailureError):
         run_local_command(str(tmp_path / "nope.sh"), POINT, JobSpec(), SPACE)

@@ -147,6 +147,12 @@ def test_load_local_with_undeclared_placeholder(tmp_path):
     (d / "job.conf").write_text("executor=local\ncommand=./job.sh {nope}\n")
     with pytest.raises(CrossValidationError):
         load_project(d)
+    # a jobs.conf entry is checked as job.conf is, so no listed job runs first
+    (d / "job.conf").write_text("executor=local\ncommand=./job.sh {a}\n")
+    (d / "bad.conf").write_text("executor=local\ncommand=./job.sh {nope}\n")
+    (d / "jobs.conf").write_text("job.conf\nbad.conf\n")
+    with pytest.raises(CrossValidationError, match="^bad.conf command references .*: nope$"):
+        load_project(d)
 
 
 def test_load_synthetic_dimension_mismatch(tmp_path):
@@ -187,6 +193,17 @@ def test_load_jobs_list_missing_entry(tmp_path):
     (d / "job.conf").write_text("executor=local\ncommand=./one.sh\n")
     (d / "jobs.conf").write_text("job.conf\nghost.conf\n")
     with pytest.raises(MissingFileError):
+        load_project(d)
+
+
+def test_errors_in_a_listed_job_file_name_it(tmp_path):
+    d = tmp_path / "p"
+    d.mkdir()
+    (d / "params.conf").write_text("a int min=1 max=4 step=1\n")
+    (d / "job.conf").write_text("executor=local\ncommand=./one.sh\n")
+    (d / "two.conf").write_text("executor=local\ncommand=./two.sh\nrepetitions=abc\n")
+    (d / "jobs.conf").write_text("job.conf\ntwo.conf\n")
+    with pytest.raises(BadValueError, match="'repetitions' in two.conf: 'abc' is not an integer"):
         load_project(d)
 
 

@@ -197,6 +197,18 @@ def test_staging_hashes_the_jar_once_until_it_changes(tmp_path, monkeypatch):
     assert transport.staged["/tmp/staging/app.jar"] == b"FAKE JAR BYTES"
 
 
+def test_staging_uploads_each_jar_under_its_own_name(tmp_path):
+    # the same bytes under a second name are still a file the cluster lacks
+    transport = ScriptedTransport(hadoop_stdout=HADOOP_STDOUT)
+    executor = RemoteExecutor(SPACE, ENV, make_project(tmp_path), transport)
+    (tmp_path / "copy.jar").write_bytes(b"fake jar bytes")
+    executor.execute_trial(JOB, POINT, 1)
+    executor.execute_trial(JOB._replace(artifact="copy.jar"), POINT, 2)
+    executor.execute_trial(JOB, POINT, 3)
+    assert [remote_path for _, remote_path in transport.uploads] == [
+        "/tmp/staging/app.jar", "/tmp/staging/copy.jar"]
+
+
 def test_missing_artifact_is_staging_error(tmp_path):
     transport = ScriptedTransport()
     executor = RemoteExecutor(SPACE, ENV, tmp_path, transport)
