@@ -8,7 +8,7 @@ import re
 from abc import ABC, abstractmethod
 from typing import Iterable, NamedTuple
 
-from ..paramspace import TrialPoint
+from ..paramspace import CheckedTuple, TrialPoint
 
 STATUS_SUCCESS = "success"
 STATUS_FAILED = "failed"
@@ -27,7 +27,7 @@ class _JobFields(NamedTuple):
     cleanup_output: bool
 
 
-class JobSpec(_JobFields):
+class JobSpec(CheckedTuple, _JobFields):
     """What to run for one trial and how often to measure it; immutable.
 
     artifact is either a path to an executable job archive (remote) or a
@@ -47,11 +47,6 @@ class JobSpec(_JobFields):
         return tuple.__new__(cls, (artifact, main_entry, tuple(static_args), timeout_s,
                                    repetitions, cleanup_output))
 
-    @classmethod
-    def _make(cls, fields: Iterable) -> JobSpec:
-        """The spec of these fields in order, checked as a new one is; _replace uses it."""
-        return cls(*fields)
-
 
 class _EnvFields(NamedTuple):
     master_host: str
@@ -63,7 +58,7 @@ class _EnvFields(NamedTuple):
     history_log_dir: str
 
 
-class ClusterEnv(_EnvFields):
+class ClusterEnv(CheckedTuple, _EnvFields):
     """Where the cluster lives and which remote paths the harness may use; immutable."""
 
     __slots__ = ()
@@ -80,11 +75,6 @@ class ClusterEnv(_EnvFields):
                 raise ValueError(f"{name} must be nonempty")
         return env
 
-    @classmethod
-    def _make(cls, fields: Iterable) -> ClusterEnv:
-        """The env of these fields in order, checked as a new one is; _replace uses it."""
-        return cls(*fields)
-
 
 class _ResultFields(NamedTuple):
     status: str
@@ -94,7 +84,7 @@ class _ResultFields(NamedTuple):
     log_ref: str | None
 
 
-class TrialResult(_ResultFields):
+class TrialResult(CheckedTuple, _ResultFields):
     """Measured outcome of one trial (all repetitions of one point); immutable.
 
     A tuple, so that a history of many trials builds and holds its results
@@ -122,11 +112,6 @@ class TrialResult(_ResultFields):
                 type(t) in (int, float) and math.isfinite(t) for t in phase_times_s.values()):
             raise ValueError(f"phase times {phase_times_s} are not finite numbers")
         return tuple.__new__(cls, (status, rep_times_s, phase_times_s, result_dir, log_ref))
-
-    @classmethod
-    def _make(cls, fields: Iterable) -> TrialResult:
-        """The result of these fields in order, checked as a new one is; _replace uses it."""
-        return cls(*fields)
 
     @property
     def ok(self) -> bool:

@@ -22,20 +22,26 @@ from .base import (
 )
 
 
+def _require_declared(template: str, point: TrialPoint) -> None:
+    unknown = [m for m in PLACEHOLDER_RE.findall(template) if m not in point.names]
+    if unknown:
+        raise UnknownPlaceholderError(
+            f"template references undeclared parameter(s): {', '.join(sorted(set(unknown)))}"
+        )
+
+
+def _fill(text: str, point: TrialPoint, space: ParamSpace) -> str:
+    return PLACEHOLDER_RE.sub(lambda m: space.render_value(m.group(1), point[m.group(1)]), text)
+
+
 def substitute_template(template: str, point: TrialPoint, space: ParamSpace) -> str:
     """Replace every {param} placeholder with the point's rendered value.
 
     Raises UnknownPlaceholderError before anything runs when the template
     names a parameter the space does not declare.
     """
-    unknown = [m for m in PLACEHOLDER_RE.findall(template) if m not in point.names]
-    if unknown:
-        raise UnknownPlaceholderError(
-            f"template references undeclared parameter(s): {', '.join(sorted(set(unknown)))}"
-        )
-    return PLACEHOLDER_RE.sub(
-        lambda m: space.render_value(m.group(1), point[m.group(1)]), template
-    )
+    _require_declared(template, point)
+    return _fill(template, point, space)
 
 
 def run_local_command(
@@ -51,8 +57,9 @@ def run_local_command(
     repetition exceeding job.timeout_s marks the trial timed out.
     """
     space.require_valid(point)
-    command = substitute_template(template, point, space)
-    argv = shlex.split(command)
+    _require_declared(template, point)
+    # split before filling in, so each value reaches the job as one argument, byte for byte
+    argv = [_fill(arg, point, space) for arg in shlex.split(template)]
     if not argv:
         raise SpawnFailureError("command template is empty after substitution")
 

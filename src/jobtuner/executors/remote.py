@@ -124,11 +124,14 @@ class SshTransport:
 def assemble_hadoop_command(
     env: ClusterEnv, job: JobSpec, point: TrialPoint, space: ParamSpace
 ) -> str:
-    """The exact submission command run in the remote shell."""
+    """The exact submission command run in the remote shell.
+
+    Each -D option is shell-quoted, so the job receives the values as recorded.
+    """
     parts = [f"{env.hadoop_home}/bin/hadoop", "jar", Path(job.artifact).name]
     if job.main_entry:
         parts.append(job.main_entry)
-    parts.extend(space.render_config_args(point))
+    parts.extend(shlex.quote(arg) for arg in space.render_config_args(point))
     parts.extend(job.static_args)
     return " ".join(parts)
 

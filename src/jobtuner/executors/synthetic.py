@@ -11,7 +11,7 @@ import math
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from ..errors import DimensionMismatchError
-from ..paramspace import ParamSpace, TrialPoint
+from ..paramspace import CheckedTuple, ParamSpace, TrialPoint
 from .base import Executor, JobSpec, TrialResult, STATUS_SUCCESS
 
 if TYPE_CHECKING:
@@ -37,7 +37,7 @@ class _SurfaceFields(NamedTuple):
     table: tuple[tuple[tuple[float, ...], float], ...]
 
 
-class SurfaceSpec(_SurfaceFields):
+class SurfaceSpec(CheckedTuple, _SurfaceFields):
     """Shape of a synthetic running-time surface over the unit cube; immutable."""
 
     __slots__ = ()
@@ -67,11 +67,6 @@ class SurfaceSpec(_SurfaceFields):
         if family == FAMILY_LOOKUP and not table:
             raise ValueError("lookup_table surface needs a nonempty table")
         return tuple.__new__(cls, (family, base_s, weights, optimum, noise_sd_s, seed, table))
-
-    @classmethod
-    def _make(cls, fields: Iterable) -> SurfaceSpec:
-        """The surface of these fields in order, checked as a new one is; _replace uses it."""
-        return cls(*fields)
 
     @property
     def dimension(self) -> int:

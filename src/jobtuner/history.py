@@ -48,7 +48,8 @@ from .errors import (
     ManifestMissingError,
 )
 from .executors.base import TrialResult
-from .paramspace import KIND_CAT, KIND_FLOAT, KIND_INT, ParamSpace, TrialPoint
+from .paramspace import (KIND_CAT, KIND_FLOAT, KIND_INT, CheckedTuple, ParamSpace, TrialPoint,
+                         fmt_float)
 from .project import parse_kv_file
 
 HISTORY_DIR = "history"
@@ -80,11 +81,12 @@ class _RecordFields(NamedTuple):
     aggregate_s: float | None  # a success's median; None encodes FAILED
 
 
-class TrialRecord(_RecordFields):
+class TrialRecord(CheckedTuple, _RecordFields):
     """One executed trial: the point, its measurements, and the aggregate; immutable.
 
     A tuple, so that a history of many trials builds and holds its records
-    at a tuple's cost. aggregate_s is derived from the result, never given.
+    at a tuple's cost. aggregate_s is derived from the result, never given, so
+    _make, and with it _replace, refuses a record's six fields.
     """
 
     __slots__ = ()
@@ -93,11 +95,6 @@ class TrialRecord(_RecordFields):
                 timestamp: datetime) -> TrialRecord:
         aggregate_s = median(result.rep_times_s) if result.ok else None
         return tuple.__new__(cls, (trial_id, point, result, strategy_id, timestamp, aggregate_s))
-
-    @classmethod
-    def _make(cls, fields: Iterable) -> TrialRecord:
-        """The record of a trial's five given fields; aggregate_s, derived, is refused."""
-        return cls(*fields)
 
     def __getnewargs__(self) -> tuple:  # copy and pickle rebuild a record from its given fields
         return self[:5]
@@ -110,10 +107,6 @@ class TrialRecord(_RecordFields):
 
 def history_dir(project_root: str | Path) -> Path:
     return Path(project_root) / HISTORY_DIR
-
-
-def fmt_float(x: float) -> str:
-    return repr(float(x))
 
 
 def csv_header(space: ParamSpace) -> list[str]:
@@ -352,10 +345,17 @@ def rewrite_trials_csv(project_root: str | Path, space: ParamSpace,
     """
     path = history_dir(project_root) / TRIALS_CSV
     _refuse_to_shrink(path, len(records))
+    write_csv(path, csv_header(space), (record_to_row(r, space) for r in records))
+
+
+def write_csv(path: Path, header: list[str], rows: Iterable[Iterable[str]]) -> None:
+    """The one writer of the history CSVs (trials.csv and the reports): the header,
+    then the rows as they are drawn, each line ending in a bare newline; replaces
+    path atomically."""
     with replace_file(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(csv_header(space))
-        writer.writerows(record_to_row(r, space) for r in records)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _refuse_to_shrink(path: Path, journaled: int) -> None:

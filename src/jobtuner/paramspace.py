@@ -53,6 +53,25 @@ def _wholenum(raw: str) -> int:
     return int(v)
 
 
+def fmt_float(x: float) -> str:
+    """A float's text in every file and report: shortest round-trip repr."""
+    return repr(float(x))
+
+
+class CheckedTuple(tuple):
+    """Base of the checked value types, listed before their NamedTuple fields class.
+
+    Its _make builds through the type's __new__, so _replace runs the same
+    checks and normalisation as construction does.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, fields: Iterable):
+        return cls(*fields)
+
+
 class _SpecFields(NamedTuple):
     name: str
     kind: str
@@ -64,7 +83,7 @@ class _SpecFields(NamedTuple):
     unit: str | None
 
 
-class ParamSpec(_SpecFields):
+class ParamSpec(CheckedTuple, _SpecFields):
     """One tunable configuration key, e.g. a Hadoop property; immutable.
 
     Numeric kinds carry inclusive bounds and a positive step that defines
@@ -120,11 +139,6 @@ class ParamSpec(_SpecFields):
         if violation:
             raise DomainError(f"{violation} (the default)")
         return spec
-
-    @classmethod
-    def _make(cls, fields: Iterable) -> ParamSpec:
-        """The spec of these fields in order, checked as a new one is; _replace uses it."""
-        return cls(*fields)
 
     # -- lattice helpers ------------------------------------------------
 
@@ -202,7 +216,7 @@ class ParamSpec(_SpecFields):
         if self.kind == KIND_INT:
             return str(int(v))
         if self.kind == KIND_FLOAT:
-            return repr(float(v))
+            return fmt_float(v)
         return str(v)
 
 

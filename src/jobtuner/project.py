@@ -222,9 +222,14 @@ def _read(root: Path, name: str) -> str:
 
 def _load_job(root: Path, name: str, space: ParamSpace
               ) -> tuple[JobSpec, str, SurfaceSpec | None, dict[str, str | int]]:
-    """The job file root/name, parsed, with a local command's {parameters} checked."""
+    """The job file root/name, parsed; a local command must split as a shell line
+    and name only declared {parameters}."""
     job, kind, surface, defaults = parse_job_file(_read(root, name), name)
     if kind == "local":
+        try:
+            shlex.split(job.artifact)
+        except ValueError as exc:
+            raise BadValueError("command", str(exc), name) from None
         unknown = sorted(set(PLACEHOLDER_RE.findall(job.artifact)) - set(space.names()))
         if unknown:
             raise CrossValidationError(
@@ -259,11 +264,13 @@ def load_project(root: str | Path) -> Project:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            entry_job, entry_kind, _, _ = _load_job(root, line, space)
+            entry_job, entry_kind, entry_surface, _ = _load_job(root, line, space)
             if entry_kind != kind:
                 raise CrossValidationError(
                     f"{line}: executor {entry_kind!r} differs from project executor {kind!r}"
                 )
+            if entry_surface != surface:  # every run measures the one surface of job.conf
+                raise CrossValidationError(f"{line}: surface differs from {JOB_FILE}'s")
             jobs.append(entry_job)
         if not jobs:
             raise CrossValidationError(f"{JOBS_LIST_FILE} lists no jobs")

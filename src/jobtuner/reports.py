@@ -7,11 +7,10 @@ leaves the old report or the new one. Plotting is left to external tools.
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 
 from .errors import EmptyHistoryError, IdenticalAxesError, UnknownParamError
-from .history import TrialRecord, fmt_float, history_dir, median, replace_file
+from .history import TrialRecord, fmt_float, history_dir, median, write_csv
 from .paramspace import ParamSpace
 
 CONVERGENCE_CSV = "convergence.csv"
@@ -39,13 +38,10 @@ def write_convergence(project_root: str | Path, records: list[TrialRecord]) -> P
     """Write history/convergence.csv; empty history yields a header-only file."""
     rows = convergence_series(records) if records else []
     path = history_dir(project_root) / CONVERGENCE_CSV
-    with replace_file(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CONVERGENCE_HEADER)
-        writer.writerows(
-            (str(iteration), "" if agg is None else fmt_float(agg), "" if best is None else fmt_float(best))
-            for iteration, agg, best in rows
-        )
+    write_csv(path, CONVERGENCE_HEADER, (
+        (str(iteration), "" if agg is None else fmt_float(agg), "" if best is None else fmt_float(best))
+        for iteration, agg, best in rows
+    ))
     return path
 
 
@@ -93,11 +89,8 @@ def write_surface(
     """Write history/surface_<px>_<py>.csv for the observed (px, py) cells."""
     rows = surface_table(records, px, py, space)
     path = history_dir(project_root) / surface_csv_name(px, py)
-    with replace_file(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([px, py, "median_s", "n"])
-        writer.writerows(
-            (space.render_value(px, vx), space.render_value(py, vy), fmt_float(median_s), str(n))
-            for vx, vy, median_s, n in rows
-        )
+    write_csv(path, [px, py, "median_s", "n"], (
+        (space.render_value(px, vx), space.render_value(py, vy), fmt_float(median_s), str(n))
+        for vx, vy, median_s, n in rows
+    ))
     return path

@@ -44,6 +44,17 @@ def test_argument_substitution_reaches_command(tmp_path):
     assert out.read_text().splitlines() == ["8", "8"]
 
 
+def test_values_reach_the_command_byte_for_byte(tmp_path):
+    out = tmp_path / "args.txt"
+    script = write_script(tmp_path / "job.sh", f"printf '%s|%s\\n' \"$1\" \"$2\" >> {out}\n")
+    space = parse_param_file("x cat values=a'b,a\\b,a\"b\ny cat values=c")
+    for x in space.spec("x").values:
+        result = run_local_command(f"{script} {{x}} 'y={{y}}'", TrialPoint({"x": x, "y": "c"}),
+                                   JobSpec(), space)
+        assert result.status == "success"
+    assert out.read_text().splitlines() == ["a'b|y=c", "a\\b|y=c", 'a"b|y=c']
+
+
 def test_sleep_is_lower_bound_for_wall_time(tmp_path):
     script = write_script(tmp_path / "sleepy.sh", "sleep 0.12\n")
     result = run_local_command(str(script), POINT, JobSpec(repetitions=2), SPACE)

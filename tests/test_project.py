@@ -207,6 +207,41 @@ def test_errors_in_a_listed_job_file_name_it(tmp_path):
         load_project(d)
 
 
+def test_listed_synthetic_jobs_share_the_surface_of_job_conf(tmp_path):
+    params = "a int min=1 max=4 step=1\nb int min=1 max=2 step=1\n"
+    d = tmp_path / "p"
+    write_synthetic_project(d, params, bowl_job_conf())
+    (d / "same.conf").write_text(bowl_job_conf(repetitions=3))
+    (d / "jobs.conf").write_text("job.conf\nsame.conf\n")
+    assert [job.repetitions for job in load_project(d).jobs] == [1, 3]
+    # one executor measures every run on job.conf's surface, so another is refused
+    (d / "big.conf").write_text(bowl_job_conf(base_s=5000))
+    (d / "jobs.conf").write_text("job.conf\nbig.conf\n")
+    with pytest.raises(CrossValidationError, match="^big.conf: surface differs from job.conf's$"):
+        load_project(d)
+
+
+def test_load_lookup_table_project(tmp_path):
+    job = "executor=synthetic\nfamily=lookup_table\nbase_s=1\ntable=0,0=9; 0,1=4.5;1,1=2\n"
+    project = write_synthetic_project(tmp_path / "p", "a int min=1 max=4 step=1\n"
+                                      "b int min=1 max=2 step=1\n", job)
+    assert project.surface.table == (((0.0, 0.0), 9.0), ((0.0, 1.0), 4.5), ((1.0, 1.0), 2.0))
+    (tmp_path / "p" / "job.conf").write_text(job.replace("1,1=2", "1,1"))
+    with pytest.raises(BadValueError, match="'table' in job.conf: cell '1,1' lacks '='"):
+        load_project(tmp_path / "p")
+
+
+def test_load_refuses_a_local_command_that_does_not_split(tmp_path):
+    d = tmp_path / "p"
+    d.mkdir()
+    (d / "params.conf").write_text("x cat values=a'b,c\n")
+    (d / "job.conf").write_text("executor=local\ncommand=echo 'ran {x}\n")
+    with pytest.raises(BadValueError, match="'command' in job.conf: No closing quotation"):
+        load_project(d)
+    (d / "job.conf").write_text("executor=local\ncommand=echo {x}\n")  # a quote in a value is data
+    assert load_project(d).job.artifact == "echo {x}"
+
+
 # --- scaffold -------------------------------------------------------------------------
 
 def fill_placeholders(root: Path) -> None:

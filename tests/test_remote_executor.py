@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import shlex
 import stat
 from pathlib import Path
 from types import SimpleNamespace
@@ -62,6 +63,13 @@ def test_assemble_hadoop_command():
         "/opt/hadoop/bin/hadoop jar app.jar WordCount "
         "-Dmapreduce.reduce.tasks=8 /data/in /data/out"
     )
+
+
+def test_assemble_hadoop_command_quotes_each_value():
+    space = parse_param_file("x cat values=a'b,a\\b,a;b,$HOME")
+    for x in space.spec("x").values:
+        command = assemble_hadoop_command(ENV, JOB, TrialPoint({"x": x}), space)
+        assert shlex.split(command)[4:] == [f"-Dx={x}", "/data/in", "/data/out"]
 
 
 def test_trial_runs_documented_command_in_workdir(tmp_path):

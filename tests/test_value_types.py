@@ -28,6 +28,7 @@ from jobtuner import (
 )
 from jobtuner.errors import DomainError
 from jobtuner.executors.remote import ClusterEnv, ShellResult
+from jobtuner.paramspace import CheckedTuple
 
 INT_SPEC_REPR = (
     "ParamSpec(name='a', kind='int', lower=1, upper=4, step=1, values=(), default=1, unit=None)"
@@ -154,6 +155,40 @@ def test_replace_normalises_as_construction_does():
 
 def copies(value):
     return copy.deepcopy(value), pickle.loads(pickle.dumps(value))
+
+
+def record() -> TrialRecord:
+    return TrialRecord(trial_id=1, point=space().default_point(),
+                       result=TrialResult("success", (2.0, 1.0, 3.0)), strategy_id="grid",
+                       timestamp=datetime(2024, 1, 2, tzinfo=timezone.utc))
+
+
+# type -> (a valid value, a field, a value of it that the type refuses)
+CHECKED = {
+    ParamSpec: (int_spec, "upper", 0),
+    JobSpec: (JobSpec, "repetitions", 0),
+    ClusterEnv: (env, "port", 0),
+    SurfaceSpec: (lambda: SurfaceSpec(family="bowl", base_s=100, weights=(1,), optimum=(0.5,)),
+                  "optimum", (2.0,)),
+    TrialResult: (lambda: TrialResult("failed", (1.0,)), "rep_times_s", (float("nan"),)),
+    # aggregate_s is derived, so the six fields of any replaced record are refused
+    TrialRecord: (record, "trial_id", 2),
+}
+
+
+@pytest.mark.parametrize("cls", CHECKED, ids=lambda cls: cls.__name__)
+def test_checked_types_replace_as_they_construct_and_copy(cls):
+    build, field, bad = CHECKED[cls]
+    value = build()
+    assert issubclass(cls, CheckedTuple)
+    fields = [bad if name == field else v for name, v in zip(cls._fields, value)]
+    with pytest.raises(Exception) as constructed:
+        cls(*fields)
+    with pytest.raises(type(constructed.value)) as replaced:
+        value._replace(**{field: bad})
+    assert str(replaced.value) == str(constructed.value)
+    for twin in copies(value):
+        assert type(twin) is cls and twin == value and repr(twin) == repr(value)
 
 
 def test_points_records_spaces_and_projects_survive_deepcopy_and_pickle(tmp_path):
