@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 import re
 from abc import ABC, abstractmethod
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from ..paramspace import CheckedTuple, TrialPoint
 
@@ -124,3 +124,18 @@ class Executor(ABC):
     @abstractmethod
     def execute_trial(self, job: JobSpec, point: TrialPoint, trial_id: int) -> TrialResult:
         """Measure job at point; rep_times_s has exactly job.repetitions entries on success."""
+
+
+def repeat(job: JobSpec, run_once: Callable[[int], float | str]) -> TrialResult:
+    """Measure job: run_once(1), run_once(2), ... up to job.repetitions.
+
+    run_once returns one repetition's seconds, or the status that ends the
+    trial there, failed or timed out; the times measured before it are kept.
+    """
+    times: list[float] = []
+    for rep in range(1, job.repetitions + 1):
+        outcome = run_once(rep)
+        if isinstance(outcome, str):
+            return TrialResult(outcome, times)
+        times.append(outcome)
+    return TrialResult(STATUS_SUCCESS, times)

@@ -17,31 +17,9 @@ from .base import (
     JobSpec,
     TrialResult,
     STATUS_FAILED,
-    STATUS_SUCCESS,
     STATUS_TIMEOUT,
+    repeat,
 )
-
-
-def _require_declared(template: str, point: TrialPoint) -> None:
-    unknown = [m for m in PLACEHOLDER_RE.findall(template) if m not in point.names]
-    if unknown:
-        raise UnknownPlaceholderError(
-            f"template references undeclared parameter(s): {', '.join(sorted(set(unknown)))}"
-        )
-
-
-def _fill(text: str, point: TrialPoint, space: ParamSpace) -> str:
-    return PLACEHOLDER_RE.sub(lambda m: space.render_value(m.group(1), point[m.group(1)]), text)
-
-
-def substitute_template(template: str, point: TrialPoint, space: ParamSpace) -> str:
-    """Replace every {param} placeholder with the point's rendered value.
-
-    Raises UnknownPlaceholderError before anything runs when the template
-    names a parameter the space does not declare.
-    """
-    _require_declared(template, point)
-    return _fill(template, point, space)
 
 
 def run_local_command(
@@ -51,33 +29,29 @@ def run_local_command(
     space: ParamSpace,
     workdir: str | Path | None = None,
 ) -> TrialResult:
-    """Run the substituted command job.repetitions times, timing each run.
+    """Run the command, its {param} placeholders filled in, job.repetitions times.
 
-    Nonzero exit fails the trial and skips remaining repetitions; a
-    repetition exceeding job.timeout_s marks the trial timed out.
+    Raises UnknownPlaceholderError before anything runs when the template
+    names a parameter the space does not declare. Nonzero exit fails the
+    trial and skips remaining repetitions; a repetition exceeding
+    job.timeout_s marks the trial timed out.
     """
     space.require_valid(point)
-    _require_declared(template, point)
+    unknown = sorted(set(PLACEHOLDER_RE.findall(template)) - set(point.names))
+    if unknown:
+        raise UnknownPlaceholderError(
+            f"template references undeclared parameter(s): {', '.join(unknown)}"
+        )
     # split before filling in, so each value reaches the job as one argument, byte for byte
-    argv = [_fill(arg, point, space) for arg in shlex.split(template)]
+    argv = [PLACEHOLDER_RE.sub(lambda m: space.render_value(m.group(1), point[m.group(1)]), arg)
+            for arg in shlex.split(template)]
     if not argv:
         raise SpawnFailureError("command template is empty after substitution")
-
-    times: list[float] = []
-    for _ in range(job.repetitions):
-        run = _run_once(argv, workdir, job.timeout_s)
-        if run is None:
-            return TrialResult(status=STATUS_TIMEOUT, rep_times_s=tuple(times))
-        returncode, elapsed = run
-        if returncode != 0:
-            return TrialResult(status=STATUS_FAILED, rep_times_s=tuple(times))
-        times.append(elapsed)
-    return TrialResult(status=STATUS_SUCCESS, rep_times_s=tuple(times))
+    return repeat(job, lambda _rep: _run_once(argv, workdir, job.timeout_s))
 
 
-def _run_once(argv: list[str], workdir: str | Path | None,
-              timeout_s: float | None) -> tuple[int, float] | None:
-    """Run argv in a new process group; its exit code and seconds, or None on timeout.
+def _run_once(argv: list[str], workdir: str | Path | None, timeout_s: float | None) -> float | str:
+    """Run argv in a new process group; its seconds, or the status it failed with.
 
     However the run ends, the whole group is then killed, after the clock
     stops, so no process the job started, even one in the background,
@@ -98,9 +72,9 @@ def _run_once(argv: list[str], workdir: str | Path | None,
     with proc:
         try:
             proc.communicate(timeout=timeout_s)
-            return proc.returncode, time.perf_counter() - start
+            return STATUS_FAILED if proc.returncode else time.perf_counter() - start
         except subprocess.TimeoutExpired:
-            return None
+            return STATUS_TIMEOUT
         finally:
             # A group id is not reissued while any member lives, so once the
             # leader is reaped this still reaches only the job's own processes.

@@ -26,8 +26,8 @@ from .base import (
     JobSpec,
     TrialResult,
     STATUS_FAILED,
-    STATUS_SUCCESS,
     STATUS_TIMEOUT,
+    repeat,
 )
 from .hadoop_logs import parse_phase_times
 
@@ -76,7 +76,7 @@ class SshTransport:
 
     def run(self, command: str, timeout_s: float | None = None,
             cwd: str | None = None) -> ShellResult:
-        remote_cmd = command if cwd is None else f"cd {shlex.quote(cwd)} && {command}"
+        remote_cmd = command if cwd is None else f"{shlex.join(['cd', cwd])} && {command}"
         try:
             proc = subprocess.run(
                 self._ssh_argv() + [remote_cmd],
@@ -115,7 +115,7 @@ class SshTransport:
         e = self._env
         # scp exits 1 for a missing path and a lost connection alike; run
         # raises ConnectError for the latter, so a missing path stays an OSError
-        if self.run(f"test -d {shlex.quote(remote)}").exit_code != 0:
+        if self.run(shlex.join(["test", "-d", remote])).exit_code != 0:
             raise FileNotFoundError(f"no remote directory {remote}")
         local.mkdir(parents=True, exist_ok=True)
         self._scp(["-r", f"{e.user}@{e.master_host}:{remote}", str(local)])
@@ -126,14 +126,13 @@ def assemble_hadoop_command(
 ) -> str:
     """The exact submission command run in the remote shell.
 
-    Each -D option is shell-quoted, so the job receives the values as recorded.
+    Every word is shell-quoted, so the job receives each value as recorded
+    and each argument whole.
     """
-    parts = [f"{env.hadoop_home}/bin/hadoop", "jar", Path(job.artifact).name]
+    argv = [f"{env.hadoop_home}/bin/hadoop", "jar", Path(job.artifact).name]
     if job.main_entry:
-        parts.append(job.main_entry)
-    parts.extend(shlex.quote(arg) for arg in space.render_config_args(point))
-    parts.extend(job.static_args)
-    return " ".join(parts)
+        argv.append(job.main_entry)
+    return shlex.join(argv + space.render_config_args(point) + list(job.static_args))
 
 
 def _sha256(path: Path) -> str:
@@ -179,9 +178,9 @@ class RemoteExecutor(Executor):
         if self._staged.get(remote_path) == stamp:
             return
         digest = _sha256(local)
-        check = self._transport.run(f"sha256sum {shlex.quote(remote_path)} 2>/dev/null")
+        check = self._transport.run(shlex.join(["sha256sum", remote_path]) + " 2>/dev/null")
         if check.exit_code != 0 or check.stdout.split()[:1] != [digest]:
-            mkdir = self._transport.run(f"mkdir -p {shlex.quote(self._env.remote_workdir)}")
+            mkdir = self._transport.run(shlex.join(["mkdir", "-p", self._env.remote_workdir]))
             if mkdir.exit_code != 0:
                 raise StagingError(f"cannot create remote workdir: {mkdir.stderr.strip()}")
             try:
@@ -201,15 +200,13 @@ class RemoteExecutor(Executor):
         trial_dir = self._root / DOWNLOADED_RESULTS_DIR / f"trial_{trial_id}"
         trial_dir.mkdir(parents=True, exist_ok=True)
         output_path = job.static_args[-1] if job.static_args else None
+        bin_dir = f"{self._env.hadoop_home}/bin"
         # MapReduce refuses to write an output path that exists
-        remove_output = (f"{self._env.hadoop_home}/bin/hadoop fs -rm -r -f "
-                         f"{shlex.quote(output_path)}"
+        remove_output = (shlex.join([f"{bin_dir}/hadoop", "fs", "-rm", "-r", "-f", output_path])
                          if job.cleanup_output and output_path else None)
-
-        times: list[float] = []
         outputs: list[str] = []  # each repetition's client output
-        status = STATUS_SUCCESS
-        for _ in range(job.repetitions):
+
+        def run_once(_rep: int) -> float | str:
             if remove_output:
                 self._transport.run(remove_output)
             start = time.perf_counter()
@@ -218,20 +215,18 @@ class RemoteExecutor(Executor):
                     command, timeout_s=job.timeout_s, cwd=self._env.remote_workdir
                 )
             except TransportTimeout as exc:
-                status = STATUS_TIMEOUT
                 # a YARN application outlives its client: kill it, or it runs on into the next trial
                 for app in _SUBMITTED.findall(exc.output):
                     kill = self._transport.run(
-                        f"{self._env.hadoop_home}/bin/yarn application -kill {app}")
+                        shlex.join([f"{bin_dir}/yarn", "application", "-kill", app]))
                     if kill.exit_code != 0:
                         log.warning("kill of %s failed: %s", app, kill.stderr.strip())
-                break
+                return STATUS_TIMEOUT
             elapsed = time.perf_counter() - start
             outputs.append(f"{res.stdout}\n{res.stderr}")
-            if res.exit_code != 0:
-                status = STATUS_FAILED
-                break
-            times.append(elapsed)
+            return STATUS_FAILED if res.exit_code else elapsed
+
+        measured = repeat(job, run_once)
 
         # Phase times come from one text: each repetition's client output, then
         # the logs of the applications it submitted; the last counter wins.
@@ -253,9 +248,7 @@ class RemoteExecutor(Executor):
             self._fetch(output_path, trial_dir / "output")
         phases = parse_phase_times("\n".join(texts))
 
-        return TrialResult(
-            status=status,
-            rep_times_s=tuple(times),
+        return measured._replace(
             phase_times_s=phases or None,
             result_dir=str(trial_dir) if any(trial_dir.iterdir()) else None,
             log_ref=str(log_dir) if fetched else None,

@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from ..errors import DimensionMismatchError
 from ..paramspace import CheckedTuple, ParamSpace, TrialPoint
-from .base import Executor, JobSpec, TrialResult, STATUS_SUCCESS
+from .base import Executor, JobSpec, TrialResult, repeat
 
 if TYPE_CHECKING:
     import numpy as np
@@ -138,8 +138,4 @@ class SyntheticExecutor(Executor):
 
     def execute_trial(self, job: JobSpec, point: TrialPoint, trial_id: int) -> TrialResult:
         u = self._space.encode_point(point)
-        times = tuple([
-            synthetic_eval(self._surface, u, trial_id, rep)
-            for rep in range(1, job.repetitions + 1)
-        ])
-        return TrialResult(status=STATUS_SUCCESS, rep_times_s=times)
+        return repeat(job, lambda rep: synthetic_eval(self._surface, u, trial_id, rep))

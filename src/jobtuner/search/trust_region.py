@@ -149,17 +149,17 @@ class TrustRegionSearcher(Searcher):
         """Fresh geometry point at center ± radius along a cycling axis."""
         d = self._space.dimension
         center = self._center()
-        for _ in range(2 * d):
-            k = next(cycle)
-            j = k % d
-            sign = +1.0 if (k // d) % 2 == 0 else -1.0
-            for offset in (sign, -sign):
-                v = center.copy()
-                v[j] += offset * self._radius
-                v = np.clip(v, 0.0, 1.0)
-                if not np.array_equal(v, center):
-                    return v
-        return np.clip(center + self._radius / 2.0, 0.0, 1.0)
+        k = next(cycle)
+        j = k % d
+        sign = +1.0 if (k // d) % 2 == 0 else -1.0
+        # the other way only from the bound sign points at: the radius, <= 0.5, leaves room
+        for offset in (sign, -sign):
+            v = center.copy()
+            v[j] += offset * self._radius
+            v = np.clip(v, 0.0, 1.0)
+            if not np.array_equal(v, center):
+                break
+        return v
 
     # -- the search ------------------------------------------------------------------
 

@@ -8,7 +8,7 @@ import pytest
 
 from jobtuner.errors import SpawnFailureError, UnknownPlaceholderError
 from jobtuner.executors.base import JobSpec
-from jobtuner.executors.local import LocalExecutor, run_local_command, substitute_template
+from jobtuner.executors.local import LocalExecutor, run_local_command
 from jobtuner.paramspace import TrialPoint, parse_param_file
 
 SPACE = parse_param_file("mapreduce.reduce.tasks int min=1 max=16 step=1")
@@ -19,11 +19,6 @@ def write_script(path: Path, body: str) -> Path:
     path.write_text("#!/bin/sh\n" + body)
     path.chmod(path.stat().st_mode | stat.S_IXUSR)
     return path
-
-
-def test_substitute_template():
-    out = substitute_template("./fakejob.sh {mapreduce.reduce.tasks}", POINT, SPACE)
-    assert out == "./fakejob.sh 8"
 
 
 def test_unknown_placeholder_runs_nothing(tmp_path):

@@ -72,6 +72,40 @@ def test_assemble_hadoop_command_quotes_each_value():
         assert shlex.split(command)[4:] == [f"-Dx={x}", "/data/in", "/data/out"]
 
 
+def test_assemble_hadoop_command_keeps_each_argument_whole():
+    env = ENV._replace(hadoop_home="/opt/my hadoop")
+    job = JOB._replace(artifact="jars/my app.jar", main_entry="org.Main",
+                       static_args=("/in dir", "/out"))
+    space = parse_param_file("a int min=1 max=4 step=1")
+    command = assemble_hadoop_command(env, job, TrialPoint({"a": 1}), space)
+    assert shlex.split(command) == [
+        "/opt/my hadoop/bin/hadoop", "jar", "my app.jar", "org.Main", "-Da=1", "/in dir", "/out"]
+
+
+def test_removal_and_kill_commands_keep_each_argument_whole(tmp_path):
+    class TimesOut(ScriptedTransport):
+        """Times out every submission, whatever the hadoop_home it runs from."""
+
+        def run(self, command, timeout_s=None, cwd=None):
+            if shlex.split(command)[1:2] == ["jar"]:
+                self.commands.append((command, cwd))
+                raise TransportTimeout("scripted timeout", HADOOP_STDOUT)
+            return super().run(command, timeout_s, cwd)
+
+    env = ENV._replace(hadoop_home="/opt/my hadoop")
+    transport = TimesOut()
+    executor = RemoteExecutor(SPACE, env, make_project(tmp_path), transport)
+    job = JOB._replace(static_args=("/in dir", "/out dir"), cleanup_output=True)
+    assert executor.execute_trial(job, POINT, 1).status == "timeout"
+    words = [shlex.split(c) for c, _ in transport.commands if "hadoop" in c]
+    assert words == [
+        ["/opt/my hadoop/bin/hadoop", "fs", "-rm", "-r", "-f", "/out dir"],
+        ["/opt/my hadoop/bin/hadoop", "jar", "app.jar", "WordCount",
+         "-Dmapreduce.reduce.tasks=8", "/in dir", "/out dir"],
+        ["/opt/my hadoop/bin/yarn", "application", "-kill", APP_ID],
+    ]
+
+
 def test_trial_runs_documented_command_in_workdir(tmp_path):
     transport = ScriptedTransport(hadoop_stdout=HADOOP_STDOUT)
     executor = RemoteExecutor(SPACE, ENV, make_project(tmp_path), transport)
@@ -217,6 +251,33 @@ def test_staging_uploads_each_jar_under_its_own_name(tmp_path):
         "/tmp/staging/app.jar", "/tmp/staging/copy.jar"]
 
 
+def test_failing_workdir_creation_is_staging_error(tmp_path):
+    class NoMkdir(ScriptedTransport):
+        def run(self, command, timeout_s=None, cwd=None):
+            if command.startswith("mkdir "):
+                return remote.ShellResult(1, "", "mkdir: Permission denied\n")
+            return super().run(command, timeout_s, cwd)
+
+    transport = NoMkdir(hadoop_stdout=HADOOP_STDOUT)
+    executor = RemoteExecutor(SPACE, ENV, make_project(tmp_path), transport)
+    with pytest.raises(StagingError, match="Permission denied"):
+        executor.execute_trial(JOB, POINT, 1)
+    assert not transport.uploads and not transport.hadoop_commands()
+
+
+@pytest.mark.parametrize("error, raised", [(OSError, StagingError), (ConnectError, ConnectError)])
+def test_failing_upload(tmp_path, error, raised):
+    class FailingUpload(ScriptedTransport):
+        def put_file(self, local, remote):
+            raise error("scripted upload failure")
+
+    transport = FailingUpload(hadoop_stdout=HADOOP_STDOUT)
+    executor = RemoteExecutor(SPACE, ENV, make_project(tmp_path), transport)
+    with pytest.raises(raised):
+        executor.execute_trial(JOB, POINT, 1)
+    assert not transport.hadoop_commands()
+
+
 def test_missing_artifact_is_staging_error(tmp_path):
     transport = ScriptedTransport()
     executor = RemoteExecutor(SPACE, ENV, tmp_path, transport)
@@ -309,6 +370,16 @@ def test_cleanup_lets_every_trial_write_its_output(tmp_path):
     assert commands == [["fs", "-rm"], ["jar", "app.jar"]] * 3
 
 
+def test_a_later_failed_repetition_fails_the_trial(tmp_path):
+    # without cleanup, the second repetition finds the first one's output
+    transport = RefusesExistingOutput(hadoop_stdout=HADOOP_STDOUT)
+    executor = RemoteExecutor(SPACE, ENV, make_project(tmp_path), transport)
+    result = executor.execute_trial(JOB._replace(repetitions=3), POINT, 1)
+    assert result.status == "failed"
+    assert len(result.rep_times_s) == 1
+    assert len(transport.hadoop_commands()) == 2  # no third repetition
+
+
 def test_no_cleanup_leaves_the_output_alone(tmp_path):
     transport = ScriptedTransport(hadoop_stdout=HADOOP_STDOUT)
     executor = RemoteExecutor(SPACE, ENV, make_project(tmp_path), transport)
@@ -369,6 +440,45 @@ def test_ssh_transport_fetch_of_a_missing_path_is_not_a_lost_cluster(tmp_path):
     fake_ssh = write_fake(tmp_path / "ssh", "exit 255\n")
     with pytest.raises(ConnectError):
         transport.fetch_dir("/var/log/hadoop-yarn/aggregated/missing", tmp_path / "logs")
+
+
+SCP_OPTIONS = ["-i", "/keys/id_ed25519", "-P", "22", "-o", "BatchMode=yes"]
+
+
+def fake_scp(tmp_path: Path, exit_code: int = 0) -> tuple[str, Path]:
+    """A scp that writes its arguments, one a line, to a file; failing, it says why."""
+    argv_file = tmp_path / "scp-argv"
+    body = f'printf "%s\\n" "$@" > {argv_file}\n'
+    if exit_code:
+        body += f"echo 'scp: lost connection' >&2\nexit {exit_code}\n"
+    return write_fake(tmp_path / "scp", body), argv_file
+
+
+def test_ssh_transport_put_file_argv(tmp_path):
+    scp_bin, argv_file = fake_scp(tmp_path)
+    transport = SshTransport(ENV, scp_bin=scp_bin)
+    transport.put_file(tmp_path / "app.jar", "/tmp/staging/app.jar")
+    assert argv_file.read_text().splitlines() == SCP_OPTIONS + [
+        str(tmp_path / "app.jar"), "hadoop@192.168.1.10:/tmp/staging/app.jar"]
+
+
+def test_ssh_transport_fetch_dir_argv(tmp_path):
+    scp_bin, argv_file = fake_scp(tmp_path)
+    transport = SshTransport(ENV, ssh_bin=write_fake(tmp_path / "ssh", "exit 0\n"), scp_bin=scp_bin)
+    local = tmp_path / "downloads" / "logs"
+    transport.fetch_dir("/var/log/hadoop-yarn/aggregated/app", local)
+    assert local.is_dir()
+    assert argv_file.read_text().splitlines() == SCP_OPTIONS + [
+        "-r", "hadoop@192.168.1.10:/var/log/hadoop-yarn/aggregated/app", str(local)]
+
+
+def test_ssh_transport_failed_copy_is_connect_error(tmp_path):
+    scp_bin, _ = fake_scp(tmp_path, exit_code=1)
+    transport = SshTransport(ENV, ssh_bin=write_fake(tmp_path / "ssh", "exit 0\n"), scp_bin=scp_bin)
+    with pytest.raises(ConnectError, match="lost connection"):
+        transport.put_file(tmp_path / "app.jar", "/tmp/staging/app.jar")
+    with pytest.raises(ConnectError, match="lost connection"):
+        transport.fetch_dir("/var/log/hadoop-yarn/aggregated/app", tmp_path / "logs")
 
 
 def test_missing_application_logs_degrade_to_wall_time_over_ssh(tmp_path):
