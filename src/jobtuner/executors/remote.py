@@ -1,7 +1,9 @@
 """Remote Hadoop executor: stages the job artifact over SSH, submits it once
 per repetition, then pulls the aggregated logs of the applications it
-submitted, and the job output, back to the project. A repetition that times
-out has its applications killed, since a YARN application outlives its client.
+submitted back to the project. The job output stays on the cluster: its path
+names a file on the cluster's default file system, usually HDFS, and the
+objective is the wall time. A repetition that times out has its applications
+killed, since a YARN application outlives its client.
 
 The shell transport is injectable so tests can run the full trial sequence
 against a scripted double instead of a live cluster.
@@ -197,8 +199,6 @@ class RemoteExecutor(Executor):
         command = assemble_hadoop_command(self._env, job, point, self._space)
         self._stage_artifact(job)
 
-        trial_dir = self._root / DOWNLOADED_RESULTS_DIR / f"trial_{trial_id}"
-        trial_dir.mkdir(parents=True, exist_ok=True)
         output_path = job.static_args[-1] if job.static_args else None
         bin_dir = f"{self._env.hadoop_home}/bin"
         # MapReduce refuses to write an output path that exists
@@ -230,6 +230,7 @@ class RemoteExecutor(Executor):
 
         # Phase times come from one text: each repetition's client output, then
         # the logs of the applications it submitted; the last counter wins.
+        trial_dir = self._root / DOWNLOADED_RESULTS_DIR / f"trial_{trial_id}"
         log_dir = trial_dir / "logs"
         texts: list[str] = []
         fetched = False
@@ -244,13 +245,11 @@ class RemoteExecutor(Executor):
                         texts.append(path.read_text(errors="replace"))
                     except OSError:  # a directory, or a file the fetch left unreadable
                         pass
-        if output_path is not None:
-            self._fetch(output_path, trial_dir / "output")
         phases = parse_phase_times("\n".join(texts))
 
         return measured._replace(
             phase_times_s=phases or None,
-            result_dir=str(trial_dir) if any(trial_dir.iterdir()) else None,
+            result_dir=str(trial_dir) if fetched else None,
             log_ref=str(log_dir) if fetched else None,
         )
 

@@ -1,8 +1,10 @@
 """Synthetic response surfaces: deterministic, seedable stand-ins for real jobs.
 
-Runtime noise is drawn from a counter-based generator keyed on
-(seed, trial_id, rep), so any (trial, repetition) measurement replays
-bit-identically regardless of evaluation order. numpy loads on first use.
+Runtime noise is one Gaussian draw from a stdlib `random.Random` seeded
+with (seed, trial_id, rep) packed into one integer, so any (trial,
+repetition) measurement replays bit-identically regardless of evaluation
+order. numpy loads on first use, for the surface formulas; `numpy.random`
+never loads.
 """
 
 from __future__ import annotations
@@ -80,14 +82,11 @@ class SurfaceSpec(CheckedTuple, _SurfaceFields):
 def _noise(surface: SurfaceSpec, trial_id: int, rep: int) -> float:
     if surface.noise_sd_s == 0.0:
         return 0.0
-    import numpy as np
-    # Philox is counter-based: keying on (seed) and counting by (trial, rep)
-    # makes the draw a pure function of those three integers.
-    bits = np.random.Philox(
-        counter=[trial_id % 2**64, rep % 2**64, 0, 0],
-        key=[surface.seed % 2**64, 0],
-    )
-    return float(np.random.Generator(bits).normal(0.0, surface.noise_sd_s))
+    from random import Random
+    # A fresh generator seeded with all three integers makes the draw a pure
+    # function of them; each takes its own 64 bits of the seed.
+    key = (surface.seed % 2**64) << 128 | (trial_id % 2**64) << 64 | rep % 2**64
+    return Random(key).gauss(0.0, surface.noise_sd_s)
 
 
 def _clean_value(surface: SurfaceSpec, u: np.ndarray) -> float:

@@ -19,7 +19,8 @@ class ScriptedTransport:
     for real. With hadoop_timeout, `hadoop jar` times out having printed its
     usual output. `log_files` maps `<application_id>/<file>` under `log_root`
     (the cluster's history_log_dir) to its text; a log fetch serves only
-    the files under the path it asks for.
+    the files under the path it asks for. Every other path, such as a job's
+    output, lives only in HDFS, so the master's disk has none to fetch.
     """
 
     log_root = "/var/log/hadoop-yarn/aggregated"
@@ -30,7 +31,6 @@ class ScriptedTransport:
         hadoop_stderr: str = "",
         hadoop_exit: int = 0,
         log_files: dict[str, str] | None = None,
-        output_files: dict[str, str] | None = None,
         fail_log_fetch: bool = False,
         reachable: bool = True,
         hadoop_timeout: bool = False,
@@ -39,7 +39,6 @@ class ScriptedTransport:
         self.hadoop_stderr = hadoop_stderr
         self.hadoop_exit = hadoop_exit
         self.log_files = log_files or {}
-        self.output_files = output_files or {}
         self.fail_log_fetch = fail_log_fetch
         self.reachable = reachable
         self.hadoop_timeout = hadoop_timeout
@@ -79,19 +78,18 @@ class ScriptedTransport:
     def fetch_dir(self, remote: str, local: Path) -> None:
         self._check_reachable()
         self.fetches.append((remote, str(local)))
-        local.mkdir(parents=True, exist_ok=True)
         if not self._is_log_fetch(remote):
-            files = self.output_files
-        elif self.fail_log_fetch:
+            raise FileNotFoundError(f"no remote directory {remote}")
+        if self.fail_log_fetch:
             raise OSError("scripted log fetch failure")
-        else:
-            # like `scp -r host:remote local`: the files under remote, into
-            # local/<basename of remote>
-            under = remote[len(self.log_root):].strip("/")
-            local = local / Path(remote).name
-            files = {name[len(under):].lstrip("/"): content
-                     for name, content in self.log_files.items()
-                     if not under or name.startswith(under + "/")}
+        local.mkdir(parents=True, exist_ok=True)
+        # like `scp -r host:remote local`: the files under remote, into
+        # local/<basename of remote>
+        under = remote[len(self.log_root):].strip("/")
+        local = local / Path(remote).name
+        files = {name[len(under):].lstrip("/"): content
+                 for name, content in self.log_files.items()
+                 if not under or name.startswith(under + "/")}
         for name, content in files.items():
             path = local / name
             path.parent.mkdir(parents=True, exist_ok=True)

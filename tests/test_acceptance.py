@@ -364,7 +364,6 @@ def test_criterion_9_remote_double(tmp_path):
     transport = ScriptedTransport(
         hadoop_stdout=HADOOP_STDOUT,
         log_files={"application_1770000000000_0007/container_01.log": LOG_FIXTURE},
-        output_files={"part-r-00000": "word 7\n"},
     )
     executor = RemoteExecutor(space, env, tmp_path, transport)
     result = executor.execute_trial(job, TrialPoint({"mapreduce.reduce.tasks": 8}), 1)

@@ -80,11 +80,43 @@ def test_parse_unknown_kind():
         "x float min=0 max=1 step=-0.5",  # negative step
         "x int min=1 max=5 step=1 default=9",  # default outside
         "x int min=64 max=512 step=64 default=100",  # default off the lattice
+        "x cat values=",                  # no values
+        "x cat values=a,b,a",             # duplicate values
+        "x cat values=a,b default=c",     # default not among the values
+        # refusals the parser never lets through, made by ParamSpec itself
+        pytest.param(dict(kind="bool"), id="spec-unknown-kind"),
+        pytest.param(dict(kind="float", lower=0.0, step=0.5), id="spec-numeric-without-upper"),
+        pytest.param(dict(kind="int", lower=1.5, upper=4, step=1), id="spec-int-bound-not-whole"),
+        pytest.param(dict(kind="int", lower=1, upper=4, step=1, default=2.5),
+                     id="spec-int-default-not-whole"),
     ],
 )
 def test_parse_domain_errors(line):
     with pytest.raises(DomainError):
-        parse_param_file(line)
+        if isinstance(line, dict):
+            ParamSpec(name="x", **line)
+        else:
+            parse_param_file(line)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "x",                                        # one token
+        "x cat values=a,b min=1",                   # a numeric key on cat
+        "x int min=1 max=4 step=1 values=a",        # a cat key on int
+        "x float min=0 max=1 step=0.5 values=a",    # a cat key on float
+        "x cat default=a",                          # cat without values=
+        "x int max=4 step=1",                       # no min=
+        "x float min=0 step=0.5",                   # no max=
+        "x int min=1 max=4",                        # no step=
+        "x int min=1.5 max=4 step=1",               # an int bound that is not whole
+    ],
+)
+def test_parse_syntax_errors_name_their_line(line):
+    with pytest.raises(ParamSyntaxError) as exc:
+        parse_param_file(f"# header\ngood int min=1 max=2 step=1\n{line}\n")
+    assert exc.value.line_no == 3
 
 
 def test_parse_crlf_and_unit():

@@ -122,15 +122,30 @@ def test_trial_runs_documented_command_in_workdir(tmp_path):
 def test_trial_downloads_results(tmp_path):
     transport = ScriptedTransport(
         hadoop_stdout=HADOOP_STDOUT,
-        output_files={"part-r-00000": "word 7\n"},
         log_files={f"{APP_ID}/container_01.log": "Total time spent by all map tasks (ms)=44550\n"},
     )
     executor = RemoteExecutor(SPACE, ENV, make_project(tmp_path), transport)
     result = executor.execute_trial(JOB, POINT, 1)
     trial_dir = tmp_path / "downloaded_results" / "trial_1"
-    assert trial_dir.is_dir() and any(trial_dir.iterdir())
+    assert [p.name for p in trial_dir.iterdir()] == ["logs"]
     assert result.result_dir == str(trial_dir)
-    assert (trial_dir / "output" / "part-r-00000").read_text() == "word 7\n"
+    assert (trial_dir / "logs" / APP_ID / "container_01.log").is_file()
+
+
+def test_trial_leaves_the_job_output_in_hdfs(tmp_path):
+    # the output path names an HDFS directory, which the master's disk lacks:
+    # the executor only deletes it there, and never probes or fetches it
+    transport = ScriptedTransport(
+        hadoop_stdout=HADOOP_STDOUT,
+        log_files={f"{APP_ID}/container_01.log": "Total time spent by all map tasks (ms)=44550\n"},
+    )
+    executor = RemoteExecutor(SPACE, ENV, make_project(tmp_path), transport)
+    result = executor.execute_trial(JOB._replace(cleanup_output=True), POINT, 1)
+    assert result.status == "success"
+    assert [r for r, _ in transport.fetches] == [f"{ENV.history_log_dir}/{APP_ID}"]
+    on_output = [shlex.split(c)[1:3] for c, _ in transport.commands if "/data/out" in c]
+    assert on_output == [["fs", "-rm"], ["jar", "app.jar"]]
+    assert not (tmp_path / "downloaded_results" / "trial_1" / "output").exists()
 
 
 def test_phase_times_parsed_from_scripted_logs(tmp_path):
@@ -322,11 +337,12 @@ def test_log_fetch_failure_degrades_to_wall_time(tmp_path):
         fail_log_fetch=True)
     executor = RemoteExecutor(SPACE, ENV, make_project(tmp_path), transport)
     result = executor.execute_trial(JOB, POINT, 1)
-    assert [r for r, _ in transport.fetches] == [f"{ENV.history_log_dir}/{APP_ID}", "/data/out"]
+    assert [r for r, _ in transport.fetches] == [f"{ENV.history_log_dir}/{APP_ID}"]
     assert result.status == "success"
     assert len(result.rep_times_s) == 1
     assert result.phase_times_s is None
-    assert result.log_ref is None
+    assert result.log_ref is None and result.result_dir is None
+    assert not (tmp_path / "downloaded_results").exists()
 
 
 def test_cleanup_runs_between_repetitions(tmp_path):

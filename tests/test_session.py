@@ -610,3 +610,31 @@ def test_import_and_a_synthetic_session_load_no_local_or_remote_executor(tmp_pat
     project = small_project(tmp_path)
     proc = run_child(LEAN_IMPORT_CHILD, project.root)
     assert proc.returncode == 0, proc.stderr
+
+
+NOISY_SESSION_CHILD = r"""
+import sys
+
+import jobtuner
+from jobtuner.executors.synthetic import synthetic_eval
+from jobtuner.history import read_raw_records
+from jobtuner.session import run_tuning
+
+project = jobtuner.load_project(sys.argv[1])
+assert project.surface.noise_sd_s > 0
+run_tuning(project, "grid", budget=3)
+clean = project.surface._replace(noise_sd_s=0.0)
+records = read_raw_records(project.root, project.space)
+assert len(records) == 3
+for r in records:
+    u = project.space.encode_point(r.point)
+    assert r.result.rep_times_s[0] != synthetic_eval(clean, u, r.trial_id, 1), "no noise drawn"
+assert "numpy" in sys.modules, "the surface formulas ran without numpy"
+assert "numpy.random" not in sys.modules, "a noisy synthetic session loaded numpy.random"
+"""
+
+
+def test_a_noisy_synthetic_session_never_loads_numpy_random(tmp_path):
+    project = small_project(tmp_path, noise=1.0)
+    proc = run_child(NOISY_SESSION_CHILD, project.root)
+    assert proc.returncode == 0, proc.stderr

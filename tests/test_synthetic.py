@@ -36,6 +36,20 @@ def test_distinct_counters_differ():
     assert len({a, b, c}) == 3
 
 
+def test_draws_do_not_depend_on_evaluation_order():
+    pairs = [(t, r) for t in (1, 2, 9, 2**40) for r in (1, 2, 3)]
+    forward = [synthetic_eval(NOISY_BOWL, [0.3, 0.4], t, r) for t, r in pairs]
+    backward = [synthetic_eval(NOISY_BOWL, [0.3, 0.4], t, r) for t, r in reversed(pairs)]
+    assert backward[::-1] == forward
+    assert len(set(forward)) == len(pairs)
+
+
+def test_surface_seeds_give_different_draws():
+    other = NOISY_BOWL._replace(seed=43)
+    for t, r in ((1, 1), (7, 2), (100, 3)):
+        assert synthetic_eval(NOISY_BOWL, [0.3, 0.4], t, r) != synthetic_eval(other, [0.3, 0.4], t, r)
+
+
 def test_noise_sample_sd_matches_parameter():
     draws = np.array(
         [synthetic_eval(NOISY_BOWL, [0.3, 0.4], t, 1) for t in range(1, 10_001)]
