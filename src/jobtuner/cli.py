@@ -21,9 +21,9 @@ import logging
 import sys
 
 from .errors import EmptyHistoryError, TunerError
-from .history import read_raw_records
+from .history import iter_raw_records
 from .project import load_project, scaffold
-from .reports import write_convergence, write_surface
+from .reports import surface_table, write_convergence, write_surface
 from .search import strategy_ids
 from .session import (
     aggregate_history,
@@ -157,15 +157,16 @@ def _cmd_aggregate(args) -> int:
 
 def _cmd_report(args) -> int:
     project = load_project(args.dir)
-    records = read_raw_records(project.root, project.space)
-    if not records:
+    root, space = project.root, project.space
+    if args.surface:
+        surface_table((), *args.surface, space)  # checks the axes before a journal line is read
+    if next(iter_raw_records(root, space), None) is None:
         raise EmptyHistoryError("no trials recorded; run tune first")
     wrote = []
     if args.surface:
-        wrote.append(write_surface(project.root, records, args.surface[0],
-                                   args.surface[1], project.space))
+        wrote.append(write_surface(root, iter_raw_records(root, space), *args.surface, space))
     if args.convergence or not args.surface:
-        wrote.append(write_convergence(project.root, records))
+        wrote.append(write_convergence(root, iter_raw_records(root, space)))
     for path in wrote:
         log.info("wrote %s", path)
     return 0

@@ -19,9 +19,9 @@ decoder, a trials.csv row (one line; the export writes no cell with a newline)
 as the journal line it was written from: the same rules, and the first faulty
 line is the one reported. A journal line as the journal writes it is parsed in
 one JSON decoder call; any other line reads, or is refused, exactly as
-json.loads has it. Records are immutable tuples, so a long history is quick to
-open, and rebuilds write rows straight into the replacement file, so a read or
-rewrite holds only the records, never a copy of the file.
+json.loads has it. The loop yields each record as its line decodes: aggregate
+and report write its rows at once and hold one record at a time, and the other
+readers hold the records, never a copy of the file.
 
 trials.csv columns: trial_id, strategy, timestamp_utc, one column per
 parameter in space order, status, rep_times_s (';'-joined), aggregate_s
@@ -162,13 +162,14 @@ class HistoryWriter:
         self.records: list[TrialRecord] = []
         try:
             with open(self._journal, "r+b") as fh:
-                self.records, durable = _parse_lines(fh, _decoder(space, False), _load_line,
-                                                     "journal line", 1)
-                if fh.tell() > durable:
+                self.records = list(_parse_lines(fh, _decoder(space, False), _load_line,
+                                                 "journal line", 1))
+                durable = fh.tell()
+                if fh.read(1):
                     fh.truncate(durable)  # the torn line never reached a searcher
         except FileNotFoundError:
             pass
-        _refuse_to_shrink(hist / TRIALS_CSV, len(self.records))
+        refuse_to_shrink(hist / TRIALS_CSV, len(self.records))
 
     @property
     def last_id(self) -> int:
@@ -201,12 +202,11 @@ def read_trials(project_root: str | Path, space: ParamSpace) -> list[TrialRecord
         header = fh.readline()
         if header and next(csv.reader([header.decode("utf-8")])) != csv_header(space):
             raise HistoryCorruptError("trials.csv header does not match the space", 0)
-        records, durable = _parse_lines(
+        records = list(_parse_lines(
             fh, _decoder(space, True),
             lambda line: _row_fields(next(csv.reader([line.decode("utf-8")])), space),
-            "trials.csv row", 2)
-        # an unterminated last row cannot be trusted, even if it parses
-        if fh.tell() > len(header) + durable:
+            "trials.csv row", 2))
+        if fh.read(1):  # an unterminated last row cannot be trusted, even if it parses
             raise HistoryCorruptError("trials.csv truncated mid-row", len(records))
     return records
 
@@ -299,33 +299,32 @@ def _load_line(line: bytes):
 
 def _parse_lines(fh: BinaryIO, decode: Callable[[dict], TrialRecord],
                  fields_of: Callable[[bytes], dict], where: str,
-                 first: int) -> tuple[list[TrialRecord], int]:
-    """The record loop of both files: decode each terminated line from fh, numbered
-    from `first`, until an unterminated tail, which is skipped.
+                 first: int) -> Iterator[TrialRecord]:
+    """The record loop of both files: yield the record of each terminated line from
+    fh, numbered from `first`, as it decodes. An unterminated tail is skipped and
+    fh left at its start, the end of the durable lines.
 
-    Returns the records and the byte length of the lines that held them.
     Raises HistoryCorruptError at the first faulty line, naming it as `where`
     plus its number and the last valid trial_id, when its fields do not decode
     or the ids are not 1, 2, 3, ...
     """
-    records: list[TrialRecord] = []
-    durable = 0
+    last = 0
     for n, line in enumerate(fh, start=first):
         if not line.endswith(b"\n"):
-            break
+            fh.seek(-len(line), os.SEEK_CUR)
+            return
         try:
             record = decode(fields_of(line))
         except _UNREADABLE as exc:
-            raise HistoryCorruptError(f"{where} {n} unreadable: {exc}", len(records)) from exc
-        if record.trial_id != len(records) + 1:
-            raise HistoryCorruptError(f"{where} {n} holds trial {record.trial_id}", len(records))
-        records.append(record)
-        durable += len(line)
-    return records, durable
+            raise HistoryCorruptError(f"{where} {n} unreadable: {exc}", last) from exc
+        if record.trial_id != last + 1:
+            raise HistoryCorruptError(f"{where} {n} holds trial {record.trial_id}", last)
+        last += 1
+        yield record
 
 
-def read_raw_records(project_root: str | Path, space: ParamSpace) -> list[TrialRecord]:
-    """Every durable trial in the journal, in trial order; see _parse_lines.
+def iter_raw_records(project_root: str | Path, space: ParamSpace) -> Iterator[TrialRecord]:
+    """Every durable trial in the journal, in trial order, one at a time; see _parse_lines.
 
     Also refuses a point value outside the space, which resume instead finds
     by replaying each point; aggregate and report replay nothing.
@@ -333,32 +332,37 @@ def read_raw_records(project_root: str | Path, space: ParamSpace) -> list[TrialR
     try:
         fh = open(history_dir(project_root) / JOURNAL_FILE, "rb")
     except FileNotFoundError:
-        return []
+        return
     with fh:
-        return _parse_lines(fh, _decoder(space, True), _load_line, "journal line", 1)[0]
+        yield from _parse_lines(fh, _decoder(space, True), _load_line, "journal line", 1)
+
+
+def read_raw_records(project_root: str | Path, space: ParamSpace) -> list[TrialRecord]:
+    return list(iter_raw_records(project_root, space))
 
 
 def rewrite_trials_csv(project_root: str | Path, space: ParamSpace,
                        records: list[TrialRecord]) -> None:
-    """Rebuild trials.csv from records, deterministically and atomically; the
-    only writer of trials.csv. Raises as _refuse_to_shrink does.
+    """Rebuild trials.csv from records, deterministically and atomically.
+    Raises as refuse_to_shrink does.
     """
     path = history_dir(project_root) / TRIALS_CSV
-    _refuse_to_shrink(path, len(records))
-    write_csv(path, csv_header(space), (record_to_row(r, space) for r in records))
+    refuse_to_shrink(path, len(records))
+    with csv_file(path, csv_header(space)) as writer:
+        writer.writerows(record_to_row(r, space) for r in records)
 
 
-def write_csv(path: Path, header: list[str], rows: Iterable[Iterable[str]]) -> None:
-    """The one writer of the history CSVs (trials.csv and the reports): the header,
-    then the rows as they are drawn, each line ending in a bare newline; replaces
-    path atomically."""
+@contextmanager
+def csv_file(path: Path, header: list[str]) -> Iterator:
+    """The one writer of the history CSVs: a csv writer, header written, each line
+    ending in a bare newline, into a replacement of path (see replace_file)."""
     with replace_file(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        yield writer
 
 
-def _refuse_to_shrink(path: Path, journaled: int) -> None:
+def refuse_to_shrink(path: Path, journaled: int) -> None:
     """Never drop rows: raise HistoryCorruptError when trials.csv holds more complete
     rows than the journal's `journaled` trials (a history without journal)."""
     held = _count_lines(path) - 1
@@ -370,14 +374,19 @@ def _refuse_to_shrink(path: Path, journaled: int) -> None:
 
 @contextmanager
 def replace_file(path: Path) -> Iterator[TextIO]:
-    """Replace path atomically: write a temporary file, fsync it, then rename it."""
+    """Replace path atomically: write a temporary file, fsync it, then rename it;
+    if the body raises, remove the temporary file."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        yield fh
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # --- session manifest -------------------------------------------------------------

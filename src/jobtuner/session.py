@@ -27,17 +27,9 @@ from .errors import (
 )
 from .executors.base import Executor, TrialResult
 from .executors.synthetic import SyntheticExecutor
-from .history import (
-    MANIFEST_FILE,
-    HistoryWriter,
-    SessionLock,
-    TrialRecord,
-    manifest_exists,
-    read_manifest,
-    read_raw_records,
-    rewrite_trials_csv,
-    write_manifest,
-)
+from .history import (MANIFEST_FILE, TRIALS_CSV, HistoryWriter, SessionLock, TrialRecord, csv_file,
+                      csv_header, history_dir, iter_raw_records, manifest_exists, read_manifest,
+                      record_to_row, refuse_to_shrink, rewrite_trials_csv, write_manifest)
 from .paramspace import ParamSpace
 from .project import Project, parse_int
 from .search import Searcher, make_searcher
@@ -246,7 +238,7 @@ def _drive(loop: _TuningLoop, started: float) -> SessionSummary:
 
 
 def aggregate_history(project: Project) -> int:
-    """Rebuild trials.csv and convergence.csv from the trial journal.
+    """Rebuild trials.csv and convergence.csv from the trial journal, a record at a time.
 
     Deterministic and idempotent: a second invocation changes no bytes.
     Raises HistoryCorruptError, changing nothing, when the journal is
@@ -254,10 +246,17 @@ def aggregate_history(project: Project) -> int:
     while a session runs, because that session exports trials.csv when it ends.
     Returns the number of records aggregated.
     """
-    from .reports import write_convergence  # sessions never report, so only aggregate loads it
+    # sessions never report, so only aggregate loads the reports
+    from .reports import CONVERGENCE_CSV, CONVERGENCE_HEADER, convergence_row, running_best
 
-    with SessionLock(project.root):
-        records = read_raw_records(project.root, project.space)
-        rewrite_trials_csv(project.root, project.space, records)
-        write_convergence(project.root, records)
-    return len(records)
+    space, hist = project.space, history_dir(project.root)
+    count = 0
+    with (SessionLock(project.root),
+          csv_file(hist / TRIALS_CSV, csv_header(space)) as trials,
+          csv_file(hist / CONVERGENCE_CSV, CONVERGENCE_HEADER) as convergence):
+        records = running_best(iter_raw_records(project.root, space))
+        for count, (record, best) in enumerate(records, 1):
+            trials.writerow(record_to_row(record, space))
+            convergence.writerow(convergence_row(record, best))
+        refuse_to_shrink(hist / TRIALS_CSV, count)  # before either file replaces its old one
+    return count

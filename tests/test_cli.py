@@ -220,6 +220,56 @@ def test_report_reads_the_journal_past_a_torn_csv(tmp_path):
 def test_report_on_empty_history_is_runtime_error(tmp_path):
     project = make_project(tmp_path)
     assert main(["report", "--dir", str(project.root)]) == 2
+    assert main(["report", "--dir", str(project.root), "--surface", "a", "b"]) == 2
+    assert not (project.root / "history").exists()
+
+
+@pytest.mark.parametrize("axes, message", [
+    (["a", "zzz"], "parameter 'zzz' is not declared in the space"),
+    (["a", "a"], "surface axes must be two distinct parameters"),
+], ids=["unknown", "identical"])
+def test_report_checks_the_surface_axes_before_reading_the_journal(tmp_path, caplog, axes, message):
+    project = tune_and_edit_journal_line_2(tmp_path, lambda entry: entry["point"].pop("b"))
+    assert main(["report", "--dir", str(project.root), "--surface", *axes]) == 2
+    assert message in caplog.text
+    assert "journal line" not in caplog.text
+
+
+def test_report_writes_the_same_convergence_and_surface_bytes(tmp_path):
+    project = write_synthetic_project(tmp_path / "proj", SMALL_PARAMS,
+                                      bowl_job_conf(noise_sd_s=1.0, repetitions=3))
+    assert main(["tune", "--dir", str(project.root), "--strategy", "grid",
+                 "--budget", "8", "--seed", "7"]) == 0
+    journal = project.root / "history" / "journal.jsonl"
+    lines = journal.read_text().splitlines(keepends=True)
+    entry = json.loads(lines[2])
+    entry.update(status="failed", rep_times_s=[], aggregate_s=None)
+    lines[2] = json.dumps(entry, sort_keys=True) + "\n"
+    journal.write_text("".join(lines))
+    assert main(["report", "--dir", str(project.root), "--convergence", "--surface", "b", "a"]) == 0
+    hist = project.root / "history"
+    assert (hist / "convergence.csv").read_text() == (
+        "iteration,aggregate_s,best_so_far_s\n"
+        "1,131.45480550867347,131.45480550867347\n"
+        "2,164.93983983797577,131.45480550867347\n"
+        "3,,131.45480550867347\n"
+        "4,146.1035493141413,131.45480550867347\n"
+        "5,107.68581240877344,107.68581240877344\n"
+        "6,139.2040197397633,107.68581240877344\n"
+        "7,111.73004531970307,107.68581240877344\n"
+        "8,143.23518309351934,107.68581240877344\n"
+    )
+    assert (hist / "surface_b_a.csv").read_text() == (
+        "b,a,median_s,n\n"
+        "1,1,131.45480550867347,1\n"
+        "1,3,107.68581240877344,1\n"
+        "1,4,111.73004531970307,1\n"
+        "2,1,164.93983983797577,1\n"
+        "2,2,146.1035493141413,1\n"
+        "2,3,139.2040197397633,1\n"
+        "2,4,143.23518309351934,1\n"
+    )
+    assert not list(hist.glob("*.tmp"))
 
 
 def test_scaffold_cli_roundtrip(tmp_path):

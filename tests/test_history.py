@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import errno
 import io
 import itertools
 import json
@@ -28,6 +29,7 @@ from jobtuner.history import (
     read_manifest,
     read_raw_records,
     read_trials,
+    replace_file,
     rewrite_trials_csv,
     write_manifest,
 )
@@ -413,6 +415,18 @@ def test_decoded_records_hold_their_points_as_space_keys(tmp_path, monkeypatch):
     assert per_record <= 560, per_record
     points = [r.point for r in records] + [next(space.iter_grid()), space.decode_vector([0.3] * 4)]
     assert all(space.point_key(p) is p.values for p in points)
+
+
+def test_a_replacement_whose_body_raises_leaves_the_file_and_no_temporary(tmp_path):
+    path = tmp_path / "history" / "x.csv"
+    path.parent.mkdir()
+    path.write_text("old\n")
+    with pytest.raises(OSError):
+        with replace_file(path) as fh:
+            fh.write("new\n")
+            raise OSError(errno.ENOSPC, "No space left on device")
+    assert path.read_text() == "old\n"
+    assert [p.name for p in path.parent.iterdir()] == ["x.csv"]
 
 
 # --- manifest and lock -------------------------------------------------------------

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import itertools
+import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -519,6 +522,58 @@ def test_aggregate_refuses_while_a_session_holds_the_lock(tmp_path):
         with pytest.raises(LockHeldError):
             aggregate_history(project)
     assert {name: (hist / name).read_bytes() for name in before} == before
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines[:-1] + [b'{"trial_id": 5,\n'], "journal line 5 unreadable"),
+    (lambda lines: lines[:3], "refusing to drop rows"),  # found only once the journal is read
+], ids=["corrupt_last_line", "journal_behind_csv"])
+def test_a_refused_aggregate_changes_no_byte_and_leaves_no_temporary(tmp_path, edit, message):
+    project = small_project(tmp_path)
+    run_tuning(project, "grid", budget=5)
+    aggregate_history(project)
+    hist = project.root / "history"
+    before = {name: (hist / name).read_bytes() for name in ("trials.csv", "convergence.csv")}
+    journal = hist / "journal.jsonl"
+    journal.write_bytes(b"".join(edit(journal.read_bytes().splitlines(keepends=True))))
+    with pytest.raises(HistoryCorruptError, match=message):
+        aggregate_history(project)
+    assert {name: (hist / name).read_bytes() for name in before} == before
+    assert not list(hist.glob("*.tmp"))
+
+
+def write_journal(project, trials):
+    """A grid journal of `trials` records, every seventh failed, written in one go
+    rather than fsynced line by line."""
+    lines = []
+    grid = itertools.cycle(project.space.iter_grid())
+    for trial_id, point in zip(range(1, trials + 1), grid):
+        aggregate = None if trial_id % 7 == 0 else 100.0 + (trial_id * 7919 % 1000) / 7
+        lines.append(json.dumps({
+            "trial_id": trial_id, "strategy": "grid", "timestamp_utc": "2026-01-01T00:00:00+00:00",
+            "point": point.as_dict(), "status": "failed" if aggregate is None else "success",
+            "rep_times_s": [] if aggregate is None else [aggregate], "aggregate_s": aggregate,
+            "phase_times_s": None, "result_dir": None, "log_ref": None,
+        }, sort_keys=True) + "\n")
+    hist = project.root / "history"
+    hist.mkdir(exist_ok=True)
+    (hist / "journal.jsonl").write_text("".join(lines))
+
+
+def test_aggregate_memory_does_not_grow_with_the_history(tmp_path):
+    peaks = {}
+    for trials in (400, 4000):
+        project = small_project(tmp_path, name=f"p{trials}")
+        write_journal(project, trials)
+        assert aggregate_history(project) == trials  # loads the reports before the peak is traced
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            assert aggregate_history(project) == trials
+            peaks[trials] = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+    assert peaks[4000] - peaks[400] < 256 * 1024, peaks
 
 
 # --- numpy loads only for the unit-cube codec ----------------------------------
