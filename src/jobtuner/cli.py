@@ -17,13 +17,15 @@ stderr; data goes to files only.
 from __future__ import annotations
 
 import argparse
+import itertools
 import logging
 import sys
 
 from .errors import EmptyHistoryError, TunerError
-from .history import iter_raw_records
+from .history import history_dir, iter_raw_records, write_records
 from .project import load_project, scaffold
-from .reports import surface_table, write_convergence, write_surface
+from .reports import (CONVERGENCE_CSV, convergence_writer, surface_csv_name, surface_table,
+                      surface_writer)
 from .search import strategy_ids
 from .session import (
     aggregate_history,
@@ -160,15 +162,18 @@ def _cmd_report(args) -> int:
     root, space = project.root, project.space
     if args.surface:
         surface_table((), *args.surface, space)  # checks the axes before a journal line is read
-    if next(iter_raw_records(root, space), None) is None:
+    records = iter_raw_records(root, space)
+    first = next(records, None)
+    if first is None:  # refused before history/ is made
         raise EmptyHistoryError("no trials recorded; run tune first")
-    wrote = []
-    if args.surface:
-        wrote.append(write_surface(root, iter_raw_records(root, space), *args.surface, space))
+    writers = {}
     if args.convergence or not args.surface:
-        wrote.append(write_convergence(root, iter_raw_records(root, space)))
-    for path in wrote:
-        log.info("wrote %s", path)
+        writers[CONVERGENCE_CSV] = convergence_writer(root)
+    if args.surface:  # entered last, so it commits before convergence.csv
+        writers[surface_csv_name(*args.surface)] = surface_writer(root, *args.surface, space)
+    write_records(itertools.chain([first], records), *writers.values())
+    for name in reversed(writers):
+        log.info("wrote %s", history_dir(root) / name)
     return 0
 
 

@@ -10,18 +10,22 @@ Layout under a project root:
                               of the project files (project.parse_kv_file)
     history/.lock             flock'd while a session runs; never removed
 
-A trial is durable once its journal line is fsynced; trials.csv is replaced
-whole, never appended to or repaired in place. Opening a HistoryWriter repairs
-what a crash leaves: a torn journal tail (a trial that never happened).
+A trial is durable once its journal line is fsynced. Opening a HistoryWriter
+repairs what a crash leaves: a torn journal tail (a trial that never happened).
 
-Both files are read once, a line at a time, by one record loop and one record
-decoder, a trials.csv row (one line; the export writes no cell with a newline)
-as the journal line it was written from: the same rules, and the first faulty
-line is the one reported. A journal line as the journal writes it is parsed in
-one JSON decoder call; any other line reads, or is refused, exactly as
-json.loads has it. The loop yields each record as its line decodes: aggregate
-and report write its rows at once and hold one record at a time, and the other
-readers hold the records, never a copy of the file.
+Both files are read a line at a time by one record loop and one record decoder,
+a trials.csv row (one line; the export writes no cell with a newline) as the
+journal line it was written from: the same rules, and the first faulty line is
+the one reported. A journal line as the journal writes it is parsed in one JSON
+decoder call; any other line reads, or is refused, exactly as json.loads has it.
+The loop yields each record as its line decodes; a reader that keeps the records
+holds them, never a copy of the file.
+
+Each export file has one writer, taking one record per call (trials_writer here,
+the reports' in reports.py), and write_records feeds several from one pass: so
+aggregate and report read the journal once, holding one record at a time. A
+writer replaces its file whole, through a temporary file of its own, and never
+appends to or repairs it in place.
 
 trials.csv columns: trial_id, strategy, timestamp_utc, one column per
 parameter in space order, status, rep_times_s (';'-joined), aggregate_s
@@ -36,7 +40,7 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, ExitStack, contextmanager
 from datetime import datetime
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, TextIO
@@ -342,24 +346,48 @@ def read_raw_records(project_root: str | Path, space: ParamSpace) -> list[TrialR
 
 
 def rewrite_trials_csv(project_root: str | Path, space: ParamSpace,
-                       records: list[TrialRecord]) -> None:
+                       records: Iterable[TrialRecord]) -> None:
     """Rebuild trials.csv from records, deterministically and atomically.
     Raises as refuse_to_shrink does.
     """
-    path = history_dir(project_root) / TRIALS_CSV
-    refuse_to_shrink(path, len(records))
-    with csv_file(path, csv_header(space)) as writer:
-        writer.writerows(record_to_row(r, space) for r in records)
+    write_records(records, trials_writer(project_root, space))
+
+
+def write_records(records: Iterable[TrialRecord], *writers: AbstractContextManager) -> int:
+    """Pass each record, drawn once, to every writer (as trials_writer); the count drawn.
+    The writers commit in reverse order, so a refusal by the last changes no file."""
+    count = 0
+    with ExitStack() as stack:
+        adds = [stack.enter_context(writer) for writer in writers]
+        for count, record in enumerate(records, 1):
+            for add in adds:
+                add(record)
+    return count
 
 
 @contextmanager
-def csv_file(path: Path, header: list[str]) -> Iterator:
-    """The one writer of the history CSVs: a csv writer, header written, each line
-    ending in a bare newline, into a replacement of path (see replace_file)."""
+def trials_writer(project_root: str | Path, space: ParamSpace) -> Iterator[Callable]:
+    """The one writer of trials.csv: its value writes the row of one record per call; a
+    clean exit commits the file (see csv_file) unless refuse_to_shrink raises."""
+    path = history_dir(project_root) / TRIALS_CSV
+    count = 0
+    with csv_file(path, csv_header(space)) as write_row:
+        def add(record: TrialRecord) -> None:
+            nonlocal count
+            count += 1
+            write_row(record_to_row(record, space))
+        yield add
+        refuse_to_shrink(path, count)
+
+
+@contextmanager
+def csv_file(path: Path, header: list[str]) -> Iterator[Callable]:
+    """The CSV format of every export: the row writer of a replacement of path (see
+    replace_file), header written, each line ending in a bare newline."""
     with replace_file(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        yield writer
+        yield writer.writerow
 
 
 def refuse_to_shrink(path: Path, journaled: int) -> None:
@@ -374,12 +402,13 @@ def refuse_to_shrink(path: Path, journaled: int) -> None:
 
 @contextmanager
 def replace_file(path: Path) -> Iterator[TextIO]:
-    """Replace path atomically: write a temporary file, fsync it, then rename it;
-    if the body raises, remove the temporary file."""
+    """Replace path atomically: write a temporary file of this call's own, <name>.<random
+    hex>.tmp, fsync it, then rename it; if the body raises, remove the temporary file."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8", newline="")  # exclusive: never another writer's file
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+        with fh:
             yield fh
             fh.flush()
             os.fsync(fh.fileno())

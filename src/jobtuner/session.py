@@ -27,9 +27,9 @@ from .errors import (
 )
 from .executors.base import Executor, TrialResult
 from .executors.synthetic import SyntheticExecutor
-from .history import (MANIFEST_FILE, TRIALS_CSV, HistoryWriter, SessionLock, TrialRecord, csv_file,
-                      csv_header, history_dir, iter_raw_records, manifest_exists, read_manifest,
-                      record_to_row, refuse_to_shrink, rewrite_trials_csv, write_manifest)
+from .history import (MANIFEST_FILE, HistoryWriter, SessionLock, TrialRecord, iter_raw_records,
+                      manifest_exists, read_manifest, rewrite_trials_csv, trials_writer,
+                      write_manifest, write_records)
 from .paramspace import ParamSpace
 from .project import Project, parse_int
 from .search import Searcher, make_searcher
@@ -214,17 +214,21 @@ def _drive(loop: _TuningLoop, started: float) -> SessionSummary:
     writer = HistoryWriter(loop.project.root, loop.project.space)
     loop.replay(writer.records)
     loop.set_status(STATUS_RUNNING)
+    status = STATUS_INTERRUPTED  # unless the loop returns
     try:
         status = loop.run(writer)
-    except BaseException:
-        # whatever stopped the loop, every observed trial is already durable
-        loop.set_status(STATUS_INTERRUPTED)
-        raise
-    else:
-        loop.set_status(status)
     finally:
-        # trials.csv is exported once, whole, after the manifest has left `running`
-        rewrite_trials_csv(loop.project.root, loop.project.space, writer.records)
+        # whatever stopped the loop, every observed trial is already durable
+        try:
+            loop.set_status(status)
+        finally:
+            # trials.csv is exported once, whole, after the manifest has left `running`
+            try:
+                rewrite_trials_csv(loop.project.root, loop.project.space, writer.records)
+            except Exception as exc:
+                if status != STATUS_INTERRUPTED:
+                    raise
+                log.warning("trials.csv not exported: %s", exc)  # the loop's own error wins
     try:
         best = best_of(writer.records)
     except NoSuccessfulTrialError:
@@ -247,16 +251,10 @@ def aggregate_history(project: Project) -> int:
     Returns the number of records aggregated.
     """
     # sessions never report, so only aggregate loads the reports
-    from .reports import CONVERGENCE_CSV, CONVERGENCE_HEADER, convergence_row, running_best
+    from .reports import convergence_writer
 
-    space, hist = project.space, history_dir(project.root)
-    count = 0
-    with (SessionLock(project.root),
-          csv_file(hist / TRIALS_CSV, csv_header(space)) as trials,
-          csv_file(hist / CONVERGENCE_CSV, CONVERGENCE_HEADER) as convergence):
-        records = running_best(iter_raw_records(project.root, space))
-        for count, (record, best) in enumerate(records, 1):
-            trials.writerow(record_to_row(record, space))
-            convergence.writerow(convergence_row(record, best))
-        refuse_to_shrink(hist / TRIALS_CSV, count)  # before either file replaces its old one
-    return count
+    # trials.csv commits inside convergence.csv, so that its refusal changes neither file
+    with SessionLock(project.root):
+        return write_records(iter_raw_records(project.root, project.space),
+                             convergence_writer(project.root),
+                             trials_writer(project.root, project.space))

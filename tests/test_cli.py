@@ -235,7 +235,9 @@ def test_report_checks_the_surface_axes_before_reading_the_journal(tmp_path, cap
     assert "journal line" not in caplog.text
 
 
-def test_report_writes_the_same_convergence_and_surface_bytes(tmp_path):
+def test_report_writes_the_same_convergence_and_surface_bytes(tmp_path, monkeypatch):
+    from jobtuner.history import iter_raw_records
+
     project = write_synthetic_project(tmp_path / "proj", SMALL_PARAMS,
                                       bowl_job_conf(noise_sd_s=1.0, repetitions=3))
     assert main(["tune", "--dir", str(project.root), "--strategy", "grid",
@@ -246,29 +248,56 @@ def test_report_writes_the_same_convergence_and_surface_bytes(tmp_path):
     entry.update(status="failed", rep_times_s=[], aggregate_s=None)
     lines[2] = json.dumps(entry, sort_keys=True) + "\n"
     journal.write_text("".join(lines))
-    assert main(["report", "--dir", str(project.root), "--convergence", "--surface", "b", "a"]) == 0
+    streams = []
+    monkeypatch.setattr("jobtuner.cli.iter_raw_records",
+                        lambda *args: streams.append(args) or iter_raw_records(*args))
     hist = project.root / "history"
-    assert (hist / "convergence.csv").read_text() == (
-        "iteration,aggregate_s,best_so_far_s\n"
-        "1,131.45480550867347,131.45480550867347\n"
-        "2,164.93983983797577,131.45480550867347\n"
-        "3,,131.45480550867347\n"
-        "4,146.1035493141413,131.45480550867347\n"
-        "5,107.68581240877344,107.68581240877344\n"
-        "6,139.2040197397633,107.68581240877344\n"
-        "7,111.73004531970307,107.68581240877344\n"
-        "8,143.23518309351934,107.68581240877344\n"
-    )
-    assert (hist / "surface_b_a.csv").read_text() == (
-        "b,a,median_s,n\n"
-        "1,1,131.45480550867347,1\n"
-        "1,3,107.68581240877344,1\n"
-        "1,4,111.73004531970307,1\n"
-        "2,1,164.93983983797577,1\n"
-        "2,2,146.1035493141413,1\n"
-        "2,3,139.2040197397633,1\n"
-        "2,4,143.23518309351934,1\n"
-    )
+    # both reports from one run, and each from a run of its own
+    for runs in ([["--convergence", "--surface", "b", "a"]],
+                 [["--surface", "b", "a"], ["--convergence"]]):
+        for name in ("convergence.csv", "surface_b_a.csv"):
+            (hist / name).unlink(missing_ok=True)
+        streams.clear()
+        for flags in runs:
+            assert main(["report", "--dir", str(project.root), *flags]) == 0
+        assert len(streams) == len(runs)  # each run reads the journal once
+        assert (hist / "convergence.csv").read_text() == (
+            "iteration,aggregate_s,best_so_far_s\n"
+            "1,131.45480550867347,131.45480550867347\n"
+            "2,164.93983983797577,131.45480550867347\n"
+            "3,,131.45480550867347\n"
+            "4,146.1035493141413,131.45480550867347\n"
+            "5,107.68581240877344,107.68581240877344\n"
+            "6,139.2040197397633,107.68581240877344\n"
+            "7,111.73004531970307,107.68581240877344\n"
+            "8,143.23518309351934,107.68581240877344\n"
+        )
+        assert (hist / "surface_b_a.csv").read_text() == (
+            "b,a,median_s,n\n"
+            "1,1,131.45480550867347,1\n"
+            "1,3,107.68581240877344,1\n"
+            "1,4,111.73004531970307,1\n"
+            "2,1,164.93983983797577,1\n"
+            "2,2,146.1035493141413,1\n"
+            "2,3,139.2040197397633,1\n"
+            "2,4,143.23518309351934,1\n"
+        )
+        assert not list(hist.glob("*.tmp"))
+
+
+def test_a_report_and_another_writer_each_replace_convergence_csv_whole(tmp_path):
+    from jobtuner.history import replace_file
+
+    project = make_project(tmp_path)
+    main(["tune", "--dir", str(project.root), "--strategy", "grid", "--budget", "4"])
+    hist = project.root / "history"
+    with replace_file(hist / "convergence.csv") as fh:
+        fh.write("OTHER WRITER\n")
+        assert main(["report", "--dir", str(project.root), "--convergence"]) == 0
+        reported = (hist / "convergence.csv").read_text()
+    assert reported.startswith("iteration,aggregate_s,best_so_far_s\n1,")
+    assert len(reported.splitlines()) == 5
+    assert (hist / "convergence.csv").read_text() == "OTHER WRITER\n"  # the last rename wins
     assert not list(hist.glob("*.tmp"))
 
 

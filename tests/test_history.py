@@ -429,6 +429,24 @@ def test_a_replacement_whose_body_raises_leaves_the_file_and_no_temporary(tmp_pa
     assert [p.name for p in path.parent.iterdir()] == ["x.csv"]
 
 
+def test_trials_csv_is_rewritten_from_a_record_stream(tmp_path):
+    rng = random.Random(13)
+    records = [random_record(rng, i) for i in range(1, 9)]
+    rewrite_trials_csv(tmp_path, SPACE, (r for r in records))
+    table = tmp_path / "history" / "trials.csv"
+    written = table.read_bytes()
+    assert read_trials(tmp_path, SPACE) == records
+
+    def torn_stream():
+        yield from records[:4]
+        raise OSError(errno.EIO, "Input/output error")
+
+    with pytest.raises(OSError):
+        rewrite_trials_csv(tmp_path, SPACE, torn_stream())
+    assert table.read_bytes() == written
+    assert [p.name for p in table.parent.iterdir()] == ["trials.csv"]
+
+
 # --- manifest and lock -------------------------------------------------------------
 
 def test_manifest_roundtrip(tmp_path):

@@ -295,6 +295,23 @@ def test_a_failing_export_leaves_the_session_finished(tmp_path, monkeypatch):
     assert not (project.root / "history" / "trials.csv").exists()
 
 
+@pytest.mark.parametrize("error", [ConnectError, KeyboardInterrupt])
+def test_a_failing_export_does_not_hide_why_the_session_stopped(tmp_path, monkeypatch, caplog,
+                                                                error):
+    project = small_project(tmp_path)
+
+    def fail(*args):
+        raise OSError("scripted export failure")
+
+    monkeypatch.setattr("jobtuner.session.rewrite_trials_csv", fail)
+    with pytest.raises(error):
+        run_tuning(project, "grid", budget=6,
+                   executor=InterruptingExecutor(make_executor(project), allow=3, error=error))
+    assert read_manifest(project.root)["status"] == "interrupted"
+    assert len(read_raw_records(project.root, project.space)) == 3
+    assert "scripted export failure" in caplog.text
+
+
 # an 11x3 lattice, coarse next to the searchers' steps, on which every DFO
 # strategy re-proposes measured points before a budget of 10 runs out
 COARSE_PARAMS = "a int min=1 max=11 step=1\nb int min=1 max=3 step=1\n"
