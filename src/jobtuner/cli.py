@@ -24,8 +24,7 @@ import sys
 from .errors import EmptyHistoryError, TunerError
 from .history import history_dir, iter_raw_records, write_records
 from .project import load_project, scaffold
-from .reports import (CONVERGENCE_CSV, convergence_writer, surface_csv_name, surface_table,
-                      surface_writer)
+from .reports import CONVERGENCE_CSV, convergence_writer, surface_csv_name, surface_writer
 from .search import strategy_ids
 from .session import (
     aggregate_history,
@@ -160,17 +159,15 @@ def _cmd_aggregate(args) -> int:
 def _cmd_report(args) -> int:
     project = load_project(args.dir)
     root, space = project.root, project.space
-    if args.surface:
-        surface_table((), *args.surface, space)  # checks the axes before a journal line is read
+    writers = {}
+    if args.convergence or not args.surface:
+        writers[CONVERGENCE_CSV] = convergence_writer(root)
+    if args.surface:  # checks its axes here; entered last, so it commits before convergence.csv
+        writers[surface_csv_name(*args.surface)] = surface_writer(root, *args.surface, space)
     records = iter_raw_records(root, space)
     first = next(records, None)
     if first is None:  # refused before history/ is made
         raise EmptyHistoryError("no trials recorded; run tune first")
-    writers = {}
-    if args.convergence or not args.surface:
-        writers[CONVERGENCE_CSV] = convergence_writer(root)
-    if args.surface:  # entered last, so it commits before convergence.csv
-        writers[surface_csv_name(*args.surface)] = surface_writer(root, *args.surface, space)
     write_records(itertools.chain([first], records), *writers.values())
     for name in reversed(writers):
         log.info("wrote %s", history_dir(root) / name)

@@ -218,17 +218,13 @@ def _drive(loop: _TuningLoop, started: float) -> SessionSummary:
     try:
         status = loop.run(writer)
     finally:
-        # whatever stopped the loop, every observed trial is already durable
+        # whatever stopped the loop, every observed trial is already durable;
+        # trials.csv is exported once, whole, after the manifest write
         try:
-            loop.set_status(status)
+            _settle(status, "session.conf not marked interrupted", loop.set_status, status)
         finally:
-            # trials.csv is exported once, whole, after the manifest has left `running`
-            try:
-                rewrite_trials_csv(loop.project.root, loop.project.space, writer.records)
-            except Exception as exc:
-                if status != STATUS_INTERRUPTED:
-                    raise
-                log.warning("trials.csv not exported: %s", exc)  # the loop's own error wins
+            _settle(status, "trials.csv not exported", rewrite_trials_csv,
+                    loop.project.root, loop.project.space, writer.records)
     try:
         best = best_of(writer.records)
     except NoSuccessfulTrialError:
@@ -239,6 +235,17 @@ def _drive(loop: _TuningLoop, started: float) -> SessionSummary:
         wall_time_s=time.perf_counter() - started,
         status=status,
     )
+
+
+def _settle(status: str, failure: str, step, *args) -> None:
+    """Run one bookkeeping step of a session that has ended with status. An interrupted
+    session logs the step's error as failure, so that the loop's own error is raised."""
+    try:
+        step(*args)
+    except Exception as exc:
+        if status != STATUS_INTERRUPTED:
+            raise
+        log.warning("%s: %s", failure, exc)
 
 
 def aggregate_history(project: Project) -> int:

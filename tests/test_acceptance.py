@@ -5,6 +5,7 @@ Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 
 from __future__ import annotations
 
+import csv
 import random
 import stat
 import time
@@ -23,7 +24,7 @@ from jobtuner.executors.synthetic import synthetic_eval
 from jobtuner.history import HistoryWriter, read_trials, rewrite_trials_csv
 from jobtuner.paramspace import TrialPoint, parse_param_file
 from jobtuner.project import load_project
-from jobtuner.reports import convergence_series, surface_table, write_convergence
+from jobtuner.reports import write_convergence, write_surface
 from jobtuner.search.trust_region import RHO_MIN, TrustRegionSearcher
 from jobtuner.session import (
     aggregate_history,
@@ -82,18 +83,19 @@ PLANE_JOB_CLEAN = PLANE_JOB_NOISY.replace("noise_sd_s=0.4", "noise_sd_s=0").repl
 )
 
 
-def _best_cell(root, project):
-    records = read_trials(root, project.space)
-    rows = surface_table(records, "x", "y", project.space)
-    return min(rows, key=lambda r: r[2])
+def _best_cell(project):
+    """(x, y) of the lowest median in the project's surface_x_y.csv."""
+    records = read_trials(project.root, project.space)
+    with write_surface(project.root, records, "x", "y", project.space).open() as fh:
+        best = min(csv.DictReader(fh), key=lambda row: float(row["median_s"]))
+    return int(best["x"]), int(best["y"])
 
 
 def test_criterion_2_surface_minimum_in_max_corner(tmp_path):
     started = time.perf_counter()
     clean = write_synthetic_project(tmp_path / "clean", PLANE_PARAMS, PLANE_JOB_CLEAN)
     run_tuning(clean, "grid", budget=25)
-    best = _best_cell(clean.root, clean)
-    deterministic_ok = (best[0], best[1]) == (5, 5)
+    deterministic_ok = _best_cell(clean) == (5, 5)
 
     hits = 0
     for seed in range(100):
@@ -101,7 +103,7 @@ def test_criterion_2_surface_minimum_in_max_corner(tmp_path):
             tmp_path / f"noisy{seed}", PLANE_PARAMS, PLANE_JOB_NOISY
         )
         run_tuning(project, "grid", budget=25, seed=seed)
-        bx, by, _, _ = _best_cell(project.root, project)
+        bx, by = _best_cell(project)
         if bx >= 4 and by >= 4:
             hits += 1
     elapsed = time.perf_counter() - started
@@ -113,6 +115,13 @@ def test_criterion_2_surface_minimum_in_max_corner(tmp_path):
 
 # --- 3. Nelder-Mead convergence on Rosenbrock ----------------------------------------
 
+def _bests_so_far(root, records):
+    """The filled best_so_far_s cells of the convergence.csv these records write."""
+    with write_convergence(root, records).open() as fh:
+        return [float(row["best_so_far_s"]) for row in csv.DictReader(fh)
+                if row["best_so_far_s"]]
+
+
 def test_criterion_3_nelder_mead_rosenbrock(tmp_path):
     project = write_synthetic_project(
         tmp_path / "rosen",
@@ -123,8 +132,7 @@ def test_criterion_3_nelder_mead_rosenbrock(tmp_path):
     summary = run_tuning(project, "nelder-mead", budget=500)
     records = read_trials(project.root, project.space)
     best = best_of(records)
-    series = convergence_series(records)
-    bests = [row[2] for row in series if row[2] is not None]
+    bests = _bests_so_far(project.root, records)
     monotone = all(b <= a for a, b in zip(bests, bests[1:]))
     ok = (
         summary.trial_count <= 500
@@ -169,8 +177,7 @@ def test_criterion_4_trust_region_4d_bowl(tmp_path):
         searcher.update(searcher.propose(), r.search_objective)
     radii_ok = radii_ok and (searcher.done or RHO_MIN <= searcher.state()["radius"] <= 0.5)
 
-    write_convergence(project.root, records)
-    bests = [row[2] for row in convergence_series(records) if row[2] is not None]
+    bests = _bests_so_far(project.root, records)
     monotone = all(b <= a for a, b in zip(bests, bests[1:]))
 
     ok = (

@@ -233,6 +233,7 @@ def test_report_checks_the_surface_axes_before_reading_the_journal(tmp_path, cap
     assert main(["report", "--dir", str(project.root), "--surface", *axes]) == 2
     assert message in caplog.text
     assert "journal line" not in caplog.text
+    assert not list((project.root / "history").glob("surface_*"))
 
 
 def test_report_writes_the_same_convergence_and_surface_bytes(tmp_path, monkeypatch):

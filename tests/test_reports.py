@@ -5,20 +5,19 @@ from datetime import datetime, timezone
 import pytest
 
 from helpers import bowl_job_conf, write_synthetic_project
-from jobtuner.errors import EmptyHistoryError, IdenticalAxesError, UnknownParamError
+from jobtuner.errors import IdenticalAxesError, UnknownParamError
 from jobtuner.executors.base import TrialResult
 from jobtuner.history import TrialRecord, read_trials
 from jobtuner.paramspace import TrialPoint, parse_param_file
-from jobtuner.reports import (
-    convergence_series,
-    surface_table,
-    write_convergence,
-    write_surface,
-)
+from jobtuner.reports import surface_writer, write_convergence, write_surface
 from jobtuner.session import run_tuning
 
 SPACE = parse_param_file(
     "a int min=1 max=4 step=1\nb int min=1 max=4 step=1\nc cat values=x,y\n"
+)
+# one axis of each kind, the cat values declared out of their text order
+KINDS_SPACE = parse_param_file(
+    "a int min=1 max=12 step=1\nb float min=0.25 max=10 step=0.25\nc cat values=y,x2,x10\n"
 )
 
 
@@ -34,26 +33,35 @@ def rec(trial_id, aggregate, a=1, b=1, c="x"):
     )
 
 
+def convergence_rows(tmp_path, records):
+    """The rows after the header of the convergence.csv these records write."""
+    return write_convergence(tmp_path, records).read_text().splitlines()[1:]
+
+
+def surface_rows(tmp_path, records, px="a", py="b", space=SPACE):
+    """The rows after the header of the surface CSV these records write."""
+    return write_surface(tmp_path, records, px, py, space).read_text().splitlines()[1:]
+
+
 # --- convergence -----------------------------------------------------------
 
-def test_convergence_running_minimum():
-    rows = convergence_series([rec(1, 175.0), rec(2, 150.0), rec(3, 160.0), rec(4, 140.0)])
-    assert [r[2] for r in rows] == [175.0, 150.0, 150.0, 140.0]
+def test_convergence_running_minimum(tmp_path):
+    rows = convergence_rows(tmp_path, [rec(1, 175.0), rec(2, 150.0), rec(3, 160.0),
+                                       rec(4, 140.0)])
+    assert [row.split(",")[2] for row in rows] == ["175.0", "150.0", "150.0", "140.0"]
 
 
-def test_convergence_failed_rows_carry_previous_best():
-    rows = convergence_series([rec(1, None), rec(2, 90.0)])
-    assert rows[0] == (1, None, None)
-    assert rows[1] == (2, 90.0, 90.0)
+def test_convergence_failed_rows_carry_previous_best(tmp_path):
+    rows = convergence_rows(tmp_path, [rec(1, None), rec(2, 90.0), rec(3, None)])
+    assert rows == ["1,,", "2,90.0,90.0", "3,,90.0"]
 
 
-def test_convergence_single_trial():
-    assert convergence_series([rec(1, 42.0)]) == [(1, 42.0, 42.0)]
+def test_convergence_single_trial(tmp_path):
+    assert convergence_rows(tmp_path, [rec(1, 42.0)]) == ["1,42.0,42.0"]
 
 
-def test_convergence_empty_history():
-    with pytest.raises(EmptyHistoryError):
-        convergence_series([])
+def test_convergence_empty_history(tmp_path):
+    assert write_convergence(tmp_path, []).read_text() == "iteration,aggregate_s,best_so_far_s\n"
 
 
 def test_convergence_csv_format(tmp_path):
@@ -67,7 +75,7 @@ def test_convergence_csv_format(tmp_path):
 
 # --- surface ---------------------------------------------------------------------
 
-def test_surface_groups_and_medians():
+def test_surface_groups_and_medians(tmp_path):
     records = [
         rec(1, 100.0, a=1, b=1),
         rec(2, 120.0, a=1, b=1, c="y"),  # same cell despite differing c
@@ -75,29 +83,30 @@ def test_surface_groups_and_medians():
         rec(4, 90.0, a=2, b=1),
         rec(5, None, a=2, b=2),  # failed: excluded entirely
     ]
-    rows = surface_table(records, "a", "b", SPACE)
-    assert rows == [(1, 1, 110.0, 3), (2, 1, 90.0, 1)]
+    assert surface_rows(tmp_path, records) == ["1,1,110.0,3", "2,1,90.0,1"]
 
 
-def test_surface_sorted_by_px_then_py():
+def test_surface_sorted_by_px_then_py(tmp_path):
     records = [
         rec(1, 10.0, a=2, b=2),
         rec(2, 20.0, a=1, b=2),
         rec(3, 30.0, a=2, b=1),
         rec(4, 40.0, a=1, b=1),
     ]
-    rows = surface_table(records, "a", "b", SPACE)
-    assert [(r[0], r[1]) for r in rows] == [(1, 1), (1, 2), (2, 1), (2, 2)]
+    rows = surface_rows(tmp_path, records)
+    assert [row.split(",")[:2] for row in rows] == [["1", "1"], ["1", "2"], ["2", "1"], ["2", "2"]]
 
 
-def test_surface_unknown_param():
+def test_surface_unknown_param(tmp_path):
     with pytest.raises(UnknownParamError):
-        surface_table([rec(1, 1.0)], "a", "zzz", SPACE)
+        surface_writer(tmp_path, "a", "zzz", SPACE)  # refused before it is entered
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_surface_identical_axes():
+def test_surface_identical_axes(tmp_path):
     with pytest.raises(IdenticalAxesError):
-        surface_table([rec(1, 1.0)], "a", "a", SPACE)
+        surface_writer(tmp_path, "a", "a", SPACE)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_surface_full_grid_cell_count(tmp_path):
@@ -107,15 +116,32 @@ def test_surface_full_grid_cell_count(tmp_path):
     )
     run_tuning(project, "grid", budget=100)
     records = read_trials(project.root, project.space)
-    rows = surface_table(records, "a", "b", project.space)
-    assert len(rows) == 100
+    assert len(surface_rows(project.root, records, space=project.space)) == 100
 
 
-def test_surface_csv_name_and_content(tmp_path):
-    records = [rec(1, 100.0, a=1, b=2)]
-    path = write_surface(tmp_path, records, "a", "b", SPACE)
-    assert path.name == "surface_a_b.csv"
-    assert path.read_text() == "a,b,median_s,n\n1,2,100.0,1\n"
+# every kind of axis: values rendered as the space renders them; numbers sorted by
+# value (2 before 10), cat values by their text (x10 before x2, whatever their order)
+KINDS_RECORDS = [
+    rec(1, 4.0, a=10, b=2.5, c="x2"),
+    rec(2, 3.0, a=2, b=10.0, c="x10"),
+    rec(3, 2.0, a=10, b=0.25, c="y"),
+    rec(4, 1.0, a=2, b=2.5, c="x2"),
+]
+
+
+@pytest.mark.parametrize("space, records, px, py, expected", [
+    (SPACE, [rec(1, 100.0, a=1, b=2)], "a", "b", "a,b,median_s,n\n1,2,100.0,1\n"),
+    (KINDS_SPACE, KINDS_RECORDS, "a", "b",
+     "a,b,median_s,n\n2,2.5,1.0,1\n2,10.0,3.0,1\n10,0.25,2.0,1\n10,2.5,4.0,1\n"),
+    (KINDS_SPACE, KINDS_RECORDS, "b", "a",
+     "b,a,median_s,n\n0.25,10,2.0,1\n2.5,2,1.0,1\n2.5,10,4.0,1\n10.0,2,3.0,1\n"),
+    (KINDS_SPACE, KINDS_RECORDS, "c", "a",
+     "c,a,median_s,n\nx10,2,3.0,1\nx2,2,1.0,1\nx2,10,4.0,1\ny,10,2.0,1\n"),
+], ids=["int", "int_by_float", "float_by_int", "cat_by_int"])
+def test_surface_csv_name_and_content(tmp_path, space, records, px, py, expected):
+    path = write_surface(tmp_path, records, px, py, space)
+    assert path.name == f"surface_{px}_{py}.csv"
+    assert path.read_text() == expected
 
 
 # --- regeneration purity -----------------------------------------------------------

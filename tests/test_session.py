@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import itertools
 import json
 import math
@@ -31,7 +32,8 @@ from jobtuner.errors import (
 )
 from jobtuner.executors.base import Executor, TrialResult
 from jobtuner.executors.synthetic import synthetic_eval
-from jobtuner.history import SessionLock, TrialRecord, read_manifest, read_raw_records, read_trials
+from jobtuner.history import (SessionLock, TrialRecord, read_manifest, read_raw_records,
+                              read_trials, write_manifest as real_write_manifest)
 from jobtuner.paramspace import TrialPoint
 from jobtuner.search import STRATEGIES, strategy_ids
 from jobtuner.session import (
@@ -310,6 +312,27 @@ def test_a_failing_export_does_not_hide_why_the_session_stopped(tmp_path, monkey
     assert read_manifest(project.root)["status"] == "interrupted"
     assert len(read_raw_records(project.root, project.space)) == 3
     assert "scripted export failure" in caplog.text
+
+
+@pytest.mark.parametrize("error", [ConnectError, KeyboardInterrupt])
+def test_a_failing_manifest_write_does_not_hide_why_the_session_stopped(tmp_path, monkeypatch,
+                                                                        caplog, error):
+    project = small_project(tmp_path)
+
+    def write_manifest(root, entries):
+        if entries["status"] == "interrupted":
+            raise OSError(errno.ENOSPC, "scripted manifest failure")
+        real_write_manifest(root, entries)
+
+    monkeypatch.setattr("jobtuner.session.write_manifest", write_manifest)
+    with pytest.raises(error):
+        run_tuning(project, "grid", budget=6,
+                   executor=InterruptingExecutor(make_executor(project), allow=3, error=error))
+    assert "scripted manifest failure" in caplog.text
+    assert read_manifest(project.root)["status"] == "running"
+    assert len(read_raw_records(project.root, project.space)) == 3
+    table = (project.root / "history" / "trials.csv").read_text()
+    assert len(table.splitlines()) == 4  # the header and the 3 trials, exported all the same
 
 
 # an 11x3 lattice, coarse next to the searchers' steps, on which every DFO
