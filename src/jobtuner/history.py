@@ -11,7 +11,8 @@ Layout under a project root:
     history/.lock             flock'd while a session runs; never removed
 
 A trial is durable once its journal line is fsynced. Opening a HistoryWriter
-repairs what a crash leaves: a torn journal tail (a trial that never happened).
+replays each journaled record as it decodes, keeping none, then repairs what a
+crash leaves: a torn journal tail (a trial that never happened).
 
 Both files are read a line at a time by one record loop and one record decoder,
 a trials.csv row (one line; the export writes no cell with a newline) as the
@@ -23,9 +24,9 @@ holds them, never a copy of the file.
 
 Each export file has one writer, taking one record per call (trials_writer here,
 the reports' in reports.py), and write_records feeds several from one pass: so
-aggregate and report read the journal once, holding one record at a time. A
-writer replaces its file whole, through a temporary file of its own, and never
-appends to or repairs it in place.
+aggregate, report and the export that ends a session each read the journal once,
+holding one record at a time. A writer replaces its file whole, through a
+temporary file of its own, and never appends to or repairs it in place.
 
 trials.csv columns: trial_id, strategy, timestamp_utc, one column per
 parameter in space order, status, rep_times_s (';'-joined), aggregate_s
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import csv
 import fcntl
+import io
 import json
 import math
 import os
@@ -153,31 +155,30 @@ def _row_fields(row: list[str], space: ParamSpace) -> dict:
 
 
 class HistoryWriter:
-    """Opens a history and appends trials to its journal.
+    """Opens a history and appends trials to its journal, counting them in `last_id`.
 
-    Opening truncates a torn journal tail, reads the journal once into
-    `records`, and refuses a trials.csv holding more trials than the journal.
+    Opening passes each journaled record to `replay` as it decodes, refuses a trials.csv
+    holding more trials than the journal, and only then truncates a torn journal tail.
     """
 
-    def __init__(self, project_root: str | Path, space: ParamSpace):
+    def __init__(self, project_root: str | Path, space: ParamSpace,
+                 replay: Callable[[TrialRecord], object] = lambda record: None):
         hist = history_dir(project_root)
         hist.mkdir(parents=True, exist_ok=True)
         self._journal = hist / JOURNAL_FILE
-        self.records: list[TrialRecord] = []
+        self.last_id = 0
         try:
-            with open(self._journal, "r+b") as fh:
-                self.records = list(_parse_lines(fh, _decoder(space, False), _load_line,
-                                                 "journal line", 1))
-                durable = fh.tell()
-                if fh.read(1):
-                    fh.truncate(durable)  # the torn line never reached a searcher
+            fh = open(self._journal, "r+b")
         except FileNotFoundError:
-            pass
-        refuse_to_shrink(hist / TRIALS_CSV, len(self.records))
-
-    @property
-    def last_id(self) -> int:
-        return len(self.records)
+            fh = io.BytesIO()  # no journal yet: no trial and no tail
+        with fh:
+            for record in _parse_lines(fh, _decoder(space, False), _load_line, "journal line", 1):
+                replay(record)
+                self.last_id += 1
+            refuse_to_shrink(hist / TRIALS_CSV, self.last_id)
+            durable = fh.tell()
+            if fh.read(1):
+                fh.truncate(durable)  # the torn line never reached a searcher
 
     def append(self, record: TrialRecord) -> None:
         if record.trial_id != self.last_id + 1:
@@ -188,7 +189,7 @@ class HistoryWriter:
             fh.write(_journal_line(record))
             fh.flush()
             os.fsync(fh.fileno())
-        self.records.append(record)
+        self.last_id += 1
 
 
 def read_trials(project_root: str | Path, space: ParamSpace) -> list[TrialRecord]:
@@ -253,8 +254,8 @@ def _decoder(space: ParamSpace, in_space: bool) -> Callable[[dict], TrialRecord]
     """The record decoder of both files: the record a journal line's fields hold.
 
     Raises one of _UNREADABLE, also when the point names other parameters than
-    the space, aggregate_s is not the record's own or, if in_space, a point
-    value lies outside the space.
+    the space, aggregate_s is not the record's own, or a point value lies outside
+    the space: any value if in_space, else a bool (which a replay's == takes for 1).
     """
     names = space.names()
     declared = set(names)
@@ -272,7 +273,7 @@ def _decoder(space: ParamSpace, in_space: bool) -> Callable[[dict], TrialRecord]
         if d["aggregate_s"] != record.aggregate_s:
             raise ValueError(f"aggregate_s {d['aggregate_s']!r} is not the "
                              f"trial's aggregate {record.aggregate_s!r}")
-        if in_space:
+        if in_space or bool in map(type, record.point.values):
             violations = space.validate_point(record.point)
             if violations:
                 raise ValueError("; ".join(violations))

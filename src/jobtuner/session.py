@@ -15,7 +15,7 @@ import hashlib
 import logging
 import time
 from datetime import datetime, timezone
-from typing import NamedTuple
+from typing import Collection, NamedTuple
 
 from .errors import (
     HistoryCorruptError,
@@ -25,7 +25,7 @@ from .errors import (
     SessionExistsError,
     SpaceMismatchError,
 )
-from .executors.base import Executor, TrialResult
+from .executors.base import Executor
 from .executors.synthetic import SyntheticExecutor
 from .history import (MANIFEST_FILE, HistoryWriter, SessionLock, TrialRecord, iter_raw_records,
                       manifest_exists, read_manifest, rewrite_trials_csv, trials_writer,
@@ -48,7 +48,7 @@ class SessionSummary(NamedTuple):
     status: str
 
 
-def best_of(records: list[TrialRecord]) -> TrialRecord:
+def best_of(records: Collection[TrialRecord]) -> TrialRecord:
     """Successful record with minimum aggregate; earliest trial wins ties."""
     if not records:
         raise NoSuccessfulTrialError("history is empty")
@@ -98,8 +98,8 @@ class _TuningLoop:
         self.seed = seed
         self.executor = executor if executor is not None else make_executor(project, seed)
         self.searcher: Searcher = make_searcher(strategy_id, project.space)
-        # each point key's first recorded result, which answers every repeat
-        self._measured: dict[tuple, TrialResult] = {}
+        # the archive: each point key's first record, whose result answers every repeat
+        self._measured: dict[tuple, TrialRecord] = {}
 
     def set_status(self, status: str) -> None:
         """Write the session manifest with the given status."""
@@ -112,20 +112,19 @@ class _TuningLoop:
         }
         write_manifest(self.project.root, entries)
 
-    def replay(self, records: list[TrialRecord]) -> None:
-        """Drive the searcher through recorded history, verifying each step."""
+    def replay(self, r: TrialRecord) -> None:
+        """Drive the searcher through one recorded trial, verifying the step."""
         space = self.project.space
-        for r in records:
-            proposal = self.searcher.propose()
-            key = space.point_key(r.point)
-            if proposal is None or space.point_key(proposal) != key:
-                raise HistoryCorruptError(
-                    f"recorded trial {r.trial_id} does not replay from the manifest's "
-                    f"strategy (expected {proposal}, recorded {r.point})",
-                    r.trial_id - 1,
-                )
-            self.searcher.update(proposal, r.search_objective)
-            self._measured.setdefault(key, r.result)
+        proposal = self.searcher.propose()
+        key = space.point_key(r.point)
+        if proposal is None or space.point_key(proposal) != key:
+            raise HistoryCorruptError(
+                f"recorded trial {r.trial_id} does not replay from the manifest's "
+                f"strategy (expected {proposal}, recorded {r.point})",
+                r.trial_id - 1,
+            )
+        self.searcher.update(proposal, r.search_objective)
+        self._measured.setdefault(key, r)
 
     def run(self, writer: HistoryWriter) -> str:
         space = self.project.space
@@ -136,13 +135,12 @@ class _TuningLoop:
                 return STATUS_FINISHED
             trial_id = writer.last_id + 1
             key = space.point_key(point)
-            result = self._measured.get(key)
-            if result is None:
-                result = self.executor.execute_trial(job, point, trial_id)
-                self._measured[key] = result
+            first = self._measured.get(key)
+            result = first.result if first else self.executor.execute_trial(job, point, trial_id)
             record = TrialRecord(trial_id=trial_id, point=point, result=result,
                                  strategy_id=self.strategy_id, timestamp=datetime.now(timezone.utc))
-            writer.append(record)  # durable, and in writer.records, before the searcher observes it
+            writer.append(record)  # durable before the searcher observes it
+            self._measured.setdefault(key, record)
             self.searcher.update(point, record.search_objective)
             log.info(
                 "trial %d %s aggregate=%s", trial_id, record.result.status,
@@ -211,22 +209,23 @@ def resume_session(project: Project, executor: Executor | None = None) -> Sessio
 
 def _drive(loop: _TuningLoop, started: float) -> SessionSummary:
     # a history that does not open or replay is refused before the manifest changes
-    writer = HistoryWriter(loop.project.root, loop.project.space)
-    loop.replay(writer.records)
+    root, space = loop.project.root, loop.project.space
+    writer = HistoryWriter(root, space, loop.replay)
     loop.set_status(STATUS_RUNNING)
     status = STATUS_INTERRUPTED  # unless the loop returns
     try:
         status = loop.run(writer)
     finally:
         # whatever stopped the loop, every observed trial is already durable;
-        # trials.csv is exported once, whole, after the manifest write
+        # trials.csv is exported once, whole, from the journal, after the manifest write
         try:
             _settle(status, "session.conf not marked interrupted", loop.set_status, status)
         finally:
             _settle(status, "trials.csv not exported", rewrite_trials_csv,
-                    loop.project.root, loop.project.space, writer.records)
+                    root, space, iter_raw_records(root, space))
     try:
-        best = best_of(writer.records)
+        # a repeat carries its first record's result under a later id: no better record
+        best = best_of(loop._measured.values())
     except NoSuccessfulTrialError:
         best = None
     return SessionSummary(

@@ -21,7 +21,7 @@ from jobtuner.executors.base import JobSpec
 from jobtuner.executors.hadoop_logs import parse_phase_times
 from jobtuner.executors.remote import ClusterEnv, RemoteExecutor
 from jobtuner.executors.synthetic import synthetic_eval
-from jobtuner.history import HistoryWriter, read_trials, rewrite_trials_csv
+from jobtuner.history import HistoryWriter, read_raw_records, read_trials, rewrite_trials_csv
 from jobtuner.paramspace import TrialPoint, parse_param_file
 from jobtuner.project import load_project
 from jobtuner.reports import write_convergence, write_surface
@@ -268,7 +268,8 @@ def test_criterion_7_history_integrity(tmp_path):
     writer = HistoryWriter(tmp_path / "hist", RANDOM_RECORD_SPACE)
     for r in records:
         writer.append(r)
-    rewrite_trials_csv(tmp_path / "hist", RANDOM_RECORD_SPACE, writer.records)
+    rewrite_trials_csv(tmp_path / "hist", RANDOM_RECORD_SPACE,
+                       read_raw_records(tmp_path / "hist", RANDOM_RECORD_SPACE))
     loaded = read_trials(tmp_path / "hist", RANDOM_RECORD_SPACE)
     roundtrip_ok = loaded == records
 

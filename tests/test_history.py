@@ -125,7 +125,7 @@ def test_first_append_writes_one_journal_line_and_no_csv(tmp_path):
     writer.append(record)
     assert sorted(p.name for p in (tmp_path / "history").iterdir()) == ["journal.jsonl"]
     assert read_raw_records(tmp_path, SPACE) == [record]
-    rewrite_trials_csv(tmp_path, SPACE, writer.records)
+    rewrite_trials_csv(tmp_path, SPACE, read_raw_records(tmp_path, SPACE))
     lines = (tmp_path / "history" / "trials.csv").read_text().splitlines()
     assert len(lines) == 2
     assert lines[0].startswith("trial_id,strategy,timestamp_utc,tasks,frac,codec,")
@@ -146,7 +146,7 @@ def test_roundtrip_randomized_records(tmp_path):
     writer = HistoryWriter(tmp_path, SPACE)
     for r in records:
         writer.append(r)
-    rewrite_trials_csv(tmp_path, SPACE, writer.records)
+    rewrite_trials_csv(tmp_path, SPACE, read_raw_records(tmp_path, SPACE))
     loaded = read_trials(tmp_path, SPACE)
     assert loaded == records
     path = tmp_path / "history" / "trials.csv"
@@ -162,7 +162,7 @@ def test_writer_resumes_numbering_from_existing_file(tmp_path):
     again = HistoryWriter(tmp_path, SPACE)
     assert again.last_id == 3
     again.append(random_record(rng, 4))
-    rewrite_trials_csv(tmp_path, SPACE, again.records)
+    rewrite_trials_csv(tmp_path, SPACE, read_raw_records(tmp_path, SPACE))
     assert len(read_trials(tmp_path, SPACE)) == 4
 
 
@@ -175,7 +175,7 @@ def test_truncated_mid_row_detected(tmp_path):
     writer = HistoryWriter(tmp_path, SPACE)
     for i in range(1, 6):
         writer.append(random_record(rng, i))
-    rewrite_trials_csv(tmp_path, SPACE, writer.records)
+    rewrite_trials_csv(tmp_path, SPACE, read_raw_records(tmp_path, SPACE))
     path = tmp_path / "history" / "trials.csv"
     text = path.read_text()
     last_row = len(text.splitlines(keepends=True)[-1])
@@ -191,7 +191,7 @@ def test_corrupt_middle_row_detected(tmp_path):
     writer = HistoryWriter(tmp_path, SPACE)
     for i in range(1, 4):
         writer.append(random_record(rng, i))
-    rewrite_trials_csv(tmp_path, SPACE, writer.records)
+    rewrite_trials_csv(tmp_path, SPACE, read_raw_records(tmp_path, SPACE))
     path = tmp_path / "history" / "trials.csv"
     lines = path.read_text().splitlines(keepends=True)
     lines[2] = "2,grid,not-a-timestamp,1,0.5,plain,success,1.0,1.0,,,\n"
@@ -205,7 +205,7 @@ def test_header_mismatch_detected(tmp_path):
     other_space = ParamSpace((ParamSpec(name="x", kind="int", lower=0, upper=1, step=1),))
     writer = HistoryWriter(tmp_path, SPACE)
     writer.append(random_record(random.Random(5), 1))
-    rewrite_trials_csv(tmp_path, SPACE, writer.records)
+    rewrite_trials_csv(tmp_path, SPACE, read_raw_records(tmp_path, SPACE))
     with pytest.raises(HistoryCorruptError):
         read_trials(tmp_path, other_space)
 
@@ -285,7 +285,7 @@ def test_csv_row_is_read_under_the_journal_rules(tmp_path, cells):
     writer = HistoryWriter(tmp_path, SPACE)
     for i in range(1, 5):
         writer.append(random_record(rng, i))
-    rewrite_trials_csv(tmp_path, SPACE, writer.records)
+    rewrite_trials_csv(tmp_path, SPACE, read_raw_records(tmp_path, SPACE))
     path = tmp_path / "history" / "trials.csv"
     rows = list(csv.reader(io.StringIO(path.read_text())))
     rows[4][0] = "four"  # a later fault: the first faulty row is the one reported
@@ -304,9 +304,9 @@ def test_csv_records_share_their_strategy_and_status_strings(tmp_path):
     writer = HistoryWriter(tmp_path, SPACE)
     for i in range(1, 31):
         writer.append(random_record(rng, i))
-    rewrite_trials_csv(tmp_path, SPACE, writer.records)
+    rewrite_trials_csv(tmp_path, SPACE, read_raw_records(tmp_path, SPACE))
     records = read_trials(tmp_path, SPACE)
-    assert records == writer.records
+    assert records == read_raw_records(tmp_path, SPACE)
     for field in (lambda r: r.strategy_id, lambda r: r.result.status):
         assert len({id(field(r)) for r in records}) == len({field(r) for r in records})
 
@@ -329,7 +329,9 @@ def test_journal_cut_anywhere_in_its_last_line(tmp_path):
         path.write_bytes(data[:end])
         assert read_raw_records(tmp_path, SPACE) == records[:4]  # the tail is skipped
         assert path.read_bytes() == data[:end]  # reading repairs nothing
-        assert HistoryWriter(tmp_path, SPACE).records == records[:4]
+        replayed = []
+        assert HistoryWriter(tmp_path, SPACE, replayed.append).last_id == 4
+        assert replayed == records[:4]
         assert path.read_bytes() == data[:durable]  # a writer truncates the tail
         assert table.read_bytes() == csv_before  # and leaves the export as it is
 
@@ -351,7 +353,9 @@ def test_journal_lines_read_as_json_loads_reads_them(tmp_path, restyle):
     durable = b"".join(lines[:4])
     path.write_bytes(durable + lines[4][:-3])  # trial 5 torn mid-line
     assert read_raw_records(tmp_path, SPACE) == records[:4]
-    assert HistoryWriter(tmp_path, SPACE).records == records[:4]
+    replayed = []
+    assert HistoryWriter(tmp_path, SPACE, replayed.append).last_id == 4
+    assert replayed == records[:4]
     assert path.read_bytes() == durable  # truncated where trial 5's line starts
 
 
@@ -362,8 +366,8 @@ def test_reads_and_rewrites_hold_no_copy_of_the_file(tmp_path, monkeypatch):
         writer = HistoryWriter(tmp_path, SPACE)
         for i in range(1, 2001):
             writer.append(random_record(rng, i))
-    records = writer.records
     del writer
+    records = read_raw_records(tmp_path, SPACE)
     rewrite_trials_csv(tmp_path, SPACE, records)
     hist = tmp_path / "history"
     # csv.writer keeps one fixed record buffer, whatever the size of the file

@@ -479,6 +479,103 @@ def test_resume_detects_unreplayable_history(tmp_path):
         resume_session(project)
 
 
+BOOL_PARAMS = "a int min=0 max=1 step=1\nb float min=0 max=1 step=1\n"
+
+
+@pytest.mark.parametrize("flag", [True, False], ids=["true", "false"])
+@pytest.mark.parametrize("name", ["a", "b"], ids=["int", "float"])
+def test_resume_refuses_a_bool_parameter_value_as_aggregate_does(tmp_path, name, flag):
+    project = write_synthetic_project(tmp_path / "proj", BOOL_PARAMS, bowl_job_conf())
+    with pytest.raises(ConnectError):
+        run_tuning(project, "grid", budget=4,
+                   executor=InterruptingExecutor(make_executor(project), allow=3))
+    hist = project.root / "history"
+    path = hist / "journal.jsonl"
+    lines = path.read_bytes().splitlines(keepends=True)
+    # the first line whose value compares equal to the flag, as 1 == True and 0.0 == False
+    n, entry = next((n, e) for n, e in enumerate(map(json.loads, lines), 1)
+                    if e["point"][name] == flag)
+    entry["point"][name] = flag
+    lines[n - 1] = (json.dumps(entry, sort_keys=True) + "\n").encode()
+    path.write_bytes(b"".join(lines))
+    before = {p.name: p.read_bytes() for p in hist.iterdir()}
+    message = f"^journal line {n} unreadable: {name}: value {flag} is not numeric"
+    with pytest.raises(HistoryCorruptError, match=message) as resumed:
+        resume_session(project)
+    assert resumed.value.last_valid_id == n - 1
+    assert {p.name: p.read_bytes() for p in hist.iterdir()} == before
+    with pytest.raises(HistoryCorruptError) as aggregated:
+        aggregate_history(project)
+    assert str(aggregated.value) == str(resumed.value)
+
+
+@pytest.mark.parametrize("edit, message", [
+    # trial 2 at a point the grid proposes later
+    (lambda lines: [lines[0], lines[1].replace(b'"a": 1, "b": 2', b'"a": 4, "b": 2')] + lines[2:],
+     "recorded trial 2 does not replay"),
+    (lambda lines: lines[:3], "refusing to drop rows"),  # trials.csv holds a fourth trial
+], ids=["replay_mismatch", "journal_behind_csv"])
+def test_a_refused_resume_changes_no_byte(tmp_path, edit, message):
+    project = small_project(tmp_path)
+    with pytest.raises(ConnectError):
+        run_tuning(project, "grid", budget=8,
+                   executor=InterruptingExecutor(make_executor(project), allow=4))
+    hist = project.root / "history"
+    journal = hist / "journal.jsonl"
+    lines = journal.read_bytes().splitlines(keepends=True)
+    journal.write_bytes(b"".join(edit(lines)) + lines[3][:20])  # and a torn last line
+    names = ("journal.jsonl", "trials.csv", "session.conf")
+    before = {name: (hist / name).read_bytes() for name in names}
+    with pytest.raises(HistoryCorruptError, match=message):
+        resume_session(project)
+    assert {name: (hist / name).read_bytes() for name in names} == before
+    assert not list(hist.glob("*.tmp"))
+
+
+class Coarsened(Executor):
+    """Delegates to an inner executor, rounding each time up to a multiple of
+    20 s so that distinct points tie; fails every trial if `fail`."""
+
+    def __init__(self, inner, fail=False):
+        self.inner = inner
+        self.fail = fail
+
+    def execute_trial(self, job, point, trial_id):
+        if self.fail:
+            return TrialResult(status="failed")
+        result = self.inner.execute_trial(job, point, trial_id)
+        return result._replace(rep_times_s=tuple(20.0 * math.ceil(t / 20) for t in result.rep_times_s))
+
+
+@pytest.mark.parametrize("cut", [1, 3, 5])
+@pytest.mark.parametrize("strategy", ["compass", "bobyqa-lite"])
+def test_resumed_summary_best_is_the_best_of_every_record(tmp_path, strategy, cut):
+    project = coarse_project(tmp_path)
+    with pytest.raises(ConnectError):
+        run_tuning(project, strategy, budget=40,
+                   executor=InterruptingExecutor(Coarsened(make_executor(project)), allow=cut))
+    summary = resume_session(project, executor=Coarsened(make_executor(project)))
+    records = read_raw_records(project.root, project.space)
+    assert (summary.trial_count, summary.status) == (len(records), "finished")
+    assert summary.best == best_of(records)
+    # later trials, of other points and of repeats, tie with the best
+    tied = [r for r in records if r.aggregate_s == summary.best.aggregate_s]
+    assert 1 < len({project.space.point_key(r.point) for r in tied}) < len(tied)
+
+
+@pytest.mark.parametrize("strategy", ["compass", "bobyqa-lite"])
+def test_resumed_summary_of_an_all_failed_session_has_no_best(tmp_path, strategy):
+    project = coarse_project(tmp_path)
+    with pytest.raises(ConnectError):
+        run_tuning(project, strategy, budget=12,
+                   executor=InterruptingExecutor(Coarsened(None, fail=True), allow=3))
+    summary = resume_session(project, executor=Coarsened(None, fail=True))
+    assert summary.trial_count == len(read_raw_records(project.root, project.space)) > 3
+    assert summary.best is None
+    with pytest.raises(NoSuccessfulTrialError, match="every trial failed"):
+        best_of(read_raw_records(project.root, project.space))
+
+
 class ResultDirExecutor(Executor):
     """Delegates to an inner executor, naming an output dir and log per trial."""
 
