@@ -80,7 +80,6 @@ class _ResultFields(NamedTuple):
     status: str
     rep_times_s: tuple[float, ...]
     phase_times_s: dict[str, float] | None
-    result_dir: str | None
     log_ref: str | None
 
 
@@ -95,7 +94,7 @@ class TrialResult(CheckedTuple, _ResultFields):
 
     def __new__(cls, status: str, rep_times_s: Iterable[float] = (),
                 phase_times_s: dict[str, float] | None = None,
-                result_dir: str | None = None, log_ref: str | None = None) -> TrialResult:
+                log_ref: str | None = None) -> TrialResult:
         # the one check of a result's values, for executors and history readers alike
         rep_times_s = tuple(rep_times_s)
         if status not in (STATUS_SUCCESS, STATUS_FAILED, STATUS_TIMEOUT):
@@ -111,7 +110,7 @@ class TrialResult(CheckedTuple, _ResultFields):
         if phase_times_s is not None and not all(
                 type(t) in (int, float) and math.isfinite(t) for t in phase_times_s.values()):
             raise ValueError(f"phase times {phase_times_s} are not finite numbers")
-        return tuple.__new__(cls, (status, rep_times_s, phase_times_s, result_dir, log_ref))
+        return tuple.__new__(cls, (status, rep_times_s, phase_times_s, log_ref))
 
     @property
     def ok(self) -> bool:

@@ -105,7 +105,10 @@ class SshTransport:
         e = self._env
         argv = [self._scp_bin, "-i", e.auth_key_path, "-P", str(e.port),
                 "-o", "BatchMode=yes"] + args
-        proc = subprocess.run(argv, capture_output=True, text=True)
+        try:
+            proc = subprocess.run(argv, capture_output=True, text=True)
+        except FileNotFoundError as exc:  # not the missing remote path fetch_dir raises
+            raise ConnectError(f"scp binary not found: {exc}") from exc
         if proc.returncode != 0:
             raise ConnectError(f"file transfer failed: {proc.stderr.strip()}")
 
@@ -230,8 +233,7 @@ class RemoteExecutor(Executor):
 
         # Phase times come from one text: each repetition's client output, then
         # the logs of the applications it submitted; the last counter wins.
-        trial_dir = self._root / DOWNLOADED_RESULTS_DIR / f"trial_{trial_id}"
-        log_dir = trial_dir / "logs"
+        log_dir = self._root / DOWNLOADED_RESULTS_DIR / f"trial_{trial_id}" / "logs"
         texts: list[str] = []
         fetched = False
         for out in outputs:
@@ -249,7 +251,6 @@ class RemoteExecutor(Executor):
 
         return measured._replace(
             phase_times_s=phases or None,
-            result_dir=str(trial_dir) if fetched else None,
             log_ref=str(log_dir) if fetched else None,
         )
 

@@ -150,7 +150,7 @@ def _row_fields(row: list[str], space: ParamSpace) -> dict:
         "rep_times_s": [float(t) for t in reps.split(";")] if reps else [],
         "aggregate_s": None if aggregate == FAILED_LITERAL else float(aggregate),
         "phase_times_s": {p: float(cell) for p, cell in zip(_PHASES, row[base + 3:]) if cell} or None,
-        "result_dir": None, "log_ref": None,
+        "log_ref": None,
     }
 
 
@@ -240,7 +240,6 @@ def _journal_line(record: TrialRecord) -> str:
         "rep_times_s": list(record.result.rep_times_s),
         "aggregate_s": record.aggregate_s,
         "phase_times_s": record.result.phase_times_s,
-        "result_dir": record.result.result_dir,
         "log_ref": record.result.log_ref,
     }
     return json.dumps(payload, sort_keys=True) + "\n"
@@ -265,8 +264,7 @@ def _decoder(space: ParamSpace, in_space: bool) -> Callable[[dict], TrialRecord]
         values = d["point"]
         if values.keys() != declared:
             raise ValueError(f"point parameters {sorted(values)} are not the space's {names}")
-        result = TrialResult(intern(d["status"]), d["rep_times_s"], d["phase_times_s"],
-                             d["result_dir"], d["log_ref"])
+        result = TrialResult(intern(d["status"]), d["rep_times_s"], d["phase_times_s"], d["log_ref"])
         record = TrialRecord(d["trial_id"], make_point(tuple([values[name] for name in names])),
                              result, intern(d["strategy"]), parse_time(d["timestamp_utc"]))
         # floats round-trip exactly through both files, so the recorded median compares equal

@@ -7,7 +7,7 @@ A project root contains:
     HadoopEnv.txt      cluster endpoint (remote projects only)
     jobs.conf          optional list of job files for batch runs
     history/           trial history, session manifest, reports
-    downloaded_results/  per-trial outputs fetched from the cluster
+    downloaded_results/  per-trial YARN application logs fetched from the cluster
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ manifest stays at `running` and the lock's holder vanishes.
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import subprocess
@@ -128,6 +129,44 @@ def test_resume_repairs_a_torn_csv_tail(tmp_path):
     assert csv_path.read_bytes() == live
     assert [r.trial_id for r in read_trials(project.root, project.space)] == \
         list(range(1, BUDGET + 1))
+
+
+def test_a_history_journaled_with_result_dir_resumes_trial_for_trial(tmp_path):
+    # earlier versions wrote a "result_dir" key on every journal line: null, or the
+    # trial directory holding the logs/ that the line's log_ref names
+    reference = write_synthetic_project(tmp_path / "full", PARAMS, JOB)
+    run_tuning(reference, "nelder-mead", BUDGET, seed=SEED)
+    project = write_synthetic_project(tmp_path / "proj", PARAMS, JOB)
+    executor = InterruptingExecutor(make_executor(project, SEED), allow=7)
+    with pytest.raises(ConnectError):
+        run_tuning(project, "nelder-mead", BUDGET, seed=SEED, executor=executor)
+    hist = project.root / "history"
+    journal = hist / "journal.jsonl"
+    lines = []
+    for line in journal.read_text().splitlines():
+        entry = json.loads(line)
+        trial_dir = f"{project.root}/downloaded_results/trial_{entry['trial_id']}"
+        if entry["trial_id"] % 2:
+            entry.update(result_dir=trial_dir, log_ref=f"{trial_dir}/logs")
+        else:
+            entry.update(result_dir=None)
+        lines.append(json.dumps(entry, sort_keys=True) + "\n")
+    journal.write_text("".join(lines))
+    earlier = journal.read_bytes()
+    exported = (hist / "trials.csv").read_bytes()
+    aggregate_history(project)
+    assert (hist / "trials.csv").read_bytes() == exported
+
+    resume_session(project)
+    assert sequence(project) == sequence(reference)
+    resumed = journal.read_bytes()
+    assert resumed.startswith(earlier)
+    appended = [json.loads(line) for line in resumed[len(earlier):].splitlines()]
+    assert len(appended) == BUDGET - 7
+    assert not [entry["trial_id"] for entry in appended if "result_dir" in entry]
+    live = (hist / "trials.csv").read_bytes()
+    aggregate_history(project)
+    assert (hist / "trials.csv").read_bytes() == live
 
 
 def test_history_without_journal_is_refused_and_left_alone(tmp_path):

@@ -321,11 +321,17 @@ def test_grid_degenerate_single_point():
     assert len(list(space.iter_grid())) == 1
 
 
-def test_grid_float_step_count_is_fp_safe():
-    space = parse_param_file("x float min=0 max=1 step=0.1")
+@pytest.mark.parametrize("line, first, last, count", [
+    ("x float min=0 max=1 step=0.1", 0.0, 1.0, 11),
+    # (upper - lower) / step lies within _COUNT_EPS below 1, so the floor counts a second
+    # value, -10 + step, that overshoots upper: it is dropped, not clamped onto 0.5
+    ("x float min=-10 max=0.5 step=10.50000000525", -10.0, -10.0, 1),
+], ids=["tenths", "overshoot"])
+def test_grid_float_step_count_is_fp_safe(line, first, last, count):
+    space = parse_param_file(line)
     values = [p["x"] for p in space.iter_grid()]
-    assert len(values) == 11
-    assert values[0] == 0.0 and values[-1] == pytest.approx(1.0)
+    assert len(values) == count == space.specs[0].lattice_count()
+    assert values[0] == first and values[-1] == pytest.approx(last)
 
 
 def test_float_lattice_top_value_is_the_upper_bound():

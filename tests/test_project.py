@@ -65,8 +65,17 @@ def test_env_and_job_errors_name_their_file():
         parse_env_file(ENV_TEXT.replace("port=22", "port=ssh"))
     with pytest.raises(BadValueError, match="'seed' in job.conf: '3.5' is not an integer"):
         parse_job_file(bowl_job_conf() + "seed=3.5\n")
+    assert parse_job_file(bowl_job_conf() + "cleanup_output=no\n")[0].cleanup_output is False
     with pytest.raises(BadValueError, match="'cleanup_output' in job.conf"):
         parse_job_file(bowl_job_conf() + "cleanup_output=maybe\n")
+    with pytest.raises(BadValueError, match="'job' in job.conf: repetitions must be >= 1"):
+        parse_job_file(bowl_job_conf(repetitions=0))
+    with pytest.raises(BadValueError, match="'surface' in job.conf: noise_sd_s must be >= 0"):
+        parse_job_file(bowl_job_conf(noise_sd_s=-1))
+    with pytest.raises(BadValueError, match="'family' in job.conf: must be one of bowl,"):
+        parse_job_file(bowl_job_conf(family="cube"))
+    with pytest.raises(BadValueError, match="'weights' in job.conf: '50,x' is not a comma-"):
+        parse_job_file(bowl_job_conf(weights="50,x"))
 
 
 # --- job file -------------------------------------------------------------------
@@ -218,6 +227,14 @@ def test_listed_synthetic_jobs_share_the_surface_of_job_conf(tmp_path):
     (d / "big.conf").write_text(bowl_job_conf(base_s=5000))
     (d / "jobs.conf").write_text("job.conf\nbig.conf\n")
     with pytest.raises(CrossValidationError, match="^big.conf: surface differs from job.conf's$"):
+        load_project(d)
+    (d / "local.conf").write_text("executor=local\ncommand=./one.sh\n")
+    (d / "jobs.conf").write_text("job.conf\nlocal.conf\n")
+    with pytest.raises(CrossValidationError, match="^local.conf: executor 'local' differs from "
+                                                   "project executor 'synthetic'$"):
+        load_project(d)
+    (d / "jobs.conf").write_text("# every job commented out\n\n")
+    with pytest.raises(CrossValidationError, match="^jobs.conf lists no jobs$"):
         load_project(d)
 
 

@@ -128,7 +128,7 @@ def test_trial_downloads_results(tmp_path):
     result = executor.execute_trial(JOB, POINT, 1)
     trial_dir = tmp_path / "downloaded_results" / "trial_1"
     assert [p.name for p in trial_dir.iterdir()] == ["logs"]
-    assert result.result_dir == str(trial_dir)
+    assert result.log_ref == str(trial_dir / "logs")
     assert (trial_dir / "logs" / APP_ID / "container_01.log").is_file()
 
 
@@ -341,7 +341,7 @@ def test_log_fetch_failure_degrades_to_wall_time(tmp_path):
     assert result.status == "success"
     assert len(result.rep_times_s) == 1
     assert result.phase_times_s is None
-    assert result.log_ref is None and result.result_dir is None
+    assert result.log_ref is None
     assert not (tmp_path / "downloaded_results").exists()
 
 
@@ -494,6 +494,18 @@ def test_ssh_transport_failed_copy_is_connect_error(tmp_path):
     with pytest.raises(ConnectError, match="lost connection"):
         transport.put_file(tmp_path / "app.jar", "/tmp/staging/app.jar")
     with pytest.raises(ConnectError, match="lost connection"):
+        transport.fetch_dir("/var/log/hadoop-yarn/aggregated/app", tmp_path / "logs")
+
+
+def test_ssh_transport_missing_binaries_are_connect_errors(tmp_path):
+    missing = str(tmp_path / "no-such-bin")
+    with pytest.raises(ConnectError, match="^ssh binary not found: .*no-such-bin"):
+        SshTransport(ENV, ssh_bin=missing).run("true")
+    # a missing scp is no missing remote path: fetch_dir's FileNotFoundError means that
+    transport = SshTransport(ENV, ssh_bin=write_fake(tmp_path / "ssh", "exit 0\n"), scp_bin=missing)
+    with pytest.raises(ConnectError, match="^scp binary not found: .*no-such-bin"):
+        transport.put_file(tmp_path / "app.jar", "/tmp/staging/app.jar")
+    with pytest.raises(ConnectError, match="^scp binary not found: .*no-such-bin"):
         transport.fetch_dir("/var/log/hadoop-yarn/aggregated/app", tmp_path / "logs")
 
 

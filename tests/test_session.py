@@ -576,26 +576,26 @@ def test_resumed_summary_of_an_all_failed_session_has_no_best(tmp_path, strategy
         best_of(read_raw_records(project.root, project.space))
 
 
-class ResultDirExecutor(Executor):
-    """Delegates to an inner executor, naming an output dir and log per trial."""
+class LogRefExecutor(Executor):
+    """Delegates to an inner executor, naming a log per trial."""
 
     def __init__(self, inner):
         self.inner = inner
 
     def execute_trial(self, job, point, trial_id):
         result = self.inner.execute_trial(job, point, trial_id)
-        return result._replace(result_dir=f"out/trial_{trial_id}", log_ref=f"log/{trial_id}")
+        return result._replace(log_ref=f"log/{trial_id}")
 
 
-def test_memoized_resume_keeps_result_dir_and_log_ref(tmp_path):
+def test_memoized_resume_keeps_log_ref(tmp_path):
     project = coarse_project(tmp_path)
-    executor = InterruptingExecutor(ResultDirExecutor(make_executor(project)), allow=2)
+    executor = InterruptingExecutor(LogRefExecutor(make_executor(project)), allow=2)
     with pytest.raises(ConnectError):
         run_tuning(project, "nelder-mead", budget=12, executor=executor)
-    resume_session(project, executor=ResultDirExecutor(make_executor(project)))
+    resume_session(project, executor=LogRefExecutor(make_executor(project)))
     records = read_raw_records(project.root, project.space)
     assert len(records) == 12
-    missing = [r.trial_id for r in records if r.result.result_dir is None or r.result.log_ref is None]
+    missing = [r.trial_id for r in records if r.result.log_ref is None]
     assert missing == []
 
 
