@@ -4,7 +4,7 @@ Subcommands mirror the three runner roles plus housekeeping:
 
     task       run the project's job once at the default configuration
     project    run every job in the project's jobs list once
-    tune       run a tuning session (grid | compass | nelder-mead | bobyqa-lite)
+    tune       run a tuning session; job.conf's strategy= and budget= are its defaults
     resume     continue an interrupted tuning session
     aggregate  rebuild history CSVs from the trial journal
     report     write convergence / surface CSVs into history/
@@ -63,7 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     tune.add_argument("--strategy", choices=strategy_ids(),
                       help="search strategy (default from job.conf)")
     tune.add_argument("--budget", type=int, help="max trials (default from job.conf)")
-    tune.add_argument("--seed", type=int, help="noise seed for synthetic executors")
 
     command("resume", _cmd_resume, "continue an interrupted session")
     command("aggregate", _cmd_aggregate, "rebuild history CSVs from the trial journal")
@@ -122,8 +121,7 @@ def _cmd_tune(args, parser) -> int:
     budget = args.budget if args.budget is not None else defaults.get("budget")
     if budget is None:
         parser.error("--budget is required (or set budget= in job.conf)")
-    seed = args.seed if args.seed is not None else defaults.get("seed")
-    summary = run_tuning(project, strategy, budget, seed=seed)
+    summary = run_tuning(project, strategy, budget)
     _log_summary(project, summary)
     return 0
 

@@ -251,7 +251,7 @@ class RemoteExecutor(Executor):
 
         return measured._replace(
             phase_times_s=phases or None,
-            log_ref=str(log_dir) if fetched else None,
+            log_ref=str(log_dir.relative_to(self._root)) if fetched else None,
         )
 
     def _fetch(self, remote: str, local: Path) -> bool:

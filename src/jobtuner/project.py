@@ -55,7 +55,7 @@ class Project(NamedTuple):
 
 
 def parse_kv_file(text: str, filename: str = JOB_FILE) -> dict[str, str]:
-    """key=value lines; blank lines and '#' comments ignored; later keys win.
+    """key=value lines; blank lines and '#' comments ignored; a key written twice is refused.
 
     The one reader of job.conf, HadoopEnv.txt and history/session.conf; the
     parse_* functions below type its values, naming filename in their errors.
@@ -68,7 +68,10 @@ def parse_kv_file(text: str, filename: str = JOB_FILE) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise BadValueError(line, "expected key=value", filename)
-        entries[key.strip()] = value.strip()
+        key = key.strip()
+        if key in entries:
+            raise BadValueError(key, "written twice", filename)
+        entries[key] = value.strip()
     return entries
 
 
@@ -162,8 +165,8 @@ def parse_job_file(text: str, filename: str = JOB_FILE
                    ) -> tuple[JobSpec, str, SurfaceSpec | None, dict[str, str | int]]:
     """Parse a job file: returns (job, executor_kind, surface, tune defaults).
 
-    The tune defaults hold the strategy as written and budget and seed as ints.
-    Errors name filename.
+    The tune defaults hold the strategy as written and the budget as an int. A synthetic
+    job's noise seed is surface_seed alone, so a seed key is refused. Errors name filename.
     """
     kv = parse_kv_file(text, filename)
     kind = kv.get("executor", "")
@@ -205,11 +208,12 @@ def parse_job_file(text: str, filename: str = JOB_FILE
             )
         except ValueError as exc:
             raise BadValueError("surface", str(exc), filename) from None
+        if "seed" in kv:
+            raise BadValueError("seed", "the noise seed is surface_seed; move it there", filename)
 
-    defaults: dict[str, str | int] = {k: parse_int(kv, k, filename=filename)
-                                      for k in ("budget", "seed") if k in kv}
-    if "strategy" in kv:
-        defaults["strategy"] = kv["strategy"]
+    defaults: dict[str, str | int] = {"strategy": kv["strategy"]} if "strategy" in kv else {}
+    if "budget" in kv:
+        defaults["budget"] = parse_int(kv, "budget", filename=filename)
     return job, kind, surface, defaults
 
 
@@ -319,7 +323,6 @@ _JOB_TUNING_EXTRA = """\
 # Defaults for the tune command; flags override these.
 strategy=bobyqa-lite
 budget=50
-seed=1
 """
 
 _PARAMS_TEMPLATE = """\

@@ -18,6 +18,7 @@ from datetime import datetime, timezone
 from typing import Collection, NamedTuple
 
 from .errors import (
+    BadValueError,
     HistoryCorruptError,
     InvalidBudgetError,
     MissingKeyError,
@@ -72,13 +73,10 @@ def space_hash(space: ParamSpace) -> str:
     return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
 
 
-def make_executor(project: Project, seed: int | None = None) -> Executor:
-    """Build the project's executor; seed overrides the surface noise seed."""
+def make_executor(project: Project) -> Executor:
+    """Build the project's executor."""
     if project.executor_kind == "synthetic":
-        surface = project.surface
-        if seed is not None:
-            surface = surface._replace(seed=seed)
-        return SyntheticExecutor(project.space, surface)
+        return SyntheticExecutor(project.space, project.surface)
     # the local and remote executors load here, so a synthetic session never imports them
     if project.executor_kind == "local":
         from .executors.local import LocalExecutor
@@ -91,12 +89,11 @@ class _TuningLoop:
     """Shared driver for fresh runs and resumes."""
 
     def __init__(self, project: Project, strategy_id: str, budget: int,
-                 seed: int | None, executor: Executor | None):
+                 executor: Executor | None):
         self.project = project
         self.strategy_id = strategy_id
         self.budget = budget
-        self.seed = seed
-        self.executor = executor if executor is not None else make_executor(project, seed)
+        self.executor = executor if executor is not None else make_executor(project)
         self.searcher: Searcher = make_searcher(strategy_id, project.space)
         # the archive: each point key's first record, whose result answers every repeat
         self._measured: dict[tuple, TrialRecord] = {}
@@ -105,7 +102,6 @@ class _TuningLoop:
         """Write the session manifest with the given status."""
         entries: dict[str, object] = {
             "strategy": self.strategy_id,
-            "seed": "" if self.seed is None else self.seed,
             "budget": self.budget,
             "space_hash": space_hash(self.project.space),
             "status": status,
@@ -153,10 +149,10 @@ def run_tuning(
     project: Project,
     strategy_id: str,
     budget: int,
-    seed: int | None = None,
     executor: Executor | None = None,
 ) -> SessionSummary:
-    """Run a fresh tuning session to completion (searcher done or budget).
+    """Run a fresh tuning session to completion (searcher done or budget);
+    a synthetic project's noise is drawn from job.conf's surface_seed alone.
 
     Raises InvalidBudgetError, UnknownStrategyError, SessionExistsError when
     the directory already holds a session, and ConnectError when the executor
@@ -165,7 +161,7 @@ def run_tuning(
     """
     if budget < 1:
         raise InvalidBudgetError(f"budget must be >= 1, got {budget}")
-    loop = _TuningLoop(project, strategy_id, budget, seed, executor)
+    loop = _TuningLoop(project, strategy_id, budget, executor)
     started = time.perf_counter()
     with SessionLock(project.root):
         # under the lock, so no other session can start between this check
@@ -181,13 +177,14 @@ def resume_session(project: Project, executor: Executor | None = None) -> Sessio
     """Continue an interrupted session from its durable history.
 
     Replays the recorded trials through a fresh searcher built from the
-    manifest's strategy and seed, then keeps tuning; on
-    deterministic executors the combined run is trial-for-trial identical
-    to an uninterrupted one. Raises MissingKeyError or BadValueError, naming
-    the key, for a manifest entry that is absent or malformed; entries it
-    does not read, such as the memoize flag and opt_* settings older
-    versions wrote, are ignored. Raises HistoryCorruptError, leaving the
-    manifest unchanged, when the history does not read or replay.
+    manifest's strategy, then keeps tuning; on deterministic executors the
+    combined run is trial-for-trial identical to an uninterrupted one.
+    Raises MissingKeyError or BadValueError, naming the key, for a manifest
+    entry that is absent or malformed, and for the seed of an older
+    synthetic session that is not job.conf's surface_seed. Entries it does
+    not read, such as the memoize flag and opt_* settings older versions
+    wrote, are ignored. Raises HistoryCorruptError, leaving the manifest
+    unchanged, when the history does not read or replay.
     """
     manifest = read_manifest(project.root)
     if manifest.get("space_hash") != space_hash(project.space):
@@ -198,10 +195,11 @@ def resume_session(project: Project, executor: Executor | None = None) -> Sessio
         raise MissingKeyError("strategy", MANIFEST_FILE)
     strategy_id = manifest["strategy"]
     budget = parse_int(manifest, "budget", filename=MANIFEST_FILE)
-    # an empty seed is a session run without one
-    seed = parse_int(manifest, "seed", filename=MANIFEST_FILE) if manifest.get("seed") else None
+    seed = manifest.get("seed") if project.surface is not None else None
+    if seed and parse_int(manifest, "seed", filename=MANIFEST_FILE) != project.surface.seed:
+        raise BadValueError("seed", f"set surface_seed={seed} in job.conf to resume", MANIFEST_FILE)
 
-    loop = _TuningLoop(project, strategy_id, budget, seed, executor)
+    loop = _TuningLoop(project, strategy_id, budget, executor)
     started = time.perf_counter()
     with SessionLock(project.root):
         return _drive(loop, started)

@@ -100,9 +100,9 @@ def test_criterion_2_surface_minimum_in_max_corner(tmp_path):
     hits = 0
     for seed in range(100):
         project = write_synthetic_project(
-            tmp_path / f"noisy{seed}", PLANE_PARAMS, PLANE_JOB_NOISY
+            tmp_path / f"noisy{seed}", PLANE_PARAMS, PLANE_JOB_NOISY + f"surface_seed={seed}\n"
         )
-        run_tuning(project, "grid", budget=25, seed=seed)
+        run_tuning(project, "grid", budget=25)
         bx, by = _best_cell(project)
         if bx >= 4 and by >= 4:
             hits += 1
@@ -228,12 +228,12 @@ def test_criterion_5_dfo_beats_grid_budget(tmp_path):
 def test_criterion_6_resume_equivalence(tmp_path):
     params = "a float min=0 max=1 step=0.01 default=0.5\nb float min=0 max=1 step=0.01 default=0.5\n"
     job = bowl_job_conf(base_s=100.0, weights="50,80", optimum="0.7,0.3",
-                        noise_sd_s=1.0, repetitions=2)
+                        noise_sd_s=1.0, repetitions=2, surface_seed=13)
     failures = []
     for strategy in STRATEGIES:
         base_dir = tmp_path / f"full-{strategy}"
         full = write_synthetic_project(base_dir, params, job)
-        run_tuning(full, strategy, budget=20, seed=13)
+        run_tuning(full, strategy, budget=20)
         full_records = read_trials(full.root, full.space)
         full_seq = [(r.trial_id, full.space.point_key(r.point), r.aggregate_s)
                     for r in full_records]
@@ -242,9 +242,9 @@ def test_criterion_6_resume_equivalence(tmp_path):
         for k in (1, 5, 17):
             part_dir = tmp_path / f"part-{strategy}-{k}"
             part = write_synthetic_project(part_dir, params, job)
-            executor = InterruptingExecutor(make_executor(part, 13), allow=k)
+            executor = InterruptingExecutor(make_executor(part), allow=k)
             try:
-                run_tuning(part, strategy, budget=20, seed=13, executor=executor)
+                run_tuning(part, strategy, budget=20, executor=executor)
             except ConnectError:
                 pass
             resume_session(part)
@@ -277,9 +277,9 @@ def test_criterion_7_history_integrity(tmp_path):
     project = write_synthetic_project(
         tmp_path / "proj",
         "a int min=1 max=4 step=1\nb int min=1 max=2 step=1\n",
-        bowl_job_conf(noise_sd_s=0.5, repetitions=3),
+        bowl_job_conf(noise_sd_s=0.5, repetitions=3, surface_seed=4),
     )
-    run_tuning(project, "grid", budget=8, seed=4)
+    run_tuning(project, "grid", budget=8)
     live = (project.root / "history" / "trials.csv").read_bytes()
     aggregate_history(project)
     once = {

@@ -11,16 +11,16 @@ from jobtuner.cli import main
 SMALL_PARAMS = "a int min=1 max=4 step=1\nb int min=1 max=2 step=1\n"
 
 
-def make_project(tmp_path, extra_job_keys=""):
+def make_project(tmp_path, extra_job_keys="", surface_seed=0):
     return write_synthetic_project(
-        tmp_path / "proj", SMALL_PARAMS, bowl_job_conf() + extra_job_keys
+        tmp_path / "proj", SMALL_PARAMS, bowl_job_conf(surface_seed=surface_seed) + extra_job_keys
     )
 
 
 def test_tune_runs_session(tmp_path):
-    project = make_project(tmp_path)
+    project = make_project(tmp_path, surface_seed=7)
     code = main(["tune", "--dir", str(project.root), "--strategy", "grid",
-                 "--budget", "5", "--seed", "7"])
+                 "--budget", "5"])
     assert code == 0
     assert (project.root / "history" / "trials.csv").exists()
     lines = (project.root / "history" / "trials.csv").read_text().splitlines()
@@ -58,11 +58,13 @@ def test_tune_without_budget_is_usage_error(tmp_path):
     assert main(["tune", "--dir", str(project.root), "--strategy", "grid"]) == 1
 
 
-def test_tune_memoize_flag_is_gone(tmp_path, capsys):
+@pytest.mark.parametrize("flag", [["--memoize"], ["--seed", "7"]], ids=["memoize", "seed"])
+def test_tune_removed_flags_are_usage_errors(tmp_path, capsys, flag):
+    # a synthetic session's noise seed is job.conf's surface_seed alone
     project = make_project(tmp_path)
     assert main(["tune", "--dir", str(project.root), "--strategy", "grid",
-                 "--budget", "5", "--memoize"]) == 1
-    assert "--memoize" in capsys.readouterr().err
+                 "--budget", "5", *flag]) == 1
+    assert flag[0] in capsys.readouterr().err
     assert not (project.root / "history").exists()
 
 
@@ -120,9 +122,9 @@ def test_resume_without_session_is_runtime_error(tmp_path):
 
 def tune_and_edit_journal_line_2(tmp_path, edit):
     """A 3-trial grid session whose second journal line has edit applied."""
-    project = make_project(tmp_path)
+    project = make_project(tmp_path, surface_seed=7)
     assert main(["tune", "--dir", str(project.root), "--strategy", "grid",
-                 "--budget", "3", "--seed", "7"]) == 0
+                 "--budget", "3"]) == 0
     path = project.root / "history" / "journal.jsonl"
     lines = path.read_text().splitlines(keepends=True)
     entry = json.loads(lines[1])
@@ -240,9 +242,10 @@ def test_report_writes_the_same_convergence_and_surface_bytes(tmp_path, monkeypa
     from jobtuner.history import iter_raw_records
 
     project = write_synthetic_project(tmp_path / "proj", SMALL_PARAMS,
-                                      bowl_job_conf(noise_sd_s=1.0, repetitions=3))
+                                      bowl_job_conf(noise_sd_s=1.0, repetitions=3,
+                                                    surface_seed=7))
     assert main(["tune", "--dir", str(project.root), "--strategy", "grid",
-                 "--budget", "8", "--seed", "7"]) == 0
+                 "--budget", "8"]) == 0
     journal = project.root / "history" / "journal.jsonl"
     lines = journal.read_text().splitlines(keepends=True)
     entry = json.loads(lines[2])

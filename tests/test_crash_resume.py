@@ -26,10 +26,10 @@ from jobtuner.session import aggregate_history, make_executor, resume_session, r
 
 STRATEGIES = ("grid", "compass", "nelder-mead", "bobyqa-lite")
 PARAMS = "a float min=0 max=1 step=0.01 default=0.5\nb float min=0 max=1 step=0.01 default=0.5\n"
-JOB = bowl_job_conf(base_s=100.0, weights="50,80", optimum="0.7,0.3",
-                    noise_sd_s=1.0, repetitions=2)
 BUDGET = 20
 SEED = 13
+JOB = bowl_job_conf(base_s=100.0, weights="50,80", optimum="0.7,0.3",
+                    noise_sd_s=1.0, repetitions=2, surface_seed=SEED)
 
 # argv: project root, strategy, kill point, k. Kill points:
 #   execute  inside the executor, as trial k starts
@@ -69,9 +69,8 @@ class KillAtTrial(Executor):
         return self.inner.execute_trial(job, p, trial_id)
 
 project = load_project(root)
-run_tuning(project, strategy, %d, seed=%d,
-           executor=KillAtTrial(make_executor(project, %d)))
-""" % (BUDGET, SEED, SEED)
+run_tuning(project, strategy, %d, executor=KillAtTrial(make_executor(project)))
+""" % BUDGET
 
 
 def sequence(project):
@@ -98,7 +97,7 @@ def test_sigkill_at_any_point_resumes_trial_for_trial(tmp_path):
     reference = {}
     for strategy in STRATEGIES:
         full = write_synthetic_project(tmp_path / f"full-{strategy}", PARAMS, JOB)
-        run_tuning(full, strategy, BUDGET, seed=SEED)
+        run_tuning(full, strategy, BUDGET)
         reference[strategy] = sequence(full)
 
     for strategy, point, k, project, proc in children:
@@ -116,9 +115,9 @@ def test_sigkill_at_any_point_resumes_trial_for_trial(tmp_path):
 
 def test_resume_repairs_a_torn_csv_tail(tmp_path):
     project = write_synthetic_project(tmp_path / "proj", PARAMS, JOB)
-    executor = InterruptingExecutor(make_executor(project, SEED), allow=5)
+    executor = InterruptingExecutor(make_executor(project), allow=5)
     with pytest.raises(ConnectError):
-        run_tuning(project, "compass", BUDGET, seed=SEED, executor=executor)
+        run_tuning(project, "compass", BUDGET, executor=executor)
     csv_path = project.root / "history" / "trials.csv"
     csv_path.write_bytes(csv_path.read_bytes()[:-7])  # cut inside trial 5's row
 
@@ -135,11 +134,11 @@ def test_a_history_journaled_with_result_dir_resumes_trial_for_trial(tmp_path):
     # earlier versions wrote a "result_dir" key on every journal line: null, or the
     # trial directory holding the logs/ that the line's log_ref names
     reference = write_synthetic_project(tmp_path / "full", PARAMS, JOB)
-    run_tuning(reference, "nelder-mead", BUDGET, seed=SEED)
+    run_tuning(reference, "nelder-mead", BUDGET)
     project = write_synthetic_project(tmp_path / "proj", PARAMS, JOB)
-    executor = InterruptingExecutor(make_executor(project, SEED), allow=7)
+    executor = InterruptingExecutor(make_executor(project), allow=7)
     with pytest.raises(ConnectError):
-        run_tuning(project, "nelder-mead", BUDGET, seed=SEED, executor=executor)
+        run_tuning(project, "nelder-mead", BUDGET, executor=executor)
     hist = project.root / "history"
     journal = hist / "journal.jsonl"
     lines = []
@@ -171,12 +170,12 @@ def test_a_history_journaled_with_result_dir_resumes_trial_for_trial(tmp_path):
 
 def test_history_without_journal_is_refused_and_left_alone(tmp_path):
     project = write_synthetic_project(tmp_path / "proj", PARAMS, JOB)
-    run_tuning(project, "grid", 4, seed=SEED)
+    run_tuning(project, "grid", 4)
     hist = project.root / "history"
     (hist / "journal.jsonl").unlink()
     before = (hist / "trials.csv").read_bytes()
 
-    executor = CountingExecutor(make_executor(project, SEED))
+    executor = CountingExecutor(make_executor(project))
     with pytest.raises(HistoryCorruptError):
         resume_session(load_project(project.root), executor=executor)
     assert executor.calls == []  # refused before any job runs, not when the session ends

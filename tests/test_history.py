@@ -454,12 +454,12 @@ def test_trials_csv_is_rewritten_from_a_record_stream(tmp_path):
 # --- manifest and lock -------------------------------------------------------------
 
 def test_manifest_roundtrip(tmp_path):
-    write_manifest(tmp_path, {"strategy": "compass", "seed": 7, "budget": 50,
+    write_manifest(tmp_path, {"strategy": "compass", "budget": 50,
                               "space_hash": "abc", "status": "running",
                               "opt_initial_step": 0.25})
     data = read_manifest(tmp_path)
     assert data["strategy"] == "compass"
-    assert data["seed"] == "7"
+    assert data["budget"] == "50"
     assert data["opt_initial_step"] == "0.25"
 
 

@@ -12,6 +12,7 @@ from jobtuner.errors import (
     MissingFileError,
     MissingKeyError,
 )
+from jobtuner.history import read_manifest, write_manifest
 from jobtuner.project import (
     ENV_FILE,
     load_project,
@@ -63,8 +64,8 @@ def test_parse_env_out_of_range_port():
 def test_env_and_job_errors_name_their_file():
     with pytest.raises(BadValueError, match="'port' in HadoopEnv.txt"):
         parse_env_file(ENV_TEXT.replace("port=22", "port=ssh"))
-    with pytest.raises(BadValueError, match="'seed' in job.conf: '3.5' is not an integer"):
-        parse_job_file(bowl_job_conf() + "seed=3.5\n")
+    with pytest.raises(BadValueError, match="'budget' in job.conf: '3.5' is not an integer"):
+        parse_job_file(bowl_job_conf() + "budget=3.5\n")
     assert parse_job_file(bowl_job_conf() + "cleanup_output=no\n")[0].cleanup_output is False
     with pytest.raises(BadValueError, match="'cleanup_output' in job.conf"):
         parse_job_file(bowl_job_conf() + "cleanup_output=maybe\n")
@@ -112,10 +113,45 @@ def test_parse_job_synthetic_builds_surface():
 
 
 def test_parse_job_tune_defaults():
+    # a remote job draws no noise, so the seed key older versions read is ignored
     _, _, _, defaults = parse_job_file(
-        bowl_job_conf() + "strategy=compass\nbudget=40\nseed=3\n"
+        "executor=remote\njar=app.jar\nstrategy=compass\nbudget=40\nseed=3\n"
     )
-    assert defaults == {"strategy": "compass", "budget": 40, "seed": 3}
+    assert defaults == {"strategy": "compass", "budget": 40}
+
+
+def test_a_synthetic_job_file_holding_a_seed_is_refused(tmp_path):
+    # older versions read it as an override of surface_seed, the one noise seed now
+    params = "a int min=1 max=4 step=1\nb int min=1 max=2 step=1\n"
+    with pytest.raises(BadValueError, match="^bad value for key 'seed' in job.conf: "
+                                            "the noise seed is surface_seed"):
+        write_synthetic_project(tmp_path / "p", params, bowl_job_conf() + "seed=3\n")
+
+
+# each key=value file, with a key it holds
+KV_FILES = {"job.conf": "repetitions", "two.conf": "repetitions", ENV_FILE: "port",
+            "history/session.conf": "budget"}
+
+
+@pytest.mark.parametrize("name", KV_FILES)
+def test_a_key_written_twice_is_refused_naming_it_and_its_file(tmp_path, name):
+    d = tmp_path / "p"
+    d.mkdir()
+    (d / "params.conf").write_text("a int min=1 max=4 step=1\n")
+    for job in ("job.conf", "two.conf"):
+        (d / job).write_text("executor=remote\njar=app.jar\nrepetitions=1\n")
+    (d / "jobs.conf").write_text("job.conf\ntwo.conf\n")
+    (d / ENV_FILE).write_text(ENV_TEXT)
+    write_manifest(d, {"strategy": "grid", "budget": 5})
+    load_project(d)
+    read_manifest(d)
+    # a later line that writes the key again, as an edit by appending would
+    key = KV_FILES[name]
+    (d / name).write_text((d / name).read_text() + f"{key}=2\n")
+    with pytest.raises(BadValueError, match=f"^bad value for key '{key}' in "
+                                            f"{Path(name).name}: written twice$"):
+        load_project(d)
+        read_manifest(d)
 
 
 # --- load_project ------------------------------------------------------------------
@@ -294,7 +330,8 @@ def test_scaffold_closed_loop(tmp_path, kind):
     project = load_project(target)
     assert project.executor_kind == "remote"
     if kind == "tuning":
-        assert project.tune_defaults["strategy"] == "bobyqa-lite"
+        assert project.tune_defaults == {"strategy": "bobyqa-lite", "budget": 50}
+        assert "seed" not in (target / "job.conf").read_text()
 
 
 def test_scaffold_refuses_nonempty_dir(tmp_path):

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
+import re
 import shlex
 import stat
 from pathlib import Path
@@ -9,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from doubles import ScriptedTransport
+from doubles import InterruptingExecutor, ScriptedTransport
 from jobtuner.errors import ConnectError, StagingError, TransportTimeout
 from jobtuner.executors import remote
 from jobtuner.executors.base import JobSpec
@@ -19,7 +21,10 @@ from jobtuner.executors.remote import (
     SshTransport,
     assemble_hadoop_command,
 )
+from jobtuner.history import read_manifest, read_raw_records, read_trials
 from jobtuner.paramspace import TrialPoint, parse_param_file
+from jobtuner.project import load_project
+from jobtuner.session import resume_session, run_tuning
 
 ENV = ClusterEnv(
     master_host="192.168.1.10",
@@ -128,7 +133,7 @@ def test_trial_downloads_results(tmp_path):
     result = executor.execute_trial(JOB, POINT, 1)
     trial_dir = tmp_path / "downloaded_results" / "trial_1"
     assert [p.name for p in trial_dir.iterdir()] == ["logs"]
-    assert result.log_ref == str(trial_dir / "logs")
+    assert result.log_ref == "downloaded_results/trial_1/logs"  # from the project root
     assert (trial_dir / "logs" / APP_ID / "container_01.log").is_file()
 
 
@@ -170,8 +175,8 @@ def test_phase_times_come_from_the_trials_own_application(tmp_path):
     assert result.phase_times_s == {"map": 44.55, "reduce": 23.2, "shuffle": 1.5}
     log_fetches = [r for r, _ in transport.fetches if r.startswith(ENV.history_log_dir)]
     assert log_fetches == [f"{ENV.history_log_dir}/{APP_ID}"]
-    log_dir = tmp_path / "downloaded_results" / "trial_1" / "logs"
-    assert result.log_ref == str(log_dir)
+    log_dir = tmp_path / result.log_ref
+    assert log_dir == tmp_path / "downloaded_results" / "trial_1" / "logs"
     assert [p.name for p in log_dir.iterdir()] == [APP_ID]
 
 
@@ -535,3 +540,61 @@ def test_missing_application_logs_degrade_to_wall_time_over_ssh(tmp_path):
     assert len(result.rep_times_s) == 1
     assert result.phase_times_s is None
     assert result.log_ref is None
+
+
+# --- remote sessions ----------------------------------------------------------------
+
+def remote_project(root: Path, job_keys: str = ""):
+    """A loaded remote project at root: ENV's cluster, JOB's jar, SPACE's parameter."""
+    root.mkdir(parents=True)
+    (root / "params.conf").write_text("mapreduce.reduce.tasks int min=1 max=16 step=1\n")
+    (root / "job.conf").write_text(
+        "executor=remote\njar=app.jar\nmain_entry=WordCount\nargs=/data/in /data/out\n"
+        + job_keys)
+    (root / "HadoopEnv.txt").write_text(
+        f"master={ENV.master_host}\nport={ENV.port}\nuser={ENV.user}\n"
+        f"key_path={ENV.auth_key_path}\nremote_workdir={ENV.remote_workdir}\n"
+        f"hadoop_home={ENV.hadoop_home}\nhistory_log_dir={ENV.history_log_dir}\n")
+    make_project(root)
+    return load_project(root)
+
+
+def test_journals_name_the_logs_from_the_project_root(tmp_path, monkeypatch):
+    # so a history that is copied or moved still names its logs
+    journals = []
+    for root in (tmp_path / "proj", tmp_path / "elsewhere" / "proj"):
+        ticks = itertools.count(0.0, 2.5)  # every repetition takes 2.5 s
+        monkeypatch.setattr(remote, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+        transport = ScriptedTransport(
+            hadoop_stdout=HADOOP_STDOUT,
+            log_files={f"{APP_ID}/container_01.log": "Shuffle time (ms)=1500\n"})
+        project = remote_project(root)
+        run_tuning(project, "grid", budget=3,
+                   executor=RemoteExecutor(project.space, project.env, root, transport))
+        journal = (root / "history" / "journal.jsonl").read_text()
+        journals.append(re.sub(r'"timestamp_utc": "[^"]*"', '"timestamp_utc": ""', journal))
+        for r in read_raw_records(root, project.space):
+            assert (root / r.result.log_ref / APP_ID / "container_01.log").is_file()
+    assert journals[0] == journals[1]
+    assert journals[0].count('"log_ref": "downloaded_results/trial_') == 3
+
+
+def test_a_remote_session_with_an_older_seed_loads_and_resumes(tmp_path):
+    # older versions wrote a noise seed into job.conf and session.conf; a remote
+    # job draws no noise, so it is read and ignored
+    project = remote_project(tmp_path / "proj", "seed=1\n")
+    transport = ScriptedTransport(hadoop_stdout=HADOOP_STDOUT)
+    with pytest.raises(ConnectError):
+        run_tuning(project, "grid", budget=4, executor=InterruptingExecutor(
+            RemoteExecutor(project.space, project.env, project.root, transport), allow=2))
+    m = read_manifest(project.root)
+    (project.root / "history" / "session.conf").write_text(
+        f"strategy={m['strategy']}\nseed=1\nbudget={m['budget']}\n"
+        f"space_hash={m['space_hash']}\nstatus={m['status']}\n")
+    project = load_project(project.root)
+    summary = resume_session(
+        project, RemoteExecutor(project.space, project.env, project.root, transport))
+    assert (summary.trial_count, summary.status) == (4, "finished")
+    records = read_trials(project.root, project.space)
+    assert [r.point["mapreduce.reduce.tasks"] for r in records] == [1, 2, 3, 4]
+    assert "seed" not in read_manifest(project.root)

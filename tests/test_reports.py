@@ -149,9 +149,9 @@ def test_surface_csv_name_and_content(tmp_path, space, records, px, py, expected
 def test_reports_regenerate_byte_identical(tmp_path):
     project = write_synthetic_project(
         tmp_path / "p", "a int min=1 max=4 step=1\nb int min=1 max=4 step=1\n",
-        bowl_job_conf(noise_sd_s=1.0, repetitions=2),
+        bowl_job_conf(noise_sd_s=1.0, repetitions=2, surface_seed=3),
     )
-    run_tuning(project, "grid", budget=16, seed=3)
+    run_tuning(project, "grid", budget=16)
     records = read_trials(project.root, project.space)
     conv = write_convergence(project.root, records)
     surf = write_surface(project.root, records, "a", "b", project.space)

@@ -16,6 +16,7 @@ import pytest
 import jobtuner
 from doubles import CountingExecutor, InterruptingExecutor
 from helpers import bowl_job_conf, write_synthetic_project
+from jobtuner.cli import main
 from jobtuner.errors import (
     BadValueError,
     ConnectError,
@@ -47,11 +48,11 @@ from jobtuner.session import (
 SMALL_GRID_PARAMS = "a int min=1 max=4 step=1\nb int min=1 max=2 step=1\n"
 
 
-def small_project(tmp_path, noise=0.0, reps=1, name="proj"):
+def small_project(tmp_path, noise=0.0, reps=1, name="proj", surface_seed=0):
     return write_synthetic_project(
         tmp_path / name, SMALL_GRID_PARAMS,
         bowl_job_conf(weights="50,80", optimum="0.7,0.3", noise_sd_s=noise,
-                      repetitions=reps),
+                      repetitions=reps, surface_seed=surface_seed),
     )
 
 
@@ -161,11 +162,11 @@ def test_fresh_session_that_loses_the_race_for_the_lock_is_refused(tmp_path, mon
 
 
 def test_manifest_records_session(tmp_path):
-    project = small_project(tmp_path)
-    run_tuning(project, "compass", budget=4, seed=9)
+    project = small_project(tmp_path, surface_seed=9)
+    run_tuning(project, "compass", budget=4)
     manifest = read_manifest(project.root)
     assert manifest["strategy"] == "compass"
-    assert manifest["seed"] == "9"
+    assert "seed" not in manifest  # the noise seed is job.conf's surface_seed
     assert manifest["budget"] == "4"
     assert manifest["status"] == "finished"
     assert not [key for key in manifest if key.startswith("opt_")]
@@ -365,13 +366,13 @@ def test_resume_without_manifest(tmp_path):
 
 
 def test_resume_with_zero_prior_trials_equals_fresh_run(tmp_path):
-    fresh = small_project(tmp_path, name="fresh")
-    run_tuning(fresh, "grid", budget=6, seed=2)
+    fresh = small_project(tmp_path, name="fresh", surface_seed=2)
+    run_tuning(fresh, "grid", budget=6)
 
-    interrupted = small_project(tmp_path, name="interrupted")
-    executor = InterruptingExecutor(make_executor(interrupted, 2), allow=0)
+    interrupted = small_project(tmp_path, name="interrupted", surface_seed=2)
+    executor = InterruptingExecutor(make_executor(interrupted), allow=0)
     with pytest.raises(ConnectError):
-        run_tuning(interrupted, "grid", budget=6, seed=2, executor=executor)
+        run_tuning(interrupted, "grid", budget=6, executor=executor)
     assert read_trials(interrupted.root, interrupted.space) == []
     resume_session(interrupted)
 
@@ -402,15 +403,15 @@ def test_resume_rejects_changed_space(tmp_path):
 
 
 def test_resume_of_a_memoized_session_equals_an_uninterrupted_one(tmp_path):
-    job = {"noise_sd_s": 3.0, "repetitions": 2}
+    job = {"noise_sd_s": 3.0, "repetitions": 2, "surface_seed": 5}
     full = coarse_project(tmp_path, "full", **job)
-    run_tuning(full, "nelder-mead", budget=12, seed=5)
+    run_tuning(full, "nelder-mead", budget=12)
 
     part = coarse_project(tmp_path, "part", **job)
     # interrupt while points are still being executed for the first time
-    executor = InterruptingExecutor(make_executor(part, 5), allow=3)
+    executor = InterruptingExecutor(make_executor(part), allow=3)
     with pytest.raises(ConnectError):
-        run_tuning(part, "nelder-mead", budget=12, seed=5, executor=executor)
+        run_tuning(part, "nelder-mead", budget=12, executor=executor)
     assert "memoize" not in read_manifest(part.root)
     resume_session(part)  # measurements come back from the journal
     a = read_trials(full.root, full.space)
@@ -421,15 +422,15 @@ def test_resume_of_a_memoized_session_equals_an_uninterrupted_one(tmp_path):
 
 # the session.conf of _compass_session
 COMPASS_MANIFEST = (
-    b"strategy=compass\nseed=7\nbudget=6\n"
+    b"strategy=compass\nbudget=6\n"
     b"space_hash=0f7f9359967a69056e404a54b4ef93e4ec06fe478f4407168d3a03f5f47aa52a\n"
     b"status=finished\n"
 )
 
 
 def _compass_session(tmp_path):
-    project = small_project(tmp_path)
-    run_tuning(project, "compass", budget=6, seed=7)
+    project = small_project(tmp_path, surface_seed=7)
+    run_tuning(project, "compass", budget=6)
     return project
 
 
@@ -439,10 +440,10 @@ def test_manifest_bytes_of_a_compass_session(tmp_path):
 
 
 def test_resume_ignores_the_searcher_settings_older_manifests_carry(tmp_path):
-    project = small_project(tmp_path)
+    project = small_project(tmp_path, surface_seed=7)
     with pytest.raises(ConnectError):
-        run_tuning(project, "compass", budget=6, seed=7,
-                   executor=InterruptingExecutor(make_executor(project, 7), allow=2))
+        run_tuning(project, "compass", budget=6,
+                   executor=InterruptingExecutor(make_executor(project), allow=2))
     path = project.root / "history" / "session.conf"
     path.write_text(path.read_text() + "opt_initial_step=abc\nopt_min_step=0.01\n"
                     "opt_expand_on_success=true\n")
@@ -451,9 +452,35 @@ def test_resume_ignores_the_searcher_settings_older_manifests_carry(tmp_path):
     assert path.read_bytes() == COMPASS_MANIFEST  # no opt_ line is written back
 
 
+def test_a_session_run_with_an_older_seed_resumes_once_surface_seed_is_that_seed(tmp_path, caplog):
+    full = small_project(tmp_path, noise=1.0, reps=2, name="full", surface_seed=7)
+    run_tuning(full, "compass", budget=6)
+    # older versions wrote the seed that overrode surface_seed into session.conf
+    project = small_project(tmp_path, noise=1.0, reps=2, surface_seed=7)
+    with pytest.raises(ConnectError):
+        run_tuning(project, "compass", budget=6,
+                   executor=InterruptingExecutor(make_executor(project), allow=2))
+    hist = project.root / "history"
+    manifest = hist / "session.conf"
+    manifest.write_text(manifest.read_text().replace("budget=", "seed=7\nbudget="))
+    job = project.root / "job.conf"
+    job.write_text(job.read_text().replace("surface_seed=7", "surface_seed=0"))
+    before = {p.name: p.read_bytes() for p in hist.iterdir()}
+
+    assert main(["resume", "--dir", str(project.root)]) == 2
+    assert "'seed' in session.conf: set surface_seed=7 in job.conf" in caplog.text
+    assert {p.name: p.read_bytes() for p in hist.iterdir()} == before
+
+    job.write_text(job.read_text().replace("surface_seed=0", "surface_seed=7"))
+    assert main(["resume", "--dir", str(project.root)]) == 0
+    assert [(r.trial_id, r.point, r.result) for r in read_trials(project.root, project.space)] \
+        == [(r.trial_id, r.point, r.result) for r in read_trials(full.root, full.space)]
+    assert "seed" not in read_manifest(project.root)
+
+
 @pytest.mark.parametrize("old, new, error, key", [
     ("budget=6", "budget=abc", BadValueError, "budget"),
-    ("seed=7", "seed=seven", BadValueError, "seed"),
+    ("budget=6", "seed=seven\nbudget=6", BadValueError, "seed"),  # as older versions wrote it
     ("budget=6", "", MissingKeyError, "budget"),
     ("strategy=compass", "", MissingKeyError, "strategy"),
 ], ids=["budget", "seed", "budget_missing", "strategy_missing"])
@@ -622,8 +649,8 @@ def test_resume_after_a_repeat_executes_no_measured_point(tmp_path, old_line):
 # --- aggregate_history ---------------------------------------------------------------
 
 def test_aggregate_reconstructs_deleted_csv(tmp_path):
-    project = small_project(tmp_path, noise=1.0, reps=3)
-    run_tuning(project, "grid", budget=8, seed=5)
+    project = small_project(tmp_path, noise=1.0, reps=3, surface_seed=5)
+    run_tuning(project, "grid", budget=8)
     csv_path = project.root / "history" / "trials.csv"
     original = csv_path.read_text()
     csv_path.unlink()
@@ -632,8 +659,8 @@ def test_aggregate_reconstructs_deleted_csv(tmp_path):
 
 
 def test_aggregate_is_byte_idempotent(tmp_path):
-    project = small_project(tmp_path, noise=1.0, reps=2)
-    run_tuning(project, "grid", budget=8, seed=6)
+    project = small_project(tmp_path, noise=1.0, reps=2, surface_seed=6)
+    run_tuning(project, "grid", budget=8)
     aggregate_history(project)
     hist = project.root / "history"
     first = {p.name: p.read_bytes() for p in hist.glob("*.csv")}
