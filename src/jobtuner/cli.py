@@ -90,8 +90,9 @@ def _cmd_project(args) -> int:
 
 
 def _run_jobs(project, jobs) -> int:
-    """Run each job once at the default point; 2 if any did not succeed."""
-    executor = make_executor(project)
+    """Run each job once at the default point; 2 if any did not succeed. A remote
+    run's logs go to downloaded_results/run_<i>/logs, apart from every tuning trial's."""
+    executor = make_executor(project, log_dir_prefix="run")
     failures = 0
     for i, job in enumerate(jobs, start=1):
         result = executor.execute_trial(job, project.space.default_point(), i)

@@ -153,7 +153,8 @@ class RemoteExecutor(Executor):
     """Runs trials against a cluster through a RemoteTransport.
 
     Never runs two trials concurrently against the same cluster; one
-    instance serves one trial at a time.
+    instance serves one trial at a time. The logs of the call with id k go
+    to downloaded_results/<log_dir_prefix>_<k>/logs under the project root.
     """
 
     def __init__(
@@ -162,10 +163,12 @@ class RemoteExecutor(Executor):
         env: ClusterEnv,
         project_root: str | Path,
         transport: RemoteTransport | None = None,
+        log_dir_prefix: str = "trial",
     ):
         self._space = space
         self._env = env
         self._root = Path(project_root)
+        self._log_dir_prefix = log_dir_prefix
         self._transport = transport if transport is not None else SshTransport(env)
         # remote path -> (local jar, size, mtime_ns) of the jar staged there
         self._staged: dict[str, tuple[Path, int, int]] = {}
@@ -233,7 +236,8 @@ class RemoteExecutor(Executor):
 
         # Phase times come from one text: each repetition's client output, then
         # the logs of the applications it submitted; the last counter wins.
-        log_dir = self._root / DOWNLOADED_RESULTS_DIR / f"trial_{trial_id}" / "logs"
+        log_dir = (self._root / DOWNLOADED_RESULTS_DIR / f"{self._log_dir_prefix}_{trial_id}"
+                   / "logs")
         texts: list[str] = []
         fetched = False
         for out in outputs:

@@ -46,9 +46,17 @@ def _round_half_away(x: float) -> int:
     return int(math.ceil(x - 0.5))
 
 
+def _is_whole(v: int | float) -> bool:
+    """The one wholeness rule, exact at any size: an int is whole as it is."""
+    return isinstance(v, int) or float(v).is_integer()
+
+
 def _wholenum(raw: str) -> int:
-    v = float(raw)
-    if not v.is_integer():
+    try:
+        return int(raw)  # an integer literal, read exactly
+    except ValueError:
+        v = float(raw)  # such as 64.0 or 1e3
+    if not _is_whole(v):
         raise ValueError(f"{raw!r} is not a whole number")
     return int(v)
 
@@ -121,12 +129,11 @@ class ParamSpec(CheckedTuple, _SpecFields):
             raise DomainError(f"{name}: step must be > 0, got {step}")
 
         if kind == KIND_INT:
-            for label, v in (("lower", lower), ("upper", upper), ("step", step)):
-                if float(v) != int(v):
+            for label, v in (("lower", lower), ("upper", upper), ("step", step),
+                             ("default", default)):
+                if v is not None and not _is_whole(v):
                     raise DomainError(f"{name}: integer {label} must be whole, got {v}")
             lower, upper, step = int(lower), int(upper), int(step)
-            if default is not None and float(default) != int(default):
-                raise DomainError(f"{name}: integer default must be whole, got {default}")
         else:
             lower, upper, step = float(lower), float(upper), float(step)
 
@@ -182,7 +189,7 @@ class ParamSpec(CheckedTuple, _SpecFields):
         if not (self.lower <= v <= self.upper):
             return f"{self.name}: value {v} out of range [{self.lower}, {self.upper}]"
         if self.kind == KIND_INT:
-            if float(v) != int(v):
+            if not _is_whole(v):
                 return f"{self.name}: value {v} is not an integer"
             if (int(v) - self.lower) % self.step != 0:
                 return f"{self.name}: value {v} not on lattice {self.lower}+k*{self.step}"

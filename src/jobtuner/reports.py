@@ -43,13 +43,6 @@ def write_convergence(project_root: str | Path, records: Iterable[TrialRecord]) 
     return history_dir(project_root) / CONVERGENCE_CSV
 
 
-def _row_order(cell) -> tuple:
-    """Where a surface cell, ((px value, py value), aggregates), is written: by px then
-    py, each number by its value, before any other value, by its text."""
-    return tuple((0, float(v)) if isinstance(v, (int, float)) and not isinstance(v, bool)
-                 else (1, str(v)) for v in cell[0])
-
-
 def surface_csv_name(px: str, py: str) -> str:
     return f"surface_{px}_{py}.csv"
 
@@ -58,8 +51,8 @@ def surface_writer(project_root: str | Path, px: str, py: str,
                    space: ParamSpace) -> AbstractContextManager[Callable[[TrialRecord], None]]:
     """The one writer of history/surface_<px>_<py>.csv, its axes checked by this call: a
     row (px value, py value, median aggregate, trial count) per cell the successful
-    records passed fill, other parameters ignored, written when the last is in, in the
-    order of _row_order; see history.csv_file."""
+    records passed fill, other parameters ignored, written when the last is in, sorted
+    by px value then py value; see history.csv_file."""
     for name in (px, py):
         if name not in space.names():
             raise UnknownParamError(f"parameter {name!r} is not declared in the space")
@@ -77,7 +70,8 @@ def _surface_writer(path: Path, px: str, py: str,
             if r.aggregate_s is not None:
                 cells.setdefault((r.point[px], r.point[py]), []).append(r.aggregate_s)
         yield add
-        for (vx, vy), aggs in sorted(cells.items(), key=_row_order):
+        # each axis holds one parameter's validated values, which compare natively
+        for (vx, vy), aggs in sorted(cells.items()):
             write_row((space.render_value(px, vx), space.render_value(py, vy),
                        fmt_float(median(aggs)), str(len(aggs))))
 

@@ -12,20 +12,18 @@ Searcher runs that generator and is the only propose/update code:
   generator has returned. Calling it twice without an update returns the
   same point, so replaying a recorded history through a fresh searcher
   proposes the recorded points again by construction.
-* update(point, f) raises StateCorruptError when no point is pending or
-  when point is not the pending one; otherwise it sends f to the generator.
-  Handing back the proposed object itself skips the key comparison.
-* done is true once no point is pending.
+* update(f) sends the pending point's objective f to the generator, and
+  raises StateCorruptError when no point is pending.
 
 state() is a snapshot for observers (tests, traces). It always carries
 ``pending_u``, the unsnapped unit-cube vector behind the pending point
-(None for grid, and once done); each strategy adds its own fields.
+(None for grid, and once the search has ended); each strategy adds its own fields.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, ClassVar, Generator
+from typing import TYPE_CHECKING, Generator
 
 from ..errors import StateCorruptError
 from ..paramspace import ParamSpace, TrialPoint
@@ -36,8 +34,6 @@ if TYPE_CHECKING:
 
 class Searcher(ABC):
     """Sequential proposer of trial points over one parameter space."""
-
-    strategy_id: ClassVar[str]
 
     def __init_subclass__(cls, **kwargs):
         # every strategy class holds propose/update in its own __dict__, so
@@ -64,23 +60,14 @@ class Searcher(ABC):
         """Next point to evaluate, or None once the searcher is done."""
         return self._point
 
-    def update(self, point: TrialPoint, objective: float) -> None:
-        """Feed back the aggregate objective of the last proposed point."""
-        pending = self._point
-        if pending is None:
-            raise StateCorruptError(f"{self.strategy_id}: update without a pending proposal")
-        if point is not pending and self._space.point_key(point) != self._space.point_key(pending):
-            raise StateCorruptError(
-                f"{self.strategy_id}: update for {point} but pending proposal is {pending}"
-            )
+    def update(self, objective: float) -> None:
+        """Feed back the aggregate objective of the pending proposal."""
+        if self._point is None:
+            raise StateCorruptError(f"{type(self).__name__}: update without a pending proposal")
         try:
             self._point = self._search_steps.send(objective)
         except StopIteration:
             self._point = None
-
-    @property
-    def done(self) -> bool:
-        return self._point is None
 
     def state(self) -> dict[str, object]:
         """Snapshot of the search as of the pending proposal (copies only)."""

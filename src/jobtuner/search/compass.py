@@ -8,8 +8,6 @@ continuous; snapping happens only when a poll is decoded for execution.
 
 from __future__ import annotations
 
-from typing import ClassVar
-
 import numpy as np
 
 from ..paramspace import ParamSpace, TrialPoint
@@ -21,8 +19,6 @@ MIN_STEP = 1.0 / 256.0
 
 
 class CompassSearcher(Searcher):
-    strategy_id: ClassVar[str] = "compass"
-
     def __init__(self, space: ParamSpace):
         self._step = INITIAL_STEP
         self._incumbent_u = space.encode_point(space.default_point())

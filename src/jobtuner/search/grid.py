@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import ClassVar
-
 from .base import Searcher
 
 
@@ -13,8 +11,6 @@ class GridSearcher(Searcher):
     The grid is never materialized, so its size is bounded only by the
     session budget.
     """
-
-    strategy_id: ClassVar[str] = "grid"
 
     def _search(self):
         yield from self._space.iter_grid()

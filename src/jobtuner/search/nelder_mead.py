@@ -8,8 +8,6 @@ measured is answered from that measurement, not run again.
 
 from __future__ import annotations
 
-from typing import ClassVar
-
 import numpy as np
 
 from ..paramspace import ParamSpace
@@ -50,8 +48,6 @@ def _max_spread(vertices: list[tuple[np.ndarray, float]]) -> float:
 
 
 class NelderMeadSearcher(Searcher):
-    strategy_id: ClassVar[str] = "nelder-mead"
-
     def __init__(self, space: ParamSpace):
         self._vertices: list[tuple[np.ndarray, float]] = []
         super().__init__(space)

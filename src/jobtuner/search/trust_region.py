@@ -12,7 +12,7 @@ minimum-norm Hessian updates.
 from __future__ import annotations
 
 import itertools
-from typing import ClassVar, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -98,8 +98,6 @@ def initial_seeds(space: ParamSpace, radius: float) -> list[np.ndarray]:
 
 
 class TrustRegionSearcher(Searcher):
-    strategy_id: ClassVar[str] = "bobyqa-lite"
-
     def __init__(self, space: ParamSpace):
         self._radius = INITIAL_RADIUS
         self._points: list[np.ndarray] = []

@@ -73,8 +73,8 @@ def space_hash(space: ParamSpace) -> str:
     return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
 
 
-def make_executor(project: Project) -> Executor:
-    """Build the project's executor."""
+def make_executor(project: Project, log_dir_prefix: str = "trial") -> Executor:
+    """Build the project's executor; log_dir_prefix names a remote one's log directories."""
     if project.executor_kind == "synthetic":
         return SyntheticExecutor(project.space, project.surface)
     # the local and remote executors load here, so a synthetic session never imports them
@@ -82,7 +82,7 @@ def make_executor(project: Project) -> Executor:
         from .executors.local import LocalExecutor
         return LocalExecutor(project.space, workdir=project.root)
     from .executors.remote import RemoteExecutor
-    return RemoteExecutor(project.space, project.env, project.root)
+    return RemoteExecutor(project.space, project.env, project.root, log_dir_prefix=log_dir_prefix)
 
 
 class _TuningLoop:
@@ -119,7 +119,7 @@ class _TuningLoop:
                 f"strategy (expected {proposal}, recorded {r.point})",
                 r.trial_id - 1,
             )
-        self.searcher.update(proposal, r.search_objective)
+        self.searcher.update(r.search_objective)
         self._measured.setdefault(key, r)
 
     def run(self, writer: HistoryWriter) -> str:
@@ -137,7 +137,7 @@ class _TuningLoop:
                                  strategy_id=self.strategy_id, timestamp=datetime.now(timezone.utc))
             writer.append(record)  # durable before the searcher observes it
             self._measured.setdefault(key, record)
-            self.searcher.update(point, record.search_objective)
+            self.searcher.update(record.search_objective)
             log.info(
                 "trial %d %s aggregate=%s", trial_id, record.result.status,
                 "FAILED" if record.aggregate_s is None else f"{record.aggregate_s:.3f}s",

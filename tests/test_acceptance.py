@@ -171,11 +171,13 @@ def test_criterion_4_trust_region_4d_bowl(tmp_path):
     searcher = TrustRegionSearcher(project.space)
     radii_ok = True
     for r in records:
-        if searcher.done:
+        if searcher.propose() is None:
             break
+        assert searcher.propose() == r.point  # the replay proposes the recorded point
         radii_ok = radii_ok and (RHO_MIN <= searcher.state()["radius"] <= 0.5)
-        searcher.update(searcher.propose(), r.search_objective)
-    radii_ok = radii_ok and (searcher.done or RHO_MIN <= searcher.state()["radius"] <= 0.5)
+        searcher.update(r.search_objective)
+    radii_ok = radii_ok and (searcher.propose() is None
+                             or RHO_MIN <= searcher.state()["radius"] <= 0.5)
 
     bests = _bests_so_far(project.root, records)
     monotone = all(b <= a for a, b in zip(bests, bests[1:]))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import stat
 
 import pytest
@@ -58,6 +59,13 @@ def test_tune_without_budget_is_usage_error(tmp_path):
     assert main(["tune", "--dir", str(project.root), "--strategy", "grid"]) == 1
 
 
+def test_tune_without_strategy_is_usage_error(tmp_path, capsys):
+    project = make_project(tmp_path)
+    assert main(["tune", "--dir", str(project.root), "--budget", "5"]) == 1
+    assert "--strategy is required" in capsys.readouterr().err
+    assert not (project.root / "history").exists()
+
+
 @pytest.mark.parametrize("flag", [["--memoize"], ["--seed", "7"]], ids=["memoize", "seed"])
 def test_tune_removed_flags_are_usage_errors(tmp_path, capsys, flag):
     # a synthetic session's noise seed is job.conf's surface_seed alone
@@ -82,7 +90,7 @@ def test_task_runs_synthetic_job(tmp_path):
     assert main(["task", "--dir", str(project.root)]) == 0
 
 
-def test_task_local_failure_exits_2(tmp_path):
+def test_task_local_failure_exits_2(tmp_path, caplog):
     root = tmp_path / "proj"
     root.mkdir()
     (root / "params.conf").write_text(SMALL_PARAMS)
@@ -91,6 +99,10 @@ def test_task_local_failure_exits_2(tmp_path):
     script.chmod(script.stat().st_mode | stat.S_IXUSR)
     (root / "job.conf").write_text("executor=local\ncommand=./bad.sh\n")
     assert main(["task", "--dir", str(root)]) == 2
+    # a session of failing trials ends normally, and says it found nothing
+    caplog.set_level(logging.INFO, logger="jobtuner")
+    assert main(["tune", "--dir", str(root), "--strategy", "grid", "--budget", "2"]) == 0
+    assert "no successful trials" in caplog.text
 
 
 def test_project_subcommand_runs_jobs_list(tmp_path):

@@ -31,7 +31,7 @@ def drain(searcher, objective, limit=10_000):
         if point is None:
             break
         value = objective(point)
-        searcher.update(point, value)
+        searcher.update(value)
         seen.append((point, value))
     return seen
 
@@ -58,7 +58,7 @@ def simplex_searcher(monkeypatch, vertices) -> NelderMeadSearcher:
                         lambda space, offset: [np.array(u, dtype=float) for u, _ in vertices])
     searcher = NelderMeadSearcher(UNIT_SQUARE)
     for _, f in vertices:
-        searcher.update(searcher.propose(), f)
+        searcher.update(f)
     return searcher
 
 
@@ -75,8 +75,7 @@ def test_reflection_hand_example(monkeypatch):
 def test_expansion_clamps_to_cube(monkeypatch):
     searcher = simplex_searcher(
         monkeypatch, [((0.2, 0.2), 1.0), ((0.4, 0.2), 2.0), ((0.3, 0.4), 5.0)])
-    reflection = searcher.propose()
-    searcher.update(reflection, 0.5)  # better than the best vertex: expand
+    searcher.update(0.5)  # better than the best vertex: expand
     # expansion = centroid + 2*(x_r - centroid) = (0.3, -0.2), clamped to (0.3, 0.0)
     assert np.allclose(searcher.state()["pending_u"], [0.3, 0.0], atol=1e-12)
 
@@ -84,8 +83,7 @@ def test_expansion_clamps_to_cube(monkeypatch):
 def test_accepted_reflection_replaces_worst(monkeypatch):
     searcher = simplex_searcher(
         monkeypatch, [((0.2, 0.2), 1.0), ((0.4, 0.2), 2.0), ((0.3, 0.4), 5.0)])
-    reflection = searcher.propose()
-    searcher.update(reflection, 1.5)  # between best and second-worst
+    searcher.update(1.5)  # between best and second-worst
     values = sorted(f for _, f in searcher.state()["vertices"])
     assert values == [1.0, 1.5, 2.0]
 
@@ -93,17 +91,15 @@ def test_accepted_reflection_replaces_worst(monkeypatch):
 def test_contraction_and_shrink_cycle(monkeypatch):
     searcher = simplex_searcher(
         monkeypatch, [((0.2, 0.2), 1.0), ((0.4, 0.2), 2.0), ((0.3, 0.4), 5.0)])
-    reflection = searcher.propose()
-    searcher.update(reflection, 9.0)  # worse than second-worst: contract
+    searcher.update(9.0)  # worse than second-worst: contract
     # contraction = centroid + 0.5*(worst - centroid) = (0.3, 0.3)
     assert np.allclose(searcher.state()["pending_u"], [0.3, 0.3], atol=1e-12)
-    contraction = searcher.propose()
-    searcher.update(contraction, 9.5)  # still bad: shrink everything toward best
+    searcher.update(9.5)  # still bad: shrink everything toward best
     shrink_targets = []
     for _ in range(2):
         point = searcher.propose()
         shrink_targets.append(tuple(UNIT_SQUARE.encode_point(point)))
-        searcher.update(point, 3.0)
+        searcher.update(3.0)
     assert shrink_targets == [
         pytest.approx((0.3, 0.2)),  # best + 0.5*((0.4,0.2) - best)
         pytest.approx((0.25, 0.3)),  # best + 0.5*((0.3,0.4) - best)
@@ -115,7 +111,6 @@ def test_done_when_simplex_spread_below_tolerance(monkeypatch):
         monkeypatch,
         [((0.5, 0.5), 1.0), ((0.50005, 0.5), 2.0), ((0.5, 0.50008), 3.0)],
     )
-    assert searcher.done
     assert searcher.propose() is None
 
 
@@ -142,7 +137,7 @@ def test_nelder_mead_proposals_always_inside_cube():
         assert UNIT_SQUARE.validate_point(point) == []
         pending_u = searcher.state()["pending_u"]
         assert np.all(pending_u >= 0.0) if pending_u is not None else True
-        searcher.update(point, rng.uniform(0, 100))
+        searcher.update(rng.uniform(0, 100))
 
 
 def test_nelder_mead_replay_determinism():
@@ -152,12 +147,12 @@ def test_nelder_mead_replay_determinism():
     for _ in range(40):
         point = searcher.propose()
         value = rng.uniform(1, 100)
-        searcher.update(point, value)
+        searcher.update(value)
         history.append((point, value))
     rebuilt = NelderMeadSearcher(UNIT_SQUARE)
     for point, value in history:
         assert UNIT_SQUARE.point_key(rebuilt.propose()) == UNIT_SQUARE.point_key(point)
-        rebuilt.update(point, value)
+        rebuilt.update(value)
     a, b = searcher.propose(), rebuilt.propose()
     assert (a is None) == (b is None)
     if a is not None:
@@ -239,8 +234,8 @@ def test_fit_detects_rank_deficiency():
 
 
 def test_box_minimizer_respects_bounds():
-    c, g, h = 0.0, np.array([-1.0, 1.0, 0.0]), np.array([0.0, 2.0, -2.0])
-    center = np.array([0.9, 0.5, 0.5])
+    c, g, h = 0.0, np.array([-1.0, 1.0, 0.0, 1.0, 0.0]), np.array([0.0, 2.0, -2.0, 0.0, 0.0])
+    center = np.array([0.9, 0.5, 0.5, 0.5, 0.5])
     u = minimize_quadratic_in_box(c, g, h, center, radius=0.25)
     # linear decreasing coordinate runs to the box edge, clamped by the cube
     assert u[0] == pytest.approx(1.0)
@@ -248,6 +243,9 @@ def test_box_minimizer_respects_bounds():
     assert u[1] == pytest.approx(0.25)
     # concave coordinate picks the lower endpoint on ties
     assert u[2] == pytest.approx(0.25)
+    # linear increasing coordinate runs to the lower edge; a flat one stays put
+    assert u[3] == pytest.approx(0.25)
+    assert u[4] == pytest.approx(0.5)
 
 
 # --- trust region: searcher behavior --------------------------------------------
@@ -261,7 +259,7 @@ def test_seed_set_size_and_collision_perturbation():
     for _ in range(7):  # the 2d + 1 seeds, then two more proposals
         proposed.append(searcher.state()["pending_u"])
         point = searcher.propose()
-        searcher.update(point, float(np.sum((boundary.encode_point(point) - 0.3) ** 2)))
+        searcher.update(float(np.sum((boundary.encode_point(point) - 0.3) ** 2)))
     # the interpolation set stops growing once the seeds are in
     assert len(searcher.state()["values"]) == 5  # 2d + 1
     seeds = proposed[:5]
@@ -283,7 +281,7 @@ def run_tr_setup(values_by_u=None):
 
     for _ in range(3):  # the 2d + 1 seeds
         point = searcher.propose()
-        searcher.update(point, f(point))
+        searcher.update(f(point))
     return space, searcher
 
 
@@ -298,7 +296,7 @@ def test_rho_small_halves_radius():
     predicted = searcher.state()["predicted"]
     assert predicted == pytest.approx(0.0625, abs=1e-9)
     target_f = f0 - 0.1 * predicted  # rho = 0.1
-    searcher.update(point, target_f)
+    searcher.update(target_f)
     assert searcher.state()["radius"] == pytest.approx(0.125)
 
 
@@ -307,21 +305,18 @@ def test_rho_large_with_boundary_step_doubles_radius():
     point = searcher.propose()
     predicted = searcher.state()["predicted"]
     target_f = 0.0625 - 0.9 * predicted  # rho = 0.9, step hit the box edge
-    searcher.update(point, target_f)
+    searcher.update(target_f)
     assert searcher.state()["radius"] == pytest.approx(0.5)
 
 
 def test_radius_never_exceeds_cap():
     space, searcher = run_tr_setup()
     for _ in range(6):
-        if searcher.done:
-            break
-        point = searcher.propose()
-        if point is None:
+        if searcher.propose() is None:
             break
         predicted = searcher.state()["predicted"]
         f0 = searcher.state()["center_f"]
-        searcher.update(point, f0 - 0.9 * (predicted or 0.0))
+        searcher.update(f0 - 0.9 * (predicted or 0.0))
         assert searcher.state()["radius"] <= MAX_RADIUS + 1e-12
 
 
@@ -334,11 +329,8 @@ def test_trust_region_descent_on_deterministic_bowl():
 
     searcher = TrustRegionSearcher(UNIT_SQUARE)
     center_values = []
-    while not searcher.done:
-        point = searcher.propose()
-        if point is None:
-            break
-        searcher.update(point, objective(point))
+    while (point := searcher.propose()) is not None:
+        searcher.update(objective(point))
         center_values.append(searcher.state()["center_f"])
     accepted = [v for i, v in enumerate(center_values)
                 if i == 0 or v != center_values[i - 1]]
@@ -351,20 +343,16 @@ def test_radius_stays_within_bounds_for_noisy_runs():
     searcher = TrustRegionSearcher(UNIT_SQUARE)
     seen_best = math.inf
     trials = 0
-    while not searcher.done:
-        point = searcher.propose()
-        if point is None:
-            break
+    while (point := searcher.propose()) is not None:
         assert RHO_MIN <= searcher.state()["radius"] <= MAX_RADIUS
         value = rng.uniform(0, 100)
-        searcher.update(point, value)
+        searcher.update(value)
         # the interpolation set keeps the best point seen so far at its center
         seen_best = min(seen_best, value)
         trials += 1
         if trials >= 5:  # past the 2d + 1 seeds
             state = searcher.state()
             assert state["center_f"] == min(state["values"]) == seen_best
-    assert searcher.done
 
 
 def test_trust_region_replay_determinism():
@@ -376,12 +364,12 @@ def test_trust_region_replay_determinism():
         if point is None:
             break
         value = rng.uniform(1, 100)
-        searcher.update(point, value)
+        searcher.update(value)
         history.append((point, value))
     rebuilt = TrustRegionSearcher(UNIT_SQUARE)
     for point, value in history:
         assert UNIT_SQUARE.point_key(rebuilt.propose()) == UNIT_SQUARE.point_key(point)
-        rebuilt.update(point, value)
+        rebuilt.update(value)
     a, b = searcher.propose(), rebuilt.propose()
     assert (a is None) == (b is None)
     if a is not None:

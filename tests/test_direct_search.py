@@ -7,7 +7,7 @@ import random
 import pytest
 
 from jobtuner.errors import StateCorruptError
-from jobtuner.paramspace import TrialPoint, parse_param_file
+from jobtuner.paramspace import parse_param_file
 from jobtuner.search.compass import INITIAL_STEP, MIN_STEP, CompassSearcher
 from jobtuner.search.grid import GridSearcher
 
@@ -26,7 +26,7 @@ def drain(searcher, objective, limit=10_000):
         if point is None:
             break
         value = objective(point)
-        searcher.update(point, value)
+        searcher.update(value)
         seen.append((point, value))
     return seen
 
@@ -41,13 +41,13 @@ def test_grid_proposes_canonical_order():
         for t, c in itertools.product([1, 2, 3, 4], ["true", "false"])
     ]
     assert proposals == expected
-    assert searcher.done
+    assert searcher.propose() is None
 
 
 def test_grid_fourth_proposal_after_three_updates():
     searcher = GridSearcher(GRID_SPACE)
     for _ in range(3):
-        searcher.update(searcher.propose(), 1.0)
+        searcher.update(1.0)
     expected = list(GRID_SPACE.iter_grid())[3]
     assert GRID_SPACE.point_key(searcher.propose()) == GRID_SPACE.point_key(expected)
 
@@ -62,7 +62,7 @@ def test_grid_single_point_space():
     space = parse_param_file("x int min=3 max=3 step=1")
     searcher = GridSearcher(space)
     assert len(drain(searcher, lambda p: 1.0)) == 1
-    assert searcher.done
+    assert searcher.propose() is None
 
 
 def test_grid_proposals_cover_grid_exactly_once():
@@ -73,11 +73,11 @@ def test_grid_proposals_cover_grid_exactly_once():
     assert len(set(proposals)) == len(grid)
 
 
-def test_grid_update_with_wrong_point_is_state_corrupt():
+def test_grid_update_without_a_pending_point_is_state_corrupt():
     searcher = GridSearcher(GRID_SPACE)
-    searcher.propose()
-    with pytest.raises(StateCorruptError):
-        searcher.update(TrialPoint({"tasks": 4, "compress": "false"}), 1.0)
+    drain(searcher, lambda p: 1.0)
+    with pytest.raises(StateCorruptError, match="GridSearcher: update without a pending proposal"):
+        searcher.update(1.0)
 
 
 # --- compass ----------------------------------------------------------------
@@ -94,12 +94,12 @@ def test_compass_first_proposal_is_default_incumbent():
 
 def test_compass_poll_set_axis_offsets():
     searcher = CompassSearcher(UNIT_SQUARE)
-    searcher.update(searcher.propose(), 10.0)  # incumbent value
+    searcher.update(10.0)  # incumbent value
     polls = []
     for _ in range(4):
         point = searcher.propose()
         polls.append(encoded(point))
-        searcher.update(point, 99.0)  # all worse than the incumbent
+        searcher.update(99.0)  # all worse than the incumbent
     assert polls == [
         pytest.approx((0.75, 0.5)),
         pytest.approx((0.25, 0.5)),
@@ -110,17 +110,17 @@ def test_compass_poll_set_axis_offsets():
 
 def test_compass_step_halves_without_improvement():
     searcher = CompassSearcher(UNIT_SQUARE)
-    searcher.update(searcher.propose(), 10.0)
+    searcher.update(10.0)
     for _ in range(4):
-        searcher.update(searcher.propose(), 99.0)
+        searcher.update(99.0)
     assert searcher.state()["step"] == pytest.approx(0.125)
 
 
 def test_compass_tie_keeps_incumbent():
     searcher = CompassSearcher(UNIT_SQUARE)
-    searcher.update(searcher.propose(), 10.0)
+    searcher.update(10.0)
     for _ in range(4):
-        searcher.update(searcher.propose(), 10.0)  # exact tie, not strict improvement
+        searcher.update(10.0)  # exact tie, not strict improvement
     assert searcher.state()["step"] == pytest.approx(0.125)
     assert tuple(searcher.state()["incumbent_u"]) == pytest.approx((0.5, 0.5))
 
@@ -130,12 +130,12 @@ def test_compass_boundary_incumbent_skips_clamped_duplicate():
         "a float min=0 max=1 step=1e-6 default=1.0\nb float min=0 max=1 step=1e-6 default=0.5"
     )
     searcher = CompassSearcher(space)
-    searcher.update(searcher.propose(), 10.0)
+    searcher.update(10.0)
     polls = []
     for _ in range(3):
         point = searcher.propose()
         polls.append(tuple(space.encode_point(point)))
-        searcher.update(point, 99.0)
+        searcher.update(99.0)
     # +step on axis a clamps onto the incumbent and is skipped
     assert polls == [
         pytest.approx((0.75, 0.5)),
@@ -147,10 +147,10 @@ def test_compass_boundary_incumbent_skips_clamped_duplicate():
 
 def test_compass_moves_incumbent_on_strict_improvement():
     searcher = CompassSearcher(UNIT_SQUARE)
-    searcher.update(searcher.propose(), 10.0)
+    searcher.update(10.0)
     values = iter([9.0, 99.0, 99.0, 99.0])
     for v in values:
-        searcher.update(searcher.propose(), v)
+        searcher.update(v)
     state = searcher.state()
     u, f = state["incumbent_u"], state["incumbent_f"]
     assert tuple(u) == pytest.approx((0.75, 0.5))
@@ -166,27 +166,22 @@ def test_compass_monotone_incumbent_on_deterministic_objective():
     searcher = CompassSearcher(UNIT_SQUARE)
     incumbents = []
     last_f = math.inf
-    while not searcher.done:
-        point = searcher.propose()
-        if point is None:
-            break
-        searcher.update(point, objective(point))
+    while (point := searcher.propose()) is not None:
+        searcher.update(objective(point))
         f = searcher.state()["incumbent_f"]
         incumbents.append(f)
     assert all(b <= a + 1e-15 for a, b in zip(incumbents, incumbents[1:]))
-    assert searcher.done
 
 
 def test_compass_termination_bound_on_hostile_objective():
     searcher = CompassSearcher(UNIT_SQUARE)
-    searcher.update(searcher.propose(), 1.0)
+    searcher.update(1.0)
     # everything is worse than the incumbent: only halving can happen
     failing_iters = 0
-    while not searcher.done:
+    while searcher.propose() is not None:
         polls = 0
-        while not searcher.done:
-            point = searcher.propose()
-            searcher.update(point, 2.0)
+        while searcher.propose() is not None:
+            searcher.update(2.0)
             polls += 1
             if polls == 4:
                 break
@@ -203,13 +198,13 @@ def test_compass_replay_determinism():
     for _ in range(25):
         point = searcher.propose()
         value = rng.uniform(1, 100)
-        searcher.update(point, value)
+        searcher.update(value)
         history.append((point, value))
     rebuilt = CompassSearcher(UNIT_SQUARE)
     for point, value in history:
         proposal = rebuilt.propose()
         assert UNIT_SQUARE.point_key(proposal) == UNIT_SQUARE.point_key(point)
-        rebuilt.update(point, value)
+        rebuilt.update(value)
     a, b = searcher.propose(), rebuilt.propose()
     assert (a is None) == (b is None)
     if a is not None:
@@ -224,6 +219,6 @@ def test_compass_done_on_integer_space_when_steps_collapse():
 
     searcher = CompassSearcher(space)
     evals = drain(searcher, objective, limit=60)
-    assert searcher.done
+    assert searcher.propose() is None
     best_x = min(evals, key=lambda pv: pv[1])[0]["x"]
     assert best_x == 7

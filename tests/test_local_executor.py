@@ -109,6 +109,8 @@ def test_background_processes_end_with_their_repetition(tmp_path):
 def test_spawn_failure(tmp_path):
     with pytest.raises(SpawnFailureError):
         run_local_command(str(tmp_path / "nope.sh"), POINT, JobSpec(), SPACE)
+    with pytest.raises(SpawnFailureError, match="empty"):
+        run_local_command(" \t ", POINT, JobSpec(), SPACE)
 
 
 def test_executor_uses_workdir(tmp_path):

@@ -170,6 +170,54 @@ def test_validate_unsnapped_integer():
     space = parse_param_file("mem int min=64 max=512 step=64")
     violations = space.validate_point(TrialPoint({"mem": 100}))
     assert any("lattice" in v for v in violations)
+    assert space.validate_point(TrialPoint({"mem": 64.5})) == ["mem: value 64.5 is not an integer"]
+
+
+def test_validate_undeclared_categorical_value():
+    space = parse_param_file("codec cat values=lz4,snappy")
+    assert space.validate_point(TrialPoint({"codec": "zstd"})) == [
+        "codec: value 'zstd' not among declared values"]
+
+
+# --- integers past 2^53, the first integer a float cannot follow one by one -------
+
+LONG_MAX = 2**63 - 1  # Java's Long.MAX_VALUE
+LONG_MAX_LINE = f"split.maxsize int min=1 max={LONG_MAX} step=1 default={LONG_MAX}"
+
+
+def _parse_keeps_long_max():
+    spec = parse_param_file(LONG_MAX_LINE).specs[0]
+    assert (spec.upper, spec.default) == (LONG_MAX, LONG_MAX)
+
+
+def _job_receives_long_max():
+    space = parse_param_file(LONG_MAX_LINE)
+    assert space.render_config_args(space.default_point()) == [f"-Dsplit.maxsize={LONG_MAX}"]
+
+
+def _spec_takes_an_odd_bound():
+    assert ParamSpec("y", "int", 0, 2**53 + 1, 1).upper == 2**53 + 1
+
+
+def _grid_values_validate():
+    space = parse_param_file(f"z int min={2**53} max={2**53 + 4} step=1")
+    points = list(space.iter_grid())
+    assert [p["z"] for p in points] == list(range(2**53, 2**53 + 5))
+    assert [space.validate_point(p) for p in points] == [[]] * 5
+
+
+def _float_literals_still_read():
+    spec = parse_param_file("x int min=64.0 max=1e3 step=64").specs[0]
+    assert (spec.lower, spec.upper, spec.step) == (64, 1000, 64)
+    assert all(type(v) is int for v in (spec.lower, spec.upper, spec.step, spec.default))
+
+
+@pytest.mark.parametrize("check", [
+    _parse_keeps_long_max, _job_receives_long_max, _spec_takes_an_odd_bound,
+    _grid_values_validate, _float_literals_still_read,
+], ids=lambda check: check.__name__.lstrip("_"))
+def test_integers_are_exact_at_any_size(check):
+    check()
 
 
 # --- encode -------------------------------------------------------------------

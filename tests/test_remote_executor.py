@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 from doubles import InterruptingExecutor, ScriptedTransport
+from jobtuner.cli import main
 from jobtuner.errors import ConnectError, StagingError, TransportTimeout
 from jobtuner.executors import remote
 from jobtuner.executors.base import JobSpec
@@ -320,9 +321,18 @@ def test_unreachable_host_raises_connect_error(tmp_path):
         executor.execute_trial(JOB, POINT, 1)
 
 
-def test_timed_out_repetition_kills_its_applications(tmp_path):
+def test_timed_out_repetition_kills_its_applications(tmp_path, caplog):
+    class FirstKillFails(ScriptedTransport):
+        """Refuses to kill APP_ID, as yarn does for an application that has just ended."""
+
+        def run(self, command, timeout_s=None, cwd=None):
+            result = super().run(command, timeout_s, cwd)
+            if command.endswith(f" application -kill {APP_ID}"):
+                return remote.ShellResult(1, "", "no such application\n")
+            return result
+
     second = "application_1770000000000_0008"
-    transport = ScriptedTransport(
+    transport = FirstKillFails(
         hadoop_stdout=f"{HADOOP_STDOUT}INFO impl.YarnClientImpl: Submitted application {second}\n",
         hadoop_timeout=True)
     executor = RemoteExecutor(SPACE, ENV, make_project(tmp_path), transport)
@@ -332,6 +342,9 @@ def test_timed_out_repetition_kills_its_applications(tmp_path):
     assert len(transport.hadoop_commands()) == 1  # no further repetitions
     kills = [c for c, _ in transport.commands if " application -kill " in c]
     assert kills == [f"/opt/hadoop/bin/yarn application -kill {app}" for app in (APP_ID, second)]
+    # a failed kill is logged, and the next application is still killed
+    assert f"kill of {APP_ID} failed: no such application" in caplog.text
+    assert second not in caplog.text
 
 
 def test_log_fetch_failure_degrades_to_wall_time(tmp_path):
@@ -577,6 +590,31 @@ def test_journals_name_the_logs_from_the_project_root(tmp_path, monkeypatch):
             assert (root / r.result.log_ref / APP_ID / "container_01.log").is_file()
     assert journals[0] == journals[1]
     assert journals[0].count('"log_ref": "downloaded_results/trial_') == 3
+
+
+def test_task_and_project_runs_keep_their_logs_out_of_the_trials(tmp_path, monkeypatch):
+    class OneApplicationPerSubmission(ScriptedTransport):
+        """Gives each submission its own application, with a log of its own."""
+
+        def run(self, command, timeout_s=None, cwd=None):
+            if "/bin/hadoop jar " in command:
+                app = f"application_1770000000000_{len(self.hadoop_commands()) + 1:04d}"
+                self.hadoop_stdout = f"INFO impl.YarnClientImpl: Submitted application {app}\n"
+                self.log_files[f"{app}/container_01.log"] = "Shuffle time (ms)=1500\n"
+            return super().run(command, timeout_s, cwd)
+
+    transport = OneApplicationPerSubmission()
+    monkeypatch.setattr(remote, "SshTransport", lambda env: transport)
+    root = remote_project(tmp_path / "proj").root
+    assert main(["tune", "--dir", str(root), "--strategy", "grid", "--budget", "2"]) == 0
+    assert main(["task", "--dir", str(root)]) == 0
+    assert main(["project", "--dir", str(root)]) == 0
+    logs = {p.relative_to(root / "downloaded_results").as_posix()
+            for p in (root / "downloaded_results").glob("*/logs/*")}
+    assert logs == {"trial_1/logs/application_1770000000000_0001",
+                    "trial_2/logs/application_1770000000000_0002",
+                    "run_1/logs/application_1770000000000_0003",
+                    "run_1/logs/application_1770000000000_0004"}
 
 
 def test_a_remote_session_with_an_older_seed_loads_and_resumes(tmp_path):

@@ -19,6 +19,9 @@ SPACE = parse_param_file(
 KINDS_SPACE = parse_param_file(
     "a int min=1 max=12 step=1\nb float min=0.25 max=10 step=0.25\nc cat values=y,x2,x10\n"
 )
+# int values past 2^53, which two floats apart would tie
+BIG_SPACE = parse_param_file(
+    f"a int min={2**53} max={2**53 + 2} step=1\nb int min=1 max=4 step=1\n")
 
 
 def rec(trial_id, aggregate, a=1, b=1, c="x"):
@@ -137,7 +140,9 @@ KINDS_RECORDS = [
      "b,a,median_s,n\n0.25,10,2.0,1\n2.5,2,1.0,1\n2.5,10,4.0,1\n10.0,2,3.0,1\n"),
     (KINDS_SPACE, KINDS_RECORDS, "c", "a",
      "c,a,median_s,n\nx10,2,3.0,1\nx2,2,1.0,1\nx2,10,4.0,1\ny,10,2.0,1\n"),
-], ids=["int", "int_by_float", "float_by_int", "cat_by_int"])
+    (BIG_SPACE, [rec(1, 1.0, a=2**53 + 1), rec(2, 2.0, a=2**53)], "a", "b",
+     f"a,b,median_s,n\n{2**53},1,2.0,1\n{2**53 + 1},1,1.0,1\n"),
+], ids=["int", "int_by_float", "float_by_int", "cat_by_int", "int_past_2_to_the_53"])
 def test_surface_csv_name_and_content(tmp_path, space, records, px, py, expected):
     path = write_surface(tmp_path, records, px, py, space)
     assert path.name == f"surface_{px}_{py}.csv"

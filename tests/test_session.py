@@ -83,6 +83,8 @@ def test_best_of_tie_takes_lowest_id():
 def test_best_of_all_failed():
     with pytest.raises(NoSuccessfulTrialError):
         best_of([rec(1, None), rec(2, None)])
+    with pytest.raises(NoSuccessfulTrialError, match="empty"):
+        best_of([])
 
 
 # --- run_tuning -------------------------------------------------------------------

@@ -99,6 +99,8 @@ def test_runtime_floor():
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         synthetic_eval(BOWL, [0.5], 1, 1)
+    with pytest.raises(DimensionMismatchError):
+        SyntheticExecutor(parse_param_file("a float min=0 max=1 step=0.01"), BOWL)
 
 
 def test_invalid_surfaces():
@@ -108,6 +110,8 @@ def test_invalid_surfaces():
         SurfaceSpec(family="bowl", base_s=0.0, weights=(1.0,), optimum=(0.5,))
     with pytest.raises(ValueError):
         SurfaceSpec(family="bowl", base_s=1.0, weights=(-1.0,), optimum=(0.5,))
+    with pytest.raises(ValueError):
+        SurfaceSpec(family="bowl", base_s=1.0, weights=(1.0, 2.0), optimum=(0.5,))
     with pytest.raises(ValueError):
         SurfaceSpec(family="rosenbrock", base_s=1.0, weights=(1.0,), optimum=(0.5,))
     with pytest.raises(ValueError):
