@@ -31,19 +31,19 @@ def run_local_command(
 ) -> TrialResult:
     """Run the command, its {param} placeholders filled in, job.repetitions times.
 
-    Raises UnknownPlaceholderError before anything runs when the template
-    names a parameter the space does not declare. Nonzero exit fails the
-    trial and skips remaining repetitions; a repetition exceeding
-    job.timeout_s marks the trial timed out.
+    Raises, before anything runs, InvalidPointError for a point of another
+    space and UnknownPlaceholderError when the template names a parameter the
+    space does not declare. Nonzero exit fails the trial and skips remaining
+    repetitions; a repetition exceeding job.timeout_s marks the trial timed out.
     """
-    space.require_valid(point)
-    unknown = sorted(set(PLACEHOLDER_RE.findall(template)) - set(point.names))
+    rendered = {s.name: s.render(v) for s, v in zip(space.specs, space.point_key(point))}
+    unknown = sorted(set(PLACEHOLDER_RE.findall(template)) - rendered.keys())
     if unknown:
         raise UnknownPlaceholderError(
             f"template references undeclared parameter(s): {', '.join(unknown)}"
         )
     # split before filling in, so each value reaches the job as one argument, byte for byte
-    argv = [PLACEHOLDER_RE.sub(lambda m: space.render_value(m.group(1), point[m.group(1)]), arg)
+    argv = [PLACEHOLDER_RE.sub(lambda m: rendered[m.group(1)], arg)
             for arg in shlex.split(template)]
     if not argv:
         raise SpawnFailureError("command template is empty after substitution")

@@ -10,9 +10,10 @@ Layout under a project root:
                               of the project files (project.parse_kv_file)
     history/.lock             flock'd while a session runs; never removed
 
-A trial is durable once its journal line is fsynced. Opening a HistoryWriter
-replays each journaled record as it decodes, keeping none, then repairs what a
-crash leaves: a torn journal tail (a trial that never happened).
+A trial is durable once its journal line is fsynced, and after the first line
+the history directory too, which then holds the journal's name. Opening a
+HistoryWriter replays each journaled record as it decodes, keeping none, then
+repairs what a crash leaves: a torn journal tail (a trial that never happened).
 
 Both files are read a line at a time by one record loop and one record decoder,
 a trials.csv row (one line; the export writes no cell with a newline) as the
@@ -50,6 +51,7 @@ from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, TextIO
 from .errors import (
     HistoryCorruptError,
     IdGapError,
+    InvalidPointError,
     LockHeldError,
     ManifestMissingError,
 )
@@ -186,9 +188,12 @@ class HistoryWriter:
                 f"trial_id {record.trial_id} after {self.last_id}; ids must be contiguous"
             )
         with open(self._journal, "a", encoding="utf-8") as fh:
+            created = fh.tell() == 0  # a journal with no line yet: its name may not be durable
             fh.write(_journal_line(record))
             fh.flush()
             os.fsync(fh.fileno())
+        if created:
+            fsync_dir(self._journal.parent)
         self.last_id += 1
 
 
@@ -246,35 +251,34 @@ def _journal_line(record: TrialRecord) -> str:
 
 
 # what a decoder raises for fields that do not make a valid record
-_UNREADABLE = (ValueError, KeyError, TypeError, AttributeError)
+_UNREADABLE = (ValueError, KeyError, TypeError, AttributeError, InvalidPointError)
 
 
 def _decoder(space: ParamSpace, in_space: bool) -> Callable[[dict], TrialRecord]:
     """The record decoder of both files: the record a journal line's fields hold.
 
-    Raises one of _UNREADABLE, also when the point names other parameters than
-    the space, aggregate_s is not the record's own, or a point value lies outside
-    the space: any value if in_space, else a bool (which a replay's == takes for 1).
+    Raises one of _UNREADABLE when aggregate_s is not the record's own or
+    space.point refuses the point: always if in_space, else only a point naming
+    other parameters or holding a bool (which a replay's == takes for 1); any
+    other point is built unchecked, for its replay to prove.
     """
     names = space.names()
     declared = set(names)
-    make_point, intern, parse_time = space.make_point, sys.intern, datetime.fromisoformat
+    make_point, intern, parse_time = space._make_point, sys.intern, datetime.fromisoformat
 
     def decode(d: dict) -> TrialRecord:
         values = d["point"]
-        if values.keys() != declared:
-            raise ValueError(f"point parameters {sorted(values)} are not the space's {names}")
+        if values.keys() != declared or in_space or bool in map(type, values.values()):
+            point = space.point(values)
+        else:
+            point = make_point(tuple([values[name] for name in names]))
         result = TrialResult(intern(d["status"]), d["rep_times_s"], d["phase_times_s"], d["log_ref"])
-        record = TrialRecord(d["trial_id"], make_point(tuple([values[name] for name in names])),
-                             result, intern(d["strategy"]), parse_time(d["timestamp_utc"]))
+        record = TrialRecord(d["trial_id"], point, result, intern(d["strategy"]),
+                             parse_time(d["timestamp_utc"]))
         # floats round-trip exactly through both files, so the recorded median compares equal
         if d["aggregate_s"] != record.aggregate_s:
             raise ValueError(f"aggregate_s {d['aggregate_s']!r} is not the "
                              f"trial's aggregate {record.aggregate_s!r}")
-        if in_space or bool in map(type, record.point.values):
-            violations = space.validate_point(record.point)
-            if violations:
-                raise ValueError("; ".join(violations))
         return record
 
     return decode
@@ -329,8 +333,8 @@ def _parse_lines(fh: BinaryIO, decode: Callable[[dict], TrialRecord],
 def iter_raw_records(project_root: str | Path, space: ParamSpace) -> Iterator[TrialRecord]:
     """Every durable trial in the journal, in trial order, one at a time; see _parse_lines.
 
-    Also refuses a point value outside the space, which resume instead finds
-    by replaying each point; aggregate and report replay nothing.
+    Each point is made by space.point, refusing a value outside the space, which
+    resume instead finds by replaying each point; aggregate and report replay nothing.
     """
     try:
         fh = open(history_dir(project_root) / JOURNAL_FILE, "rb")
@@ -401,8 +405,9 @@ def refuse_to_shrink(path: Path, journaled: int) -> None:
 
 @contextmanager
 def replace_file(path: Path) -> Iterator[TextIO]:
-    """Replace path atomically: write a temporary file of this call's own, <name>.<random
-    hex>.tmp, fsync it, then rename it; if the body raises, remove the temporary file."""
+    """Replace path atomically and durably: write a temporary file of this call's own,
+    <name>.<random hex>.tmp, fsync it, rename it, then fsync the directory; if the body
+    raises, remove the temporary file."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
     fh = open(tmp, "x", encoding="utf-8", newline="")  # exclusive: never another writer's file
@@ -415,6 +420,16 @@ def replace_file(path: Path) -> Iterator[TextIO]:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    fsync_dir(path.parent)
+
+
+def fsync_dir(path: Path) -> None:
+    """Make directory path's entries durable: a file created or renamed in it."""
+    fd = os.open(path, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 # --- session manifest -------------------------------------------------------------

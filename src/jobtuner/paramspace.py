@@ -5,9 +5,10 @@ file format, exhaustive grid enumeration, and the codec between native
 parameter values and the normalized unit cube the optimizers search. Only
 the codec uses numpy, imported on first call, so grid search never loads it.
 
-A trial point is two tuples, its names and its values in that order.
-Every point a space builds (grid, decode, default, history) shares the
-space's one names tuple, so its values tuple is its point key as is.
+A trial point is two tuples, its names and its values. Only its space makes
+one: ParamSpace.point from a mapping, checked once, and the grid, decoder,
+default and history decoder from values the space produced. Every point shares
+its space's one names tuple, in spec order, so its values are its point key.
 """
 
 from __future__ import annotations
@@ -167,12 +168,6 @@ class ParamSpec(CheckedTuple, _SpecFields):
         # a float lattice's top value can land an ulp above upper (0.05 + 18*0.05)
         return min(self.lower + k * self.step, self.upper)
 
-    def snap(self, v: float) -> Value:
-        """Snap a numeric value onto the step lattice, staying inside bounds."""
-        k = _round_half_away((v - self.lower) / self.step)
-        k = min(max(k, 0), self.lattice_count() - 1)
-        return self.lattice_value(k)
-
     def grid_values(self) -> list[Value]:
         return [self.lattice_value(k) for k in range(self.lattice_count())]
 
@@ -196,7 +191,7 @@ class ParamSpec(CheckedTuple, _SpecFields):
         return None
 
     def encode_value(self, v: Value) -> float:
-        """Map a domain value to [0, 1]."""
+        """Map a domain value to [0, 1]; an int's offset from lower is exact at any size."""
         if self.kind == KIND_CAT:
             n = len(self.values)
             if n == 1:
@@ -204,10 +199,10 @@ class ParamSpec(CheckedTuple, _SpecFields):
             return self.values.index(v) / (n - 1)
         if self.upper == self.lower:
             return 0.0
-        return (float(v) - self.lower) / (self.upper - self.lower)
+        return (v - self.lower) / (self.upper - self.lower)
 
     def decode_unit(self, u: float) -> Value:
-        """Map a unit coordinate (clamped to [0, 1]) back to a snapped domain value."""
+        """Map a unit coordinate (clamped to [0, 1]) back to a lattice-snapped domain value."""
         u = min(max(u, 0.0), 1.0)
         if self.kind == KIND_CAT:
             n = len(self.values)
@@ -215,8 +210,14 @@ class ParamSpec(CheckedTuple, _SpecFields):
                 return self.values[0]
             idx = _round_half_away(u * (n - 1))
             return self.values[min(max(idx, 0), n - 1)]
-        v = self.lower + u * (self.upper - self.lower)
-        return self.snap(v)
+        if self.kind == KIND_INT and max(-self.lower, self.upper) >= 2**53:
+            # past 2**53 floats skip integers: round u * (upper - lower) / step exactly
+            n, d = u.as_integer_ratio()
+            k = (2 * n * (self.upper - self.lower) + d * self.step) // (2 * d * self.step)
+        else:
+            v = self.lower + u * (self.upper - self.lower)
+            k = _round_half_away((v - self.lower) / self.step)
+        return self.lattice_value(min(max(k, 0), self.lattice_count() - 1))
 
     def render(self, v: Value) -> str:
         """Canonical string form: ints without decimal point, floats shortest-roundtrip."""
@@ -228,20 +229,18 @@ class ParamSpec(CheckedTuple, _SpecFields):
 
 
 class TrialPoint:
-    """One parameter assignment; immutable and unhashable.
+    """One parameter assignment of a space; immutable and unhashable.
 
-    Stored as two tuples: `names`, and `values` in the same order. Points a
-    ParamSpace builds share the space's own names tuple, so their `values`
-    are already the space's point key. Equality ignores name order, as for
-    the mapping the point was built from.
+    Made only by its space (ParamSpace.point), never from a mapping directly.
+    Stored as two tuples: the space's own `names` tuple, and `values` in spec
+    order, which are the space's point key. Points are equal when both are.
     """
 
     __slots__ = ("names", "values")
-    __hash__ = None  # equal points may list their names in different orders
+    __hash__ = None  # the hashable identity is the space's point key
 
-    def __init__(self, assignment: Mapping[str, Value]):
-        object.__setattr__(self, "names", tuple(assignment))
-        object.__setattr__(self, "values", tuple(assignment.values()))
+    def __new__(cls, *args, **kwargs):
+        raise TypeError("a point is made by its space: use ParamSpace.point(mapping)")
 
     @classmethod
     def _of(cls, names: tuple[str, ...], values: tuple[Value, ...]) -> TrialPoint:
@@ -268,9 +267,7 @@ class TrialPoint:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TrialPoint):
             return NotImplemented
-        if self.names == other.names:
-            return self.values == other.values
-        return self.as_dict() == other.as_dict()
+        return self.names == other.names and self.values == other.values
 
     def as_dict(self) -> dict[str, Value]:
         return dict(zip(self.names, self.values))
@@ -331,8 +328,20 @@ class ParamSpace:
                 return s
         raise KeyError(name)
 
-    def make_point(self, values: tuple[Value, ...]) -> TrialPoint:
-        """The point with these values in spec order, on the space's names tuple.
+    def point(self, assignment: Mapping[str, Value]) -> TrialPoint:
+        """The point assigning these values, checked once, in spec order whatever the
+        mapping's order; raises InvalidPointError listing every violation."""
+        declared, present = set(self._names), set(assignment)
+        violations = [f"missing parameter {name!r}" for name in sorted(declared - present)]
+        violations += [f"unknown parameter {name!r}" for name in sorted(present - declared, key=str)]
+        violations += [msg for s in self.specs
+                       if s.name in present and (msg := s.check_value(assignment[s.name]))]
+        if violations:
+            raise InvalidPointError(violations)
+        return self._make_point(tuple([assignment[name] for name in self._names]))
+
+    def _make_point(self, values: tuple[Value, ...]) -> TrialPoint:
+        """The point with these values in spec order, which the space produced itself.
 
         Callers build values with tuple() of a list, which allocates the exact
         size. tuple() of a generator or map resizes a larger tuple instead, so
@@ -342,47 +351,20 @@ class ParamSpace:
         return TrialPoint._of(self._names, values)
 
     def default_point(self) -> TrialPoint:
-        return self.make_point(tuple([s.default for s in self.specs]))
+        return self._make_point(tuple([s.default for s in self.specs]))
 
     def point_key(self, point: TrialPoint) -> tuple[Value, ...]:
-        """Hashable identity of a point (values in spec order).
-
-        The point's own values tuple when its names are in spec order;
-        raises KeyError for a point that lacks a parameter.
-        """
-        if point.names == self._names:
-            return point.values
-        return tuple([point[name] for name in self._names])
-
-    # -- validation ------------------------------------------------------
-
-    def validate_point(self, point: TrialPoint) -> list[str]:
-        """All invariant violations for point against this space; [] means ok."""
-        if point.names == self._names:
-            checked = zip(self.specs, point.values)
-            violations = []
-        else:
-            declared, present = set(self._names), set(point.names)
-            violations = [f"missing parameter {name!r}" for name in sorted(declared - present)]
-            violations += [f"unknown parameter {name!r}" for name in sorted(present - declared)]
-            checked = ((s, point[s.name]) for s in self.specs if s.name in present)
-        for s, v in checked:
-            msg = s.check_value(v)
-            if msg:
-                violations.append(msg)
-        return violations
-
-    def require_valid(self, point: TrialPoint) -> None:
-        violations = self.validate_point(point)
-        if violations:
-            raise InvalidPointError(violations)
+        """A point's hashable identity, its values; InvalidPointError for another space's."""
+        if point.names != self._names:
+            raise InvalidPointError([f"point parameters {list(point.names)} "
+                                     f"are not the space's {list(self._names)}"])
+        return point.values
 
     # -- unit-cube codec ----------------------------------------------------
 
     def encode_point(self, point: TrialPoint) -> np.ndarray:
-        """Encode a valid point into the unit cube, coordinates in spec order."""
+        """Encode a point of this space into the unit cube, coordinates in spec order."""
         import numpy as np
-        self.require_valid(point)
         return np.array([s.encode_value(v) for s, v in zip(self.specs, self.point_key(point))],
                         dtype=float)
 
@@ -398,20 +380,19 @@ class ParamSpace:
             raise DimensionMismatchError(
                 f"expected vector of length {self.dimension}, got shape {vec.shape}"
             )
-        return self.make_point(tuple([s.decode_unit(float(u)) for s, u in zip(self.specs, vec)]))
+        return self._make_point(tuple([s.decode_unit(float(u)) for s, u in zip(self.specs, vec)]))
 
     # -- exhaustive grid ------------------------------------------------------
 
     def iter_grid(self) -> Iterator[TrialPoint]:
         """Every grid point, last spec varying fastest, built one at a time."""
-        return (self.make_point(combo)
+        return (self._make_point(combo)
                 for combo in itertools.product(*(s.grid_values() for s in self.specs)))
 
     # -- rendering -----------------------------------------------------------
 
     def render_config_args(self, point: TrialPoint) -> list[str]:
-        """One -D<name>=<value> per parameter, in spec order."""
-        self.require_valid(point)
+        """One -D<name>=<value> per parameter of a point of this space, in spec order."""
         return [f"-D{s.name}={s.render(v)}" for s, v in zip(self.specs, self.point_key(point))]
 
     def render_value(self, name: str, v: Value) -> str:

@@ -22,7 +22,7 @@ from jobtuner.executors.hadoop_logs import parse_phase_times
 from jobtuner.executors.remote import ClusterEnv, RemoteExecutor
 from jobtuner.executors.synthetic import synthetic_eval
 from jobtuner.history import HistoryWriter, read_raw_records, read_trials, rewrite_trials_csv
-from jobtuner.paramspace import TrialPoint, parse_param_file
+from jobtuner.paramspace import parse_param_file
 from jobtuner.project import load_project
 from jobtuner.reports import write_convergence, write_surface
 from jobtuner.search.trust_region import RHO_MIN, TrustRegionSearcher
@@ -376,7 +376,7 @@ def test_criterion_9_remote_double(tmp_path):
         log_files={"application_1770000000000_0007/container_01.log": LOG_FIXTURE},
     )
     executor = RemoteExecutor(space, env, tmp_path, transport)
-    result = executor.execute_trial(job, TrialPoint({"mapreduce.reduce.tasks": 8}), 1)
+    result = executor.execute_trial(job, space.point({"mapreduce.reduce.tasks": 8}), 1)
 
     [(command, cwd)] = transport.hadoop_commands()
     command_ok = command == (

@@ -134,7 +134,7 @@ def test_nelder_mead_proposals_always_inside_cube():
         point = searcher.propose()
         if point is None:
             break
-        assert UNIT_SQUARE.validate_point(point) == []
+        assert UNIT_SQUARE.point(point.as_dict()) == point
         pending_u = searcher.state()["pending_u"]
         assert np.all(pending_u >= 0.0) if pending_u is not None else True
         searcher.update(rng.uniform(0, 100))

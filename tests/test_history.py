@@ -9,6 +9,8 @@ import json
 import math
 import os
 import random
+import re
+import stat
 import tracemalloc
 from datetime import datetime, timedelta, timezone
 
@@ -33,7 +35,7 @@ from jobtuner.history import (
     rewrite_trials_csv,
     write_manifest,
 )
-from jobtuner.paramspace import ParamSpace, ParamSpec, TrialPoint
+from jobtuner.paramspace import ParamSpace, ParamSpec
 
 # categorical values deliberately include CSV-hostile characters
 SPACE = ParamSpace((
@@ -44,7 +46,7 @@ SPACE = ParamSpace((
 
 
 def random_record(rng: random.Random, trial_id: int) -> TrialRecord:
-    point = TrialPoint({
+    point = SPACE.point({
         "tasks": rng.randint(1, 16),
         "frac": rng.random(),
         "codec": rng.choice(SPACE.specs[2].values),
@@ -78,7 +80,7 @@ def random_record(rng: random.Random, trial_id: int) -> TrialRecord:
 # --- aggregation -----------------------------------------------------------
 
 def record_of(result: TrialResult) -> TrialRecord:
-    return TrialRecord(trial_id=1, point=TrialPoint({"tasks": 1, "frac": 0.5, "codec": "plain"}),
+    return TrialRecord(trial_id=1, point=SPACE.point({"tasks": 1, "frac": 0.5, "codec": "plain"}),
                        result=result, strategy_id="grid",
                        timestamp=datetime(2026, 1, 1, tzinfo=timezone.utc))
 
@@ -149,6 +151,10 @@ def test_roundtrip_randomized_records(tmp_path):
     rewrite_trials_csv(tmp_path, SPACE, read_raw_records(tmp_path, SPACE))
     loaded = read_trials(tmp_path, SPACE)
     assert loaded == records
+    replayed = []
+    HistoryWriter(tmp_path, SPACE, replayed.append)
+    for decoded in (replayed, read_raw_records(tmp_path, SPACE), loaded):
+        assert [SPACE.point(r.point.as_dict()) for r in decoded] == [r.point for r in records]
     path = tmp_path / "history" / "trials.csv"
     path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))  # CRLF line endings
     assert read_trials(tmp_path, SPACE) == records
@@ -240,6 +246,39 @@ def test_journal_damage_names_last_valid_trial(tmp_path, damage):
         HistoryWriter(tmp_path, SPACE)
 
 
+LATTICE_SPACE = ParamSpace((ParamSpec(name="tasks", kind="int", lower=1, upper=16, step=3),
+                            ParamSpec(name="codec", kind="cat", values=("a", "b"))))
+# each fault of a journaled point, its violation, and whether opening a writer refuses it;
+# the writer leaves the others to the replay, as no searcher proposes a point outside the space
+POINT_FAULTS = {
+    "missing": (lambda p: p.pop("codec"), "missing parameter 'codec'", True),
+    "unknown": (lambda p: p.update(bogus=1), "unknown parameter 'bogus'", True),
+    "bool": (lambda p: p.update(tasks=True), "tasks: value True is not numeric", True),
+    "off_lattice": (lambda p: p.update(tasks=2), "tasks: value 2 not on lattice 1+k*3", False),
+    "out_of_range": (lambda p: p.update(tasks=19), "tasks: value 19 out of range [1, 16]", False),
+}
+
+
+@pytest.mark.parametrize("fault", POINT_FAULTS)
+def test_a_journaled_point_outside_the_space_is_corrupt_history(tmp_path, fault):
+    edit, violation, by_writer = POINT_FAULTS[fault]
+    writer = HistoryWriter(tmp_path, LATTICE_SPACE)
+    for i, point in enumerate(itertools.islice(LATTICE_SPACE.iter_grid(), 4), start=1):
+        writer.append(TrialRecord(i, point, TrialResult("success", (1.0,)), "grid",
+                                  datetime(2026, 1, 1, tzinfo=timezone.utc)))
+    path = tmp_path / "history" / "journal.jsonl"
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[2] = edit_point(lines[2], edit)
+    path.write_bytes(b"".join(lines))
+    message = f"^journal line 3 unreadable: {re.escape(violation)} \\(last valid trial_id: 2\\)$"
+    for read in [read_raw_records] + [HistoryWriter] * by_writer:
+        with pytest.raises(HistoryCorruptError, match=message) as exc:
+            read(tmp_path, LATTICE_SPACE)
+        assert exc.value.last_valid_id == 2
+    if not by_writer:
+        assert HistoryWriter(tmp_path, LATTICE_SPACE).last_id == 4
+
+
 @pytest.mark.parametrize("fields", [
     {"rep_times_s": [math.nan]},
     {"rep_times_s": [1.0, math.nan]},
@@ -279,7 +318,10 @@ def test_journal_success_with_non_finite_time_is_corrupt(tmp_path, fields):
     {"shuffle_s": "nan"},
     {"tasks": "99"},  # tasks int min=1 max=16
     {"strategy": "grid\nsearch"},  # a row is one line
-], ids=["aggregate_not_the_median", "phase_nan", "point_outside_the_space", "cell_with_newline"])
+    {"codec": "zstd"},
+    {"frac": "1.5"},  # frac float min=0 max=1
+], ids=["aggregate_not_the_median", "phase_nan", "point_outside_the_space", "cell_with_newline",
+        "cat_value_not_declared", "float_out_of_range"])
 def test_csv_row_is_read_under_the_journal_rules(tmp_path, cells):
     rng = random.Random(11)
     writer = HistoryWriter(tmp_path, SPACE)
@@ -431,6 +473,41 @@ def test_a_replacement_whose_body_raises_leaves_the_file_and_no_temporary(tmp_pa
             raise OSError(errno.ENOSPC, "No space left on device")
     assert path.read_text() == "old\n"
     assert [p.name for p in path.parent.iterdir()] == ["x.csv"]
+
+
+def test_renames_and_a_new_journal_are_made_durable(tmp_path, monkeypatch):
+    calls = []
+    real_replace, real_fsync = os.replace, os.fsync
+
+    def replace(src, dst):
+        calls.append(("replace", os.path.basename(dst)))
+        real_replace(src, dst)
+
+    def fsync(fd):
+        st = os.fstat(fd)
+        if not stat.S_ISDIR(st.st_mode):
+            calls.append(("fsync", "file"))
+        else:  # the one directory written is the history directory
+            assert st.st_ino == os.stat(tmp_path / "history").st_ino
+            calls.append(("fsync", "history/"))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "replace", replace)
+    monkeypatch.setattr(os, "fsync", fsync)
+    rng = random.Random(14)
+    write_manifest(tmp_path, {"status": "running"})
+    writer = HistoryWriter(tmp_path, SPACE)
+    writer.append(random_record(rng, 1))
+    writer.append(random_record(rng, 2))
+    rewrite_trials_csv(tmp_path, SPACE, read_raw_records(tmp_path, SPACE))
+    HistoryWriter(tmp_path, SPACE).append(random_record(rng, 3))
+    assert calls == [
+        ("fsync", "file"), ("replace", "session.conf"), ("fsync", "history/"),
+        ("fsync", "file"), ("fsync", "history/"),  # the first line creates the journal
+        ("fsync", "file"),
+        ("fsync", "file"), ("replace", "trials.csv"), ("fsync", "history/"),
+        ("fsync", "file"),
+    ]
 
 
 def test_trials_csv_is_rewritten_from_a_record_stream(tmp_path):

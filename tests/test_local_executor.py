@@ -6,13 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from jobtuner.errors import SpawnFailureError, UnknownPlaceholderError
+from jobtuner.errors import InvalidPointError, SpawnFailureError, UnknownPlaceholderError
 from jobtuner.executors.base import JobSpec
 from jobtuner.executors.local import LocalExecutor, run_local_command
-from jobtuner.paramspace import TrialPoint, parse_param_file
+from jobtuner.paramspace import parse_param_file
 
 SPACE = parse_param_file("mapreduce.reduce.tasks int min=1 max=16 step=1")
-POINT = TrialPoint({"mapreduce.reduce.tasks": 8})
+POINT = SPACE.point({"mapreduce.reduce.tasks": 8})
 
 
 def write_script(path: Path, body: str) -> Path:
@@ -26,6 +26,16 @@ def test_unknown_placeholder_runs_nothing(tmp_path):
     script = write_script(tmp_path / "job.sh", f"touch {marker}\n")
     with pytest.raises(UnknownPlaceholderError):
         run_local_command(f"{script} {{no.such.param}}", POINT, JobSpec(), SPACE)
+    assert not marker.exists()
+
+
+def test_point_of_another_space_runs_nothing(tmp_path):
+    marker = tmp_path / "ran"
+    script = write_script(tmp_path / "job.sh", f"touch {marker}\n")
+    other = parse_param_file("mapreduce.job.maps int min=1 max=16 step=1")
+    job = JobSpec(artifact=f"{script} {{mapreduce.reduce.tasks}}")
+    with pytest.raises(InvalidPointError, match="are not the space's"):
+        LocalExecutor(SPACE, tmp_path).execute_trial(job, other.point({"mapreduce.job.maps": 8}), 1)
     assert not marker.exists()
 
 
@@ -44,7 +54,7 @@ def test_values_reach_the_command_byte_for_byte(tmp_path):
     script = write_script(tmp_path / "job.sh", f"printf '%s|%s\\n' \"$1\" \"$2\" >> {out}\n")
     space = parse_param_file("x cat values=a'b,a\\b,a\"b\ny cat values=c")
     for x in space.spec("x").values:
-        result = run_local_command(f"{script} {{x}} 'y={{y}}'", TrialPoint({"x": x, "y": "c"}),
+        result = run_local_command(f"{script} {{x}} 'y={{y}}'", space.point({"x": x, "y": "c"}),
                                    JobSpec(), space)
         assert result.status == "success"
     assert out.read_text().splitlines() == ["a'b|y=c", "a\\b|y=c", 'a"b|y=c']

@@ -139,44 +139,66 @@ def test_spec_rejects_whitespace_name():
         ParamSpec(name="bad name", kind="int", lower=0, upper=1, step=1)
 
 
-# --- validate_point -----------------------------------------------------------
+# --- ParamSpace.point: a point made from names, checked once ---------------------
+
+def violations(space: ParamSpace, assignment: dict) -> list[str]:
+    with pytest.raises(InvalidPointError) as refused:
+        space.point(assignment)
+    assert str(refused.value) == "; ".join(refused.value.violations)
+    return refused.value.violations
+
 
 def test_validate_interior_value(two_param_space):
-    point = TrialPoint({"mapreduce.reduce.tasks": 8, "mapreduce.task.io.sort.mb": 256})
-    assert two_param_space.validate_point(point) == []
+    point = two_param_space.point({"mapreduce.task.io.sort.mb": 256, "mapreduce.reduce.tasks": 8})
+    assert point.values == (8, 256)
+    assert point.names is two_param_space.default_point().names
 
 
 def test_validate_out_of_range(two_param_space):
-    point = TrialPoint({"mapreduce.reduce.tasks": 0, "mapreduce.task.io.sort.mb": 256})
-    violations = two_param_space.validate_point(point)
-    assert len(violations) == 1 and "out of range" in violations[0]
+    assert violations(two_param_space, {"mapreduce.reduce.tasks": 0,
+                                         "mapreduce.task.io.sort.mb": 256}) == [
+        "mapreduce.reduce.tasks: value 0 out of range [1, 16]"]
 
 
 def test_validate_missing_key(two_param_space):
-    violations = two_param_space.validate_point(TrialPoint({"mapreduce.reduce.tasks": 8}))
-    assert any("missing" in v for v in violations)
+    assert violations(two_param_space, {"mapreduce.reduce.tasks": 8}) == [
+        "missing parameter 'mapreduce.task.io.sort.mb'"]
 
 
 def test_validate_extra_key(two_param_space):
-    point = TrialPoint({
+    assert violations(two_param_space, {
         "mapreduce.reduce.tasks": 8,
         "mapreduce.task.io.sort.mb": 256,
         "bogus": 1,
-    })
-    assert any("unknown" in v for v in two_param_space.validate_point(point))
+    }) == ["unknown parameter 'bogus'"]
+    assert violations(two_param_space, {
+        "mapreduce.reduce.tasks": 8,
+        "mapreduce.task.io.sort.mb": 256,
+        "bogus": 1,
+        7: 1,  # names of other types are listed too, sorted as text
+    }) == ["unknown parameter 7", "unknown parameter 'bogus'"]
 
 
 def test_validate_unsnapped_integer():
     space = parse_param_file("mem int min=64 max=512 step=64")
-    violations = space.validate_point(TrialPoint({"mem": 100}))
-    assert any("lattice" in v for v in violations)
-    assert space.validate_point(TrialPoint({"mem": 64.5})) == ["mem: value 64.5 is not an integer"]
+    assert violations(space, {"mem": 100}) == ["mem: value 100 not on lattice 64+k*64"]
+    assert violations(space, {"mem": 64.5}) == ["mem: value 64.5 is not an integer"]
+    assert violations(space, {"mem": True}) == ["mem: value True is not numeric"]
 
 
 def test_validate_undeclared_categorical_value():
     space = parse_param_file("codec cat values=lz4,snappy")
-    assert space.validate_point(TrialPoint({"codec": "zstd"})) == [
+    assert violations(space, {"codec": "zstd"}) == [
         "codec: value 'zstd' not among declared values"]
+
+
+def test_point_lists_every_violation_missing_then_unknown_then_values():
+    space = parse_param_file("b int min=1 max=4 step=1\na int min=1 max=4 step=1\n"
+                             "d cat values=x,y\nc int min=1 max=4 step=1")
+    assert violations(space, {"z": 1, "y": 2, "a": 9, "b": 0, "d": "w"}) == [
+        "missing parameter 'c'", "unknown parameter 'y'", "unknown parameter 'z'",
+        "b: value 0 out of range [1, 4]", "a: value 9 out of range [1, 4]",
+        "d: value 'w' not among declared values"]
 
 
 # --- integers past 2^53, the first integer a float cannot follow one by one -------
@@ -203,7 +225,23 @@ def _grid_values_validate():
     space = parse_param_file(f"z int min={2**53} max={2**53 + 4} step=1")
     points = list(space.iter_grid())
     assert [p["z"] for p in points] == list(range(2**53, 2**53 + 5))
-    assert [space.validate_point(p) for p in points] == [[]] * 5
+    assert [space.point(p.as_dict()) for p in points] == points
+
+
+def _codec_steps_one_by_one():
+    # decode rounds u * (upper - lower) / step exactly, half away from zero, and clamps
+    for line, u, offsets in [
+        (f"z int min={2**53} max={2**53 + 4} step=1", [k / 4 for k in range(5)], [0, 1, 2, 3, 4]),
+        (f"z int min={-2**53 - 4} max={-2**53} step=1", [k / 4 for k in range(5)], [0, 1, 2, 3, 4]),
+        (f"z int min={2**53} max={2**53 + 2} step=1", [0.25, 0.7499999999999999], [1, 1]),
+        (f"z int min={2**53} max={2**53 + 5} step=2", [0.5, 1.0, 1.5, -1.0], [2, 4, 4, 0]),
+        (LONG_MAX_LINE, [0.0, 1.0], [0, LONG_MAX - 1]),
+    ]:
+        space = parse_param_file(line)
+        lower = space.specs[0].lower
+        assert [space.decode_vector([x])[space.names()[0]] - lower for x in u] == offsets, line
+    space = parse_param_file(f"z int min={2**53} max={2**53 + 4} step=1")
+    assert [space.encode_point(p)[0] for p in space.iter_grid()] == [k / 4 for k in range(5)]
 
 
 def _float_literals_still_read():
@@ -214,7 +252,7 @@ def _float_literals_still_read():
 
 @pytest.mark.parametrize("check", [
     _parse_keeps_long_max, _job_receives_long_max, _spec_takes_an_odd_bound,
-    _grid_values_validate, _float_literals_still_read,
+    _grid_values_validate, _float_literals_still_read, _codec_steps_one_by_one,
 ], ids=lambda check: check.__name__.lstrip("_"))
 def test_integers_are_exact_at_any_size(check):
     check()
@@ -224,55 +262,65 @@ def test_integers_are_exact_at_any_size(check):
 
 def test_encode_bounds():
     space = parse_param_file("io.sort.mb int min=64 max=512 step=4")
-    assert space.encode_point(TrialPoint({"io.sort.mb": 64}))[0] == 0.0
-    assert space.encode_point(TrialPoint({"io.sort.mb": 512}))[0] == 1.0
+    assert space.encode_point(space.point({"io.sort.mb": 64}))[0] == 0.0
+    assert space.encode_point(space.point({"io.sort.mb": 512}))[0] == 1.0
 
 
 def test_encode_interior_hand_value():
     # (100 - 64) / (512 - 64) = 36/448
     space = parse_param_file("io.sort.mb int min=64 max=512 step=4")
-    u = space.encode_point(TrialPoint({"io.sort.mb": 100}))
+    u = space.encode_point(space.point({"io.sort.mb": 100}))
     assert u[0] == pytest.approx(36 / 448, abs=1e-12)
 
 
 def test_encode_rejects_invalid_point(two_param_space):
-    with pytest.raises(InvalidPointError):
-        two_param_space.encode_point(TrialPoint({"mapreduce.reduce.tasks": 0}))
+    other = parse_param_file("mapreduce.reduce.tasks int min=0 max=16 step=1")
+    with pytest.raises(InvalidPointError, match="are not the space's"):
+        two_param_space.encode_point(other.point({"mapreduce.reduce.tasks": 0}))
 
 
 def test_encode_degenerate_range_is_zero():
     space = parse_param_file("pinned int min=7 max=7 step=1")
-    assert space.encode_point(TrialPoint({"pinned": 7}))[0] == 0.0
+    assert space.encode_point(space.point({"pinned": 7}))[0] == 0.0
 
 
 def test_encode_categorical_ordinal():
     space = parse_param_file("codec cat values=a,b,c")
-    assert space.encode_point(TrialPoint({"codec": "b"}))[0] == pytest.approx(0.5)
+    assert space.encode_point(space.point({"codec": "b"}))[0] == pytest.approx(0.5)
 
 
 # --- TrialPoint ------------------------------------------------------------------
 
-def _eq_ignores_name_order(space):
+def _eq_needs_the_same_space(space):
     built = space.default_point()
-    assert TrialPoint({"mapreduce.task.io.sort.mb": 64, "mapreduce.reduce.tasks": 1}) == built
-    assert TrialPoint({"mapreduce.reduce.tasks": 1, "mapreduce.task.io.sort.mb": 64}) == built
-    assert TrialPoint({"mapreduce.reduce.tasks": 1, "mapreduce.task.io.sort.mb": 128}) != built
-    assert TrialPoint({"mapreduce.reduce.tasks": 1}) != built
+    assert space.point({"mapreduce.task.io.sort.mb": 64, "mapreduce.reduce.tasks": 1}) == built
+    assert space.point({"mapreduce.reduce.tasks": 1, "mapreduce.task.io.sort.mb": 64}) == built
+    assert space.point({"mapreduce.reduce.tasks": 1, "mapreduce.task.io.sort.mb": 128}) != built
+    reordered = ParamSpace(reversed(space.specs))
+    assert reordered.point(built.as_dict()) != built  # the same assignment in another space
     assert built != {"mapreduce.reduce.tasks": 1, "mapreduce.task.io.sort.mb": 64}
 
 
+def _made_only_by_its_space(space):
+    for args in [({"mapreduce.reduce.tasks": 1, "mapreduce.task.io.sort.mb": 64},), ()]:
+        with pytest.raises(TypeError, match=r"ParamSpace\.point"):
+            TrialPoint(*args)
+
+
 def _repr_lists_names_in_order(space):
-    point = TrialPoint({"mapreduce.task.io.sort.mb": 256, "codec": "lz4"})
-    assert repr(point) == "TrialPoint(mapreduce.task.io.sort.mb=256, codec='lz4')"
+    point = space.point({"mapreduce.task.io.sort.mb": 256, "mapreduce.reduce.tasks": 8})
+    assert repr(point) == "TrialPoint(mapreduce.reduce.tasks=8, mapreduce.task.io.sort.mb=256)"
 
 
 def _as_dict_keeps_order(space):
-    assert list(TrialPoint({"b": 1, "a": 2}).as_dict().items()) == [("b", 1), ("a", 2)]
+    point = space.point({"mapreduce.task.io.sort.mb": 256, "mapreduce.reduce.tasks": 8})
+    assert list(point.as_dict().items()) == [("mapreduce.reduce.tasks", 8),
+                                             ("mapreduce.task.io.sort.mb", 256)]
     assert list(space.decode_vector([0.0, 1.0]).as_dict()) == space.names()
 
 
 def _getitem_by_name(space):
-    point = TrialPoint({"mapreduce.task.io.sort.mb": 256, "mapreduce.reduce.tasks": 8})
+    point = space.point({"mapreduce.task.io.sort.mb": 256, "mapreduce.reduce.tasks": 8})
     assert point["mapreduce.reduce.tasks"] == 8
     assert space.default_point()["mapreduce.task.io.sort.mb"] == 64
     with pytest.raises(KeyError):
@@ -288,21 +336,21 @@ def _immutable(space):
 
 
 def _unhashable(space):
-    for point in (space.default_point(), TrialPoint({"x": 1})):
+    for point in (space.default_point(), space.decode_vector([0.5, 0.5])):
         with pytest.raises(TypeError):
             hash(point)
 
 
 def _render_uses_spec_order(space):
-    point = TrialPoint({"mapreduce.task.io.sort.mb": 256, "mapreduce.reduce.tasks": 8})
+    point = space.point({"mapreduce.task.io.sort.mb": 256, "mapreduce.reduce.tasks": 8})
     assert space.render_config_args(point) == ["-Dmapreduce.reduce.tasks=8",
                                                "-Dmapreduce.task.io.sort.mb=256"]
     assert space.point_key(point) == (8, 256)
 
 
 @pytest.mark.parametrize("check", [
-    _eq_ignores_name_order, _repr_lists_names_in_order, _as_dict_keeps_order,
-    _getitem_by_name, _immutable, _unhashable, _render_uses_spec_order,
+    _eq_needs_the_same_space, _made_only_by_its_space, _repr_lists_names_in_order,
+    _as_dict_keeps_order, _getitem_by_name, _immutable, _unhashable, _render_uses_spec_order,
 ], ids=lambda check: check.__name__.lstrip("_"))
 def test_trial_point_contract(two_param_space, check):
     check(two_param_space)
@@ -311,7 +359,7 @@ def test_trial_point_contract(two_param_space, check):
 # --- decode -------------------------------------------------------------------
 
 def test_decode_roundtrip_named_point(two_param_space):
-    p = TrialPoint({"mapreduce.reduce.tasks": 8, "mapreduce.task.io.sort.mb": 256})
+    p = two_param_space.point({"mapreduce.reduce.tasks": 8, "mapreduce.task.io.sort.mb": 256})
     assert two_param_space.decode_vector(two_param_space.encode_point(p)) == p
 
 
@@ -386,7 +434,7 @@ def test_float_lattice_top_value_is_the_upper_bound():
     # 0.05 + 18 * 0.05 evaluates to 0.9500000000000001 in binary floating point
     space = parse_param_file("x float min=0.05 max=0.95 step=0.05")
     for point in (space.decode_vector([1.0]), list(space.iter_grid())[-1]):
-        assert space.validate_point(point) == []
+        assert space.point(point.as_dict()) == point
         assert point["x"] == 0.95
 
 
@@ -394,12 +442,12 @@ def test_float_lattice_top_value_is_the_upper_bound():
 
 def test_render_single_int():
     space = parse_param_file("mapreduce.reduce.tasks int min=1 max=16 step=1")
-    args = space.render_config_args(TrialPoint({"mapreduce.reduce.tasks": 8}))
+    args = space.render_config_args(space.point({"mapreduce.reduce.tasks": 8}))
     assert args == ["-Dmapreduce.reduce.tasks=8"]
 
 
 def test_render_spec_order(two_param_space):
-    point = TrialPoint({"mapreduce.task.io.sort.mb": 256, "mapreduce.reduce.tasks": 8})
+    point = two_param_space.point({"mapreduce.task.io.sort.mb": 256, "mapreduce.reduce.tasks": 8})
     args = two_param_space.render_config_args(point)
     assert args == [
         "-Dmapreduce.reduce.tasks=8",
@@ -409,13 +457,13 @@ def test_render_spec_order(two_param_space):
 
 def test_render_categorical():
     space = parse_param_file("mapreduce.map.output.compress cat values=true,false")
-    args = space.render_config_args(TrialPoint({"mapreduce.map.output.compress": "true"}))
+    args = space.render_config_args(space.point({"mapreduce.map.output.compress": "true"}))
     assert args == ["-Dmapreduce.map.output.compress=true"]
 
 
 def test_render_float_shortest_roundtrip():
     space = parse_param_file("frac float min=0 max=1 step=0.1")
-    args = space.render_config_args(TrialPoint({"frac": 0.30000000000000004}))
+    args = space.render_config_args(space.point({"frac": 0.30000000000000004}))
     assert args == ["-Dfrac=0.30000000000000004"]
 
 
@@ -459,16 +507,24 @@ def spaces_with_snapped_point(draw):
         else:
             k = draw(st.integers(0, spec.lattice_count() - 1))
             assignment[spec.name] = spec.lattice_value(k)
-    return space, TrialPoint(assignment)
+    return space, space.point(assignment)
 
 
 @given(spaces_with_snapped_point())
 @settings(max_examples=200)
 def test_property_encode_decode_roundtrip(space_point):
     space, point = space_point
-    assert space.validate_point(point) == []
-    decoded = space.decode_vector(space.encode_point(point))
-    assert space.point_key(decoded) == space.point_key(point)
+    assert space.decode_vector(space.encode_point(point)) == point
+
+
+@given(spaces_with_snapped_point())
+@settings(max_examples=100)
+def test_property_point_is_made_in_spec_order_from_any_mapping_order(space_point):
+    space, point = space_point
+    reversed_point = space.point(dict(reversed(point.as_dict().items())))
+    assert reversed_point == point and space.point_key(reversed_point) == point.values
+    default = space.default_point()
+    assert space.point(default.as_dict()) == default
 
 
 @given(spaces_with_snapped_point())
@@ -489,7 +545,7 @@ def test_property_decode_totality(space, data):
         )
     )
     point = space.decode_vector(u)
-    assert space.validate_point(point) == []
+    assert space.point(point.as_dict()) == point
 
 
 @given(spaces())
@@ -505,4 +561,4 @@ def test_property_grid_cardinality_and_validity(space):
     keys = {space.point_key(p) for p in grid}
     assert len(keys) == len(grid)
     for p in grid:
-        assert space.validate_point(p) == []
+        assert space.point(p.as_dict()) == p

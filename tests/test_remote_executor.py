@@ -13,7 +13,7 @@ import pytest
 
 from doubles import InterruptingExecutor, ScriptedTransport
 from jobtuner.cli import main
-from jobtuner.errors import ConnectError, StagingError, TransportTimeout
+from jobtuner.errors import ConnectError, InvalidPointError, StagingError, TransportTimeout
 from jobtuner.executors import remote
 from jobtuner.executors.base import JobSpec
 from jobtuner.executors.remote import (
@@ -23,7 +23,7 @@ from jobtuner.executors.remote import (
     assemble_hadoop_command,
 )
 from jobtuner.history import read_manifest, read_raw_records, read_trials
-from jobtuner.paramspace import TrialPoint, parse_param_file
+from jobtuner.paramspace import parse_param_file
 from jobtuner.project import load_project
 from jobtuner.session import resume_session, run_tuning
 
@@ -38,7 +38,7 @@ ENV = ClusterEnv(
 )
 
 SPACE = parse_param_file("mapreduce.reduce.tasks int min=1 max=16 step=1")
-POINT = TrialPoint({"mapreduce.reduce.tasks": 8})
+POINT = SPACE.point({"mapreduce.reduce.tasks": 8})
 
 JOB = JobSpec(
     artifact="app.jar",
@@ -74,8 +74,17 @@ def test_assemble_hadoop_command():
 def test_assemble_hadoop_command_quotes_each_value():
     space = parse_param_file("x cat values=a'b,a\\b,a;b,$HOME")
     for x in space.spec("x").values:
-        command = assemble_hadoop_command(ENV, JOB, TrialPoint({"x": x}), space)
+        command = assemble_hadoop_command(ENV, JOB, space.point({"x": x}), space)
         assert shlex.split(command)[4:] == [f"-Dx={x}", "/data/in", "/data/out"]
+
+
+def test_point_of_another_space_runs_nothing(tmp_path):
+    transport = ScriptedTransport(hadoop_stdout=HADOOP_STDOUT)
+    executor = RemoteExecutor(SPACE, ENV, make_project(tmp_path), transport)
+    other = parse_param_file("mapreduce.job.maps int min=1 max=16 step=1")
+    with pytest.raises(InvalidPointError, match="are not the space's"):
+        executor.execute_trial(JOB, other.point({"mapreduce.job.maps": 8}), 1)
+    assert (transport.commands, transport.uploads, transport.fetches) == ([], [], [])
 
 
 def test_assemble_hadoop_command_keeps_each_argument_whole():
@@ -83,7 +92,7 @@ def test_assemble_hadoop_command_keeps_each_argument_whole():
     job = JOB._replace(artifact="jars/my app.jar", main_entry="org.Main",
                        static_args=("/in dir", "/out"))
     space = parse_param_file("a int min=1 max=4 step=1")
-    command = assemble_hadoop_command(env, job, TrialPoint({"a": 1}), space)
+    command = assemble_hadoop_command(env, job, space.point({"a": 1}), space)
     assert shlex.split(command) == [
         "/opt/my hadoop/bin/hadoop", "jar", "my app.jar", "org.Main", "-Da=1", "/in dir", "/out"]
 

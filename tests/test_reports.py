@@ -8,7 +8,7 @@ from helpers import bowl_job_conf, write_synthetic_project
 from jobtuner.errors import IdenticalAxesError, UnknownParamError
 from jobtuner.executors.base import TrialResult
 from jobtuner.history import TrialRecord, read_trials
-from jobtuner.paramspace import TrialPoint, parse_param_file
+from jobtuner.paramspace import parse_param_file
 from jobtuner.reports import surface_writer, write_convergence, write_surface
 from jobtuner.session import run_tuning
 
@@ -24,12 +24,13 @@ BIG_SPACE = parse_param_file(
     f"a int min={2**53} max={2**53 + 2} step=1\nb int min=1 max=4 step=1\n")
 
 
-def rec(trial_id, aggregate, a=1, b=1, c="x"):
+def rec(trial_id, aggregate, space=SPACE, **assignment):
+    """A trial at the space's default point, with the values in assignment."""
     status = "success" if aggregate is not None else "failed"
     times = (aggregate,) if aggregate is not None else ()
     return TrialRecord(
         trial_id=trial_id,
-        point=TrialPoint({"a": a, "b": b, "c": c}),
+        point=space.point({**space.default_point().as_dict(), **assignment}),
         result=TrialResult(status=status, rep_times_s=times),
         strategy_id="grid",
         timestamp=datetime(2026, 1, 1, tzinfo=timezone.utc),
@@ -125,10 +126,10 @@ def test_surface_full_grid_cell_count(tmp_path):
 # every kind of axis: values rendered as the space renders them; numbers sorted by
 # value (2 before 10), cat values by their text (x10 before x2, whatever their order)
 KINDS_RECORDS = [
-    rec(1, 4.0, a=10, b=2.5, c="x2"),
-    rec(2, 3.0, a=2, b=10.0, c="x10"),
-    rec(3, 2.0, a=10, b=0.25, c="y"),
-    rec(4, 1.0, a=2, b=2.5, c="x2"),
+    rec(1, 4.0, KINDS_SPACE, a=10, b=2.5, c="x2"),
+    rec(2, 3.0, KINDS_SPACE, a=2, b=10.0, c="x10"),
+    rec(3, 2.0, KINDS_SPACE, a=10, b=0.25, c="y"),
+    rec(4, 1.0, KINDS_SPACE, a=2, b=2.5, c="x2"),
 ]
 
 
@@ -140,7 +141,7 @@ KINDS_RECORDS = [
      "b,a,median_s,n\n0.25,10,2.0,1\n2.5,2,1.0,1\n2.5,10,4.0,1\n10.0,2,3.0,1\n"),
     (KINDS_SPACE, KINDS_RECORDS, "c", "a",
      "c,a,median_s,n\nx10,2,3.0,1\nx2,2,1.0,1\nx2,10,4.0,1\ny,10,2.0,1\n"),
-    (BIG_SPACE, [rec(1, 1.0, a=2**53 + 1), rec(2, 2.0, a=2**53)], "a", "b",
+    (BIG_SPACE, [rec(1, 1.0, BIG_SPACE, a=2**53 + 1), rec(2, 2.0, BIG_SPACE, a=2**53)], "a", "b",
      f"a,b,median_s,n\n{2**53},1,2.0,1\n{2**53 + 1},1,1.0,1\n"),
 ], ids=["int", "int_by_float", "float_by_int", "cat_by_int", "int_past_2_to_the_53"])
 def test_surface_csv_name_and_content(tmp_path, space, records, px, py, expected):

@@ -35,7 +35,7 @@ from jobtuner.executors.base import Executor, TrialResult
 from jobtuner.executors.synthetic import synthetic_eval
 from jobtuner.history import (SessionLock, TrialRecord, read_manifest, read_raw_records,
                               read_trials, write_manifest as real_write_manifest)
-from jobtuner.paramspace import TrialPoint
+from jobtuner.paramspace import parse_param_file
 from jobtuner.search import STRATEGIES, strategy_ids
 from jobtuner.session import (
     aggregate_history,
@@ -58,12 +58,15 @@ def small_project(tmp_path, noise=0.0, reps=1, name="proj", surface_seed=0):
 
 # --- best_of -------------------------------------------------------------------
 
+AB_SPACE = parse_param_file("a int min=1 max=4 step=1\nb int min=1 max=2 step=1\n")
+
+
 def rec(trial_id, aggregate):
     status = "success" if aggregate is not None else "failed"
     times = (aggregate,) if aggregate is not None else ()
     return TrialRecord(
         trial_id=trial_id,
-        point=TrialPoint({"a": 1, "b": 1}),
+        point=AB_SPACE.point({"a": 1, "b": 1}),
         result=TrialResult(status=status, rep_times_s=times),
         strategy_id="grid",
         timestamp=datetime(2026, 1, 1, tzinfo=timezone.utc),

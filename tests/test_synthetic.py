@@ -3,10 +3,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from jobtuner.errors import DimensionMismatchError
+from jobtuner.errors import DimensionMismatchError, InvalidPointError
 from jobtuner.executors.base import JobSpec
 from jobtuner.executors.synthetic import SurfaceSpec, SyntheticExecutor, synthetic_eval
-from jobtuner.paramspace import TrialPoint, parse_param_file
+from jobtuner.paramspace import parse_param_file
 
 BOWL = SurfaceSpec(family="bowl", base_s=100.0, weights=(200.0, 100.0),
                    optimum=(0.8, 0.9))
@@ -122,7 +122,7 @@ def test_executor_repetition_cardinality():
     space = parse_param_file("a float min=0 max=1 step=0.01\nb float min=0 max=1 step=0.01")
     executor = SyntheticExecutor(space, NOISY_BOWL)
     result = executor.execute_trial(
-        JobSpec(repetitions=3), TrialPoint({"a": 0.25, "b": 0.5}), trial_id=4
+        JobSpec(repetitions=3), space.point({"a": 0.25, "b": 0.5}), trial_id=4
     )
     assert result.status == "success"
     assert len(result.rep_times_s) == 3
@@ -132,7 +132,15 @@ def test_executor_purity():
     space = parse_param_file("a float min=0 max=1 step=0.01\nb float min=0 max=1 step=0.01")
     executor = SyntheticExecutor(space, NOISY_BOWL)
     job = JobSpec(repetitions=5)
-    point = TrialPoint({"a": 0.25, "b": 0.5})
+    point = space.point({"a": 0.25, "b": 0.5})
     first = executor.execute_trial(job, point, trial_id=2)
     second = executor.execute_trial(job, point, trial_id=2)
     assert first == second
+
+
+def test_executor_refuses_a_point_of_another_space():
+    space = parse_param_file("a float min=0 max=1 step=0.01\nb float min=0 max=1 step=0.01")
+    reordered = parse_param_file("b float min=0 max=1 step=0.01\na float min=0 max=1 step=0.01")
+    executor = SyntheticExecutor(space, NOISY_BOWL)
+    with pytest.raises(InvalidPointError, match="are not the space's"):
+        executor.execute_trial(JobSpec(), reordered.point({"a": 0.25, "b": 0.5}), trial_id=1)

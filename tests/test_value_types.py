@@ -22,7 +22,6 @@ from jobtuner import (
     Project,
     SessionSummary,
     SurfaceSpec,
-    TrialPoint,
     TrialRecord,
     TrialResult,
 )
@@ -198,7 +197,7 @@ def test_points_records_spaces_and_projects_survive_deepcopy_and_pickle(tmp_path
                          strategy_id="grid", timestamp=datetime(2024, 1, 2, tzinfo=timezone.utc))
     project = write_synthetic_project(tmp_path / "proj", "a int min=1 max=4 step=1\n"
                                       "b int min=1 max=2 step=1\n", bowl_job_conf())
-    for value in (point, TrialPoint({"b": 2, "a": 1}), record, sp, project):
+    for value in (point, sp.point({"c": "y", "a": 2}), record, sp, project):
         for twin in copies(value):
             assert type(twin) is type(value) and twin == value and repr(twin) == repr(value)
     for twin in copies(sp):
