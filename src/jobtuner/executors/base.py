@@ -99,8 +99,8 @@ class TrialResult(CheckedTuple, _ResultFields):
         rep_times_s = tuple(rep_times_s)
         if status not in (STATUS_SUCCESS, STATUS_FAILED, STATUS_TIMEOUT):
             raise ValueError(f"unknown status {status!r}")
-        try:  # NaN and inf fail this too, so every success has a finite median
-            finite = all(0.0 < t < math.inf for t in rep_times_s)
+        try:  # NaN, inf and bools fail too (False by 0.0 < t), so a success's median is finite
+            finite = all(0.0 < t < math.inf and t is not True for t in rep_times_s)
         except TypeError:  # a time that is no number
             finite = False
         if not finite:

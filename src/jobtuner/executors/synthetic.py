@@ -68,6 +68,8 @@ class SurfaceSpec(CheckedTuple, _SurfaceFields):
                     raise ValueError(f"rosenbrock surface is 2-dimensional; {label} has {len(seq)}")
         if family == FAMILY_LOOKUP and not table:
             raise ValueError("lookup_table surface needs a nonempty table")
+        if any(len(cell) != len(table[0][0]) for cell, _ in table):
+            raise ValueError("lookup_table cells must all have the same number of coordinates")
         return tuple.__new__(cls, (family, base_s, weights, optimum, noise_sd_s, seed, table))
 
     @property

@@ -257,16 +257,18 @@ _UNREADABLE = (ValueError, KeyError, TypeError, AttributeError, InvalidPointErro
 def _decoder(space: ParamSpace, in_space: bool) -> Callable[[dict], TrialRecord]:
     """The record decoder of both files: the record a journal line's fields hold.
 
-    Raises one of _UNREADABLE when aggregate_s is not the record's own or
-    space.point refuses the point: always if in_space, else only a point naming
-    other parameters or holding a bool (which a replay's == takes for 1); any
-    other point is built unchecked, for its replay to prove.
+    Raises one of _UNREADABLE when trial_id is no int, aggregate_s is not the
+    record's own or space.point refuses the point: always if in_space, else
+    only a point naming other parameters or holding a bool (which a replay's
+    == takes for 1); any other point is built unchecked, for its replay to prove.
     """
     names = space.names()
     declared = set(names)
     make_point, intern, parse_time = space._make_point, sys.intern, datetime.fromisoformat
 
     def decode(d: dict) -> TrialRecord:
+        if type(d["trial_id"]) is not int:  # True and 1.0 would pass for 1
+            raise ValueError(f"trial_id {d['trial_id']!r} is not an int")
         values = d["point"]
         if values.keys() != declared or in_space or bool in map(type, values.values()):
             point = space.point(values)

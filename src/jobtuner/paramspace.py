@@ -40,13 +40,6 @@ KIND_CAT = "cat"
 _COUNT_EPS = 1e-9
 
 
-def _round_half_away(x: float) -> int:
-    """Round to nearest integer, ties away from zero (locale-free)."""
-    if x >= 0:
-        return int(math.floor(x + 0.5))
-    return int(math.ceil(x - 0.5))
-
-
 def _is_whole(v: int | float) -> bool:
     """The one wholeness rule, exact at any size: an int is whole as it is."""
     return isinstance(v, int) or float(v).is_integer()
@@ -122,8 +115,8 @@ class ParamSpec(CheckedTuple, _SpecFields):
                 raise DomainError(f"{name}: default {default!r} not among values")
             return tuple.__new__(cls, (name, kind, lower, upper, step, values, default, unit))
 
-        if lower is None or upper is None or step is None:
-            raise DomainError(f"{name}: numeric kind needs lower, upper and step")
+        if lower is None or upper is None or step is None or values:
+            raise DomainError(f"{name}: numeric kind needs lower, upper and step, and no values")
         if lower > upper:
             raise DomainError(f"{name}: lower {lower} > upper {upper}")
         if step <= 0:
@@ -150,14 +143,20 @@ class ParamSpec(CheckedTuple, _SpecFields):
 
     # -- lattice helpers ------------------------------------------------
 
-    def lattice_count(self) -> int:
-        """Number of grid values: lower, lower+step, ... <= upper (or len(values))."""
+    @property
+    def lattice(self) -> tuple[int | float, int | float, int | float]:
+        """(first, last, step): the bounds and step, or a categorical's indices (0, n - 1, 1)."""
         if self.kind == KIND_CAT:
-            return len(self.values)
-        if self.kind == KIND_INT:
-            return (self.upper - self.lower) // self.step + 1
-        k = int(math.floor((self.upper - self.lower) / self.step + _COUNT_EPS))
-        while k > 0 and self.lower + k * self.step > self.upper + _COUNT_EPS * max(1.0, abs(self.upper)):
+            return 0, len(self.values) - 1, 1
+        return self.lower, self.upper, self.step
+
+    def lattice_count(self) -> int:
+        """Number of grid values: first, first+step, ... <= last."""
+        first, last, step = self.lattice
+        if self.kind != KIND_FLOAT:
+            return (last - first) // step + 1
+        k = int(math.floor((last - first) / step + _COUNT_EPS))
+        while k > 0 and first + k * step > last + _COUNT_EPS * max(1.0, abs(last)):
             k -= 1
         return k + 1
 
@@ -191,33 +190,27 @@ class ParamSpec(CheckedTuple, _SpecFields):
         return None
 
     def encode_value(self, v: Value) -> float:
-        """Map a domain value to [0, 1]; an int's offset from lower is exact at any size."""
-        if self.kind == KIND_CAT:
-            n = len(self.values)
-            if n == 1:
-                return 0.0
-            return self.values.index(v) / (n - 1)
-        if self.upper == self.lower:
+        """Map a domain value (a categorical's index) to [0, 1]; an int's is exact at any size."""
+        first, last, _ = self.lattice
+        if last == first:
             return 0.0
-        return (v - self.lower) / (self.upper - self.lower)
+        x = self.values.index(v) if self.values else v
+        return (x - first) / (last - first)
 
     def decode_unit(self, u: float) -> Value:
-        """Map a unit coordinate (clamped to [0, 1]) back to a lattice-snapped domain value."""
+        """Map a unit coordinate (clamped to [0, 1]) to its nearest lattice value. Every kind,
+        a categorical as its index lattice, decodes by one rule: ties round up on the
+        non-negative lattice index."""
         u = min(max(u, 0.0), 1.0)
-        if self.kind == KIND_CAT:
-            n = len(self.values)
-            if n == 1:
-                return self.values[0]
-            idx = _round_half_away(u * (n - 1))
-            return self.values[min(max(idx, 0), n - 1)]
-        if self.kind == KIND_INT and max(-self.lower, self.upper) >= 2**53:
-            # past 2**53 floats skip integers: round u * (upper - lower) / step exactly
+        first, last, step = self.lattice
+        if self.kind == KIND_INT and max(-first, last) >= 2**53:
+            # past 2**53 floats skip integers: round u * (last - first) / step exactly
             n, d = u.as_integer_ratio()
-            k = (2 * n * (self.upper - self.lower) + d * self.step) // (2 * d * self.step)
+            k = (2 * n * (last - first) + d * step) // (2 * d * step)
         else:
-            v = self.lower + u * (self.upper - self.lower)
-            k = _round_half_away((v - self.lower) / self.step)
-        return self.lattice_value(min(max(k, 0), self.lattice_count() - 1))
+            v = first + u * (last - first)
+            k = int(math.floor((v - first) / step + 0.5))  # u >= 0 (or -0.0): k >= 0
+        return self.lattice_value(min(k, self.lattice_count() - 1))
 
     def render(self, v: Value) -> str:
         """Canonical string form: ints without decimal point, floats shortest-roundtrip."""
@@ -371,8 +364,8 @@ class ParamSpace:
     def decode_vector(self, u: Iterable[float]) -> TrialPoint:
         """Decode any real vector of length d into a valid snapped point.
 
-        Coordinates are clamped to [0, 1] first; numeric values snap onto
-        the step lattice with half-away-from-zero rounding.
+        Coordinates are clamped to [0, 1]; then every kind, a categorical as its index
+        lattice, decodes by one rule: ties round up on the non-negative lattice index.
         """
         import numpy as np
         vec = np.asarray(list(u), dtype=float)

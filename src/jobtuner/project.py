@@ -155,9 +155,11 @@ def _parse_table(raw: str, filename: str) -> tuple[tuple[tuple[float, ...], floa
         coords, sep, seconds = chunk.partition("=")
         if not sep:
             raise BadValueError("table", f"cell {chunk!r} lacks '='", filename)
-        cells.append(
-            (tuple(float(c) for c in coords.split(",")), float(seconds))
-        )
+        try:
+            cells.append((tuple(float(c) for c in coords.split(",")), float(seconds)))
+        except ValueError:
+            raise BadValueError("table", f"cell {chunk!r} holds a value that is no number",
+                                filename) from None
     return tuple(cells)
 
 

@@ -86,6 +86,8 @@ def test_parse_unknown_kind():
         # refusals the parser never lets through, made by ParamSpec itself
         pytest.param(dict(kind="bool"), id="spec-unknown-kind"),
         pytest.param(dict(kind="float", lower=0.0, step=0.5), id="spec-numeric-without-upper"),
+        pytest.param(dict(kind="int", lower=1, upper=4, step=1, values=("a",)),
+                     id="spec-numeric-with-values"),
         pytest.param(dict(kind="int", lower=1.5, upper=4, step=1), id="spec-int-bound-not-whole"),
         pytest.param(dict(kind="int", lower=1, upper=4, step=1, default=2.5),
                      id="spec-int-default-not-whole"),
@@ -379,6 +381,49 @@ def test_decode_stays_on_lattice_when_step_misses_upper():
     # lattice 1, 3, ..., 15; u=1 must give 15, not an unsnapped 16
     space = parse_param_file("x int min=1 max=16 step=2")
     assert space.decode_vector([1.0])["x"] == 15
+
+
+# Each spec's decode at every half-lattice tie (k + 0.5) * step / (upper - lower),
+# its decode at -0.0, 0, 1, -0.4 and 1.7, and the encode of each lattice value.
+# The float spec's second tie computes just below the tie and rounds down.
+CODEC_CASES = {
+    "c cat values=a,b,c,d": (
+        ["b", "c", "d"], ["a", "a", "d", "a", "d"],
+        [0.0, 0.3333333333333333, 0.6666666666666666, 1.0]),
+    "c cat values=only": ([], ["only"] * 5, [0.0]),
+    "x int min=1 max=16 step=1": (
+        list(range(2, 17)), [1, 1, 16, 1, 16],
+        [0.0, 0.06666666666666667, 0.13333333333333333, 0.2, 0.26666666666666666,
+         0.3333333333333333, 0.4, 0.4666666666666667, 0.5333333333333333, 0.6,
+         0.6666666666666666, 0.7333333333333333, 0.8, 0.8666666666666667,
+         0.9333333333333333, 1.0]),
+    "x int min=1 max=16 step=2": (
+        [3, 5, 7, 9, 11, 13, 15], [1, 1, 15, 1, 15],
+        [0.0, 0.13333333333333333, 0.26666666666666666, 0.4, 0.5333333333333333,
+         0.6666666666666666, 0.8, 0.9333333333333333]),
+    "f float min=0.05 max=0.95 step=0.05": (
+        [0.1, 0.1, 0.2, 0.25, 0.3, 0.35000000000000003, 0.4, 0.45, 0.5, 0.55,
+         0.6000000000000001, 0.6500000000000001, 0.7000000000000001, 0.7500000000000001,
+         0.8, 0.8500000000000001, 0.9000000000000001, 0.95],
+        [0.05, 0.05, 0.95, 0.05, 0.95],
+        [0.0, 0.055555555555555566, 0.11111111111111115, 0.1666666666666667,
+         0.22222222222222227, 0.2777777777777778, 0.3333333333333334, 0.38888888888888895,
+         0.44444444444444453, 0.5000000000000001, 0.5555555555555556, 0.6111111111111113,
+         0.6666666666666669, 0.7222222222222223, 0.7777777777777779, 0.8333333333333334,
+         0.8888888888888891, 0.9444444444444446, 1.0]),
+}
+
+
+@pytest.mark.parametrize("line", list(CODEC_CASES))
+def test_codec_characterization(line):
+    ties, specials, encodes = CODEC_CASES[line]
+    spec = parse_param_file(line).specs[0]
+    steps = spec.lattice_count() - 1
+    span = steps if spec.kind == "cat" else (spec.upper - spec.lower) / spec.step
+    decoded = [spec.decode_unit((k + 0.5) / span) for k in range(steps)]
+    assert decoded == ties and list(map(type, decoded)) == list(map(type, ties))
+    assert [spec.decode_unit(u) for u in (-0.0, 0.0, 1.0, -0.4, 1.7)] == specials
+    assert [spec.encode_value(v) for v in spec.grid_values()] == encodes
 
 
 def test_decode_dimension_mismatch(two_param_space):

@@ -284,6 +284,15 @@ def test_load_lookup_table_project(tmp_path):
         load_project(tmp_path / "p")
 
 
+@pytest.mark.parametrize("cell", ["0,x=9", "0,1=nine", "=9"],
+                         ids=["coordinate", "seconds", "no_coordinate"])
+def test_a_table_cell_that_is_no_number_is_refused_under_table(cell):
+    job = f"executor=synthetic\nfamily=lookup_table\nbase_s=1\ntable=0,0=9;{cell}\n"
+    with pytest.raises(BadValueError, match=f"^bad value for key 'table' in job.conf: cell "
+                                            f"'{cell}' holds a value that is no number$"):
+        parse_job_file(job)
+
+
 def test_load_refuses_a_local_command_that_does_not_split(tmp_path):
     d = tmp_path / "p"
     d.mkdir()

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -539,6 +540,37 @@ def test_resume_refuses_a_bool_parameter_value_as_aggregate_does(tmp_path, name,
     with pytest.raises(HistoryCorruptError) as aggregated:
         aggregate_history(project)
     assert str(aggregated.value) == str(resumed.value)
+
+
+@pytest.mark.parametrize("fields, violation", [
+    ({"trial_id": True}, "trial_id True is not an int"),
+    ({"trial_id": 1.0}, "trial_id 1.0 is not an int"),
+    ({"rep_times_s": [True], "aggregate_s": 1.0}, "repetition times [True] must be"),
+    ({"status": "failed", "rep_times_s": [True], "aggregate_s": None},
+     "repetition times [True] must be"),
+], ids=["trial_id_true", "trial_id_float", "success_time_true", "failure_time_true"])
+@pytest.mark.parametrize("command", [aggregate_history, resume_session],
+                         ids=["aggregate", "resume"])
+def test_a_journal_number_of_another_type_is_corrupt_history(tmp_path, command, fields,
+                                                              violation):
+    # each equals a number of the right type (True == 1 == 1.0), so only its type tells
+    project = write_synthetic_project(tmp_path / "proj", BOOL_PARAMS, bowl_job_conf())
+    with pytest.raises(ConnectError):
+        run_tuning(project, "grid", budget=4,
+                   executor=InterruptingExecutor(make_executor(project), allow=3))
+    hist = project.root / "history"
+    path = hist / "journal.jsonl"
+    lines = path.read_bytes().splitlines(keepends=True)
+    entry = json.loads(lines[0])
+    entry.update(fields)
+    lines[0] = (json.dumps(entry, sort_keys=True) + "\n").encode()
+    path.write_bytes(b"".join(lines))
+    before = {p.name: p.read_bytes() for p in hist.iterdir()}
+    message = f"^journal line 1 unreadable: {re.escape(violation)}"
+    with pytest.raises(HistoryCorruptError, match=message) as refused:
+        command(project)
+    assert refused.value.last_valid_id == 0
+    assert {p.name: p.read_bytes() for p in hist.iterdir()} == before
 
 
 @pytest.mark.parametrize("edit, message", [

@@ -118,6 +118,12 @@ def test_invalid_surfaces():
         SurfaceSpec(family="lookup_table", base_s=1.0)
 
 
+def test_lookup_table_cells_share_one_dimension():
+    # numpy would broadcast the one-coordinate cell against a 2-d point
+    with pytest.raises(ValueError, match="^lookup_table cells must all have the same number"):
+        SurfaceSpec(family="lookup_table", base_s=1.0, table=[((0.1, 0.2), 5.0), ((0.9,), 6.0)])
+
+
 def test_executor_repetition_cardinality():
     space = parse_param_file("a float min=0 max=1 step=0.01\nb float min=0 max=1 step=0.01")
     executor = SyntheticExecutor(space, NOISY_BOWL)
