@@ -42,6 +42,8 @@ class JobSpec(CheckedTuple, _JobFields):
                 repetitions: int = 1, cleanup_output: bool = False) -> JobSpec:
         if timeout_s <= 0:
             raise ValueError(f"timeout_s must be > 0, got {timeout_s}")
+        if not math.isfinite(timeout_s):
+            raise ValueError(f"timeout_s must be finite, got {timeout_s}")
         if repetitions < 1:
             raise ValueError(f"repetitions must be >= 1, got {repetitions}")
         return tuple.__new__(cls, (artifact, main_entry, tuple(static_args), timeout_s,

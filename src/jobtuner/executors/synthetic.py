@@ -52,12 +52,14 @@ class SurfaceSpec(CheckedTuple, _SurfaceFields):
         table = tuple((tuple(float(c) for c in cell), float(t)) for cell, t in table)
         if family not in FAMILIES:
             raise ValueError(f"unknown surface family {family!r}")
-        if base_s <= 0:
-            raise ValueError("base_s must be > 0")
-        if noise_sd_s < 0:
-            raise ValueError("noise_sd_s must be >= 0")
-        if any(w <= 0 for w in weights):
-            raise ValueError("weights must be positive")
+        if not 0 < base_s < math.inf:
+            raise ValueError("base_s must be > 0 and finite")
+        if not 0 <= noise_sd_s < math.inf:
+            raise ValueError("noise_sd_s must be >= 0 and finite")
+        if any(not 0 < w < math.inf for w in weights):
+            raise ValueError("weights must be positive and finite")
+        if any(not 0 < t < math.inf for _, t in table):
+            raise ValueError("table times must be positive and finite")
         if any(not 0.0 <= o <= 1.0 for o in optimum):
             raise ValueError("optimum coordinates must lie in [0, 1]")
         if family == FAMILY_BOWL and len(weights) != len(optimum):

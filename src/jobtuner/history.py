@@ -30,8 +30,9 @@ holding one record at a time. A writer replaces its file whole, through a
 temporary file of its own, and never appends to or repairs it in place.
 
 trials.csv columns: trial_id, strategy, timestamp_utc, one column per
-parameter in space order, status, rep_times_s (';'-joined), aggregate_s
-(decimal or the literal FAILED), map_s, shuffle_s, reduce_s.
+parameter in space order, status, rep_times_s (';'-joined), aggregate_s (the
+median of a success's repetition times, read from the record's result, or the
+literal FAILED), map_s, shuffle_s, reduce_s.
 """
 
 from __future__ import annotations
@@ -56,8 +57,7 @@ from .errors import (
     ManifestMissingError,
 )
 from .executors.base import TrialResult
-from .paramspace import (KIND_CAT, KIND_FLOAT, KIND_INT, CheckedTuple, ParamSpace, TrialPoint,
-                         fmt_float)
+from .paramspace import KIND_CAT, KIND_FLOAT, KIND_INT, ParamSpace, TrialPoint, fmt_float
 from .project import parse_kv_file
 
 HISTORY_DIR = "history"
@@ -80,37 +80,30 @@ def median(values: Iterable[float]) -> float:
     return float(ordered[mid]) if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
 
 
-class _RecordFields(NamedTuple):
+class TrialRecord(NamedTuple):
+    """One executed trial, holding only what it was given; immutable.
+
+    A plain tuple, so that a history of many trials holds its records at a
+    tuple's cost. The aggregate is read from the result, never stored, so a
+    record has no checks of its own: its point and result were checked when made.
+    """
+
     trial_id: int
     point: TrialPoint
     result: TrialResult
     strategy_id: str
     timestamp: datetime
-    aggregate_s: float | None  # a success's median; None encodes FAILED
 
-
-class TrialRecord(CheckedTuple, _RecordFields):
-    """One executed trial: the point, its measurements, and the aggregate; immutable.
-
-    A tuple, so that a history of many trials builds and holds its records
-    at a tuple's cost. aggregate_s is derived from the result, never given, so
-    _make, and with it _replace, refuses a record's six fields.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, trial_id: int, point: TrialPoint, result: TrialResult, strategy_id: str,
-                timestamp: datetime) -> TrialRecord:
-        aggregate_s = median(result.rep_times_s) if result.ok else None
-        return tuple.__new__(cls, (trial_id, point, result, strategy_id, timestamp, aggregate_s))
-
-    def __getnewargs__(self) -> tuple:  # copy and pickle rebuild a record from its given fields
-        return self[:5]
+    @property
+    def aggregate_s(self) -> float | None:
+        """A success's median repetition time; None encodes FAILED."""
+        return median(self.result.rep_times_s) if self.result.ok else None
 
     @property
     def search_objective(self) -> float:
         """What searchers see: the aggregate, or +inf for failed trials."""
-        return self.aggregate_s if self.aggregate_s is not None else math.inf
+        aggregate = self.aggregate_s
+        return math.inf if aggregate is None else aggregate
 
 
 def history_dir(project_root: str | Path) -> Path:
@@ -127,13 +120,14 @@ def csv_header(space: ParamSpace) -> list[str]:
 
 def record_to_row(record: TrialRecord, space: ParamSpace) -> list[str]:
     phases = record.result.phase_times_s or {}
+    aggregate = record.aggregate_s
     return (
         [str(record.trial_id), record.strategy_id, record.timestamp.isoformat()]
         + [s.render(v) for s, v in zip(space.specs, space.point_key(record.point))]
         + [
             record.result.status,
             ";".join(fmt_float(t) for t in record.result.rep_times_s),
-            FAILED_LITERAL if record.aggregate_s is None else fmt_float(record.aggregate_s),
+            FAILED_LITERAL if aggregate is None else fmt_float(aggregate),
         ]
         + [(fmt_float(phases[p]) if p in phases else "") for p in _PHASES]
     )
@@ -278,9 +272,10 @@ def _decoder(space: ParamSpace, in_space: bool) -> Callable[[dict], TrialRecord]
         record = TrialRecord(d["trial_id"], point, result, intern(d["strategy"]),
                              parse_time(d["timestamp_utc"]))
         # floats round-trip exactly through both files, so the recorded median compares equal
-        if d["aggregate_s"] != record.aggregate_s:
+        aggregate = record.aggregate_s
+        if d["aggregate_s"] != aggregate:
             raise ValueError(f"aggregate_s {d['aggregate_s']!r} is not the "
-                             f"trial's aggregate {record.aggregate_s!r}")
+                             f"trial's aggregate {aggregate!r}")
         return record
 
     return decode

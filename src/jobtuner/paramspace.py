@@ -135,6 +135,11 @@ class ParamSpec(CheckedTuple, _SpecFields):
             default = lower
         else:
             default = int(default) if kind == KIND_INT else float(default)
+        if kind == KIND_FLOAT:  # an int is finite, and a nan or inf breaks the lattice
+            for label, v in (("lower", lower), ("upper", upper), ("step", step),
+                             ("default", default)):
+                if not math.isfinite(v):
+                    raise DomainError(f"{name}: float {label} must be finite, got {v}")
         spec = tuple.__new__(cls, (name, kind, lower, upper, step, values, default, unit))
         violation = spec.check_value(default)  # outside the bounds, or an int off the lattice
         if violation:

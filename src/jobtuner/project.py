@@ -12,6 +12,7 @@ A project root contains:
 
 from __future__ import annotations
 
+import math
 import shlex
 from pathlib import Path
 from typing import NamedTuple
@@ -101,10 +102,18 @@ def parse_bool(kv: dict[str, str], key: str, default: bool | None = None, *,
     return _typed(kv, key, default, filename, _to_bool, "a boolean")
 
 
+def _number(raw: str) -> float:
+    """raw as a float, which a project file's number is only when finite."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
 def parse_float(kv: dict[str, str], key: str, default: float | None = None, *,
                 filename: str = JOB_FILE) -> float:
-    """kv[key] as a float; default when absent, required if None."""
-    return _typed(kv, key, default, filename, float, "a number")
+    """kv[key] as a finite float; default when absent, required if None."""
+    return _typed(kv, key, default, filename, _number, "a finite number")
 
 
 def parse_int(kv: dict[str, str], key: str, default: int | None = None, *,
@@ -139,9 +148,9 @@ def parse_env_file(text: str) -> ClusterEnv:
 
 def _parse_float_list(kv: dict[str, str], key: str, filename: str) -> tuple[float, ...]:
     try:
-        return tuple(float(x) for x in kv[key].split(",") if x.strip() != "")
+        return tuple(_number(x) for x in kv[key].split(",") if x.strip() != "")
     except ValueError:
-        raise BadValueError(key, f"{kv[key]!r} is not a comma-separated number list",
+        raise BadValueError(key, f"{kv[key]!r} is not a comma-separated finite number list",
                             filename) from None
 
 
@@ -156,7 +165,7 @@ def _parse_table(raw: str, filename: str) -> tuple[tuple[tuple[float, ...], floa
         if not sep:
             raise BadValueError("table", f"cell {chunk!r} lacks '='", filename)
         try:
-            cells.append((tuple(float(c) for c in coords.split(",")), float(seconds)))
+            cells.append((tuple(_number(c) for c in coords.split(",")), _number(seconds)))
         except ValueError:
             raise BadValueError("table", f"cell {chunk!r} holds a value that is no number",
                                 filename) from None

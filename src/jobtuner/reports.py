@@ -30,10 +30,11 @@ def convergence_writer(project_root: str | Path) -> Iterator[Callable[[TrialReco
                   ["iteration", "aggregate_s", "best_so_far_s"]) as write_row:
         def add(r: TrialRecord) -> None:
             nonlocal best
-            if r.aggregate_s is not None:
-                best = r.aggregate_s if best is None else min(best, r.aggregate_s)
+            aggregate = r.aggregate_s
+            if aggregate is not None:
+                best = aggregate if best is None else min(best, aggregate)
             write_row([str(r.trial_id)]
-                      + ["" if t is None else fmt_float(t) for t in (r.aggregate_s, best)])
+                      + ["" if t is None else fmt_float(t) for t in (aggregate, best)])
         yield add
 
 
@@ -67,7 +68,7 @@ def _surface_writer(path: Path, px: str, py: str,
     cells: dict[tuple, list[float]] = {}
     with csv_file(path, [px, py, "median_s", "n"]) as write_row:
         def add(r: TrialRecord) -> None:
-            if r.aggregate_s is not None:
+            if r.result.ok:
                 cells.setdefault((r.point[px], r.point[py]), []).append(r.aggregate_s)
         yield add
         # each axis holds one parameter's validated values, which compare natively

@@ -54,8 +54,7 @@ def best_of(records: Collection[TrialRecord]) -> TrialRecord:
     if not records:
         raise NoSuccessfulTrialError("history is empty")
     # min keeps the first of equal aggregates
-    best = min((r for r in records if r.aggregate_s is not None),
-               key=lambda r: r.aggregate_s, default=None)
+    best = min((r for r in records if r.result.ok), key=lambda r: r.aggregate_s, default=None)
     if best is None:
         raise NoSuccessfulTrialError("every trial failed")
     return best
@@ -137,11 +136,10 @@ class _TuningLoop:
                                  strategy_id=self.strategy_id, timestamp=datetime.now(timezone.utc))
             writer.append(record)  # durable before the searcher observes it
             self._measured.setdefault(key, record)
-            self.searcher.update(record.search_objective)
-            log.info(
-                "trial %d %s aggregate=%s", trial_id, record.result.status,
-                "FAILED" if record.aggregate_s is None else f"{record.aggregate_s:.3f}s",
-            )
+            objective = record.search_objective
+            self.searcher.update(objective)
+            log.info("trial %d %s aggregate=%s", trial_id, record.result.status,
+                     f"{objective:.3f}s" if record.result.ok else "FAILED")
         return STATUS_FINISHED
 
 

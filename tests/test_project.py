@@ -5,10 +5,12 @@ from pathlib import Path
 import pytest
 
 from helpers import bowl_job_conf, write_synthetic_project
+from jobtuner.cli import main
 from jobtuner.errors import (
     BadValueError,
     CrossValidationError,
     DirNotEmptyError,
+    DomainError,
     MissingFileError,
     MissingKeyError,
 )
@@ -291,6 +293,56 @@ def test_a_table_cell_that_is_no_number_is_refused_under_table(cell):
     with pytest.raises(BadValueError, match=f"^bad value for key 'table' in job.conf: cell "
                                             f"'{cell}' holds a value that is no number$"):
         parse_job_file(job)
+
+
+X_FLOAT = "x float min=0 max=1 step=0.1\n"
+X_BOWL = "executor=synthetic\nfamily=bowl\nbase_s=100\nweights=50\noptimum=0.5\n"
+X_TABLE = "executor=synthetic\nfamily=lookup_table\nbase_s=1\n"
+
+
+def x_job(key: str, raw: str) -> str:
+    """A job file for one parameter x whose key reads raw, its other numbers valid."""
+    if key == "timeout_s":
+        return f"executor=local\ncommand=true {{x}}\ntimeout_s={raw}\n"
+    numbers = {"base_s": "100", "weights": "50", "noise_sd_s": "0", key: raw}
+    return ("executor=synthetic\nfamily=bowl\noptimum=0.5\n"
+            + "".join(f"{k}={v}\n" for k, v in numbers.items()))
+
+
+# case -> (params.conf, job.conf, the error load_project raises, its message): a number
+# that is not finite, or a table time that is not positive
+NON_FINITE = {
+    "step-nan": ("x float min=0 max=1 step=nan\n", X_BOWL,
+                 DomainError, "^line 1: x: float step must be finite, got nan$"),
+    "step-inf": ("x float min=0 max=1 step=inf\n", X_BOWL,
+                 DomainError, "^line 1: x: float step must be finite, got inf$"),
+    "max-inf": ("x float min=0 max=inf step=0.1\n", X_BOWL,
+                DomainError, "^line 1: x: float upper must be finite, got inf$"),
+    "min-inf": ("x float min=-inf max=1 step=0.1 default=0\n", X_BOWL,
+                DomainError, "^line 1: x: float lower must be finite, got -inf$"),
+    **{f"{key}-{raw}": (X_FLOAT, x_job(key, raw), BadValueError,
+                        f"^bad value for key '{key}' in job.conf: '{raw}' is not a .*finite number")
+       for key in ("base_s", "noise_sd_s", "weights", "timeout_s") for raw in ("nan", "inf")},
+    "table-nan": (X_FLOAT, X_TABLE + "table=0=nan;1=5\n", BadValueError,
+                  "^bad value for key 'table' in job.conf: cell '0=nan' holds a value that is "
+                  "no number$"),
+    "table-negative": (X_FLOAT, X_TABLE + "table=0=-5;7=5\n", BadValueError,
+                       "^bad value for key 'surface' in job.conf: table times must be positive "
+                       "and finite$"),
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE)
+def test_a_number_that_is_not_finite_or_a_time_not_positive_is_refused_on_load(tmp_path, case):
+    params, job, error, message = NON_FINITE[case]
+    root = tmp_path / "p"
+    root.mkdir()
+    (root / "params.conf").write_text(params)
+    (root / "job.conf").write_text(job)
+    with pytest.raises(error, match=message):
+        load_project(root)
+    assert main(["tune", "--dir", str(root), "--strategy", "grid", "--budget", "2"]) == 2
+    assert not (root / "history").exists()
 
 
 def test_load_refuses_a_local_command_that_does_not_split(tmp_path):

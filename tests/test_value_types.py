@@ -8,6 +8,7 @@ when they were frozen dataclasses, which every repr must still match.
 from __future__ import annotations
 
 import copy
+import math
 import pickle
 from datetime import datetime, timezone
 from pathlib import Path
@@ -130,6 +131,32 @@ BAD_REPLACE = {
     "ParamSpec-off-lattice-default": (
         lambda: ParamSpec(name="a", kind="int", lower=1, upper=7, step=2)._replace(default=2),
         DomainError, r"a: value 2 not on lattice 1\+k\*2 \(the default\)"),
+    # a number that is not finite, or a time that is not positive
+    "JobSpec-timeout-nan": (lambda: JobSpec()._replace(timeout_s=math.nan),
+                            ValueError, "^timeout_s must be finite, got nan$"),
+    "JobSpec-timeout-inf": (lambda: JobSpec()._replace(timeout_s=math.inf),
+                            ValueError, "^timeout_s must be finite, got inf$"),
+    "SurfaceSpec-base-nan": (lambda: SurfaceSpec(family="bowl", base_s=100, weights=(1,),
+                                                 optimum=(0.5,))._replace(base_s=math.nan),
+                             ValueError, "^base_s must be > 0 and finite$"),
+    "SurfaceSpec-noise-inf": (lambda: SurfaceSpec(family="bowl", base_s=100, weights=(1,),
+                                                  optimum=(0.5,))._replace(noise_sd_s=math.inf),
+                              ValueError, "^noise_sd_s must be >= 0 and finite$"),
+    "SurfaceSpec-weights-inf": (lambda: SurfaceSpec(family="bowl", base_s=100, weights=(1,),
+                                                    optimum=(0.5,))._replace(weights=(math.inf,)),
+                                ValueError, "^weights must be positive and finite$"),
+    "SurfaceSpec-table-negative": (
+        lambda: SurfaceSpec(family="lookup_table", base_s=1,
+                            table=[((0,), 2)])._replace(table=[((0,), 2), ((1,), -5)]),
+        ValueError, "^table times must be positive and finite$"),
+    "ParamSpec-float-step-nan": (
+        lambda: ParamSpec(name="x", kind="float", lower=0, upper=1,
+                          step=0.5)._replace(step=math.nan),
+        DomainError, "^x: float step must be finite, got nan$"),
+    "ParamSpec-float-lower-inf": (
+        lambda: ParamSpec(name="x", kind="float", lower=0, upper=1, step=0.5,
+                          default=0)._replace(lower=-math.inf),
+        DomainError, "^x: float lower must be finite, got -inf$"),
     "ClusterEnv-port": (lambda: env()._replace(port=0),
                         ValueError, r"port must be in \[1, 65535\], got 0"),
     "ClusterEnv-user": (lambda: env()._replace(user=""), ValueError, "user must be nonempty"),
@@ -170,8 +197,6 @@ CHECKED = {
     SurfaceSpec: (lambda: SurfaceSpec(family="bowl", base_s=100, weights=(1,), optimum=(0.5,)),
                   "optimum", (2.0,)),
     TrialResult: (lambda: TrialResult("failed", (1.0,)), "rep_times_s", (float("nan"),)),
-    # aggregate_s is derived, so the six fields of any replaced record are refused
-    TrialRecord: (record, "trial_id", 2),
 }
 
 
@@ -188,6 +213,22 @@ def test_checked_types_replace_as_they_construct_and_copy(cls):
     assert str(replaced.value) == str(constructed.value)
     for twin in copies(value):
         assert type(twin) is cls and twin == value and repr(twin) == repr(value)
+
+
+def test_a_record_is_a_plain_tuple_of_what_its_trial_was_given():
+    value = record()
+    assert TrialRecord._fields == ("trial_id", "point", "result", "strategy_id", "timestamp")
+    assert not isinstance(value, CheckedTuple)
+    assert value._replace(trial_id=2) == (2,) + value[1:]
+    assert TrialRecord._make(value) == value
+    for twin in (value._replace(trial_id=2), TrialRecord._make(value)):
+        assert type(twin) is TrialRecord and twin.aggregate_s == 2.0
+    failed = value._replace(result=TrialResult("failed"))
+    assert failed.aggregate_s is None and failed.search_objective == math.inf
+    for original in (value, failed):
+        for twin in copies(original):
+            assert type(twin) is TrialRecord and twin == original
+            assert twin.aggregate_s == original.aggregate_s
 
 
 def test_points_records_spaces_and_projects_survive_deepcopy_and_pickle(tmp_path):
