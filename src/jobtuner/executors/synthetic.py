@@ -60,6 +60,8 @@ class SurfaceSpec(CheckedTuple, _SurfaceFields):
             raise ValueError("weights must be positive and finite")
         if any(not 0 < t < math.inf for _, t in table):
             raise ValueError("table times must be positive and finite")
+        if not all(math.isfinite(c) for cell, _ in table for c in cell):
+            raise ValueError("table cell coordinates must be finite")
         if any(not 0.0 <= o <= 1.0 for o in optimum):
             raise ValueError("optimum coordinates must lie in [0, 1]")
         if family == FAMILY_BOWL and len(weights) != len(optimum):

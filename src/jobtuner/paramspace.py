@@ -88,9 +88,9 @@ class _SpecFields(NamedTuple):
 class ParamSpec(CheckedTuple, _SpecFields):
     """One tunable configuration key, e.g. a Hadoop property; immutable.
 
-    Numeric kinds carry inclusive bounds and a positive step that defines
-    both the exhaustive-grid stride and the snap lattice. Categorical kinds
-    carry an ordered list of distinct string values.
+    A numeric kind's inclusive bounds, positive step (the grid stride) and
+    default follow one rule per kind: an int's are whole, a float's finite.
+    A categorical kind carries an ordered list of distinct strings.
     """
 
     __slots__ = ()
@@ -122,24 +122,15 @@ class ParamSpec(CheckedTuple, _SpecFields):
         if step <= 0:
             raise DomainError(f"{name}: step must be > 0, got {step}")
 
-        if kind == KIND_INT:
-            for label, v in (("lower", lower), ("upper", upper), ("step", step),
-                             ("default", default)):
-                if v is not None and not _is_whole(v):
-                    raise DomainError(f"{name}: integer {label} must be whole, got {v}")
-            lower, upper, step = int(lower), int(upper), int(step)
-        else:
-            lower, upper, step = float(lower), float(upper), float(step)
-
+        # the kind's one rule: a float nan or inf breaks the lattice, an int is finite as it is
+        convert, holds, rule = ((int, _is_whole, "integer {} must be whole") if kind == KIND_INT
+                                else (float, math.isfinite, "float {} must be finite"))
         if default is None:
             default = lower
-        else:
-            default = int(default) if kind == KIND_INT else float(default)
-        if kind == KIND_FLOAT:  # an int is finite, and a nan or inf breaks the lattice
-            for label, v in (("lower", lower), ("upper", upper), ("step", step),
-                             ("default", default)):
-                if not math.isfinite(v):
-                    raise DomainError(f"{name}: float {label} must be finite, got {v}")
+        for label, v in (("lower", lower), ("upper", upper), ("step", step), ("default", default)):
+            if not holds(v):
+                raise DomainError(f"{name}: {rule.format(label)}, got {v}")
+        lower, upper, step, default = map(convert, (lower, upper, step, default))
         spec = tuple.__new__(cls, (name, kind, lower, upper, step, values, default, unit))
         violation = spec.check_value(default)  # outside the bounds, or an int off the lattice
         if violation:
@@ -467,12 +458,9 @@ def _spec_from_tokens(name: str, kind: str, kv: dict[str, str], line_no: int) ->
     for req in ("min", "max", "step"):
         if req not in kv:
             raise ParamSyntaxError(line_no, f"{kind} parameter needs {req}=")
-    if kind == KIND_INT:
-        lower, upper, step = (_wholenum(kv[k]) for k in ("min", "max", "step"))
-        default = _wholenum(kv["default"]) if "default" in kv else None
-    else:
-        lower, upper, step = (float(kv[k]) for k in ("min", "max", "step"))
-        default = float(kv["default"]) if "default" in kv else None
+    number = _wholenum if kind == KIND_INT else float
+    lower, upper, step = (number(kv[k]) for k in ("min", "max", "step"))
+    default = number(kv["default"]) if "default" in kv else None
     return ParamSpec(
         name=name, kind=kind, lower=lower, upper=upper, step=step,
         default=default, unit=kv.get("unit"),

@@ -108,7 +108,14 @@ class _TuningLoop:
         write_manifest(self.project.root, entries)
 
     def replay(self, r: TrialRecord) -> None:
-        """Drive the searcher through one recorded trial, verifying the step."""
+        """Drive the searcher through one recorded trial, verifying the step.
+        A session runs one strategy, so a record naming another is corrupt."""
+        if r.strategy_id != self.strategy_id:
+            raise HistoryCorruptError(
+                f"recorded trial {r.trial_id} names strategy {r.strategy_id!r}, "
+                f"the manifest {self.strategy_id!r}",
+                r.trial_id - 1,
+            )
         space = self.project.space
         proposal = self.searcher.propose()
         key = space.point_key(r.point)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -113,6 +114,10 @@ def test_parse_domain_errors(line):
         "x float min=0 step=0.5",                   # no max=
         "x int min=1 max=4",                        # no step=
         "x int min=1.5 max=4 step=1",               # an int bound that is not whole
+        "x int min=1 max=4 step=1 default=2.5",     # an int default that is not whole
+        "x int min=1 max=1e400 step=1",             # an int bound that reads as inf
+        "x float min=zero max=4 step=1",            # a float bound that is no number
+        "x float min=0 max=4 step=1 default=two",   # a float default that is no number
     ],
 )
 def test_parse_syntax_errors_name_their_line(line):
@@ -134,6 +139,84 @@ def test_parse_key_value_tokens_in_any_order():
 def test_parse_duplicate_key_token_rejected():
     with pytest.raises(ParamSyntaxError):
         parse_param_file("x int min=1 min=2 max=10 step=1")
+
+
+# One bad number at a time in a spec of lower 0, upper 10, step 1 and no default:
+# each outcome is the refusal's type and text, or the built (lower, upper, step, default).
+BIG = 10**400
+SPEC_NUMBERS = (1.5, math.nan, math.inf, -math.inf, BIG, True, 2.0, None)
+NEEDS = (DomainError, "x: numeric kind needs lower, upper and step, and no values")
+TOO_BIG = (OverflowError, "int too large to convert to float")
+
+
+def _whole(label, v):
+    return DomainError, f"x: integer {label} must be whole, got {v}"
+
+
+def _finite(label, v):
+    return DomainError, f"x: float {label} must be finite, got {v}"
+
+
+SPEC_OUTCOMES = {
+    ("int", "lower"): [_whole("lower", 1.5), _whole("lower", "nan"),
+                       (DomainError, "x: lower inf > upper 10"), _whole("lower", "-inf"),
+                       (DomainError, f"x: lower {BIG} > upper 10"),
+                       (1, 10, 1, 1), (2, 10, 1, 2), NEEDS],
+    ("int", "upper"): [_whole("upper", 1.5), _whole("upper", "nan"), _whole("upper", "inf"),
+                       (DomainError, "x: lower 0 > upper -inf"),
+                       (0, BIG, 1, 0), (0, 1, 1, 0), (0, 2, 1, 0), NEEDS],
+    ("int", "step"): [_whole("step", 1.5), _whole("step", "nan"), _whole("step", "inf"),
+                      (DomainError, "x: step must be > 0, got -inf"),
+                      (0, 10, BIG, 0), (0, 10, 1, 0), (0, 10, 2, 0), NEEDS],
+    ("int", "default"): [_whole("default", 1.5), _whole("default", "nan"),
+                         _whole("default", "inf"), _whole("default", "-inf"),
+                         (DomainError, f"x: value {BIG} out of range [0, 10] (the default)"),
+                         (0, 10, 1, 1), (0, 10, 1, 2), (0, 10, 1, 0)],
+    ("float", "lower"): [(1.5, 10.0, 1.0, 1.5), _finite("lower", "nan"),
+                         (DomainError, "x: lower inf > upper 10"), _finite("lower", "-inf"),
+                         (DomainError, f"x: lower {BIG} > upper 10"),
+                         (1.0, 10.0, 1.0, 1.0), (2.0, 10.0, 1.0, 2.0), NEEDS],
+    ("float", "upper"): [(0.0, 1.5, 1.0, 0.0), _finite("upper", "nan"), _finite("upper", "inf"),
+                         (DomainError, "x: lower 0 > upper -inf"), TOO_BIG,
+                         (0.0, 1.0, 1.0, 0.0), (0.0, 2.0, 1.0, 0.0), NEEDS],
+    ("float", "step"): [(0.0, 10.0, 1.5, 0.0), _finite("step", "nan"), _finite("step", "inf"),
+                        (DomainError, "x: step must be > 0, got -inf"), TOO_BIG,
+                        (0.0, 10.0, 1.0, 0.0), (0.0, 10.0, 2.0, 0.0), NEEDS],
+    ("float", "default"): [(0.0, 10.0, 1.0, 1.5), _finite("default", "nan"),
+                           _finite("default", "inf"), _finite("default", "-inf"), TOO_BIG,
+                           (0.0, 10.0, 1.0, 1.0), (0.0, 10.0, 1.0, 2.0), (0.0, 10.0, 1.0, 0.0)],
+}
+
+
+@pytest.mark.parametrize("kind, label, number, outcome", [
+    pytest.param(kind, label, number, outcome,
+                 id=f"{kind}-{label}-{'10**400' if number is BIG else repr(number)}")
+    for (kind, label), outcomes in SPEC_OUTCOMES.items()
+    for number, outcome in zip(SPEC_NUMBERS, outcomes, strict=True)
+])
+def test_spec_checks_and_converts_each_number_by_its_kind(kind, label, number, outcome):
+    numbers = {"lower": 0, "upper": 10, "step": 1, "default": None, label: number}
+    if len(outcome) == 2:
+        error, message = outcome
+        with pytest.raises(error) as exc:
+            ParamSpec("x", kind, **numbers)
+        assert str(exc.value) == message
+        return
+    spec = ParamSpec("x", kind, **numbers)
+    built = (spec.lower, spec.upper, spec.step, spec.default)
+    assert built == outcome
+    assert all(type(v) is (int if kind == "int" else float) for v in built)
+
+
+@pytest.mark.parametrize("line, number", [
+    ("x int min=1e3 max=2000 step=1 default=1e3", 1000),
+    ("x int min=1000 max=2000 step=1 default=1000", 1000),
+    ("x float min=1e3 max=2000 step=1 default=1000", 1000.0),
+])
+def test_parse_reads_each_number_by_its_kind(line, number):
+    spec = parse_param_file(line).specs[0]
+    assert (spec.lower, spec.default) == (number, number)
+    assert all(type(v) is type(number) for v in (spec.lower, spec.upper, spec.step, spec.default))
 
 
 def test_spec_rejects_whitespace_name():

@@ -512,6 +512,26 @@ def test_resume_detects_unreplayable_history(tmp_path):
         resume_session(project)
 
 
+def test_resume_refuses_a_recorded_trial_of_another_strategy(tmp_path):
+    # a session runs one strategy; aggregate and report read no manifest to check against
+    project = small_project(tmp_path)
+    with pytest.raises(ConnectError):
+        run_tuning(project, "grid", budget=4,
+                   executor=InterruptingExecutor(make_executor(project), allow=2))
+    hist = project.root / "history"
+    path = hist / "journal.jsonl"
+    path.write_bytes(path.read_bytes().replace(b'"strategy": "grid"', b'"strategy": "compass"', 1))
+    assert read_manifest(project.root)["status"] == "interrupted"
+    before = {p.name: p.read_bytes() for p in hist.iterdir()}
+    message = "^recorded trial 1 names strategy 'compass', the manifest 'grid'"
+    with pytest.raises(HistoryCorruptError, match=message) as refused:
+        resume_session(project)
+    assert refused.value.last_valid_id == 0
+    assert {p.name: p.read_bytes() for p in hist.iterdir()} == before
+    assert main(["resume", "--dir", str(project.root)]) == 2
+    assert {p.name: p.read_bytes() for p in hist.iterdir()} == before
+
+
 BOOL_PARAMS = "a int min=0 max=1 step=1\nb float min=0 max=1 step=1\n"
 
 

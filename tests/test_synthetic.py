@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -150,3 +152,13 @@ def test_executor_refuses_a_point_of_another_space():
     executor = SyntheticExecutor(space, NOISY_BOWL)
     with pytest.raises(InvalidPointError, match="are not the space's"):
         executor.execute_trial(JobSpec(), reordered.point({"a": 0.25, "b": 0.5}), trial_id=1)
+
+
+@pytest.mark.parametrize("coordinate", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_lookup_table_cell_coordinates_must_be_finite(coordinate):
+    # no distance to such a cell compares below inf, so no cell would be nearest
+    with pytest.raises(ValueError, match="^table cell coordinates must be finite$"):
+        SurfaceSpec(family="lookup_table", base_s=1.0, table=[((coordinate,), 2.0)])
+    with pytest.raises(ValueError, match="^table cell coordinates must be finite$"):
+        SurfaceSpec(family="lookup_table", base_s=1.0,
+                    table=[((0.5, 0.5), 3.0), ((0.1, coordinate), 2.0)])
