@@ -1,9 +1,9 @@
 """Trial executors: synthetic response surfaces, local commands, remote Hadoop jobs.
 
-The local and remote executors and the Hadoop log parser are imported on
-first use of one of their names, so a session that runs neither executor,
-such as a synthetic one, never loads them, or the subprocess and signal
-modules they need.
+The local and remote executors are imported on first use of one of their
+names, so a session that runs neither executor, such as a synthetic one,
+never loads them, or the subprocess and signal modules they need. The
+Hadoop log parser, parse_phase_times, lives in the remote executor's module.
 """
 
 from importlib import import_module
@@ -18,7 +18,7 @@ _ON_FIRST_USE = {
     "ShellResult": "remote",
     "SshTransport": "remote",
     "assemble_hadoop_command": "remote",
-    "parse_phase_times": "hadoop_logs",
+    "parse_phase_times": "remote",
 }
 
 

@@ -3,7 +3,8 @@ per repetition, then pulls the aggregated logs of the applications it
 submitted back to the project. The job output stays on the cluster: its path
 names a file on the cluster's default file system, usually HDFS, and the
 objective is the wall time. A repetition that times out has its applications
-killed, since a YARN application outlives its client.
+killed, since a YARN application outlives its client. The job-counter parser
+that reads phase times from the client output and those logs is here too.
 
 The shell transport is injectable so tests can run the full trial sequence
 against a scripted double instead of a live cluster.
@@ -31,7 +32,6 @@ from .base import (
     STATUS_TIMEOUT,
     repeat,
 )
-from .hadoop_logs import parse_phase_times
 
 log = logging.getLogger(__name__)
 
@@ -39,6 +39,35 @@ DOWNLOADED_RESULTS_DIR = "downloaded_results"
 
 # The job client's line naming the YARN application that a submission started.
 _SUBMITTED = re.compile(r"Submitted application (application_\d+_\d+)")
+
+# Standard job-counter lines printed by the job client and preserved in
+# aggregated YARN logs. Shuffle timing is not a stock counter on every
+# version, so its line is matched permissively and simply omitted when absent.
+_PHASE_COUNTERS = {
+    "map": re.compile(r"Total time spent by all map tasks \(ms\)=(\d+)"),
+    "reduce": re.compile(r"Total time spent by all reduce tasks \(ms\)=(\d+)"),
+    "shuffle": re.compile(r"(?:Total )?[Ss]huffle time \(ms\)=(\d+)"),
+}
+
+# Every ssh and scp call never prompts, and gives up on a dead link within
+# about a minute: it cannot connect in 30 s, or 4 keepalives 15 s apart go
+# unanswered.
+_LINK_OPTIONS = ("-o", "BatchMode=yes", "-o", "ConnectTimeout=30",
+                 "-o", "ServerAliveInterval=15", "-o", "ServerAliveCountMax=4")
+
+
+def parse_phase_times(log_text: str) -> dict[str, float]:
+    """Phase name -> seconds for every phase found in log_text.
+
+    Never raises on arbitrary text; unmatched phases are simply omitted.
+    When a counter appears multiple times the last occurrence wins.
+    """
+    phases: dict[str, float] = {}
+    for phase, pattern in _PHASE_COUNTERS.items():
+        matches = pattern.findall(log_text)
+        if matches:
+            phases[phase] = int(matches[-1]) / 1000.0
+    return phases
 
 
 class ShellResult(NamedTuple):
@@ -66,22 +95,17 @@ class SshTransport:
         self._ssh_bin = ssh_bin
         self._scp_bin = scp_bin
 
-    def _ssh_argv(self) -> list[str]:
-        e = self._env
-        return [
-            self._ssh_bin,
-            "-i", e.auth_key_path,
-            "-p", str(e.port),
-            "-o", "BatchMode=yes",
-            f"{e.user}@{e.master_host}",
-        ]
+    def _options(self, port_flag: str) -> list[str]:
+        """The key, port and link options; ssh names the port -p, scp -P."""
+        return ["-i", self._env.auth_key_path, port_flag, str(self._env.port), *_LINK_OPTIONS]
 
     def run(self, command: str, timeout_s: float | None = None,
             cwd: str | None = None) -> ShellResult:
         remote_cmd = command if cwd is None else f"{shlex.join(['cd', cwd])} && {command}"
         try:
             proc = subprocess.run(
-                self._ssh_argv() + [remote_cmd],
+                [self._ssh_bin, *self._options("-p"),
+                 f"{self._env.user}@{self._env.master_host}", remote_cmd],
                 capture_output=True,
                 text=True,
                 timeout=timeout_s,
@@ -102,11 +126,9 @@ class SshTransport:
         return ShellResult(proc.returncode, proc.stdout, proc.stderr)
 
     def _scp(self, args: list[str]) -> None:
-        e = self._env
-        argv = [self._scp_bin, "-i", e.auth_key_path, "-P", str(e.port),
-                "-o", "BatchMode=yes"] + args
         try:
-            proc = subprocess.run(argv, capture_output=True, text=True)
+            proc = subprocess.run([self._scp_bin, *self._options("-P"), *args],
+                                  capture_output=True, text=True)
         except FileNotFoundError as exc:  # not the missing remote path fetch_dir raises
             raise ConnectError(f"scp binary not found: {exc}") from exc
         if proc.returncode != 0:

@@ -17,8 +17,8 @@ from helpers import bowl_job_conf, write_synthetic_project
 from test_history import SPACE as RANDOM_RECORD_SPACE, random_record
 
 from jobtuner.errors import ConnectError, HistoryCorruptError
+from jobtuner.executors import parse_phase_times
 from jobtuner.executors.base import JobSpec
-from jobtuner.executors.hadoop_logs import parse_phase_times
 from jobtuner.executors.remote import ClusterEnv, RemoteExecutor
 from jobtuner.executors.synthetic import synthetic_eval
 from jobtuner.history import HistoryWriter, read_raw_records, read_trials, rewrite_trials_csv

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from jobtuner.executors.hadoop_logs import parse_phase_times
+from jobtuner.executors import parse_phase_times
 
 COUNTER_FIXTURE = """\
 2026-02-11 10:14:03,118 INFO mapreduce.Job: Job job_1770000000000_0007 completed successfully

@@ -451,6 +451,17 @@ def test_ssh_transport_invocation_shape(tmp_path):
     assert lines[-1] == "cd /tmp/staging && echo hello"
 
 
+def test_ssh_transport_run_argv(tmp_path):
+    # a dead link ends ssh within about a minute, as exit 255, however long the command's timeout
+    fake_ssh = write_fake(tmp_path / "ssh", 'printf "%s\\n" "$@"\n')
+    transport = SshTransport(ENV, ssh_bin=fake_ssh)
+    assert transport.run("echo hello", cwd="/tmp/staging").stdout.splitlines() == [
+        "-i", "/keys/id_ed25519", "-p", "22",
+        "-o", "BatchMode=yes", "-o", "ConnectTimeout=30",
+        "-o", "ServerAliveInterval=15", "-o", "ServerAliveCountMax=4",
+        "hadoop@192.168.1.10", "cd /tmp/staging && echo hello"]
+
+
 def test_ssh_transport_maps_255_to_connect_error(tmp_path):
     fake_ssh = write_fake(tmp_path / "ssh", "echo 'connection refused' >&2\nexit 255\n")
     transport = SshTransport(ENV, ssh_bin=fake_ssh)
@@ -485,7 +496,9 @@ def test_ssh_transport_fetch_of_a_missing_path_is_not_a_lost_cluster(tmp_path):
         transport.fetch_dir("/var/log/hadoop-yarn/aggregated/missing", tmp_path / "logs")
 
 
-SCP_OPTIONS = ["-i", "/keys/id_ed25519", "-P", "22", "-o", "BatchMode=yes"]
+SCP_OPTIONS = ["-i", "/keys/id_ed25519", "-P", "22",
+               "-o", "BatchMode=yes", "-o", "ConnectTimeout=30",
+               "-o", "ServerAliveInterval=15", "-o", "ServerAliveCountMax=4"]
 
 
 def fake_scp(tmp_path: Path, exit_code: int = 0) -> tuple[str, Path]:
@@ -549,7 +562,9 @@ def test_missing_application_logs_degrade_to_wall_time_over_ssh(tmp_path):
                f'[ "$1" = jar ] && echo "INFO impl.YarnClientImpl: Submitted application {APP_ID}"\n'
                "exit 0\n")
     fake_ssh = write_fake(tmp_path / "ssh", 'for last; do :; done\nexec sh -c "$last"\n')
-    fake_scp = write_fake(tmp_path / "scp", "echo \"scp: $8: No such file or directory\" >&2\nexit 1\n")
+    # the source path is the second to last argument
+    fake_scp = write_fake(tmp_path / "scp",
+                          'shift $(($# - 2))\necho "scp: $1: No such file or directory" >&2\nexit 1\n')
     env = ENV._replace(remote_workdir=str(workdir), hadoop_home=str(cluster / "hadoop"),
                        history_log_dir=str(cluster / "logs"))
     (tmp_path / "project").mkdir()

@@ -865,7 +865,7 @@ def loaded(names=("statistics", "jobtuner.executors.local", "jobtuner.executors.
     return [m for m in names if m in sys.modules]
 
 assert not loaded(), f"import jobtuner loaded {loaded()}"
-UNUSED = ("dataclasses", "inspect", "jobtuner.reports", "jobtuner.executors.hadoop_logs")
+UNUSED = ("dataclasses", "inspect", "jobtuner.reports")
 assert not loaded(UNUSED), f"import jobtuner loaded {loaded(UNUSED)}"
 project = jobtuner.load_project(sys.argv[1])
 run_tuning(project, "grid", budget=3)
@@ -877,8 +877,7 @@ from jobtuner.executors import local, remote
 assert (ClusterEnv, RemoteExecutor) == (remote.ClusterEnv, remote.RemoteExecutor)
 assert LocalExecutor is local.LocalExecutor
 assert jobtuner.executors.SshTransport is remote.SshTransport
-from jobtuner.executors import hadoop_logs
-assert jobtuner.executors.parse_phase_times is hadoop_logs.parse_phase_times
+assert jobtuner.executors.parse_phase_times is remote.parse_phase_times
 """
 
 
