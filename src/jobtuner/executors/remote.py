@@ -49,9 +49,9 @@ _PHASE_COUNTERS = {
     "shuffle": re.compile(r"(?:Total )?[Ss]huffle time \(ms\)=(\d+)"),
 }
 
-# Every ssh and scp call never prompts, and gives up on a dead link within
-# about a minute: it cannot connect in 30 s, or 4 keepalives 15 s apart go
-# unanswered.
+# Every ssh and scp call runs without prompts and gives up on a dead link
+# within about a minute: when it cannot connect in 30 s, or when 4 keepalives
+# sent 15 s apart go unanswered.
 _LINK_OPTIONS = ("-o", "BatchMode=yes", "-o", "ConnectTimeout=30",
                  "-o", "ServerAliveInterval=15", "-o", "ServerAliveCountMax=4")
 
