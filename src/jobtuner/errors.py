@@ -64,7 +64,8 @@ class ConnectError(TunerError):
 
 
 class StagingError(TunerError):
-    """Uploading the job artifact to the remote workdir failed."""
+    """Staging a trial failed: uploading the job artifact to the remote workdir, or
+    clearing the job's output path before a run."""
 
 
 class TransportTimeout(TunerError):

@@ -236,7 +236,10 @@ class RemoteExecutor(Executor):
 
         def run_once(_rep: int) -> float | str:
             if remove_output:
-                self._transport.run(remove_output)
+                # -f makes a missing path exit 0: any other exit leaves an output every run refuses
+                rm = self._transport.run(remove_output)
+                if rm.exit_code != 0:
+                    raise StagingError(f"cannot remove output {output_path}: {rm.stderr.strip()}")
             start = time.perf_counter()
             try:
                 res = self._transport.run(

@@ -18,8 +18,8 @@ repairs what a crash leaves: a torn journal tail (a trial that never happened).
 Both files are read a line at a time by one record loop and one record decoder,
 a trials.csv row (one line; the export writes no cell with a newline) as the
 journal line it was written from: the same rules, and the first faulty line is
-the one reported. A journal line as the journal writes it is parsed in one JSON
-decoder call; any other line reads, or is refused, exactly as json.loads has it.
+the one reported. Every terminated journal line is read by json.loads alone: it
+reads, or is refused with json.loads's own message, exactly as json.loads has it.
 The loop yields each record as its line decodes; a reader that keeps the records
 holds them, never a copy of the file.
 
@@ -168,7 +168,7 @@ class HistoryWriter:
         except FileNotFoundError:
             fh = io.BytesIO()  # no journal yet: no trial and no tail
         with fh:
-            for record in _parse_lines(fh, _decoder(space, False), _load_line, "journal line", 1):
+            for record in _parse_lines(fh, _decoder(space, False), json.loads, "journal line", 1):
                 replay(record)
                 self.last_id += 1
             refuse_to_shrink(hist / TRIALS_CSV, self.last_id)
@@ -281,26 +281,6 @@ def _decoder(space: ParamSpace, in_space: bool) -> Callable[[dict], TrialRecord]
     return decode
 
 
-_raw_decode = json.JSONDecoder().raw_decode
-
-
-def _load_line(line: bytes):
-    """json.loads(line) for a terminated journal line, in one decoder call for the
-    `{...}` + newline lines that _journal_line writes.
-
-    Any other line (surrounding whitespace, a CRLF ending, another encoding, or
-    no JSON at all) is read, or refused with the same error, by json.loads itself.
-    """
-    try:
-        text = line.decode("utf-8", "surrogatepass")  # the codec json.loads detects here
-        fields, end = _raw_decode(text)
-        if end == len(text) - 1:  # nothing but the newline follows the object
-            return fields
-    except ValueError:
-        pass
-    return json.loads(line)
-
-
 def _parse_lines(fh: BinaryIO, decode: Callable[[dict], TrialRecord],
                  fields_of: Callable[[bytes], dict], where: str,
                  first: int) -> Iterator[TrialRecord]:
@@ -338,7 +318,7 @@ def iter_raw_records(project_root: str | Path, space: ParamSpace) -> Iterator[Tr
     except FileNotFoundError:
         return
     with fh:
-        yield from _parse_lines(fh, _decoder(space, True), _load_line, "journal line", 1)
+        yield from _parse_lines(fh, _decoder(space, True), json.loads, "journal line", 1)
 
 
 def read_raw_records(project_root: str | Path, space: ParamSpace) -> list[TrialRecord]:

@@ -401,6 +401,33 @@ def test_journal_lines_read_as_json_loads_reads_them(tmp_path, restyle):
     assert path.read_bytes() == durable  # truncated where trial 5's line starts
 
 
+@pytest.mark.parametrize("spoil", [
+    lambda line: line[:-1] + b' {"trial_id": 3}\n',
+    lambda line: line[:line.rindex(b",") + 1] + b"\n",
+    lambda line: line.replace(b'"timestamp_utc": "', b'"timestamp_utc": "\xff', 1),
+], ids=["trailing_data", "cut_short", "invalid_utf8"])
+def test_refused_journal_lines_carry_json_loads_message(tmp_path, spoil):
+    rng = random.Random(17)
+    records = [random_record(rng, i) for i in range(1, 6)]
+    writer = HistoryWriter(tmp_path, SPACE)
+    for r in records:
+        writer.append(r)
+    rewrite_trials_csv(tmp_path, SPACE, records)
+    path = tmp_path / "history" / "journal.jsonl"
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[2] = spoil(lines[2])
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(ValueError) as refusal:
+        json.loads(lines[2])
+    expected = f"journal line 3 unreadable: {refusal.value} (last valid trial_id: 2)"
+    before = {p.name: p.read_bytes() for p in path.parent.iterdir()}
+    for read in (read_raw_records, HistoryWriter):
+        with pytest.raises(HistoryCorruptError, match=f"^{re.escape(expected)}$") as err:
+            read(tmp_path, SPACE)
+        assert err.value.last_valid_id == 2
+        assert {p.name: p.read_bytes() for p in path.parent.iterdir()} == before
+
+
 def test_reads_and_rewrites_hold_no_copy_of_the_file(tmp_path, monkeypatch):
     rng = random.Random(9)
     with monkeypatch.context() as m:

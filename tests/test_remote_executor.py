@@ -423,6 +423,47 @@ def test_a_later_failed_repetition_fails_the_trial(tmp_path):
     assert len(transport.hadoop_commands()) == 2  # no third repetition
 
 
+class DeniesRemoval(RefusesExistingOutput):
+    """A cluster that also refuses to remove the output path once it exists, as HDFS
+    does for a user without write permission on its parent."""
+
+    def run(self, command, timeout_s=None, cwd=None):
+        if "fs -rm -r -f /data/out" in command and self.output_exists:
+            self.commands.append((command, cwd))
+            return remote.ShellResult(1, "", "rm: Permission denied: user=hadoop\n")
+        return super().run(command, timeout_s, cwd)
+
+
+def test_a_failed_cleanup_interrupts_the_session_and_resume_runs_the_trial(
+        tmp_path, monkeypatch):
+    # an output left in place fails every later run: the session stops instead of
+    # journaling the configurations that follow as failed
+    def blanked_journal(root):
+        journal = (root / "history" / "journal.jsonl").read_text()
+        return re.sub(r'"timestamp_utc": "[^"]*"', '"timestamp_utc": ""', journal)
+
+    def tune(root, transport, resume=False):
+        ticks = itertools.count(0.0, 2.5)  # every repetition takes 2.5 s
+        monkeypatch.setattr(remote, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+        project = load_project(root) if resume else remote_project(root, "cleanup_output=true\n")
+        executor = RemoteExecutor(project.space, project.env, root, transport)
+        if resume:
+            return resume_session(project, executor)
+        return run_tuning(project, "grid", budget=3, executor=executor)
+
+    denied = tmp_path / "denied"
+    with pytest.raises(StagingError, match="^cannot remove output /data/out: rm: Permission"):
+        tune(denied, DeniesRemoval(hadoop_stdout=HADOOP_STDOUT))
+    assert len((denied / "history" / "journal.jsonl").read_text().splitlines()) == 1
+    assert read_manifest(denied)["status"] == "interrupted"
+    summary = tune(denied, RefusesExistingOutput(hadoop_stdout=HADOOP_STDOUT), resume=True)
+    assert (summary.trial_count, summary.status) == (3, "finished")
+    uninterrupted = tmp_path / "uninterrupted"
+    tune(uninterrupted, RefusesExistingOutput(hadoop_stdout=HADOOP_STDOUT))
+    assert blanked_journal(denied) == blanked_journal(uninterrupted)
+    assert blanked_journal(denied).count('"status": "success"') == 3
+
+
 def test_no_cleanup_leaves_the_output_alone(tmp_path):
     transport = ScriptedTransport(hadoop_stdout=HADOOP_STDOUT)
     executor = RemoteExecutor(SPACE, ENV, make_project(tmp_path), transport)
@@ -549,21 +590,27 @@ def test_ssh_transport_missing_binaries_are_connect_errors(tmp_path):
         transport.fetch_dir("/var/log/hadoop-yarn/aggregated/app", tmp_path / "logs")
 
 
-def test_missing_application_logs_degrade_to_wall_time_over_ssh(tmp_path):
-    """Fake ssh runs the remote command locally; fake scp fails as scp does on
-    a path that does not exist. The trial keeps its wall time."""
+def ssh_cluster(tmp_path: Path, application_logs: bool):
+    """A RemoteExecutor whose fake ssh runs each remote command locally, on a cluster
+    under tmp_path with the jar already staged, and the job that it runs. Its fake scp
+    touches the marker it returns, then fails as scp does on a path that does not exist.
+    With application_logs, the submitted application has a log directory."""
     cluster = tmp_path / "cluster"
     workdir = cluster / "staging"
     workdir.mkdir(parents=True)
     (workdir / "app.jar").write_bytes(b"fake jar bytes")  # already staged
-    (cluster / "logs").mkdir()  # no subdirectory for the application
+    (cluster / "logs").mkdir()
+    if application_logs:
+        (cluster / "logs" / APP_ID).mkdir()
     (cluster / "hadoop" / "bin").mkdir(parents=True)
     write_fake(cluster / "hadoop" / "bin" / "hadoop",
                f'[ "$1" = jar ] && echo "INFO impl.YarnClientImpl: Submitted application {APP_ID}"\n'
                "exit 0\n")
     fake_ssh = write_fake(tmp_path / "ssh", 'for last; do :; done\nexec sh -c "$last"\n')
+    marker = tmp_path / "scp-ran"
     # the source path is the second to last argument
     fake_scp = write_fake(tmp_path / "scp",
+                          f"touch {shlex.quote(str(marker))}\n"
                           'shift $(($# - 2))\necho "scp: $1: No such file or directory" >&2\nexit 1\n')
     env = ENV._replace(remote_workdir=str(workdir), hadoop_home=str(cluster / "hadoop"),
                        history_log_dir=str(cluster / "logs"))
@@ -572,11 +619,29 @@ def test_missing_application_logs_degrade_to_wall_time_over_ssh(tmp_path):
     transport = SshTransport(env, ssh_bin=fake_ssh, scp_bin=fake_scp)
     executor = RemoteExecutor(SPACE, env, project, transport)
     job = JOB._replace(static_args=("/data/in", str(cluster / "out")), cleanup_output=True)
+    return executor, job, marker
+
+
+def test_missing_application_logs_degrade_to_wall_time_over_ssh(tmp_path):
+    """The application has no log directory: `test -d` finds none, so no scp runs,
+    and the trial keeps its wall time."""
+    executor, job, marker = ssh_cluster(tmp_path, application_logs=False)
     result = executor.execute_trial(job, POINT, 1)
     assert result.status == "success"
     assert len(result.rep_times_s) == 1
     assert result.phase_times_s is None
     assert result.log_ref is None
+    assert not marker.exists()
+
+
+def test_a_failed_log_copy_over_ssh_is_a_lost_cluster(tmp_path):
+    """The application's log directory exists, so `test -d` passes and scp runs; scp
+    exits 1 for a vanished path and a lost connection alike, so the copy's failure
+    is taken for a lost cluster."""
+    executor, job, marker = ssh_cluster(tmp_path, application_logs=True)
+    with pytest.raises(ConnectError, match="^file transfer failed: scp: .*No such file"):
+        executor.execute_trial(job, POINT, 1)
+    assert marker.exists()
 
 
 # --- remote sessions ----------------------------------------------------------------
