@@ -132,7 +132,8 @@ class SshTransport:
         except FileNotFoundError as exc:  # not the missing remote path fetch_dir raises
             raise ConnectError(f"scp binary not found: {exc}") from exc
         if proc.returncode != 0:
-            raise ConnectError(f"file transfer failed: {proc.stderr.strip()}")
+            self.run("true")  # scp's exit 1 may be a lost link: ssh's own 255 raises ConnectError
+            raise OSError(f"file transfer failed: {proc.stderr.strip()}")
 
     def put_file(self, local: Path, remote: str) -> None:
         e = self._env
@@ -140,8 +141,7 @@ class SshTransport:
 
     def fetch_dir(self, remote: str, local: Path) -> None:
         e = self._env
-        # scp exits 1 for a missing path and a lost connection alike; run
-        # raises ConnectError for the latter, so a missing path stays an OSError
+        # a missing directory is no copy at all: the local one is not made
         if self.run(shlex.join(["test", "-d", remote])).exit_code != 0:
             raise FileNotFoundError(f"no remote directory {remote}")
         local.mkdir(parents=True, exist_ok=True)

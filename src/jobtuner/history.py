@@ -423,7 +423,8 @@ def read_manifest(project_root: str | Path) -> dict[str, str]:
     try:
         text = path.read_text(encoding="utf-8")
     except FileNotFoundError:
-        raise ManifestMissingError(f"no session manifest at {path}") from None
+        raise ManifestMissingError(
+            f"no session manifest at {path}; start one with `jobtuner tune`") from None
     return parse_kv_file(text, MANIFEST_FILE)
 
 
@@ -437,6 +438,8 @@ class SessionLock:
     """Exclusive per-project lock; refuses to run two sessions in one dir.
 
     An flock on history/.lock, which the kernel drops however its holder exits.
+    Taking it removes the temporary files a killed holder left of session.conf and
+    trials.csv, which only a holder writes; report writes without it, so its stay.
     """
 
     def __init__(self, project_root: str | Path):
@@ -451,6 +454,9 @@ class SessionLock:
             fh.close()
             raise LockHeldError(f"another session holds {self._path}") from None
         self._fh = fh
+        for name in (MANIFEST_FILE, TRIALS_CSV):
+            for tmp in self._path.parent.glob(f"{name}.{'[0-9a-f]' * 12}.tmp"):
+                tmp.unlink(missing_ok=True)
         return self
 
     def __exit__(self, *exc_info) -> None:

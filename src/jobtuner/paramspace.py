@@ -82,7 +82,6 @@ class _SpecFields(NamedTuple):
     step: int | float | None
     values: tuple[str, ...]
     default: Value | None
-    unit: str | None
 
 
 class ParamSpec(CheckedTuple, _SpecFields):
@@ -97,8 +96,7 @@ class ParamSpec(CheckedTuple, _SpecFields):
 
     def __new__(cls, name: str, kind: str, lower: int | float | None = None,
                 upper: int | float | None = None, step: int | float | None = None,
-                values: tuple[str, ...] = (), default: Value | None = None,
-                unit: str | None = None) -> ParamSpec:
+                values: tuple[str, ...] = (), default: Value | None = None) -> ParamSpec:
         if not name or re.search(r"\s", name):
             raise DomainError(f"parameter name {name!r} is empty or has whitespace")
         if kind not in (KIND_INT, KIND_FLOAT, KIND_CAT):
@@ -113,7 +111,7 @@ class ParamSpec(CheckedTuple, _SpecFields):
                 default = values[0]
             elif default not in values:
                 raise DomainError(f"{name}: default {default!r} not among values")
-            return tuple.__new__(cls, (name, kind, lower, upper, step, values, default, unit))
+            return tuple.__new__(cls, (name, kind, lower, upper, step, values, default))
 
         if lower is None or upper is None or step is None or values:
             raise DomainError(f"{name}: numeric kind needs lower, upper and step, and no values")
@@ -131,7 +129,7 @@ class ParamSpec(CheckedTuple, _SpecFields):
             if not holds(v):
                 raise DomainError(f"{name}: {rule.format(label)}, got {v}")
         lower, upper, step, default = map(convert, (lower, upper, step, default))
-        spec = tuple.__new__(cls, (name, kind, lower, upper, step, values, default, unit))
+        spec = tuple.__new__(cls, (name, kind, lower, upper, step, values, default))
         violation = spec.check_value(default)  # outside the bounds, or an int off the lattice
         if violation:
             raise DomainError(f"{violation} (the default)")
@@ -392,7 +390,7 @@ class ParamSpace:
 
 _KV_TOKEN = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)=(.*)$")
 
-_NUMERIC_KEYS = {"min", "max", "step", "default", "unit"}
+_NUMERIC_KEYS = {"min", "max", "step", "default", "unit"}  # unit= is a note: accepted, dropped
 _CAT_KEYS = {"values", "default"}
 
 
@@ -461,7 +459,4 @@ def _spec_from_tokens(name: str, kind: str, kv: dict[str, str], line_no: int) ->
     number = _wholenum if kind == KIND_INT else float
     lower, upper, step = (number(kv[k]) for k in ("min", "max", "step"))
     default = number(kv["default"]) if "default" in kv else None
-    return ParamSpec(
-        name=name, kind=kind, lower=lower, upper=upper, step=step,
-        default=default, unit=kv.get("unit"),
-    )
+    return ParamSpec(name=name, kind=kind, lower=lower, upper=upper, step=step, default=default)

@@ -116,17 +116,15 @@ class _TuningLoop:
                 f"the manifest {self.strategy_id!r}",
                 r.trial_id - 1,
             )
-        space = self.project.space
         proposal = self.searcher.propose()
-        key = space.point_key(r.point)
-        if proposal is None or space.point_key(proposal) != key:
+        if proposal != r.point:  # None, when the searcher is done, equals no point
             raise HistoryCorruptError(
                 f"recorded trial {r.trial_id} does not replay from the manifest's "
                 f"strategy (expected {proposal}, recorded {r.point})",
                 r.trial_id - 1,
             )
         self.searcher.update(r.search_objective)
-        self._measured.setdefault(key, r)
+        self._measured.setdefault(self.project.space.point_key(r.point), r)
 
     def run(self, writer: HistoryWriter) -> str:
         space = self.project.space

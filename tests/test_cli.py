@@ -127,9 +127,10 @@ def test_resume_after_tune_is_noop(tmp_path):
     assert main(["resume", "--dir", str(project.root)]) == 0
 
 
-def test_resume_without_session_is_runtime_error(tmp_path):
+def test_resume_without_session_is_runtime_error(tmp_path, caplog):
     project = make_project(tmp_path)
     assert main(["resume", "--dir", str(project.root)]) == 2
+    assert "; start one with `jobtuner tune`" in caplog.text  # the next step
 
 
 def tune_and_edit_journal_line_2(tmp_path, edit):

@@ -20,7 +20,7 @@ import jobtuner
 from doubles import CountingExecutor, InterruptingExecutor
 from helpers import bowl_job_conf, write_synthetic_project
 from jobtuner.errors import ConnectError, HistoryCorruptError
-from jobtuner.history import read_trials
+from jobtuner.history import manifest_exists, read_trials
 from jobtuner.project import load_project
 from jobtuner.session import aggregate_history, make_executor, resume_session, run_tuning
 
@@ -35,6 +35,7 @@ JOB = bowl_job_conf(base_s=100.0, weights="50,80", optimum="0.7,0.3",
 #   execute  inside the executor, as trial k starts
 #   fsync    right after trial k's journal fsync, before its searcher sees the result
 #   torn     at trial k's journal fsync, after cutting its line short
+#   replace  just before the session's k-th os.replace, its temporary file written
 CHILD = r"""
 import os, signal, sys
 from jobtuner import load_project, run_tuning
@@ -58,6 +59,17 @@ def fsync(fd):
         os.kill(os.getpid(), signal.SIGKILL)
 
 os.fsync = fsync
+real_replace = os.replace
+replaces = 0
+
+def replace(src, dst):
+    global replaces
+    replaces += 1
+    if replaces == k and point == "replace":
+        os.kill(os.getpid(), signal.SIGKILL)
+    real_replace(src, dst)
+
+os.replace = replace
 
 class KillAtTrial(Executor):
     def __init__(self, inner):
@@ -78,13 +90,19 @@ def sequence(project):
             for r in read_trials(project.root, project.space)]
 
 
+def child_env() -> dict[str, str]:
+    """The environment of a CHILD: this one, with the tested jobtuner first on the path."""
+    env = dict(os.environ)
+    src = str(Path(jobtuner.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_sigkill_at_any_point_resumes_trial_for_trial(tmp_path):
     points = ("execute", "fsync", "torn")
     cases = [(strategy, points[(2 * i + j) % 3], 2 + 2 * i + 5 * j)
              for i, strategy in enumerate(STRATEGIES) for j in range(2)]
-    env = dict(os.environ)
-    src = str(Path(jobtuner.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = child_env()
     children = []
     for strategy, point, k in cases:
         project = write_synthetic_project(tmp_path / f"{strategy}-{point}-{k}", PARAMS, JOB)
@@ -111,6 +129,49 @@ def test_sigkill_at_any_point_resumes_trial_for_trial(tmp_path):
         live = (hist / "trials.csv").read_bytes()
         aggregate_history(project)
         assert (hist / "trials.csv").read_bytes() == live, f"{strategy}/{point}@{k}"
+
+
+HISTORY_FILES = [".lock", "journal.jsonl", "session.conf", "trials.csv"]
+
+
+@pytest.mark.parametrize("strategy", ("grid", "compass"))
+def test_sigkill_before_a_file_replace_leaves_no_temporary_file(tmp_path, strategy):
+    """A session replaces a file three times: its manifest as it starts and as it ends,
+    then trials.csv. A kill between a temporary file and its rename leaves that file
+    behind; the next command to take the lock removes it. The kills run one at a time."""
+    full = write_synthetic_project(tmp_path / "full", PARAMS, JOB)
+    run_tuning(full, strategy, BUDGET)
+    for k in (1, 2, 3):
+        project = write_synthetic_project(tmp_path / f"replace-{k}", PARAMS, JOB)
+        proc = subprocess.run(
+            [sys.executable, "-c", CHILD, str(project.root), strategy, "replace", str(k)],
+            env=child_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            timeout=60,
+        )
+        assert proc.returncode == -signal.SIGKILL, f"{strategy}@{k} was not killed:\n{proc.stderr}"
+        hist = project.root / "history"
+        assert len(list(hist.glob("*.tmp"))) == 1, f"{strategy}@{k}"
+        if manifest_exists(project.root):
+            resume_session(project)
+        else:  # killed before the session's manifest was first written
+            run_tuning(project, strategy, BUDGET)
+        assert sequence(project) == sequence(full), f"{strategy}@{k}"
+        assert sorted(p.name for p in hist.iterdir()) == HISTORY_FILES, f"{strategy}@{k}"
+
+
+def test_aggregate_removes_a_sessions_temporary_files_but_not_a_reports(tmp_path):
+    """report writes convergence.csv and the surface CSVs without the lock, so their
+    temporary files may be a running report's own."""
+    project = write_synthetic_project(tmp_path / "proj", PARAMS, JOB)
+    run_tuning(project, "grid", 4)
+    hist = project.root / "history"
+    planted = ["session.conf.0123456789ab.tmp", "trials.csv.cdef01234567.tmp",
+               "convergence.csv.89abcdef0123.tmp", "surface_a_b.csv.456789abcdef.tmp"]
+    for name in planted:
+        (hist / name).write_text("partial")
+    aggregate_history(project)
+    assert sorted(p.name for p in hist.iterdir()) == sorted(
+        ["convergence.csv", *HISTORY_FILES, *planted[2:]])
 
 
 def test_resume_repairs_a_torn_csv_tail(tmp_path):

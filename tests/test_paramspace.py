@@ -127,8 +127,9 @@ def test_parse_syntax_errors_name_their_line(line):
 
 
 def test_parse_crlf_and_unit():
+    # unit= is a note for the reader: the line loads to the spec it declares without it
     space = parse_param_file("mem int min=64 max=512 step=64 unit=MB\r\n")
-    assert space.specs[0].unit == "MB"
+    assert space == parse_param_file("mem int min=64 max=512 step=64")
 
 
 def test_parse_key_value_tokens_in_any_order():

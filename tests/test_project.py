@@ -281,6 +281,10 @@ def test_load_lookup_table_project(tmp_path):
     project = write_synthetic_project(tmp_path / "p", "a int min=1 max=4 step=1\n"
                                       "b int min=1 max=2 step=1\n", job)
     assert project.surface.table == (((0.0, 0.0), 9.0), ((0.0, 1.0), 4.5), ((1.0, 1.0), 2.0))
+    # an empty cell, between two ';' or at either end, is passed over
+    (tmp_path / "p" / "job.conf").write_text(job.replace("=0,0=9; 0,1=4.5;", "=;0,0=9; 0,1=4.5;; ;")
+                                             .replace("1,1=2", "1,1=2;"))
+    assert load_project(tmp_path / "p").surface.table == project.surface.table
     (tmp_path / "p" / "job.conf").write_text(job.replace("1,1=2", "1,1"))
     with pytest.raises(BadValueError, match="'table' in job.conf: cell '1,1' lacks '='"):
         load_project(tmp_path / "p")

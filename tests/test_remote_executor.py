@@ -190,6 +190,19 @@ def test_phase_times_come_from_the_trials_own_application(tmp_path):
     assert [p.name for p in log_dir.iterdir()] == [APP_ID]
 
 
+def test_a_log_tree_with_a_subdirectory_is_read_file_by_file(tmp_path):
+    # the directory is passed over, and the counters of the file under it are read
+    transport = ScriptedTransport(
+        hadoop_stdout=f"INFO impl.YarnClientImpl: Submitted application {APP_ID}\n"
+                      "job ok, no counters here",
+        log_files={f"{APP_ID}/worker-1_45454/syslog": "Shuffle time (ms)=1500\n"})
+    executor = RemoteExecutor(SPACE, ENV, make_project(tmp_path), transport)
+    result = executor.execute_trial(JOB, POINT, 1)
+    assert result.status == "success"
+    assert result.phase_times_s == {"shuffle": 1.5}
+    assert (tmp_path / result.log_ref / APP_ID / "worker-1_45454" / "syslog").is_file()
+
+
 @pytest.mark.parametrize("log_files, phases", [
     ({"application_1770000000000_0001/w": "Shuffle time (ms)=1100\n",
       "application_1770000000000_0002/w": "Shuffle time (ms)=2200\n"},
@@ -569,12 +582,26 @@ def test_ssh_transport_fetch_dir_argv(tmp_path):
         "-r", "hadoop@192.168.1.10:/var/log/hadoop-yarn/aggregated/app", str(local)]
 
 
-def test_ssh_transport_failed_copy_is_connect_error(tmp_path):
+def test_ssh_transport_failed_copy_on_a_live_link_is_an_os_error(tmp_path):
+    """scp exits 1, and the ssh call after it answers: the copy failed, the cluster is there."""
     scp_bin, _ = fake_scp(tmp_path, exit_code=1)
     transport = SshTransport(ENV, ssh_bin=write_fake(tmp_path / "ssh", "exit 0\n"), scp_bin=scp_bin)
-    with pytest.raises(ConnectError, match="lost connection"):
+    with pytest.raises(OSError, match="^file transfer failed: scp: lost connection"):
         transport.put_file(tmp_path / "app.jar", "/tmp/staging/app.jar")
-    with pytest.raises(ConnectError, match="lost connection"):
+    with pytest.raises(OSError, match="^file transfer failed: scp: lost connection"):
+        transport.fetch_dir("/var/log/hadoop-yarn/aggregated/app", tmp_path / "logs")
+
+
+def test_ssh_transport_failed_copy_is_a_lost_cluster_when_ssh_says_so(tmp_path):
+    """scp exits 1, and ssh exits 255 on the call after it: the cluster is lost."""
+    scp_bin, _ = fake_scp(tmp_path, exit_code=1)
+    # the directory test before the fetch passes; every other call loses the link
+    fake_ssh = write_fake(tmp_path / "ssh", 'for last; do :; done\ncase "$last" in "test -d "*) '
+                          "exit 0;; esac\necho 'connection reset' >&2\nexit 255\n")
+    transport = SshTransport(ENV, ssh_bin=fake_ssh, scp_bin=scp_bin)
+    with pytest.raises(ConnectError, match="^cannot reach .*: connection reset$"):
+        transport.put_file(tmp_path / "app.jar", "/tmp/staging/app.jar")
+    with pytest.raises(ConnectError, match="^cannot reach .*: connection reset$"):
         transport.fetch_dir("/var/log/hadoop-yarn/aggregated/app", tmp_path / "logs")
 
 
@@ -634,14 +661,43 @@ def test_missing_application_logs_degrade_to_wall_time_over_ssh(tmp_path):
     assert not marker.exists()
 
 
-def test_a_failed_log_copy_over_ssh_is_a_lost_cluster(tmp_path):
-    """The application's log directory exists, so `test -d` passes and scp runs; scp
-    exits 1 for a vanished path and a lost connection alike, so the copy's failure
-    is taken for a lost cluster."""
+def test_a_failed_log_copy_over_ssh_degrades_to_wall_time(tmp_path, caplog):
+    """The application's log directory exists, so `test -d` passes and scp runs. scp
+    then fails as for a directory that vanished, and ssh still answers, so the trial
+    keeps its wall time and the failure is logged."""
     executor, job, marker = ssh_cluster(tmp_path, application_logs=True)
-    with pytest.raises(ConnectError, match="^file transfer failed: scp: .*No such file"):
+    result = executor.execute_trial(job, POINT, 1)
+    assert marker.exists()
+    assert result.status == "success"
+    assert len(result.rep_times_s) == 1
+    assert result.phase_times_s is None
+    assert result.log_ref is None
+    assert re.search(r"fetch of .*/application_\d+_\d+ failed: file transfer failed: scp: "
+                     r".*No such file", caplog.text)
+
+
+def test_a_log_copy_that_loses_the_link_over_ssh_is_a_lost_cluster(tmp_path):
+    """As above, but the link is lost by the time scp fails: the ssh call after it
+    exits 255, so the trial ends as a lost cluster."""
+    executor, job, marker = ssh_cluster(tmp_path, application_logs=True)
+    write_fake(tmp_path / "ssh",
+               'for last; do :; done\n[ "$last" = true ] && exit 255\nexec sh -c "$last"\n')
+    with pytest.raises(ConnectError, match="^cannot reach "):
         executor.execute_trial(job, POINT, 1)
     assert marker.exists()
+
+
+def test_an_upload_refused_over_ssh_interrupts_the_session(tmp_path):
+    """scp refuses the jar while ssh still answers: staging fails, the session ends
+    interrupted, and no trial is journaled."""
+    executor, _, marker = ssh_cluster(tmp_path, application_logs=False)
+    (tmp_path / "cluster" / "staging" / "app.jar").unlink()
+    project = remote_project(tmp_path / "session")
+    with pytest.raises(StagingError, match="^upload of app.jar failed: file transfer failed: "):
+        run_tuning(project, "grid", budget=2, executor=executor)
+    assert marker.exists()
+    assert read_manifest(project.root)["status"] == "interrupted"
+    assert read_raw_records(project.root, project.space) == []
 
 
 # --- remote sessions ----------------------------------------------------------------

@@ -30,12 +30,10 @@ from jobtuner.errors import DomainError
 from jobtuner.executors.remote import ClusterEnv, ShellResult
 from jobtuner.paramspace import CheckedTuple
 
-INT_SPEC_REPR = (
-    "ParamSpec(name='a', kind='int', lower=1, upper=4, step=1, values=(), default=1, unit=None)"
-)
+INT_SPEC_REPR = "ParamSpec(name='a', kind='int', lower=1, upper=4, step=1, values=(), default=1)"
 CAT_SPEC_REPR = (
     "ParamSpec(name='c', kind='cat', lower=None, upper=None, step=None, values=('x', 'y'), "
-    "default='x', unit=None)"
+    "default='x')"
 )
 JOB_REPR = (
     "JobSpec(artifact='', main_entry=None, static_args=(), timeout_s=3600.0, repetitions=1, "
