@@ -16,9 +16,10 @@ import hashlib
 import logging
 import re
 import shlex
+import shutil
 import subprocess
 import time
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 from typing import NamedTuple, Protocol
 
 from ..errors import ConnectError, StagingError, TransportTimeout
@@ -144,8 +145,18 @@ class SshTransport:
         # a missing directory is no copy at all: the local one is not made
         if self.run(shlex.join(["test", "-d", remote])).exit_code != 0:
             raise FileNotFoundError(f"no remote directory {remote}")
+        made = None  # the outermost of the copy and its directories that this call makes
+        for path in (local / PurePosixPath(remote).name, local, *local.parents):
+            if path.exists():
+                break
+            made = path
         local.mkdir(parents=True, exist_ok=True)
-        self._scp(["-r", f"{e.user}@{e.master_host}:{remote}", str(local)])
+        try:
+            self._scp(["-r", f"{e.user}@{e.master_host}:{remote}", str(local)])
+        except BaseException:
+            if made is not None:  # a failed copy leaves nothing it made
+                shutil.rmtree(made, ignore_errors=True)
+            raise
 
 
 def assemble_hadoop_command(

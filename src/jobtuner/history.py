@@ -7,7 +7,8 @@ Layout under a project root:
     history/trials.csv        export of the journal, one row per trial; written
                               whole when a session ends and by aggregate
     history/session.conf      key=value session manifest, read with the parser
-                              of the project files (project.parse_kv_file)
+                              of the project files (project.parse_kv_file); its
+                              status is interrupted until the session finishes
     history/.lock             flock'd while a session runs; never removed
 
 A trial is durable once its journal line is fsynced, and after the first line

@@ -7,6 +7,10 @@ are fed to searchers as +inf so search routes around crashing corners.
 Each point is measured at most once per session: a proposal of a point
 already measured is recorded as a new trial carrying the first
 measurement, failures included, and spends a budget slot but no job run.
+
+The manifest reads `interrupted` from its first write, before any trial, until
+the loop returns it `finished`: a kill leaves it true, and only the session
+lock (history/.lock) marks a live session.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ from .search import Searcher, make_searcher
 
 log = logging.getLogger(__name__)
 
-STATUS_RUNNING = "running"
 STATUS_INTERRUPTED = "interrupted"
 STATUS_FINISHED = "finished"
 
@@ -159,7 +162,7 @@ def run_tuning(
 
     Raises InvalidBudgetError, UnknownStrategyError, SessionExistsError when
     the directory already holds a session, and ConnectError when the executor
-    loses its cluster. Any error raised once the session has started marks it
+    loses its cluster. Any error raised once the session has started leaves it
     interrupted, with its history preserved for resume_session.
     """
     if budget < 1:
@@ -212,18 +215,22 @@ def _drive(loop: _TuningLoop, started: float) -> SessionSummary:
     # a history that does not open or replay is refused before the manifest changes
     root, space = loop.project.root, loop.project.space
     writer = HistoryWriter(root, space, loop.replay)
-    loop.set_status(STATUS_RUNNING)
-    status = STATUS_INTERRUPTED  # unless the loop returns
+    # the manifest says interrupted until the loop returns, so a kill leaves it true
+    status = STATUS_INTERRUPTED
+    loop.set_status(status)
     try:
         status = loop.run(writer)
+        loop.set_status(status)
     finally:
-        # whatever stopped the loop, every observed trial is already durable;
-        # trials.csv is exported once, whole, from the journal, after the manifest write
+        # whatever stopped the loop, every observed trial is already durable; trials.csv is
+        # exported once, whole, from the journal. An interrupted session logs a failing
+        # export, so that the loop's own error is raised
         try:
-            _settle(status, "session.conf not marked interrupted", loop.set_status, status)
-        finally:
-            _settle(status, "trials.csv not exported", rewrite_trials_csv,
-                    root, space, iter_raw_records(root, space))
+            rewrite_trials_csv(root, space, iter_raw_records(root, space))
+        except Exception as exc:
+            if status == STATUS_FINISHED:
+                raise
+            log.warning("trials.csv not exported: %s", exc)
     try:
         # a repeat carries its first record's result under a later id: no better record
         best = best_of(loop._measured.values())
@@ -235,17 +242,6 @@ def _drive(loop: _TuningLoop, started: float) -> SessionSummary:
         wall_time_s=time.perf_counter() - started,
         status=status,
     )
-
-
-def _settle(status: str, failure: str, step, *args) -> None:
-    """Run one bookkeeping step of a session that has ended with status. An interrupted
-    session logs the step's error as failure, so that the loop's own error is raised."""
-    try:
-        step(*args)
-    except Exception as exc:
-        if status != STATUS_INTERRUPTED:
-            raise
-        log.warning("%s: %s", failure, exc)
 
 
 def aggregate_history(project: Project) -> int:

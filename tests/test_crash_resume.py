@@ -1,12 +1,15 @@
 """A session killed at any point resumes trial-for-trial from its history.
 
 Each crash is a real SIGKILL of a child process running a session, so
-nothing in the tuner gets to clean up: no exception handler runs, the
-manifest stays at `running` and the lock's holder vanishes.
+nothing in the tuner gets to clean up: no exception handler runs and the
+lock's holder vanishes. The manifest says `interrupted` all the same, as it
+has since the session first wrote it, unless the session had already
+rewritten it `finished`.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import signal
@@ -20,7 +23,7 @@ import jobtuner
 from doubles import CountingExecutor, InterruptingExecutor
 from helpers import bowl_job_conf, write_synthetic_project
 from jobtuner.errors import ConnectError, HistoryCorruptError
-from jobtuner.history import manifest_exists, read_trials
+from jobtuner.history import manifest_exists, read_manifest, read_trials
 from jobtuner.project import load_project
 from jobtuner.session import aggregate_history, make_executor, resume_session, run_tuning
 
@@ -36,19 +39,31 @@ JOB = bowl_job_conf(base_s=100.0, weights="50,80", optimum="0.7,0.3",
 #   fsync    right after trial k's journal fsync, before its searcher sees the result
 #   torn     at trial k's journal fsync, after cutting its line short
 #   replace  just before the session's k-th os.replace, its temporary file written
+#   step     just before the session's k-th durability step: a directory made
+#            (Path.mkdir), a file opened for writing, an os.fsync or an os.replace
+# The child prints each durability step as it takes it: the kind and the file's name.
 CHILD = r"""
-import os, signal, sys
+import builtins, os, pathlib, signal, sys
 from jobtuner import load_project, run_tuning
 from jobtuner.executors import Executor
 from jobtuner.session import make_executor
 
 root, strategy, point, k = sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4])
 journal = os.path.join(root, "history", "journal.jsonl")
-real_fsync = os.fsync
-journal_fsyncs = 0
+real_fsync, real_replace, real_open, real_mkdir = os.fsync, os.replace, open, pathlib.Path.mkdir
+steps = replaces = journal_fsyncs = 0
+
+def step(kind, path):
+    global steps, replaces
+    steps += 1
+    replaces += kind == "replace"
+    if (point == "step" and steps == k) or (point == kind == "replace" and replaces == k):
+        os.kill(os.getpid(), signal.SIGKILL)
+    print(kind, os.path.basename(path), flush=True)
 
 def fsync(fd):
     global journal_fsyncs
+    step("fsync", "")
     if os.path.exists(journal) and os.path.samestat(os.fstat(fd), os.stat(journal)):
         journal_fsyncs += 1
         if journal_fsyncs == k and point == "torn":
@@ -58,18 +73,20 @@ def fsync(fd):
     if journal_fsyncs == k and point == "fsync":
         os.kill(os.getpid(), signal.SIGKILL)
 
-os.fsync = fsync
-real_replace = os.replace
-replaces = 0
-
 def replace(src, dst):
-    global replaces
-    replaces += 1
-    if replaces == k and point == "replace":
-        os.kill(os.getpid(), signal.SIGKILL)
+    step("replace", dst)
     real_replace(src, dst)
 
-os.replace = replace
+def open_(file, mode="r", *args, **kwargs):
+    if set(mode) & set("wax+"):
+        step("open", file)
+    return real_open(file, mode, *args, **kwargs)
+
+def mkdir(self, *args, **kwargs):
+    step("mkdir", self)
+    real_mkdir(self, *args, **kwargs)
+
+os.fsync, os.replace, builtins.open, pathlib.Path.mkdir = fsync, replace, open_, mkdir
 
 class KillAtTrial(Executor):
     def __init__(self, inner):
@@ -159,6 +176,56 @@ def test_sigkill_before_a_file_replace_leaves_no_temporary_file(tmp_path, strate
         assert sorted(p.name for p in hist.iterdir()) == HISTORY_FILES, f"{strategy}@{k}"
 
 
+@pytest.mark.parametrize("strategy", ("grid", "compass"))
+def test_sigkill_before_any_durability_step_resumes_trial_for_trial(tmp_path, strategy):
+    """A child is killed just before its k-th durability step, for every k until one
+    runs the whole session, two children at a time. A manifest that the kill leaves says
+    interrupted, unless the session had already renamed its finished manifest in place;
+    each temporary file opened and not renamed is left behind. resume, or a fresh tune
+    where no manifest was written, then runs the uncut sequence and removes the rest."""
+    full = write_synthetic_project(tmp_path / "full", PARAMS, JOB)
+    run_tuning(full, strategy, BUDGET)
+    env = child_env()
+    whole = None  # the steps of the child that ran the whole session
+    for first in itertools.count(1, 2):
+        children = []
+        for k in (first, first + 1):
+            project = write_synthetic_project(tmp_path / f"step-{k}", PARAMS, JOB)
+            proc = subprocess.Popen(
+                [sys.executable, "-c", CHILD, str(project.root), strategy, "step", str(k)],
+                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            )
+            children.append((k, project, proc))
+        # both children end before either is checked, so a failed check leaves none running
+        ended = [(k, project, proc, *proc.communicate(timeout=60)) for k, project, proc in children]
+        for k, project, proc, out, err in ended:
+            taken = out.splitlines()
+            if proc.returncode == 0:
+                whole = taken
+                assert len(taken) < k, f"{strategy}@{k}"
+                continue
+            assert proc.returncode == -signal.SIGKILL, f"{strategy}@{k} was not killed:\n{err}"
+            assert len(taken) == k - 1, f"{strategy}@{k}"
+            where = f"{strategy}, killed before step {k} after {taken[-1:]}"
+            hist = project.root / "history"
+            opened = sum(line.startswith("open ") and line.endswith(".tmp") for line in taken)
+            renamed = sum(line.startswith("replace ") for line in taken)
+            assert len(list(hist.glob("*.tmp"))) == opened - renamed, where
+            if manifest_exists(project.root):
+                finished = taken.count("replace session.conf") == 2
+                assert read_manifest(project.root)["status"] == \
+                    ("finished" if finished else "interrupted"), where
+                resume_session(project)
+            else:
+                run_tuning(project, strategy, BUDGET)
+            assert sequence(project) == sequence(full), where
+            assert sorted(p.name for p in hist.iterdir()) == HISTORY_FILES, where
+            assert read_manifest(project.root)["status"] == "finished", where
+        if whole is not None:
+            break
+    assert {line.split()[0] for line in whole} == {"mkdir", "open", "fsync", "replace"}
+
+
 def test_aggregate_removes_a_sessions_temporary_files_but_not_a_reports(tmp_path):
     """report writes convergence.csv and the surface CSVs without the lock, so their
     temporary files may be a running report's own."""
@@ -172,6 +239,24 @@ def test_aggregate_removes_a_sessions_temporary_files_but_not_a_reports(tmp_path
     aggregate_history(project)
     assert sorted(p.name for p in hist.iterdir()) == sorted(
         ["convergence.csv", *HISTORY_FILES, *planted[2:]])
+
+
+def test_a_manifest_an_older_version_left_running_resumes_trial_for_trial(tmp_path):
+    """Earlier versions wrote status=running as a session started, and a kill left it so.
+    resume reads no status, so such a session continues and ends finished."""
+    reference = write_synthetic_project(tmp_path / "full", PARAMS, JOB)
+    run_tuning(reference, "compass", BUDGET)
+    project = write_synthetic_project(tmp_path / "proj", PARAMS, JOB)
+    executor = InterruptingExecutor(make_executor(project), allow=7)
+    with pytest.raises(ConnectError):
+        run_tuning(project, "compass", BUDGET, executor=executor)
+    manifest = project.root / "history" / "session.conf"
+    manifest.write_text(manifest.read_text().replace("status=interrupted", "status=running"))
+    assert read_manifest(project.root)["status"] == "running"
+
+    resume_session(project)
+    assert sequence(project) == sequence(reference)
+    assert read_manifest(project.root)["status"] == "finished"
 
 
 def test_resume_repairs_a_torn_csv_tail(tmp_path):

@@ -676,6 +676,35 @@ def test_a_failed_log_copy_over_ssh_degrades_to_wall_time(tmp_path, caplog):
                      r".*No such file", caplog.text)
 
 
+# a fake scp that copies part of the source directory, then fails as a dropped copy does
+PARTIAL_SCP = ('for local; do :; done\nshift $(($# - 2))\nmkdir -p "$local/${1##*/}"\n'
+               'echo partial > "$local/${1##*/}/syslog"\necho "scp: read: Connection reset" >&2\n'
+               'exit 1\n')
+
+
+def test_a_log_copy_that_fails_partway_leaves_no_log_directory(tmp_path):
+    """scp writes part of the application's logs and fails: the trial keeps its wall time,
+    names no logs, and the copy and the directories made for it are removed."""
+    executor, job, _ = ssh_cluster(tmp_path, application_logs=True)
+    write_fake(tmp_path / "scp", PARTIAL_SCP)
+    result = executor.execute_trial(job, POINT, 1)
+    assert result.status == "success"
+    assert result.log_ref is None
+    assert not (tmp_path / "project" / "downloaded_results" / "trial_1").exists()
+
+
+def test_a_failed_log_copy_keeps_an_earlier_applications_logs(tmp_path):
+    earlier = tmp_path / "logs" / "application_1770000000000_0006" / "syslog"
+    earlier.parent.mkdir(parents=True)
+    earlier.write_text("earlier")
+    transport = SshTransport(ENV, ssh_bin=write_fake(tmp_path / "ssh", "exit 0\n"),
+                             scp_bin=write_fake(tmp_path / "scp", PARTIAL_SCP))
+    with pytest.raises(OSError, match="Connection reset"):
+        transport.fetch_dir(f"/var/log/hadoop-yarn/aggregated/{APP_ID}", tmp_path / "logs")
+    assert [p.name for p in (tmp_path / "logs").iterdir()] == [earlier.parent.name]
+    assert earlier.read_text() == "earlier"
+
+
 def test_a_log_copy_that_loses_the_link_over_ssh_is_a_lost_cluster(tmp_path):
     """As above, but the link is lost by the time scp fails: the ssh call after it
     exits 255, so the trial ends as a lost cluster."""

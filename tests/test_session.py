@@ -35,7 +35,7 @@ from jobtuner.errors import (
 from jobtuner.executors.base import Executor, TrialResult
 from jobtuner.executors.synthetic import synthetic_eval
 from jobtuner.history import (SessionLock, TrialRecord, read_manifest, read_raw_records,
-                              read_trials, write_manifest as real_write_manifest)
+                              read_trials)
 from jobtuner.paramspace import parse_param_file
 from jobtuner.search import STRATEGIES, strategy_ids
 from jobtuner.session import (
@@ -321,25 +321,20 @@ def test_a_failing_export_does_not_hide_why_the_session_stopped(tmp_path, monkey
     assert "scripted export failure" in caplog.text
 
 
-@pytest.mark.parametrize("error", [ConnectError, KeyboardInterrupt])
-def test_a_failing_manifest_write_does_not_hide_why_the_session_stopped(tmp_path, monkeypatch,
-                                                                        caplog, error):
+def test_a_failing_first_manifest_write_refuses_the_session(tmp_path, monkeypatch):
+    """Out of space as the manifest is first written: no trial runs, nothing is journaled,
+    and the write removes its temporary file."""
     project = small_project(tmp_path)
+    executor = CountingExecutor(make_executor(project))
 
-    def write_manifest(root, entries):
-        if entries["status"] == "interrupted":
-            raise OSError(errno.ENOSPC, "scripted manifest failure")
-        real_write_manifest(root, entries)
+    def fsync(fd):  # the session's first fsync is its manifest's
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-    monkeypatch.setattr("jobtuner.session.write_manifest", write_manifest)
-    with pytest.raises(error):
-        run_tuning(project, "grid", budget=6,
-                   executor=InterruptingExecutor(make_executor(project), allow=3, error=error))
-    assert "scripted manifest failure" in caplog.text
-    assert read_manifest(project.root)["status"] == "running"
-    assert len(read_raw_records(project.root, project.space)) == 3
-    table = (project.root / "history" / "trials.csv").read_text()
-    assert len(table.splitlines()) == 4  # the header and the 3 trials, exported all the same
+    monkeypatch.setattr(os, "fsync", fsync)
+    with pytest.raises(OSError, match="No space left on device"):
+        run_tuning(project, "grid", budget=6, executor=executor)
+    assert executor.calls == []
+    assert [p.name for p in (project.root / "history").iterdir()] == [".lock"]
 
 
 # an 11x3 lattice, coarse next to the searchers' steps, on which every DFO
