@@ -35,7 +35,7 @@ from jobtuner.errors import (
 from jobtuner.executors.base import Executor, TrialResult
 from jobtuner.executors.synthetic import synthetic_eval
 from jobtuner.history import (SessionLock, TrialRecord, read_manifest, read_raw_records,
-                              read_trials)
+                              read_trials, write_manifest as real_write_manifest)
 from jobtuner.paramspace import parse_param_file
 from jobtuner.search import STRATEGIES, strategy_ids
 from jobtuner.session import (
@@ -319,6 +319,32 @@ def test_a_failing_export_does_not_hide_why_the_session_stopped(tmp_path, monkey
     assert read_manifest(project.root)["status"] == "interrupted"
     assert len(read_raw_records(project.root, project.space)) == 3
     assert "scripted export failure" in caplog.text
+
+
+@pytest.mark.parametrize("error", [ConnectError, KeyboardInterrupt])
+def test_a_failing_manifest_write_does_not_hide_why_the_session_stopped(tmp_path, monkeypatch,
+                                                                        caplog, error):
+    """Once the first manifest write has marked the session interrupted, a session that
+    stops writes no other manifest, so no manifest failure can replace the loop's error."""
+    project = small_project(tmp_path)
+    writes = []
+
+    def write_manifest(root, entries):
+        writes.append(entries["status"])
+        if len(writes) > 1:
+            raise OSError(errno.ENOSPC, "scripted manifest failure")
+        real_write_manifest(root, entries)
+
+    monkeypatch.setattr("jobtuner.session.write_manifest", write_manifest)
+    with pytest.raises(error):
+        run_tuning(project, "grid", budget=6,
+                   executor=InterruptingExecutor(make_executor(project), allow=3, error=error))
+    assert writes == ["interrupted"]
+    assert "scripted manifest failure" not in caplog.text
+    assert read_manifest(project.root)["status"] == "interrupted"
+    assert len(read_raw_records(project.root, project.space)) == 3
+    table = (project.root / "history" / "trials.csv").read_text()
+    assert len(table.splitlines()) == 4  # the header and the 3 trials, exported all the same
 
 
 def test_a_failing_first_manifest_write_refuses_the_session(tmp_path, monkeypatch):
