@@ -140,10 +140,9 @@ def _log_summary(project, summary) -> None:
     if summary.best is None:
         log.info("no successful trials")
     else:
-        assignment = ", ".join(
-            f"{name}={project.space.render_value(name, summary.best.point[name])}"
-            for name in project.space.names()
-        )
+        space = project.space
+        assignment = ", ".join(f"{s.name}={s.render(v)}"
+                               for s, v in zip(space.specs, space.point_key(summary.best.point)))
         log.info("best trial %d: %s -> %.3fs",
                  summary.best.trial_id, assignment, summary.best.aggregate_s)
 

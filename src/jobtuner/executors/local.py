@@ -22,41 +22,14 @@ from .base import (
 )
 
 
-def run_local_command(
-    template: str,
-    point: TrialPoint,
-    job: JobSpec,
-    space: ParamSpace,
-    workdir: str | Path | None = None,
-) -> TrialResult:
-    """Run the command, its {param} placeholders filled in, job.repetitions times.
-
-    Raises, before anything runs, InvalidPointError for a point of another
-    space and UnknownPlaceholderError when the template names a parameter the
-    space does not declare. Nonzero exit fails the trial and skips remaining
-    repetitions; a repetition exceeding job.timeout_s marks the trial timed out.
-    """
-    rendered = {s.name: s.render(v) for s, v in zip(space.specs, space.point_key(point))}
-    unknown = sorted(set(PLACEHOLDER_RE.findall(template)) - rendered.keys())
-    if unknown:
-        raise UnknownPlaceholderError(
-            f"template references undeclared parameter(s): {', '.join(unknown)}"
-        )
-    # split before filling in, so each value reaches the job as one argument, byte for byte
-    argv = [PLACEHOLDER_RE.sub(lambda m: rendered[m.group(1)], arg)
-            for arg in shlex.split(template)]
-    if not argv:
-        raise SpawnFailureError("command template is empty after substitution")
-    return repeat(job, lambda _rep: _run_once(argv, workdir, job.timeout_s))
-
-
 def _run_once(argv: list[str], workdir: str | Path | None, timeout_s: float | None) -> float | str:
     """Run argv in a new process group; its seconds, or the status it failed with.
 
-    However the run ends, the whole group is then killed, after the clock
-    stops, so no process the job started, even one in the background,
-    outlives its repetition and contends with the next one. Waiting on the
-    output pipes, not polling the exit status, keeps the measured time exact.
+    However the run ends, this process then kills the whole group, after the
+    clock stops, so no process the job started, even one in the background,
+    outlives its repetition and contends with the next one; only a SIGKILL
+    of this process leaves the group running. Waiting on the output pipes,
+    not polling the exit status, keeps the measured time exact.
     """
     start = time.perf_counter()
     try:
@@ -67,7 +40,7 @@ def _run_once(argv: list[str], workdir: str | Path | None, timeout_s: float | No
             stderr=subprocess.PIPE,
             start_new_session=True,
         )
-    except (FileNotFoundError, PermissionError, NotADirectoryError) as exc:
+    except OSError as exc:  # no such file, no permission, no shebang line, ...
         raise SpawnFailureError(f"cannot start {argv[0]!r}: {exc}") from exc
     with proc:
         try:
@@ -94,4 +67,24 @@ class LocalExecutor(Executor):
         self._workdir = workdir
 
     def execute_trial(self, job: JobSpec, point: TrialPoint, trial_id: int) -> TrialResult:
-        return run_local_command(job.artifact, point, job, self._space, self._workdir)
+        """Run job.artifact, its {param} placeholders filled in, job.repetitions times.
+
+        Raises, before anything runs, InvalidPointError for a point of another
+        space and UnknownPlaceholderError when the template names a parameter the
+        space does not declare; SpawnFailureError when the command cannot be
+        started. Nonzero exit fails the trial and skips remaining repetitions; a
+        repetition exceeding job.timeout_s marks the trial timed out.
+        """
+        space = self._space
+        rendered = {s.name: s.render(v) for s, v in zip(space.specs, space.point_key(point))}
+        unknown = sorted(set(PLACEHOLDER_RE.findall(job.artifact)) - rendered.keys())
+        if unknown:
+            raise UnknownPlaceholderError(
+                f"template references undeclared parameter(s): {', '.join(unknown)}"
+            )
+        # split before filling in, so each value reaches the job as one argument, byte for byte
+        argv = [PLACEHOLDER_RE.sub(lambda m: rendered[m.group(1)], arg)
+                for arg in shlex.split(job.artifact)]
+        if not argv:
+            raise SpawnFailureError("command template is empty after substitution")
+        return repeat(job, lambda _rep: _run_once(argv, self._workdir, job.timeout_s))

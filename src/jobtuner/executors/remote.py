@@ -78,7 +78,13 @@ class ShellResult(NamedTuple):
 
 
 class RemoteTransport(Protocol):
-    """Minimal shell-and-file-transfer surface the remote executor needs."""
+    """Minimal shell-and-file-transfer surface the remote executor needs.
+
+    run raises ConnectError when the cluster cannot be reached and
+    TransportTimeout when the command runs past timeout_s. put_file and
+    fetch_dir raise ConnectError for a lost cluster and OSError for anything
+    else, a missing remote directory included. ConnectError is no OSError.
+    """
 
     def run(self, command: str, timeout_s: float | None = None,
             cwd: str | None = None) -> ShellResult: ...
@@ -226,9 +232,7 @@ class RemoteExecutor(Executor):
                 raise StagingError(f"cannot create remote workdir: {mkdir.stderr.strip()}")
             try:
                 self._transport.put_file(local, remote_path)
-            except ConnectError:
-                raise
-            except Exception as exc:
+            except OSError as exc:
                 raise StagingError(f"upload of {local.name} failed: {exc}") from exc
         self._staged[remote_path] = stamp
 
@@ -279,7 +283,11 @@ class RemoteExecutor(Executor):
         for out in outputs:
             texts.append(out)
             for app in _SUBMITTED.findall(out):
-                if not self._fetch(f"{self._env.history_log_dir}/{app}", log_dir):
+                remote = f"{self._env.history_log_dir}/{app}"
+                try:
+                    self._transport.fetch_dir(remote, log_dir)
+                except OSError as exc:  # a lost cluster is a ConnectError, which propagates
+                    log.warning("fetch of %s failed: %s", remote, exc)
                     continue
                 fetched = True
                 for path in sorted((log_dir / app).rglob("*")):
@@ -293,14 +301,3 @@ class RemoteExecutor(Executor):
             phase_times_s=phases or None,
             log_ref=str(log_dir.relative_to(self._root)) if fetched else None,
         )
-
-    def _fetch(self, remote: str, local: Path) -> bool:
-        """Copy a remote directory into local; any failure but a lost cluster is logged."""
-        try:
-            self._transport.fetch_dir(remote, local)
-        except ConnectError:
-            raise
-        except Exception as exc:
-            log.warning("fetch of %s failed: %s", remote, exc)
-            return False
-        return True

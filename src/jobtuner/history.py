@@ -59,7 +59,7 @@ from .errors import (
 )
 from .executors.base import TrialResult
 from .paramspace import KIND_CAT, KIND_FLOAT, KIND_INT, ParamSpace, TrialPoint, fmt_float
-from .project import parse_kv_file
+from .project import not_utf8, parse_kv_file
 
 HISTORY_DIR = "history"
 TRIALS_CSV = "trials.csv"
@@ -426,6 +426,8 @@ def read_manifest(project_root: str | Path) -> dict[str, str]:
     except FileNotFoundError:
         raise ManifestMissingError(
             f"no session manifest at {path}; start one with `jobtuner tune`") from None
+    except UnicodeDecodeError as exc:
+        raise not_utf8(str(path), exc) from None
     return parse_kv_file(text, MANIFEST_FILE)
 
 

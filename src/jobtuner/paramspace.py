@@ -382,9 +382,6 @@ class ParamSpace:
         """One -D<name>=<value> per parameter of a point of this space, in spec order."""
         return [f"-D{s.name}={s.render(v)}" for s, v in zip(self.specs, self.point_key(point))]
 
-    def render_value(self, name: str, v: Value) -> str:
-        return self.spec(name).render(v)
-
 
 # --- parameter file parsing ---------------------------------------------------
 

@@ -23,6 +23,7 @@ from .errors import (
     DirNotEmptyError,
     MissingFileError,
     MissingKeyError,
+    TunerError,
 )
 from .executors.base import PLACEHOLDER_RE, ClusterEnv, JobSpec
 from .executors.synthetic import FAMILIES, SurfaceSpec
@@ -228,11 +229,19 @@ def parse_job_file(text: str, filename: str = JOB_FILE
     return job, kind, surface, defaults
 
 
+def not_utf8(name: str, exc: UnicodeDecodeError) -> TunerError:
+    """The error for the file name, whose bytes exc could not decode."""
+    return TunerError(f"{name} is not UTF-8: byte 0x{exc.object[exc.start]:02x} "
+                      f"at offset {exc.start}")
+
+
 def _read(root: Path, name: str) -> str:
     try:
         return (root / name).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise MissingFileError(name) from None
+    except UnicodeDecodeError as exc:
+        raise not_utf8(name, exc) from None
 
 
 def _load_job(root: Path, name: str, space: ParamSpace

@@ -66,6 +66,7 @@ def surface_writer(project_root: str | Path, px: str, py: str,
 def _surface_writer(path: Path, px: str, py: str,
                     space: ParamSpace) -> Iterator[Callable[[TrialRecord], None]]:
     cells: dict[tuple, list[float]] = {}
+    sx, sy = space.spec(px), space.spec(py)
     with csv_file(path, [px, py, "median_s", "n"]) as write_row:
         def add(r: TrialRecord) -> None:
             if r.result.ok:
@@ -73,8 +74,7 @@ def _surface_writer(path: Path, px: str, py: str,
         yield add
         # each axis holds one parameter's validated values, which compare natively
         for (vx, vy), aggs in sorted(cells.items()):
-            write_row((space.render_value(px, vx), space.render_value(py, vy),
-                       fmt_float(median(aggs)), str(len(aggs))))
+            write_row((sx.render(vx), sy.render(vy), fmt_float(median(aggs)), str(len(aggs))))
 
 
 def write_surface(

@@ -189,6 +189,32 @@ def test_refused_resume_leaves_the_manifest_unchanged(tmp_path, edit):
     assert manifest.read_bytes() == before
 
 
+def tree(root):
+    """Every file under root, by path, with its bytes."""
+    return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_a_project_file_that_is_not_utf8_exits_2(tmp_path, caplog):
+    project = make_project(tmp_path)
+    (project.root / "params.conf").write_bytes(("# café\n" + SMALL_PARAMS).encode("latin-1"))
+    before = tree(project.root)
+    assert main(["task", "--dir", str(project.root)]) == 2
+    assert "params.conf is not UTF-8: byte 0xe9 at offset 5" in caplog.text
+    assert tree(project.root) == before
+
+
+def test_a_manifest_that_is_not_utf8_exits_2(tmp_path, caplog):
+    project = make_project(tmp_path)
+    assert main(["tune", "--dir", str(project.root), "--strategy", "grid", "--budget", "2"]) == 0
+    manifest = project.root / "history" / "session.conf"
+    manifest.write_bytes(manifest.read_bytes() + b"# \xff\n")
+    before = tree(project.root)
+    assert main(["resume", "--dir", str(project.root)]) == 2
+    offset = len(before[manifest]) - 2
+    assert f"{manifest} is not UTF-8: byte 0xff at offset {offset}" in caplog.text
+    assert tree(project.root) == before
+
+
 def test_aggregate_and_report(tmp_path):
     project = make_project(tmp_path)
     main(["tune", "--dir", str(project.root), "--strategy", "grid", "--budget", "8"])

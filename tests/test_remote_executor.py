@@ -385,6 +385,21 @@ def test_log_fetch_failure_degrades_to_wall_time(tmp_path):
     assert not (tmp_path / "downloaded_results").exists()
 
 
+
+class BrokenFetch(ScriptedTransport):
+    """A transport whose log fetch fails outside the transport contract."""
+
+    def fetch_dir(self, remote, local):
+        raise RuntimeError("bug in the transport")
+
+
+def test_a_fetch_error_outside_the_transport_contract_propagates(tmp_path):
+    """Only OSError is a failed log copy; any other error is no missing log."""
+    transport = BrokenFetch(hadoop_stdout=HADOOP_STDOUT)
+    executor = RemoteExecutor(SPACE, ENV, make_project(tmp_path), transport)
+    with pytest.raises(RuntimeError, match="bug in the transport"):
+        executor.execute_trial(JOB, POINT, 1)
+
 def test_cleanup_runs_between_repetitions(tmp_path):
     transport = ScriptedTransport(hadoop_stdout=HADOOP_STDOUT)
     job = JobSpec(artifact="app.jar", main_entry="WordCount",
