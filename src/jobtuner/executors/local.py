@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import selectors
 import shlex
 import signal
 import subprocess
@@ -28,8 +29,9 @@ def _run_once(argv: list[str], workdir: str | Path | None, timeout_s: float | No
     However the run ends, this process then kills the whole group, after the
     clock stops, so no process the job started, even one in the background,
     outlives its repetition and contends with the next one; only a SIGKILL
-    of this process leaves the group running. Waiting on the output pipes,
-    not polling the exit status, keeps the measured time exact.
+    of this process leaves the group running. Waiting on the output pipe,
+    not polling the exit status, keeps the measured time exact; the output
+    is dropped as it arrives, so a job that prints much holds no memory here.
     """
     start = time.perf_counter()
     try:
@@ -37,14 +39,22 @@ def _run_once(argv: list[str], workdir: str | Path | None, timeout_s: float | No
             argv,
             cwd=str(workdir) if workdir else None,
             stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
             start_new_session=True,
         )
     except OSError as exc:  # no such file, no permission, no shebang line, ...
         raise SpawnFailureError(f"cannot start {argv[0]!r}: {exc}") from exc
-    with proc:
+    with proc, selectors.DefaultSelector() as sel:
         try:
-            proc.communicate(timeout=timeout_s)
+            end = None if timeout_s is None else time.perf_counter() + timeout_s
+            sel.register(proc.stdout, selectors.EVENT_READ)
+            while True:  # EOF comes when the last holder of the output exits
+                left = None if end is None else end - time.perf_counter()
+                if left is not None and left <= 0 or not sel.select(left):
+                    return STATUS_TIMEOUT
+                if not os.read(proc.stdout.fileno(), 1 << 16):
+                    break
+            proc.wait(None if end is None else max(end - time.perf_counter(), 0))
             return STATUS_FAILED if proc.returncode else time.perf_counter() - start
         except subprocess.TimeoutExpired:
             return STATUS_TIMEOUT

@@ -1,10 +1,11 @@
-"""Remote Hadoop executor: stages the job artifact over SSH, submits it once
-per repetition, then pulls the aggregated logs of the applications it
-submitted back to the project. The job output stays on the cluster: its path
-names a file on the cluster's default file system, usually HDFS, and the
-objective is the wall time. A repetition that times out has its applications
-killed, since a YARN application outlives its client. The job-counter parser
-that reads phase times from the client output and those logs is here too.
+"""Remote Hadoop executor: stages the job artifact, submits it once per
+repetition, then pulls the aggregated logs of the applications it submitted
+back to the project, each call to the cluster one ssh process. The job output
+stays on the cluster: its path names a file on the cluster's default file
+system, usually HDFS, and the objective is the wall time. A repetition that
+times out has its applications killed, since a YARN application outlives its
+client. The job-counter parser that reads phase times from the client output
+and those logs is here too.
 
 The shell transport is injectable so tests can run the full trial sequence
 against a scripted double instead of a live cluster.
@@ -16,11 +17,10 @@ import hashlib
 import logging
 import re
 import shlex
-import shutil
 import subprocess
 import time
 from pathlib import Path, PurePosixPath
-from typing import NamedTuple, Protocol
+from typing import IO, NamedTuple, Protocol
 
 from ..errors import ConnectError, StagingError, TransportTimeout
 from ..paramspace import ParamSpace, TrialPoint
@@ -50,9 +50,9 @@ _PHASE_COUNTERS = {
     "shuffle": re.compile(r"(?:Total )?[Ss]huffle time \(ms\)=(\d+)"),
 }
 
-# Every ssh and scp call runs without prompts and gives up on a dead link
-# within about a minute: when it cannot connect in 30 s, or when 4 keepalives
-# sent 15 s apart go unanswered.
+# Every ssh call, file copies included, runs without prompts and gives up on
+# a dead link within about a minute: when it cannot connect in 30 s, or when
+# 4 keepalives sent 15 s apart go unanswered.
 _LINK_OPTIONS = ("-o", "BatchMode=yes", "-o", "ConnectTimeout=30",
                  "-o", "ServerAliveInterval=15", "-o", "ServerAliveCountMax=4")
 
@@ -95,28 +95,21 @@ class RemoteTransport(Protocol):
 
 
 class SshTransport:
-    """Shells out to the system ssh/scp binaries with public-key auth."""
+    """Runs every call, file copies included, as one process of the system ssh
+    binary with public-key auth, so the master needs only sh, cat and tar."""
 
-    def __init__(self, env: ClusterEnv, ssh_bin: str = "ssh", scp_bin: str = "scp"):
+    def __init__(self, env: ClusterEnv, ssh_bin: str = "ssh"):
         self._env = env
         self._ssh_bin = ssh_bin
-        self._scp_bin = scp_bin
 
-    def _options(self, port_flag: str) -> list[str]:
-        """The key, port and link options; ssh names the port -p, scp -P."""
-        return ["-i", self._env.auth_key_path, port_flag, str(self._env.port), *_LINK_OPTIONS]
-
-    def run(self, command: str, timeout_s: float | None = None,
-            cwd: str | None = None) -> ShellResult:
-        remote_cmd = command if cwd is None else f"{shlex.join(['cd', cwd])} && {command}"
+    def _ssh(self, command: str, timeout_s: float | None = None, stdin: IO[bytes] | None = None,
+             text: bool = True) -> subprocess.CompletedProcess:
+        e = self._env
         try:
             proc = subprocess.run(
-                [self._ssh_bin, *self._options("-p"),
-                 f"{self._env.user}@{self._env.master_host}", remote_cmd],
-                capture_output=True,
-                text=True,
-                timeout=timeout_s,
-            )
+                [self._ssh_bin, "-i", e.auth_key_path, "-p", str(e.port), *_LINK_OPTIONS,
+                 f"{e.user}@{e.master_host}", command],
+                stdin=stdin, capture_output=True, text=text, timeout=timeout_s)
         except subprocess.TimeoutExpired as exc:
             # what the command printed by then, as bytes even in text mode
             output = (exc.stdout or b"") + b"\n" + (exc.stderr or b"")
@@ -124,45 +117,51 @@ class SshTransport:
                                    output.decode("utf-8", "replace")) from exc
         except FileNotFoundError as exc:
             raise ConnectError(f"ssh binary not found: {exc}") from exc
+        if not text:  # stdout is an archive, but the messages are text
+            proc.stderr = proc.stderr.decode("utf-8", "replace")
         if proc.returncode == 255:
             # ssh reserves 255 for its own (connection) failures
-            raise ConnectError(
-                f"cannot reach {self._env.user}@{self._env.master_host}: "
-                f"{proc.stderr.strip()}"
-            )
+            raise ConnectError(f"cannot reach {e.user}@{e.master_host}: {proc.stderr.strip()}")
+        return proc
+
+    def run(self, command: str, timeout_s: float | None = None,
+            cwd: str | None = None) -> ShellResult:
+        remote_cmd = command if cwd is None else f"{shlex.join(['cd', cwd])} && {command}"
+        proc = self._ssh(remote_cmd, timeout_s)
         return ShellResult(proc.returncode, proc.stdout, proc.stderr)
 
-    def _scp(self, args: list[str]) -> None:
-        try:
-            proc = subprocess.run([self._scp_bin, *self._options("-P"), *args],
-                                  capture_output=True, text=True)
-        except FileNotFoundError as exc:  # not the missing remote path fetch_dir raises
-            raise ConnectError(f"scp binary not found: {exc}") from exc
-        if proc.returncode != 0:
-            self.run("true")  # scp's exit 1 may be a lost link: ssh's own 255 raises ConnectError
+    def put_file(self, local: Path, remote: str) -> None:
+        with open(local, "rb") as jar:  # ssh reads the file itself, so it is never held here
+            proc = self._ssh(f"cat > {shlex.quote(remote)}", stdin=jar)
+        if proc.returncode:
             raise OSError(f"file transfer failed: {proc.stderr.strip()}")
 
-    def put_file(self, local: Path, remote: str) -> None:
-        e = self._env
-        self._scp([str(local), f"{e.user}@{e.master_host}:{remote}"])
-
     def fetch_dir(self, remote: str, local: Path) -> None:
-        e = self._env
-        # a missing directory is no copy at all: the local one is not made
-        if self.run(shlex.join(["test", "-d", remote])).exit_code != 0:
-            raise FileNotFoundError(f"no remote directory {remote}")
-        made = None  # the outermost of the copy and its directories that this call makes
-        for path in (local / PurePosixPath(remote).name, local, *local.parents):
-            if path.exists():
-                break
-            made = path
-        local.mkdir(parents=True, exist_ok=True)
+        # imported here: every process that imports this module would load tarfile
+        import io
+        import tarfile
+
+        src = PurePosixPath(remote)
+        proc = self._ssh(shlex.join(["tar", "-C", str(src.parent), "-cf", "-", src.name]),
+                         text=False)
+        if proc.returncode:  # a missing directory included
+            raise OSError(f"file transfer failed: {proc.stderr.strip()}")
+        # every entry is read and checked before any is written: a failed fetch writes nothing
+        entries: list[tuple[Path, bytes | None]] = []
         try:
-            self._scp(["-r", f"{e.user}@{e.master_host}:{remote}", str(local)])
-        except BaseException:
-            if made is not None:  # a failed copy leaves nothing it made
-                shutil.rmtree(made, ignore_errors=True)
-            raise
+            with tarfile.open(fileobj=io.BytesIO(proc.stdout), mode="r:") as tar:
+                for m in tar:
+                    parts = PurePosixPath(m.name).parts
+                    if not (m.isfile() or m.isdir()) or parts[:1] != (src.name,) or ".." in parts:
+                        raise OSError(f"file transfer refused archive entry {m.name!r}")
+                    entries.append((local.joinpath(*parts),
+                                    tar.extractfile(m).read() if m.isfile() else None))
+        except tarfile.TarError as exc:
+            raise OSError(f"file transfer failed: {exc}") from exc
+        for path, data in entries:  # data is None for a directory
+            (path if data is None else path.parent).mkdir(parents=True, exist_ok=True)
+            if data is not None:
+                path.write_bytes(data)
 
 
 def assemble_hadoop_command(
@@ -274,14 +273,14 @@ class RemoteExecutor(Executor):
 
         measured = repeat(job, run_once)
 
-        # Phase times come from one text: each repetition's client output, then
-        # the logs of the applications it submitted; the last counter wins.
+        # Phase times come from each repetition's client output, then its applications'
+        # logs, one text at a time; no counter spans a line, so the last one wins.
         log_dir = (self._root / DOWNLOADED_RESULTS_DIR / f"{self._log_dir_prefix}_{trial_id}"
                    / "logs")
-        texts: list[str] = []
+        phases: dict[str, float] = {}
         fetched = False
         for out in outputs:
-            texts.append(out)
+            phases.update(parse_phase_times(out))
             for app in _SUBMITTED.findall(out):
                 remote = f"{self._env.history_log_dir}/{app}"
                 try:
@@ -292,10 +291,9 @@ class RemoteExecutor(Executor):
                 fetched = True
                 for path in sorted((log_dir / app).rglob("*")):
                     try:
-                        texts.append(path.read_text(errors="replace"))
+                        phases.update(parse_phase_times(path.read_text(errors="replace")))
                     except OSError:  # a directory, or a file the fetch left unreadable
                         pass
-        phases = parse_phase_times("\n".join(texts))
 
         return measured._replace(
             phase_times_s=phases or None,

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import os
 import stat
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import jobtuner
 from jobtuner.errors import InvalidPointError, SpawnFailureError, UnknownPlaceholderError
 from jobtuner.executors.base import JobSpec
 from jobtuner.executors.local import LocalExecutor
@@ -144,3 +148,39 @@ def test_a_script_with_no_shebang_line_is_a_spawn_failure(tmp_path):
     script.chmod(script.stat().st_mode | stat.S_IXUSR)
     with pytest.raises(SpawnFailureError, match=f"cannot start '{script}'"):
         LocalExecutor(SPACE, tmp_path).execute_trial(JobSpec(artifact=str(script)), POINT, 1)
+
+
+def test_a_job_that_closes_its_output_is_still_timed_out(tmp_path):
+    # the output ends at once, but the job runs on past its limit
+    script = write_script(tmp_path / "job.sh", "exec >&- 2>&-\nsleep 5\n")
+    t0 = time.perf_counter()
+    result = run_template(str(script), POINT, JobSpec(timeout_s=0.5), SPACE)
+    assert result.status == "timeout"
+    assert time.perf_counter() - t0 < 4
+
+
+PRINTING_JOB_CHILD = r"""
+import resource
+
+from jobtuner.executors.base import JobSpec
+from jobtuner.executors.local import LocalExecutor
+from jobtuner.paramspace import parse_param_file
+
+space = parse_param_file("a int min=1 max=2 step=1")
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+result = LocalExecutor(space).execute_trial(
+    JobSpec(artifact="head -c 60000000 /dev/zero"), space.point({"a": 1}), 1)
+assert result.status == "success", result
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
+"""
+
+
+def test_a_job_that_prints_much_grows_the_tuner_by_little():
+    # in a fresh interpreter, whose peak RSS (in KiB on Linux) no earlier test has raised
+    src = str(Path(jobtuner.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", PRINTING_JOB_CHILD], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 10  # MB, for 60 MB of output

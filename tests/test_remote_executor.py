@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import itertools
 import os
 import re
 import shlex
 import stat
+import subprocess
+import sys
+import tarfile
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -556,87 +560,165 @@ def test_ssh_transport_timeout_keeps_the_output_so_far(tmp_path):
 
 
 def test_ssh_transport_fetch_of_a_missing_path_is_not_a_lost_cluster(tmp_path):
-    fake_ssh = write_fake(tmp_path / "ssh", "exit 1\n")
+    # tar exits 2 for a path it cannot find, and ssh with it: the cluster is there
+    fake_ssh = write_fake(tmp_path / "ssh", "echo 'tar: missing: Cannot stat: No such file or "
+                                            "directory' >&2\nexit 2\n")
     transport = SshTransport(ENV, ssh_bin=fake_ssh)
-    with pytest.raises(FileNotFoundError):
+    with pytest.raises(OSError, match="^file transfer failed: tar: missing: .*No such file"):
         transport.fetch_dir("/var/log/hadoop-yarn/aggregated/missing", tmp_path / "logs")
+    assert not (tmp_path / "logs").exists()
     fake_ssh = write_fake(tmp_path / "ssh", "exit 255\n")
     with pytest.raises(ConnectError):
         transport.fetch_dir("/var/log/hadoop-yarn/aggregated/missing", tmp_path / "logs")
 
 
-SCP_OPTIONS = ["-i", "/keys/id_ed25519", "-P", "22",
-               "-o", "BatchMode=yes", "-o", "ConnectTimeout=30",
-               "-o", "ServerAliveInterval=15", "-o", "ServerAliveCountMax=4"]
+SSH_ARGV = ["-i", "/keys/id_ed25519", "-p", "22",
+            "-o", "BatchMode=yes", "-o", "ConnectTimeout=30",
+            "-o", "ServerAliveInterval=15", "-o", "ServerAliveCountMax=4",
+            "hadoop@192.168.1.10"]
 
 
-def fake_scp(tmp_path: Path, exit_code: int = 0) -> tuple[str, Path]:
-    """A scp that writes its arguments, one a line, to a file; failing, it says why."""
-    argv_file = tmp_path / "scp-argv"
-    body = f'printf "%s\\n" "$@" > {argv_file}\n'
-    if exit_code:
-        body += f"echo 'scp: lost connection' >&2\nexit {exit_code}\n"
-    return write_fake(tmp_path / "scp", body), argv_file
+def recording_ssh(tmp_path: Path) -> tuple[str, Path]:
+    """An ssh that writes its arguments, one a line, to a file, then runs its last one here."""
+    argv_file = tmp_path / "ssh-argv"
+    body = f'printf "%s\\n" "$@" > {argv_file}\nfor last; do :; done\nexec sh -c "$last"\n'
+    return write_fake(tmp_path / "ssh", body), argv_file
 
 
 def test_ssh_transport_put_file_argv(tmp_path):
-    scp_bin, argv_file = fake_scp(tmp_path)
-    transport = SshTransport(ENV, scp_bin=scp_bin)
-    transport.put_file(tmp_path / "app.jar", "/tmp/staging/app.jar")
-    assert argv_file.read_text().splitlines() == SCP_OPTIONS + [
-        str(tmp_path / "app.jar"), "hadoop@192.168.1.10:/tmp/staging/app.jar"]
+    ssh_bin, argv_file = recording_ssh(tmp_path)
+    remote = tmp_path / "staging dir" / "app.jar"
+    remote.parent.mkdir()
+    SshTransport(ENV, ssh_bin=ssh_bin).put_file(make_project(tmp_path) / "app.jar", str(remote))
+    assert argv_file.read_text().splitlines() == SSH_ARGV + [f"cat > '{remote}'"]
+    assert remote.read_bytes() == b"fake jar bytes"
+
+
+def test_ssh_transport_put_file_sends_the_jar_unchanged_through_stdin(tmp_path):
+    jar = tmp_path / "app.jar"
+    jar.write_bytes(bytes(range(256)) * 4096)  # every byte value, over many pipe buffers
+    received = tmp_path / "received"
+    fake_ssh = write_fake(tmp_path / "ssh", f"exec cat > {received}\n")
+    SshTransport(ENV, ssh_bin=fake_ssh).put_file(jar, "/tmp/staging/app.jar")
+    assert received.read_bytes() == jar.read_bytes()
 
 
 def test_ssh_transport_fetch_dir_argv(tmp_path):
-    scp_bin, argv_file = fake_scp(tmp_path)
-    transport = SshTransport(ENV, ssh_bin=write_fake(tmp_path / "ssh", "exit 0\n"), scp_bin=scp_bin)
+    ssh_bin, argv_file = recording_ssh(tmp_path)
+    app = tmp_path / "aggregated" / APP_ID
+    (app / "worker-1").mkdir(parents=True)
+    (app / "worker-1" / "syslog").write_text("Shuffle time (ms)=1500\n")
+    (app / "empty").mkdir()
     local = tmp_path / "downloads" / "logs"
-    transport.fetch_dir("/var/log/hadoop-yarn/aggregated/app", local)
-    assert local.is_dir()
-    assert argv_file.read_text().splitlines() == SCP_OPTIONS + [
-        "-r", "hadoop@192.168.1.10:/var/log/hadoop-yarn/aggregated/app", str(local)]
+    SshTransport(ENV, ssh_bin=ssh_bin).fetch_dir(str(app), local)
+    assert argv_file.read_text().splitlines() == SSH_ARGV + [
+        f"tar -C {app.parent} -cf - {APP_ID}"]
+    assert (local / APP_ID / "worker-1" / "syslog").read_text() == "Shuffle time (ms)=1500\n"
+    assert (local / APP_ID / "empty").is_dir()
+
+
+@pytest.mark.parametrize("bad", ["absolute", "dotdot", "symlink", "another_directory",
+                                 "truncated"])
+def test_ssh_transport_fetch_of_an_unsafe_archive_writes_nothing(tmp_path, bad):
+    outside = tmp_path / "outside"
+    syslog = b"Shuffle time (ms)=1500\n" * 100
+    buf = io.BytesIO()
+    with tarfile.open(fileobj=buf, mode="w") as tar:
+        def add(name: str, kind: bytes = tarfile.REGTYPE, data: bytes = b"x", linkname=""):
+            info = tarfile.TarInfo(name)
+            info.type, info.linkname = kind, linkname
+            info.size = len(data) if kind == tarfile.REGTYPE else 0
+            tar.addfile(info, io.BytesIO(data) if kind == tarfile.REGTYPE else None)
+
+        add(APP_ID, tarfile.DIRTYPE)
+        add(f"{APP_ID}/syslog", data=syslog)  # a good entry first: it is not written either
+        if bad == "absolute":
+            add(str(outside / "evil"))
+        elif bad == "dotdot":
+            add(f"{APP_ID}/../../../outside/evil")
+        elif bad == "symlink":
+            add(f"{APP_ID}/link", tarfile.SYMTYPE, linkname=str(outside))
+        elif bad == "another_directory":
+            add("outside/evil")
+    archive = buf.getvalue()
+    if bad == "truncated":  # the stream ends inside the syslog's data
+        archive = archive[:1024 + len(syslog) // 2]
+    (tmp_path / "archive.tar").write_bytes(archive)
+    fake_ssh = write_fake(tmp_path / "ssh", f"exec cat {tmp_path / 'archive.tar'}\n")
+    with pytest.raises(OSError, match="^file transfer (failed|refused)"):
+        SshTransport(ENV, ssh_bin=fake_ssh).fetch_dir(
+            f"/var/log/hadoop-yarn/aggregated/{APP_ID}", tmp_path / "downloads" / "logs")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["archive.tar", "ssh"]
 
 
 def test_ssh_transport_failed_copy_on_a_live_link_is_an_os_error(tmp_path):
-    """scp exits 1, and the ssh call after it answers: the copy failed, the cluster is there."""
-    scp_bin, _ = fake_scp(tmp_path, exit_code=1)
-    transport = SshTransport(ENV, ssh_bin=write_fake(tmp_path / "ssh", "exit 0\n"), scp_bin=scp_bin)
-    with pytest.raises(OSError, match="^file transfer failed: scp: lost connection"):
-        transport.put_file(tmp_path / "app.jar", "/tmp/staging/app.jar")
-    with pytest.raises(OSError, match="^file transfer failed: scp: lost connection"):
+    """The copy's remote command fails, and ssh exits with its code: the copy failed,
+    the cluster is there."""
+    fake_ssh = write_fake(tmp_path / "ssh", "echo 'sh: 1: cannot create: Permission denied' >&2\n"
+                                            "exit 2\n")
+    transport = SshTransport(ENV, ssh_bin=fake_ssh)
+    with pytest.raises(OSError, match="^file transfer failed: sh: 1: cannot create"):
+        transport.put_file(make_project(tmp_path) / "app.jar", "/tmp/staging/app.jar")
+    with pytest.raises(OSError, match="^file transfer failed: sh: 1: cannot create"):
         transport.fetch_dir("/var/log/hadoop-yarn/aggregated/app", tmp_path / "logs")
+    assert not (tmp_path / "logs").exists()
 
 
 def test_ssh_transport_failed_copy_is_a_lost_cluster_when_ssh_says_so(tmp_path):
-    """scp exits 1, and ssh exits 255 on the call after it: the cluster is lost."""
-    scp_bin, _ = fake_scp(tmp_path, exit_code=1)
-    # the directory test before the fetch passes; every other call loses the link
-    fake_ssh = write_fake(tmp_path / "ssh", 'for last; do :; done\ncase "$last" in "test -d "*) '
-                          "exit 0;; esac\necho 'connection reset' >&2\nexit 255\n")
-    transport = SshTransport(ENV, ssh_bin=fake_ssh, scp_bin=scp_bin)
+    """ssh exits 255 during the copy: the cluster is lost."""
+    fake_ssh = write_fake(tmp_path / "ssh", "echo 'connection reset' >&2\nexit 255\n")
+    transport = SshTransport(ENV, ssh_bin=fake_ssh)
     with pytest.raises(ConnectError, match="^cannot reach .*: connection reset$"):
-        transport.put_file(tmp_path / "app.jar", "/tmp/staging/app.jar")
+        transport.put_file(make_project(tmp_path) / "app.jar", "/tmp/staging/app.jar")
     with pytest.raises(ConnectError, match="^cannot reach .*: connection reset$"):
         transport.fetch_dir("/var/log/hadoop-yarn/aggregated/app", tmp_path / "logs")
 
 
 def test_ssh_transport_missing_binaries_are_connect_errors(tmp_path):
-    missing = str(tmp_path / "no-such-bin")
+    transport = SshTransport(ENV, ssh_bin=str(tmp_path / "no-such-bin"))
     with pytest.raises(ConnectError, match="^ssh binary not found: .*no-such-bin"):
-        SshTransport(ENV, ssh_bin=missing).run("true")
-    # a missing scp is no missing remote path: fetch_dir's FileNotFoundError means that
-    transport = SshTransport(ENV, ssh_bin=write_fake(tmp_path / "ssh", "exit 0\n"), scp_bin=missing)
-    with pytest.raises(ConnectError, match="^scp binary not found: .*no-such-bin"):
-        transport.put_file(tmp_path / "app.jar", "/tmp/staging/app.jar")
-    with pytest.raises(ConnectError, match="^scp binary not found: .*no-such-bin"):
+        transport.run("true")
+    # a missing ssh is no failed copy: the OSError of put_file and fetch_dir means that
+    with pytest.raises(ConnectError, match="^ssh binary not found: .*no-such-bin"):
+        transport.put_file(make_project(tmp_path) / "app.jar", "/tmp/staging/app.jar")
+    with pytest.raises(ConnectError, match="^ssh binary not found: .*no-such-bin"):
         transport.fetch_dir("/var/log/hadoop-yarn/aggregated/app", tmp_path / "logs")
 
 
+def test_importing_the_remote_executor_loads_no_tarfile():
+    # only a log fetch reads an archive; a fresh interpreter, as this one may hold tarfile
+    src = str(Path(remote.__file__).parents[2])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")])))
+    code = "import sys, jobtuner.executors.remote; sys.exit('tarfile' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+def cluster_ssh(tmp_path: Path, before: str = "") -> str:
+    """A fake ssh that appends each command it is given, one a line, to tmp_path/calls,
+    runs the shell code before, which sees the command as $last, then runs the command
+    here."""
+    calls = shlex.quote(str(tmp_path / "calls"))
+    return write_fake(tmp_path / "ssh", f'for last; do :; done\nprintf "%s\\n" "$last" >> {calls}\n'
+                                        f'{before}exec sh -c "$last"\n')
+
+
+def on_tar(body: str) -> str:
+    """Shell code for cluster_ssh that runs body in place of a tar command."""
+    return f'case "$last" in "tar "*) {body};; esac\n'
+
+
+# tar fails as on an unreadable log, having sent nothing, or having sent part of the archive
+TAR_FAILS = on_tar('echo "tar: syslog: Cannot open: Permission denied" >&2; exit 2')
+PARTIAL_TAR = on_tar('sh -c "$last" | head -c 1536; '
+                     'echo "tar: syslog: Read error at byte 512: Input/output error" >&2; exit 2')
+
+
 def ssh_cluster(tmp_path: Path, application_logs: bool):
-    """A RemoteExecutor whose fake ssh runs each remote command locally, on a cluster
-    under tmp_path with the jar already staged, and the job that it runs. Its fake scp
-    touches the marker it returns, then fails as scp does on a path that does not exist.
-    With application_logs, the submitted application has a log directory."""
+    """A RemoteExecutor whose fake ssh (cluster_ssh) runs each remote command here, on a
+    cluster under tmp_path with the jar already staged, the job that it runs, and the file
+    that lists the commands. With application_logs, the submitted application has a log
+    directory, with a map counter in its syslog."""
     cluster = tmp_path / "cluster"
     workdir = cluster / "staging"
     workdir.mkdir(parents=True)
@@ -644,64 +726,68 @@ def ssh_cluster(tmp_path: Path, application_logs: bool):
     (cluster / "logs").mkdir()
     if application_logs:
         (cluster / "logs" / APP_ID).mkdir()
+        (cluster / "logs" / APP_ID / "syslog").write_text(
+            "Total time spent by all map tasks (ms)=1100\n")
     (cluster / "hadoop" / "bin").mkdir(parents=True)
     write_fake(cluster / "hadoop" / "bin" / "hadoop",
                f'[ "$1" = jar ] && echo "INFO impl.YarnClientImpl: Submitted application {APP_ID}"\n'
                "exit 0\n")
-    fake_ssh = write_fake(tmp_path / "ssh", 'for last; do :; done\nexec sh -c "$last"\n')
-    marker = tmp_path / "scp-ran"
-    # the source path is the second to last argument
-    fake_scp = write_fake(tmp_path / "scp",
-                          f"touch {shlex.quote(str(marker))}\n"
-                          'shift $(($# - 2))\necho "scp: $1: No such file or directory" >&2\nexit 1\n')
     env = ENV._replace(remote_workdir=str(workdir), hadoop_home=str(cluster / "hadoop"),
                        history_log_dir=str(cluster / "logs"))
     (tmp_path / "project").mkdir()
     project = make_project(tmp_path / "project")
-    transport = SshTransport(env, ssh_bin=fake_ssh, scp_bin=fake_scp)
+    transport = SshTransport(env, ssh_bin=cluster_ssh(tmp_path))
     executor = RemoteExecutor(SPACE, env, project, transport)
     job = JOB._replace(static_args=("/data/in", str(cluster / "out")), cleanup_output=True)
-    return executor, job, marker
+    return executor, job, tmp_path / "calls"
 
 
 def test_missing_application_logs_degrade_to_wall_time_over_ssh(tmp_path):
-    """The application has no log directory: `test -d` finds none, so no scp runs,
-    and the trial keeps its wall time."""
-    executor, job, marker = ssh_cluster(tmp_path, application_logs=False)
+    """The application has no log directory: its one tar call fails, and the trial
+    keeps its wall time."""
+    executor, job, calls = ssh_cluster(tmp_path, application_logs=False)
     result = executor.execute_trial(job, POINT, 1)
     assert result.status == "success"
     assert len(result.rep_times_s) == 1
     assert result.phase_times_s is None
     assert result.log_ref is None
-    assert not marker.exists()
+    assert calls.read_text().splitlines()[-1].startswith("tar ")
+    assert not (tmp_path / "project" / "downloaded_results").exists()
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_a_log_fetch_over_ssh_runs_one_process(tmp_path, fails):
+    """Fetching an application's logs runs one transport process, and so does failing to."""
+    executor, job, calls = ssh_cluster(tmp_path, application_logs=True)
+    if fails:
+        cluster_ssh(tmp_path, TAR_FAILS)
+    result = executor.execute_trial(job, POINT, 1)
+    lines = calls.read_text().splitlines()
+    job_run = max(i for i, c in enumerate(lines) if "/bin/hadoop jar " in c)
+    assert len(lines[job_run + 1:]) == 1
+    assert result.phase_times_s == (None if fails else {"map": 1.1})
 
 
 def test_a_failed_log_copy_over_ssh_degrades_to_wall_time(tmp_path, caplog):
-    """The application's log directory exists, so `test -d` passes and scp runs. scp
-    then fails as for a directory that vanished, and ssh still answers, so the trial
-    keeps its wall time and the failure is logged."""
-    executor, job, marker = ssh_cluster(tmp_path, application_logs=True)
+    """The application's log directory exists, but tar cannot read it, and ssh still
+    answers, so the trial keeps its wall time and the failure is logged."""
+    executor, job, calls = ssh_cluster(tmp_path, application_logs=True)
+    cluster_ssh(tmp_path, TAR_FAILS)
     result = executor.execute_trial(job, POINT, 1)
-    assert marker.exists()
+    assert calls.read_text().splitlines()[-1].startswith("tar ")
     assert result.status == "success"
     assert len(result.rep_times_s) == 1
     assert result.phase_times_s is None
     assert result.log_ref is None
-    assert re.search(r"fetch of .*/application_\d+_\d+ failed: file transfer failed: scp: "
-                     r".*No such file", caplog.text)
-
-
-# a fake scp that copies part of the source directory, then fails as a dropped copy does
-PARTIAL_SCP = ('for local; do :; done\nshift $(($# - 2))\nmkdir -p "$local/${1##*/}"\n'
-               'echo partial > "$local/${1##*/}/syslog"\necho "scp: read: Connection reset" >&2\n'
-               'exit 1\n')
+    assert re.search(r"fetch of .*/application_\d+_\d+ failed: file transfer failed: tar: "
+                     r".*Permission denied", caplog.text)
 
 
 def test_a_log_copy_that_fails_partway_leaves_no_log_directory(tmp_path):
-    """scp writes part of the application's logs and fails: the trial keeps its wall time,
-    names no logs, and the copy and the directories made for it are removed."""
+    """tar sends part of the application's logs and fails: the trial keeps its wall time,
+    names no logs, and no log directory is made."""
     executor, job, _ = ssh_cluster(tmp_path, application_logs=True)
-    write_fake(tmp_path / "scp", PARTIAL_SCP)
+    cluster_ssh(tmp_path, PARTIAL_TAR)
     result = executor.execute_trial(job, POINT, 1)
     assert result.status == "success"
     assert result.log_ref is None
@@ -712,34 +798,37 @@ def test_a_failed_log_copy_keeps_an_earlier_applications_logs(tmp_path):
     earlier = tmp_path / "logs" / "application_1770000000000_0006" / "syslog"
     earlier.parent.mkdir(parents=True)
     earlier.write_text("earlier")
-    transport = SshTransport(ENV, ssh_bin=write_fake(tmp_path / "ssh", "exit 0\n"),
-                             scp_bin=write_fake(tmp_path / "scp", PARTIAL_SCP))
-    with pytest.raises(OSError, match="Connection reset"):
-        transport.fetch_dir(f"/var/log/hadoop-yarn/aggregated/{APP_ID}", tmp_path / "logs")
+    app = tmp_path / "aggregated" / APP_ID
+    app.mkdir(parents=True)
+    (app / "syslog").write_text("Shuffle time (ms)=1500\n")
+    transport = SshTransport(ENV, ssh_bin=cluster_ssh(tmp_path, PARTIAL_TAR))
+    with pytest.raises(OSError, match="Input/output error"):
+        transport.fetch_dir(str(app), tmp_path / "logs")
     assert [p.name for p in (tmp_path / "logs").iterdir()] == [earlier.parent.name]
     assert earlier.read_text() == "earlier"
 
 
 def test_a_log_copy_that_loses_the_link_over_ssh_is_a_lost_cluster(tmp_path):
-    """As above, but the link is lost by the time scp fails: the ssh call after it
-    exits 255, so the trial ends as a lost cluster."""
-    executor, job, marker = ssh_cluster(tmp_path, application_logs=True)
-    write_fake(tmp_path / "ssh",
-               'for last; do :; done\n[ "$last" = true ] && exit 255\nexec sh -c "$last"\n')
-    with pytest.raises(ConnectError, match="^cannot reach "):
+    """As above, but the link drops during the copy: ssh exits 255, so the trial ends
+    as a lost cluster."""
+    executor, job, calls = ssh_cluster(tmp_path, application_logs=True)
+    cluster_ssh(tmp_path, on_tar("echo 'Connection reset by peer' >&2; exit 255"))
+    with pytest.raises(ConnectError, match="^cannot reach .*: Connection reset by peer$"):
         executor.execute_trial(job, POINT, 1)
-    assert marker.exists()
+    assert calls.read_text().splitlines()[-1].startswith("tar ")
 
 
 def test_an_upload_refused_over_ssh_interrupts_the_session(tmp_path):
-    """scp refuses the jar while ssh still answers: staging fails, the session ends
+    """The master refuses the jar while ssh still answers: staging fails, the session ends
     interrupted, and no trial is journaled."""
-    executor, _, marker = ssh_cluster(tmp_path, application_logs=False)
-    (tmp_path / "cluster" / "staging" / "app.jar").unlink()
+    executor, _, calls = ssh_cluster(tmp_path, application_logs=False)
+    staged = tmp_path / "cluster" / "staging" / "app.jar"
+    staged.unlink()
+    staged.mkdir()  # `cat >` cannot write over a directory
     project = remote_project(tmp_path / "session")
     with pytest.raises(StagingError, match="^upload of app.jar failed: file transfer failed: "):
         run_tuning(project, "grid", budget=2, executor=executor)
-    assert marker.exists()
+    assert calls.read_text().splitlines()[-1].startswith("cat > ")
     assert read_manifest(project.root)["status"] == "interrupted"
     assert read_raw_records(project.root, project.space) == []
 
