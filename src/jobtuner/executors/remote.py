@@ -103,13 +103,13 @@ class SshTransport:
         self._ssh_bin = ssh_bin
 
     def _ssh(self, command: str, timeout_s: float | None = None, stdin: IO[bytes] | None = None,
-             text: bool = True) -> subprocess.CompletedProcess:
+             stdout: int | IO[bytes] = subprocess.PIPE) -> subprocess.CompletedProcess:
         e = self._env
         try:
             proc = subprocess.run(
                 [self._ssh_bin, "-i", e.auth_key_path, "-p", str(e.port), *_LINK_OPTIONS,
                  f"{e.user}@{e.master_host}", command],
-                stdin=stdin, capture_output=True, text=text, timeout=timeout_s)
+                stdin=stdin, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=timeout_s)
         except subprocess.TimeoutExpired as exc:
             # what the command printed by then, as bytes even in text mode
             output = (exc.stdout or b"") + b"\n" + (exc.stderr or b"")
@@ -117,8 +117,6 @@ class SshTransport:
                                    output.decode("utf-8", "replace")) from exc
         except FileNotFoundError as exc:
             raise ConnectError(f"ssh binary not found: {exc}") from exc
-        if not text:  # stdout is an archive, but the messages are text
-            proc.stderr = proc.stderr.decode("utf-8", "replace")
         if proc.returncode == 255:
             # ssh reserves 255 for its own (connection) failures
             raise ConnectError(f"cannot reach {e.user}@{e.master_host}: {proc.stderr.strip()}")
@@ -134,34 +132,40 @@ class SshTransport:
         with open(local, "rb") as jar:  # ssh reads the file itself, so it is never held here
             proc = self._ssh(f"cat > {shlex.quote(remote)}", stdin=jar)
         if proc.returncode:
-            raise OSError(f"file transfer failed: {proc.stderr.strip()}")
+            raise OSError("file transfer failed: " + proc.stderr.strip().partition("\n")[0])
 
     def fetch_dir(self, remote: str, local: Path) -> None:
         # imported here: every process that imports this module would load tarfile
-        import io
+        import shutil
         import tarfile
+        import tempfile
 
         src = PurePosixPath(remote)
-        proc = self._ssh(shlex.join(["tar", "-C", str(src.parent), "-cf", "-", src.name]),
-                         text=False)
-        if proc.returncode:  # a missing directory included
-            raise OSError(f"file transfer failed: {proc.stderr.strip()}")
-        # every entry is read and checked before any is written: a failed fetch writes nothing
-        entries: list[tuple[Path, bytes | None]] = []
-        try:
-            with tarfile.open(fileobj=io.BytesIO(proc.stdout), mode="r:") as tar:
-                for m in tar:
-                    parts = PurePosixPath(m.name).parts
-                    if not (m.isfile() or m.isdir()) or parts[:1] != (src.name,) or ".." in parts:
-                        raise OSError(f"file transfer refused archive entry {m.name!r}")
-                    entries.append((local.joinpath(*parts),
-                                    tar.extractfile(m).read() if m.isfile() else None))
-        except tarfile.TarError as exc:
-            raise OSError(f"file transfer failed: {exc}") from exc
-        for path, data in entries:  # data is None for a directory
-            (path if data is None else path.parent).mkdir(parents=True, exist_ok=True)
-            if data is not None:
-                path.write_bytes(data)
+        # the archive waits in a temporary file, not in memory, until every header is checked
+        with tempfile.TemporaryFile() as archive:
+            proc = self._ssh(shlex.join(["tar", "-C", str(src.parent), "-cf", "-", src.name]),
+                             stdout=archive)
+            if proc.returncode:  # a missing directory included
+                raise OSError("file transfer failed: " + proc.stderr.strip().partition("\n")[0])
+            archive.seek(0)
+            try:
+                with tarfile.open(fileobj=archive, mode="r:") as tar:
+                    # every header is read and checked before any entry is written, so a
+                    # failed fetch writes nothing
+                    members = tar.getmembers()
+                    for m in members:
+                        parts = PurePosixPath(m.name).parts
+                        if (not (m.isfile() or m.isdir()) or parts[:1] != (src.name,)
+                                or ".." in parts):
+                            raise OSError(f"file transfer refused archive entry {m.name!r}")
+                    for m in members:
+                        path = local / m.name  # checked: relative, under src.name, no ..
+                        (path if m.isdir() else path.parent).mkdir(parents=True, exist_ok=True)
+                        if m.isfile():
+                            with tar.extractfile(m) as data, open(path, "wb") as out:
+                                shutil.copyfileobj(data, out)
+            except tarfile.TarError as exc:
+                raise OSError(f"file transfer failed: {exc}") from exc
 
 
 def assemble_hadoop_command(

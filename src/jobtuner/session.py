@@ -1,4 +1,9 @@
-"""The tuning loop: propose, execute, aggregate, record, repeat.
+"""The tuning session: propose, execute, aggregate, record, repeat.
+
+Fresh and resumed sessions run one path: take the session lock, replay the
+journal through a new searcher, write the manifest `interrupted`, run trials
+until the searcher is done or the budget is spent, then write it `finished`.
+A kill leaves it `interrupted`; only the lock (history/.lock) marks a live one.
 
 Every trial is flushed to stable storage before its searcher observes the
 result, so an interrupted session can always be resumed trial-for-trial.
@@ -7,10 +12,6 @@ are fed to searchers as +inf so search routes around crashing corners.
 Each point is measured at most once per session: a proposal of a point
 already measured is recorded as a new trial carrying the first
 measurement, failures included, and spends a budget slot but no job run.
-
-The manifest reads `interrupted` from its first write, before any trial, until
-the loop returns it `finished`: a kill leaves it true, and only the session
-lock (history/.lock) marks a live session.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .history import (MANIFEST_FILE, HistoryWriter, SessionLock, TrialRecord, it
                       write_manifest, write_records)
 from .paramspace import ParamSpace
 from .project import Project, parse_int
-from .search import Searcher, make_searcher
+from .search import make_searcher
 
 log = logging.getLogger(__name__)
 
@@ -46,6 +47,7 @@ STATUS_FINISHED = "finished"
 
 
 class SessionSummary(NamedTuple):
+    """status is always `finished`: an interrupted session raises instead of returning."""
     trial_count: int
     best: TrialRecord | None
     wall_time_s: float
@@ -87,70 +89,6 @@ def make_executor(project: Project, log_dir_prefix: str = "trial") -> Executor:
     return RemoteExecutor(project.space, project.env, project.root, log_dir_prefix=log_dir_prefix)
 
 
-class _TuningLoop:
-    """Shared driver for fresh runs and resumes."""
-
-    def __init__(self, project: Project, strategy_id: str, budget: int,
-                 executor: Executor | None):
-        self.project = project
-        self.strategy_id = strategy_id
-        self.budget = budget
-        self.executor = executor if executor is not None else make_executor(project)
-        self.searcher: Searcher = make_searcher(strategy_id, project.space)
-        # the archive: each point key's first record, whose result answers every repeat
-        self._measured: dict[tuple, TrialRecord] = {}
-
-    def set_status(self, status: str) -> None:
-        """Write the session manifest with the given status."""
-        entries: dict[str, object] = {
-            "strategy": self.strategy_id,
-            "budget": self.budget,
-            "space_hash": space_hash(self.project.space),
-            "status": status,
-        }
-        write_manifest(self.project.root, entries)
-
-    def replay(self, r: TrialRecord) -> None:
-        """Drive the searcher through one recorded trial, verifying the step.
-        A session runs one strategy, so a record naming another is corrupt."""
-        if r.strategy_id != self.strategy_id:
-            raise HistoryCorruptError(
-                f"recorded trial {r.trial_id} names strategy {r.strategy_id!r}, "
-                f"the manifest {self.strategy_id!r}",
-                r.trial_id - 1,
-            )
-        proposal = self.searcher.propose()
-        if proposal != r.point:  # None, when the searcher is done, equals no point
-            raise HistoryCorruptError(
-                f"recorded trial {r.trial_id} does not replay from the manifest's "
-                f"strategy (expected {proposal}, recorded {r.point})",
-                r.trial_id - 1,
-            )
-        self.searcher.update(r.search_objective)
-        self._measured.setdefault(self.project.space.point_key(r.point), r)
-
-    def run(self, writer: HistoryWriter) -> str:
-        space = self.project.space
-        job = self.project.job
-        while writer.last_id < self.budget:
-            point = self.searcher.propose()
-            if point is None:
-                return STATUS_FINISHED
-            trial_id = writer.last_id + 1
-            key = space.point_key(point)
-            first = self._measured.get(key)
-            result = first.result if first else self.executor.execute_trial(job, point, trial_id)
-            record = TrialRecord(trial_id=trial_id, point=point, result=result,
-                                 strategy_id=self.strategy_id, timestamp=datetime.now(timezone.utc))
-            writer.append(record)  # durable before the searcher observes it
-            self._measured.setdefault(key, record)
-            objective = record.search_objective
-            self.searcher.update(objective)
-            log.info("trial %d %s aggregate=%s", trial_id, record.result.status,
-                     f"{objective:.3f}s" if record.result.ok else "FAILED")
-        return STATUS_FINISHED
-
-
 def run_tuning(
     project: Project,
     strategy_id: str,
@@ -167,16 +105,7 @@ def run_tuning(
     """
     if budget < 1:
         raise InvalidBudgetError(f"budget must be >= 1, got {budget}")
-    loop = _TuningLoop(project, strategy_id, budget, executor)
-    started = time.perf_counter()
-    with SessionLock(project.root):
-        # under the lock, so no other session can start between this check
-        # and the manifest write that claims the directory
-        if manifest_exists(project.root):
-            raise SessionExistsError(
-                f"{project.root} already contains a session; use resume or aggregate"
-            )
-        return _drive(loop, started)
+    return _session(project, strategy_id, budget, executor, fresh=True)
 
 
 def resume_session(project: Project, executor: Executor | None = None) -> SessionSummary:
@@ -204,44 +133,86 @@ def resume_session(project: Project, executor: Executor | None = None) -> Sessio
     seed = manifest.get("seed") if project.surface is not None else None
     if seed and parse_int(manifest, "seed", filename=MANIFEST_FILE) != project.surface.seed:
         raise BadValueError("seed", f"set surface_seed={seed} in job.conf to resume", MANIFEST_FILE)
+    return _session(project, strategy_id, budget, executor, fresh=False)
 
-    loop = _TuningLoop(project, strategy_id, budget, executor)
+
+def _session(project: Project, strategy_id: str, budget: int, executor: Executor | None,
+             fresh: bool) -> SessionSummary:
+    """Replay the history, then run trials until the searcher is done or the budget is
+    spent; a fresh session refuses a directory that already holds one."""
+    root, space = project.root, project.space
+    # built before the lock, so that an unknown strategy touches nothing
+    executor = executor if executor is not None else make_executor(project)
+    searcher = make_searcher(strategy_id, space)
+    # the archive: each point key's first record, whose result answers every repeat
+    measured: dict[tuple, TrialRecord] = {}
     started = time.perf_counter()
-    with SessionLock(project.root):
-        return _drive(loop, started)
 
+    def replay(r: TrialRecord) -> None:
+        """Drive the searcher through one recorded trial, verifying the step.
+        A session runs one strategy, so a record naming another is corrupt."""
+        if r.strategy_id != strategy_id:
+            raise HistoryCorruptError(
+                f"recorded trial {r.trial_id} names strategy {r.strategy_id!r}, "
+                f"the manifest {strategy_id!r}",
+                r.trial_id - 1,
+            )
+        proposal = searcher.propose()
+        if proposal != r.point:  # None, when the searcher is done, equals no point
+            raise HistoryCorruptError(
+                f"recorded trial {r.trial_id} does not replay from the manifest's "
+                f"strategy (expected {proposal}, recorded {r.point})",
+                r.trial_id - 1,
+            )
+        searcher.update(r.search_objective)
+        measured.setdefault(space.point_key(r.point), r)
 
-def _drive(loop: _TuningLoop, started: float) -> SessionSummary:
-    # a history that does not open or replay is refused before the manifest changes
-    root, space = loop.project.root, loop.project.space
-    writer = HistoryWriter(root, space, loop.replay)
-    # the manifest says interrupted until the loop returns, so a kill leaves it true
-    status = STATUS_INTERRUPTED
-    loop.set_status(status)
-    try:
-        status = loop.run(writer)
-        loop.set_status(status)
-    finally:
-        # whatever stopped the loop, every observed trial is already durable; trials.csv is
-        # exported once, whole, from the journal. An interrupted session logs a failing
-        # export, so that the loop's own error is raised
+    with SessionLock(root):
+        # under the lock, so no other session can start between this check
+        # and the manifest write that claims the directory
+        if fresh and manifest_exists(root):
+            raise SessionExistsError(f"{root} already contains a session; use resume or aggregate")
+        # a history that does not open or replay is refused before the manifest changes
+        writer = HistoryWriter(root, space, replay)
+        # the manifest says interrupted until the loop completes, so a kill leaves it true
+        status = STATUS_INTERRUPTED
+        entries = {"strategy": strategy_id, "budget": budget, "space_hash": space_hash(space),
+                   "status": status}
+        write_manifest(root, entries)
         try:
-            rewrite_trials_csv(root, space, iter_raw_records(root, space))
-        except Exception as exc:
-            if status == STATUS_FINISHED:
-                raise
-            log.warning("trials.csv not exported: %s", exc)
-    try:
-        # a repeat carries its first record's result under a later id: no better record
-        best = best_of(loop._measured.values())
-    except NoSuccessfulTrialError:
-        best = None
-    return SessionSummary(
-        trial_count=writer.last_id,
-        best=best,
-        wall_time_s=time.perf_counter() - started,
-        status=status,
-    )
+            while writer.last_id < budget and (point := searcher.propose()) is not None:
+                trial_id = writer.last_id + 1
+                key = space.point_key(point)
+                first = measured.get(key)
+                result = (first.result if first
+                          else executor.execute_trial(project.job, point, trial_id))
+                record = TrialRecord(trial_id=trial_id, point=point, result=result,
+                                     strategy_id=strategy_id, timestamp=datetime.now(timezone.utc))
+                writer.append(record)  # durable before the searcher observes it
+                measured.setdefault(key, record)
+                objective = record.search_objective
+                searcher.update(objective)
+                log.info("trial %d %s aggregate=%s", trial_id, record.result.status,
+                         f"{objective:.3f}s" if record.result.ok else "FAILED")
+            status = STATUS_FINISHED
+            write_manifest(root, {**entries, "status": status})
+        finally:
+            # whatever stopped the loop, every observed trial is already durable; trials.csv is
+            # exported once, whole, from the journal. An interrupted session logs a failing
+            # export, so that the loop's own error is raised
+            try:
+                rewrite_trials_csv(root, space, iter_raw_records(root, space))
+            except Exception as exc:
+                if status == STATUS_FINISHED:
+                    raise
+                log.warning("trials.csv not exported: %s", exc)
+        try:
+            # a repeat carries its first record's result under a later id: no better record
+            best = best_of(measured.values())
+        except NoSuccessfulTrialError:
+            best = None
+        return SessionSummary(trial_count=writer.last_id, best=best,
+                              wall_time_s=time.perf_counter() - started, status=status)
 
 
 def aggregate_history(project: Project) -> int:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import filecmp
 import hashlib
 import io
 import itertools
@@ -617,6 +618,45 @@ def test_ssh_transport_fetch_dir_argv(tmp_path):
     assert (local / APP_ID / "empty").is_dir()
 
 
+LOG_FETCH_CHILD = r"""
+import resource
+import sys
+from pathlib import Path
+
+from jobtuner.executors.remote import ClusterEnv, SshTransport
+
+env = ClusterEnv(master_host="master", port=22, user="hadoop", auth_key_path="/keys/id",
+                 remote_workdir="/tmp/staging", hadoop_home="/opt/hadoop",
+                 history_log_dir="/var/log/hadoop-yarn/aggregated")
+ssh_bin, remote, local = sys.argv[1:]
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+SshTransport(env, ssh_bin=ssh_bin).fetch_dir(remote, Path(local))
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
+"""
+
+
+def test_a_large_log_fetch_grows_the_tuner_by_little(tmp_path):
+    """The archive of a 40 MB log waits in a temporary file and each file is copied in
+    chunks, so the fetch holds neither in memory."""
+    app = tmp_path / "aggregated" / APP_ID
+    (app / "worker-1").mkdir(parents=True)
+    syslog = app / "worker-1" / "syslog"
+    with open(syslog, "wb") as fh:
+        for i in range(40):
+            fh.write(bytes([i]) * (1 << 20))
+    ssh_bin = write_fake(tmp_path / "ssh", 'for last; do :; done\nexec sh -c "$last"\n')
+    local = tmp_path / "downloads" / "logs"
+    # in a fresh interpreter, whose peak RSS (in KiB on Linux) no earlier test has raised
+    src = str(Path(remote.__file__).parents[2])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", LOG_FETCH_CHILD, ssh_bin, str(app), str(local)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 10  # MB, for a 40 MB log
+    assert filecmp.cmp(syslog, local / APP_ID / "worker-1" / "syslog", shallow=False)
+
+
 @pytest.mark.parametrize("bad", ["absolute", "dotdot", "symlink", "another_directory",
                                  "truncated"])
 def test_ssh_transport_fetch_of_an_unsafe_archive_writes_nothing(tmp_path, bad):
@@ -662,6 +702,22 @@ def test_ssh_transport_failed_copy_on_a_live_link_is_an_os_error(tmp_path):
     with pytest.raises(OSError, match="^file transfer failed: sh: 1: cannot create"):
         transport.fetch_dir("/var/log/hadoop-yarn/aggregated/app", tmp_path / "logs")
     assert not (tmp_path / "logs").exists()
+
+
+def test_ssh_transport_failed_copy_names_the_first_line_of_its_error(tmp_path):
+    """tar's last line only says that it failed: the error is the first line, which names
+    the cause, so a logged failure takes one line."""
+    fake_ssh = write_fake(tmp_path / "ssh",
+                          "echo 'tar: app: Cannot stat: No such file or directory' >&2\n"
+                          "echo 'tar: Exiting with failure status due to previous errors' >&2\n"
+                          "exit 2\n")
+    transport = SshTransport(ENV, ssh_bin=fake_ssh)
+    with pytest.raises(OSError) as put:
+        transport.put_file(make_project(tmp_path) / "app.jar", "/tmp/staging/app.jar")
+    with pytest.raises(OSError) as fetched:
+        transport.fetch_dir("/var/log/hadoop-yarn/aggregated/app", tmp_path / "logs")
+    first = "file transfer failed: tar: app: Cannot stat: No such file or directory"
+    assert str(put.value) == str(fetched.value) == first
 
 
 def test_ssh_transport_failed_copy_is_a_lost_cluster_when_ssh_says_so(tmp_path):

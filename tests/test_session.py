@@ -97,12 +97,14 @@ def test_budget_zero_rejected(tmp_path):
     project = small_project(tmp_path)
     with pytest.raises(InvalidBudgetError):
         run_tuning(project, "grid", budget=0)
+    assert not (project.root / "history").exists()
 
 
 def test_unknown_strategy_rejected(tmp_path):
     project = small_project(tmp_path)
     with pytest.raises(UnknownStrategyError):
         run_tuning(project, "warp", budget=5)
+    assert not (project.root / "history").exists()
 
 
 def test_strategies_maps_each_id_to_its_searcher_class():
@@ -550,6 +552,23 @@ def test_resume_refuses_a_recorded_trial_of_another_strategy(tmp_path):
     assert refused.value.last_valid_id == 0
     assert {p.name: p.read_bytes() for p in hist.iterdir()} == before
     assert main(["resume", "--dir", str(project.root)]) == 2
+    assert {p.name: p.read_bytes() for p in hist.iterdir()} == before
+
+
+def test_resume_of_an_unknown_strategy_changes_no_byte(tmp_path):
+    """The searcher is built before the lock is taken, so a manifest naming an unknown
+    strategy is refused before the lock clears a killed session's temporary files."""
+    project = small_project(tmp_path)
+    with pytest.raises(ConnectError):
+        run_tuning(project, "grid", budget=4,
+                   executor=InterruptingExecutor(make_executor(project), allow=2))
+    hist = project.root / "history"
+    path = hist / "session.conf"
+    path.write_text(path.read_text().replace("strategy=grid", "strategy=warp"))
+    (hist / "session.conf.0123456789ab.tmp").write_text("strategy=grid\n")  # a killed write's
+    before = {p.name: p.read_bytes() for p in hist.iterdir()}
+    with pytest.raises(UnknownStrategyError, match="warp"):
+        resume_session(project)
     assert {p.name: p.read_bytes() for p in hist.iterdir()} == before
 
 
