@@ -164,7 +164,7 @@ def _cmd_report(args) -> int:
         writers[surface_csv_name(*args.surface)] = surface_writer(root, *args.surface, space)
     records = iter_raw_records(root, space)
     first = next(records, None)
-    if first is None:  # refused before history/ is made
+    if first is None:  # refused before any writer runs: a journal line means history/ exists
         raise EmptyHistoryError("no trials recorded; run tune first")
     write_records(itertools.chain([first], records), *writers.values())
     for name in reversed(writers):

@@ -278,7 +278,8 @@ class RemoteExecutor(Executor):
         measured = repeat(job, run_once)
 
         # Phase times come from each repetition's client output, then its applications'
-        # logs, one text at a time; no counter spans a line, so the last one wins.
+        # logs, a line at a time: no counter spans a line, and each holds "(ms)=". The
+        # last one wins.
         log_dir = (self._root / DOWNLOADED_RESULTS_DIR / f"{self._log_dir_prefix}_{trial_id}"
                    / "logs")
         phases: dict[str, float] = {}
@@ -295,7 +296,10 @@ class RemoteExecutor(Executor):
                 fetched = True
                 for path in sorted((log_dir / app).rglob("*")):
                     try:
-                        phases.update(parse_phase_times(path.read_text(errors="replace")))
+                        with open(path, errors="replace") as fh:
+                            for line in fh:
+                                if "(ms)=" in line:
+                                    phases.update(parse_phase_times(line))
                     except OSError:  # a directory, or a file the fetch left unreadable
                         pass
 

@@ -11,10 +11,10 @@ Layout under a project root:
                               status is interrupted until the session finishes
     history/.lock             flock'd while a session runs; never removed
 
-A trial is durable once its journal line is fsynced, and after the first line
-the history directory too, which then holds the journal's name. Opening a
-HistoryWriter replays each journaled record as it decodes, keeping none, then
-repairs what a crash leaves: a torn journal tail (a trial that never happened).
+Only the session lock makes history/, and it fsyncs the project directory. A
+trial is durable once its journal line is fsynced, and after the first line
+history/ too, which holds the journal's name. Opening a HistoryWriter replays
+each journaled record as it decodes, keeping none, then truncates a torn tail.
 
 Both files are read a line at a time by one record loop and one record decoder,
 a trials.csv row (one line; the export writes no cell with a newline) as the
@@ -161,7 +161,6 @@ class HistoryWriter:
     def __init__(self, project_root: str | Path, space: ParamSpace,
                  replay: Callable[[TrialRecord], object] = lambda record: None):
         hist = history_dir(project_root)
-        hist.mkdir(parents=True, exist_ok=True)
         self._journal = hist / JOURNAL_FILE
         self.last_id = 0
         try:
@@ -385,8 +384,7 @@ def refuse_to_shrink(path: Path, journaled: int) -> None:
 def replace_file(path: Path) -> Iterator[TextIO]:
     """Replace path atomically and durably: write a temporary file of this call's own,
     <name>.<random hex>.tmp, fsync it, rename it, then fsync the directory; if the body
-    raises, remove the temporary file."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+    raises, remove the temporary file. The directory must exist: this makes none."""
     tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
     fh = open(tmp, "x", encoding="utf-8", newline="")  # exclusive: never another writer's file
     try:
@@ -441,7 +439,8 @@ class SessionLock:
     """Exclusive per-project lock; refuses to run two sessions in one dir.
 
     An flock on history/.lock, which the kernel drops however its holder exits.
-    Taking it removes the temporary files a killed holder left of session.conf and
+    Taking it makes history/ and fsyncs the project directory, before .lock opens,
+    then removes the temporary files a killed holder left of session.conf and
     trials.csv, which only a holder writes; report writes without it, so its stay.
     """
 
@@ -450,6 +449,7 @@ class SessionLock:
 
     def __enter__(self) -> "SessionLock":
         self._path.parent.mkdir(parents=True, exist_ok=True)
+        fsync_dir(self._path.parent.parent)
         fh = open(self._path, "a")
         try:
             fcntl.flock(fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)

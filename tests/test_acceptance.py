@@ -267,6 +267,7 @@ def test_criterion_6_resume_equivalence(tmp_path):
 def test_criterion_7_history_integrity(tmp_path):
     rng = random.Random(20260808)
     records = [random_record(rng, i) for i in range(1, 1001)]
+    (tmp_path / "hist" / "history").mkdir(parents=True)  # as a session's lock makes it
     writer = HistoryWriter(tmp_path / "hist", RANDOM_RECORD_SPACE)
     for r in records:
         writer.append(r)

@@ -45,6 +45,12 @@ SPACE = ParamSpace((
 ))
 
 
+@pytest.fixture(autouse=True)
+def history_made(tmp_path):
+    """history/ under tmp_path, as a session's lock makes it before any writer runs."""
+    (tmp_path / "history").mkdir()
+
+
 def random_record(rng: random.Random, trial_id: int) -> TrialRecord:
     point = SPACE.point({
         "tasks": rng.randint(1, 16),
@@ -492,7 +498,6 @@ def test_decoded_records_hold_their_points_as_space_keys(tmp_path, monkeypatch):
 
 def test_a_replacement_whose_body_raises_leaves_the_file_and_no_temporary(tmp_path):
     path = tmp_path / "history" / "x.csv"
-    path.parent.mkdir()
     path.write_text("old\n")
     with pytest.raises(OSError):
         with replace_file(path) as fh:

@@ -144,6 +144,7 @@ def test_a_key_written_twice_is_refused_naming_it_and_its_file(tmp_path, name):
         (d / job).write_text("executor=remote\njar=app.jar\nrepetitions=1\n")
     (d / "jobs.conf").write_text("job.conf\ntwo.conf\n")
     (d / ENV_FILE).write_text(ENV_TEXT)
+    (d / "history").mkdir()  # as a session's lock makes it
     write_manifest(d, {"strategy": "grid", "budget": 5})
     load_project(d)
     read_manifest(d)

@@ -657,6 +657,65 @@ def test_a_large_log_fetch_grows_the_tuner_by_little(tmp_path):
     assert filecmp.cmp(syslog, local / APP_ID / "worker-1" / "syslog", shallow=False)
 
 
+PHASE_PARSE_CHILD = r"""
+import resource
+import shutil
+import sys
+from pathlib import Path
+
+from doubles import ScriptedTransport
+from jobtuner.executors.base import JobSpec
+from jobtuner.executors.remote import ClusterEnv, RemoteExecutor
+from jobtuner.paramspace import parse_param_file
+
+log_file, root = sys.argv[1:]
+
+
+# fetches log_file as the one log of the application asked for
+class CopyingTransport(ScriptedTransport):
+    def fetch_dir(self, remote, local):
+        (local / Path(remote).name).mkdir(parents=True)
+        shutil.copyfile(log_file, local / Path(remote).name / "syslog")
+
+
+env = ClusterEnv(master_host="master", port=22, user="hadoop", auth_key_path="/keys/id",
+                 remote_workdir="/tmp/staging", hadoop_home="/opt/hadoop",
+                 history_log_dir=ScriptedTransport.log_root)
+space = parse_param_file("a int min=1 max=4 step=1")
+job = JobSpec(artifact="app.jar", main_entry="Main", static_args=("/in", "/out"), timeout_s=60)
+transport = CopyingTransport(hadoop_stdout="Submitted application application_1_0001\n"
+                                           "Total time spent by all map tasks (ms)=1200\n")
+executor = RemoteExecutor(space, env, root, transport)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+result = executor.execute_trial(job, space.point({"a": 1}), 1)
+grown = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024
+print(grown, result.phase_times_s)
+"""
+
+
+def test_phase_times_of_a_large_fetched_log_grow_the_tuner_by_little(tmp_path):
+    """A fetched log is parsed a line at a time, so the trial never holds the log's text;
+    its last counter still wins over the first and over the client's."""
+    log_file = tmp_path / "syslog"
+    filler = b"2026-02-11 10:14:03 INFO mapred.Task: Task attempt_1_0001_m_000001_0 is done\n"
+    with open(log_file, "wb") as fh:
+        fh.write(b"Total time spent by all map tasks (ms)=1000\n")
+        for _ in range(40):
+            fh.write(filler * ((1 << 20) // len(filler)))
+        fh.write(b"Total time spent by all map tasks (ms)=1100\n")
+    make_project(tmp_path)
+    # in a fresh interpreter, whose peak RSS (in KiB on Linux) no earlier test has raised
+    src = str(Path(remote.__file__).parents[2])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, str(Path(__file__).parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", PHASE_PARSE_CHILD, str(log_file), str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    grown, phases = proc.stdout.split(" ", 1)
+    assert phases.strip() == "{'map': 1.1}"
+    assert float(grown) < 10  # MB, for a 40 MB log
+
+
 @pytest.mark.parametrize("bad", ["absolute", "dotdot", "symlink", "another_directory",
                                  "truncated"])
 def test_ssh_transport_fetch_of_an_unsafe_archive_writes_nothing(tmp_path, bad):

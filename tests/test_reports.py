@@ -24,6 +24,12 @@ BIG_SPACE = parse_param_file(
     f"a int min={2**53} max={2**53 + 2} step=1\nb int min=1 max=4 step=1\n")
 
 
+@pytest.fixture(autouse=True)
+def history_made(tmp_path):
+    """history/ under tmp_path, as a session's lock makes it before any writer runs."""
+    (tmp_path / "history").mkdir()
+
+
 def rec(trial_id, aggregate, space=SPACE, **assignment):
     """A trial at the space's default point, with the values in assignment."""
     status = "success" if aggregate is not None else "failed"
@@ -104,13 +110,13 @@ def test_surface_sorted_by_px_then_py(tmp_path):
 def test_surface_unknown_param(tmp_path):
     with pytest.raises(UnknownParamError):
         surface_writer(tmp_path, "a", "zzz", SPACE)  # refused before it is entered
-    assert list(tmp_path.iterdir()) == []
+    assert [p.name for p in tmp_path.rglob("*")] == ["history"]
 
 
 def test_surface_identical_axes(tmp_path):
     with pytest.raises(IdenticalAxesError):
         surface_writer(tmp_path, "a", "a", SPACE)
-    assert list(tmp_path.iterdir()) == []
+    assert [p.name for p in tmp_path.rglob("*")] == ["history"]
 
 
 def test_surface_full_grid_cell_count(tmp_path):

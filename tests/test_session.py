@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -34,8 +35,9 @@ from jobtuner.errors import (
 )
 from jobtuner.executors.base import Executor, TrialResult
 from jobtuner.executors.synthetic import synthetic_eval
-from jobtuner.history import (SessionLock, TrialRecord, read_manifest, read_raw_records,
-                              read_trials, write_manifest as real_write_manifest)
+from jobtuner.history import (HistoryWriter, SessionLock, TrialRecord, read_manifest,
+                              read_raw_records, read_trials,
+                              write_manifest as real_write_manifest)
 from jobtuner.paramspace import parse_param_file
 from jobtuner.search import STRATEGIES, strategy_ids
 from jobtuner.session import (
@@ -354,8 +356,11 @@ def test_a_failing_first_manifest_write_refuses_the_session(tmp_path, monkeypatc
     and the write removes its temporary file."""
     project = small_project(tmp_path)
     executor = CountingExecutor(make_executor(project))
+    real_fsync = os.fsync
 
-    def fsync(fd):  # the session's first fsync is its manifest's
+    def fsync(fd):  # the session's first fsync of a file is its manifest's
+        if stat.S_ISDIR(os.fstat(fd).st_mode):
+            return real_fsync(fd)  # the lock's, of the project directory
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
     monkeypatch.setattr(os, "fsync", fsync)
@@ -363,6 +368,42 @@ def test_a_failing_first_manifest_write_refuses_the_session(tmp_path, monkeypatc
         run_tuning(project, "grid", budget=6, executor=executor)
     assert executor.calls == []
     assert [p.name for p in (project.root / "history").iterdir()] == [".lock"]
+
+
+def test_a_fresh_session_makes_history_once_and_its_name_durable_before_a_trial(
+        tmp_path, monkeypatch):
+    """The lock alone makes history/, then fsyncs the project directory, so a power loss
+    after the first journaled trial cannot drop history/ from the project."""
+    project = small_project(tmp_path)
+    hist = project.root / "history"
+    trace = []
+    real_mkdir, real_fsync, real_append = Path.mkdir, os.fsync, HistoryWriter.append
+
+    def mkdir(self, *args, **kwargs):
+        trace.append(("mkdir", self))
+        real_mkdir(self, *args, **kwargs)
+
+    def fsync(fd):
+        st = os.fstat(fd)
+        trace.append(("fsync", (st.st_dev, st.st_ino)))
+        real_fsync(fd)
+
+    def append(self, record):
+        real_append(self, record)
+        trace.append(("appended", record.trial_id))
+
+    monkeypatch.setattr(Path, "mkdir", mkdir)
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(HistoryWriter, "append", append)
+    run_tuning(project, "grid", budget=5)
+    root_st = os.stat(project.root)
+    made = [i for i, step in enumerate(trace) if step == ("mkdir", hist)]
+    assert len(made) == 1
+    root_synced = [i for i, step in enumerate(trace)
+                   if step == ("fsync", (root_st.st_dev, root_st.st_ino))]
+    first_append = trace.index(("appended", 1))
+    assert any(made[0] < i < first_append for i in root_synced)
+    assert sum(step[0] == "appended" for step in trace) == 5
 
 
 # an 11x3 lattice, coarse next to the searchers' steps, on which every DFO
