@@ -135,8 +135,7 @@ def _cmd_resume(args) -> int:
 
 
 def _log_summary(project, summary) -> None:
-    log.info("session %s after %d trials (%.1fs)",
-             summary.status, summary.trial_count, summary.wall_time_s)
+    log.info("session finished after %d trials (%.1fs)", summary.trial_count, summary.wall_time_s)
     if summary.best is None:
         log.info("no successful trials")
     else:

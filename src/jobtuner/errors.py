@@ -129,10 +129,6 @@ class LockHeldError(TunerError):
     """Another session owns this project directory."""
 
 
-class NoSuccessfulTrialError(TunerError):
-    """Every trial in the history failed; there is no best record."""
-
-
 # --- project files --------------------------------------------------------------
 
 class MissingFileError(TunerError):

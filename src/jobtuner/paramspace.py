@@ -146,8 +146,11 @@ class ParamSpec(CheckedTuple, _SpecFields):
 
     def lattice_count(self) -> int:
         """Number of grid values: first, first+step, ... <= last."""
-        first, last, step = self.lattice
-        if self.kind != KIND_FLOAT:
+        kind = self.kind
+        if kind == KIND_CAT:
+            return len(self.values)
+        first, last, step = self.lower, self.upper, self.step
+        if kind == KIND_INT:
             return (last - first) // step + 1
         k = int(math.floor((last - first) / step + _COUNT_EPS))
         while k > 0 and first + k * step > last + _COUNT_EPS * max(1.0, abs(last)):
@@ -168,19 +171,20 @@ class ParamSpec(CheckedTuple, _SpecFields):
 
     def check_value(self, v: Value) -> str | None:
         """Return a violation message for v, or None when v is in the domain."""
-        if self.kind == KIND_CAT:
-            if v not in self.values:
-                return f"{self.name}: value {v!r} not among declared values"
+        name, kind, lower, upper, step, values, _ = self
+        if kind == KIND_CAT:
+            if v not in values:
+                return f"{name}: value {v!r} not among declared values"
             return None
         if isinstance(v, bool) or not isinstance(v, (int, float)):
-            return f"{self.name}: value {v!r} is not numeric"
-        if not (self.lower <= v <= self.upper):
-            return f"{self.name}: value {v} out of range [{self.lower}, {self.upper}]"
-        if self.kind == KIND_INT:
+            return f"{name}: value {v!r} is not numeric"
+        if not (lower <= v <= upper):
+            return f"{name}: value {v} out of range [{lower}, {upper}]"
+        if kind == KIND_INT:
             if not _is_whole(v):
-                return f"{self.name}: value {v} is not an integer"
-            if (int(v) - self.lower) % self.step != 0:
-                return f"{self.name}: value {v} not on lattice {self.lower}+k*{self.step}"
+                return f"{name}: value {v} is not an integer"
+            if (int(v) - lower) % step != 0:
+                return f"{name}: value {v} not on lattice {lower}+k*{step}"
         return None
 
     def encode_value(self, v: Value) -> float:
@@ -188,7 +192,8 @@ class ParamSpec(CheckedTuple, _SpecFields):
         first, last, _ = self.lattice
         if last == first:
             return 0.0
-        x = self.values.index(v) if self.values else v
+        values = self.values
+        x = values.index(v) if values else v
         return (x - first) / (last - first)
 
     def decode_unit(self, u: float) -> Value:

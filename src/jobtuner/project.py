@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import shlex
 from pathlib import Path
-from typing import NamedTuple
+from typing import Collection, NamedTuple
 
 from .errors import (
     BadValueError,
@@ -41,6 +41,11 @@ _ARTIFACT_KEYS = {"local": "command", "remote": "jar"}
 
 _ENV_KEYS = ("master", "port", "user", "key_path", "remote_workdir",
              "hadoop_home", "history_log_dir")
+
+# every key a job file may hold; seed, which older versions read, is refused on a synthetic job
+_JOB_KEYS = frozenset(("executor", "command", "jar", "main_entry", "args", "timeout_s",
+                       "repetitions", "cleanup_output", "strategy", "budget", "family", "base_s",
+                       "weights", "optimum", "noise_sd_s", "surface_seed", "table", "seed"))
 
 
 class Project(NamedTuple):
@@ -75,6 +80,13 @@ def parse_kv_file(text: str, filename: str = JOB_FILE) -> dict[str, str]:
             raise BadValueError(key, "written twice", filename)
         entries[key] = value.strip()
     return entries
+
+
+def _refuse_unknown(kv: dict[str, str], known: Collection[str], filename: str) -> None:
+    """A key that filename does not read is refused, so that a misspelled one is not ignored."""
+    for key in kv:
+        if key not in known:
+            raise BadValueError(key, "unknown key", filename)
 
 
 def _typed(kv: dict[str, str], key: str, default, filename: str, convert, kind: str):
@@ -126,10 +138,11 @@ def parse_int(kv: dict[str, str], key: str, default: int | None = None, *,
 def parse_env_file(text: str) -> ClusterEnv:
     """Parse HadoopEnv.txt into a ClusterEnv.
 
-    Raises MissingKeyError for absent required keys and BadValueError when
-    port is not an integer.
+    Raises MissingKeyError for absent required keys and BadValueError for
+    an unknown key or a port that is not an integer.
     """
     kv = parse_kv_file(text, ENV_FILE)
+    _refuse_unknown(kv, _ENV_KEYS, ENV_FILE)
     for key in _ENV_KEYS:
         if key not in kv or not kv[key]:
             raise MissingKeyError(key, ENV_FILE)
@@ -177,10 +190,12 @@ def parse_job_file(text: str, filename: str = JOB_FILE
                    ) -> tuple[JobSpec, str, SurfaceSpec | None, dict[str, str | int]]:
     """Parse a job file: returns (job, executor_kind, surface, tune defaults).
 
-    The tune defaults hold the strategy as written and the budget as an int. A synthetic
-    job's noise seed is surface_seed alone, so a seed key is refused. Errors name filename.
+    The tune defaults hold the strategy as written and the budget as an int. A key it does
+    not read is refused. A synthetic job's noise seed is surface_seed alone, so a seed key
+    is refused. Errors name filename.
     """
     kv = parse_kv_file(text, filename)
+    _refuse_unknown(kv, _JOB_KEYS, filename)
     kind = kv.get("executor", "")
     if kind not in EXECUTOR_KINDS:
         raise BadValueError("executor", f"must be one of {', '.join(EXECUTOR_KINDS)}", filename)

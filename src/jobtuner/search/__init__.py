@@ -3,8 +3,10 @@
 Strategy ids (the CLI names): grid, compass, nelder-mead, bobyqa-lite.
 
 _REGISTRY maps each id to its searcher's module and class. A module is
-imported when its strategy is first asked for, so grid search never loads
-numpy, which only the DFO strategies use. STRATEGIES (id -> class) loads
+imported when its strategy is first asked for, so the grid searcher never
+imports numpy. The DFO strategies do, as do the unit-cube codec
+(ParamSpace.encode_point / decode_vector) and the synthetic executor's
+surfaces, each on first use. STRATEGIES (id -> class) loads
 every strategy's module when it is read; import a searcher class itself
 from its module.
 

@@ -20,14 +20,13 @@ import hashlib
 import logging
 import time
 from datetime import datetime, timezone
-from typing import Collection, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import (
     BadValueError,
     HistoryCorruptError,
     InvalidBudgetError,
     MissingKeyError,
-    NoSuccessfulTrialError,
     SessionExistsError,
     SpaceMismatchError,
 )
@@ -47,22 +46,16 @@ STATUS_FINISHED = "finished"
 
 
 class SessionSummary(NamedTuple):
-    """status is always `finished`: an interrupted session raises instead of returning."""
+    """Returned only by a finished session: an interrupted one raises instead."""
     trial_count: int
     best: TrialRecord | None
     wall_time_s: float
-    status: str
 
 
-def best_of(records: Collection[TrialRecord]) -> TrialRecord:
-    """Successful record with minimum aggregate; earliest trial wins ties."""
-    if not records:
-        raise NoSuccessfulTrialError("history is empty")
+def best_of(records: Iterable[TrialRecord]) -> TrialRecord | None:
+    """Successful record with minimum aggregate, earliest trial on ties; None if none succeeded."""
     # min keeps the first of equal aggregates
-    best = min((r for r in records if r.result.ok), key=lambda r: r.aggregate_s, default=None)
-    if best is None:
-        raise NoSuccessfulTrialError("every trial failed")
-    return best
+    return min((r for r in records if r.result.ok), key=lambda r: r.aggregate_s, default=None)
 
 
 def space_hash(space: ParamSpace) -> str:
@@ -206,13 +199,9 @@ def _session(project: Project, strategy_id: str, budget: int, executor: Executor
                 if status == STATUS_FINISHED:
                     raise
                 log.warning("trials.csv not exported: %s", exc)
-        try:
-            # a repeat carries its first record's result under a later id: no better record
-            best = best_of(measured.values())
-        except NoSuccessfulTrialError:
-            best = None
-        return SessionSummary(trial_count=writer.last_id, best=best,
-                              wall_time_s=time.perf_counter() - started, status=status)
+        # a repeat carries its first record's result under a later id: no better record
+        return SessionSummary(trial_count=writer.last_id, best=best_of(measured.values()),
+                              wall_time_s=time.perf_counter() - started)
 
 
 def aggregate_history(project: Project) -> int:

@@ -130,6 +130,17 @@ def test_a_synthetic_job_file_holding_a_seed_is_refused(tmp_path):
         write_synthetic_project(tmp_path / "p", params, bowl_job_conf() + "seed=3\n")
 
 
+def remote_project_of_two_jobs(d: Path) -> Path:
+    """A remote project whose jobs.conf lists job.conf and two.conf."""
+    d.mkdir()
+    (d / "params.conf").write_text("a int min=1 max=4 step=1\n")
+    for job in ("job.conf", "two.conf"):
+        (d / job).write_text("executor=remote\njar=app.jar\nrepetitions=1\n")
+    (d / "jobs.conf").write_text("job.conf\ntwo.conf\n")
+    (d / ENV_FILE).write_text(ENV_TEXT)
+    return d
+
+
 # each key=value file, with a key it holds
 KV_FILES = {"job.conf": "repetitions", "two.conf": "repetitions", ENV_FILE: "port",
             "history/session.conf": "budget"}
@@ -137,13 +148,7 @@ KV_FILES = {"job.conf": "repetitions", "two.conf": "repetitions", ENV_FILE: "por
 
 @pytest.mark.parametrize("name", KV_FILES)
 def test_a_key_written_twice_is_refused_naming_it_and_its_file(tmp_path, name):
-    d = tmp_path / "p"
-    d.mkdir()
-    (d / "params.conf").write_text("a int min=1 max=4 step=1\n")
-    for job in ("job.conf", "two.conf"):
-        (d / job).write_text("executor=remote\njar=app.jar\nrepetitions=1\n")
-    (d / "jobs.conf").write_text("job.conf\ntwo.conf\n")
-    (d / ENV_FILE).write_text(ENV_TEXT)
+    d = remote_project_of_two_jobs(tmp_path / "p")
     (d / "history").mkdir()  # as a session's lock makes it
     write_manifest(d, {"strategy": "grid", "budget": 5})
     load_project(d)
@@ -155,6 +160,22 @@ def test_a_key_written_twice_is_refused_naming_it_and_its_file(tmp_path, name):
                                             f"{Path(name).name}: written twice$"):
         load_project(d)
         read_manifest(d)
+
+
+# each project key=value file, with a misspelling of a key it reads
+MISSPELLED = {"job.conf": "repetitons=5", "two.conf": "cleanup_ouput=true",
+              ENV_FILE: "key_pth=/k"}
+
+
+@pytest.mark.parametrize("name", MISSPELLED)
+def test_a_misspelled_key_is_refused_naming_it_and_its_file(tmp_path, name):
+    d = remote_project_of_two_jobs(tmp_path / "p")
+    load_project(d)
+    line = MISSPELLED[name]
+    (d / name).write_text((d / name).read_text() + line + "\n")
+    key = line.partition("=")[0]
+    with pytest.raises(BadValueError, match=f"^bad value for key '{key}' in {name}: unknown key$"):
+        load_project(d)
 
 
 # --- load_project ------------------------------------------------------------------

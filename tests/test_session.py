@@ -27,7 +27,6 @@ from jobtuner.errors import (
     LockHeldError,
     ManifestMissingError,
     MissingKeyError,
-    NoSuccessfulTrialError,
     SessionExistsError,
     SpaceMismatchError,
     SpawnFailureError,
@@ -87,10 +86,8 @@ def test_best_of_tie_takes_lowest_id():
 
 
 def test_best_of_all_failed():
-    with pytest.raises(NoSuccessfulTrialError):
-        best_of([rec(1, None), rec(2, None)])
-    with pytest.raises(NoSuccessfulTrialError, match="empty"):
-        best_of([])
+    assert best_of([rec(1, None), rec(2, None)]) is None
+    assert best_of([]) is None
 
 
 # --- run_tuning -------------------------------------------------------------------
@@ -125,7 +122,6 @@ def test_budget_caps_grid(tmp_path):
     project = small_project(tmp_path)
     summary = run_tuning(project, "grid", budget=5)
     assert summary.trial_count == 5
-    assert summary.status == "finished"
     assert len(read_trials(project.root, project.space)) == 5
 
 
@@ -518,7 +514,7 @@ def test_resume_ignores_the_searcher_settings_older_manifests_carry(tmp_path):
     path.write_text(path.read_text() + "opt_initial_step=abc\nopt_min_step=0.01\n"
                     "opt_expand_on_success=true\n")
     summary = resume_session(project)
-    assert (summary.trial_count, summary.status) == (6, "finished")
+    assert summary.trial_count == 6
     assert path.read_bytes() == COMPASS_MANIFEST  # no opt_ line is written back
 
 
@@ -721,7 +717,7 @@ def test_resumed_summary_best_is_the_best_of_every_record(tmp_path, strategy, cu
                    executor=InterruptingExecutor(Coarsened(make_executor(project)), allow=cut))
     summary = resume_session(project, executor=Coarsened(make_executor(project)))
     records = read_raw_records(project.root, project.space)
-    assert (summary.trial_count, summary.status) == (len(records), "finished")
+    assert summary.trial_count == len(records)
     assert summary.best == best_of(records)
     # later trials, of other points and of repeats, tie with the best
     tied = [r for r in records if r.aggregate_s == summary.best.aggregate_s]
@@ -737,8 +733,7 @@ def test_resumed_summary_of_an_all_failed_session_has_no_best(tmp_path, strategy
     summary = resume_session(project, executor=Coarsened(None, fail=True))
     assert summary.trial_count == len(read_raw_records(project.root, project.space)) > 3
     assert summary.best is None
-    with pytest.raises(NoSuccessfulTrialError, match="every trial failed"):
-        best_of(read_raw_records(project.root, project.space))
+    assert best_of(read_raw_records(project.root, project.space)) is None
 
 
 class LogRefExecutor(Executor):
@@ -779,7 +774,7 @@ def test_resume_after_a_repeat_executes_no_measured_point(tmp_path, old_line):
     path.write_text(path.read_text() + old_line)
     counting = CountingExecutor(make_executor(project))
     summary = resume_session(project, executor=counting)
-    assert (summary.trial_count, summary.status) == (10, "finished")
+    assert summary.trial_count == 10
     assert counting.calls and not set(counting.calls) & set(measured)
     assert len(counting.calls) == len(set(counting.calls))
 

@@ -96,9 +96,9 @@ CONTRACT = {
         "space",
     ),
     "SessionSummary": (
-        lambda: SessionSummary(trial_count=3, best=None, wall_time_s=1.5, status="finished"),
-        "SessionSummary(trial_count=3, best=None, wall_time_s=1.5, status='finished')",
-        "status",
+        lambda: SessionSummary(trial_count=3, best=None, wall_time_s=1.5),
+        "SessionSummary(trial_count=3, best=None, wall_time_s=1.5)",
+        "wall_time_s",
     ),
 }
 
