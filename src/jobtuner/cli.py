@@ -139,9 +139,8 @@ def _log_summary(project, summary) -> None:
     if summary.best is None:
         log.info("no successful trials")
     else:
-        space = project.space
-        assignment = ", ".join(f"{s.name}={s.render(v)}"
-                               for s, v in zip(space.specs, space.point_key(summary.best.point)))
+        assignment = ", ".join(f"{name}={text}"
+                               for name, text in project.space.render(summary.best.point).items())
         log.info("best trial %d: %s -> %.3fs",
                  summary.best.trial_id, assignment, summary.best.aggregate_s)
 

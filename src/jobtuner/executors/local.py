@@ -82,19 +82,22 @@ class LocalExecutor(Executor):
         Raises, before anything runs, InvalidPointError for a point of another
         space and UnknownPlaceholderError when the template names a parameter the
         space does not declare; SpawnFailureError when the command cannot be
-        started. Nonzero exit fails the trial and skips remaining repetitions; a
-        repetition exceeding job.timeout_s marks the trial timed out.
+        started, or the template does not split as a shell line. Nonzero exit
+        fails the trial and skips remaining repetitions; a repetition exceeding
+        job.timeout_s marks the trial timed out.
         """
-        space = self._space
-        rendered = {s.name: s.render(v) for s, v in zip(space.specs, space.point_key(point))}
+        rendered = self._space.render(point)
         unknown = sorted(set(PLACEHOLDER_RE.findall(job.artifact)) - rendered.keys())
         if unknown:
             raise UnknownPlaceholderError(
                 f"template references undeclared parameter(s): {', '.join(unknown)}"
             )
         # split before filling in, so each value reaches the job as one argument, byte for byte
-        argv = [PLACEHOLDER_RE.sub(lambda m: rendered[m.group(1)], arg)
-                for arg in shlex.split(job.artifact)]
+        try:
+            words = shlex.split(job.artifact)
+        except ValueError as exc:  # an unclosed quote, or a trailing backslash
+            raise SpawnFailureError(f"cannot split {job.artifact!r}: {exc}") from exc
+        argv = [PLACEHOLDER_RE.sub(lambda m: rendered[m.group(1)], arg) for arg in words]
         if not argv:
             raise SpawnFailureError("command template is empty after substitution")
         return repeat(job, lambda _rep: _run_once(argv, self._workdir, job.timeout_s))

@@ -171,7 +171,7 @@ class SshTransport:
 def assemble_hadoop_command(
     env: ClusterEnv, job: JobSpec, point: TrialPoint, space: ParamSpace
 ) -> str:
-    """The exact submission command run in the remote shell.
+    """The exact submission command run in the remote shell, one -D<name>=<text> per parameter.
 
     Every word is shell-quoted, so the job receives each value as recorded
     and each argument whole.
@@ -179,7 +179,8 @@ def assemble_hadoop_command(
     argv = [f"{env.hadoop_home}/bin/hadoop", "jar", Path(job.artifact).name]
     if job.main_entry:
         argv.append(job.main_entry)
-    return shlex.join(argv + space.render_config_args(point) + list(job.static_args))
+    argv += [f"-D{name}={text}" for name, text in space.render(point).items()]
+    return shlex.join(argv + list(job.static_args))
 
 
 def _sha256(path: Path) -> str:

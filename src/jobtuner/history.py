@@ -124,7 +124,7 @@ def record_to_row(record: TrialRecord, space: ParamSpace) -> list[str]:
     aggregate = record.aggregate_s
     return (
         [str(record.trial_id), record.strategy_id, record.timestamp.isoformat()]
-        + [s.render(v) for s, v in zip(space.specs, space.point_key(record.point))]
+        + list(space.render(record.point).values())
         + [
             record.result.status,
             ";".join(fmt_float(t) for t in record.result.rep_times_s),

@@ -13,7 +13,6 @@ its space's one names tuple, in spec order, so its values are its point key.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
@@ -163,9 +162,6 @@ class ParamSpec(CheckedTuple, _SpecFields):
             return self.values[k]
         # a float lattice's top value can land an ulp above upper (0.05 + 18*0.05)
         return min(self.lower + k * self.step, self.upper)
-
-    def grid_values(self) -> list[Value]:
-        return [self.lattice_value(k) for k in range(self.lattice_count())]
 
     # -- value codec -------------------------------------------------------
 
@@ -378,14 +374,27 @@ class ParamSpace:
 
     def iter_grid(self) -> Iterator[TrialPoint]:
         """Every grid point, last spec varying fastest, built one at a time."""
-        return (self._make_point(combo)
-                for combo in itertools.product(*(s.grid_values() for s in self.specs)))
+        # a generator, not a map: the grid searcher's yield from sends objectives into it
+        return (self._make_point(values) for values in _lattice_walk(self.specs))
 
     # -- rendering -----------------------------------------------------------
 
-    def render_config_args(self, point: TrialPoint) -> list[str]:
-        """One -D<name>=<value> per parameter of a point of this space, in spec order."""
-        return [f"-D{s.name}={s.render(v)}" for s, v in zip(self.specs, self.point_key(point))]
+    def render(self, point: TrialPoint) -> dict[str, str]:
+        """Each value's canonical text, keyed by name in spec order; checked like point_key."""
+        return {s.name: s.render(v) for s, v in zip(self.specs, self.point_key(point))}
+
+
+def _lattice_walk(specs: tuple[ParamSpec, ...]) -> Iterator[tuple[Value, ...]]:
+    """The values of every lattice point, last spec fastest, each from its index: no
+    axis's values are listed, so the first point costs the same on any lattice."""
+    if not specs:
+        yield ()
+        return
+    head, last = specs[:-1], specs[-1]
+    value, count = last.lattice_value, last.lattice_count()
+    for prefix in _lattice_walk(head):
+        for k in range(count):
+            yield prefix + (value(k),)
 
 
 # --- parameter file parsing ---------------------------------------------------

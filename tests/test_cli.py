@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import csv
 import json
 import logging
+import shlex
 import stat
 
 import pytest
 
 from helpers import bowl_job_conf, write_synthetic_project
 from jobtuner.cli import main
+from jobtuner.executors.base import ClusterEnv, JobSpec
+from jobtuner.executors.remote import assemble_hadoop_command
+from jobtuner.project import load_project
 
 SMALL_PARAMS = "a int min=1 max=4 step=1\nb int min=1 max=2 step=1\n"
 
@@ -353,3 +358,33 @@ def test_scaffold_cli_roundtrip(tmp_path):
 
 def test_scaffold_bad_kind_is_usage_error():
     assert main(["scaffold", "--kind", "castle", "--dir", "x"]) == 1
+
+
+def test_each_value_has_one_text_in_the_command_the_argv_the_csv_and_the_log(tmp_path, caplog):
+    # an int past 2**53, a float whose shortest text is long, and a categorical
+    expected = {"size": "9223372036854775807", "frac": "0.30000000000000004", "mode": "safe"}
+    root = tmp_path / "proj"
+    root.mkdir()
+    (root / "params.conf").write_text(
+        "size int min=9223372036854775807 max=9223372036854775807 step=1\n"
+        "frac float min=0.30000000000000004 max=0.9 step=0.1\n"
+        "mode cat values=safe,fast\n")
+    script = root / "job.sh"
+    script.write_text('#!/bin/sh\nprintf "%s\\n" "$@" > argv.txt\n')
+    script.chmod(script.stat().st_mode | stat.S_IXUSR)
+    (root / "job.conf").write_text("executor=local\ncommand=./job.sh {size} {frac} {mode}\n")
+    caplog.set_level(logging.INFO, logger="jobtuner")
+    assert main(["tune", "--dir", str(root), "--strategy", "grid", "--budget", "1"]) == 0
+
+    space = load_project(root).space
+    point = next(space.iter_grid())  # the one trial the session ran
+    assert point.values == (2**63 - 1, 0.1 * 3, "safe")
+    env = ClusterEnv("master", 22, "user", "key", "/work", "/usr/lib/hadoop", "/logs")
+    words = shlex.split(assemble_hadoop_command(env, JobSpec("job.jar"), point, space))
+    assert words[3:] == [f"-D{name}={text}" for name, text in expected.items()]
+    assert (root / "argv.txt").read_text().splitlines() == list(expected.values())
+    with open(root / "history" / "trials.csv", newline="") as fh:
+        row = list(csv.DictReader(fh))[0]
+    assert {name: row[name] for name in expected} == expected
+    assignment = ", ".join(f"{name}={text}" for name, text in expected.items())
+    assert f"best trial 1: {assignment} -> " in caplog.text

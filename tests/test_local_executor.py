@@ -132,6 +132,15 @@ def test_spawn_failure(tmp_path):
         run_template(" \t ", POINT, JobSpec(), SPACE)
 
 
+@pytest.mark.parametrize("template", ['touch ran "{mapreduce.reduce.tasks}', "touch ran \\"],
+                         ids=["unclosed_quote", "trailing_backslash"])
+def test_a_template_that_does_not_split_is_a_spawn_failure(tmp_path, template):
+    with pytest.raises(SpawnFailureError, match="cannot split") as caught:
+        run_template(template, POINT, JobSpec(), SPACE, workdir=tmp_path)
+    assert repr(template) in str(caught.value)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_executor_uses_workdir(tmp_path):
     write_script(tmp_path / "job.sh", "echo hi > out.txt\n")
     executor = LocalExecutor(SPACE, workdir=tmp_path)

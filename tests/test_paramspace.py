@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import shlex
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +18,8 @@ from jobtuner.errors import (
     InvalidPointError,
     ParamSyntaxError,
 )
+from jobtuner.executors.base import ClusterEnv, JobSpec
+from jobtuner.executors.remote import assemble_hadoop_command
 from jobtuner.paramspace import ParamSpace, ParamSpec, TrialPoint, parse_param_file
 
 
@@ -300,7 +305,9 @@ def _parse_keeps_long_max():
 
 def _job_receives_long_max():
     space = parse_param_file(LONG_MAX_LINE)
-    assert space.render_config_args(space.default_point()) == [f"-Dsplit.maxsize={LONG_MAX}"]
+    env = ClusterEnv("master", 22, "user", "key", "/work", "/usr/lib/hadoop", "/logs")
+    command = assemble_hadoop_command(env, JobSpec("job.jar"), space.default_point(), space)
+    assert shlex.split(command)[3:] == [f"-Dsplit.maxsize={LONG_MAX}"]
 
 
 def _spec_takes_an_odd_bound():
@@ -429,8 +436,8 @@ def _unhashable(space):
 
 def _render_uses_spec_order(space):
     point = space.point({"mapreduce.task.io.sort.mb": 256, "mapreduce.reduce.tasks": 8})
-    assert space.render_config_args(point) == ["-Dmapreduce.reduce.tasks=8",
-                                               "-Dmapreduce.task.io.sort.mb=256"]
+    assert list(space.render(point).items()) == [("mapreduce.reduce.tasks", "8"),
+                                                 ("mapreduce.task.io.sort.mb", "256")]
     assert space.point_key(point) == (8, 256)
 
 
@@ -507,7 +514,8 @@ def test_codec_characterization(line):
     decoded = [spec.decode_unit((k + 0.5) / span) for k in range(steps)]
     assert decoded == ties and list(map(type, decoded)) == list(map(type, ties))
     assert [spec.decode_unit(u) for u in (-0.0, 0.0, 1.0, -0.4, 1.7)] == specials
-    assert [spec.encode_value(v) for v in spec.grid_values()] == encodes
+    grid = [spec.lattice_value(k) for k in range(spec.lattice_count())]
+    assert [spec.encode_value(v) for v in grid] == encodes
 
 
 def test_decode_dimension_mismatch(two_param_space):
@@ -567,33 +575,55 @@ def test_float_lattice_top_value_is_the_upper_bound():
         assert point["x"] == 0.95
 
 
-# --- render_config_args ---------------------------------------------------------
+def test_grid_lists_no_axis_before_its_first_point():
+    # a list of the big axis's 10^7 values would take seconds and hundreds of MB
+    space = parse_param_file("split.maxsize int min=1 max=10000000 step=1\n"
+                             "c cat values=a,b,c,d")
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        first = list(itertools.islice(space.iter_grid(), 3))
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [p.values for p in first] == [(1, "a"), (1, "b"), (1, "c")]
+    assert elapsed < 0.5 and peak < 1 << 20, (elapsed, peak)
+
+
+# --- render -------------------------------------------------------------------
 
 def test_render_single_int():
     space = parse_param_file("mapreduce.reduce.tasks int min=1 max=16 step=1")
-    args = space.render_config_args(space.point({"mapreduce.reduce.tasks": 8}))
-    assert args == ["-Dmapreduce.reduce.tasks=8"]
+    text = space.render(space.point({"mapreduce.reduce.tasks": 8}))
+    assert text == {"mapreduce.reduce.tasks": "8"}
 
 
 def test_render_spec_order(two_param_space):
     point = two_param_space.point({"mapreduce.task.io.sort.mb": 256, "mapreduce.reduce.tasks": 8})
-    args = two_param_space.render_config_args(point)
-    assert args == [
-        "-Dmapreduce.reduce.tasks=8",
-        "-Dmapreduce.task.io.sort.mb=256",
+    text = two_param_space.render(point)
+    assert list(text.items()) == [
+        ("mapreduce.reduce.tasks", "8"),
+        ("mapreduce.task.io.sort.mb", "256"),
     ]
 
 
 def test_render_categorical():
     space = parse_param_file("mapreduce.map.output.compress cat values=true,false")
-    args = space.render_config_args(space.point({"mapreduce.map.output.compress": "true"}))
-    assert args == ["-Dmapreduce.map.output.compress=true"]
+    text = space.render(space.point({"mapreduce.map.output.compress": "true"}))
+    assert text == {"mapreduce.map.output.compress": "true"}
 
 
 def test_render_float_shortest_roundtrip():
     space = parse_param_file("frac float min=0 max=1 step=0.1")
-    args = space.render_config_args(space.point({"frac": 0.30000000000000004}))
-    assert args == ["-Dfrac=0.30000000000000004"]
+    text = space.render(space.point({"frac": 0.30000000000000004}))
+    assert text == {"frac": "0.30000000000000004"}
+
+
+def test_render_refuses_a_point_of_another_space(two_param_space):
+    other = parse_param_file("frac float min=0 max=1 step=0.1")
+    with pytest.raises(InvalidPointError, match="are not the space's"):
+        two_param_space.render(other.default_point())
 
 
 # --- properties over randomized spaces --------------------------------------------
