@@ -118,7 +118,7 @@ class HistoryCorruptError(TunerError):
 
 
 class SpaceMismatchError(TunerError):
-    """The parameter space on disk no longer matches the session manifest."""
+    """The parameter space or job on disk no longer matches the session manifest."""
 
 
 class SessionExistsError(TunerError):

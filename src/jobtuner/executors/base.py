@@ -46,32 +46,38 @@ class JobSpec(CheckedTuple, _JobFields):
             raise ValueError(f"timeout_s must be finite, got {timeout_s}")
         if repetitions < 1:
             raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-        return tuple.__new__(cls, (artifact, main_entry, tuple(static_args), timeout_s,
+        static_args = tuple(static_args)
+        if cleanup_output and not static_args:
+            raise ValueError("cleanup_output needs args: the last is the output path")
+        return tuple.__new__(cls, (artifact, main_entry, static_args, timeout_s,
                                    repetitions, cleanup_output))
 
 
 class _EnvFields(NamedTuple):
-    master_host: str
+    master: str
     port: int
     user: str
-    auth_key_path: str
+    key_path: str
     remote_workdir: str
     hadoop_home: str
     history_log_dir: str
 
 
 class ClusterEnv(CheckedTuple, _EnvFields):
-    """Where the cluster lives and which remote paths the harness may use; immutable."""
+    """Where the cluster lives and which remote paths the harness may use; immutable.
+
+    Its fields are HadoopEnv.txt's keys, in order.
+    """
 
     __slots__ = ()
 
-    def __new__(cls, master_host: str, port: int, user: str, auth_key_path: str,
+    def __new__(cls, master: str, port: int, user: str, key_path: str,
                 remote_workdir: str, hadoop_home: str, history_log_dir: str) -> ClusterEnv:
         if not 1 <= port <= 65535:
             raise ValueError(f"port must be in [1, 65535], got {port}")
-        env = tuple.__new__(cls, (master_host, port, user, auth_key_path, remote_workdir,
+        env = tuple.__new__(cls, (master, port, user, key_path, remote_workdir,
                                   hadoop_home, history_log_dir))
-        for name in ("master_host", "user", "auth_key_path", "remote_workdir",
+        for name in ("master", "user", "key_path", "remote_workdir",
                      "hadoop_home", "history_log_dir"):
             if not getattr(env, name):
                 raise ValueError(f"{name} must be nonempty")

@@ -107,8 +107,8 @@ class SshTransport:
         e = self._env
         try:
             proc = subprocess.run(
-                [self._ssh_bin, "-i", e.auth_key_path, "-p", str(e.port), *_LINK_OPTIONS,
-                 f"{e.user}@{e.master_host}", command],
+                [self._ssh_bin, "-i", e.key_path, "-p", str(e.port), *_LINK_OPTIONS,
+                 f"{e.user}@{e.master}", command],
                 stdin=stdin, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=timeout_s)
         except subprocess.TimeoutExpired as exc:
             # what the command printed by then, as bytes even in text mode
@@ -119,7 +119,7 @@ class SshTransport:
             raise ConnectError(f"ssh binary not found: {exc}") from exc
         if proc.returncode == 255:
             # ssh reserves 255 for its own (connection) failures
-            raise ConnectError(f"cannot reach {e.user}@{e.master_host}: {proc.stderr.strip()}")
+            raise ConnectError(f"cannot reach {e.user}@{e.master}: {proc.stderr.strip()}")
         return proc
 
     def run(self, command: str, timeout_s: float | None = None,

@@ -7,7 +7,7 @@ A project root contains:
     HadoopEnv.txt      cluster endpoint (remote projects only)
     jobs.conf          optional list of job files for batch runs
     history/           trial history, session manifest, reports
-    downloaded_results/  per-trial YARN application logs fetched from the cluster
+    downloaded_results/  YARN application logs fetched from the cluster, per trial or run
 """
 
 from __future__ import annotations
@@ -34,18 +34,14 @@ JOB_FILE = "job.conf"
 ENV_FILE = "HadoopEnv.txt"
 JOBS_LIST_FILE = "jobs.conf"
 
-EXECUTOR_KINDS = ("synthetic", "local", "remote")
-
-# the job-file key that names what a trial runs, by executor kind
-_ARTIFACT_KEYS = {"local": "command", "remote": "jar"}
-
-_ENV_KEYS = ("master", "port", "user", "key_path", "remote_workdir",
-             "hadoop_home", "history_log_dir")
-
-# every key a job file may hold; seed, which older versions read, is refused on a synthetic job
-_JOB_KEYS = frozenset(("executor", "command", "jar", "main_entry", "args", "timeout_s",
-                       "repetitions", "cleanup_output", "strategy", "budget", "family", "base_s",
-                       "weights", "optimum", "noise_sd_s", "surface_seed", "table", "seed"))
+# the keys a job file reads, by executor kind, besides _RUN_KEYS; a local or remote job's
+# first key names what a trial runs, and its seed, which older versions read, is ignored
+_KIND_KEYS = {
+    "synthetic": ("family", "base_s", "weights", "optimum", "noise_sd_s", "surface_seed", "table"),
+    "local": ("command", "seed"),
+    "remote": ("jar", "main_entry", "args", "cleanup_output", "seed"),
+}
+_RUN_KEYS = ("executor", "timeout_s", "repetitions", "strategy", "budget")
 
 
 class Project(NamedTuple):
@@ -136,26 +132,18 @@ def parse_int(kv: dict[str, str], key: str, default: int | None = None, *,
 
 
 def parse_env_file(text: str) -> ClusterEnv:
-    """Parse HadoopEnv.txt into a ClusterEnv.
+    """Parse HadoopEnv.txt, whose keys are ClusterEnv's fields, into a ClusterEnv.
 
-    Raises MissingKeyError for absent required keys and BadValueError for
-    an unknown key or a port that is not an integer.
+    Raises MissingKeyError for an absent or empty key and BadValueError for
+    an unknown key or a port that is not an integer in range.
     """
     kv = parse_kv_file(text, ENV_FILE)
-    _refuse_unknown(kv, _ENV_KEYS, ENV_FILE)
-    for key in _ENV_KEYS:
-        if key not in kv or not kv[key]:
+    _refuse_unknown(kv, ClusterEnv._fields, ENV_FILE)
+    for key in ClusterEnv._fields:
+        if not kv.get(key):
             raise MissingKeyError(key, ENV_FILE)
     try:
-        return ClusterEnv(
-            master_host=kv["master"],
-            port=parse_int(kv, "port", filename=ENV_FILE),
-            user=kv["user"],
-            auth_key_path=kv["key_path"],
-            remote_workdir=kv["remote_workdir"],
-            hadoop_home=kv["hadoop_home"],
-            history_log_dir=kv["history_log_dir"],
-        )
+        return ClusterEnv(**{**kv, "port": parse_int(kv, "port", filename=ENV_FILE)})
     except ValueError as exc:
         raise BadValueError("port", str(exc), ENV_FILE) from None
 
@@ -190,21 +178,23 @@ def parse_job_file(text: str, filename: str = JOB_FILE
                    ) -> tuple[JobSpec, str, SurfaceSpec | None, dict[str, str | int]]:
     """Parse a job file: returns (job, executor_kind, surface, tune defaults).
 
-    The tune defaults hold the strategy as written and the budget as an int. A key it does
-    not read is refused. A synthetic job's noise seed is surface_seed alone, so a seed key
-    is refused. Errors name filename.
+    The tune defaults hold the strategy as written and the budget as an int. A key that
+    the executor kind does not read is refused. A synthetic job's noise seed is
+    surface_seed alone, so a seed key is refused. Errors name filename.
     """
     kv = parse_kv_file(text, filename)
-    _refuse_unknown(kv, _JOB_KEYS, filename)
     kind = kv.get("executor", "")
-    if kind not in EXECUTOR_KINDS:
-        raise BadValueError("executor", f"must be one of {', '.join(EXECUTOR_KINDS)}", filename)
+    if kind not in _KIND_KEYS:
+        raise BadValueError("executor", f"must be one of {', '.join(_KIND_KEYS)}", filename)
+    if kind == "synthetic" and "seed" in kv:
+        raise BadValueError("seed", "the noise seed is surface_seed; move it there", filename)
+    _refuse_unknown(kv, _RUN_KEYS + _KIND_KEYS[kind], filename)
 
     artifact = ""
-    if kind in _ARTIFACT_KEYS:
-        artifact = kv.get(_ARTIFACT_KEYS[kind], "")
+    if kind != "synthetic":
+        artifact = kv.get(_KIND_KEYS[kind][0], "")
         if not artifact:
-            raise MissingKeyError(_ARTIFACT_KEYS[kind], filename)
+            raise MissingKeyError(_KIND_KEYS[kind][0], filename)
 
     try:
         job = JobSpec(
@@ -235,8 +225,6 @@ def parse_job_file(text: str, filename: str = JOB_FILE
             )
         except ValueError as exc:
             raise BadValueError("surface", str(exc), filename) from None
-        if "seed" in kv:
-            raise BadValueError("seed", "the noise seed is surface_seed; move it there", filename)
 
     defaults: dict[str, str | int] = {"strategy": kv["strategy"]} if "strategy" in kv else {}
     if "budget" in kv:

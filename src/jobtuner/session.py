@@ -70,6 +70,17 @@ def space_hash(space: ParamSpace) -> str:
     return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
 
 
+def job_hash(project: Project) -> str:
+    """A hash of what a trial runs and how it is measured: the executor kind, the job and the
+    surface, each value named here, so that a field added to JobSpec later changes no hash."""
+    job, s = project.job, project.surface
+    parts = [project.executor_kind, job.artifact, job.main_entry, job.static_args, job.timeout_s,
+             job.repetitions, job.cleanup_output]
+    if s is not None:
+        parts += [s.family, s.base_s, s.weights, s.optimum, s.noise_sd_s, s.seed, s.table]
+    return hashlib.sha256("\n".join(map(repr, parts)).encode("utf-8")).hexdigest()
+
+
 def make_executor(project: Project, log_dir_prefix: str = "trial") -> Executor:
     """Build the project's executor; log_dir_prefix names a remote one's log directories."""
     if project.executor_kind == "synthetic":
@@ -112,7 +123,8 @@ def resume_session(project: Project, executor: Executor | None = None) -> Sessio
     synthetic session that is not job.conf's surface_seed. Entries it does
     not read, such as the memoize flag and opt_* settings older versions
     wrote, are ignored. Raises HistoryCorruptError, leaving the manifest
-    unchanged, when the history does not read or replay.
+    unchanged, when the history does not read or replay. Raises
+    SpaceMismatchError, changing nothing, when params.conf or the job changed.
     """
     manifest = read_manifest(project.root)
     if manifest.get("space_hash") != space_hash(project.space):
@@ -126,6 +138,9 @@ def resume_session(project: Project, executor: Executor | None = None) -> Sessio
     seed = manifest.get("seed") if project.surface is not None else None
     if seed and parse_int(manifest, "seed", filename=MANIFEST_FILE) != project.surface.seed:
         raise BadValueError("seed", f"set surface_seed={seed} in job.conf to resume", MANIFEST_FILE)
+    recorded = manifest.get("job_hash")  # which a manifest older versions wrote lacks
+    if recorded is not None and recorded != job_hash(project):
+        raise SpaceMismatchError("job.conf changed since this session started; refusing to resume")
     return _session(project, strategy_id, budget, executor, fresh=False)
 
 
@@ -170,7 +185,7 @@ def _session(project: Project, strategy_id: str, budget: int, executor: Executor
         # the manifest says interrupted until the loop completes, so a kill leaves it true
         status = STATUS_INTERRUPTED
         entries = {"strategy": strategy_id, "budget": budget, "space_hash": space_hash(space),
-                   "status": status}
+                   "job_hash": job_hash(project), "status": status}
         write_manifest(root, entries)
         try:
             while writer.last_id < budget and (point := searcher.propose()) is not None:

@@ -363,8 +363,8 @@ HADOOP_STDOUT = (
 
 def test_criterion_9_remote_double(tmp_path):
     env = ClusterEnv(
-        master_host="192.168.1.10", port=22, user="hadoop",
-        auth_key_path="/keys/id", remote_workdir="/tmp/staging",
+        master="192.168.1.10", port=22, user="hadoop",
+        key_path="/keys/id", remote_workdir="/tmp/staging",
         hadoop_home="/opt/hadoop",
         history_log_dir="/var/log/hadoop-yarn/aggregated",
     )

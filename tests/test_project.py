@@ -14,12 +14,14 @@ from jobtuner.errors import (
     MissingFileError,
     MissingKeyError,
 )
+from jobtuner.executors.base import ClusterEnv
 from jobtuner.history import read_manifest, write_manifest
 from jobtuner.project import (
     ENV_FILE,
     load_project,
     parse_env_file,
     parse_job_file,
+    parse_kv_file,
     scaffold,
 )
 
@@ -39,7 +41,7 @@ history_log_dir=/var/log/hadoop-yarn/aggregated
 
 def test_parse_env_file_happy_path():
     env = parse_env_file(ENV_TEXT)
-    assert env.master_host == "192.168.1.10"
+    assert env.master == "192.168.1.10"
     assert env.port == 22
     assert env.user == "hadoop"
     assert env.history_log_dir == "/var/log/hadoop-yarn/aggregated"
@@ -68,9 +70,14 @@ def test_env_and_job_errors_name_their_file():
         parse_env_file(ENV_TEXT.replace("port=22", "port=ssh"))
     with pytest.raises(BadValueError, match="'budget' in job.conf: '3.5' is not an integer"):
         parse_job_file(bowl_job_conf() + "budget=3.5\n")
-    assert parse_job_file(bowl_job_conf() + "cleanup_output=no\n")[0].cleanup_output is False
+    remote = "executor=remote\njar=app.jar\nargs=/in /out\n"
+    assert parse_job_file(remote + "cleanup_output=no\n")[0].cleanup_output is False
     with pytest.raises(BadValueError, match="'cleanup_output' in job.conf"):
-        parse_job_file(bowl_job_conf() + "cleanup_output=maybe\n")
+        parse_job_file(remote + "cleanup_output=maybe\n")
+    # the last arg is the output path that cleanup_output removes
+    with pytest.raises(BadValueError, match="'job' in job.conf: cleanup_output needs args: the "
+                                            "last is the output path$"):
+        parse_job_file("executor=remote\njar=app.jar\ncleanup_output=true\n")
     with pytest.raises(BadValueError, match="'job' in job.conf: repetitions must be >= 1"):
         parse_job_file(bowl_job_conf(repetitions=0))
     with pytest.raises(BadValueError, match="'surface' in job.conf: noise_sd_s must be >= 0"):
@@ -120,6 +127,43 @@ def test_parse_job_tune_defaults():
         "executor=remote\njar=app.jar\nstrategy=compass\nbudget=40\nseed=3\n"
     )
     assert defaults == {"strategy": "compass", "budget": 40}
+
+
+# each executor kind's job file with every key it reads
+FULL_JOB_FILES = {
+    "synthetic": "executor=synthetic\nfamily=lookup_table\nbase_s=100\nweights=50,80\n"
+                 "optimum=0.7,0.3\nnoise_sd_s=1\nsurface_seed=7\ntable=0,0=9;1,1=2\n",
+    "local": "executor=local\ncommand=run {a}\nseed=3\n",
+    "remote": "executor=remote\njar=app.jar\nmain_entry=WordCount\nargs=/in /out\n"
+              "cleanup_output=true\nseed=3\n",
+}
+RUN_KEYS = "timeout_s=60\nrepetitions=2\nstrategy=compass\nbudget=40\n"
+
+
+@pytest.mark.parametrize("kind", FULL_JOB_FILES)
+def test_each_kind_loads_every_key_it_reads(kind):
+    job, parsed_kind, surface, defaults = parse_job_file(FULL_JOB_FILES[kind] + RUN_KEYS)
+    assert parsed_kind == kind
+    assert (job.timeout_s, job.repetitions) == (60.0, 2)
+    assert defaults == {"strategy": "compass", "budget": 40}
+    assert (surface is not None) == (kind == "synthetic")
+
+
+# each kind with a key that only another kind reads
+FOREIGN_KEYS = [
+    ("local", "args=--extra 1"), ("local", "cleanup_output=true"), ("local", "main_entry=Foo"),
+    ("local", "jar=x.jar"), ("local", "family=bowl"), ("local", "base_s=oops"),
+    ("remote", "command=ls"), ("remote", "family=bowl"), ("remote", "surface_seed=1"),
+    ("synthetic", "jar=x.jar"), ("synthetic", "command=ls"), ("synthetic", "args=/in /out"),
+    ("synthetic", "main_entry=Foo"), ("synthetic", "cleanup_output=true"),
+]
+
+
+@pytest.mark.parametrize("kind, line", FOREIGN_KEYS)
+def test_a_key_another_executor_kind_reads_is_refused_naming_it_and_its_file(kind, line):
+    key = line.partition("=")[0]
+    with pytest.raises(BadValueError, match=f"^bad value for key '{key}' in two.conf: unknown key$"):
+        parse_job_file(FULL_JOB_FILES[kind] + line + "\n", "two.conf")
 
 
 def test_a_synthetic_job_file_holding_a_seed_is_refused(tmp_path):
@@ -419,6 +463,20 @@ def test_scaffold_closed_loop(tmp_path, kind):
     if kind == "tuning":
         assert project.tune_defaults == {"strategy": "bobyqa-lite", "budget": 50}
         assert "seed" not in (target / "job.conf").read_text()
+
+
+@pytest.mark.parametrize("kind", ["task", "project", "tuning"])
+def test_each_scaffold_holds_the_schema_of_its_files(tmp_path, kind):
+    # HadoopEnv.txt's keys are ClusterEnv's fields; the job file holds a remote job's keys
+    target = tmp_path / kind
+    scaffold(kind, target)
+    assert list(parse_kv_file((target / ENV_FILE).read_text(), ENV_FILE)) == \
+        list(ClusterEnv._fields)
+    fill_placeholders(target)
+    job, executor_kind, _, _ = parse_job_file((target / "job.conf").read_text())
+    assert executor_kind == "remote"
+    assert (job.artifact, job.main_entry, job.static_args, job.cleanup_output) == \
+        ("app.jar", "WordCount", ("/in", "/out"), True)
 
 
 def test_scaffold_refuses_nonempty_dir(tmp_path):

@@ -33,10 +33,10 @@ from jobtuner.project import load_project
 from jobtuner.session import resume_session, run_tuning
 
 ENV = ClusterEnv(
-    master_host="192.168.1.10",
+    master="192.168.1.10",
     port=22,
     user="hadoop",
-    auth_key_path="/keys/id_ed25519",
+    key_path="/keys/id_ed25519",
     remote_workdir="/tmp/staging",
     hadoop_home="/opt/hadoop",
     history_log_dir="/var/log/hadoop-yarn/aggregated",
@@ -625,7 +625,7 @@ from pathlib import Path
 
 from jobtuner.executors.remote import ClusterEnv, SshTransport
 
-env = ClusterEnv(master_host="master", port=22, user="hadoop", auth_key_path="/keys/id",
+env = ClusterEnv(master="master", port=22, user="hadoop", key_path="/keys/id",
                  remote_workdir="/tmp/staging", hadoop_home="/opt/hadoop",
                  history_log_dir="/var/log/hadoop-yarn/aggregated")
 ssh_bin, remote, local = sys.argv[1:]
@@ -678,7 +678,7 @@ class CopyingTransport(ScriptedTransport):
         shutil.copyfile(log_file, local / Path(remote).name / "syslog")
 
 
-env = ClusterEnv(master_host="master", port=22, user="hadoop", auth_key_path="/keys/id",
+env = ClusterEnv(master="master", port=22, user="hadoop", key_path="/keys/id",
                  remote_workdir="/tmp/staging", hadoop_home="/opt/hadoop",
                  history_log_dir=ScriptedTransport.log_root)
 space = parse_param_file("a int min=1 max=4 step=1")
@@ -958,8 +958,8 @@ def remote_project(root: Path, job_keys: str = ""):
         "executor=remote\njar=app.jar\nmain_entry=WordCount\nargs=/data/in /data/out\n"
         + job_keys)
     (root / "HadoopEnv.txt").write_text(
-        f"master={ENV.master_host}\nport={ENV.port}\nuser={ENV.user}\n"
-        f"key_path={ENV.auth_key_path}\nremote_workdir={ENV.remote_workdir}\n"
+        f"master={ENV.master}\nport={ENV.port}\nuser={ENV.user}\n"
+        f"key_path={ENV.key_path}\nremote_workdir={ENV.remote_workdir}\n"
         f"hadoop_home={ENV.hadoop_home}\nhistory_log_dir={ENV.history_log_dir}\n")
     make_project(root)
     return load_project(root)
@@ -1029,3 +1029,22 @@ def test_a_remote_session_with_an_older_seed_loads_and_resumes(tmp_path):
     records = read_trials(project.root, project.space)
     assert [r.point["mapreduce.reduce.tasks"] for r in records] == [1, 2, 3, 4]
     assert "seed" not in read_manifest(project.root)
+
+
+def test_a_remote_session_resumes_after_its_cluster_endpoint_changed(tmp_path):
+    # HadoopEnv.txt says where the job runs, not what it runs: a moved cluster resumes
+    project = remote_project(tmp_path / "proj", "cleanup_output=true\n")
+    transport = ScriptedTransport(hadoop_stdout=HADOOP_STDOUT)
+    with pytest.raises(ConnectError):
+        run_tuning(project, "grid", budget=4, executor=InterruptingExecutor(
+            RemoteExecutor(project.space, project.env, project.root, transport), allow=2))
+    env = project.root / "HadoopEnv.txt"
+    env.write_text(env.read_text().replace(f"master={ENV.master}", "master=10.0.0.2")
+                   .replace(f"port={ENV.port}", "port=2222"))
+    project = load_project(project.root)
+    assert (project.env.master, project.env.port) == ("10.0.0.2", 2222)
+    summary = resume_session(
+        project, RemoteExecutor(project.space, project.env, project.root, transport))
+    assert summary.trial_count == 4
+    records = read_trials(project.root, project.space)
+    assert [r.point["mapreduce.reduce.tasks"] for r in records] == [1, 2, 3, 4]

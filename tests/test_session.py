@@ -38,6 +38,7 @@ from jobtuner.history import (HistoryWriter, SessionLock, TrialRecord, read_mani
                               read_raw_records, read_trials,
                               write_manifest as real_write_manifest)
 from jobtuner.paramspace import parse_param_file
+from jobtuner.project import load_project
 from jobtuner.search import STRATEGIES, strategy_ids
 from jobtuner.session import (
     aggregate_history,
@@ -468,6 +469,63 @@ def test_resume_rejects_changed_space(tmp_path):
         resume_session(reloaded)
 
 
+def _cut_noisy_grid_session(tmp_path):
+    """A grid session over 8 points on a noisy surface, cut after 3 trials."""
+    project = small_project(tmp_path, noise=1.0)
+    with pytest.raises(ConnectError):
+        run_tuning(project, "grid", budget=8,
+                   executor=InterruptingExecutor(make_executor(project), allow=3))
+    return project
+
+
+@pytest.mark.parametrize("old, new", [
+    ("repetitions=1\nsurface_seed=0", "repetitions=3\nsurface_seed=0"),
+    ("base_s=100.0", "base_s=5000.0"),
+    ("noise_sd_s=1.0", "noise_sd_s=2.0"),
+    ("surface_seed=0", "surface_seed=0\ntimeout_s=60"),
+], ids=["repetitions", "base_s", "noise_sd_s", "timeout_s"])
+def test_resume_refuses_a_changed_job_and_changes_no_byte(tmp_path, caplog, old, new):
+    # one history must not hold trials measured by two jobs
+    project = _cut_noisy_grid_session(tmp_path)
+    job = project.root / "job.conf"
+    assert old in job.read_text()
+    job.write_text(job.read_text().replace(old, new))
+    hist = project.root / "history"
+    before = {p.name: p.read_bytes() for p in hist.iterdir()}
+    with pytest.raises(SpaceMismatchError, match="^job.conf changed since this session started"):
+        resume_session(load_project(project.root))
+    assert main(["resume", "--dir", str(project.root)]) == 2
+    assert "job.conf changed" in caplog.text
+    assert {p.name: p.read_bytes() for p in hist.iterdir()} == before
+
+
+def test_a_manifest_without_a_job_hash_resumes_trial_for_trial(tmp_path):
+    # older versions wrote no job_hash; such a session resumes as it did there
+    full = small_project(tmp_path, noise=1.0, name="full")
+    run_tuning(full, "grid", budget=8)
+    project = _cut_noisy_grid_session(tmp_path)
+    manifest = project.root / "history" / "session.conf"
+    lines = manifest.read_text().splitlines(keepends=True)
+    manifest.write_text("".join(line for line in lines if not line.startswith("job_hash=")))
+    assert "job_hash" not in read_manifest(project.root)
+    assert resume_session(project).trial_count == 8
+    assert [(r.trial_id, r.point, r.result) for r in read_trials(project.root, project.space)] \
+        == [(r.trial_id, r.point, r.result) for r in read_trials(full.root, full.space)]
+    assert manifest.read_bytes() == (full.root / "history" / "session.conf").read_bytes()
+
+
+def test_a_session_resumes_trial_for_trial_after_the_tune_defaults_changed(tmp_path):
+    # strategy= and budget= in job.conf are defaults for tune, not what a trial runs
+    full = small_project(tmp_path, noise=1.0, name="full")
+    run_tuning(full, "grid", budget=8)
+    project = _cut_noisy_grid_session(tmp_path)
+    job = project.root / "job.conf"
+    job.write_text(job.read_text() + "strategy=compass\nbudget=99\n")
+    assert main(["resume", "--dir", str(project.root)]) == 0
+    assert [(r.trial_id, r.point, r.result) for r in read_trials(project.root, project.space)] \
+        == [(r.trial_id, r.point, r.result) for r in read_trials(full.root, full.space)]
+
+
 def test_resume_of_a_memoized_session_equals_an_uninterrupted_one(tmp_path):
     job = {"noise_sd_s": 3.0, "repetitions": 2, "surface_seed": 5}
     full = coarse_project(tmp_path, "full", **job)
@@ -490,6 +548,7 @@ def test_resume_of_a_memoized_session_equals_an_uninterrupted_one(tmp_path):
 COMPASS_MANIFEST = (
     b"strategy=compass\nbudget=6\n"
     b"space_hash=0f7f9359967a69056e404a54b4ef93e4ec06fe478f4407168d3a03f5f47aa52a\n"
+    b"job_hash=3f8d4f2cdfc0b06f21bdadcb28541a249a0d7a24bcfdd3cc427ca7ca95b712b0\n"
     b"status=finished\n"
 )
 

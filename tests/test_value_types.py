@@ -50,7 +50,7 @@ def space() -> ParamSpace:
 
 
 def env() -> ClusterEnv:
-    return ClusterEnv(master_host="h", port=22, user="u", auth_key_path="/k",
+    return ClusterEnv(master="h", port=22, user="u", key_path="/k",
                       remote_workdir="/w", hadoop_home="/hh", history_log_dir="/l")
 
 
@@ -82,7 +82,7 @@ CONTRACT = {
     ),
     "ClusterEnv": (
         env,
-        "ClusterEnv(master_host='h', port=22, user='u', auth_key_path='/k', remote_workdir='/w', "
+        "ClusterEnv(master='h', port=22, user='u', key_path='/k', remote_workdir='/w', "
         "hadoop_home='/hh', history_log_dir='/l')",
         "port",
     ),
@@ -123,6 +123,10 @@ BAD_REPLACE = {
                             ValueError, "repetitions must be >= 1, got 0"),
     "JobSpec-timeout": (lambda: JobSpec()._replace(timeout_s=0),
                         ValueError, "timeout_s must be > 0, got 0"),
+    # the last arg is the output path that cleanup_output removes
+    "JobSpec-cleanup-without-args": (
+        lambda: JobSpec(static_args=("/out",), cleanup_output=True)._replace(static_args=()),
+        ValueError, "^cleanup_output needs args: the last is the output path$"),
     "SurfaceSpec-base": (lambda: SurfaceSpec(family="bowl", base_s=100, weights=(1,),
                                              optimum=(0.5,))._replace(base_s=0.0),
                          ValueError, "base_s must be > 0"),
