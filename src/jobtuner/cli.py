@@ -181,11 +181,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
-    try:
         return args.run(args)
-    except SystemExit as exc:  # parser.error inside a command
+    except SystemExit as exc:  # a usage error, or parser.error inside a command
         return exc.code if isinstance(exc.code, int) else 1
     except (TunerError, OSError) as exc:
         log.error("%s", exc)

@@ -47,7 +47,7 @@ class JobSpec(CheckedTuple, _JobFields):
         if repetitions < 1:
             raise ValueError(f"repetitions must be >= 1, got {repetitions}")
         static_args = tuple(static_args)
-        if cleanup_output and not static_args:
+        if cleanup_output and not (static_args and static_args[-1]):
             raise ValueError("cleanup_output needs args: the last is the output path")
         return tuple.__new__(cls, (artifact, main_entry, static_args, timeout_s,
                                    repetitions, cleanup_output))

@@ -84,6 +84,7 @@ class RemoteTransport(Protocol):
     TransportTimeout when the command runs past timeout_s. put_file and
     fetch_dir raise ConnectError for a lost cluster and OSError for anything
     else, a missing remote directory included. ConnectError is no OSError.
+    put_file makes the directory of the file it writes.
     """
 
     def run(self, command: str, timeout_s: float | None = None,
@@ -96,7 +97,7 @@ class RemoteTransport(Protocol):
 
 class SshTransport:
     """Runs every call, file copies included, as one process of the system ssh
-    binary with public-key auth, so the master needs only sh, cat and tar."""
+    binary with public-key auth, so the master needs only sh, mkdir, cat and tar."""
 
     def __init__(self, env: ClusterEnv, ssh_bin: str = "ssh"):
         self._env = env
@@ -129,8 +130,9 @@ class SshTransport:
         return ShellResult(proc.returncode, proc.stdout, proc.stderr)
 
     def put_file(self, local: Path, remote: str) -> None:
+        parent = shlex.quote(str(PurePosixPath(remote).parent))
         with open(local, "rb") as jar:  # ssh reads the file itself, so it is never held here
-            proc = self._ssh(f"cat > {shlex.quote(remote)}", stdin=jar)
+            proc = self._ssh(f"mkdir -p {parent} && cat > {shlex.quote(remote)}", stdin=jar)
         if proc.returncode:
             raise OSError("file transfer failed: " + proc.stderr.strip().partition("\n")[0])
 
@@ -230,10 +232,7 @@ class RemoteExecutor(Executor):
             return
         digest = _sha256(local)
         check = self._transport.run(shlex.join(["sha256sum", remote_path]) + " 2>/dev/null")
-        if check.exit_code != 0 or check.stdout.split()[:1] != [digest]:
-            mkdir = self._transport.run(shlex.join(["mkdir", "-p", self._env.remote_workdir]))
-            if mkdir.exit_code != 0:
-                raise StagingError(f"cannot create remote workdir: {mkdir.stderr.strip()}")
+        if check.stdout.split()[:1] != [digest]:
             try:
                 self._transport.put_file(local, remote_path)
             except OSError as exc:
@@ -246,11 +245,10 @@ class RemoteExecutor(Executor):
         command = assemble_hadoop_command(self._env, job, point, self._space)
         self._stage_artifact(job)
 
-        output_path = job.static_args[-1] if job.static_args else None
         bin_dir = f"{self._env.hadoop_home}/bin"
         # MapReduce refuses to write an output path that exists
-        remove_output = (shlex.join([f"{bin_dir}/hadoop", "fs", "-rm", "-r", "-f", output_path])
-                         if job.cleanup_output and output_path else None)
+        remove_output = (shlex.join([f"{bin_dir}/hadoop", "fs", "-rm", "-r", "-f",
+                                     job.static_args[-1]]) if job.cleanup_output else None)
         outputs: list[str] = []  # each repetition's client output
 
         def run_once(_rep: int) -> float | str:
@@ -258,7 +256,8 @@ class RemoteExecutor(Executor):
                 # -f makes a missing path exit 0: any other exit leaves an output every run refuses
                 rm = self._transport.run(remove_output)
                 if rm.exit_code != 0:
-                    raise StagingError(f"cannot remove output {output_path}: {rm.stderr.strip()}")
+                    raise StagingError(
+                        f"cannot remove output {job.static_args[-1]}: {rm.stderr.strip()}")
             start = time.perf_counter()
             try:
                 res = self._transport.run(

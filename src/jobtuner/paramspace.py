@@ -102,8 +102,8 @@ class ParamSpec(CheckedTuple, _SpecFields):
             raise DomainError(f"{name}: unknown kind {kind!r}")
 
         if kind == KIND_CAT:
-            if not values:
-                raise DomainError(f"{name}: categorical needs at least one value")
+            if not values or (lower, upper, step) != (None, None, None):
+                raise DomainError(f"{name}: categorical needs values, and no lower, upper or step")
             if len(set(values)) != len(values):
                 raise DomainError(f"{name}: categorical values must be distinct")
             if default is None:

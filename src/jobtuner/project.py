@@ -240,7 +240,7 @@ def not_utf8(name: str, exc: UnicodeDecodeError) -> TunerError:
 
 def _read(root: Path, name: str) -> str:
     try:
-        return (root / name).read_text(encoding="utf-8")
+        return (root / name).read_text(encoding="utf-8").removeprefix("\ufeff")
     except FileNotFoundError:
         raise MissingFileError(name) from None
     except UnicodeDecodeError as exc:

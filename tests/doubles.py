@@ -61,8 +61,6 @@ class ScriptedTransport:
                 digest = hashlib.sha256(self.staged[path]).hexdigest()
                 return ShellResult(0, f"{digest}  {path}\n", "")
             return ShellResult(1, "", "No such file or directory\n")
-        if command.startswith("mkdir "):
-            return ShellResult(0, "", "")
         if "/bin/hadoop jar " in command and self.hadoop_timeout:
             raise TransportTimeout("scripted timeout",
                                    f"{self.hadoop_stdout}\n{self.hadoop_stderr}")

@@ -94,6 +94,9 @@ def test_parse_unknown_kind():
         pytest.param(dict(kind="float", lower=0.0, step=0.5), id="spec-numeric-without-upper"),
         pytest.param(dict(kind="int", lower=1, upper=4, step=1, values=("a",)),
                      id="spec-numeric-with-values"),
+        pytest.param(dict(kind="cat", lower=1, upper=5, step=2, values=("a", "b")),
+                     id="spec-cat-with-bounds"),
+        pytest.param(dict(kind="cat", step=2, values=("a", "b")), id="spec-cat-with-step"),
         pytest.param(dict(kind="int", lower=1.5, upper=4, step=1), id="spec-int-bound-not-whole"),
         pytest.param(dict(kind="int", lower=1, upper=4, step=1, default=2.5),
                      id="spec-int-default-not-whole"),

@@ -13,6 +13,7 @@ from jobtuner.errors import (
     DomainError,
     MissingFileError,
     MissingKeyError,
+    TunerError,
 )
 from jobtuner.executors.base import ClusterEnv
 from jobtuner.history import read_manifest, write_manifest
@@ -219,6 +220,22 @@ def test_a_misspelled_key_is_refused_naming_it_and_its_file(tmp_path, name):
     (d / name).write_text((d / name).read_text() + line + "\n")
     key = line.partition("=")[0]
     with pytest.raises(BadValueError, match=f"^bad value for key '{key}' in {name}: unknown key$"):
+        load_project(d)
+
+
+@pytest.mark.parametrize("name", ["params.conf", "job.conf", "two.conf", "jobs.conf", ENV_FILE])
+def test_a_file_saved_with_a_byte_order_mark_loads_as_without_it(tmp_path, name):
+    # some editors start a UTF-8 file with U+FEFF, which is no part of its first key
+    d = remote_project_of_two_jobs(tmp_path / "p")
+    unmarked = load_project(d)
+    (d / name).write_bytes(b"\xef\xbb\xbf" + (d / name).read_bytes())
+    assert load_project(d) == unmarked
+
+
+def test_a_marked_file_that_is_not_utf8_names_its_offset_from_the_start_of_the_file(tmp_path):
+    d = remote_project_of_two_jobs(tmp_path / "p")
+    (d / "params.conf").write_bytes(b"\xef\xbb\xbf# \xe9\n" + (d / "params.conf").read_bytes())
+    with pytest.raises(TunerError, match="^params.conf is not UTF-8: byte 0xe9 at offset 5$"):
         load_project(d)
 
 

@@ -300,17 +300,15 @@ def test_staging_uploads_each_jar_under_its_own_name(tmp_path):
 
 
 def test_failing_workdir_creation_is_staging_error(tmp_path):
-    class NoMkdir(ScriptedTransport):
-        def run(self, command, timeout_s=None, cwd=None):
-            if command.startswith("mkdir "):
-                return remote.ShellResult(1, "", "mkdir: Permission denied\n")
-            return super().run(command, timeout_s, cwd)
-
-    transport = NoMkdir(hadoop_stdout=HADOOP_STDOUT)
-    executor = RemoteExecutor(SPACE, ENV, make_project(tmp_path), transport)
-    with pytest.raises(StagingError, match="Permission denied"):
-        executor.execute_trial(JOB, POINT, 1)
-    assert not transport.uploads and not transport.hadoop_commands()
+    """The workdir is a regular file, so the upload's mkdir -p fails, even for root: staging
+    fails, and the job never runs."""
+    executor, job, calls = ssh_cluster(tmp_path, application_logs=False, staged=False)
+    (tmp_path / "cluster" / "staging").write_text("")
+    with pytest.raises(StagingError,
+                       match="^upload of app.jar failed: file transfer failed: mkdir: "):
+        executor.execute_trial(job, POINT, 1)
+    assert calls.read_text().splitlines()[-1].startswith("mkdir -p ")
+    assert "/bin/hadoop" not in calls.read_text()
 
 
 @pytest.mark.parametrize("error, raised", [(OSError, StagingError), (ConnectError, ConnectError)])
@@ -588,10 +586,10 @@ def recording_ssh(tmp_path: Path) -> tuple[str, Path]:
 
 def test_ssh_transport_put_file_argv(tmp_path):
     ssh_bin, argv_file = recording_ssh(tmp_path)
-    remote = tmp_path / "staging dir" / "app.jar"
-    remote.parent.mkdir()
+    remote = tmp_path / "staging dir" / "app.jar"  # a directory the upload makes
     SshTransport(ENV, ssh_bin=ssh_bin).put_file(make_project(tmp_path) / "app.jar", str(remote))
-    assert argv_file.read_text().splitlines() == SSH_ARGV + [f"cat > '{remote}'"]
+    assert argv_file.read_text().splitlines() == SSH_ARGV + [
+        f"mkdir -p '{remote.parent}' && cat > '{remote}'"]
     assert remote.read_bytes() == b"fake jar bytes"
 
 
@@ -829,16 +827,18 @@ PARTIAL_TAR = on_tar('sh -c "$last" | head -c 1536; '
                      'echo "tar: syslog: Read error at byte 512: Input/output error" >&2; exit 2')
 
 
-def ssh_cluster(tmp_path: Path, application_logs: bool):
+def ssh_cluster(tmp_path: Path, application_logs: bool, staged: bool = True):
     """A RemoteExecutor whose fake ssh (cluster_ssh) runs each remote command here, on a
-    cluster under tmp_path with the jar already staged, the job that it runs, and the file
-    that lists the commands. With application_logs, the submitted application has a log
-    directory, with a map counter in its syslog."""
+    cluster under tmp_path, the job that it runs, and the file that lists the commands.
+    With staged, the jar is already in the workdir; else there is no workdir. With
+    application_logs, the submitted application has a log directory, with a map counter
+    in its syslog."""
     cluster = tmp_path / "cluster"
     workdir = cluster / "staging"
-    workdir.mkdir(parents=True)
-    (workdir / "app.jar").write_bytes(b"fake jar bytes")  # already staged
-    (cluster / "logs").mkdir()
+    (cluster / "logs").mkdir(parents=True)
+    if staged:
+        workdir.mkdir()
+        (workdir / "app.jar").write_bytes(b"fake jar bytes")
     if application_logs:
         (cluster / "logs" / APP_ID).mkdir()
         (cluster / "logs" / APP_ID / "syslog").write_text(
@@ -933,6 +933,31 @@ def test_a_log_copy_that_loses_the_link_over_ssh_is_a_lost_cluster(tmp_path):
     assert calls.read_text().splitlines()[-1].startswith("tar ")
 
 
+def test_a_fresh_upload_over_ssh_runs_two_processes_and_a_staged_jar_one(tmp_path):
+    """The upload makes the workdir itself: staging asks for the jar's hash, then uploads in
+    one process. Once the local jar is touched, staging finds its bytes on the cluster and
+    asks for their hash alone."""
+    executor, job, calls = ssh_cluster(tmp_path, application_logs=False, staged=False)
+    workdir = tmp_path / "cluster" / "staging"
+    jar = workdir / "app.jar"
+    assert executor.execute_trial(job, POINT, 1).status == "success"
+    assert jar.read_bytes() == b"fake jar bytes"
+
+    def staging_calls() -> list[str]:
+        lines = calls.read_text().splitlines()
+        calls.unlink()
+        return lines[:next(i for i, c in enumerate(lines) if "/bin/hadoop " in c)]
+
+    hash_query = shlex.join(["sha256sum", str(jar)]) + " 2>/dev/null"
+    assert staging_calls() == [
+        hash_query, f"mkdir -p {shlex.quote(str(workdir))} && cat > {shlex.quote(str(jar))}"]
+    local = tmp_path / "project" / "app.jar"
+    stamp = local.stat().st_mtime_ns + 10**9
+    os.utime(local, ns=(stamp, stamp))  # the same bytes, with a later mtime
+    assert executor.execute_trial(job, POINT, 2).status == "success"
+    assert staging_calls() == [hash_query]
+
+
 def test_an_upload_refused_over_ssh_interrupts_the_session(tmp_path):
     """The master refuses the jar while ssh still answers: staging fails, the session ends
     interrupted, and no trial is journaled."""
@@ -943,7 +968,7 @@ def test_an_upload_refused_over_ssh_interrupts_the_session(tmp_path):
     project = remote_project(tmp_path / "session")
     with pytest.raises(StagingError, match="^upload of app.jar failed: file transfer failed: "):
         run_tuning(project, "grid", budget=2, executor=executor)
-    assert calls.read_text().splitlines()[-1].startswith("cat > ")
+    assert re.match(r"mkdir -p \S+ && cat > ", calls.read_text().splitlines()[-1])
     assert read_manifest(project.root)["status"] == "interrupted"
     assert read_raw_records(project.root, project.space) == []
 

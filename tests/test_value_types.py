@@ -127,6 +127,10 @@ BAD_REPLACE = {
     "JobSpec-cleanup-without-args": (
         lambda: JobSpec(static_args=("/out",), cleanup_output=True)._replace(static_args=()),
         ValueError, "^cleanup_output needs args: the last is the output path$"),
+    "JobSpec-cleanup-empty-output": (
+        lambda: JobSpec(static_args=("/in", "/out"), cleanup_output=True)._replace(
+            static_args=("/in", "")),
+        ValueError, "^cleanup_output needs args: the last is the output path$"),
     "SurfaceSpec-base": (lambda: SurfaceSpec(family="bowl", base_s=100, weights=(1,),
                                              optimum=(0.5,))._replace(base_s=0.0),
                          ValueError, "base_s must be > 0"),
