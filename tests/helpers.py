@@ -1,10 +1,20 @@
-"""Project-building helpers used by several test modules."""
+"""Helpers used by several test modules: project files, and a child interpreter's environment."""
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
+import jobtuner
 from jobtuner.project import Project, load_project
+
+
+def child_env() -> dict[str, str]:
+    """This environment, with the tested jobtuner and then these helpers first on the path:
+    the environment of a test's child interpreter."""
+    paths = [str(Path(jobtuner.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [*paths, os.environ.get("PYTHONPATH")])))
 
 
 def write_synthetic_project(root: Path, params: str, job: str) -> Project:

@@ -31,6 +31,9 @@ def test_tune_runs_session(tmp_path):
     assert (project.root / "history" / "trials.csv").exists()
     lines = (project.root / "history" / "trials.csv").read_text().splitlines()
     assert len(lines) == 6  # header + 5 trials
+    journal = (project.root / "history" / "journal.jsonl").read_text().splitlines()
+    assert len(journal) == 5
+    assert not [line for line in journal if "result_dir" in json.loads(line)]  # an older key
 
 
 def test_tune_defaults_from_job_conf(tmp_path):
@@ -93,6 +96,7 @@ def test_missing_dir_is_runtime_error(caplog):
 def test_task_runs_synthetic_job(tmp_path):
     project = make_project(tmp_path)
     assert main(["task", "--dir", str(project.root)]) == 0
+    assert main(["project", "--dir", str(project.root)]) == 0  # job.conf, with no jobs.conf
 
 
 def test_task_local_failure_exits_2(tmp_path, caplog):
@@ -158,6 +162,7 @@ def assert_refused_naming_line_2(project, caplog, *command):
     assert "journal line 2 unreadable" in caplog.text
     assert "(last valid trial_id: 1)" in caplog.text
     assert (project.root / "history" / "trials.csv").read_bytes() == csv_before
+    assert not list((project.root / "history").glob("*.tmp"))
 
 
 @pytest.mark.parametrize("command", ["resume", "aggregate"])
@@ -224,10 +229,11 @@ def test_aggregate_and_report(tmp_path):
     project = make_project(tmp_path)
     main(["tune", "--dir", str(project.root), "--strategy", "grid", "--budget", "8"])
     assert main(["aggregate", "--dir", str(project.root)]) == 0
+    hist = project.root / "history"
+    aggregated = (hist / "convergence.csv").read_bytes()
     assert main(["report", "--dir", str(project.root), "--convergence",
                  "--surface", "a", "b"]) == 0
-    hist = project.root / "history"
-    assert (hist / "convergence.csv").exists()
+    assert (hist / "convergence.csv").read_bytes() == aggregated
     assert (hist / "surface_a_b.csv").exists()
 
 

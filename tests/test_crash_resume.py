@@ -11,17 +11,14 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 import signal
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import jobtuner
 from doubles import CountingExecutor, InterruptingExecutor
-from helpers import bowl_job_conf, write_synthetic_project
+from helpers import bowl_job_conf, child_env, write_synthetic_project
 from jobtuner.errors import ConnectError, HistoryCorruptError
 from jobtuner.history import manifest_exists, read_manifest, read_trials
 from jobtuner.project import load_project
@@ -105,14 +102,6 @@ run_tuning(project, strategy, %d, executor=KillAtTrial(make_executor(project)))
 def sequence(project):
     return [(r.trial_id, project.space.point_key(r.point), r.aggregate_s)
             for r in read_trials(project.root, project.space)]
-
-
-def child_env() -> dict[str, str]:
-    """The environment of a CHILD: this one, with the tested jobtuner first on the path."""
-    env = dict(os.environ)
-    src = str(Path(jobtuner.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
 
 
 def test_sigkill_at_any_point_resumes_trial_for_trial(tmp_path):

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import os
 import stat
 import subprocess
 import sys
@@ -9,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-import jobtuner
+from helpers import child_env
 from jobtuner.errors import InvalidPointError, SpawnFailureError, UnknownPlaceholderError
 from jobtuner.executors.base import JobSpec
 from jobtuner.executors.local import LocalExecutor
@@ -186,10 +185,7 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
 
 def test_a_job_that_prints_much_grows_the_tuner_by_little():
     # in a fresh interpreter, whose peak RSS (in KiB on Linux) no earlier test has raised
-    src = str(Path(jobtuner.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get(
-        "PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", PRINTING_JOB_CHILD], env=env,
+    proc = subprocess.run([sys.executable, "-c", PRINTING_JOB_CHILD], env=child_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert float(proc.stdout) < 10  # MB, for 60 MB of output

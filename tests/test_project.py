@@ -75,10 +75,11 @@ def test_env_and_job_errors_name_their_file():
     assert parse_job_file(remote + "cleanup_output=no\n")[0].cleanup_output is False
     with pytest.raises(BadValueError, match="'cleanup_output' in job.conf"):
         parse_job_file(remote + "cleanup_output=maybe\n")
-    # the last arg is the output path that cleanup_output removes
-    with pytest.raises(BadValueError, match="'job' in job.conf: cleanup_output needs args: the "
-                                            "last is the output path$"):
-        parse_job_file("executor=remote\njar=app.jar\ncleanup_output=true\n")
+    # the last arg is the output path that cleanup_output removes: none, or an empty one
+    for job in ("executor=remote\njar=app.jar\n", remote.replace("/out", '""')):
+        with pytest.raises(BadValueError, match="'job' in job.conf: cleanup_output needs args: "
+                                                "the last is the output path$"):
+            parse_job_file(job + "cleanup_output=true\n")
     with pytest.raises(BadValueError, match="'job' in job.conf: repetitions must be >= 1"):
         parse_job_file(bowl_job_conf(repetitions=0))
     with pytest.raises(BadValueError, match="'surface' in job.conf: noise_sd_s must be >= 0"):
@@ -221,6 +222,8 @@ def test_a_misspelled_key_is_refused_naming_it_and_its_file(tmp_path, name):
     key = line.partition("=")[0]
     with pytest.raises(BadValueError, match=f"^bad value for key '{key}' in {name}: unknown key$"):
         load_project(d)
+    assert main(["tune", "--dir", str(d), "--strategy", "grid", "--budget", "2"]) == 2
+    assert not (d / "history").exists()
 
 
 @pytest.mark.parametrize("name", ["params.conf", "job.conf", "two.conf", "jobs.conf", ENV_FILE])
@@ -278,11 +281,13 @@ def test_load_local_with_undeclared_placeholder(tmp_path):
     with pytest.raises(CrossValidationError):
         load_project(d)
     # a jobs.conf entry is checked as job.conf is, so no listed job runs first
-    (d / "job.conf").write_text("executor=local\ncommand=./job.sh {a}\n")
-    (d / "bad.conf").write_text("executor=local\ncommand=./job.sh {nope}\n")
+    (d / "job.conf").write_text("executor=local\ncommand=touch ran_{a}\n")
+    (d / "bad.conf").write_text("executor=local\ncommand=touch ran_{nope}\n")
     (d / "jobs.conf").write_text("job.conf\nbad.conf\n")
     with pytest.raises(CrossValidationError, match="^bad.conf command references .*: nope$"):
         load_project(d)
+    assert main(["project", "--dir", str(d)]) == 2
+    assert not list(d.glob("ran_*"))
 
 
 def test_load_synthetic_dimension_mismatch(tmp_path):

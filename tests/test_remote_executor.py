@@ -17,6 +17,7 @@ from types import SimpleNamespace
 import pytest
 
 from doubles import InterruptingExecutor, ScriptedTransport
+from helpers import child_env
 from jobtuner.cli import main
 from jobtuner.errors import ConnectError, InvalidPointError, StagingError, TransportTimeout
 from jobtuner.executors import remote
@@ -645,11 +646,8 @@ def test_a_large_log_fetch_grows_the_tuner_by_little(tmp_path):
     ssh_bin = write_fake(tmp_path / "ssh", 'for last; do :; done\nexec sh -c "$last"\n')
     local = tmp_path / "downloads" / "logs"
     # in a fresh interpreter, whose peak RSS (in KiB on Linux) no earlier test has raised
-    src = str(Path(remote.__file__).parents[2])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get(
-        "PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", LOG_FETCH_CHILD, ssh_bin, str(app), str(local)],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=child_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert float(proc.stdout) < 10  # MB, for a 40 MB log
     assert filecmp.cmp(syslog, local / APP_ID / "worker-1" / "syslog", shallow=False)
@@ -703,11 +701,8 @@ def test_phase_times_of_a_large_fetched_log_grow_the_tuner_by_little(tmp_path):
         fh.write(b"Total time spent by all map tasks (ms)=1100\n")
     make_project(tmp_path)
     # in a fresh interpreter, whose peak RSS (in KiB on Linux) no earlier test has raised
-    src = str(Path(remote.__file__).parents[2])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
-        src, str(Path(__file__).parent), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", PHASE_PARSE_CHILD, str(log_file), str(tmp_path)],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=child_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     grown, phases = proc.stdout.split(" ", 1)
     assert phases.strip() == "{'map': 1.1}"
@@ -800,11 +795,8 @@ def test_ssh_transport_missing_binaries_are_connect_errors(tmp_path):
 
 def test_importing_the_remote_executor_loads_no_tarfile():
     # only a log fetch reads an archive; a fresh interpreter, as this one may hold tarfile
-    src = str(Path(remote.__file__).parents[2])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get(
-        "PYTHONPATH")])))
     code = "import sys, jobtuner.executors.remote; sys.exit('tarfile' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+    assert subprocess.run([sys.executable, "-c", code], env=child_env(), timeout=60).returncode == 0
 
 
 def cluster_ssh(tmp_path: Path, before: str = "") -> str:
@@ -868,6 +860,22 @@ def test_missing_application_logs_degrade_to_wall_time_over_ssh(tmp_path):
     assert result.log_ref is None
     assert calls.read_text().splitlines()[-1].startswith("tar ")
     assert not (tmp_path / "project" / "downloaded_results").exists()
+
+
+def test_the_syslog_read_past_a_container_log_of_random_bytes_wins_over_the_client(tmp_path):
+    """An 8 MB container log of random bytes, under a directory of its own, is fetched byte
+    for byte and read first; the syslog's map counter after it wins over the client's."""
+    executor, job, _ = ssh_cluster(tmp_path, application_logs=True)
+    app = tmp_path / "cluster" / "logs" / APP_ID
+    write_fake(tmp_path / "cluster" / "hadoop" / "bin" / "hadoop",
+               f'[ "$1" = jar ] && echo "Submitted application {APP_ID}" && '
+               'echo "Total time spent by all map tasks (ms)=1200"\nexit 0\n')
+    (app / "container_1").mkdir()
+    (app / "container_1" / "stdout").write_bytes(os.urandom(8 << 20))
+    result = executor.execute_trial(job, POINT, 1)
+    assert result.phase_times_s == {"map": 1.1}
+    fetched = tmp_path / "project" / result.log_ref / APP_ID / "container_1" / "stdout"
+    assert filecmp.cmp(app / "container_1" / "stdout", fetched, shallow=False)
 
 
 @pytest.mark.parametrize("fails", [False, True])

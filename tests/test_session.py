@@ -15,9 +15,8 @@ from pathlib import Path
 
 import pytest
 
-import jobtuner
 from doubles import CountingExecutor, InterruptingExecutor
-from helpers import bowl_job_conf, write_synthetic_project
+from helpers import bowl_job_conf, child_env, write_synthetic_project
 from jobtuner.cli import main
 from jobtuner.errors import (
     BadValueError,
@@ -861,6 +860,26 @@ def test_aggregate_is_byte_idempotent(tmp_path):
     assert first == second
 
 
+@pytest.mark.parametrize("params, strategy, crlf", [
+    (SMALL_GRID_PARAMS, "grid", True),
+    ("a int min=1 max=4 step=1\nc cat values=none,snappy,lz4\n", "compass", False),
+], ids=["crlf_journal", "compass_over_a_categorical"])
+def test_aggregate_and_resume_rebuild_the_export_byte_for_byte(tmp_path, params, strategy, crlf):
+    # json.loads reads a CRLF line as the original; a DFO strategy decodes a categorical
+    # parameter as its index lattice
+    project = write_synthetic_project(tmp_path / "proj", params, bowl_job_conf())
+    run_tuning(project, strategy, budget=8)
+    hist = project.root / "history"
+    exported = (hist / "trials.csv").read_bytes()
+    if crlf:
+        journal = hist / "journal.jsonl"
+        journal.write_bytes(journal.read_bytes().replace(b"\n", b"\r\n"))
+    aggregate_history(project)
+    assert (hist / "trials.csv").read_bytes() == exported
+    resume_session(project)
+    assert (hist / "trials.csv").read_bytes() == exported
+
+
 def test_aggregate_empty_project_writes_header_only(tmp_path):
     project = small_project(tmp_path)
     aggregate_history(project)
@@ -981,11 +1000,8 @@ def test_remote_grid_session_never_loads_numpy(tmp_path):
 
 def run_child(code: str, *args) -> subprocess.CompletedProcess:
     """Run code in a fresh interpreter that imports jobtuner and the test helpers."""
-    env = dict(os.environ)
-    paths = [str(Path(jobtuner.__file__).parents[1]), str(Path(__file__).parent)]
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [*paths, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", code, *map(str, args)],
-                          env=env, capture_output=True, text=True, timeout=60)
+                          env=child_env(), capture_output=True, text=True, timeout=60)
 
 
 # --- the local and remote executors load only when used -----------------------
@@ -1000,7 +1016,7 @@ def loaded(names=("statistics", "jobtuner.executors.local", "jobtuner.executors.
     return [m for m in names if m in sys.modules]
 
 assert not loaded(), f"import jobtuner loaded {loaded()}"
-UNUSED = ("dataclasses", "inspect", "jobtuner.reports")
+UNUSED = ("numpy", "dataclasses", "inspect", "jobtuner.reports")
 assert not loaded(UNUSED), f"import jobtuner loaded {loaded(UNUSED)}"
 project = jobtuner.load_project(sys.argv[1])
 run_tuning(project, "grid", budget=3)
@@ -1048,3 +1064,27 @@ def test_a_noisy_synthetic_session_never_loads_numpy_random(tmp_path):
     project = small_project(tmp_path, noise=1.0)
     proc = run_child(NOISY_SESSION_CHILD, project.root)
     assert proc.returncode == 0, proc.stderr
+
+
+# --- a grid session lists no axis's values -------------------------------------
+
+ADDRESS_SPACE_CHILD = r"""
+import resource
+import sys
+
+limit = 2_000_000 * 1024  # 2 GB of address space, as `ulimit -v 2000000`
+resource.setrlimit(resource.RLIMIT_AS, (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
+from jobtuner.cli import main
+
+sys.exit(main(["tune", "--dir", sys.argv[1], "--strategy", "grid", "--budget", "3"]))
+"""
+
+
+def test_a_grid_session_on_a_long_max_value_axis_runs_in_2_gb_of_address_space(tmp_path):
+    # a list of the axis's 2**63 - 1 values would exhaust any address space
+    project = write_synthetic_project(
+        tmp_path / "proj", "a int min=1 max=9223372036854775807 step=1\n"
+                           "b int min=1 max=2 step=1\n", bowl_job_conf())
+    proc = run_child(ADDRESS_SPACE_CHILD, project.root)
+    assert proc.returncode == 0, proc.stderr
+    assert len((project.root / "history" / "journal.jsonl").read_text().splitlines()) == 3
