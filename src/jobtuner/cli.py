@@ -21,7 +21,7 @@ import itertools
 import logging
 import sys
 
-from .errors import EmptyHistoryError, TunerError
+from .errors import TunerError
 from .history import history_dir, iter_raw_records, write_records
 from .project import load_project, scaffold
 from .reports import CONVERGENCE_CSV, convergence_writer, surface_csv_name, surface_writer
@@ -163,7 +163,7 @@ def _cmd_report(args) -> int:
     records = iter_raw_records(root, space)
     first = next(records, None)
     if first is None:  # refused before any writer runs: a journal line means history/ exists
-        raise EmptyHistoryError("no trials recorded; run tune first")
+        raise TunerError("no trials recorded; run tune first")
     write_records(itertools.chain([first], records), *writers.values())
     for name in reversed(writers):
         log.info("wrote %s", history_dir(root) / name)

@@ -1,7 +1,14 @@
 """Exception hierarchy for the tuning harness.
 
-Every error raised on purpose by this package derives from TunerError so
-callers (and the CLI) can distinguish tool failures from Python bugs.
+A fault refused on purpose is a TunerError whose message names it, except
+that a value type (JobSpec, ClusterEnv, SurfaceSpec) refuses a bad field
+with ValueError, which the project loader re-raises as BadValueError naming
+its file, and a transport copy raises OSError. The CLI prints a TunerError
+or an OSError and exits 2.
+
+A subclass is kept only where a caller can act on it: code catches it, reads
+a field it adds, or it names the next step (fix a named file or key, start a
+session, resume, wait for the lock). Any other refusal is a plain TunerError.
 """
 
 from __future__ import annotations
@@ -21,20 +28,8 @@ class ParamSyntaxError(TunerError):
         self.line_no = line_no
 
 
-class DuplicateParamError(TunerError):
-    """Two parameter definitions share a name."""
-
-    def __init__(self, name: str):
-        super().__init__(f"duplicate parameter {name!r}")
-        self.name = name
-
-
-class EmptySpaceError(TunerError):
-    """A parameter file declared no parameters."""
-
-
 class DomainError(TunerError):
-    """A parameter definition violates its own bounds (lower > upper, step <= 0, ...)."""
+    """A parameter definition breaks its own bounds, two share a name, or there are none."""
 
 
 class InvalidPointError(TunerError):
@@ -45,15 +40,7 @@ class InvalidPointError(TunerError):
         self.violations = violations
 
 
-class DimensionMismatchError(TunerError):
-    """An encoded vector has the wrong length for the space."""
-
-
 # --- executors --------------------------------------------------------------
-
-class UnknownPlaceholderError(TunerError):
-    """A command template references a parameter not in the space."""
-
 
 class SpawnFailureError(TunerError):
     """A local command could not be started at all."""
@@ -76,31 +63,7 @@ class TransportTimeout(TunerError):
         self.output = output
 
 
-# --- searchers ---------------------------------------------------------------
-
-class StateCorruptError(TunerError):
-    """Searcher state disagrees with the history fed to it."""
-
-
-class UnknownStrategyError(TunerError):
-    """Strategy id is not one of the registered searchers."""
-
-    def __init__(self, strategy_id: str, known: list[str]):
-        super().__init__(
-            f"unknown strategy {strategy_id!r}; known strategies: {', '.join(known)}"
-        )
-        self.strategy_id = strategy_id
-
-
 # --- session / history --------------------------------------------------------
-
-class InvalidBudgetError(TunerError):
-    """Trial budget must be a positive integer."""
-
-
-class IdGapError(TunerError):
-    """An appended trial id is not exactly last + 1."""
-
 
 class ManifestMissingError(TunerError):
     """No session manifest found; nothing to resume."""
@@ -160,21 +123,3 @@ class BadValueError(TunerError):
 
 class CrossValidationError(TunerError):
     """Project files are individually valid but inconsistent with each other."""
-
-
-class DirNotEmptyError(TunerError):
-    """Refusing to scaffold into a non-empty directory."""
-
-
-# --- reports ----------------------------------------------------------------------
-
-class EmptyHistoryError(TunerError):
-    """A report was requested over an empty history."""
-
-
-class UnknownParamError(TunerError):
-    """A report axis names a parameter the space does not declare."""
-
-
-class IdenticalAxesError(TunerError):
-    """Surface report axes must be two distinct parameters."""

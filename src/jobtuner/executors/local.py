@@ -10,7 +10,7 @@ import subprocess
 import time
 from pathlib import Path
 
-from ..errors import SpawnFailureError, UnknownPlaceholderError
+from ..errors import SpawnFailureError
 from ..paramspace import ParamSpace, TrialPoint
 from .base import (
     PLACEHOLDER_RE,
@@ -23,7 +23,7 @@ from .base import (
 )
 
 
-def _run_once(argv: list[str], workdir: str | Path | None, timeout_s: float | None) -> float | str:
+def _run_once(argv: list[str], workdir: str | Path | None, timeout_s: float) -> float | str:
     """Run argv in a new process group; its seconds, or the status it failed with.
 
     However the run ends, this process then kills the whole group, after the
@@ -46,15 +46,15 @@ def _run_once(argv: list[str], workdir: str | Path | None, timeout_s: float | No
         raise SpawnFailureError(f"cannot start {argv[0]!r}: {exc}") from exc
     with proc, selectors.DefaultSelector() as sel:
         try:
-            end = None if timeout_s is None else time.perf_counter() + timeout_s
+            end = time.perf_counter() + timeout_s
             sel.register(proc.stdout, selectors.EVENT_READ)
             while True:  # EOF comes when the last holder of the output exits
-                left = None if end is None else end - time.perf_counter()
-                if left is not None and left <= 0 or not sel.select(left):
+                left = end - time.perf_counter()
+                if left <= 0 or not sel.select(left):
                     return STATUS_TIMEOUT
                 if not os.read(proc.stdout.fileno(), 1 << 16):
                     break
-            proc.wait(None if end is None else max(end - time.perf_counter(), 0))
+            proc.wait(max(end - time.perf_counter(), 0))
             return STATUS_FAILED if proc.returncode else time.perf_counter() - start
         except subprocess.TimeoutExpired:
             return STATUS_TIMEOUT
@@ -80,16 +80,16 @@ class LocalExecutor(Executor):
         """Run job.artifact, its {param} placeholders filled in, job.repetitions times.
 
         Raises, before anything runs, InvalidPointError for a point of another
-        space and UnknownPlaceholderError when the template names a parameter the
-        space does not declare; SpawnFailureError when the command cannot be
-        started, or the template does not split as a shell line. Nonzero exit
-        fails the trial and skips remaining repetitions; a repetition exceeding
-        job.timeout_s marks the trial timed out.
+        space; SpawnFailureError when the template names a parameter the space
+        does not declare or does not split as a shell line, or when the command
+        cannot be started. Nonzero exit fails the trial and skips remaining
+        repetitions; a repetition exceeding job.timeout_s marks the trial timed
+        out.
         """
         rendered = self._space.render(point)
         unknown = sorted(set(PLACEHOLDER_RE.findall(job.artifact)) - rendered.keys())
         if unknown:
-            raise UnknownPlaceholderError(
+            raise SpawnFailureError(
                 f"template references undeclared parameter(s): {', '.join(unknown)}"
             )
         # split before filling in, so each value reaches the job as one argument, byte for byte

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from ..errors import DimensionMismatchError
+from ..errors import TunerError
 from ..paramspace import CheckedTuple, ParamSpace, TrialPoint
 from .base import Executor, JobSpec, TrialResult, repeat
 
@@ -123,7 +123,7 @@ def synthetic_eval(surface: SurfaceSpec, u, trial_id: int, rep: int) -> float:
     import numpy as np
     vec = np.asarray(u, dtype=float)
     if vec.shape != (surface.dimension,):
-        raise DimensionMismatchError(
+        raise TunerError(
             f"surface is {surface.dimension}-dimensional, got shape {vec.shape}"
         )
     t = _clean_value(surface, vec) + _noise(surface, trial_id, rep)
@@ -135,7 +135,7 @@ class SyntheticExecutor(Executor):
 
     def __init__(self, space: ParamSpace, surface: SurfaceSpec):
         if surface.dimension != space.dimension:
-            raise DimensionMismatchError(
+            raise TunerError(
                 f"surface dimension {surface.dimension} != space dimension {space.dimension}"
             )
         self._space = space

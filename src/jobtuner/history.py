@@ -52,10 +52,10 @@ from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, TextIO
 
 from .errors import (
     HistoryCorruptError,
-    IdGapError,
     InvalidPointError,
     LockHeldError,
     ManifestMissingError,
+    TunerError,
 )
 from .executors.base import TrialResult
 from .paramspace import KIND_CAT, KIND_FLOAT, KIND_INT, ParamSpace, TrialPoint, fmt_float
@@ -178,7 +178,7 @@ class HistoryWriter:
 
     def append(self, record: TrialRecord) -> None:
         if record.trial_id != self.last_id + 1:
-            raise IdGapError(
+            raise TunerError(
                 f"trial_id {record.trial_id} after {self.last_id}; ids must be contiguous"
             )
         with open(self._journal, "a", encoding="utf-8") as fh:

@@ -17,14 +17,7 @@ import math
 import re
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
 
-from .errors import (
-    DimensionMismatchError,
-    DomainError,
-    DuplicateParamError,
-    EmptySpaceError,
-    InvalidPointError,
-    ParamSyntaxError,
-)
+from .errors import DomainError, InvalidPointError, ParamSyntaxError, TunerError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -277,11 +270,11 @@ class ParamSpace:
     def __init__(self, specs: Iterable[ParamSpec]):
         specs = tuple(specs)
         if not specs:
-            raise EmptySpaceError("a parameter space needs at least one parameter")
+            raise DomainError("a parameter space needs at least one parameter")
         seen = set()
         for s in specs:
             if s.name in seen:
-                raise DuplicateParamError(s.name)
+                raise DomainError(f"duplicate parameter {s.name!r}")
             seen.add(s.name)
         object.__setattr__(self, "specs", specs)
         object.__setattr__(self, "_names", tuple(s.name for s in specs))
@@ -365,7 +358,7 @@ class ParamSpace:
         import numpy as np
         vec = np.asarray(list(u), dtype=float)
         if vec.shape != (self.dimension,):
-            raise DimensionMismatchError(
+            raise TunerError(
                 f"expected vector of length {self.dimension}, got shape {vec.shape}"
             )
         return self._make_point(tuple([s.decode_unit(float(u)) for s, u in zip(self.specs, vec)]))
@@ -416,9 +409,8 @@ def parse_param_file(text: str) -> ParamSpace:
 
     Raises:
         ParamSyntaxError: malformed line (with its 1-based line number).
-        DuplicateParamError: two lines declare the same name (raised by ParamSpace).
-        EmptySpaceError: no parameter lines remain (raised by ParamSpace).
-        DomainError: bounds or defaults violate spec invariants.
+        DomainError: bounds or defaults violate spec invariants, two lines declare
+            the same name, or no parameter lines remain.
     """
     specs: list[ParamSpec] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):

@@ -20,7 +20,6 @@ from typing import Collection, NamedTuple
 from .errors import (
     BadValueError,
     CrossValidationError,
-    DirNotEmptyError,
     MissingFileError,
     MissingKeyError,
     TunerError,
@@ -373,7 +372,7 @@ def scaffold(kind: str, target: str | Path) -> None:
         raise ValueError(f"unknown scaffold kind {kind!r}; use task, project or tuning")
     target = Path(target)
     if target.exists() and any(target.iterdir()):
-        raise DirNotEmptyError(f"{target} is not empty; refusing to scaffold")
+        raise TunerError(f"{target} is not empty; refusing to scaffold")
     target.mkdir(parents=True, exist_ok=True)
 
     job_text = _JOB_TEMPLATE

@@ -13,7 +13,7 @@ from contextlib import AbstractContextManager, contextmanager
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from .errors import IdenticalAxesError, UnknownParamError
+from .errors import TunerError
 from .history import TrialRecord, csv_file, fmt_float, history_dir, median, write_records
 from .paramspace import ParamSpace
 
@@ -56,9 +56,9 @@ def surface_writer(project_root: str | Path, px: str, py: str,
     by px value then py value; see history.csv_file."""
     for name in (px, py):
         if name not in space.names():
-            raise UnknownParamError(f"parameter {name!r} is not declared in the space")
+            raise TunerError(f"parameter {name!r} is not declared in the space")
     if px == py:
-        raise IdenticalAxesError("surface axes must be two distinct parameters")
+        raise TunerError("surface axes must be two distinct parameters")
     return _surface_writer(history_dir(project_root) / surface_csv_name(px, py), px, py, space)
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from importlib import import_module
 
-from ..errors import UnknownStrategyError
+from ..errors import TunerError
 from ..paramspace import ParamSpace
 from .base import Searcher
 
@@ -42,7 +42,8 @@ def strategy_ids() -> list[str]:
 
 def _searcher_class(strategy_id: str) -> type[Searcher]:
     if strategy_id not in _REGISTRY:
-        raise UnknownStrategyError(strategy_id, strategy_ids())
+        raise TunerError(f"unknown strategy {strategy_id!r}; "
+                         f"known strategies: {', '.join(strategy_ids())}")
     module, cls = _REGISTRY[strategy_id]
     return getattr(import_module(f".{module}", __name__), cls)
 

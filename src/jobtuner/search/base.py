@@ -13,7 +13,7 @@ Searcher runs that generator and is the only propose/update code:
   same point, so replaying a recorded history through a fresh searcher
   proposes the recorded points again by construction.
 * update(f) sends the pending point's objective f to the generator, and
-  raises StateCorruptError when no point is pending.
+  raises TunerError when no point is pending.
 
 state() is a snapshot for observers (tests, traces). It always carries
 ``pending_u``, the unsnapped unit-cube vector behind the pending point
@@ -25,7 +25,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Generator
 
-from ..errors import StateCorruptError
+from ..errors import TunerError
 from ..paramspace import ParamSpace, TrialPoint
 
 if TYPE_CHECKING:
@@ -63,7 +63,7 @@ class Searcher(ABC):
     def update(self, objective: float) -> None:
         """Feed back the aggregate objective of the pending proposal."""
         if self._point is None:
-            raise StateCorruptError(f"{type(self).__name__}: update without a pending proposal")
+            raise TunerError(f"{type(self).__name__}: update without a pending proposal")
         try:
             self._point = self._search_steps.send(objective)
         except StopIteration:

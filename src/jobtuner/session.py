@@ -25,10 +25,10 @@ from typing import Iterable, NamedTuple
 from .errors import (
     BadValueError,
     HistoryCorruptError,
-    InvalidBudgetError,
     MissingKeyError,
     SessionExistsError,
     SpaceMismatchError,
+    TunerError,
 )
 from .executors.base import Executor
 from .executors.synthetic import SyntheticExecutor
@@ -102,13 +102,14 @@ def run_tuning(
     """Run a fresh tuning session to completion (searcher done or budget);
     a synthetic project's noise is drawn from job.conf's surface_seed alone.
 
-    Raises InvalidBudgetError, UnknownStrategyError, SessionExistsError when
-    the directory already holds a session, and ConnectError when the executor
-    loses its cluster. Any error raised once the session has started leaves it
-    interrupted, with its history preserved for resume_session.
+    Raises TunerError for a budget below 1 or an unknown strategy,
+    SessionExistsError when the directory already holds a session, and
+    ConnectError when the executor loses its cluster. Any error raised once
+    the session has started leaves it interrupted, with its history preserved
+    for resume_session.
     """
     if budget < 1:
-        raise InvalidBudgetError(f"budget must be >= 1, got {budget}")
+        raise TunerError(f"budget must be >= 1, got {budget}")
     return _session(project, strategy_id, budget, executor, fresh=True)
 
 

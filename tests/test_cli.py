@@ -43,12 +43,19 @@ def test_tune_defaults_from_job_conf(tmp_path):
     assert len(lines) == 4
 
 
-def test_tune_bad_budget_in_job_conf_is_runtime_error(tmp_path, caplog):
+@pytest.mark.parametrize("keys, message", [
+    ("strategy=grid\nbudget=ten\n", "bad value for key 'budget' in job.conf: 'ten' is not an integer"),
+    ("strategy=grid\nbudget=0\n", "budget must be >= 1, got 0"),
+    ("strategy=warp\nbudget=3\n",
+     "unknown strategy 'warp'; known strategies: grid, compass, nelder-mead, bobyqa-lite"),
+], ids=["budget-ten", "budget-0", "strategy-warp"])
+def test_tune_bad_budget_in_job_conf_is_runtime_error(tmp_path, caplog, keys, message):
     root = tmp_path / "proj"
     make_project(tmp_path)
-    (root / "job.conf").write_text(bowl_job_conf() + "strategy=grid\nbudget=ten\n")
+    (root / "job.conf").write_text(bowl_job_conf() + keys)
+    caplog.set_level(logging.INFO, logger="jobtuner")
     assert main(["tune", "--dir", str(root)]) == 2
-    assert "'budget' in job.conf" in caplog.text
+    assert caplog.messages == [message]
     assert not (root / "history").exists()
 
 
@@ -269,10 +276,12 @@ def test_report_reads_the_journal_past_a_torn_csv(tmp_path):
     assert len(lines) == 6  # header + 5 trials
 
 
-def test_report_on_empty_history_is_runtime_error(tmp_path):
+def test_report_on_empty_history_is_runtime_error(tmp_path, caplog):
     project = make_project(tmp_path)
+    caplog.set_level(logging.INFO, logger="jobtuner")
     assert main(["report", "--dir", str(project.root)]) == 2
     assert main(["report", "--dir", str(project.root), "--surface", "a", "b"]) == 2
+    assert caplog.messages == ["no trials recorded; run tune first"] * 2
     assert not (project.root / "history").exists()
 
 
@@ -355,11 +364,15 @@ def test_a_report_and_another_writer_each_replace_convergence_csv_whole(tmp_path
     assert not list(hist.glob("*.tmp"))
 
 
-def test_scaffold_cli_roundtrip(tmp_path):
+def test_scaffold_cli_roundtrip(tmp_path, caplog):
     target = tmp_path / "fresh"
     assert main(["scaffold", "--kind", "tuning", "--dir", str(target)]) == 0
     assert (target / "params.conf").exists()
+    caplog.clear()
+    caplog.set_level(logging.INFO, logger="jobtuner")
     assert main(["scaffold", "--kind", "tuning", "--dir", str(target)]) == 2
+    assert caplog.messages == [f"{target} is not empty; refusing to scaffold"]
+    assert not (target / "history").exists()
 
 
 def test_scaffold_bad_kind_is_usage_error():

@@ -19,9 +19,9 @@ import pytest
 from jobtuner.errors import (
     BadValueError,
     HistoryCorruptError,
-    IdGapError,
     LockHeldError,
     ManifestMissingError,
+    TunerError,
 )
 from jobtuner.executors.base import TrialResult
 from jobtuner.history import (
@@ -144,7 +144,7 @@ def test_append_id_gap_rejected(tmp_path):
     writer = HistoryWriter(tmp_path, SPACE)
     for i in range(1, 6):
         writer.append(random_record(rng, i))
-    with pytest.raises(IdGapError):
+    with pytest.raises(TunerError, match=r"^trial_id 7 after 5; ids must be contiguous$"):
         writer.append(random_record(rng, 7))
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from helpers import child_env
-from jobtuner.errors import InvalidPointError, SpawnFailureError, UnknownPlaceholderError
+from jobtuner.errors import InvalidPointError, SpawnFailureError
 from jobtuner.executors.base import JobSpec
 from jobtuner.executors.local import LocalExecutor
 from jobtuner.paramspace import parse_param_file
@@ -32,7 +32,8 @@ def write_script(path: Path, body: str) -> Path:
 def test_unknown_placeholder_runs_nothing(tmp_path):
     marker = tmp_path / "ran"
     script = write_script(tmp_path / "job.sh", f"touch {marker}\n")
-    with pytest.raises(UnknownPlaceholderError):
+    with pytest.raises(SpawnFailureError,
+                       match=r"^template references undeclared parameter\(s\): no\.such\.param$"):
         run_template(f"{script} {{no.such.param}}", POINT, JobSpec(), SPACE)
     assert not marker.exists()
 

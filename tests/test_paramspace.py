@@ -10,14 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jobtuner.errors import (
-    DimensionMismatchError,
-    DomainError,
-    DuplicateParamError,
-    EmptySpaceError,
-    InvalidPointError,
-    ParamSyntaxError,
-)
+from jobtuner.errors import DomainError, InvalidPointError, ParamSyntaxError, TunerError
 from jobtuner.executors.base import ClusterEnv, JobSpec
 from jobtuner.executors.remote import assemble_hadoop_command
 from jobtuner.paramspace import ParamSpace, ParamSpec, TrialPoint, parse_param_file
@@ -54,7 +47,7 @@ def test_parse_categorical_default_is_first_value():
 
 
 def test_parse_comment_only_file_is_empty_space():
-    with pytest.raises(EmptySpaceError):
+    with pytest.raises(DomainError, match=r"^a parameter space needs at least one parameter$"):
         parse_param_file("# just a comment\n\n   # another\n")
 
 
@@ -63,7 +56,7 @@ def test_parse_duplicate_name():
         "mapreduce.task.io.sort.mb int min=64 max=512 step=64\n"
         "mapreduce.task.io.sort.mb int min=1 max=2 step=1\n"
     )
-    with pytest.raises(DuplicateParamError):
+    with pytest.raises(DomainError, match=r"^duplicate parameter 'mapreduce\.task\.io\.sort\.mb'$"):
         parse_param_file(text)
 
 
@@ -522,7 +515,7 @@ def test_codec_characterization(line):
 
 
 def test_decode_dimension_mismatch(two_param_space):
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(TunerError, match=r"^expected vector of length 2, got shape \(1,\)$"):
         two_param_space.decode_vector([0.5])
 
 

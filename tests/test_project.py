@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,6 @@ from jobtuner.cli import main
 from jobtuner.errors import (
     BadValueError,
     CrossValidationError,
-    DirNotEmptyError,
     DomainError,
     MissingFileError,
     MissingKeyError,
@@ -505,7 +505,7 @@ def test_scaffold_refuses_nonempty_dir(tmp_path):
     target = tmp_path / "busy"
     target.mkdir()
     (target / "keep.txt").write_text("mine")
-    with pytest.raises(DirNotEmptyError):
+    with pytest.raises(TunerError, match=f"^{re.escape(str(target))} is not empty; refusing to scaffold$"):
         scaffold("tuning", target)
     assert [p.name for p in target.iterdir()] == ["keep.txt"]
 

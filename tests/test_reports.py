@@ -5,7 +5,7 @@ from datetime import datetime, timezone
 import pytest
 
 from helpers import bowl_job_conf, write_synthetic_project
-from jobtuner.errors import IdenticalAxesError, UnknownParamError
+from jobtuner.errors import TunerError
 from jobtuner.executors.base import TrialResult
 from jobtuner.history import TrialRecord, read_trials
 from jobtuner.paramspace import parse_param_file
@@ -108,13 +108,13 @@ def test_surface_sorted_by_px_then_py(tmp_path):
 
 
 def test_surface_unknown_param(tmp_path):
-    with pytest.raises(UnknownParamError):
+    with pytest.raises(TunerError, match=r"^parameter 'zzz' is not declared in the space$"):
         surface_writer(tmp_path, "a", "zzz", SPACE)  # refused before it is entered
     assert [p.name for p in tmp_path.rglob("*")] == ["history"]
 
 
 def test_surface_identical_axes(tmp_path):
-    with pytest.raises(IdenticalAxesError):
+    with pytest.raises(TunerError, match=r"^surface axes must be two distinct parameters$"):
         surface_writer(tmp_path, "a", "a", SPACE)
     assert [p.name for p in tmp_path.rglob("*")] == ["history"]
 

@@ -22,14 +22,13 @@ from jobtuner.errors import (
     BadValueError,
     ConnectError,
     HistoryCorruptError,
-    InvalidBudgetError,
     LockHeldError,
     ManifestMissingError,
     MissingKeyError,
     SessionExistsError,
     SpaceMismatchError,
     SpawnFailureError,
-    UnknownStrategyError,
+    TunerError,
 )
 from jobtuner.executors.base import Executor, TrialResult
 from jobtuner.executors.synthetic import synthetic_eval
@@ -94,14 +93,15 @@ def test_best_of_all_failed():
 
 def test_budget_zero_rejected(tmp_path):
     project = small_project(tmp_path)
-    with pytest.raises(InvalidBudgetError):
+    with pytest.raises(TunerError, match=r"^budget must be >= 1, got 0$"):
         run_tuning(project, "grid", budget=0)
     assert not (project.root / "history").exists()
 
 
 def test_unknown_strategy_rejected(tmp_path):
     project = small_project(tmp_path)
-    with pytest.raises(UnknownStrategyError):
+    with pytest.raises(TunerError, match=r"^unknown strategy 'warp'; "
+                       r"known strategies: grid, compass, nelder-mead, bobyqa-lite$"):
         run_tuning(project, "warp", budget=5)
     assert not (project.root / "history").exists()
 
@@ -662,7 +662,8 @@ def test_resume_of_an_unknown_strategy_changes_no_byte(tmp_path):
     path.write_text(path.read_text().replace("strategy=grid", "strategy=warp"))
     (hist / "session.conf.0123456789ab.tmp").write_text("strategy=grid\n")  # a killed write's
     before = {p.name: p.read_bytes() for p in hist.iterdir()}
-    with pytest.raises(UnknownStrategyError, match="warp"):
+    with pytest.raises(TunerError, match=r"^unknown strategy 'warp'; "
+                       r"known strategies: grid, compass, nelder-mead, bobyqa-lite$"):
         resume_session(project)
     assert {p.name: p.read_bytes() for p in hist.iterdir()} == before
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from jobtuner.errors import DimensionMismatchError, InvalidPointError
+from jobtuner.errors import InvalidPointError, TunerError
 from jobtuner.executors.base import JobSpec
 from jobtuner.executors.synthetic import SurfaceSpec, SyntheticExecutor, synthetic_eval
 from jobtuner.paramspace import parse_param_file
@@ -99,9 +99,9 @@ def test_runtime_floor():
 
 
 def test_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(TunerError, match=r"^surface is 2-dimensional, got shape \(1,\)$"):
         synthetic_eval(BOWL, [0.5], 1, 1)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(TunerError, match=r"^surface dimension 2 != space dimension 1$"):
         SyntheticExecutor(parse_param_file("a float min=0 max=1 step=0.01"), BOWL)
 
 
