@@ -18,12 +18,9 @@ from .base import Executor, JobSpec, TrialResult, repeat
 
 if TYPE_CHECKING:
     import numpy as np
-FAMILY_BOWL = "bowl"
-FAMILY_PLANE = "monotone_plane_basin"
-FAMILY_ROSENBROCK = "rosenbrock"
-FAMILY_LOOKUP = "lookup_table"
-
-FAMILIES = (FAMILY_BOWL, FAMILY_PLANE, FAMILY_ROSENBROCK, FAMILY_LOOKUP)
+# each surface family, with the shape fields its formula reads (see SurfaceSpec)
+FAMILIES = {"bowl": ("weights", "optimum"), "monotone_plane_basin": ("weights",),
+            "rosenbrock": (), "lookup_table": ("table",)}
 
 # Measured times can never reach zero, noise or not.
 MIN_RUNTIME_S = 0.001
@@ -40,7 +37,13 @@ class _SurfaceFields(NamedTuple):
 
 
 class SurfaceSpec(CheckedTuple, _SurfaceFields):
-    """Shape of a synthetic running-time surface over the unit cube; immutable."""
+    """Shape of a synthetic running-time surface over the unit cube; immutable.
+
+    A family needs each shape field its formula reads, as FAMILIES lists, and refuses the others:
+        bowl                  base_s + Σ wᵢ(uᵢ − oᵢ)²              weights, optimum
+        monotone_plane_basin  base_s + Σ wᵢ(1 − uᵢ)                weights
+        rosenbrock            base_s + 100(u₂ − u₁²)² + (1 − u₁)²  none; 2 parameters
+        lookup_table          the time of the nearest cell         table"""
 
     __slots__ = ()
 
@@ -52,6 +55,9 @@ class SurfaceSpec(CheckedTuple, _SurfaceFields):
         table = tuple((tuple(float(c) for c in cell), float(t)) for cell, t in table)
         if family not in FAMILIES:
             raise ValueError(f"unknown surface family {family!r}")
+        for name, value in (("weights", weights), ("optimum", optimum), ("table", table)):
+            if bool(value) != (name in FAMILIES[family]):
+                raise ValueError(f"a {family} surface {'reads no' if value else 'needs'} {name}")
         if not 0 < base_s < math.inf:
             raise ValueError("base_s must be > 0 and finite")
         if not 0 <= noise_sd_s < math.inf:
@@ -64,23 +70,17 @@ class SurfaceSpec(CheckedTuple, _SurfaceFields):
             raise ValueError("table cell coordinates must be finite")
         if any(not 0.0 <= o <= 1.0 for o in optimum):
             raise ValueError("optimum coordinates must lie in [0, 1]")
-        if family == FAMILY_BOWL and len(weights) != len(optimum):
+        if family == "bowl" and len(weights) != len(optimum):
             raise ValueError("bowl surface needs matching weights and optimum lengths")
-        if family == FAMILY_ROSENBROCK:
-            for label, seq in (("weights", weights), ("optimum", optimum)):
-                if seq and len(seq) != 2:
-                    raise ValueError(f"rosenbrock surface is 2-dimensional; {label} has {len(seq)}")
-        if family == FAMILY_LOOKUP and not table:
-            raise ValueError("lookup_table surface needs a nonempty table")
         if any(len(cell) != len(table[0][0]) for cell, _ in table):
             raise ValueError("lookup_table cells must all have the same number of coordinates")
         return tuple.__new__(cls, (family, base_s, weights, optimum, noise_sd_s, seed, table))
 
     @property
     def dimension(self) -> int:
-        if self.family == FAMILY_ROSENBROCK:
+        if self.family == "rosenbrock":
             return 2
-        if self.family == FAMILY_LOOKUP:
+        if self.family == "lookup_table":
             return len(self.table[0][0])
         return len(self.weights)
 
@@ -97,12 +97,12 @@ def _noise(surface: SurfaceSpec, trial_id: int, rep: int) -> float:
 
 def _clean_value(surface: SurfaceSpec, u: np.ndarray) -> float:
     import numpy as np
-    if surface.family == FAMILY_BOWL:
+    if surface.family == "bowl":
         diffs = u - np.asarray(surface.optimum)
         return surface.base_s + float(np.dot(surface.weights, diffs * diffs))
-    if surface.family == FAMILY_PLANE:
+    if surface.family == "monotone_plane_basin":
         return surface.base_s + float(np.dot(surface.weights, 1.0 - u))
-    if surface.family == FAMILY_ROSENBROCK:
+    if surface.family == "rosenbrock":
         u1, u2 = float(u[0]), float(u[1])
         return surface.base_s + 100.0 * (u2 - u1 * u1) ** 2 + (1.0 - u1) ** 2
     # lookup_table: nearest cell wins

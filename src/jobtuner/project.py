@@ -177,9 +177,9 @@ def parse_job_file(text: str, filename: str = JOB_FILE
                    ) -> tuple[JobSpec, str, SurfaceSpec | None, dict[str, str | int]]:
     """Parse a job file: returns (job, executor_kind, surface, tune defaults).
 
-    The tune defaults hold the strategy as written and the budget as an int. A key that
-    the executor kind does not read is refused. A synthetic job's noise seed is
-    surface_seed alone, so a seed key is refused. Errors name filename.
+    The tune defaults hold the strategy as written and the budget as an int. Errors name filename.
+    Refused: a key that the executor kind does not read; a local command or remote args that do
+    not split as a shell line; a synthetic job's seed key, as its noise seed is surface_seed.
     """
     kv = parse_kv_file(text, filename)
     kind = kv.get("executor", "")
@@ -194,12 +194,17 @@ def parse_job_file(text: str, filename: str = JOB_FILE
         artifact = kv.get(_KIND_KEYS[kind][0], "")
         if not artifact:
             raise MissingKeyError(_KIND_KEYS[kind][0], filename)
+    line_key = "command" if kind == "local" else "args"
+    try:
+        words = tuple(shlex.split(kv.get(line_key, "")))
+    except ValueError as exc:
+        raise BadValueError(line_key, str(exc), filename) from None
 
     try:
         job = JobSpec(
             artifact=artifact,
             main_entry=kv.get("main_entry") or None,
-            static_args=tuple(shlex.split(kv.get("args", ""))),
+            static_args=words if kind == "remote" else (),
             timeout_s=parse_float(kv, "timeout_s", 3600.0, filename=filename),
             repetitions=parse_int(kv, "repetitions", 1, filename=filename),
             cleanup_output=parse_bool(kv, "cleanup_output", False, filename=filename),
@@ -248,14 +253,9 @@ def _read(root: Path, name: str) -> str:
 
 def _load_job(root: Path, name: str, space: ParamSpace
               ) -> tuple[JobSpec, str, SurfaceSpec | None, dict[str, str | int]]:
-    """The job file root/name, parsed; a local command must split as a shell line
-    and name only declared {parameters}."""
+    """The job file root/name, parsed; a local command must name only declared {parameters}."""
     job, kind, surface, defaults = parse_job_file(_read(root, name), name)
     if kind == "local":
-        try:
-            shlex.split(job.artifact)
-        except ValueError as exc:
-            raise BadValueError("command", str(exc), name) from None
         unknown = sorted(set(PLACEHOLDER_RE.findall(job.artifact)) - set(space.names()))
         if unknown:
             raise CrossValidationError(

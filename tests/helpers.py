@@ -45,6 +45,16 @@ def bowl_job_conf(
     )
 
 
+# each (family, shape field) whose field the family's formula never reads
+UNREAD_FIELDS = [("bowl", "table"), ("monotone_plane_basin", "optimum"),
+                 ("monotone_plane_basin", "table"), ("rosenbrock", "weights"),
+                 ("rosenbrock", "optimum"), ("rosenbrock", "table"),
+                 ("lookup_table", "weights"), ("lookup_table", "optimum")]
+# each (family, shape field) whose field the family's formula reads
+NEEDED_FIELDS = [("bowl", "weights"), ("bowl", "optimum"), ("monotone_plane_basin", "weights"),
+                 ("lookup_table", "table")]
+
+
 UNIT_SQUARE_PARAMS = (
     "a float min=0 max=1 step=1e-6 default=0.5\n"
     "b float min=0 max=1 step=1e-6 default=0.5\n"

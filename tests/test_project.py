@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import bowl_job_conf, write_synthetic_project
+from helpers import NEEDED_FIELDS, UNREAD_FIELDS, bowl_job_conf, write_synthetic_project
 from jobtuner.cli import main
 from jobtuner.errors import (
     BadValueError,
@@ -25,6 +25,7 @@ from jobtuner.project import (
     parse_kv_file,
     scaffold,
 )
+from jobtuner.session import job_hash
 
 ENV_TEXT = """\
 # cluster endpoint
@@ -80,6 +81,9 @@ def test_env_and_job_errors_name_their_file():
         with pytest.raises(BadValueError, match="'job' in job.conf: cleanup_output needs args: "
                                                 "the last is the output path$"):
             parse_job_file(job + "cleanup_output=true\n")
+    with pytest.raises(BadValueError, match="^bad value for key 'args' in job.conf: "
+                                            "No closing quotation$"):
+        parse_job_file(remote.replace("/out", "'/out"))
     with pytest.raises(BadValueError, match="'job' in job.conf: repetitions must be >= 1"):
         parse_job_file(bowl_job_conf(repetitions=0))
     with pytest.raises(BadValueError, match="'surface' in job.conf: noise_sd_s must be >= 0"):
@@ -131,10 +135,16 @@ def test_parse_job_tune_defaults():
     assert defaults == {"strategy": "compass", "budget": 40}
 
 
-# each executor kind's job file with every key it reads
+# each synthetic family's job file, and each other executor kind's, with every key it reads
 FULL_JOB_FILES = {
-    "synthetic": "executor=synthetic\nfamily=lookup_table\nbase_s=100\nweights=50,80\n"
-                 "optimum=0.7,0.3\nnoise_sd_s=1\nsurface_seed=7\ntable=0,0=9;1,1=2\n",
+    "bowl": "executor=synthetic\nfamily=bowl\nbase_s=100\nweights=50,80\noptimum=0.7,0.3\n"
+            "noise_sd_s=1\nsurface_seed=7\n",
+    "monotone_plane_basin": "executor=synthetic\nfamily=monotone_plane_basin\nbase_s=60\n"
+                            "weights=10,20\nnoise_sd_s=1\nsurface_seed=7\n",
+    "rosenbrock": "executor=synthetic\nfamily=rosenbrock\nbase_s=50\nnoise_sd_s=1\n"
+                  "surface_seed=7\n",
+    "lookup_table": "executor=synthetic\nfamily=lookup_table\nbase_s=100\nnoise_sd_s=1\n"
+                    "surface_seed=7\ntable=0,0=9;1,1=2\n",
     "local": "executor=local\ncommand=run {a}\nseed=3\n",
     "remote": "executor=remote\njar=app.jar\nmain_entry=WordCount\nargs=/in /out\n"
               "cleanup_output=true\nseed=3\n",
@@ -142,16 +152,72 @@ FULL_JOB_FILES = {
 RUN_KEYS = "timeout_s=60\nrepetitions=2\nstrategy=compass\nbudget=40\n"
 
 
-@pytest.mark.parametrize("kind", FULL_JOB_FILES)
-def test_each_kind_loads_every_key_it_reads(kind):
-    job, parsed_kind, surface, defaults = parse_job_file(FULL_JOB_FILES[kind] + RUN_KEYS)
-    assert parsed_kind == kind
+@pytest.mark.parametrize("name", FULL_JOB_FILES)
+def test_each_kind_loads_every_key_it_reads(name):
+    job, kind, surface, defaults = parse_job_file(FULL_JOB_FILES[name] + RUN_KEYS)
+    assert (surface.family if surface else kind) == name
     assert (job.timeout_s, job.repetitions) == (60.0, 2)
     assert defaults == {"strategy": "compass", "budget": 40}
     assert (surface is not None) == (kind == "synthetic")
 
 
-# each kind with a key that only another kind reads
+def write_full_project(root: Path, name: str) -> Path:
+    """A project of two parameters whose job.conf is FULL_JOB_FILES[name] with RUN_KEYS."""
+    root.mkdir()
+    (root / "params.conf").write_text("a int min=1 max=4 step=1\nb int min=1 max=2 step=1\n")
+    (root / "job.conf").write_text(FULL_JOB_FILES[name] + RUN_KEYS)
+    if name == "remote":
+        (root / ENV_FILE).write_text(ENV_TEXT)
+    return root
+
+
+# the job_hash of each file of FULL_JOB_FILES: resume refuses a session whose manifest
+# records another, so a change that moves the hash of a valid file strands its sessions
+JOB_HASHES = {
+    "bowl": "57c2dc6c17c0e4ba38d6e333e5a877b38313c99fc2fbcb85e42decb7a857d77a",
+    "monotone_plane_basin": "cee90c4327e6a196803d7da7a273f6a0c15a899347016691d325c596879c5d8f",
+    "rosenbrock": "7a5fed7103861db1f76da23e4c5cdc9d9821197d95163a8122a18110fe428377",
+    "lookup_table": "fcde4c4b2fdaf42ed47f5e16bfb554db65696da3cd1d8c62bb167cc88e434aa3",
+    "local": "449debcececc99b7e43ffd9ee0f10ed4c00285b20185747ab0ef99b8ef7fd64d",
+    "remote": "c1b28b6a71e5368f59084fb40f9946501479b809ff6ede718881801c02f763a3",
+}
+
+
+@pytest.mark.parametrize("name", FULL_JOB_FILES)
+def test_a_valid_job_file_keeps_the_job_hash_its_sessions_resume_under(tmp_path, name):
+    assert job_hash(load_project(write_full_project(tmp_path / "p", name))) == JOB_HASHES[name]
+
+
+# a shape key as a job file writes it
+SHAPE_LINES = {"weights": "weights=50,80\n", "optimum": "optimum=0.7,0.3\n",
+               "table": "table=0,0=9;1,1=2\n"}
+
+
+def refused_on_load_and_by_tune(root: Path, message: str) -> None:
+    with pytest.raises(BadValueError, match=message):
+        load_project(root)
+    assert main(["tune", "--dir", str(root), "--strategy", "grid", "--budget", "2"]) == 2
+    assert not (root / "history").exists()
+
+
+@pytest.mark.parametrize("family, field", UNREAD_FIELDS)
+def test_a_job_file_giving_a_family_a_shape_key_it_does_not_read_is_refused(tmp_path, family, field):
+    root = write_full_project(tmp_path / "p", family)
+    (root / "job.conf").write_text(FULL_JOB_FILES[family] + SHAPE_LINES[field])
+    refused_on_load_and_by_tune(root, f"^bad value for key 'surface' in job.conf: "
+                                      f"a {family} surface reads no {field}$")
+
+
+@pytest.mark.parametrize("family, field", NEEDED_FIELDS)
+def test_a_job_file_missing_a_shape_key_its_family_reads_is_refused(tmp_path, family, field):
+    root = write_full_project(tmp_path / "p", family)
+    lines = FULL_JOB_FILES[family].splitlines(keepends=True)
+    (root / "job.conf").write_text("".join(l for l in lines if not l.startswith(f"{field}=")))
+    refused_on_load_and_by_tune(root, f"^bad value for key 'surface' in job.conf: "
+                                      f"a {family} surface needs {field}$")
+
+
+# each kind with a key that only another kind reads; the synthetic job is a bowl
 FOREIGN_KEYS = [
     ("local", "args=--extra 1"), ("local", "cleanup_output=true"), ("local", "main_entry=Foo"),
     ("local", "jar=x.jar"), ("local", "family=bowl"), ("local", "base_s=oops"),
@@ -165,7 +231,8 @@ FOREIGN_KEYS = [
 def test_a_key_another_executor_kind_reads_is_refused_naming_it_and_its_file(kind, line):
     key = line.partition("=")[0]
     with pytest.raises(BadValueError, match=f"^bad value for key '{key}' in two.conf: unknown key$"):
-        parse_job_file(FULL_JOB_FILES[kind] + line + "\n", "two.conf")
+        parse_job_file(FULL_JOB_FILES["bowl" if kind == "synthetic" else kind] + line + "\n",
+                       "two.conf")
 
 
 def test_a_synthetic_job_file_holding_a_seed_is_refused(tmp_path):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import NEEDED_FIELDS, UNREAD_FIELDS
 from jobtuner.errors import InvalidPointError, TunerError
 from jobtuner.executors.base import JobSpec
 from jobtuner.executors.synthetic import SurfaceSpec, SyntheticExecutor, synthetic_eval
@@ -75,8 +76,7 @@ def test_plane_family_minimum_at_ones_corner():
 
 
 def test_rosenbrock_family():
-    rosen = SurfaceSpec(family="rosenbrock", base_s=50.0, weights=(1.0, 1.0),
-                        optimum=(1.0, 1.0))
+    rosen = SurfaceSpec(family="rosenbrock", base_s=50.0)
     assert synthetic_eval(rosen, [1.0, 1.0], 1, 1) == 50.0
     # 50 + 100*(0.5 - 0.25)^2 + (1 - 0.5)^2 = 50 + 6.25 + 0.25
     assert synthetic_eval(rosen, [0.5, 0.5], 1, 1) == pytest.approx(56.5)
@@ -106,18 +106,41 @@ def test_dimension_mismatch():
 
 
 def test_invalid_surfaces():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown surface family 'volcano'$"):
         SurfaceSpec(family="volcano", base_s=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^base_s must be > 0 and finite$"):
         SurfaceSpec(family="bowl", base_s=0.0, weights=(1.0,), optimum=(0.5,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^weights must be positive and finite$"):
         SurfaceSpec(family="bowl", base_s=1.0, weights=(-1.0,), optimum=(0.5,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^bowl surface needs matching weights and optimum lengths$"):
         SurfaceSpec(family="bowl", base_s=1.0, weights=(1.0, 2.0), optimum=(0.5,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^a rosenbrock surface reads no weights$"):
         SurfaceSpec(family="rosenbrock", base_s=1.0, weights=(1.0,), optimum=(0.5,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^a lookup_table surface needs table$"):
         SurfaceSpec(family="lookup_table", base_s=1.0)
+
+
+# each family's surface with every shape field its formula reads
+FULL_SURFACES = {
+    "bowl": {"weights": (200.0, 100.0), "optimum": (0.8, 0.9)},
+    "monotone_plane_basin": {"weights": (10.0, 20.0)},
+    "rosenbrock": {},
+    "lookup_table": {"table": (((0.0, 0.0), 120.0), ((1.0, 1.0), 95.0))},
+}
+SHAPE_VALUES = {"weights": (1.0, 1.0), "optimum": (1.0, 1.0), "table": (((1.0, 1.0), 9.0),)}
+
+
+@pytest.mark.parametrize("family, field", UNREAD_FIELDS)
+def test_a_family_refuses_a_shape_field_its_formula_does_not_read(family, field):
+    with pytest.raises(ValueError, match=f"^a {family} surface reads no {field}$"):
+        SurfaceSpec(family, 1.0, **{**FULL_SURFACES[family], field: SHAPE_VALUES[field]})
+
+
+@pytest.mark.parametrize("family, field", NEEDED_FIELDS)
+def test_a_family_needs_each_shape_field_its_formula_reads(family, field):
+    fields = {k: v for k, v in FULL_SURFACES[family].items() if k != field}
+    with pytest.raises(ValueError, match=f"^a {family} surface needs {field}$"):
+        SurfaceSpec(family, 1.0, **fields)
 
 
 def test_lookup_table_cells_share_one_dimension():
